@@ -48,48 +48,27 @@ pub fn build_tc(
     b.build()
 }
 
-/// Parses a TC's `(ansn, advertised addresses)`.
+/// Parses a TC's `(ansn, advertised addresses)`; the addresses are read
+/// straight from the message's address blocks.
 #[must_use]
-pub fn parse_tc(msg: &Message) -> Option<(u16, Vec<Address>)> {
+pub fn parse_tc(msg: &Message) -> Option<(u16, impl Iterator<Item = Address> + '_)> {
     let ansn = msg.find_tlv(tlv_type::CONT_SEQ_NUM)?.value_u16()?;
     let advertised = msg
         .address_blocks()
         .iter()
-        .flat_map(|b| b.addresses().iter().copied())
-        .collect();
+        .flat_map(|b| b.addresses().iter().copied());
     Some((ansn, advertised))
 }
 
-/// Installs the computed routes into the kernel table, dropping vanished
-/// ones. Returns `(installed, removed)` counts.
+/// Brings the kernel table in line with the state's topology, if an input
+/// of the route computation changed since the last call (see
+/// [`OlsrState::sync_routes`]). Returns `(installed, removed)` counts.
 pub fn sync_kernel_routes(
     state: &mut OlsrState,
     local: Address,
     ctx: &mut ProtoCtx<'_>,
 ) -> (usize, usize) {
-    let routes = state.compute_routes(local);
-    let mut installed = 0;
-    let mut removed = 0;
-    let stale: Vec<Address> = state
-        .installed
-        .iter()
-        .filter(|d| !routes.contains_key(d))
-        .copied()
-        .collect();
-    for dest in stale {
-        ctx.os().route_table_mut().remove_host_route(dest);
-        state.installed.remove(&dest);
-        removed += 1;
-    }
-    for (dest, (next_hop, hops)) in &routes {
-        ctx.os()
-            .route_table_mut()
-            .add_host_route(*dest, *next_hop, *hops);
-        if state.installed.insert(*dest) {
-            installed += 1;
-        }
-    }
-    (installed, removed)
+    state.sync_routes(local, ctx.os().route_table_mut())
 }
 
 /// Periodically emits `TC_OUT` advertising the MPR-selector set.
@@ -155,7 +134,7 @@ impl EventHandler for TcHandler {
         };
         let now = ctx.now();
         let s = state.get_mut::<OlsrState>();
-        if s.apply_tc(originator, ansn, &advertised, now, self.validity) {
+        if s.apply_tc(originator, ansn, advertised, now, self.validity) {
             ctx.os().bump("tc_processed");
             sync_kernel_routes(s, local, ctx);
         }
@@ -163,7 +142,12 @@ impl EventHandler for TcHandler {
 }
 
 /// Tracks `NHOOD_CHANGE` / `MPR_CHANGE` from the MPR CF below.
-pub struct NeighbourhoodHandler;
+pub struct NeighbourhoodHandler {
+    /// Validity advertised in triggered TCs.
+    pub validity: SimDuration,
+    /// Hop limit stamped on triggered TCs.
+    pub hop_limit: u8,
+}
 
 impl EventHandler for NeighbourhoodHandler {
     fn name(&self) -> &str {
@@ -181,15 +165,12 @@ impl EventHandler for NeighbourhoodHandler {
         let s = state.get_mut::<OlsrState>();
         if event.ty.as_str() == manetkit::protocol::PROTO_STOP_EVENT {
             // Undeploying: withdraw every kernel route this protocol owns.
-            for dst in std::mem::take(&mut s.installed) {
-                ctx.os().route_table_mut().remove_host_route(dst);
-            }
+            s.withdraw_routes(ctx.os().route_table_mut());
             return;
         }
         match &event.payload {
             Payload::Neighbourhood(nh) => {
-                s.sym_neighbours = nh.sym_neighbours.clone();
-                s.two_hop = nh.two_hop.clone();
+                s.set_neighbourhood(&nh.sym_neighbours, &nh.two_hop);
                 sync_kernel_routes(s, local, ctx);
             }
             Payload::Mpr(mpr) if s.advertised != mpr.selectors => {
@@ -203,9 +184,9 @@ impl EventHandler for NeighbourhoodHandler {
                         local,
                         seq,
                         s.ansn,
-                        SimDuration::from_secs(15),
+                        self.validity,
                         &s.advertised,
-                        255,
+                        self.hop_limit,
                     );
                     ctx.os().bump("tc_sent");
                     ctx.emit(Event::message_out(types::tc_out(), msg));
@@ -264,7 +245,7 @@ impl EventHandler for EnergyMapHandler {
         };
         let local = ctx.local_addr();
         let s = state.get_mut::<OlsrState>();
-        s.energy.insert(originator, f64::from(raw) / 255.0);
+        s.set_energy(originator, f64::from(raw) / 255.0);
         sync_kernel_routes(s, local, ctx);
     }
 }
@@ -324,7 +305,7 @@ mod tests {
         let back = packetbb::Packet::decode(&wire).unwrap();
         let (ansn, advertised) = parse_tc(&back.messages()[0]).unwrap();
         assert_eq!(ansn, 42);
-        assert_eq!(advertised, vec![addr(2), addr(3)]);
+        assert_eq!(advertised.collect::<Vec<_>>(), [addr(2), addr(3)]);
         assert_eq!(back.messages()[0].hop_limit(), Some(255));
     }
 
@@ -333,7 +314,7 @@ mod tests {
         let msg = build_tc(addr(1), 1, 9, SimDuration::from_secs(15), &[], 3);
         let (ansn, advertised) = parse_tc(&msg).unwrap();
         assert_eq!(ansn, 9);
-        assert!(advertised.is_empty());
+        assert_eq!(advertised.count(), 0);
     }
 
     #[test]

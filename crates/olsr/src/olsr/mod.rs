@@ -8,7 +8,7 @@ pub use components::{
     build_tc, parse_tc, sync_kernel_routes, EnergyMapHandler, NeighbourhoodHandler,
     ResidualPowerSource, TcHandler, TcSource, TopologyExpiryHandler, TOPO_EXPIRY_TIMER,
 };
-pub use state::{seq_newer, OlsrState, RouteMetric, TopologyEntry};
+pub use state::{seq_newer, OlsrState, RouteMetric, RoutingBase, TopologyEntry};
 
 use manetkit::event::types;
 use manetkit::protocol::{ManetProtocolCf, StateSlot};
@@ -61,7 +61,10 @@ pub fn olsr_cf(config: OlsrConfig) -> ManetProtocolCf {
         .handler(Box::new(TcHandler {
             validity: config.topology_validity,
         }))
-        .handler(Box::new(NeighbourhoodHandler))
+        .handler(Box::new(NeighbourhoodHandler {
+            validity: config.topology_validity,
+            hop_limit: config.tc_hop_limit,
+        }))
         .handler(Box::new(TopologyExpiryHandler { sweep }))
         .build()
 }
@@ -69,6 +72,46 @@ pub fn olsr_cf(config: OlsrConfig) -> ManetProtocolCf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manetkit::event::{Event, MprChange, Payload};
+    use manetkit::protocol::ProtoCtx;
+    use netsim::{NodeId, NodeOs};
+    use packetbb::registry::tlv_type;
+    use packetbb::Address;
+    use std::sync::Arc;
+
+    #[test]
+    fn triggered_tc_follows_the_configuration() {
+        let config = OlsrConfig {
+            topology_validity: SimDuration::from_secs(9),
+            tc_hop_limit: 3,
+            ..OlsrConfig::default()
+        };
+        let mut cf = olsr_cf(config);
+        let mut os = NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]));
+        let mut ctx = ProtoCtx::new(&mut os, OLSR_CF);
+        // A first MPR selector appears: the handler answers with an early TC.
+        cf.deliver(
+            &Event {
+                ty: types::mpr_change(),
+                payload: Payload::Mpr(Arc::new(MprChange {
+                    mprs: Vec::new(),
+                    selectors: vec![Address::v4([10, 0, 0, 2])],
+                })),
+                meta: Default::default(),
+            },
+            &mut ctx,
+        );
+        let out = ctx.take_outputs();
+        assert_eq!(out.emitted.len(), 1, "one triggered TC");
+        assert_eq!(out.emitted[0].ty, types::tc_out());
+        let tc = out.emitted[0].message().expect("TC_OUT carries a message");
+        assert_eq!(tc.hop_limit(), Some(3));
+        assert_eq!(
+            tc.find_tlv(tlv_type::VALIDITY_TIME)
+                .and_then(|t| t.value_u8()),
+            Some(packetbb::time::encode_time(9_000)),
+        );
+    }
 
     #[test]
     fn cf_composition() {

@@ -99,7 +99,9 @@ pub fn enable_ops(config: PowerAwareConfig) -> Vec<ReconfigOp> {
                     interval: config.power_interval,
                 }))
                 .expect("no duplicate residual power source");
-                cf.state_mut().get_mut::<OlsrState>().metric = RouteMetric::EnergyAware;
+                cf.state_mut()
+                    .get_mut::<OlsrState>()
+                    .set_metric(RouteMetric::EnergyAware);
                 // The OLSR CF now provides the power dissemination and
                 // consumes the echoes.
                 let tuple = cf
@@ -148,8 +150,8 @@ pub fn disable_ops(config: PowerAwareConfig) -> Vec<ReconfigOp> {
                 let _ = cf.remove_handler("energy-map-handler");
                 let _ = cf.remove_source("residual-power");
                 let state = cf.state_mut().get_mut::<OlsrState>();
-                state.metric = RouteMetric::HopCount;
-                state.energy.clear();
+                state.set_metric(RouteMetric::HopCount);
+                state.clear_energy();
                 let mut tuple = cf.tuple().clone();
                 tuple.provided.retain(|t| *t != types::power_msg_out());
                 tuple.required.retain(|t| *t != types::power_msg_in());
@@ -184,7 +186,7 @@ mod tests {
         let olsr = dep.protocol(OLSR_CF).unwrap();
         assert!(olsr.plugin_names().contains(&"residual-power".to_string()));
         assert_eq!(
-            olsr.state().get::<OlsrState>().metric,
+            olsr.state().get::<OlsrState>().metric(),
             RouteMetric::EnergyAware
         );
         assert_eq!(
@@ -203,7 +205,7 @@ mod tests {
         let olsr = dep.protocol(OLSR_CF).unwrap();
         assert!(!olsr.plugin_names().contains(&"residual-power".to_string()));
         assert_eq!(
-            olsr.state().get::<OlsrState>().metric,
+            olsr.state().get::<OlsrState>().metric(),
             RouteMetric::HopCount
         );
         assert!(!olsr.tuple().is_provided(&types::power_msg_out()));
