@@ -357,10 +357,11 @@ impl RoutingAgent for Dymoum {
     }
 
     fn on_frame(&mut self, os: &mut NodeOs, from: Address, bytes: &[u8]) {
-        let Ok(packet) = Packet::decode(bytes) else {
+        let frame = os.decode_control(bytes);
+        let Ok(messages) = frame.get() else {
             return;
         };
-        for msg in packet.messages() {
+        for msg in messages {
             match msg.msg_type() {
                 msg_type::RREQ | msg_type::RREP => self.process_re(os, msg, from),
                 msg_type::RERR => self.process_rerr(os, msg, from),

@@ -387,10 +387,11 @@ impl RoutingAgent for Olsrd {
     }
 
     fn on_frame(&mut self, os: &mut NodeOs, from: Address, bytes: &[u8]) {
-        let Ok(packet) = Packet::decode(bytes) else {
+        let frame = os.decode_control(bytes);
+        let Ok(messages) = frame.get() else {
             return;
         };
-        for msg in packet.messages() {
+        for msg in messages {
             match msg.msg_type() {
                 msg_type::HELLO => self.process_hello(os, msg),
                 msg_type::TC => self.process_tc(os, msg, from),

@@ -110,6 +110,20 @@ impl DispatchQueue {
         }
     }
 
+    /// Returns a drained queue to its just-built state, keeping the global
+    /// FIFO's buffer. The per-unit discipline forgets its queues and its
+    /// cursor: which units a round has seen so far decides its round-robin
+    /// order, so nothing of one round may leak into the next.
+    pub fn reset(&mut self) {
+        match self {
+            DispatchQueue::Global(q) => q.clear(),
+            DispatchQueue::PerUnit { queues, cursor } => {
+                queues.clear();
+                *cursor = 0;
+            }
+        }
+    }
+
     /// Whether any event is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {

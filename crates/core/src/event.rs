@@ -328,10 +328,10 @@ pub struct EventMeta {
     pub from: Option<Address>,
     /// For `*_OUT` events: unicast target (`None` = link-local broadcast).
     pub dst: Option<Address>,
-    /// The protocol that emitted the event (`None` when the System CF did);
-    /// used for loop avoidance when a protocol provides and requires the
-    /// same type.
-    pub origin: Option<String>,
+    /// Name of the unit that emitted the event, stamped when the event is
+    /// routed (`None` for events injected from outside any unit). Interned,
+    /// so stamping costs no allocation.
+    pub origin: Option<&'static str>,
 }
 
 /// A unit of communication between CFS units.

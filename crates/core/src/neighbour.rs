@@ -130,20 +130,42 @@ pub fn build_hello(
     b.build()
 }
 
+/// Calls `f(address, symmetric?)` for every address a HELLO advertises, in
+/// block order, without allocating. An address is symmetric when any
+/// `LINK_STATUS` TLV covering it says so; each block's TLVs and addresses
+/// are walked once (address TLV indexes are octets, so 256 bits of "covered
+/// by a symmetric TLV" hold everything an index range can reach).
+fn for_each_hello_neighbour(msg: &Message, mut f: impl FnMut(Address, bool)) {
+    for block in msg.address_blocks() {
+        let mut sym = [0u64; 4];
+        let mut all_sym = false;
+        for t in block.tlvs() {
+            if t.tlv().tlv_type() != tlv_type::LINK_STATUS
+                || t.tlv().value_u8() != Some(link_status::SYMMETRIC)
+            {
+                continue;
+            }
+            match t.indexes() {
+                None => all_sym = true,
+                Some((start, stop)) => {
+                    for i in start..=stop {
+                        sym[usize::from(i >> 6)] |= 1 << (i & 63);
+                    }
+                }
+            }
+        }
+        for (i, addr) in block.addresses().iter().enumerate() {
+            let covered = i < 256 && sym[i >> 6] & (1 << (i & 63)) != 0;
+            f(*addr, all_sym || covered);
+        }
+    }
+}
+
 /// Parses the `(address, symmetric?)` pairs a HELLO advertises.
 #[must_use]
 pub fn parse_hello_neighbours(msg: &Message) -> Vec<(Address, bool)> {
     let mut out = Vec::new();
-    for block in msg.address_blocks() {
-        for (i, (addr, tlvs)) in block.iter_with_tlvs().enumerate() {
-            let _ = i;
-            let sym = tlvs.iter().any(|t| {
-                t.tlv().tlv_type() == tlv_type::LINK_STATUS
-                    && t.tlv().value_u8() == Some(link_status::SYMMETRIC)
-            });
-            out.push((addr, sym));
-        }
-    }
+    for_each_hello_neighbour(msg, |addr, sym| out.push((addr, sym)));
     out
 }
 
@@ -180,8 +202,11 @@ impl EventSource for HelloSource {
     }
 }
 
+#[derive(Default)]
 struct HelloHandler {
-    validity: SimDuration,
+    /// The sender's advertised symmetric neighbours, sorted and deduplicated;
+    /// kept between HELLOs so the steady state allocates nothing.
+    advertised: Vec<Address>,
 }
 
 impl EventHandler for HelloHandler {
@@ -202,37 +227,37 @@ impl EventHandler for HelloHandler {
             return;
         }
         let now = ctx.now();
-        let advertised = parse_hello_neighbours(msg);
         // We are symmetric with the sender iff it lists us at all (it heard
         // our HELLO recently).
-        let hears_us = advertised.iter().any(|(a, _)| *a == local);
-        let two_hop: BTreeSet<Address> = advertised
-            .iter()
-            .filter(|(a, sym)| *sym && *a != local)
-            .map(|(a, _)| *a)
-            .collect();
+        let mut hears_us = false;
+        let advertised = &mut self.advertised;
+        advertised.clear();
+        for_each_hello_neighbour(msg, |addr, sym| {
+            if addr == local {
+                hears_us = true;
+            } else if sym {
+                advertised.push(addr);
+            }
+        });
+        advertised.sort_unstable();
+        advertised.dedup();
 
         let table = state.get_mut::<NeighbourTable>();
-        let was_symmetric = table
-            .neighbours
-            .get(&sender)
-            .map(|i| i.symmetric)
-            .unwrap_or(false);
         let entry = table.neighbours.entry(sender).or_insert(NeighbourInfo {
             last_heard: now,
             symmetric: false,
             two_hop: BTreeSet::new(),
         });
+        let was_symmetric = entry.symmetric;
         entry.last_heard = now;
         entry.symmetric = hears_us;
-        entry.two_hop = two_hop;
-        let _ = self.validity;
+        if !entry.two_hop.iter().eq(advertised.iter()) {
+            entry.two_hop = advertised.iter().copied().collect();
+        }
 
         if hears_us && !was_symmetric {
             ctx.os().bump("nd_link_added");
-            let ev = state
-                .get::<NeighbourTable>()
-                .change_event(local, vec![sender], vec![]);
+            let ev = table.change_event(local, vec![sender], vec![]);
             ctx.emit(ev);
         }
     }
@@ -293,9 +318,7 @@ pub fn neighbour_detection_cf(config: NeighbourConfig) -> ManetProtocolCf {
             interval: config.hello_interval,
             validity: config.validity,
         }))
-        .handler(Box::new(HelloHandler {
-            validity: config.validity,
-        }))
+        .handler(Box::new(HelloHandler::default()))
         .handler(Box::new(ExpiryHandler {
             validity: config.validity,
             sweep,

@@ -32,6 +32,9 @@ use crate::telemetry::{intern_name, BusTelemetry};
 /// default integrity rules key on it.
 pub const REACTIVE_IFACE: &str = "IReactiveRouting";
 
+/// Name the System CF registers under with the Framework Manager.
+const SYSTEM_UNIT: &str = "system";
+
 /// Errors from deployment operations.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -262,6 +265,11 @@ pub struct Deployment {
     /// Interned `bus.<unit>.events_{in,out}` counter names, indexed by unit
     /// id and filled lazily on first flush.
     counter_names: Vec<Option<(&'static str, &'static str)>>,
+    /// The dispatch queue, empty between rounds and reused across them so a
+    /// round only allocates when it outgrows every round before it.
+    queue: DispatchQueue,
+    /// Reused buffer for the `*_IN` events of one received frame.
+    rx_events: Vec<Event>,
     started: bool,
 }
 
@@ -319,7 +327,7 @@ impl Deployment {
     #[must_use]
     pub fn new(concurrency: ConcurrencyModel) -> Self {
         let mut manager = FrameworkManager::new();
-        let system_unit = manager.register("system", EventTuple::new());
+        let system_unit = manager.register(SYSTEM_UNIT, EventTuple::new());
         let meta = ComponentFramework::new("manetkit");
         meta.add_rule(IntegrityRule::new(
             "unique-protocol-names",
@@ -342,6 +350,8 @@ impl Deployment {
             telemetry: BusTelemetry::new(),
             telemetry_flushed: BusTelemetry::new(),
             counter_names: Vec::new(),
+            queue: DispatchQueue::for_model(concurrency),
+            rx_events: Vec::new(),
             started: false,
         }
     }
@@ -388,6 +398,7 @@ impl Deployment {
     /// dispatch round).
     pub fn set_concurrency(&mut self, model: ConcurrencyModel) {
         self.concurrency = model;
+        self.queue = DispatchQueue::for_model(model);
     }
 
     /// Names of deployed protocols in stack order.
@@ -406,7 +417,7 @@ impl Deployment {
     }
 
     /// Dispatch telemetry (per-unit event counters, queue high-water mark,
-    /// wall-clock dispatch latency).
+    /// dispatch rounds).
     #[must_use]
     pub fn telemetry(&self) -> &BusTelemetry {
         &self.telemetry
@@ -415,9 +426,7 @@ impl Deployment {
     /// Flushes the deterministic telemetry counters into the OS counter
     /// table (surfacing them in `WorldStats::agent_counters` under `bus.*`
     /// names). Bumps by the delta since the previous flush, so calling after
-    /// every callback is cheap and idempotent. Wall-clock dispatch latency
-    /// is deliberately excluded: it would differ between otherwise identical
-    /// runs.
+    /// every callback is cheap and idempotent.
     pub fn flush_telemetry(&mut self, os: &mut NodeOs) {
         let rounds = self.telemetry.dispatch_rounds - self.telemetry_flushed.dispatch_rounds;
         os.bump_by("bus.dispatch_rounds", rounds);
@@ -451,7 +460,7 @@ impl Deployment {
             os.bump_by(in_name, delta_in);
             os.bump_by(out_name, delta_out);
         }
-        self.telemetry_flushed = self.telemetry.clone();
+        self.telemetry_flushed.copy_from(&self.telemetry);
     }
 
     /// Aggregate statistics.
@@ -464,6 +473,35 @@ impl Deployment {
             .map(|slot| (slot.cf.name().to_string(), slot.cf.stats()))
             .collect();
         s
+    }
+
+    /// Writes what [`protocol_names`](Self::protocol_names) and
+    /// [`stats`](Self::stats) would return into `status`, reusing its
+    /// buffers: counters are overwritten in place and the name lists are
+    /// rebuilt only when the composition is not the one already there.
+    fn publish_into(&self, status: &mut NodeStatus) {
+        let names = self.slots.iter().map(|slot| slot.name);
+        if !names.eq(status.protocols.iter().map(String::as_str)) {
+            status.protocols = self.protocol_names();
+            status.stats.protocols = self
+                .slots
+                .iter()
+                .map(|slot| (slot.name.to_string(), slot.cf.stats()))
+                .collect();
+        }
+        for (slot, (_, stats)) in self.slots.iter().zip(&mut status.stats.protocols) {
+            *stats = slot.cf.stats();
+        }
+        // Destructured so that a new counter cannot be left unpublished.
+        let DeploymentStats {
+            events_routed,
+            dispatch_rounds,
+            reconfigs_applied,
+            protocols: _,
+        } = self.stats;
+        status.stats.events_routed = events_routed;
+        status.stats.dispatch_rounds = dispatch_rounds;
+        status.stats.reconfigs_applied = reconfigs_applied;
     }
 
     /// Deploys a protocol. When the deployment is already started the
@@ -751,8 +789,10 @@ impl Deployment {
 
     /// A control frame arrived.
     pub fn on_frame(&mut self, os: &mut NodeOs, from: Address, bytes: &[u8]) {
-        let events = self.system.rx(from, bytes);
-        self.dispatch(os, events, Some(self.system_unit));
+        let mut events = std::mem::take(&mut self.rx_events);
+        self.system.rx(from, &os.decode_control(bytes), &mut events);
+        self.dispatch_drain(os, &mut events, Some(self.system_unit));
+        self.rx_events = events;
     }
 
     /// A timer token fired.
@@ -787,22 +827,50 @@ impl Deployment {
 
     /// Routes `events` (emitted by `origin`) and processes the resulting
     /// queue to quiescence, then flushes aggregated transmissions.
-    pub fn dispatch(&mut self, os: &mut NodeOs, events: Vec<Event>, origin: Option<UnitId>) {
+    pub fn dispatch(&mut self, os: &mut NodeOs, mut events: Vec<Event>, origin: Option<UnitId>) {
+        self.dispatch_drain(os, &mut events, origin);
+    }
+
+    /// [`dispatch`](Self::dispatch) over a caller-owned buffer, left empty.
+    fn dispatch_drain(&mut self, os: &mut NodeOs, events: &mut Vec<Event>, origin: Option<UnitId>) {
         self.stats.dispatch_rounds += 1;
-        let started = std::time::Instant::now();
-        let mut queue = DispatchQueue::for_model(self.concurrency);
-        for ev in events {
+        let mut queue = self.take_queue();
+        for ev in events.drain(..) {
             self.route_event(&mut queue, ev, origin);
         }
-        while let Some((unit, event)) = queue.pop() {
-            self.deliver_one(&mut queue, unit, &event, os);
-        }
+        self.run_queue(queue, os);
         self.system.flush(os);
-        self.telemetry.record_round(started.elapsed());
+        self.telemetry.record_round();
     }
 
     fn drain(&mut self, os: &mut NodeOs) {
-        self.dispatch(os, Vec::new(), None);
+        self.dispatch_drain(os, &mut Vec::new(), None);
+    }
+
+    /// Borrows the (empty) dispatch queue for one round; rounds never nest,
+    /// so [`run_queue`](Self::run_queue) always finds the slot free to
+    /// return it to.
+    fn take_queue(&mut self) -> DispatchQueue {
+        std::mem::replace(&mut self.queue, DispatchQueue::for_model(self.concurrency))
+    }
+
+    /// Delivers until `queue` is empty, then puts it back for the next
+    /// round in its just-built state.
+    fn run_queue(&mut self, mut queue: DispatchQueue, os: &mut NodeOs) {
+        while let Some((unit, event)) = queue.pop() {
+            self.deliver_one(&mut queue, unit, &event, os);
+        }
+        queue.reset();
+        self.queue = queue;
+    }
+
+    /// The interned name of a live unit (the System CF or a deployed
+    /// protocol).
+    fn origin_name(&self, unit: UnitId) -> Option<&'static str> {
+        if unit == self.system_unit {
+            return Some(SYSTEM_UNIT);
+        }
+        self.slots.iter().find(|s| s.unit == unit).map(|s| s.name)
     }
 
     fn route_event(&mut self, queue: &mut DispatchQueue, mut event: Event, origin: Option<UnitId>) {
@@ -817,9 +885,7 @@ impl Deployment {
             self.manager.record_context(key, value.clone());
         }
         if event.meta.origin.is_none() {
-            event.meta.origin = origin
-                .and_then(|o| self.manager.unit_name(o))
-                .map(str::to_string);
+            event.meta.origin = origin.and_then(|o| self.origin_name(o));
         }
         if let Some(o) = origin {
             self.telemetry.record_out(o);
@@ -866,18 +932,15 @@ impl Deployment {
     /// Applies non-event outputs and routes emitted events through a fresh
     /// dispatch (used outside an active queue, e.g. timer handling).
     fn apply_outputs(&mut self, idx: usize, out: CtxOutputs, os: &mut NodeOs) {
-        let started = std::time::Instant::now();
         let origin_unit = self.slots[idx].unit;
-        let mut queue = DispatchQueue::for_model(self.concurrency);
+        let mut queue = self.take_queue();
         for ev in out.emitted {
             self.route_event(&mut queue, ev, Some(origin_unit));
         }
-        while let Some((unit, event)) = queue.pop() {
-            self.deliver_one(&mut queue, unit, &event, os);
-        }
+        self.run_queue(queue, os);
         self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
         self.system.flush(os);
-        self.telemetry.record_round(started.elapsed());
+        self.telemetry.record_round();
     }
 
     /// Credits `n` reconfiguration ops to the counters (the transactional
@@ -1369,8 +1432,7 @@ impl ManetNode {
             .publish_composition
             .then(|| crate::txn::structural_hash(&self.deployment));
         let mut status = self.status.lock();
-        status.protocols = self.deployment.protocol_names();
-        status.stats = self.deployment.stats();
+        self.deployment.publish_into(&mut status);
         status.reconfigs_applied = status.stats.reconfigs_applied;
         status.alive = true;
         status.composition_hash = hash;

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use netsim::{ContextSample, FilterEvent, NodeOs};
+use netsim::{ContextSample, ControlMessages, FilterEvent, NodeOs};
 use packetbb::{Address, Message, Packet};
 
 use crate::event::{types, ContextValue, Event, EventType, Payload, RouteCtl};
@@ -57,7 +57,9 @@ pub struct SystemCf {
     netlink: bool,
     power_status: bool,
     /// Outgoing (dst, message) pairs aggregated within a dispatch round.
-    tx_buffer: Vec<(Option<Address>, Message)>,
+    /// Routed `*_OUT` events lend their message; by the time the round
+    /// flushes the event is gone and the buffer owns it outright.
+    tx_buffer: Vec<(Option<Address>, Arc<Message>)>,
     /// Packet sequence number.
     pkt_seq: u16,
     /// Frames that failed to decode (observability).
@@ -155,44 +157,41 @@ impl SystemCf {
         t
     }
 
-    /// Decodes an arriving frame into `*_IN` events.
-    #[must_use]
-    pub fn rx(&mut self, from: Address, bytes: &[u8]) -> Vec<Event> {
-        let packet = match Packet::decode(bytes) {
-            Ok(p) => p,
-            Err(_) => {
-                self.decode_errors += 1;
-                return Vec::new();
-            }
+    /// Turns an arriving frame's messages into `*_IN` events, appended to
+    /// `events`. The messages are shared, not copied: a frame decoded once
+    /// for all its receivers (see [`NodeOs::decode_control`]) costs each of
+    /// them a reference-count bump per message. A frame that failed to
+    /// decode, or a message of an unregistered type, is counted here — per
+    /// receiver — and produces nothing.
+    pub fn rx(&mut self, from: Address, frame: &ControlMessages, events: &mut Vec<Event>) {
+        let Ok(messages) = frame.get() else {
+            self.decode_errors += 1;
+            return;
         };
-        let mut events = Vec::new();
-        for msg in packet.into_messages() {
+        for msg in messages {
             match self
                 .registrations
                 .iter()
                 .find(|r| r.msg_type == msg.msg_type())
             {
-                Some(reg) => {
-                    events.push(Event::message_in(reg.in_event, Arc::new(msg), from));
-                }
+                Some(reg) => events.push(Event::message_in(reg.in_event, Arc::clone(msg), from)),
                 None => self.unknown_messages += 1,
             }
         }
-        events
     }
 
     /// Accepts a routed `*_OUT` event for transmission (buffered for
     /// aggregation until [`flush`](Self::flush)).
     pub fn tx(&mut self, event: &Event) {
         if let Payload::Message(msg) = &event.payload {
-            self.tx_buffer.push((event.meta.dst, (**msg).clone()));
+            self.tx_buffer.push((event.meta.dst, Arc::clone(msg)));
         }
     }
 
     /// Queues a message for transmission directly (the `IForward`
     /// direct-call path used by protocol F elements).
     pub fn send_direct(&mut self, msg: Message, dst: Option<Address>) {
-        self.tx_buffer.push((dst, msg));
+        self.tx_buffer.push((dst, Arc::new(msg)));
     }
 
     /// Handles a routed event the System CF requires (`ROUTE_FOUND`).
@@ -217,6 +216,7 @@ impl SystemCf {
         let mut broadcast: Vec<Message> = Vec::new();
         let mut unicast: Vec<(Address, Vec<Message>)> = Vec::new();
         for (dst, msg) in buffer {
+            let msg = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
             match dst {
                 None => broadcast.push(msg),
                 Some(addr) => match unicast.iter_mut().find(|(a, _)| *a == addr) {
@@ -353,7 +353,12 @@ mod tests {
             .push_message(MessageBuilder::new(1).seq_num(2).build())
             .push_message(MessageBuilder::new(99).build())
             .build();
-        let events = sys.rx(from, &pkt.encode_to_vec());
+        let mut events = Vec::new();
+        sys.rx(
+            from,
+            &ControlMessages::decode(&pkt.encode_to_vec()),
+            &mut events,
+        );
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].ty, types::hello_in());
         assert_eq!(events[1].ty, types::tc_in());
@@ -364,7 +369,12 @@ mod tests {
     #[test]
     fn rx_tolerates_garbage() {
         let mut sys = hello_system();
-        let events = sys.rx(Address::v4([1, 1, 1, 1]), &[0xFF, 0x00, 0x13]);
+        let mut events = Vec::new();
+        sys.rx(
+            Address::v4([1, 1, 1, 1]),
+            &ControlMessages::decode(&[0xFF, 0x00, 0x13]),
+            &mut events,
+        );
         assert!(events.is_empty());
         assert_eq!(sys.decode_errors(), 1);
     }

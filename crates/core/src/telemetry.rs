@@ -2,18 +2,13 @@
 //!
 //! A [`Deployment`](crate::node::Deployment) keeps one [`BusTelemetry`]
 //! updated as events flow: per-unit in/out counters, the dispatch-queue
-//! high-water mark and wall-clock dispatch latency. The deterministic
-//! counters are flushed into the node's
-//! [`NodeOs`](netsim::NodeOs) counters so they surface in
-//! [`WorldStats::agent_counters`](netsim::WorldStats) under `bus.*` names;
-//! the wall-clock latency is deliberately *not* flushed (it would make
-//! otherwise byte-identical simulation stats differ between runs) and is
-//! read directly via [`Deployment::telemetry`](crate::node::Deployment::telemetry)
-//! by the benchmarks.
+//! high-water mark and the number of dispatch rounds. All of it is
+//! deterministic and is flushed into the node's
+//! [`NodeOs`](netsim::NodeOs) counters so it surfaces in
+//! [`WorldStats::agent_counters`](netsim::WorldStats) under `bus.*` names.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Duration;
 
 use crate::manager::UnitId;
 
@@ -53,11 +48,8 @@ pub struct BusTelemetry {
     units: Vec<UnitCounters>,
     /// Highest number of events ever pending in a dispatch queue.
     pub queue_depth_hwm: usize,
-    /// Dispatch rounds timed.
+    /// Dispatch rounds completed.
     pub dispatch_rounds: u64,
-    /// Total wall-clock time spent inside dispatch rounds, in microseconds.
-    /// Nondeterministic — never merged into simulation statistics.
-    pub dispatch_micros: u64,
 }
 
 impl BusTelemetry {
@@ -91,10 +83,16 @@ impl BusTelemetry {
         }
     }
 
-    /// Accounts one completed dispatch round of wall-clock length `elapsed`.
-    pub fn record_round(&mut self, elapsed: Duration) {
+    /// Accounts one completed dispatch round.
+    pub fn record_round(&mut self) {
         self.dispatch_rounds += 1;
-        self.dispatch_micros += u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+    }
+
+    /// Overwrites `self` with `other`, reusing the per-unit buffer.
+    pub(crate) fn copy_from(&mut self, other: &BusTelemetry) {
+        self.units.clone_from(&other.units);
+        self.queue_depth_hwm = other.queue_depth_hwm;
+        self.dispatch_rounds = other.dispatch_rounds;
     }
 
     /// Counters of `unit` (zero when the unit never moved an event).
@@ -107,15 +105,6 @@ impl BusTelemetry {
     #[must_use]
     pub fn units(&self) -> &[UnitCounters] {
         &self.units
-    }
-
-    /// Mean wall-clock dispatch latency per round, in microseconds.
-    #[must_use]
-    pub fn mean_dispatch_micros(&self) -> f64 {
-        if self.dispatch_rounds == 0 {
-            return 0.0;
-        }
-        self.dispatch_micros as f64 / self.dispatch_rounds as f64
     }
 }
 
@@ -144,15 +133,26 @@ mod tests {
     }
 
     #[test]
-    fn hwm_and_latency() {
+    fn hwm_and_rounds() {
         let mut t = BusTelemetry::new();
         t.observe_queue_depth(3);
         t.observe_queue_depth(1);
         assert_eq!(t.queue_depth_hwm, 3);
-        t.record_round(Duration::from_micros(10));
-        t.record_round(Duration::from_micros(30));
+        t.record_round();
+        t.record_round();
         assert_eq!(t.dispatch_rounds, 2);
-        assert_eq!(t.dispatch_micros, 40);
-        assert!((t.mean_dispatch_micros() - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn copy_from_is_a_clone_into_place() {
+        let mut t = BusTelemetry::new();
+        t.record_in(3);
+        t.record_out(1);
+        t.observe_queue_depth(5);
+        t.record_round();
+        let mut copy = BusTelemetry::new();
+        copy.record_in(9);
+        copy.copy_from(&t);
+        assert_eq!(copy, t);
     }
 }

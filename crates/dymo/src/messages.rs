@@ -144,14 +144,13 @@ impl RouteElement {
             .find(|t| t.tlv().tlv_type() == tlv_type::TARGET_SEQ_NUM)
             .and_then(|t| t.tlv().value_u16());
         let mut path = Vec::with_capacity(blocks[1].len());
-        for (i, (addr, tlvs)) in blocks[1].iter_with_tlvs().enumerate() {
-            let _ = i;
-            let seq = tlvs
-                .iter()
+        for (i, addr) in blocks[1].addresses().iter().enumerate() {
+            let seq = blocks[1]
+                .tlvs_at(i)
                 .find(|t| t.tlv().tlv_type() == tlv_type::ADDR_SEQ_NUM)
                 .and_then(|t| t.tlv().value_u16())
                 .unwrap_or(0);
-            path.push(PathHop { addr, seq });
+            path.push(PathHop { addr: *addr, seq });
         }
         if path.is_empty() {
             return None;

@@ -59,7 +59,7 @@ pub mod traffic;
 pub use agent::{ContextSample, FilterEvent, RoutingAgent};
 pub use fault::{FaultEntry, FaultKind, FaultPlan, FaultPlanBuilder, FrameChaos};
 pub use os::{BatteryModel, NodeOs, TimerToken};
-pub use packet::{DataPacket, Frame, NodeId};
+pub use packet::{ControlFrame, ControlMessages, DataPacket, Frame, NodeId};
 pub use route::{KernelRouteTable, RouteEntry};
 pub use stats::{StatsWindow, WorldStats};
 pub use time::{SimDuration, SimTime};

@@ -4,7 +4,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use packetbb::Address;
 
-use crate::packet::{DataPacket, NodeId};
+use crate::agent::RoutingAgent;
+use crate::packet::{ControlFrame, ControlMessages, DataPacket, NodeId};
 use crate::route::KernelRouteTable;
 use crate::time::{SimDuration, SimTime};
 
@@ -124,6 +125,10 @@ pub struct NodeOs {
     counters: HashMap<&'static str, u64>,
     /// Monotonic source for protocol sequence numbers.
     seq: u16,
+    /// The control frame under delivery, parked around the agent's
+    /// `on_frame` so the agent can reach the decoded view all receivers of
+    /// that transmission share.
+    rx_frame: Option<ControlFrame>,
     /// Flight-recorder ring, installed by [`WorldBuilder::trace`]
     /// (crate::WorldBuilder::trace). Boxed so the common untraced `NodeOs`
     /// stays one pointer wider, not one ring wider.
@@ -155,6 +160,7 @@ impl NodeOs {
             battery: Battery::new(battery),
             counters: HashMap::new(),
             seq: 0,
+            rx_frame: None,
             #[cfg(feature = "trace")]
             trace: None,
         }
@@ -192,6 +198,35 @@ impl NodeOs {
     #[must_use]
     pub fn route_table_mut(&mut self) -> &mut KernelRouteTable {
         &mut self.route_table
+    }
+
+    /// Hands `frame` to `agent.on_frame` as received from `from`. While the
+    /// callback runs, [`decode_control`](Self::decode_control) on the bytes
+    /// it was given answers from the frame's shared decoded view. This is
+    /// how the world delivers every control arrival.
+    pub fn deliver_control(
+        &mut self,
+        agent: &mut dyn RoutingAgent,
+        from: Address,
+        frame: &ControlFrame,
+    ) {
+        self.rx_frame = Some(frame.clone());
+        agent.on_frame(self, from, frame.bytes());
+        self.rx_frame = None;
+    }
+
+    /// The PacketBB messages of a control frame handed to `on_frame`. When
+    /// `bytes` is the frame under delivery (same memory, not merely equal
+    /// content) the result is the view every receiver of that transmission
+    /// shares, decoded once; any other slice is decoded for this caller.
+    #[must_use]
+    pub fn decode_control(&self, bytes: &[u8]) -> ControlMessages {
+        match &self.rx_frame {
+            Some(frame) if std::ptr::eq(frame.bytes(), bytes) => {
+                ControlMessages::shared(frame.clone())
+            }
+            _ => ControlMessages::decode(bytes),
+        }
     }
 
     /// Broadcasts a control frame to all current neighbours.

@@ -36,8 +36,33 @@ pub struct RouteEntry {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelRouteTable {
-    // Keyed by (prefix_len desc is handled at lookup), (dst, prefix_len).
-    entries: BTreeMap<(Vec<u8>, u8), RouteEntry>,
+    // Keyed by (dst, prefix_len); longest-prefix order is handled at lookup.
+    entries: BTreeMap<RouteKey, RouteEntry>,
+}
+
+/// `(dst octets, prefix_len)` without a heap-allocated octet string. The
+/// derived order is the order of the octet strings themselves (bytewise,
+/// a proper prefix first): zero padding cannot reorder two addresses that
+/// differ inside the shorter one, and when the shorter is a prefix of the
+/// longer, equal padding falls through to `addr_len`, shorter first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RouteKey {
+    octets: [u8; 16],
+    addr_len: u8,
+    prefix_len: u8,
+}
+
+impl RouteKey {
+    fn new(dst: Address, prefix_len: u8) -> Self {
+        let src = dst.octets();
+        let mut octets = [0; 16];
+        octets[..src.len()].copy_from_slice(src);
+        RouteKey {
+            octets,
+            addr_len: src.len() as u8,
+            prefix_len,
+        }
+    }
 }
 
 impl KernelRouteTable {
@@ -49,9 +74,8 @@ impl KernelRouteTable {
 
     /// Installs (or replaces) a route to `dst/prefix_len` via `next_hop`.
     pub fn add_route(&mut self, dst: Address, prefix_len: u8, next_hop: Address, metric: u32) {
-        let key = (dst.octets().to_vec(), prefix_len);
         self.entries.insert(
-            key,
+            RouteKey::new(dst, prefix_len),
             RouteEntry {
                 dst,
                 prefix_len,
@@ -69,7 +93,7 @@ impl KernelRouteTable {
     /// Removes the exact route to `dst/prefix_len`; returns the removed
     /// entry if it existed.
     pub fn remove_route(&mut self, dst: Address, prefix_len: u8) -> Option<RouteEntry> {
-        self.entries.remove(&(dst.octets().to_vec(), prefix_len))
+        self.entries.remove(&RouteKey::new(dst, prefix_len))
     }
 
     /// Removes the host route to `dst`.
@@ -102,8 +126,7 @@ impl KernelRouteTable {
     /// Exact-match fetch of a host route.
     #[must_use]
     pub fn host_route(&self, dst: Address) -> Option<&RouteEntry> {
-        self.entries
-            .get(&(dst.octets().to_vec(), dst.family().bits()))
+        self.entries.get(&RouteKey::new(dst, dst.family().bits()))
     }
 
     /// Iterates over all entries.

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use crate::agent::{ContextSample, FilterEvent, RoutingAgent};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::os::{Action, BatteryModel, NodeOs};
-use crate::packet::{DataPacket, Frame, NodeId};
+use crate::packet::{ControlFrame, DataPacket, Frame, NodeId};
 use crate::stats::{StatsWindow, WorldStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkModel, LinkPhase, LinkState, Topology};
@@ -84,9 +84,9 @@ enum EventKind {
 enum PhyJob {
     /// A broadcast control frame: one serialization occupies the sender's
     /// airtime once; per-neighbour fates are decided at completion.
-    Broadcast { bytes: Vec<u8> },
+    Broadcast { frame: ControlFrame },
     /// A unicast control frame to a resolved neighbour.
-    Unicast { nb: NodeId, bytes: Vec<u8> },
+    Unicast { nb: NodeId, frame: ControlFrame },
     /// A data packet being forwarded one hop (TTL already decremented at
     /// route time).
     Data { nb: NodeId, packet: DataPacket },
@@ -95,9 +95,7 @@ enum PhyJob {
 impl PhyJob {
     fn wire_len(&self) -> usize {
         match self {
-            PhyJob::Broadcast { bytes } | PhyJob::Unicast { bytes, .. } => {
-                Frame::control_wire_len(bytes.len())
-            }
+            PhyJob::Broadcast { frame } | PhyJob::Unicast { frame, .. } => frame.wire_len(),
             PhyJob::Data { packet, .. } => Frame::data_wire_len(packet),
         }
     }
@@ -938,9 +936,16 @@ impl World {
             unreachable!("position() matched an Arrival");
         };
         match frame {
-            Frame::Control(_bytes) => {
+            Frame::Control(_frame) => {
                 self.stats.control_lost += 1;
-                tr!(self, _node, FrameDrop, "mcheck_drop", _from.0, _bytes.len());
+                tr!(
+                    self,
+                    _node,
+                    FrameDrop,
+                    "mcheck_drop",
+                    _from.0,
+                    _frame.bytes().len()
+                );
             }
             Frame::Data(packet) => {
                 self.stats.data_dropped_link += 1;
@@ -1112,6 +1117,9 @@ impl World {
 
     fn send_control(&mut self, node: NodeId, dst: Option<Address>, bytes: Vec<u8>) {
         let frame_len = Frame::control_wire_len(bytes.len());
+        // One frame for the whole transmission: every receiver shares its
+        // bytes and its decoded view.
+        let frame = ControlFrame::new(bytes);
         self.stats.control_frames += 1;
         self.stats.control_bytes += frame_len as u64;
         if self.phy.is_some() {
@@ -1121,7 +1129,7 @@ impl World {
             match dst {
                 None => {
                     tr!(self, node, FrameTx, "frame.control", frame_len, u64::MAX);
-                    self.phy_enqueue(node, PhyJob::Broadcast { bytes });
+                    self.phy_enqueue(node, PhyJob::Broadcast { frame });
                 }
                 Some(addr) => {
                     let Some(nb) = self.node_of(addr) else {
@@ -1130,7 +1138,7 @@ impl World {
                         return;
                     };
                     tr!(self, node, FrameTx, "frame.control", frame_len, nb.0);
-                    self.phy_enqueue(node, PhyJob::Unicast { nb, bytes });
+                    self.phy_enqueue(node, PhyJob::Unicast { nb, frame });
                 }
             }
             return;
@@ -1156,7 +1164,7 @@ impl World {
                         EventKind::Arrival {
                             node: nb,
                             from: node,
-                            frame: Frame::Control(bytes.clone()),
+                            frame: Frame::Control(frame.clone()),
                         },
                     );
                 }
@@ -1189,7 +1197,7 @@ impl World {
                     EventKind::Arrival {
                         node: nb,
                         from: node,
-                        frame: Frame::Control(bytes),
+                        frame: Frame::Control(frame),
                     },
                 );
             }
@@ -1301,8 +1309,8 @@ impl World {
             self.phy_tx_start(node, next);
         }
         match done.payload {
-            PhyJob::Broadcast { bytes } => self.radio_broadcast(node, bytes),
-            PhyJob::Unicast { nb, bytes } => self.radio_unicast(node, nb, bytes),
+            PhyJob::Broadcast { frame } => self.radio_broadcast(node, frame),
+            PhyJob::Unicast { nb, frame } => self.radio_unicast(node, nb, frame),
             PhyJob::Data { nb, packet } => self.radio_data(node, nb, packet),
         }
     }
@@ -1310,8 +1318,8 @@ impl World {
     /// Radio fate of a completed broadcast: one serialization occupied the
     /// air; each in-range neighbour now gets its own reachability, loss and
     /// propagation draws, exactly as the ideal path orders them.
-    fn radio_broadcast(&mut self, node: NodeId, bytes: Vec<u8>) {
-        let _frame_len = Frame::control_wire_len(bytes.len());
+    fn radio_broadcast(&mut self, node: NodeId, frame: ControlFrame) {
+        let _frame_len = frame.wire_len();
         for nb in self.topo.neighbours(node) {
             if !self.reachable(node, nb) {
                 self.stats.control_lost += 1;
@@ -1329,15 +1337,15 @@ impl World {
                 EventKind::Arrival {
                     node: nb,
                     from: node,
-                    frame: Frame::Control(bytes.clone()),
+                    frame: Frame::Control(frame.clone()),
                 },
             );
         }
     }
 
     /// Radio fate of a completed unicast control frame.
-    fn radio_unicast(&mut self, node: NodeId, nb: NodeId, bytes: Vec<u8>) {
-        let _frame_len = Frame::control_wire_len(bytes.len());
+    fn radio_unicast(&mut self, node: NodeId, nb: NodeId, frame: ControlFrame) {
+        let _frame_len = frame.wire_len();
         if !self.reachable(node, nb) {
             self.stats.control_lost += 1;
             tr!(self, node, FrameDrop, "unreachable", nb.0, _frame_len);
@@ -1360,7 +1368,7 @@ impl World {
             EventKind::Arrival {
                 node: nb,
                 from: node,
-                frame: Frame::Control(bytes),
+                frame: Frame::Control(frame),
             },
         );
     }
@@ -1454,17 +1462,20 @@ impl World {
                 self.with_agent(node, |agent, os| agent.start(os));
             }
             EventKind::Arrival { node, from, frame } => match frame {
-                Frame::Control(bytes) => {
+                Frame::Control(frame) => {
+                    let len = frame.bytes().len();
                     if self.nodes[node.0].crashed {
                         self.stats.control_lost += 1;
-                        tr!(self, node, FrameDrop, "crashed", from.0, bytes.len());
+                        tr!(self, node, FrameDrop, "crashed", from.0, len);
                         return;
                     }
                     self.stats.control_received += 1;
-                    tr!(self, node, FrameRx, "frame.control", from.0, bytes.len());
+                    tr!(self, node, FrameRx, "frame.control", from.0, len);
                     let from_addr = self.nodes[from.0].os.addr();
-                    self.nodes[node.0].os.battery.drain_rx(bytes.len());
-                    self.with_agent(node, |agent, os| agent.on_frame(os, from_addr, &bytes));
+                    self.nodes[node.0].os.battery.drain_rx(len);
+                    self.with_agent(node, |agent, os| {
+                        os.deliver_control(agent, from_addr, &frame);
+                    });
                 }
                 Frame::Data(packet) => {
                     if self.nodes[node.0].crashed {
@@ -2035,6 +2046,52 @@ mod tests {
         // Node 0 has one neighbour (node 1); node 2 is out of range.
         assert_eq!(stats.control_frames, 1);
         assert_eq!(stats.control_received, 1);
+    }
+
+    /// Records the decoded message every reception was answered with.
+    struct Decoder {
+        heard: Arc<Mutex<Vec<Arc<packetbb::Message>>>>,
+    }
+
+    impl RoutingAgent for Decoder {
+        fn name(&self) -> &str {
+            "decoder"
+        }
+        fn start(&mut self, _os: &mut NodeOs) {}
+        fn on_frame(&mut self, os: &mut NodeOs, _from: Address, bytes: &[u8]) {
+            let frame = os.decode_control(bytes);
+            let messages = frame.get().expect("a valid packet was sent");
+            self.heard.lock().unwrap().extend_from_slice(messages);
+        }
+        fn on_timer(&mut self, _os: &mut NodeOs, _token: u64) {}
+        fn on_filter_event(&mut self, _os: &mut NodeOs, _event: FilterEvent) {}
+    }
+
+    #[test]
+    fn every_receiver_of_a_broadcast_reads_one_decode() {
+        let channel = phy::Channel {
+            bits_per_sec: 1_000_000,
+            queue_frames: 8,
+        };
+        for model in [PhyModel::Ideal, PhyModel::SharedAirtime(channel)] {
+            let mut w = World::builder()
+                .topology(Topology::full(4))
+                .phy(model)
+                .seed(6)
+                .build();
+            let heard = Arc::new(Mutex::new(Vec::new()));
+            for i in 0..4 {
+                let heard = Arc::clone(&heard);
+                w.install_agent(NodeId(i), Box::new(Decoder { heard }));
+            }
+            let msg = packetbb::MessageBuilder::new(1).seq_num(5).build();
+            let bytes = packetbb::Packet::single(msg).encode_to_vec();
+            w.os_mut(NodeId(0)).broadcast_control(bytes);
+            w.run_for(SimDuration::from_millis(50));
+            let heard = heard.lock().unwrap();
+            assert_eq!(heard.len(), 3, "three neighbours, one message each");
+            assert!(heard.iter().all(|m| Arc::ptr_eq(m, &heard[0])));
+        }
     }
 
     #[test]

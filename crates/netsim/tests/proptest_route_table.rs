@@ -1,9 +1,122 @@
 //! Property-based tests of the kernel route table: longest-prefix-match
-//! semantics against a brute-force oracle.
+//! semantics against a brute-force oracle, and the inline route key against
+//! the heap-allocated octet-string key it replaced.
 
-use netsim::KernelRouteTable;
+use std::collections::BTreeMap;
+
+use netsim::{KernelRouteTable, RouteEntry};
 use packetbb::Address;
 use proptest::prelude::*;
+
+/// The table as it was keyed before: `(octet string, prefix_len)` in a
+/// `BTreeMap`, with the same longest-prefix scan. Kept as the oracle for
+/// iteration order and lookup answers, mixed families included.
+#[derive(Default)]
+struct OctetStringTable {
+    entries: BTreeMap<(Vec<u8>, u8), RouteEntry>,
+}
+
+impl OctetStringTable {
+    fn add_route(&mut self, dst: Address, prefix_len: u8, next_hop: Address, metric: u32) {
+        self.entries.insert(
+            (dst.octets().to_vec(), prefix_len),
+            RouteEntry {
+                dst,
+                prefix_len,
+                next_hop,
+                metric,
+            },
+        );
+    }
+
+    fn remove_route(&mut self, dst: Address, prefix_len: u8) -> Option<RouteEntry> {
+        self.entries.remove(&(dst.octets().to_vec(), prefix_len))
+    }
+
+    fn remove_routes_via(&mut self, via: Address) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|_, e| e.next_hop != via);
+        before - self.entries.len()
+    }
+
+    fn lookup(&self, dst: Address) -> Option<&RouteEntry> {
+        self.entries
+            .values()
+            .filter(|e| e.dst.family() == dst.family() && prefix_covers(e, dst))
+            .max_by_key(|e| e.prefix_len)
+    }
+
+    fn host_route(&self, dst: Address) -> Option<&RouteEntry> {
+        self.entries
+            .get(&(dst.octets().to_vec(), dst.family().bits()))
+    }
+}
+
+fn prefix_covers(entry: &RouteEntry, dst: Address) -> bool {
+    let bits = usize::from(entry.prefix_len);
+    let (a, b) = (entry.dst.octets(), dst.octets());
+    (0..bits).all(|bit| (a[bit / 8] ^ b[bit / 8]) & (0x80 >> (bit % 8)) == 0)
+}
+
+/// Addresses drawn from a small pool in both families, built so that v4
+/// octets are prefixes of v6 octet strings (the case where the two key
+/// encodings could disagree), plus unconstrained ones.
+fn arb_address() -> impl Strategy<Value = Address> {
+    prop_oneof![
+        (0u8..4, 0u8..4).prop_map(|(a, b)| Address::v4([10, a, 0, b])),
+        (0u8..4, 0u8..4, 0u8..3).prop_map(|(a, b, tail)| {
+            let mut o = [0u8; 16];
+            o[..4].copy_from_slice(&[10, a, 0, b]);
+            o[15] = tail;
+            Address::v6(o)
+        }),
+        any::<[u8; 4]>().prop_map(Address::v4),
+        any::<[u8; 16]>().prop_map(Address::v6),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    Add {
+        dst: Address,
+        prefix: u8,
+        next_hop: Address,
+        metric: u32,
+    },
+    AddHost {
+        dst: Address,
+        next_hop: Address,
+    },
+    Remove {
+        dst: Address,
+        prefix: u8,
+    },
+    RemoveHost(Address),
+    RemoveVia(Address),
+    Clear,
+}
+
+fn arb_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        4 => (arb_address(), 0u8..=128, arb_address(), 0u32..5).prop_map(
+            |(dst, prefix, next_hop, metric)| TableOp::Add {
+                dst,
+                prefix: prefix.min(dst.family().bits()),
+                next_hop,
+                metric,
+            }
+        ),
+        4 => (arb_address(), arb_address())
+            .prop_map(|(dst, next_hop)| TableOp::AddHost { dst, next_hop }),
+        2 => (arb_address(), 0u8..=128).prop_map(|(dst, prefix)| TableOp::Remove {
+            dst,
+            prefix: prefix.min(dst.family().bits()),
+        }),
+        2 => arb_address().prop_map(TableOp::RemoveHost),
+        1 => arb_address().prop_map(TableOp::RemoveVia),
+        1 => Just(TableOp::Clear),
+    ]
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -71,6 +184,52 @@ proptest! {
                 }
                 (e, g) => prop_assert!(false, "oracle {e:?} vs table {g:?} for {q:?}"),
             }
+        }
+    }
+
+    /// Same operations ⇒ same `iter()` order and the same `lookup` /
+    /// `host_route` answers as the octet-string-keyed table, v4 and v6 mixed.
+    #[test]
+    fn inline_key_orders_and_answers_like_the_octet_string_key(
+        ops in proptest::collection::vec(arb_op(), 0..48),
+        queries in proptest::collection::vec(arb_address(), 1..12),
+    ) {
+        let mut table = KernelRouteTable::new();
+        let mut oracle = OctetStringTable::default();
+        for op in ops {
+            match op {
+                TableOp::Add { dst, prefix, next_hop, metric } => {
+                    table.add_route(dst, prefix, next_hop, metric);
+                    oracle.add_route(dst, prefix, next_hop, metric);
+                }
+                TableOp::AddHost { dst, next_hop } => {
+                    table.add_host_route(dst, next_hop, 1);
+                    oracle.add_route(dst, dst.family().bits(), next_hop, 1);
+                }
+                TableOp::Remove { dst, prefix } => {
+                    prop_assert_eq!(table.remove_route(dst, prefix), oracle.remove_route(dst, prefix));
+                }
+                TableOp::RemoveHost(dst) => {
+                    prop_assert_eq!(
+                        table.remove_host_route(dst),
+                        oracle.remove_route(dst, dst.family().bits())
+                    );
+                }
+                TableOp::RemoveVia(via) => {
+                    prop_assert_eq!(table.remove_routes_via(via), oracle.remove_routes_via(via));
+                }
+                TableOp::Clear => {
+                    table.clear();
+                    oracle.entries.clear();
+                }
+            }
+            let got: Vec<&RouteEntry> = table.iter().collect();
+            let expected: Vec<&RouteEntry> = oracle.entries.values().collect();
+            prop_assert_eq!(got, expected, "iteration order");
+        }
+        for q in queries {
+            prop_assert_eq!(table.lookup(q), oracle.lookup(q), "lookup {}", q);
+            prop_assert_eq!(table.host_route(q), oracle.host_route(q), "host_route {}", q);
         }
     }
 

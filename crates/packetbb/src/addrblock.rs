@@ -199,6 +199,14 @@ impl AddressBlock {
         &self.tlvs
     }
 
+    /// The TLVs that apply to the address at `index`, in attachment order:
+    /// one row of [`iter_with_tlvs`](Self::iter_with_tlvs) without the
+    /// `Vec` that row allocates. Empty when `index` is out of range.
+    pub fn tlvs_at(&self, index: usize) -> impl Iterator<Item = &AddressTlv> + '_ {
+        let len = self.addresses.len();
+        self.tlvs.iter().filter(move |t| t.applies_to(index, len))
+    }
+
     /// Iterates over `(address, tlvs-that-apply)` pairs.
     pub fn iter_with_tlvs(&self) -> impl Iterator<Item = (Address, Vec<&AddressTlv>)> + '_ {
         let len = self.addresses.len();
@@ -325,5 +333,18 @@ mod tests {
         assert_eq!(rows[0].1.len(), 1);
         assert_eq!(rows[1].1.len(), 2);
         assert_eq!(rows[2].1.len(), 1);
+    }
+
+    #[test]
+    fn tlvs_at_matches_iter_with_tlvs_row_by_row() {
+        let b = AddressBlock::new(vec![v4(1), v4(2), v4(3), v4(4)])
+            .unwrap()
+            .push_tlv(AddressTlv::range(Tlv::flag(1), 1, 2))
+            .push_tlv(AddressTlv::all(Tlv::flag(2)))
+            .push_tlv(AddressTlv::single(Tlv::flag(3), 3));
+        for (i, (_, row)) in b.iter_with_tlvs().enumerate() {
+            assert_eq!(b.tlvs_at(i).collect::<Vec<_>>(), row);
+        }
+        assert_eq!(b.tlvs_at(4).count(), 0, "out of range applies to nothing");
     }
 }
