@@ -1237,13 +1237,17 @@ impl World {
     /// Hands a frame to the channel model. Tail drop is decided here by a
     /// pure queue-depth check that consumes no randomness, so enabling
     /// contention never perturbs the fault plan's RNG stream.
+    ///
+    /// `send_control` and `forward` come here only when the world has an
+    /// engine. Should a caller not have looked, nothing panics and nothing
+    /// is lost: without an engine serialization takes no time, so the frame
+    /// meets its radio fate at once.
     fn phy_enqueue(&mut self, node: NodeId, job: PhyJob) {
         let wire = job.wire_len();
         let domains = self.contention_domains(node, job.peer());
-        let phy = self
-            .phy
-            .as_mut()
-            .expect("phy_enqueue without channel model");
+        let Some(phy) = self.phy.as_mut() else {
+            return self.radio(node, job);
+        };
         let (outcome, rescheds) = phy.enqueue(self.now, node.0, domains, wire, job);
         self.schedule_phy(rescheds);
         match outcome {
@@ -1308,7 +1312,12 @@ impl World {
         if let Some(next) = done.started {
             self.phy_tx_start(node, next);
         }
-        match done.payload {
+        self.radio(node, done.payload);
+    }
+
+    /// Radio fate of a frame that has left `node`'s transmitter.
+    fn radio(&mut self, node: NodeId, job: PhyJob) {
+        match job {
             PhyJob::Broadcast { frame } => self.radio_broadcast(node, frame),
             PhyJob::Unicast { nb, frame } => self.radio_unicast(node, nb, frame),
             PhyJob::Data { nb, packet } => self.radio_data(node, nb, packet),
@@ -2092,6 +2101,22 @@ mod tests {
             assert_eq!(heard.len(), 3, "three neighbours, one message each");
             assert!(heard.iter().all(|m| Arc::ptr_eq(m, &heard[0])));
         }
+    }
+
+    #[test]
+    fn phy_enqueue_without_an_engine_sends_at_once() {
+        let mut w = World::builder().topology(Topology::full(4)).seed(6).build();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..4 {
+            let heard = Arc::clone(&heard);
+            w.install_agent(NodeId(i), Box::new(Decoder { heard }));
+        }
+        let msg = packetbb::MessageBuilder::new(1).seq_num(5).build();
+        let frame = ControlFrame::new(packetbb::Packet::single(msg).encode_to_vec());
+        w.phy_enqueue(NodeId(0), PhyJob::Broadcast { frame });
+        w.run_for(SimDuration::from_millis(50));
+        assert_eq!(heard.lock().unwrap().len(), 3);
+        assert_eq!(w.stats().phy_frames_tx, 0);
     }
 
     #[test]

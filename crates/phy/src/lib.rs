@@ -22,9 +22,17 @@
 //! deadlines and reschedule directives that the caller (the netsim world)
 //! turns into events on its own kernel. Every completion deadline carries a
 //! sequence number; after a rate reallocation moves a deadline, the stale
-//! event is recognised by its outdated sequence number and ignored. All
-//! internal state lives in ordered containers so iteration order — and with it
-//! every allocation — is deterministic for a given call sequence.
+//! event is recognised by its outdated sequence number and ignored.
+//!
+//! The engine is a pure function of its call sequence. Its state is dense
+//! (per-node records, per-domain member lists, reused scratch buffers), not
+//! ordered maps; what is ordered is what determinism rests on: transmissions
+//! are visited, frozen, summed and reported by ascending [`TxId`] (issued in
+//! start order), and bottleneck candidates are compared by ascending domain
+//! id, ties going to the lowest. A start, finish or abort recomputes rates
+//! only in the contention components it touches — the result is bit for bit
+//! the one a global recomputation gives — and re-derives every deadline (see
+//! [`Resched`] for why those may move by a microsecond).
 //!
 //! Composition with fault injection is defined as *drop at dequeue*: the
 //! channel model decides only whether and when a frame reaches the air;
