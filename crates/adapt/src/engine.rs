@@ -6,9 +6,13 @@
 //!
 //! Every tick and switch attempt is also recorded as `adapt.*` node
 //! counters (on the fleet's first node), so adaptive campaign cells carry
-//! the loop's behaviour inside their deterministic stats fingerprints.
+//! the loop's behaviour inside their deterministic stats fingerprints —
+//! including what each switch cost the network in its provisional window
+//! (`adapt.disruption.*`, summed over the switches).
 
-use manetkit::{FleetCoordinator, HealthGate, ReconfigRequest, Strategy, TxnOptions, TxnVerdict};
+use manetkit::{
+    Disruption, FleetCoordinator, HealthGate, ReconfigRequest, Strategy, TxnOptions, TxnVerdict,
+};
 use netsim::{NodeId, SimDuration, SimTime, StatsWindow, World};
 
 use crate::policy::{Decision, Policy};
@@ -61,6 +65,9 @@ pub struct SwitchEvent {
     pub to: Stack,
     /// How the fleet transaction ended.
     pub verdict: TxnVerdict,
+    /// What the network did in the health gate's provisional window
+    /// (`None` when the transaction never got that far).
+    pub disruption: Option<Disruption>,
 }
 
 /// The closed-loop engine: owns the fleet coordinator, the policy state
@@ -185,6 +192,14 @@ impl AdaptiveEngine {
                         }
                     }
                 }
+                if let Some(d) = report.disruption {
+                    let os = world.os_mut(self.counter_node);
+                    os.bump_by("adapt.disruption.control_frames", d.control_frames);
+                    os.bump_by("adapt.disruption.control_received", d.control_received);
+                    os.bump_by("adapt.disruption.data_sent", d.data_sent);
+                    os.bump_by("adapt.disruption.data_delivered", d.data_delivered);
+                    os.bump_by("adapt.disruption.route_discoveries", d.route_discoveries);
+                }
                 self.policy.on_verdict(world.now(), to, report.verdict);
                 self.log.push(SwitchEvent {
                     at,
@@ -192,6 +207,7 @@ impl AdaptiveEngine {
                     from,
                     to,
                     verdict: report.verdict,
+                    disruption: report.disruption,
                 });
                 // The transaction consumed telemetry (health windows ran
                 // under it); restart the cursor so the next decision sees

@@ -13,7 +13,7 @@
 use std::fmt;
 
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
-use manetkit::{ManetNode, NodeHandle, ReconfigOp};
+use manetkit::{ManetNode, ManetProtocolCf, NodeHandle, ReconfigOp, SystemCf};
 
 /// A complete routing composition the fleet can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,12 +83,46 @@ impl Stack {
         }
     }
 
-    /// The atomic switch recipe from this stack to `target`: remove the
-    /// source-only protocols, register the target's message types (message
+    /// The routing CF of a reactive stack (`None` for OLSR, whose two CFs
+    /// have no single counterpart).
+    fn reactive_cf(self) -> Option<ManetProtocolCf> {
+        match self {
+            Stack::Olsr => None,
+            Stack::Dymo => Some(manetkit_dymo::dymo_cf(Default::default())),
+            Stack::Aodv => Some(manetkit_aodv::aodv_cf(Default::default())),
+        }
+    }
+
+    /// Registers this stack's message types with a System CF (message
     /// registration is idempotent, so re-registering shared types is
-    /// safe), and add the target-only protocols. Switching between the two
-    /// reactive stacks keeps the shared Neighbour Detection CF — and its
-    /// neighbour state — in place.
+    /// safe).
+    fn register_messages(self, system: &mut SystemCf) {
+        match self {
+            Stack::Olsr => manetkit_olsr::register_messages(system),
+            Stack::Dymo => manetkit_dymo::register_messages(system),
+            Stack::Aodv => manetkit_aodv::register_messages(system),
+        }
+        if self.is_reactive() {
+            system.register_message(hello_registration());
+        }
+    }
+
+    /// The atomic switch recipe from this stack to `target`.
+    ///
+    /// Between the two reactive stacks it is a state-carrying
+    /// [`ReconfigOp::SwitchProtocol`]: the shared Neighbour Detection CF —
+    /// and its neighbour state — stays in place, and the arriving routing
+    /// CF adopts the retiring one's live routes and sequence number (through
+    /// their [`RouteCarrier`](manetkit::RouteCarrier)s) and installs them
+    /// in the kernel table in the same quiescent point, so active flows
+    /// neither lose a datagram nor rediscover. The retired CF rides in the
+    /// transaction's undo log with its state untouched: an abort or a
+    /// health-gate revert reinstates the table *as checkpointed*, not the
+    /// one the successor went on to maintain.
+    ///
+    /// To or from OLSR nothing can be carried: the source-only protocols
+    /// are removed, the target's message types registered and the
+    /// target-only protocols added.
     ///
     /// Switching a stack to itself yields an empty batch.
     #[must_use]
@@ -96,84 +130,36 @@ impl Stack {
         if self == target {
             return Vec::new();
         }
-        let mut ops = Vec::new();
-        // Tear down: routing protocol first, then its substrate (unless
-        // the target reuses it).
-        match self {
-            Stack::Olsr => {
-                ops.push(ReconfigOp::RemoveProtocol {
-                    name: "olsr".into(),
-                });
-                ops.push(ReconfigOp::RemoveProtocol { name: "mpr".into() });
+        let register = ReconfigOp::MutateSystem {
+            op: Box::new(move |sys| target.register_messages(sys)),
+        };
+        let bring_up = match (target.reactive_cf(), self.is_reactive()) {
+            (Some(new), true) => {
+                return vec![
+                    register,
+                    ReconfigOp::SwitchProtocol {
+                        old: self.name().into(),
+                        new,
+                        transfer_state: true,
+                    },
+                ];
             }
-            Stack::Dymo => {
-                ops.push(ReconfigOp::RemoveProtocol {
-                    name: "dymo".into(),
-                });
-                if !target.is_reactive() {
-                    ops.push(ReconfigOp::RemoveProtocol {
-                        name: "neighbour-detection".into(),
-                    });
-                }
-            }
-            Stack::Aodv => {
-                ops.push(ReconfigOp::RemoveProtocol {
-                    name: "aodv".into(),
-                });
-                if !target.is_reactive() {
-                    ops.push(ReconfigOp::RemoveProtocol {
-                        name: "neighbour-detection".into(),
-                    });
-                }
-            }
-        }
-        // Bring up the target.
-        let keeps_neighbour_detection = self.is_reactive() && target.is_reactive();
-        match target {
-            Stack::Olsr => {
-                ops.push(ReconfigOp::MutateSystem {
-                    op: Box::new(manetkit_olsr::register_messages),
-                });
-                ops.push(ReconfigOp::AddProtocol(manetkit_olsr::mpr_cf(
-                    Default::default(),
-                )));
-                ops.push(ReconfigOp::AddProtocol(manetkit_olsr::olsr_cf(
-                    Default::default(),
-                )));
-            }
-            Stack::Dymo => {
-                ops.push(ReconfigOp::MutateSystem {
-                    op: Box::new(|sys| {
-                        manetkit_dymo::register_messages(sys);
-                        sys.register_message(hello_registration());
-                    }),
-                });
-                if !keeps_neighbour_detection {
-                    ops.push(ReconfigOp::AddProtocol(neighbour_detection_cf(
-                        Default::default(),
-                    )));
-                }
-                ops.push(ReconfigOp::AddProtocol(manetkit_dymo::dymo_cf(
-                    Default::default(),
-                )));
-            }
-            Stack::Aodv => {
-                ops.push(ReconfigOp::MutateSystem {
-                    op: Box::new(|sys| {
-                        manetkit_aodv::register_messages(sys);
-                        sys.register_message(hello_registration());
-                    }),
-                });
-                if !keeps_neighbour_detection {
-                    ops.push(ReconfigOp::AddProtocol(neighbour_detection_cf(
-                        Default::default(),
-                    )));
-                }
-                ops.push(ReconfigOp::AddProtocol(manetkit_aodv::aodv_cf(
-                    Default::default(),
-                )));
-            }
-        }
+            (Some(routing), false) => [neighbour_detection_cf(Default::default()), routing],
+            (None, _) => [
+                manetkit_olsr::mpr_cf(Default::default()),
+                manetkit_olsr::olsr_cf(Default::default()),
+            ],
+        };
+        // Tear down (routing protocol first, then its substrate), register
+        // the target's messages, bring the target up.
+        let mut ops: Vec<ReconfigOp> = self
+            .protocols()
+            .into_iter()
+            .rev()
+            .map(|name| ReconfigOp::RemoveProtocol { name })
+            .collect();
+        ops.push(register);
+        ops.extend(bring_up.map(ReconfigOp::AddProtocol));
         ops
     }
 }
@@ -195,8 +181,22 @@ mod tests {
                 let ops = from.recipe_to(to);
                 if from == to {
                     assert!(ops.is_empty());
+                } else if from.is_reactive() && to.is_reactive() {
+                    assert!(
+                        matches!(
+                            ops.as_slice(),
+                            [
+                                ReconfigOp::MutateSystem { .. },
+                                ReconfigOp::SwitchProtocol {
+                                    transfer_state: true,
+                                    ..
+                                }
+                            ]
+                        ),
+                        "{from}->{to} is one state-carrying switch: {ops:?}"
+                    );
                 } else {
-                    assert!(ops.len() >= 3, "{from}->{to} has teardown+bringup");
+                    assert!(ops.len() >= 5, "{from}->{to} has teardown+bringup");
                 }
             }
         }

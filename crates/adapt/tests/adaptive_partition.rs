@@ -82,6 +82,17 @@ fn partition_triggers_exactly_one_unreverted_olsr_to_dymo_switch() {
     assert_eq!(stats.agent_counter("txn.prepared"), 5);
     assert_eq!(stats.agent_counter("txn.committed"), 5);
 
+    // What the switch cost the network in its provisional window is in the
+    // log and, through the `adapt.disruption.*` counters, in the stats.
+    let seen = ev.disruption.expect("the gate ran its window");
+    assert!(seen.control_frames > 0 && seen.data_sent > 0, "{seen}");
+    let counter = |name: &str| stats.agent_counter(&format!("adapt.disruption.{name}"));
+    assert_eq!(counter("control_frames"), seen.control_frames);
+    assert_eq!(counter("control_received"), seen.control_received);
+    assert_eq!(counter("data_sent"), seen.data_sent);
+    assert_eq!(counter("data_delivered"), seen.data_delivered);
+    assert_eq!(counter("route_discoveries"), seen.route_discoveries);
+
     // Every node ended on the DYMO composition.
     for stack in &stacks {
         assert_eq!(

@@ -1,11 +1,32 @@
 //! Plug-in components of the AODV CF.
 
+use std::collections::BTreeSet;
+
+use manetkit::carry::RouteCarrier;
 use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
-use manetkit::protocol::{proto_stop_event, EventHandler, ProtoCtx, StateSlot, PROTO_STOP_EVENT};
+use manetkit::protocol::{proto_start_event, proto_stop_event, EventHandler, ProtoCtx, StateSlot};
 use packetbb::Address;
 
 use crate::messages::{Rerr, Rrep, Rreq};
-use crate::state::{seq_newer, AodvState};
+use crate::state::{seq_newer, AodvState, BrokenRoute};
+
+/// The AODV CF's route carrier: live routes and sequence number of its
+/// [`AodvState`].
+#[must_use]
+pub fn route_carrier() -> RouteCarrier {
+    RouteCarrier {
+        export: |slot, now| slot.get::<AodvState>().export_carry(now),
+        adopt: |slot, carry, now| slot.get_mut::<AodvState>().adopt_carry(carry, now),
+    }
+}
+
+/// The AODV CF's state codec (see [`AodvState::encode`]).
+#[must_use]
+pub fn state_codec(slot: &StateSlot) -> Vec<u8> {
+    slot.try_get::<AodvState>()
+        .map(AodvState::encode)
+        .unwrap_or_default()
+}
 
 /// Timer name of the AODV housekeeping sweep.
 pub const AODV_SWEEP_TIMER: &str = "aodv:sweep";
@@ -252,27 +273,27 @@ impl EventHandler for RrepHandler {
     }
 }
 
-fn report_breaks(
-    s: &mut AodvState,
-    broken: Vec<(Address, u16, std::collections::BTreeSet<Address>)>,
-    ctx: &mut ProtoCtx<'_>,
-) {
+fn report_breaks(s: &mut AodvState, broken: Vec<BrokenRoute>, ctx: &mut ProtoCtx<'_>) {
     if broken.is_empty() {
         return;
     }
-    for (dst, _, _) in &broken {
-        remove_kernel(ctx, *dst);
+    for b in &broken {
+        remove_kernel(ctx, b.dst);
     }
-    // Precursor-directed reporting: unicast when a single precursor,
-    // broadcast otherwise (RFC 3561 §6.11).
-    let all_precursors: std::collections::BTreeSet<Address> = broken
+    // Precursor-directed reporting (RFC 3561 §6.11): nobody when no one
+    // routes through us, unicast to a single precursor, broadcast to
+    // several — and broadcast whenever a broken route's precursors are
+    // unknown, because silence would leave upstream nodes forwarding into
+    // the break for as long as traffic keeps their routes alive.
+    let unknown = broken.iter().any(|b| b.precursors.is_none());
+    let known: BTreeSet<Address> = broken
         .iter()
-        .flat_map(|(_, _, p)| p.iter().copied())
+        .flat_map(|b| b.precursors.iter().flatten().copied())
         .collect();
-    if all_precursors.is_empty() {
-        return; // nobody routes through us; nothing to report
+    if !unknown && known.is_empty() {
+        return;
     }
-    let unreachable: Vec<(Address, u16)> = broken.iter().map(|(d, q, _)| (*d, *q)).collect();
+    let unreachable: Vec<(Address, u16)> = broken.iter().map(|b| (b.dst, b.seq)).collect();
     let seq = s.next_seq();
     let rerr = Rerr {
         reporter: ctx.local_addr(),
@@ -280,11 +301,11 @@ fn report_breaks(
     };
     ctx.os().bump("rerr_sent");
     let msg = rerr.to_message(seq);
-    if all_precursors.len() == 1 {
-        let only = *all_precursors.iter().next().expect("len 1");
-        ctx.emit(Event::message_out(types::rerr_out(), msg).to(only));
-    } else {
-        ctx.emit(Event::message_out(types::rerr_out(), msg));
+    match known.first() {
+        Some(only) if !unknown && known.len() == 1 => {
+            ctx.emit(Event::message_out(types::rerr_out(), msg).to(*only));
+        }
+        _ => ctx.emit(Event::message_out(types::rerr_out(), msg)),
     }
 }
 
@@ -320,9 +341,7 @@ impl EventHandler for AodvRerrHandler {
                     .is_some_and(|r| r.next_hop == from && !r.broken);
                 if via_sender {
                     if let Some(r) = s.routes.get_mut(dst) {
-                        r.broken = true;
-                        r.seq = Some(*seq);
-                        broken.push((*dst, *seq, r.precursors.clone()));
+                        broken.push(r.mark_broken(*dst, *seq));
                     }
                 }
             }
@@ -334,10 +353,8 @@ impl EventHandler for AodvRerrHandler {
             Some(RouteCtl::ForwardFailure { dst, .. }) => {
                 let broken = match s.routes.get_mut(dst) {
                     Some(r) if !r.broken => {
-                        r.broken = true;
                         let seq = r.seq.map_or(0, |q| q.wrapping_add(1));
-                        r.seq = Some(seq);
-                        vec![(*dst, seq, r.precursors.clone())]
+                        vec![r.mark_broken(*dst, seq)]
                     }
                     _ => vec![],
                 };
@@ -382,7 +399,9 @@ impl EventHandler for AodvLifetimeHandler {
 }
 
 /// Housekeeping sweep: RREQ retries (expanding backoff), route expiry,
-/// kernel cleanup; also the shutdown hook.
+/// kernel cleanup; also the start and stop hooks, which mirror the S
+/// element's live routes into the kernel table and withdraw them again
+/// without touching S.
 pub struct AodvSweepHandler;
 
 impl EventHandler for AodvSweepHandler {
@@ -390,17 +409,28 @@ impl EventHandler for AodvSweepHandler {
         "sweep-handler"
     }
     fn subscriptions(&self) -> Vec<EventType> {
-        vec![aodv_sweep_timer(), proto_stop_event()]
+        vec![aodv_sweep_timer(), proto_start_event(), proto_stop_event()]
     }
     fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
         let now = ctx.now();
         let s = state.get_mut::<AodvState>();
-        if event.ty.as_str() == PROTO_STOP_EVENT {
-            for (dst, _) in std::mem::take(&mut s.routes) {
-                remove_kernel(ctx, dst);
+        if event.ty == proto_start_event() {
+            // What we would hand a successor is what the kernel must hold.
+            for r in s.export_carry(now).routes {
+                install_kernel(ctx, r.dst, r.next_hop, r.hop_count);
             }
-            for (dst, _) in std::mem::take(&mut s.pending) {
-                ctx.os().drop_buffered(dst);
+            return;
+        }
+        if event.ty == proto_stop_event() {
+            // Withdraw what we put into the OS; S stays as it is. The
+            // datagrams buffered behind a pending discovery are dropped:
+            // nobody is left to release them, and whoever runs next starts
+            // its own discovery for the next datagram.
+            for dst in s.routes.keys() {
+                remove_kernel(ctx, *dst);
+            }
+            for dst in s.pending.keys() {
+                ctx.os().drop_buffered(*dst);
             }
             return;
         }

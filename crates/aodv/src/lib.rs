@@ -56,7 +56,7 @@ pub use handlers::{
     RreqHandler, AODV_SWEEP_TIMER,
 };
 pub use messages::{Rerr, Rrep, Rreq};
-pub use state::{AodvParams, AodvRoute, AodvState};
+pub use state::{AodvParams, AodvRoute, AodvState, BrokenRoute};
 
 /// The name under which the AODV CF registers.
 pub const AODV_CF: &str = "aodv";
@@ -93,6 +93,8 @@ pub fn aodv_cf(params: AodvParams) -> ManetProtocolCf {
                 .provides(types::route_found()),
         )
         .state(StateSlot::new(state))
+        .state_codec(handlers::state_codec)
+        .route_carrier(handlers::route_carrier())
         .startup_timer(params.sweep, handlers::aodv_sweep_timer())
         .handler(Box::new(AodvDiscoveryHandler))
         .handler(Box::new(RreqHandler))

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use manetkit::carry::{CarriedRoute, RouteCarry};
 use netsim::{SimDuration, SimTime};
 use packetbb::Address;
 
@@ -29,6 +30,36 @@ pub struct AodvRoute {
     /// Upstream neighbours that route *through us* to this destination —
     /// the nodes a RERR must reach when the route breaks.
     pub precursors: BTreeSet<Address>,
+    /// Set on a route adopted from another protocol, which kept no
+    /// precursor lists: upstream nodes may well route through us, we just
+    /// never saw them ask. Until a precursor is learned, a break of this
+    /// route is reported to everyone in range rather than to nobody.
+    pub precursors_unknown: bool,
+}
+
+impl AodvRoute {
+    /// Marks the route broken under `seq` and says whom to tell.
+    pub fn mark_broken(&mut self, dst: Address, seq: u16) -> BrokenRoute {
+        self.broken = true;
+        self.seq = Some(seq);
+        BrokenRoute {
+            dst,
+            seq,
+            precursors: (!self.precursors_unknown).then(|| self.precursors.clone()),
+        }
+    }
+}
+
+/// One route a break took down, as a RERR reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BrokenRoute {
+    /// The unreachable destination.
+    pub dst: Address,
+    /// Its (incremented) sequence number.
+    pub seq: u16,
+    /// The upstream neighbours to tell; `None` when they are unknown and
+    /// the RERR must be broadcast (RFC 3561 §6.11).
+    pub precursors: Option<BTreeSet<Address>>,
 }
 
 /// A discovery in progress.
@@ -123,6 +154,7 @@ impl AodvState {
                         expiry,
                         broken: false,
                         precursors: BTreeSet::new(),
+                        precursors_unknown: false,
                     },
                 );
                 true
@@ -160,6 +192,7 @@ impl AodvState {
     pub fn add_precursor(&mut self, dst: Address, precursor: Address) {
         if let Some(r) = self.routes.get_mut(&dst) {
             r.precursors.insert(precursor);
+            r.precursors_unknown = false;
         }
     }
 
@@ -181,18 +214,94 @@ impl AodvState {
         }
     }
 
-    /// Breaks every route via `via`; returns `(dst, seq, precursors)` per
-    /// broken route, with the destination sequence number incremented as
-    /// RFC 3561 §6.11 requires.
-    pub fn break_routes_via(&mut self, via: Address) -> Vec<(Address, u16, BTreeSet<Address>)> {
+    /// Breaks every route via `via`; returns one [`BrokenRoute`] each,
+    /// with the destination sequence number incremented as RFC 3561 §6.11
+    /// requires.
+    pub fn break_routes_via(&mut self, via: Address) -> Vec<BrokenRoute> {
         let mut out = Vec::new();
         for (dst, r) in self.routes.iter_mut() {
             if r.next_hop == via && !r.broken {
-                r.broken = true;
                 let seq = r.seq.map_or(0, |s| s.wrapping_add(1));
-                r.seq = Some(seq);
-                out.push((*dst, seq, r.precursors.clone()));
+                out.push(r.mark_broken(*dst, seq));
             }
+        }
+        out
+    }
+
+    /// The live routes and our sequence number in protocol-neutral form
+    /// (what a successor protocol takes over on a switch).
+    #[must_use]
+    pub fn export_carry(&self, now: SimTime) -> RouteCarry {
+        let routes = self
+            .routes
+            .iter()
+            .filter(|(_, r)| !r.broken && r.expiry > now)
+            .map(|(dst, r)| CarriedRoute {
+                dst: *dst,
+                next_hop: r.next_hop,
+                hop_count: r.hop_count,
+                seq: r.seq,
+                expiry: r.expiry,
+            })
+            .collect();
+        RouteCarry {
+            own_seq: self.own_seq,
+            routes,
+        }
+    }
+
+    /// Takes over a predecessor's routes and sequence number. Lapsed
+    /// entries are skipped and no expiry outlives our own active-route
+    /// timeout; the adopted routes have unknown precursors.
+    pub fn adopt_carry(&mut self, carry: &RouteCarry, now: SimTime) {
+        self.own_seq = carry.own_seq;
+        let horizon = now + self.params.active_route_timeout;
+        for r in &carry.routes {
+            if r.expiry <= now {
+                continue;
+            }
+            self.routes.insert(
+                r.dst,
+                AodvRoute {
+                    next_hop: r.next_hop,
+                    seq: r.seq,
+                    hop_count: r.hop_count,
+                    expiry: r.expiry.min(horizon),
+                    broken: false,
+                    precursors: BTreeSet::new(),
+                    precursors_unknown: true,
+                },
+            );
+        }
+    }
+
+    /// Deterministic bytes of what a reconfiguration must preserve: the
+    /// sequence number, every route (expiry, broken flag and precursors
+    /// included) and the pending discoveries. Compared, never decoded.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + 28 * self.routes.len());
+        out.extend_from_slice(&self.own_seq.to_le_bytes());
+        out.extend_from_slice(&(self.routes.len() as u32).to_le_bytes());
+        for (dst, r) in &self.routes {
+            out.extend_from_slice(dst.octets());
+            out.extend_from_slice(r.next_hop.octets());
+            out.push(u8::from(r.seq.is_some()));
+            out.extend_from_slice(&r.seq.unwrap_or(0).to_le_bytes());
+            out.push(r.hop_count);
+            out.push(u8::from(r.broken));
+            out.push(u8::from(r.precursors_unknown));
+            out.extend_from_slice(&r.expiry.as_micros().to_le_bytes());
+            out.extend_from_slice(&(r.precursors.len() as u32).to_le_bytes());
+            for p in &r.precursors {
+                out.extend_from_slice(p.octets());
+            }
+        }
+        out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
+        for (dst, p) in &self.pending {
+            out.extend_from_slice(dst.octets());
+            out.push(p.attempts);
+            out.extend_from_slice(&p.next_retry.as_micros().to_le_bytes());
         }
         out
     }
@@ -265,10 +374,9 @@ mod tests {
         s.add_precursor(addr(9), addr(8));
         let broken = s.break_routes_via(addr(2));
         assert_eq!(broken.len(), 1);
-        let (dst, seq, precursors) = &broken[0];
-        assert_eq!(*dst, addr(9));
-        assert_eq!(*seq, 6, "seq incremented on break");
-        assert_eq!(precursors.len(), 2);
+        assert_eq!(broken[0].dst, addr(9));
+        assert_eq!(broken[0].seq, 6, "seq incremented on break");
+        assert_eq!(broken[0].precursors.as_ref().map(BTreeSet::len), Some(2));
         assert!(s.live_route(addr(9), now).is_none());
     }
 

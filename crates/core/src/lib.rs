@@ -22,6 +22,8 @@
 //!   transferable [`StateSlot`].
 //! * [`system`] — the [`SystemCf`]: the OS surrogate (network driver,
 //!   netlink, power status).
+//! * [`carry`] — [`RouteCarry`]: the protocol-neutral route view a switch
+//!   between two reactive protocols hands over.
 //! * [`neighbour`] — the reusable Neighbour Detection CF.
 //! * [`concurrency`] — pluggable concurrency models.
 //! * [`node`] — [`Deployment`] and [`ManetNode`]: one framework instance on
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod carry;
 pub mod concurrency;
 pub mod event;
 pub mod manager;
@@ -63,6 +66,7 @@ pub mod system;
 pub mod telemetry;
 pub mod txn;
 
+pub use carry::{CarriedRoute, RouteCarrier, RouteCarry};
 pub use concurrency::{ConcurrencyModel, DispatchQueue, LabReport, ThroughputLab};
 pub use event::{Event, EventMeta, EventType, Payload};
 pub use manager::FrameworkManager;
@@ -74,8 +78,8 @@ pub use protocol::{
     EventHandler, EventSource, Forwarder, ManetProtocolCf, ProtoCtx, StateCodec, StateSlot,
 };
 pub use reconfig::{
-    FleetCoordinator, FleetStatus, FleetTxnReport, HealthGate, ReconfigRequest, Strategy,
-    TxnOptions, TxnVerdict,
+    Disruption, FleetCoordinator, FleetStatus, FleetTxnReport, HealthGate, ReconfigRequest,
+    Strategy, TxnOptions, TxnVerdict,
 };
 pub use registry::EventTuple;
 pub use smallvec::SmallVec;

@@ -23,7 +23,9 @@ use parking_lot::Mutex;
 use crate::concurrency::{ConcurrencyModel, DispatchQueue};
 use crate::event::{ContextValue, Event, EventType, Payload};
 use crate::manager::{FrameworkManager, UnitId};
-use crate::protocol::{CtxOutputs, ManetProtocolCf, ProtoCtx, ProtocolError, ProtocolStats};
+use crate::protocol::{
+    CtxOutputs, Handover, ManetProtocolCf, ProtoCtx, ProtocolError, ProtocolStats,
+};
 use crate::registry::EventTuple;
 use crate::system::{MessageRegistration, SystemCf};
 use crate::telemetry::{intern_name, BusTelemetry};
@@ -47,6 +49,14 @@ pub enum DeployError {
     NoSuchProtocol(String),
     /// A protocol with the given name is already deployed.
     DuplicateProtocol(String),
+    /// A switch failed (`cause`) and putting the retired protocol back
+    /// failed too (`reinstate`): the deployment lost that protocol.
+    SwitchUnrecovered {
+        /// Why the replacement was refused.
+        cause: Box<DeployError>,
+        /// Why the retired protocol could not be reinstated.
+        reinstate: Box<DeployError>,
+    },
 }
 
 impl fmt::Display for DeployError {
@@ -58,6 +68,12 @@ impl fmt::Display for DeployError {
             DeployError::DuplicateProtocol(n) => {
                 write!(f, "protocol {n:?} already deployed")
             }
+            DeployError::SwitchUnrecovered { cause, reinstate } => {
+                write!(
+                    f,
+                    "{cause} (and reinstating the old protocol failed: {reinstate})"
+                )
+            }
         }
     }
 }
@@ -67,6 +83,7 @@ impl std::error::Error for DeployError {
         match self {
             DeployError::Integrity(e) => Some(e),
             DeployError::Protocol(e) => Some(e),
+            DeployError::SwitchUnrecovered { cause, .. } => Some(cause.as_ref()),
             _ => None,
         }
     }
@@ -100,7 +117,11 @@ pub enum ReconfigOp {
         old: String,
         /// Replacement protocol.
         new: ManetProtocolCf,
-        /// Whether to transplant the old protocol's state slot.
+        /// Whether the replacement takes over the old protocol's S element:
+        /// the state slot itself when both hold the same type, else the
+        /// live routes through the protocols'
+        /// [`RouteCarrier`](crate::carry::RouteCarrier)s (a copy — the
+        /// retired CF keeps its state for the undo log).
         transfer_state: bool,
     },
     /// Replace a protocol's event tuple (declarative rewiring).
@@ -246,6 +267,18 @@ struct Slot {
     /// The protocol name, interned once so the delivery hot path can hand
     /// a `&'static str` to [`ProtoCtx`] without a per-event `String`.
     name: &'static str,
+}
+
+/// What a successful [`Deployment::switch_protocol`] leaves for an undo
+/// log.
+pub(crate) struct Switched {
+    /// The retired CF, stopped, with whatever state it still owns.
+    pub old: ManetProtocolCf,
+    /// Its former stack position.
+    pub index: usize,
+    /// Whether its state slot moved into the successor (and must move back
+    /// when the switch is undone).
+    pub moved: bool,
 }
 
 /// A per-node MANETKit framework instance.
@@ -675,6 +708,58 @@ impl Deployment {
         Ok(slot.cf)
     }
 
+    /// Retires `old` and starts `new` at the top of the stack in the same
+    /// quiescent point — the one implementation of `SwitchProtocol`,
+    /// shared by [`apply`](Self::apply) and the transaction engine. With
+    /// `transfer_state` the retiring CF hands its S element over (see
+    /// [`ReconfigOp::SwitchProtocol`]) between its stop, which withdraws
+    /// its kernel routes, and the successor's start, which installs the
+    /// routes it was handed: no datagram sees a gap. A refused successor
+    /// gives the state back and the retired CF is reinstated, so a failed
+    /// switch nets out to a no-op.
+    pub(crate) fn switch_protocol(
+        &mut self,
+        old: &str,
+        mut new: ManetProtocolCf,
+        transfer_state: bool,
+        os: &mut NodeOs,
+    ) -> Result<Switched, DeployError> {
+        let index = self
+            .protocol_position(old)
+            .ok_or_else(|| DeployError::NoSuchProtocol(old.to_string()))?;
+        let mut old_cf = self.remove_protocol(old, os)?;
+        let handover = if transfer_state {
+            old_cf.hand_over_state(&mut new, os.now())
+        } else {
+            Handover::Nothing
+        };
+        os.trace_state_transfer("switch_protocol", handover != Handover::Nothing);
+        let moved = handover == Handover::Moved;
+        let at = self.slots.len();
+        match self.try_insert_protocol(at, new, os) {
+            Ok(()) => {
+                os.trace_rebind("switch_protocol");
+                Ok(Switched {
+                    old: old_cf,
+                    index,
+                    moved,
+                })
+            }
+            Err((mut rejected, cause)) => {
+                if moved {
+                    old_cf.replace_state(rejected.take_state());
+                }
+                match self.try_insert_protocol(index, old_cf, os) {
+                    Ok(()) => Err(cause),
+                    Err((_, reinstate)) => Err(DeployError::SwitchUnrecovered {
+                        cause: Box::new(cause),
+                        reinstate: Box::new(reinstate),
+                    }),
+                }
+            }
+        }
+    }
+
     /// Applies one reconfiguration operation (at a quiescent point — no
     /// event is in flight when this is called).
     ///
@@ -697,14 +782,9 @@ impl Deployment {
                 new,
                 transfer_state,
             } => {
-                let mut old_cf = self.remove_protocol(&old, os)?;
-                let mut new = new;
-                if transfer_state {
-                    new.replace_state(old_cf.take_state());
-                }
-                os.trace_state_transfer("switch_protocol", transfer_state);
-                self.add_protocol(new, os)?;
-                os.trace_rebind("switch_protocol");
+                // Outside a transaction nothing can undo the switch, so the
+                // retired CF is dropped.
+                self.switch_protocol(&old, new, transfer_state, os)?;
             }
             ReconfigOp::UpdateTuple { protocol, tuple } => {
                 let slot = self

@@ -20,9 +20,10 @@
 use std::any::Any;
 use std::fmt;
 
-use netsim::{NodeOs, SimDuration};
+use netsim::{NodeOs, SimDuration, SimTime};
 use packetbb::{Address, Message, Packet};
 
+use crate::carry::RouteCarrier;
 use crate::event::{Event, EventType};
 use crate::registry::EventTuple;
 
@@ -77,6 +78,13 @@ impl StateSlot {
     #[must_use]
     pub fn try_get<T: Any>(&self) -> Option<&T> {
         self.0.downcast_ref::<T>()
+    }
+
+    /// Whether both slots hold the same concrete type (so one can stand
+    /// in for the other under the same handlers).
+    #[must_use]
+    pub fn same_type(&self, other: &StateSlot) -> bool {
+        (*self.0).type_id() == (*other.0).type_id()
     }
 
     /// Consumes the slot, recovering the concrete state.
@@ -311,6 +319,10 @@ pub struct ManetProtocolCf {
     /// so transactional checkpoints can fingerprint it (see
     /// [`export_state`](Self::export_state)).
     state_codec: Option<StateCodec>,
+    /// Optional conversion of the S element to and from the neutral
+    /// [`RouteCarry`](crate::carry::RouteCarry), used when a switch hands
+    /// routes to a protocol with a different state type.
+    route_carrier: Option<RouteCarrier>,
     stats: ProtocolStats,
     /// Named timers armed when the protocol starts (e.g. expiry sweeps).
     startup_timers: Vec<(SimDuration, EventType)>,
@@ -334,6 +346,7 @@ impl ManetProtocolCf {
                 forwarder_subs: Vec::new(),
                 state: StateSlot::empty(),
                 state_codec: None,
+                route_carrier: None,
                 stats: ProtocolStats::default(),
                 startup_timers: Vec::new(),
                 reactive: false,
@@ -388,8 +401,11 @@ impl ManetProtocolCf {
 
     // ---- lifecycle & delivery (called by the deployment) ------------------
 
-    /// Arms the source and startup timers. Call once when the protocol
-    /// starts.
+    /// Starts the protocol: arms the source and startup timers and delivers
+    /// the [`PROTO_START_EVENT`] signal to the handlers, so a CF that
+    /// starts with live routes in its S element — adopted on a switch, or
+    /// reinstated by a rollback — mirrors them into the kernel table in the
+    /// same quiescent point.
     pub fn start(&mut self, ctx: &mut ProtoCtx<'_>) {
         for slot in &self.sources {
             ctx.set_timer(slot.source.period(), slot.timer);
@@ -397,11 +413,15 @@ impl ManetProtocolCf {
         for (delay, ty) in &self.startup_timers {
             ctx.set_timer(*delay, *ty);
         }
+        let start = Event::signal(proto_start_event());
+        self.deliver(&start, ctx);
     }
 
     /// Stops the protocol: delivers the [`PROTO_STOP_EVENT`] signal to the
-    /// handlers (so they can clean up OS state such as kernel routes) and
-    /// cancels the source timers.
+    /// handlers and cancels the source timers. The contract for handlers
+    /// is *withdraw, do not destroy*: remove the OS state the CF installed
+    /// (kernel routes) and leave the S element intact, so the CF can be
+    /// reinstated exactly or hand its routes to a successor.
     pub fn stop(&mut self, ctx: &mut ProtoCtx<'_>) {
         let stop = Event::signal(proto_stop_event());
         self.deliver(&stop, ctx);
@@ -573,6 +593,36 @@ impl ManetProtocolCf {
         std::mem::replace(&mut self.state, StateSlot::empty())
     }
 
+    /// Hands this (stopped) protocol's S element to `successor`: the slot
+    /// itself when both hold the same state type, else a copy of the live
+    /// routes when this CF can export and the successor adopt a
+    /// [`RouteCarry`](crate::carry::RouteCarry) — this CF's state is then
+    /// left untouched. Returns what happened.
+    pub(crate) fn hand_over_state(
+        &mut self,
+        successor: &mut ManetProtocolCf,
+        now: SimTime,
+    ) -> Handover {
+        if self.state.same_type(&successor.state) {
+            successor.state = self.take_state();
+            return Handover::Moved;
+        }
+        match (self.route_carrier, successor.route_carrier) {
+            (Some(from), Some(to)) => {
+                let carry = (from.export)(&self.state, now);
+                (to.adopt)(&mut successor.state, &carry, now);
+                Handover::Copied
+            }
+            _ => Handover::Nothing,
+        }
+    }
+
+    /// Installs (or replaces) the route carrier (see
+    /// [`ManetProtocolBuilder::route_carrier`]).
+    pub fn set_route_carrier(&mut self, carrier: RouteCarrier) {
+        self.route_carrier = Some(carrier);
+    }
+
     /// Installs (or replaces) the state codec used by
     /// [`export_state`](Self::export_state).
     pub fn set_state_codec(&mut self, codec: StateCodec) {
@@ -611,6 +661,17 @@ impl fmt::Debug for ManetProtocolCf {
             .field("has_forwarder", &self.forwarder.is_some())
             .finish()
     }
+}
+
+/// What [`ManetProtocolCf::hand_over_state`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Handover {
+    /// The state types differ and no carrier pair exists: nothing moved.
+    Nothing,
+    /// The slot itself moved; undoing the switch must move it back.
+    Moved,
+    /// Live routes were copied; the retiring CF still owns its state.
+    Copied,
 }
 
 /// Exports a protocol's S element as deterministic bytes (any stable
@@ -682,6 +743,16 @@ impl ManetProtocolBuilder {
         self
     }
 
+    /// Declares how the S element converts to and from the neutral
+    /// [`RouteCarry`](crate::carry::RouteCarry), so a `SwitchProtocol`
+    /// to or from a protocol with a different state type carries the live
+    /// routes across.
+    #[must_use]
+    pub fn route_carrier(mut self, carrier: RouteCarrier) -> Self {
+        self.cf.route_carrier = Some(carrier);
+        self
+    }
+
     /// Arms a named timer when the protocol starts; on firing, the
     /// protocol's handlers receive `Event::signal(ty)` locally.
     #[must_use]
@@ -699,8 +770,19 @@ impl ManetProtocolBuilder {
 
 /// Name of the signal event delivered to a protocol's handlers when the
 /// protocol stops (undeploy/switch): handlers that installed kernel routes
-/// or other OS state clean it up on receipt.
+/// or other OS state withdraw it on receipt and leave the S element as it
+/// is.
 pub const PROTO_STOP_EVENT: &str = "__PROTO_STOP";
+
+/// Name of the signal event delivered to a protocol's handlers when the
+/// protocol starts (boot, deploy, switch, rollback): handlers mirror the
+/// live routes already in the S element into the kernel table.
+pub const PROTO_START_EVENT: &str = "__PROTO_START";
+
+crate::cached_event_type! {
+    /// The interned [`PROTO_START_EVENT`] type.
+    pub fn proto_start_event => PROTO_START_EVENT;
+}
 
 crate::cached_event_type! {
     /// The interned [`PROTO_STOP_EVENT`] type.

@@ -248,6 +248,51 @@ impl Default for TxnOptions {
     }
 }
 
+/// What the network did while a committed composition ran its health
+/// gate's provisional window — the rest of the statistics window whose
+/// delivery ratio the gate judges. Exact and deterministic: the window is
+/// read once, no extra simulation runs for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Disruption {
+    /// Control frames transmitted (once per sender).
+    pub control_frames: u64,
+    /// Control frames received (once per receiver).
+    pub control_received: u64,
+    /// Datagrams handed to the data plane.
+    pub data_sent: u64,
+    /// Datagrams delivered.
+    pub data_delivered: u64,
+    /// Route discoveries started (the `route_discovery` agent counter): a
+    /// switch that carried its routes over starts none for an active flow.
+    pub route_discoveries: u64,
+}
+
+impl Disruption {
+    fn of(window: &netsim::WorldStats) -> Self {
+        Disruption {
+            control_frames: window.control_frames,
+            control_received: window.control_received,
+            data_sent: window.data_sent,
+            data_delivered: window.data_delivered,
+            route_discoveries: window.agent_counter("route_discovery"),
+        }
+    }
+}
+
+impl fmt::Display for Disruption {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} control frames ({} receptions), {}/{} datagrams delivered, {} route discoveries",
+            self.control_frames,
+            self.control_received,
+            self.data_delivered,
+            self.data_sent,
+            self.route_discoveries
+        )
+    }
+}
+
 /// Outcome of one [`FleetCoordinator::execute`] run (and of the
 /// deprecated `commit_two_phase` shim).
 #[must_use = "the report says whether the fleet actually changed — check the verdict"]
@@ -274,6 +319,9 @@ pub struct FleetTxnReport {
     pub pre_ratio: Option<f64>,
     /// Delivery ratio observed in the provisional window.
     pub window_ratio: Option<f64>,
+    /// What else happened in the provisional window (`None` without a
+    /// health gate, or when the transaction never reached it).
+    pub disruption: Option<Disruption>,
     /// Participants that never acknowledged the final verdict within the
     /// resolve budget (typically nodes that crashed mid-transaction; their
     /// own doomed-transaction rollback squares them with the fleet when
@@ -310,6 +358,9 @@ impl fmt::Display for FleetTxnReport {
         }
         if !self.unprepared.is_empty() {
             write!(f, ", unprepared {}", id_list(&self.unprepared))?;
+        }
+        if let Some(disruption) = &self.disruption {
+            write!(f, "; provisional window: {disruption}")?;
         }
         Ok(())
     }
@@ -658,6 +709,7 @@ impl FleetCoordinator {
             reason: None,
             pre_ratio: None,
             window_ratio: None,
+            disruption: None,
             unresolved: Vec::new(),
             unprepared: Vec::new(),
         }
@@ -709,6 +761,7 @@ impl FleetCoordinator {
             reason: None,
             pre_ratio: None,
             window_ratio: None,
+            disruption: None,
             unresolved: Vec::new(),
             unprepared: Vec::new(),
         };
@@ -829,8 +882,10 @@ impl FleetCoordinator {
             let baseline = report.pre_ratio.unwrap_or(1.0);
             window.skip(world);
             world.run_for(gate.window);
-            let ratio = window.advance(world).delivery_ratio();
+            let provisional = window.advance(world);
+            let ratio = provisional.delivery_ratio();
             report.window_ratio = Some(ratio);
+            report.disruption = Some(Disruption::of(&provisional));
             if baseline - ratio > gate.max_drop {
                 for &i in &participants {
                     self.handles[i].txn_ctl(TxnCtl::Revert { id: txn });
@@ -1096,6 +1151,10 @@ mod tests {
         assert_eq!(report.verdict, TxnVerdict::Committed, "{report}");
         assert!(report.unresolved.is_empty(), "{report}");
         assert!(report.deferred.is_empty(), "transactions never defer");
+        assert!(
+            report.disruption.is_none(),
+            "no gate, no provisional window"
+        );
         assert_eq!(report.participants, vec![NodeId(0), NodeId(1)]);
         let stats = world.stats();
         assert_eq!(stats.agent_counter("txn.prepared"), 2);
@@ -1105,6 +1164,32 @@ mod tests {
             stats.agent_counter("reconfig.ops_applied"),
             2,
             "committed ops count as applied reconfigurations"
+        );
+    }
+
+    #[test]
+    fn health_gate_reports_what_the_provisional_window_saw() {
+        let (mut world, fleet) = fleet_world(FaultPlan::builder(0).build());
+        world.run_until(ms(1_000));
+
+        let gate = HealthGate::over_window(SimDuration::from_secs(4)).against_baseline(1.0);
+        let report = fleet.execute(
+            &mut world,
+            ReconfigRequest::new()
+                .recipe(register_hello)
+                .health_gate(gate),
+        );
+        assert_eq!(report.verdict, TxnVerdict::Committed, "{report}");
+        let seen = report.disruption.expect("the gate ran its window");
+        // Two nodes exchanging HELLOs and nothing else: the window holds
+        // control traffic, every frame heard once, and no data.
+        assert!(seen.control_frames > 0, "{report}");
+        assert_eq!(seen.control_received, seen.control_frames);
+        assert_eq!((seen.data_sent, seen.data_delivered), (0, 0));
+        assert_eq!(seen.route_discoveries, 0);
+        assert!(
+            report.to_string().contains("provisional window: "),
+            "Display carries it: {report}"
         );
     }
 

@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use netsim::NodeOs;
 
-use crate::node::{Deployment, ReconfigOp};
+use crate::node::{DeployError, Deployment, ReconfigOp, Switched};
 use crate::protocol::ManetProtocolCf;
 use crate::registry::EventTuple;
 use crate::system::SystemConfig;
@@ -206,12 +206,14 @@ enum Undo {
     /// stack position.
     Reinsert { cf: ManetProtocolCf, index: usize },
     /// A `SwitchProtocol` applied — undo removes the new CF, moves the
-    /// transferred state back into the kept old CF and reinserts it.
+    /// state slot back into the kept old CF if the switch moved it (a
+    /// route carry-over was a copy: the old CF still holds the
+    /// checkpointed state) and reinserts it.
     UnSwitch {
         new_name: String,
         old: ManetProtocolCf,
         index: usize,
-        transfer: bool,
+        moved: bool,
     },
     /// An `UpdateTuple` applied — undo restores the previous tuple.
     RestoreTuple { protocol: String, tuple: EventTuple },
@@ -431,47 +433,18 @@ fn apply_one(
             new,
             transfer_state,
         } => {
-            let index = dep
-                .protocol_position(&old)
-                .ok_or_else(|| ("op_failed", format!("no protocol named {old:?}")))?;
-            let mut old_cf = match dep.remove_protocol(&old, os) {
-                Ok(cf) => cf,
-                Err(e) => return Err(classify(&e)),
-            };
-            let mut new = new;
-            if transfer_state {
-                new.replace_state(old_cf.take_state());
-            }
-            os.trace_state_transfer("switch_protocol", transfer_state);
             let new_name = new.name().to_string();
-            let at = dep.protocol_names().len();
-            match dep.try_insert_protocol(at, new, os) {
-                Ok(()) => {
+            match dep.switch_protocol(&old, new, transfer_state, os) {
+                Ok(Switched { old, index, moved }) => {
                     undo.push(Undo::UnSwitch {
                         new_name,
-                        old: old_cf,
+                        old,
                         index,
-                        transfer: transfer_state,
+                        moved,
                     });
-                    os.trace_rebind("switch_protocol");
                     Ok(())
                 }
-                Err((mut rejected, e)) => {
-                    // The new CF was refused: move the state back and
-                    // reinstate the old protocol before reporting, so this
-                    // op nets out to a no-op like every other failed op.
-                    if transfer_state {
-                        old_cf.replace_state(rejected.take_state());
-                    }
-                    let classified = classify(&e);
-                    if let Err((_, reinsert_err)) = dep.try_insert_protocol(index, old_cf, os) {
-                        return Err((
-                            classified.0,
-                            format!("{} (and reinstating {old:?} failed: {reinsert_err})", classified.1),
-                        ));
-                    }
-                    Err(classified)
-                }
+                Err(e) => Err(classify(&e)),
             }
         }
         ReconfigOp::UpdateTuple { protocol, tuple } => {
@@ -510,9 +483,13 @@ fn apply_one(
     }
 }
 
-fn classify(e: &crate::node::DeployError) -> (&'static str, String) {
-    let reason = match e {
-        crate::node::DeployError::Integrity(_) => "integrity",
+fn classify(e: &DeployError) -> (&'static str, String) {
+    let cause = match e {
+        DeployError::SwitchUnrecovered { cause, .. } => cause.as_ref(),
+        other => other,
+    };
+    let reason = match cause {
+        DeployError::Integrity(_) => "integrity",
         _ => "op_failed",
     };
     (reason, e.to_string())
@@ -540,10 +517,10 @@ fn unwind(
                 new_name,
                 mut old,
                 index,
-                transfer,
+                moved,
             } => {
                 if let Ok(mut new_cf) = dep.remove_protocol(&new_name, os) {
-                    if transfer {
+                    if moved {
                         old.replace_state(new_cf.take_state());
                     }
                 }

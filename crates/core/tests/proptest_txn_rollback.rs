@@ -5,20 +5,28 @@
 //! checkpoint recorded it. The same holds for an explicit rollback of a
 //! successfully prepared transaction, and for a transaction doomed by a
 //! node crash between prepare and commit.
+//!
+//! The routing CFs export their route tables through state codecs, so for
+//! them "exactly" covers every route, lifetime and pending discovery — and
+//! the kernel table a reinstated CF mirrors its live routes into.
 
 use std::time::Duration;
 
-use manetkit::event::EventType;
+use manetkit::event::{Event, EventType};
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
 use manetkit::prelude::*;
-use manetkit::protocol::StateSlot;
+use manetkit::protocol::{proto_stop_event, ProtoCtx, StateSlot};
 use manetkit::system::MessageRegistration;
 use manetkit::txn;
 use manetkit::TxnPhase;
+use manetkit_dymo::state::PendingDiscovery;
+use manetkit_dymo::{DymoRoute, DymoState, DYMO_CF};
 use netsim::fault::FaultPlan;
-use netsim::{NodeId, NodeOs, SimDuration, SimTime, Topology, World};
+use netsim::{KernelRouteTable, NodeId, NodeOs, SimDuration, SimTime, Topology, World};
 use packetbb::Address;
 use proptest::prelude::*;
+// The framework prelude exports the coordinator's `Strategy` enum too.
+use proptest::strategy::Strategy;
 
 /// A protocol CF with a state codec, so rollback exactness is checked down
 /// to the exported state bytes.
@@ -92,6 +100,104 @@ fn build_op(code: u8, i: usize) -> ReconfigOp {
             op: Box::new(|sys| sys.enable_netlink()),
         },
     }
+}
+
+fn addr(n: u8) -> Address {
+    Address::v4([10, 0, 0, n])
+}
+
+/// `(dst, next hop, seq, hops, lifetime in s, broken)`; a zero lifetime is
+/// a lapsed entry. One entry per `dst`.
+type RouteSpec = (u8, u8, u16, u8, u64, bool);
+
+fn arb_routes() -> impl Strategy<Value = Vec<RouteSpec>> {
+    let lifetime = prop_oneof![1 => Just(0u64), 4 => 60u64..600];
+    let route = (
+        2u8..40,
+        2u8..40,
+        any::<u16>(),
+        1u8..10,
+        lifetime,
+        any::<bool>(),
+    );
+    proptest::collection::vec(route, 0..24).prop_map(|mut routes| {
+        routes.sort_by_key(|r| r.0);
+        routes.dedup_by_key(|r| r.0);
+        routes
+    })
+}
+
+/// A DYMO CF whose S element already holds `routes`, a pending discovery
+/// per address in `pending`, and a well-used sequence number.
+fn dymo_with(routes: &[RouteSpec], pending: &[u8]) -> ManetProtocolCf {
+    let mut cf = manetkit_dymo::dymo_cf(Default::default());
+    let state = cf.state_mut().get_mut::<DymoState>();
+    state.own_seq = 4_711;
+    for &(dst, via, seq, hops, lifetime, broken) in routes {
+        let route = DymoRoute {
+            next_hop: addr(via),
+            seq,
+            hop_count: hops,
+            expiry: SimTime::ZERO + SimDuration::from_secs(lifetime),
+            broken,
+        };
+        state.routes.insert(addr(dst), route);
+    }
+    for &dst in pending {
+        let discovery = PendingDiscovery {
+            attempts: 1,
+            next_retry: SimTime::ZERO + SimDuration::from_secs(90),
+            started: SimTime::ZERO,
+        };
+        state.pending.insert(addr(100 + dst), discovery);
+    }
+    cf
+}
+
+/// The kernel table a started DYMO CF holding `routes` maintains.
+fn mirrored(routes: &[RouteSpec]) -> KernelRouteTable {
+    let mut table = KernelRouteTable::new();
+    for &(dst, via, _, hops, lifetime, broken) in routes {
+        if lifetime > 0 && !broken {
+            table.add_host_route(addr(dst), addr(via), u32::from(hops));
+        }
+    }
+    table
+}
+
+/// One of the three ways a transaction retires a routing CF: plain removal,
+/// a same-type switch (the state slot moves) and a switch to AODV (the live
+/// routes are copied through the route carriers).
+fn retire_dymo(code: u8) -> Vec<ReconfigOp> {
+    match code {
+        0 => vec![ReconfigOp::RemoveProtocol {
+            name: DYMO_CF.into(),
+        }],
+        1 => vec![ReconfigOp::SwitchProtocol {
+            old: DYMO_CF.into(),
+            new: manetkit_dymo::dymo_cf(Default::default()),
+            transfer_state: true,
+        }],
+        _ => vec![
+            ReconfigOp::MutateSystem {
+                op: Box::new(manetkit_aodv::register_messages),
+            },
+            ReconfigOp::SwitchProtocol {
+                old: DYMO_CF.into(),
+                new: manetkit_aodv::aodv_cf(Default::default()),
+                transfer_state: true,
+            },
+        ],
+    }
+}
+
+/// A started deployment running the given DYMO CF.
+fn dymo_deployment(cf: ManetProtocolCf, os: &mut NodeOs) -> Deployment {
+    let mut dep = Deployment::new(ConcurrencyModel::SingleThreaded);
+    manetkit_dymo::register_messages(dep.system_mut());
+    dep.add_protocol_offline(cf).unwrap();
+    dep.start(os);
+    dep
 }
 
 proptest! {
@@ -173,6 +279,141 @@ proptest! {
         prop_assert!(clean, "revert fingerprint mismatch");
         prop_assert_eq!(txn::fingerprint(&dep), before);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Whatever the route table holds — live, lapsed and broken entries,
+    /// pending discoveries — retiring the routing CF inside a transaction
+    /// and undoing it (rollback, or revert after commit) restores the
+    /// protocol table byte for byte and the kernel table entry for entry.
+    #[test]
+    fn undone_routing_switch_restores_protocol_and_kernel_tables(
+        routes in arb_routes(),
+        pending in proptest::collection::vec(0u8..20, 0..3),
+        how in 0u8..3,
+        commit_first in any::<bool>(),
+    ) {
+        let mut os = NodeOs::standalone(NodeId(0), addr(1));
+        let mut dep = dymo_deployment(dymo_with(&routes, &pending), &mut os);
+        prop_assert_eq!(os.route_table(), &mirrored(&routes), "start mirrors the live routes");
+        let before = txn::fingerprint(&dep);
+        prop_assert!(before.protocols[0].state.is_some(), "DYMO exports its state");
+
+        let prepared = match txn::prepare(&mut dep, 5, retire_dymo(how), Duration::from_millis(50), &mut os) {
+            Ok(p) => p,
+            Err(e) => panic!("unexpected abort: {e}"),
+        };
+        if how == 0 {
+            prop_assert!(os.route_table().is_empty(), "a removed CF withdraws its routes");
+        } else {
+            prop_assert_eq!(os.route_table(), &mirrored(&routes), "the successor installs what it took over");
+        }
+        let clean = if commit_first {
+            txn::commit(&mut dep, &prepared, &mut os);
+            txn::revert(&mut dep, prepared, &mut os)
+        } else {
+            txn::rollback(&mut dep, prepared, &mut os)
+        };
+        prop_assert!(clean, "fingerprint mismatch after the unwind");
+        prop_assert_eq!(txn::fingerprint(&dep), before);
+        prop_assert_eq!(os.route_table(), &mirrored(&routes));
+        prop_assert_eq!(os.counter("txn.rollback_mismatch"), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The doomed path: a node crashes between prepare and commit (its
+    /// kernel table is flushed with it), reboots, and its first quiescent
+    /// point unwinds the transaction. The reinstated CF holds the
+    /// checkpointed table — the engine's byte comparison says so — and has
+    /// mirrored its live routes into the fresh kernel table.
+    #[test]
+    fn crash_between_prepare_and_commit_restores_random_route_tables(
+        routes in arb_routes(),
+        how in 0u8..3,
+    ) {
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let plan = FaultPlan::builder(7)
+            .crash_for(ms(2_500), NodeId(1), SimDuration::from_millis(2_500))
+            .build();
+        let mut world = World::builder()
+            .topology(Topology::full(2))
+            .seed(11)
+            .fault_plan(plan)
+            .build();
+        let mut handles = Vec::new();
+        for i in 0..2 {
+            let mut node = ManetNode::new(ConcurrencyModel::SingleThreaded);
+            let dep = node.deployment_mut();
+            manetkit_dymo::register_messages(dep.system_mut());
+            dep.system_mut().register_message(hello_registration());
+            dep.add_protocol_offline(neighbour_detection_cf(Default::default())).unwrap();
+            dep.add_protocol_offline(dymo_with(&routes, &[])).unwrap();
+            handles.push(node.handle());
+            world.install_agent(NodeId(i), Box::new(node));
+        }
+        world.run_until(ms(1_000));
+        // The first sweep dropped the lapsed entries; what is live stays.
+        prop_assert_eq!(world.os(NodeId(1)).route_table(), &mirrored(&routes));
+
+        handles[1].txn_ctl(manetkit::TxnCtl::Prepare {
+            id: 9,
+            ops: retire_dymo(how),
+            requested: Some(world.now()),
+            deadline: None,
+            quiesce_within: Duration::from_millis(50),
+        });
+        world.run_until(ms(2_400));
+        let report = handles[1].status().txn.expect("node reached prepare");
+        prop_assert_eq!(report.phase, TxnPhase::Prepared);
+
+        world.run_until(ms(7_000));
+        let status = handles[1].status();
+        let report = status.txn.expect("rollback reported");
+        prop_assert_eq!(report.phase, TxnPhase::RolledBack);
+        prop_assert_eq!(report.detail, "crashed while prepared", "no rollback mismatch");
+        prop_assert_eq!(&status.protocols, &handles[0].status().protocols);
+        prop_assert_eq!(world.os(NodeId(1)).route_table(), &mirrored(&routes));
+        let stats = world.stats();
+        prop_assert_eq!(stats.agent_counter("txn.rollback_mismatch"), 0);
+        manetkit::assert_fleet_conservation(&stats, 0);
+    }
+}
+
+/// The comparison has teeth: a routing CF whose stop hook destroys its
+/// table (what both reactive protocols did before stop meant "withdraw")
+/// cannot be reinstated exactly, and the unwind says so.
+#[test]
+fn a_lossy_stop_is_reported_as_a_rollback_mismatch() {
+    struct LossyStop;
+    impl EventHandler for LossyStop {
+        fn name(&self) -> &str {
+            "sweep-handler"
+        }
+        fn subscriptions(&self) -> Vec<EventType> {
+            vec![proto_stop_event()]
+        }
+        fn handle(&mut self, _: &Event, state: &mut StateSlot, _: &mut ProtoCtx<'_>) {
+            state.get_mut::<DymoState>().routes.clear();
+        }
+    }
+    let mut cf = dymo_with(&[(9, 2, 17, 3, 60, false)], &[]);
+    cf.replace_handler("sweep-handler", Box::new(LossyStop))
+        .unwrap();
+    let mut os = NodeOs::standalone(NodeId(0), addr(1));
+    let mut dep = dymo_deployment(cf, &mut os);
+
+    let ops = vec![ReconfigOp::RemoveProtocol {
+        name: DYMO_CF.into(),
+    }];
+    let prepared = txn::prepare(&mut dep, 6, ops, Duration::from_millis(50), &mut os)
+        .expect("removal prepares");
+    assert!(!txn::rollback(&mut dep, prepared, &mut os));
+    assert_eq!(os.counter("txn.rollback_mismatch"), 1);
 }
 
 /// A non-undoable `Mutate` op aborts the transaction with the dedicated

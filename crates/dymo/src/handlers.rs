@@ -3,8 +3,9 @@
 use std::any::Any;
 use std::marker::PhantomData;
 
+use manetkit::carry::RouteCarrier;
 use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
-use manetkit::protocol::{EventHandler, ProtoCtx, StateSlot};
+use manetkit::protocol::{proto_start_event, proto_stop_event, EventHandler, ProtoCtx, StateSlot};
 use packetbb::Address;
 
 use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
@@ -30,6 +31,25 @@ impl DymoStateAccess for DymoState {
     fn dymo(&self) -> &DymoState {
         self
     }
+}
+
+/// The route carrier of a DYMO CF whose S element is an `S`: live routes
+/// and sequence number of the embedded [`DymoState`], whatever wraps it.
+#[must_use]
+pub fn route_carrier<S: DymoStateAccess>() -> RouteCarrier {
+    RouteCarrier {
+        export: |slot, now| slot.get::<S>().dymo().export_carry(now),
+        adopt: |slot, carry, now| slot.get_mut::<S>().dymo_mut().adopt_carry(carry, now),
+    }
+}
+
+/// The state codec of a DYMO CF whose S element is an `S` (see
+/// [`DymoState::encode`]).
+#[must_use]
+pub fn state_codec<S: DymoStateAccess>(slot: &StateSlot) -> Vec<u8> {
+    slot.try_get::<S>()
+        .map(|s| s.dymo().encode())
+        .unwrap_or_default()
 }
 
 /// Timer name of the DYMO housekeeping sweep.
@@ -393,7 +413,9 @@ impl<S: DymoStateAccess> EventHandler for RouteLifetimeHandler<S> {
 }
 
 /// Housekeeping sweep: RREQ retries with binary exponential backoff, route
-/// expiry and kernel-table cleanup.
+/// expiry and kernel-table cleanup; also the start and stop hooks, which
+/// mirror the S element's live routes into the kernel table and withdraw
+/// them again without touching S.
 pub struct SweepHandler<S: DymoStateAccess = DymoState>(PhantomData<fn(S)>);
 
 impl<S: DymoStateAccess> Default for SweepHandler<S> {
@@ -407,18 +429,28 @@ impl<S: DymoStateAccess> EventHandler for SweepHandler<S> {
         "sweep-handler"
     }
     fn subscriptions(&self) -> Vec<EventType> {
-        vec![dymo_sweep_timer(), manetkit::protocol::proto_stop_event()]
+        vec![dymo_sweep_timer(), proto_start_event(), proto_stop_event()]
     }
     fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
         let now = ctx.now();
         let s = state.get_mut::<S>().dymo_mut();
-        if event.ty.as_str() == manetkit::protocol::PROTO_STOP_EVENT {
-            // Undeploying: withdraw kernel routes and drop buffered packets.
-            for (dst, _) in std::mem::take(&mut s.routes) {
-                remove_kernel(ctx, dst);
+        if event.ty == proto_start_event() {
+            // What we would hand a successor is what the kernel must hold.
+            for r in s.export_carry(now).routes {
+                install_kernel(ctx, r.dst, r.next_hop, r.hop_count);
             }
-            for (dst, _) in std::mem::take(&mut s.pending) {
-                ctx.os().drop_buffered(dst);
+            return;
+        }
+        if event.ty == proto_stop_event() {
+            // Withdraw what we put into the OS; S stays as it is. The
+            // datagrams buffered behind a pending discovery are dropped:
+            // nobody is left to release them, and whoever runs next starts
+            // its own discovery for the next datagram.
+            for dst in s.routes.keys() {
+                remove_kernel(ctx, *dst);
+            }
+            for dst in s.pending.keys() {
+                ctx.os().drop_buffered(*dst);
             }
             return;
         }

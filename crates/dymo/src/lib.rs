@@ -107,6 +107,8 @@ pub fn dymo_cf(params: DymoParams) -> ManetProtocolCf {
         .reactive()
         .tuple(dymo_tuple())
         .state(StateSlot::new(state))
+        .state_codec(handlers::state_codec::<DymoState>)
+        .route_carrier(handlers::route_carrier::<DymoState>())
         .startup_timer(params.sweep, handlers::dymo_sweep_timer())
         .handler(Box::new(RouteDiscoveryHandler::<DymoState>::default()))
         .handler(Box::new(ReHandler::<DymoState>::default()))

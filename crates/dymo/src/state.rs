@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use manetkit::carry::{CarriedRoute, RouteCarry};
 use netsim::{SimDuration, SimTime};
 use packetbb::Address;
 
@@ -182,6 +183,78 @@ impl DymoState {
         self.routes
             .get(&dst)
             .filter(|r| !r.broken && r.expiry > now)
+    }
+
+    /// The live routes and our sequence number in protocol-neutral form
+    /// (what a successor protocol takes over on a switch).
+    #[must_use]
+    pub fn export_carry(&self, now: SimTime) -> RouteCarry {
+        let routes = self
+            .routes
+            .iter()
+            .filter(|(_, r)| !r.broken && r.expiry > now)
+            .map(|(dst, r)| CarriedRoute {
+                dst: *dst,
+                next_hop: r.next_hop,
+                hop_count: r.hop_count,
+                seq: Some(r.seq),
+                expiry: r.expiry,
+            })
+            .collect();
+        RouteCarry {
+            own_seq: self.own_seq,
+            routes,
+        }
+    }
+
+    /// Takes over a predecessor's routes and sequence number. Entries
+    /// without a sequence number are skipped (DYMO cannot compare them),
+    /// lapsed ones too; no expiry outlives our own route lifetime.
+    pub fn adopt_carry(&mut self, carry: &RouteCarry, now: SimTime) {
+        self.own_seq = carry.own_seq;
+        let horizon = now + self.params.route_lifetime;
+        for r in &carry.routes {
+            let Some(seq) = r.seq else { continue };
+            if r.expiry <= now {
+                continue;
+            }
+            self.routes.insert(
+                r.dst,
+                DymoRoute {
+                    next_hop: r.next_hop,
+                    seq,
+                    hop_count: r.hop_count,
+                    expiry: r.expiry.min(horizon),
+                    broken: false,
+                },
+            );
+        }
+    }
+
+    /// Deterministic bytes of what a reconfiguration must preserve: the
+    /// sequence number, every route (expiry and broken flag included) and
+    /// the pending discoveries. Compared, never decoded.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + 24 * self.routes.len());
+        out.extend_from_slice(&self.own_seq.to_le_bytes());
+        out.extend_from_slice(&(self.routes.len() as u32).to_le_bytes());
+        for (dst, r) in &self.routes {
+            out.extend_from_slice(dst.octets());
+            out.extend_from_slice(r.next_hop.octets());
+            out.extend_from_slice(&r.seq.to_le_bytes());
+            out.push(r.hop_count);
+            out.push(u8::from(r.broken));
+            out.extend_from_slice(&r.expiry.as_micros().to_le_bytes());
+        }
+        out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
+        for (dst, p) in &self.pending {
+            out.extend_from_slice(dst.octets());
+            out.push(p.attempts);
+            out.extend_from_slice(&p.next_retry.as_micros().to_le_bytes());
+            out.extend_from_slice(&p.started.as_micros().to_le_bytes());
+        }
+        out
     }
 
     /// Records an RREQ duplicate; returns `true` when already seen.

@@ -23,8 +23,8 @@ use netsim::SimTime;
 use packetbb::Address;
 
 use crate::handlers::{
-    DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler, RouteLifetimeHandler,
-    SweepHandler,
+    route_carrier, state_codec, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
+    RouteLifetimeHandler, SweepHandler,
 };
 use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
 use crate::state::DymoState;
@@ -358,6 +358,8 @@ pub fn enable_ops() -> Vec<ReconfigOp> {
                     .unwrap_or_else(|_| panic!("standard DYMO state expected"));
                 manetkit::protocol::StateSlot::new(MultipathState::from_standard(base))
             });
+            cf.set_state_codec(Box::new(state_codec::<MultipathState>));
+            cf.set_route_carrier(route_carrier::<MultipathState>());
             cf.replace_handler("re-handler", Box::new(MultipathReHandler))
                 .expect("re-handler present");
             cf.replace_handler("rerr-handler", Box::new(MultipathRerrHandler))
@@ -395,6 +397,8 @@ pub fn disable_ops() -> Vec<ReconfigOp> {
                     .unwrap_or_else(|_| panic!("multipath DYMO state expected"));
                 manetkit::protocol::StateSlot::new(multi.base)
             });
+            cf.set_state_codec(Box::new(state_codec::<DymoState>));
+            cf.set_route_carrier(route_carrier::<DymoState>());
             cf.replace_handler("re-handler", Box::new(ReHandler::<DymoState>::default()))
                 .expect("re-handler present");
             cf.replace_handler(

@@ -290,9 +290,26 @@ fn main() {
             )
         })
         .collect();
+    // What the enacted switches cost the network in their health gates'
+    // provisional windows, summed over the grid.
+    let disruption = [
+        "control_frames",
+        "control_received",
+        "data_sent",
+        "data_delivered",
+        "route_discoveries",
+    ]
+    .map(|field| {
+        let total = report
+            .merged
+            .agent_counter(&format!("adapt.disruption.{field}"));
+        format!("\"{field}\":{total}")
+    })
+    .join(",");
     let json = format!(
         "{{\"adaptive\":{{\"tolerance\":{TOLERANCE},\"wins\":{wins},\"points\":{},\
-         \"switches\":{},\"reverts\":{},\"comparison\":[{}]}},\"report\":{}}}",
+         \"switches\":{},\"reverts\":{},\"disruption\":{{{disruption}}},\
+         \"comparison\":[{}]}},\"report\":{}}}",
         points.len(),
         report.merged.agent_counter("adapt.switches"),
         report.merged.agent_counter("adapt.reverts"),
