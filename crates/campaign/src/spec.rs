@@ -616,52 +616,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Adds a CBR flow `src` → `dst` with the given inter-packet gap and a
-    /// 64-byte payload.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use traffic(TrafficSpec::cbr(src, dst, interval))"
-    )]
-    #[must_use]
-    pub fn cbr(self, src: NodeId, dst: NodeId, interval: SimDuration) -> Self {
-        self.traffic(TrafficSpec::cbr(src, dst, interval))
-    }
-
-    /// Adds a CBR flow with an explicit payload size.
-    #[deprecated(since = "0.2.0", note = "use traffic(TrafficSpec::Cbr { .. })")]
-    #[must_use]
-    pub fn cbr_sized(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        interval: SimDuration,
-        payload: usize,
-    ) -> Self {
-        self.traffic(TrafficSpec::Cbr {
-            src,
-            dst,
-            interval,
-            payload,
-        })
-    }
-
-    /// Adds `flows` CBR flows between seeded random distinct node pairs
-    /// (see [`TrafficSpec::RandomFlows`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use traffic(TrafficSpec::random_flows(flows, interval, payload, seed))"
-    )]
-    #[must_use]
-    pub fn random_flows(
-        self,
-        flows: usize,
-        interval: SimDuration,
-        payload: usize,
-        seed: u64,
-    ) -> Self {
-        self.traffic(TrafficSpec::random_flows(flows, interval, payload, seed))
-    }
-
     /// Attaches random-waypoint mobility and sets the topology to the
     /// walk's spatial starting placements: `params` fully determines both
     /// (same seed, same physical movement), so topology and movement

@@ -28,10 +28,6 @@
 //!   the new composition. An optional [`HealthGate`] then watches the
 //!   committed composition for a provisional window and *reverts* the
 //!   whole fleet if the delivery ratio regresses.
-//!
-//! The pre-0.2 entry points (`apply_all`, `apply_each`,
-//! `apply_all_with_retry`, `commit_two_phase`) remain as thin
-//! `#[deprecated]` shims over the same internals for one release.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -198,20 +194,6 @@ impl HealthGate {
         self.baseline = Some(ratio);
         self
     }
-
-    /// A gate with a measured baseline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use HealthGate::over_window(window).max_drop(max_drop)"
-    )]
-    #[must_use]
-    pub fn new(window: SimDuration, max_drop: f64) -> Self {
-        HealthGate {
-            window,
-            max_drop,
-            baseline: None,
-        }
-    }
 }
 
 /// Knobs for [`Strategy::TwoPhase`] executions.
@@ -293,8 +275,7 @@ impl fmt::Display for Disruption {
     }
 }
 
-/// Outcome of one [`FleetCoordinator::execute`] run (and of the
-/// deprecated `commit_two_phase` shim).
+/// Outcome of one [`FleetCoordinator::execute`] run.
 #[must_use = "the report says whether the fleet actually changed — check the verdict"]
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetTxnReport {
@@ -561,50 +542,6 @@ impl FleetCoordinator {
         }
     }
 
-    /// Enqueues the operations produced by `recipe` on every node.
-    #[deprecated(
-        since = "0.2.0",
-        note = "execute(world, ReconfigRequest::new().recipe(..)) — one entry point for all strategies"
-    )]
-    pub fn apply_all(&self, recipe: impl Fn() -> Vec<ReconfigOp>) {
-        let _ = self.enqueue(&Recipe::Uniform(Box::new(recipe)), false);
-    }
-
-    /// Enqueues node-specific operations: `recipe(i)` for node `i`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "execute(world, ReconfigRequest::new().recipe_per_node(..))"
-    )]
-    pub fn apply_each(&self, recipe: impl Fn(usize) -> Vec<ReconfigOp>) {
-        let _ = self.enqueue(&Recipe::PerNode(Box::new(recipe)), false);
-    }
-
-    /// Enqueues the operations produced by `recipe` on every node, with
-    /// crash-aware reporting; returns the nodes that were down at enqueue
-    /// time.
-    #[deprecated(
-        since = "0.2.0",
-        note = "execute(world, ReconfigRequest::new().recipe(..).strategy(Strategy::Retry)).deferred"
-    )]
-    pub fn apply_all_with_retry(&self, recipe: impl Fn() -> Vec<ReconfigOp>) -> Vec<NodeId> {
-        self.enqueue(&Recipe::Uniform(Box::new(recipe)), true)
-            .deferred
-    }
-
-    /// Applies `recipe` across the fleet as one distributed transaction.
-    #[deprecated(
-        since = "0.2.0",
-        note = "execute(world, ReconfigRequest::new().recipe(..).strategy(Strategy::TwoPhase(opts)))"
-    )]
-    pub fn commit_two_phase(
-        &self,
-        world: &mut World,
-        recipe: impl Fn() -> Vec<ReconfigOp>,
-        opts: &TxnOptions,
-    ) -> FleetTxnReport {
-        self.two_phase(world, &Recipe::Uniform(Box::new(recipe)), opts)
-    }
-
     /// Drops the pending operations of every node that is currently down,
     /// returning `(node, operations dropped)` per affected node — the
     /// give-up path when a deferred reconfiguration should no longer
@@ -658,10 +595,10 @@ impl FleetCoordinator {
 
     // ---- strategy internals ------------------------------------------------
 
-    /// Best-effort / retry enqueue shared by [`execute`](Self::execute)
-    /// and the deprecated shims. With `retry_aware`, dead nodes are
-    /// counted against the retry budget and abandoned (pending dropped,
-    /// nothing enqueued, reported in `skipped`) once it is exhausted.
+    /// Best-effort / retry enqueue behind [`execute`](Self::execute). With
+    /// `retry_aware`, dead nodes are counted against the retry budget and
+    /// abandoned (pending dropped, nothing enqueued, reported in `skipped`)
+    /// once it is exhausted.
     fn enqueue(&self, recipe: &Recipe<'_>, retry_aware: bool) -> FleetTxnReport {
         let mut deferred = Vec::new();
         let mut abandoned = Vec::new();

@@ -432,9 +432,6 @@ impl WorldStats {
 /// position and moves the cursor to *now*. Multiple cursors over the same
 /// world are independent — the chaos campaigns and the parallel campaign
 /// engine both slice one run without coordinating.
-///
-/// The older `World::take_window`/`reset_stats` surface delegates to an
-/// internal cursor and remains as thin wrappers.
 #[derive(Debug, Clone, Default)]
 pub struct StatsWindow {
     base: WorldStats,
@@ -465,10 +462,6 @@ impl StatsWindow {
     /// elapsed window (e.g. a warm-up or re-convergence gap).
     pub fn skip(&mut self, world: &crate::World) {
         self.base = world.stats();
-    }
-
-    pub(crate) fn rebase(&mut self, base: WorldStats) {
-        self.base = base;
     }
 }
 

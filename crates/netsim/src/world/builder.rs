@@ -1,0 +1,250 @@
+//! [`WorldBuilder`]: configuration of a [`World`] and its construction.
+
+use std::collections::HashMap;
+
+use packetbb::Address;
+use phy::{Phy, PhyModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use simkern::EventQueue;
+
+use super::{EventKind, NodeSlot, World};
+use crate::fault::{FaultInjector, FaultPlan};
+use crate::os::{BatteryModel, NodeOs};
+use crate::packet::NodeId;
+use crate::stats::WorldStats;
+use crate::time::{SimDuration, SimTime};
+use crate::topology::{LinkModel, Topology};
+
+/// Configures and constructs a [`World`].
+#[derive(Debug, Clone)]
+pub struct WorldBuilder {
+    nodes: usize,
+    topology: Option<Topology>,
+    seed: u64,
+    link_model: LinkModel,
+    battery: BatteryModel,
+    context_interval: Option<SimDuration>,
+    link_feedback: bool,
+    default_ttl: u8,
+    nf_capacity: usize,
+    geo_routing: bool,
+    fault_plan: Option<FaultPlan>,
+    phy: PhyModel,
+    #[cfg(feature = "trace")]
+    trace_capacity: Option<usize>,
+}
+
+impl Default for WorldBuilder {
+    fn default() -> Self {
+        WorldBuilder {
+            nodes: 0,
+            topology: None,
+            seed: 0,
+            link_model: LinkModel::default(),
+            battery: BatteryModel::default(),
+            context_interval: None,
+            link_feedback: true,
+            default_ttl: 32,
+            nf_capacity: 64,
+            geo_routing: false,
+            fault_plan: None,
+            phy: PhyModel::Ideal,
+            #[cfg(feature = "trace")]
+            trace_capacity: None,
+        }
+    }
+}
+
+impl WorldBuilder {
+    /// Sets the node count (overridden by [`topology`](Self::topology)).
+    #[must_use]
+    pub fn nodes(mut self, n: usize) -> Self {
+        self.nodes = n;
+        self
+    }
+
+    /// Sets the initial connectivity matrix (also fixes the node count).
+    #[must_use]
+    pub fn topology(mut self, topology: Topology) -> Self {
+        self.nodes = topology.len();
+        self.topology = Some(topology);
+        self
+    }
+
+    /// Seeds the world's RNG (loss/jitter sampling). Same seed, same run.
+    #[must_use]
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets per-link delay/jitter/loss.
+    #[must_use]
+    pub fn link_model(mut self, model: LinkModel) -> Self {
+        self.link_model = model;
+        self
+    }
+
+    /// Sets the battery model applied to every node.
+    #[must_use]
+    pub fn battery(mut self, model: BatteryModel) -> Self {
+        self.battery = model;
+        self
+    }
+
+    /// Enables periodic battery context samples to agents.
+    #[must_use]
+    pub fn context_interval(mut self, interval: SimDuration) -> Self {
+        self.context_interval = Some(interval);
+        self
+    }
+
+    /// Enables/disables link-layer TX failure feedback (default on).
+    #[must_use]
+    pub fn link_feedback(mut self, enabled: bool) -> Self {
+        self.link_feedback = enabled;
+        self
+    }
+
+    /// Sets the TTL stamped on application datagrams (default 32).
+    #[must_use]
+    pub fn default_ttl(mut self, ttl: u8) -> Self {
+        self.default_ttl = ttl;
+        self
+    }
+
+    /// Sets the per-destination netfilter buffer capacity (default 64).
+    #[must_use]
+    pub fn nf_capacity(mut self, cap: usize) -> Self {
+        self.nf_capacity = cap;
+        self
+    }
+
+    /// Enables greedy geographic forwarding as the data plane's fallback
+    /// when a node's route table has no entry for a destination. Requires
+    /// a spatial topology (node positions). An explicit route entry always
+    /// wins, so routing agents can override geo decisions per prefix.
+    #[must_use]
+    pub fn geo_routing(mut self, enabled: bool) -> Self {
+        self.geo_routing = enabled;
+        self
+    }
+
+    /// Installs a fault-injection plan: its scheduled entries are enacted
+    /// by the event loop and its stochastic processes (frame chaos) run
+    /// from the plan's own seeded RNG — the base simulation's random
+    /// stream is untouched, and the same plan replays byte-identically.
+    #[must_use]
+    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.fault_plan = Some(plan);
+        self
+    }
+
+    /// Selects the physical-layer channel model (default
+    /// [`PhyModel::Ideal`], which preserves the historical flat-delay
+    /// delivery path bit for bit). Under `ConstantBandwidth` and
+    /// `SharedAirtime` every transmission pays a size-proportional
+    /// serialization delay, waits in a bounded per-node FIFO transmit
+    /// queue, and — for shared airtime — splits channel capacity max-min
+    /// fairly with concurrent transmitters in its contention domain.
+    /// Chance loss and frame chaos are sampled when a transmission
+    /// completes (drop-at-dequeue), so fault plans stay replayable under
+    /// contention.
+    #[must_use]
+    pub fn phy(mut self, model: PhyModel) -> Self {
+        self.phy = model;
+        self
+    }
+
+    /// Attaches the flight recorder: every node gets a fixed-capacity ring
+    /// of [`trace::TraceRecord`](mktrace::TraceRecord)s fed from the frame
+    /// plane, the data plane and the reconfiguration hooks. When the ring
+    /// fills, the oldest records are overwritten (see
+    /// [`World::trace_dropped`]). Virtual timestamps make the trace of a
+    /// seeded run byte-stable across repeats.
+    #[cfg(feature = "trace")]
+    #[must_use]
+    pub fn trace(mut self, capacity: usize) -> Self {
+        self.trace_capacity = Some(capacity);
+        self
+    }
+
+    /// Builds the world.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no node count or topology was given.
+    #[must_use]
+    pub fn build(self) -> World {
+        assert!(self.nodes > 0, "world needs at least one node");
+        let topo = self.topology.unwrap_or_else(|| Topology::empty(self.nodes));
+        assert!(
+            !self.geo_routing || topo.is_spatial(),
+            "geo_routing needs a spatial topology (node positions)"
+        );
+        let mut nodes = Vec::with_capacity(self.nodes);
+        let mut addr_to_node = HashMap::new();
+        for i in 0..self.nodes {
+            let addr = node_address(i);
+            addr_to_node.insert(addr, NodeId(i));
+            let mut os = NodeOs::new(NodeId(i), addr, self.battery);
+            os.nf_buffer_cap = self.nf_capacity;
+            #[cfg(feature = "trace")]
+            if let Some(cap) = self.trace_capacity {
+                os.install_trace(cap);
+            }
+            nodes.push(NodeSlot {
+                os,
+                agent: None,
+                crashed: false,
+                boot_epoch: 0,
+                factory: None,
+            });
+        }
+        let (fault, dedupe_delivery) = match &self.fault_plan {
+            Some(plan) => (FaultInjector::new(plan), plan.chaos().duplicate > 0.0),
+            None => (FaultInjector::inert(), false),
+        };
+        let mut world = World {
+            now: SimTime::ZERO,
+            kern: EventQueue::new(),
+            topo,
+            link_model: self.link_model,
+            nodes,
+            addr_to_node,
+            stats: WorldStats::default(),
+            rng: StdRng::seed_from_u64(self.seed),
+            next_packet_id: 0,
+            sent_at: HashMap::new(),
+            link_feedback: self.link_feedback,
+            context_interval: self.context_interval,
+            default_ttl: self.default_ttl,
+            geo_routing: self.geo_routing,
+            fault,
+            dedupe_delivery,
+            ge_phases: HashMap::new(),
+            controlled: None,
+            phy: Phy::new(&self.phy, self.nodes),
+        };
+        if let Some(plan) = self.fault_plan {
+            for entry in plan.entries() {
+                world.schedule(entry.at, EventKind::Fault(entry.kind.clone()));
+            }
+        }
+        if let Some(interval) = world.context_interval {
+            for i in 0..world.nodes.len() {
+                world.schedule(
+                    SimTime::ZERO + interval,
+                    EventKind::ContextTick { node: NodeId(i) },
+                );
+            }
+        }
+        world
+    }
+}
+
+/// Address assigned to node `i`: `10.0.x.y`, unique for i < 62_500.
+fn node_address(i: usize) -> Address {
+    Address::v4([10, 0, (i / 250) as u8, (i % 250 + 1) as u8])
+}

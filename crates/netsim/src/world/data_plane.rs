@@ -1,0 +1,214 @@
+//! The data plane: datagrams entering the network, one routing step per
+//! node, and the accounting that settles every copy exactly once.
+
+use packetbb::Address;
+
+use super::{EventKind, World};
+use crate::agent::FilterEvent;
+use crate::packet::{DataPacket, NodeId};
+use crate::stats::WorldStats;
+use crate::time::SimTime;
+
+/// In-flight bookkeeping for one application datagram: when it left, how
+/// many copies the network still carries, and whether any copy has been
+/// delivered (frame duplication can clone packets mid-path). The record is
+/// removed when the last copy is accounted for — delivered or dropped — so
+/// the map's size is exactly the number of packets still in flight and a
+/// long campaign cannot accrete dead entries.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SentRecord {
+    at: SimTime,
+    pub(super) copies: u32,
+    delivered: bool,
+}
+
+/// Why one copy of a datagram left the network undelivered: the counter it
+/// lands in and the tag of its `DataDrop` trace record.
+#[derive(Clone, Copy)]
+pub(super) struct DataDrop(fn(&mut WorldStats) -> &mut u64, &'static str);
+
+impl DataDrop {
+    pub(super) const TTL: Self = DataDrop(|s| &mut s.data_dropped_ttl, "ttl");
+    pub(super) const LINK: Self = DataDrop(|s| &mut s.data_dropped_link, "link");
+    pub(super) const NO_ROUTE: Self = DataDrop(|s| &mut s.data_dropped_link, "no_route");
+    pub(super) const BAD_NEXT_HOP: Self = DataDrop(|s| &mut s.data_dropped_link, "bad_next_hop");
+    pub(super) const GEO_DEAD_END: Self = DataDrop(|s| &mut s.data_dropped_link, "geo_dead_end");
+    pub(super) const MCHECK: Self = DataDrop(|s| &mut s.data_dropped_link, "mcheck_drop");
+    pub(super) const CRASH: Self = DataDrop(|s| &mut s.data_dropped_crash, "crash");
+    pub(super) const FILTER: Self = DataDrop(|s| &mut s.data_dropped_buffer, "filter");
+    pub(super) const BUFFER: Self = DataDrop(|s| &mut s.data_dropped_buffer, "buffer");
+    pub(super) const CORRUPT: Self = DataDrop(|s| &mut s.data_corrupted, "corrupt");
+    pub(super) const DUPLICATE: Self = DataDrop(|s| &mut s.data_dup_delivered, "duplicate");
+}
+
+impl World {
+    /// Sends an application datagram now; returns the packet id.
+    pub fn send_datagram(&mut self, src: NodeId, dst: Address, payload: Vec<u8>) -> u64 {
+        self.send_datagram_at(self.now, src, dst, payload)
+    }
+
+    /// Schedules an application datagram for a future time.
+    pub fn send_datagram_at(
+        &mut self,
+        at: SimTime,
+        src: NodeId,
+        dst: Address,
+        payload: Vec<u8>,
+    ) -> u64 {
+        let packet = self.mint_datagram(src, dst, payload);
+        let id = packet.id;
+        self.schedule(at, EventKind::DataInject { node: src, packet });
+        id
+    }
+
+    /// Application datagrams sent but not yet settled (delivered or
+    /// dropped on every path). Packets parked in netfilter buffers count;
+    /// a quiescent world with empty buffers reports zero.
+    #[must_use]
+    pub fn outstanding_sends(&self) -> usize {
+        self.sent_at.len()
+    }
+
+    /// A fresh datagram from `src` under the next packet id.
+    pub(super) fn mint_datagram(
+        &mut self,
+        src: NodeId,
+        dst: Address,
+        payload: Vec<u8>,
+    ) -> DataPacket {
+        self.next_packet_id += 1;
+        DataPacket {
+            id: self.next_packet_id,
+            src: self.nodes[src.0].os.addr(),
+            dst,
+            ttl: self.default_ttl,
+            payload,
+        }
+    }
+
+    /// Counts a datagram as sent and opens its send record. The caller
+    /// decides *when*: an agent's `send_data` accounts as its action is
+    /// flushed, a scheduled datagram when its inject event fires.
+    pub(super) fn account_send(&mut self, _node: NodeId, packet: &DataPacket) {
+        self.stats.data_sent += 1;
+        let record = SentRecord {
+            at: self.now,
+            copies: 1,
+            delivered: false,
+        };
+        self.sent_at.insert(packet.id, record);
+        tr!(
+            self,
+            _node,
+            DataSend,
+            "data",
+            self.node_of(packet.dst).map_or(u64::MAX, |n| n.0 as u64),
+            packet.payload.len()
+        );
+    }
+
+    /// Accounts for one terminal event — delivery or drop — of one copy of
+    /// a sent datagram, removing the record when no copies remain.
+    pub(super) fn settle_send(&mut self, id: u64) {
+        if let Some(rec) = self.sent_at.get_mut(&id) {
+            rec.copies -= 1;
+            if rec.copies == 0 {
+                self.sent_at.remove(&id);
+            }
+        }
+    }
+
+    /// One copy of `packet` dies at `_node`: counted, traced (the node and
+    /// the tag feed the flight recorder only), settled.
+    pub(super) fn drop_data(&mut self, _node: NodeId, packet: &DataPacket, why: DataDrop) {
+        let DataDrop(counter, _tag) = why;
+        *counter(&mut self.stats) += 1;
+        tr!(self, _node, DataDrop, _tag, packet.id, packet.ttl);
+        self.settle_send(packet.id);
+    }
+
+    /// One data-plane step at `node`: deliver locally, forward via the
+    /// kernel route table, or trap to the netfilter hook.
+    pub(super) fn data_plane(&mut self, node: NodeId, packet: DataPacket) {
+        let local_addr = self.nodes[node.0].os.addr();
+        if packet.dst == local_addr {
+            // First delivery claims the send record's latency; with
+            // duplication active, later copies are counted separately.
+            let first = self
+                .sent_at
+                .get(&packet.id)
+                .filter(|rec| !rec.delivered)
+                .map(|rec| rec.at);
+            if self.dedupe_delivery && first.is_none() {
+                return self.drop_data(node, &packet, DataDrop::DUPLICATE);
+            }
+            self.stats.data_delivered += 1;
+            if let Some(sent) = first {
+                let latency = self.now.since(sent);
+                self.stats.delivery_latency_total = self.stats.delivery_latency_total + latency;
+                self.stats.delivery_latencies_us.push(latency.as_micros());
+            }
+            tr!(
+                self,
+                node,
+                DataDeliver,
+                "data",
+                packet.id,
+                first.map_or(0, |sent| self.now.since(sent).as_micros())
+            );
+            if let Some(rec) = self.sent_at.get_mut(&packet.id) {
+                rec.delivered = true;
+            }
+            self.settle_send(packet.id);
+            return;
+        }
+        let route = self.nodes[node.0]
+            .os
+            .route_table()
+            .lookup(packet.dst)
+            .cloned();
+        match route {
+            Some(entry) => self.forward(node, packet, entry.next_hop),
+            None if self.geo_routing => {
+                // Agentless greedy geographic forwarding: relay via the
+                // neighbour strictly closest to the destination, or drop at
+                // a local minimum. An explicit route entry (above) always
+                // wins, so agents can override geo decisions per prefix.
+                let hop = self
+                    .node_of(packet.dst)
+                    .and_then(|dst_node| self.topo.geo_next_hop(node, dst_node));
+                match hop {
+                    Some(nb) => {
+                        let next_hop = self.nodes[nb.0].os.addr();
+                        self.forward(node, packet, next_hop);
+                    }
+                    None => self.drop_data(node, &packet, DataDrop::GEO_DEAD_END),
+                }
+            }
+            None => {
+                if packet.src == local_addr {
+                    // Locally originated: buffer and raise NO_ROUTE.
+                    let dst = packet.dst;
+                    let os = &mut self.nodes[node.0].os;
+                    let q = os.nf_buffer.entry(dst).or_default();
+                    q.push_back(packet);
+                    let overflow = if q.len() > os.nf_buffer_cap {
+                        q.pop_front()
+                    } else {
+                        None
+                    };
+                    if let Some(old) = overflow {
+                        self.drop_data(node, &old, DataDrop::BUFFER);
+                    }
+                    self.filter_event(node, FilterEvent::NoRoute { dst });
+                } else {
+                    // Transit packet with no route: drop and raise the
+                    // route-error trigger.
+                    self.drop_data(node, &packet, DataDrop::NO_ROUTE);
+                    let (src, dst, next_hop) = (packet.src, packet.dst, packet.dst);
+                    self.filter_event(node, FilterEvent::ForwardFailure { dst, src, next_hop });
+                }
+            }
+        }
+    }
+}

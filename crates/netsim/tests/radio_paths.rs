@@ -1,0 +1,369 @@
+//! Characterisation of the radio path: goldens recorded *before* the two
+//! send paths in `World` became one, and one directed test per historical
+//! difference between the ideal channel and a channel model that the merge
+//! preserved on purpose.
+//!
+//! The goldens pin every random draw on the path and the position of every
+//! agent callback relative to those draws: the world runs loss (i.i.d. or
+//! Gilbert–Elliott), frame chaos (corrupt, duplicate, reorder), link
+//! feedback, a link cut and a crash mid-flow, a two-node routing loop that
+//! exhausts TTL, and an agent that sends control frames from inside
+//! `RouteUsed`, `TxFailed` and `ForwardFailure` (a flushed control frame
+//! draws from the world's RNG). A change that moves a golden changed what a
+//! seeded run does; a change that moves a directed test removed one of the
+//! differences, which is a behaviour change and wants its own PR.
+
+use std::collections::BTreeMap;
+
+use netsim::fault::FaultPlan;
+use netsim::{
+    BatteryModel, Channel, ContextSample, FilterEvent, FrameChaos, GilbertElliott, LinkModel,
+    LinkState, NodeId, NodeOs, PhyModel, RoutingAgent, SimDuration, SimTime, Topology, World,
+};
+use packetbb::Address;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn ms(n: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(n)
+}
+
+/// An address no node of any world in this file owns.
+fn nowhere() -> Address {
+    Address::v4([10, 9, 9, 9])
+}
+
+/// Sends control traffic from every callback the radio path can raise, so
+/// the order of callbacks and random draws shows in the outcome.
+struct Chatter {
+    peer: Address,
+}
+
+impl RoutingAgent for Chatter {
+    fn name(&self) -> &str {
+        "chatter"
+    }
+    fn start(&mut self, os: &mut NodeOs) {
+        os.set_timer(SimDuration::from_millis(7), 1);
+    }
+    fn on_frame(&mut self, _os: &mut NodeOs, _from: Address, _bytes: &[u8]) {}
+    fn on_timer(&mut self, os: &mut NodeOs, token: u64) {
+        os.broadcast_control(vec![0x10; 9]);
+        os.unicast_control(self.peer, vec![0x11; 12]);
+        os.unicast_control(nowhere(), vec![0x12; 5]);
+        os.set_timer(SimDuration::from_millis(25), token);
+    }
+    fn on_filter_event(&mut self, os: &mut NodeOs, event: FilterEvent) {
+        match event {
+            FilterEvent::RouteUsed { .. } => os.broadcast_control(vec![1; 3]),
+            // Broadcast only: a unicast back to the dead neighbour would
+            // fail again, and on the ideal channel that recursion is
+            // synchronous.
+            FilterEvent::TxFailed { .. } => os.broadcast_control(vec![2; 4]),
+            FilterEvent::ForwardFailure { src, .. } => {
+                os.broadcast_control(vec![3; 5]);
+                os.unicast_control(src, vec![3; 7]);
+            }
+            FilterEvent::NoRoute { dst } => os.drop_buffered(dst),
+            _ => {}
+        }
+    }
+    fn on_context(&mut self, os: &mut NodeOs, sample: ContextSample) {
+        let ContextSample::Battery(level) = sample else {
+            return;
+        };
+        os.broadcast_control(level.to_bits().to_le_bytes().to_vec());
+    }
+}
+
+/// Four nodes in a line; data flows 0 → 3 and 3 → 0 over static routes,
+/// and 0 → `nowhere()` around a 0 ⇄ 1 routing loop.
+fn busy_world(link: LinkModel, phy: PhyModel) -> World {
+    let plan = FaultPlan::builder(5)
+        .chaos(FrameChaos {
+            corrupt: 0.1,
+            duplicate: 0.15,
+            reorder: 0.3,
+            ..FrameChaos::default()
+        })
+        .crash_for(ms(300), NodeId(2), SimDuration::from_millis(40))
+        .build();
+    let builder = World::builder()
+        .topology(Topology::line(4))
+        .seed(22)
+        .link_model(link)
+        .default_ttl(6)
+        .context_interval(SimDuration::from_millis(50))
+        .fault_plan(plan)
+        .phy(phy);
+    #[cfg(feature = "trace")]
+    let builder = builder.trace(1 << 16);
+    let mut world = builder.build();
+    let addr: Vec<Address> = world.node_ids().map(|n| world.addr(n)).collect();
+    for i in 0..4 {
+        let table = world.os_mut(NodeId(i)).route_table_mut();
+        if i < 3 {
+            table.add_host_route(addr[3], addr[i + 1], (3 - i) as u32);
+        }
+        if i > 0 {
+            table.add_host_route(addr[0], addr[i - 1], i as u32);
+        }
+    }
+    world
+        .os_mut(NodeId(0))
+        .route_table_mut()
+        .add_host_route(nowhere(), addr[1], 1);
+    world
+        .os_mut(NodeId(1))
+        .route_table_mut()
+        .add_host_route(nowhere(), addr[0], 1);
+    for i in 0..4 {
+        let peer = addr[if i == 3 { 2 } else { i + 1 }];
+        world.install_agent(NodeId(i), Box::new(Chatter { peer }));
+    }
+    world.schedule_link_change(ms(150), NodeId(2), NodeId(3), LinkState::Down);
+    world.schedule_link_change(ms(220), NodeId(2), NodeId(3), LinkState::Up);
+    for k in 0..80u64 {
+        world.send_datagram_at(ms(k * 5), NodeId(0), addr[3], vec![k as u8; 64]);
+        if k % 4 == 0 {
+            world.send_datagram_at(ms(k * 5 + 1), NodeId(0), nowhere(), vec![0xee; 16]);
+            world.send_datagram_at(ms(k * 5 + 2), NodeId(3), addr[0], vec![k as u8; 32]);
+        }
+    }
+    world.run_for(SimDuration::from_millis(600));
+    world
+}
+
+fn iid() -> LinkModel {
+    LinkModel {
+        loss: 0.3,
+        ..LinkModel::default()
+    }
+}
+
+fn bursty() -> LinkModel {
+    LinkModel {
+        burst: Some(GilbertElliott::flappy(0.1, 0.3)),
+        ..LinkModel::default()
+    }
+}
+
+fn narrow_band() -> PhyModel {
+    PhyModel::ConstantBandwidth(Channel {
+        bits_per_sec: 600_000,
+        queue_frames: 4,
+    })
+}
+
+/// Everything deterministic a run leaves behind outside its trace: the
+/// canonical statistics (agent counters in name order) and each node's
+/// battery level to the bit.
+fn outcome(world: &World) -> String {
+    let mut stats = world.stats().canonical();
+    let counters: BTreeMap<String, u64> = stats.agent_counters.drain().collect();
+    let batteries: Vec<u64> = world
+        .node_ids()
+        .map(|n| world.os(n).battery_level().to_bits())
+        .collect();
+    format!("{stats:?}|{counters:?}|{batteries:x?}")
+}
+
+fn assert_golden(name: &str, world: &World, outcome_golden: u64, trace_golden: u64) {
+    let got = fnv1a(outcome(world).as_bytes());
+    // The trace half needs the recorder; the `no-trace` job checks the
+    // outcome half alone.
+    #[cfg(feature = "trace")]
+    let got_trace = {
+        assert_eq!(world.trace_dropped(), 0, "{name}: ring too small");
+        fnv1a(world.trace_jsonl().as_bytes())
+    };
+    #[cfg(not(feature = "trace"))]
+    let got_trace = trace_golden;
+    assert!(
+        (got, got_trace) == (outcome_golden, trace_golden),
+        "{name}: moved, now (outcome, trace) = ({got:#018x}, {got_trace:#018x}): {}",
+        outcome(world)
+    );
+}
+
+#[test]
+fn the_busy_world_exercises_every_branch_of_the_path() {
+    let s = busy_world(iid(), PhyModel::Ideal).stats();
+    assert!(s.data_delivered > 0 && s.data_dup_delivered > 0, "{s:?}");
+    assert!(s.data_dropped_ttl > 0 && s.data_dropped_link > 0, "{s:?}");
+    assert!(s.data_dropped_crash > 0 && s.control_lost > 0, "{s:?}");
+    assert!(
+        s.data_corrupted > 0 && s.data_duplicated > 0 && s.data_reordered > 0,
+        "{s:?}"
+    );
+    assert!(busy_world(bursty(), PhyModel::Ideal).stats().link_flaps > 0);
+    let s = busy_world(iid(), narrow_band()).stats();
+    assert!(s.phy_queue_drops > 0 && s.phy_frames_tx > 0, "{s:?}");
+    assert!(s.data_dropped_ttl > 0 && s.data_dropped_link > 0, "{s:?}");
+    assert!(s.data_corrupted > 0 && s.data_duplicated > 0, "{s:?}");
+}
+
+#[test]
+fn golden_ideal_channel_iid_loss() {
+    let world = busy_world(iid(), PhyModel::Ideal);
+    assert_golden(
+        "ideal/iid",
+        &world,
+        0x5016_2987_7441_d111,
+        0x1683_d1b3_f7c6_83e1,
+    );
+}
+
+#[test]
+fn golden_ideal_channel_burst_loss() {
+    let world = busy_world(bursty(), PhyModel::Ideal);
+    assert_golden(
+        "ideal/burst",
+        &world,
+        0x18c3_7c46_8aff_16d1,
+        0x4a21_5c27_46e0_1de2,
+    );
+}
+
+#[test]
+fn golden_constant_bandwidth_iid_loss() {
+    let world = busy_world(iid(), narrow_band());
+    assert_golden(
+        "constant/iid",
+        &world,
+        0x08b2_04fe_1a41_7025,
+        0x9e13_1e63_76c8_2b76,
+    );
+}
+
+#[test]
+fn golden_constant_bandwidth_burst_loss() {
+    let world = busy_world(bursty(), narrow_band());
+    assert_golden(
+        "constant/burst",
+        &world,
+        0xbf87_f533_4850_969e,
+        0x67e6_0560_5b0d_2351,
+    );
+}
+
+// ---- the three preserved differences ---------------------------------------
+
+/// Capacity a power of two and one unit per transmitted byte, nothing else:
+/// `bytes_charged` reads back exact byte counts.
+const CAPACITY: f64 = 1_048_576.0;
+
+fn tx_only_battery() -> BatteryModel {
+    BatteryModel {
+        capacity: CAPACITY,
+        idle_per_sec: 0.0,
+        tx_per_byte: 1.0,
+        rx_per_byte: 0.0,
+    }
+}
+
+fn bytes_charged(world: &World, node: NodeId) -> u64 {
+    ((1.0 - world.os(node).battery_level()) * CAPACITY) as u64
+}
+
+fn wide_band() -> PhyModel {
+    PhyModel::ConstantBandwidth(Channel {
+        bits_per_sec: 10_000_000,
+        queue_frames: 16,
+    })
+}
+
+/// Two nodes, a host route 0 → 1, one 100-byte datagram sent and run out.
+fn one_hop(phy: PhyModel, ttl: u8, link: LinkState) -> World {
+    let mut world = World::builder()
+        .topology(Topology::full(2))
+        .seed(3)
+        .battery(tx_only_battery())
+        .default_ttl(ttl)
+        .phy(phy)
+        .build();
+    world.set_link(NodeId(0), NodeId(1), link);
+    let dst = world.addr(NodeId(1));
+    world
+        .os_mut(NodeId(0))
+        .route_table_mut()
+        .add_host_route(dst, dst, 1);
+    world.send_datagram(NodeId(0), dst, vec![0; 100]);
+    world.run_for(SimDuration::from_millis(100));
+    assert_eq!(world.outstanding_sends(), 0);
+    world
+}
+
+/// Difference (a): the ideal channel draws the link before it looks at the
+/// TTL and charges only hops whose link held; a channel model checks the
+/// TTL at enqueue, charges at transmit start and draws the link when the
+/// transmission completes.
+#[test]
+fn difference_a_link_fate_before_ttl_on_the_ideal_channel_only() {
+    let ideal = one_hop(PhyModel::Ideal, 1, LinkState::Down);
+    let s = ideal.stats();
+    assert_eq!((s.data_dropped_link, s.data_dropped_ttl), (1, 0));
+    assert_eq!(s.data_hops, 0);
+    assert_eq!(bytes_charged(&ideal, NodeId(0)), 0);
+
+    let engine = one_hop(wide_band(), 1, LinkState::Down);
+    let s = engine.stats();
+    assert_eq!((s.data_dropped_link, s.data_dropped_ttl), (0, 1));
+    assert_eq!(s.data_hops, 0);
+    assert_eq!(bytes_charged(&engine, NodeId(0)), 0);
+
+    // With TTL to spare the link decides on both — but the channel model
+    // has transmitted (and paid) by the time it finds out.
+    let ideal = one_hop(PhyModel::Ideal, 8, LinkState::Down);
+    let s = ideal.stats();
+    assert_eq!((s.data_dropped_link, s.data_hops), (1, 0));
+    assert_eq!(bytes_charged(&ideal, NodeId(0)), 0);
+
+    let engine = one_hop(wide_band(), 8, LinkState::Down);
+    let s = engine.stats();
+    assert_eq!((s.data_dropped_link, s.data_hops), (1, 1));
+    assert!(bytes_charged(&engine, NodeId(0)) > 0);
+}
+
+/// Difference (b): a data hop costs the sender's battery the datagram
+/// (20-byte IP header + payload) on the ideal channel and the whole frame
+/// (24-byte MAC header more) under a channel model.
+#[test]
+fn difference_b_data_hop_charge_with_and_without_mac_header() {
+    let ideal = one_hop(PhyModel::Ideal, 8, LinkState::Up);
+    assert_eq!(ideal.stats().data_delivered, 1);
+    assert_eq!(bytes_charged(&ideal, NodeId(0)), 120);
+
+    let engine = one_hop(wide_band(), 8, LinkState::Up);
+    assert_eq!(engine.stats().data_delivered, 1);
+    assert_eq!(bytes_charged(&engine, NodeId(0)), 144);
+}
+
+/// Difference (c): a unicast control frame to an address outside the world
+/// is lost either way, and drains the sender's battery on the ideal channel
+/// only.
+#[test]
+fn difference_c_unknown_unicast_address_drains_on_the_ideal_channel_only() {
+    let send = |phy: PhyModel| {
+        let mut world = World::builder()
+            .topology(Topology::full(2))
+            .seed(3)
+            .battery(tx_only_battery())
+            .phy(phy)
+            .build();
+        world
+            .os_mut(NodeId(0))
+            .unicast_control(nowhere(), vec![7; 10]);
+        world.run_for(SimDuration::from_millis(100));
+        let s = world.stats();
+        assert_eq!((s.control_frames, s.control_lost), (1, 1));
+        assert_eq!((s.control_received, s.phy_frames_tx), (0, 0));
+        bytes_charged(&world, NodeId(0))
+    };
+    assert_eq!(send(PhyModel::Ideal), 34);
+    assert_eq!(send(wide_band()), 0);
+}

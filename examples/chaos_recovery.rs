@@ -78,9 +78,9 @@ fn main() {
 
     // Healthy OLSR baseline.
     world.run_until(secs(30));
-    world.take_window();
+    let mut window = world.stats_window();
     world.run_until(secs(40));
-    let pre = world.take_window();
+    let pre = window.advance(&world);
     println!(
         "phase 1 (OLSR, healthy):   delivery {:5.1}%",
         100.0 * pre.delivery_ratio()
@@ -111,7 +111,7 @@ fn main() {
     );
 
     world.run_until(secs(70));
-    let during = world.take_window();
+    let during = window.advance(&world);
     println!(
         "phase 2 (outage window):   delivery {:5.1}%",
         100.0 * during.delivery_ratio()
@@ -130,9 +130,9 @@ fn main() {
     }
     println!("phase 3 (healed + rebooted): fleet status: {status}, all nodes on DYMO");
 
-    world.take_window();
+    window.skip(&world);
     world.run_until(secs(111));
-    let post = world.take_window();
+    let post = window.advance(&world);
     println!(
         "phase 3 (DYMO, recovered): delivery {:5.1}%",
         100.0 * post.delivery_ratio()
