@@ -206,17 +206,6 @@ impl DataPacket {
         const IP_HEADER: usize = 20;
         IP_HEADER + self.payload.len()
     }
-
-    /// A copy with TTL decremented, or `None` when the budget is exhausted.
-    #[must_use]
-    pub fn next_hop_copy(&self) -> Option<DataPacket> {
-        if self.ttl <= 1 {
-            return None;
-        }
-        let mut p = self.clone();
-        p.ttl -= 1;
-        Some(p)
-    }
 }
 
 #[cfg(test)]
@@ -231,13 +220,6 @@ mod tests {
             ttl,
             payload: vec![0; 100],
         }
-    }
-
-    #[test]
-    fn ttl_exhaustion() {
-        assert_eq!(pkt(3).next_hop_copy().unwrap().ttl, 2);
-        assert!(pkt(1).next_hop_copy().is_none());
-        assert!(pkt(0).next_hop_copy().is_none());
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   update the index incrementally — the representation that scales to
 //!   10k-node mobile worlds.
 
+use std::ops::RangeInclusive;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -163,18 +165,47 @@ enum Backend {
 ///
 /// The square is cut into `cols × rows` cells of width ≥ `radius`, so every
 /// node within radio range of a point lies in the 3 × 3 cell block around
-/// it. Buckets hold node ids; [`move_node`](Topology::move_node) rebuckets
-/// only the moved node. Bucket order is insertion order — queries that
-/// expose neighbour sets sort or reduce deterministically, so bucket
-/// internals never leak into simulation outcomes.
+/// it. A bucket holds its nodes' ids *and* coordinates, so a scan reads one
+/// contiguous slice per cell; `positions` is the same data by id, and
+/// `node_cell`/`node_slot` say where in the buckets each node sits, so
+/// [`move_node`](Topology::move_node) rebuckets only the moved node without
+/// searching for it. Bucket order is insertion order — queries that expose
+/// neighbour sets sort or reduce deterministically, so bucket internals
+/// never leak into simulation outcomes.
 #[derive(Debug, Clone, PartialEq)]
 struct SpatialField {
     radius: f64,
     cols: usize,
     rows: usize,
     positions: Vec<(f64, f64)>,
-    buckets: Vec<Vec<u32>>,
+    buckets: Vec<Vec<Placed>>,
     node_cell: Vec<u32>,
+    node_slot: Vec<u32>,
+}
+
+/// A node as its bucket holds it: the id and a copy of its position.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Placed {
+    id: u32,
+    x: f64,
+    y: f64,
+}
+
+/// Slack taken off a cell-distance bound before squaring. A cell edge
+/// (`gx / cols`) and `cell_of`'s product (`x * cols`) each round by at most
+/// a few 1e-16 in the unit square, so a node's real per-axis distance can
+/// undercut the gap to its cell's nominal edge by that much and no more.
+const CELL_BOUND_SLACK: f64 = 1e-12;
+
+/// A lower bound on `(x - t)²` over every coordinate `x` that `cell_of`
+/// puts in column (or row) `g` of `n`: the gap from `t` to the cell's span,
+/// less the slack, squared. Summed over both axes it bounds the squared
+/// distance from a point to every node of a cell from below.
+fn axis_gap2(t: f64, g: usize, n: usize) -> f64 {
+    let width = 1.0 / n as f64;
+    let (lo, hi) = (g as f64 * width, (g + 1) as f64 * width);
+    let gap = ((lo - t).max(t - hi) - CELL_BOUND_SLACK).max(0.0);
+    gap * gap
 }
 
 impl SpatialField {
@@ -198,11 +229,14 @@ impl SpatialField {
             positions: Vec::new(),
             buckets: vec![Vec::new(); cols * cols],
             node_cell: Vec::new(),
+            node_slot: Vec::new(),
         };
         for (i, &(x, y)) in positions.iter().enumerate() {
             let cell = field.cell_of(x, y);
-            field.buckets[cell as usize].push(i as u32);
+            let bucket = &mut field.buckets[cell as usize];
             field.node_cell.push(cell);
+            field.node_slot.push(bucket.len() as u32);
+            bucket.push(Placed { id: i as u32, x, y });
         }
         field.positions = positions;
         field
@@ -221,17 +255,33 @@ impl SpatialField {
         dx * dx + dy * dy <= self.radius * self.radius
     }
 
-    /// Visits every node in the 3 × 3 cell block around `(x, y)`.
-    fn for_each_nearby(&self, x: f64, y: f64, mut visit: impl FnMut(usize)) {
-        let cx = ((x * self.cols as f64) as usize).min(self.cols - 1);
-        let cy = ((y * self.rows as f64) as usize).min(self.rows - 1);
-        for gy in cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1) {
-            for gx in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
-                for &id in &self.buckets[gy * self.cols + gx] {
-                    visit(id as usize);
+    /// The `(column, row)` ranges of the 3 × 3 cell block around `node`.
+    fn block_around(&self, node: usize) -> (RangeInclusive<usize>, RangeInclusive<usize>) {
+        let cell = self.node_cell[node] as usize;
+        let (cx, cy) = (cell % self.cols, cell / self.cols);
+        (
+            cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1),
+            cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1),
+        )
+    }
+
+    /// Nodes within radio range of `a`, in bucket order.
+    fn in_range_of(&self, a: usize) -> Vec<NodeId> {
+        let (ax, ay) = self.positions[a];
+        let r2 = self.radius * self.radius;
+        let mut out = Vec::new();
+        let (gxs, gys) = self.block_around(a);
+        for gy in gys {
+            for gx in gxs.clone() {
+                for p in &self.buckets[gy * self.cols + gx] {
+                    let (dx, dy) = (ax - p.x, ay - p.y);
+                    if p.id as usize != a && dx * dx + dy * dy <= r2 {
+                        out.push(NodeId(p.id as usize));
+                    }
                 }
             }
         }
+        out
     }
 
     fn move_node(&mut self, node: usize, x: f64, y: f64) {
@@ -240,17 +290,136 @@ impl SpatialField {
             "positions must lie in the unit square"
         );
         self.positions[node] = (x, y);
+        let placed = Placed {
+            id: node as u32,
+            x,
+            y,
+        };
         let new_cell = self.cell_of(x, y);
         let old_cell = self.node_cell[node];
-        if new_cell != old_cell {
-            let bucket = &mut self.buckets[old_cell as usize];
-            let at = bucket
-                .iter()
-                .position(|&id| id == node as u32)
-                .expect("node missing from its bucket");
-            bucket.swap_remove(at);
-            self.buckets[new_cell as usize].push(node as u32);
-            self.node_cell[node] = new_cell;
+        let slot = self.node_slot[node] as usize;
+        debug_assert_eq!(self.buckets[old_cell as usize][slot].id, placed.id);
+        if new_cell == old_cell {
+            self.buckets[old_cell as usize][slot] = placed;
+            return;
+        }
+        let bucket = &mut self.buckets[old_cell as usize];
+        bucket.swap_remove(slot);
+        if let Some(filler) = bucket.get(slot) {
+            self.node_slot[filler.id as usize] = slot as u32;
+        }
+        let bucket = &mut self.buckets[new_cell as usize];
+        self.node_cell[node] = new_cell;
+        self.node_slot[node] = bucket.len() as u32;
+        bucket.push(placed);
+    }
+
+    /// Greedy next hop from `from` towards `dst` (see
+    /// [`Topology::geo_next_hop`]), visiting only the cells of the 3 × 3
+    /// block that can still hold a better candidate.
+    fn geo_next_hop(&self, from: usize, dst: usize) -> Option<usize> {
+        let (fx, fy) = self.positions[from];
+        let (tx, ty) = self.positions[dst];
+        let dist2 = |x: f64, y: f64| {
+            let (ex, ey) = (x - tx, y - ty);
+            ex * ex + ey * ey
+        };
+        let own = dist2(fx, fy);
+        let r2 = self.radius * self.radius;
+
+        // A cell whose bound reaches `own` holds nobody closer than the
+        // sender; the rest are worth a visit, nearest bound first.
+        let mut cells = [(0.0f64, 0usize); 9];
+        let mut live = 0;
+        let (gxs, gys) = self.block_around(from);
+        for gy in gys {
+            let row_gap2 = axis_gap2(ty, gy, self.rows);
+            for gx in gxs.clone() {
+                let bound = row_gap2 + axis_gap2(tx, gx, self.cols);
+                cells[live] = (bound, gy * self.cols + gx);
+                live += usize::from(bound < own);
+            }
+        }
+        let cells = &mut cells[..live];
+        cells.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+
+        // The `(distance, id)` minimum over in-range nodes closer than the
+        // sender, selected without data-dependent branches: which of the
+        // three tests a candidate fails is a coin flip. The sender itself
+        // (and any node on top of it) fails `d < own`.
+        let (mut best_d, mut best_id) = (f64::INFINITY, u32::MAX);
+        for &(bound, cell) in cells.iter() {
+            if bound > best_d {
+                break;
+            }
+            for p in &self.buckets[cell] {
+                let (rx, ry) = (fx - p.x, fy - p.y);
+                let d = dist2(p.x, p.y);
+                let eligible = (rx * rx + ry * ry <= r2) & (d < own);
+                let better = eligible & ((d < best_d) | ((d == best_d) & (p.id < best_id)));
+                best_d = if better { d } else { best_d };
+                best_id = if better { p.id } else { best_id };
+            }
+        }
+        (best_id != u32::MAX).then_some(best_id as usize)
+    }
+
+    /// The next hop by the plainest scan — every node of the 3 × 3 block,
+    /// by-id positions, early exits — kept as the oracle for the pruned one.
+    #[cfg(test)]
+    fn geo_next_hop_reference(&self, from: usize, dst: usize) -> Option<usize> {
+        let (fx, fy) = self.positions[from];
+        let (dx, dy) = self.positions[dst];
+        let dist2 = |x: f64, y: f64| {
+            let (ex, ey) = (x - dx, y - dy);
+            ex * ex + ey * ey
+        };
+        let own = dist2(fx, fy);
+        let mut best: Option<(f64, usize)> = None;
+        let cx = ((fx * self.cols as f64) as usize).min(self.cols - 1);
+        let cy = ((fy * self.rows as f64) as usize).min(self.rows - 1);
+        for gy in cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1) {
+            for gx in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
+                for b in self.buckets[gy * self.cols + gx]
+                    .iter()
+                    .map(|p| p.id as usize)
+                {
+                    if b == from || !self.in_range(from, b) {
+                        continue;
+                    }
+                    let (bx, by) = self.positions[b];
+                    let d = dist2(bx, by);
+                    if d >= own {
+                        continue;
+                    }
+                    let better = match best {
+                        None => true,
+                        Some((bd, bid)) => d < bd || (d == bd && b < bid),
+                    };
+                    if better {
+                        best = Some((d, b));
+                    }
+                }
+            }
+        }
+        best.map(|(_, b)| b)
+    }
+
+    /// Panics unless the buckets, the slot index and `positions` agree.
+    #[cfg(test)]
+    fn assert_consistent(&self) {
+        let held: usize = self.buckets.iter().map(Vec::len).sum();
+        assert_eq!(held, self.positions.len(), "every node in one bucket");
+        for (id, &(x, y)) in self.positions.iter().enumerate() {
+            let cell = self.node_cell[id];
+            assert_eq!(cell, self.cell_of(x, y), "node {id} in the wrong cell");
+            let placed = self.buckets[cell as usize][self.node_slot[id] as usize];
+            let expected = Placed {
+                id: id as u32,
+                x,
+                y,
+            };
+            assert_eq!(placed, expected, "node {id} slot out of date");
         }
     }
 }
@@ -412,13 +581,7 @@ impl Topology {
                 .map(NodeId)
                 .collect(),
             Backend::Spatial(field) => {
-                let (x, y) = field.positions[a.0];
-                let mut out = Vec::new();
-                field.for_each_nearby(x, y, |b| {
-                    if b != a.0 && field.in_range(a.0, b) {
-                        out.push(NodeId(b));
-                    }
-                });
+                let mut out = field.in_range_of(a.0);
                 // Bucket order is arbitrary; callers iterate neighbour sets
                 // into scheduling decisions, so pin ascending-id order to
                 // match the dense backend exactly.
@@ -495,32 +658,7 @@ impl Topology {
         if from == dst || from.0 >= self.n || dst.0 >= self.n {
             return None;
         }
-        let (fx, fy) = field.positions[from.0];
-        let (dx, dy) = field.positions[dst.0];
-        let dist2 = |x: f64, y: f64| {
-            let (ex, ey) = (x - dx, y - dy);
-            ex * ex + ey * ey
-        };
-        let own = dist2(fx, fy);
-        let mut best: Option<(f64, usize)> = None;
-        field.for_each_nearby(fx, fy, |b| {
-            if b == from.0 || !field.in_range(from.0, b) {
-                return;
-            }
-            let (bx, by) = field.positions[b];
-            let d = dist2(bx, by);
-            if d >= own {
-                return;
-            }
-            let better = match best {
-                None => true,
-                Some((bd, bid)) => d < bd || (d == bd && b < bid),
-            };
-            if better {
-                best = Some((d, b));
-            }
-        });
-        best.map(|(_, b)| NodeId(b))
+        field.geo_next_hop(from.0, dst.0).map(NodeId)
     }
 
     /// Node degree.
@@ -712,6 +850,149 @@ mod tests {
         assert_eq!(t.geo_next_hop(NodeId(3), NodeId(4)), None);
         // Dense topologies have no geometry.
         assert_eq!(Topology::full(3).geo_next_hop(NodeId(0), NodeId(2)), None);
+    }
+
+    /// A coordinate that likes trouble: a cell border of a `cols`-wide
+    /// grid, an edge of the square, or anywhere.
+    fn awkward_coordinate(rng: &mut StdRng, cols: usize) -> f64 {
+        match rng.gen_range(0..8) {
+            0 => rng.gen_range(0..=cols) as f64 / cols as f64,
+            1 => 1.0,
+            2 => 0.0,
+            _ => rng.gen(),
+        }
+    }
+
+    /// Somewhere for node `i` of `positions` to be: on top of another node
+    /// one time in six (so equal distances exercise the id tie-break),
+    /// otherwise two awkward coordinates.
+    fn awkward_position(rng: &mut StdRng, positions: &[(f64, f64)], cols: usize) -> (f64, f64) {
+        if !positions.is_empty() && rng.gen_range(0..6) == 0 {
+            return positions[rng.gen_range(0..positions.len())];
+        }
+        (awkward_coordinate(rng, cols), awkward_coordinate(rng, cols))
+    }
+
+    /// Every `(from, dst)` pair against the full-block reference scan, and
+    /// every neighbour list against an all-pairs dense matrix.
+    fn assert_matches_oracles(t: &Topology, positions: &[(f64, f64)], case: &str) {
+        let Backend::Spatial(field) = &t.backend else {
+            panic!("spatial topology expected");
+        };
+        field.assert_consistent();
+        assert_eq!(field.positions, positions, "{case}");
+        let n = positions.len();
+        let r2 = field.radius * field.radius;
+        let mut dense = Topology::empty(n);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let (dx, dy) = (
+                    positions[a].0 - positions[b].0,
+                    positions[a].1 - positions[b].1,
+                );
+                if dx * dx + dy * dy <= r2 {
+                    dense.set_link(NodeId(a), NodeId(b), LinkState::Up);
+                }
+            }
+        }
+        for from in 0..n {
+            assert_eq!(
+                t.neighbours(NodeId(from)),
+                dense.neighbours(NodeId(from)),
+                "{case}: neighbours of {from}"
+            );
+            for dst in 0..n {
+                assert_eq!(
+                    t.geo_next_hop(NodeId(from), NodeId(dst)),
+                    field.geo_next_hop_reference(from, dst).map(NodeId),
+                    "{case}: next hop {from} -> {dst}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_geo_next_hop_matches_the_full_block_scan() {
+        // Radii from 49 columns down to one (radius > 0.5); the node counts
+        // put anything from nobody to a few dozen nodes in a cell.
+        let radii = [0.03, 0.05, 0.11, 0.2, 0.25, 1.0 / 3.0, 0.5, 0.7];
+        let sizes = [2, 3, 9, 40, 120, 400];
+        let mut case_no = 0u64;
+        for &radius in &radii {
+            for &n in &sizes {
+                if n > 120 && radius > 0.3 {
+                    continue; // a handful of cells: every scan is all of them
+                }
+                case_no += 1;
+                let case = format!("case {case_no} (n {n}, radius {radius})");
+                let mut rng = StdRng::seed_from_u64(0x9e0_0000 + case_no);
+                let cols = ((1.0 / radius) as usize).max(1);
+                let mut positions: Vec<(f64, f64)> = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let at = awkward_position(&mut rng, &positions, cols);
+                    positions.push(at);
+                }
+                let mut t = Topology::spatial(positions.clone(), radius);
+                // All pairs are quadratic: the biggest fields are checked
+                // once, after every move.
+                if n <= 120 {
+                    assert_matches_oracles(&t, &positions, &case);
+                }
+                // Moves in four bursts with a bucket/slot check after each:
+                // jumps to awkward places and short random-waypoint steps.
+                for burst in 0..4 {
+                    for _ in 0..60 {
+                        let node = rng.gen_range(0..n);
+                        let to = if rng.gen() {
+                            awkward_position(&mut rng, &positions, cols)
+                        } else {
+                            let (x, y) = positions[node];
+                            let step = |at: f64, r: f64| (at + (r - 0.5) * radius).clamp(0.0, 1.0);
+                            (step(x, rng.gen()), step(y, rng.gen()))
+                        };
+                        positions[node] = to;
+                        t.move_node(NodeId(node), to.0, to.1);
+                    }
+                    let Backend::Spatial(field) = &t.backend else {
+                        unreachable!()
+                    };
+                    field.assert_consistent();
+                    if n <= 40 || burst == 3 {
+                        assert_matches_oracles(&t, &positions, &format!("{case}, burst {burst}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_bound_never_exceeds_a_real_distance() {
+        // The pruning rests on this: for any node and any destination, the
+        // bound of the node's cell is at most the node's own distance.
+        let mut rng = StdRng::seed_from_u64(77);
+        for &radius in &[0.025, 0.03, 0.07, 0.13, 0.3, 0.5] {
+            let cols = ((1.0 / radius) as usize).max(1);
+            let positions: Vec<(f64, f64)> = (0..300)
+                .map(|_| {
+                    (
+                        awkward_coordinate(&mut rng, cols),
+                        awkward_coordinate(&mut rng, cols),
+                    )
+                })
+                .collect();
+            let field = SpatialField::new(positions.clone(), radius);
+            for &(x, y) in &positions {
+                let cell = field.cell_of(x, y) as usize;
+                for &(tx, ty) in &positions {
+                    let (ex, ey) = (x - tx, y - ty);
+                    let bound = axis_gap2(tx, cell % cols, cols) + axis_gap2(ty, cell / cols, cols);
+                    assert!(
+                        bound <= ex * ex + ey * ey,
+                        "cell {cell} bound {bound} above ({x}, {y}) -> ({tx}, {ty})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simkern::EventQueue;
 
+use super::data_plane::SendWindow;
 use super::{EventKind, NodeSlot, World};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::os::{BatteryModel, NodeOs};
@@ -174,20 +175,24 @@ impl WorldBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when no node count or topology was given.
+    /// Panics when no node count or topology was given, or when there are
+    /// more than 64,000 nodes: the `10.0.x.y` address plan holds no more.
     #[must_use]
     pub fn build(self) -> World {
         assert!(self.nodes > 0, "world needs at least one node");
+        assert!(
+            self.nodes <= MAX_NODES,
+            "a world holds at most {MAX_NODES} nodes (one 10.0.x.y address each), not {}",
+            self.nodes
+        );
         let topo = self.topology.unwrap_or_else(|| Topology::empty(self.nodes));
         assert!(
             !self.geo_routing || topo.is_spatial(),
             "geo_routing needs a spatial topology (node positions)"
         );
         let mut nodes = Vec::with_capacity(self.nodes);
-        let mut addr_to_node = HashMap::new();
         for i in 0..self.nodes {
             let addr = node_address(i);
-            addr_to_node.insert(addr, NodeId(i));
             let mut os = NodeOs::new(NodeId(i), addr, self.battery);
             os.nf_buffer_cap = self.nf_capacity;
             #[cfg(feature = "trace")]
@@ -212,11 +217,10 @@ impl WorldBuilder {
             topo,
             link_model: self.link_model,
             nodes,
-            addr_to_node,
             stats: WorldStats::default(),
             rng: StdRng::seed_from_u64(self.seed),
             next_packet_id: 0,
-            sent_at: HashMap::new(),
+            sent_at: SendWindow::default(),
             link_feedback: self.link_feedback,
             context_interval: self.context_interval,
             default_ttl: self.default_ttl,
@@ -244,7 +248,28 @@ impl WorldBuilder {
     }
 }
 
-/// Address assigned to node `i`: `10.0.x.y`, unique for i < 62_500.
-fn node_address(i: usize) -> Address {
-    Address::v4([10, 0, (i / 250) as u8, (i % 250 + 1) as u8])
+/// Host numbers per `10.0.x.*` block: the last octet runs `1..=250`.
+const HOSTS_PER_BLOCK: usize = 250;
+
+/// The most nodes the address plan can tell apart: 256 blocks of 250 hosts.
+pub(super) const MAX_NODES: usize = 256 * HOSTS_PER_BLOCK;
+
+/// Address assigned to node `i`: `10.0.(i / 250).(i % 250 + 1)`, unique for
+/// `i < MAX_NODES`.
+pub(super) fn node_address(i: usize) -> Address {
+    debug_assert!(i < MAX_NODES);
+    let (block, host) = (i / HOSTS_PER_BLOCK, i % HOSTS_PER_BLOCK + 1);
+    Address::v4([10, 0, block as u8, host as u8])
+}
+
+/// The inverse of [`node_address`]: the index whose address is `addr`, or
+/// `None` for an address the plan never hands out. The caller bounds the
+/// index by its world's node count.
+pub(super) fn address_node(addr: Address) -> Option<usize> {
+    match addr {
+        Address::V4([10, 0, block, host]) if (1..=HOSTS_PER_BLOCK).contains(&(host as usize)) => {
+            Some(block as usize * HOSTS_PER_BLOCK + host as usize - 1)
+        }
+        _ => None,
+    }
 }

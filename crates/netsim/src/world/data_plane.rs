@@ -1,6 +1,8 @@
 //! The data plane: datagrams entering the network, one routing step per
 //! node, and the accounting that settles every copy exactly once.
 
+use std::collections::VecDeque;
+
 use packetbb::Address;
 
 use super::{EventKind, World};
@@ -12,14 +14,83 @@ use crate::time::SimTime;
 /// In-flight bookkeeping for one application datagram: when it left, how
 /// many copies the network still carries, and whether any copy has been
 /// delivered (frame duplication can clone packets mid-path). The record is
-/// removed when the last copy is accounted for — delivered or dropped — so
-/// the map's size is exactly the number of packets still in flight and a
-/// long campaign cannot accrete dead entries.
+/// dead once its last copy is accounted for — delivered or dropped.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct SentRecord {
     at: SimTime,
     pub(super) copies: u32,
     delivered: bool,
+}
+
+/// The send records of a world, indexed by packet id. Ids are handed out in
+/// sequence, so the records sit in a window `base..base + slots.len()` over
+/// the id space instead of a hash map. A slot is `None` until its id is
+/// accounted as sent (scheduled datagrams are minted long before they
+/// enter the network), live while `copies > 0`, and dead after; the window
+/// slides past dead slots at its front, so a long campaign cannot accrete
+/// them, and `live` is exactly the number of packets still in flight.
+#[derive(Debug, Default)]
+pub(super) struct SendWindow {
+    base: u64,
+    slots: VecDeque<Option<SentRecord>>,
+    live: usize,
+}
+
+impl SendWindow {
+    /// Opens the record of packet `id`, sent at `at` as one copy.
+    fn open(&mut self, id: u64, at: SimTime) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        // A scheduled datagram can enter the network after ones minted
+        // later, on either side of the window.
+        while id < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let at_slot = (id - self.base) as usize;
+        if at_slot >= self.slots.len() {
+            self.slots.resize(at_slot + 1, None);
+        }
+        let record = SentRecord {
+            at,
+            copies: 1,
+            delivered: false,
+        };
+        let was = self.slots[at_slot].replace(record);
+        debug_assert!(was.is_none(), "packet {id} accounted as sent twice");
+        self.live += 1;
+    }
+
+    /// The record of a packet still in flight.
+    pub(super) fn live_mut(&mut self, id: u64) -> Option<&mut SentRecord> {
+        let at_slot = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let slot = self.slots.get_mut(at_slot)?.as_mut();
+        slot.filter(|rec| rec.copies > 0)
+    }
+
+    /// Accounts for one terminal event — delivery or drop — of one copy of
+    /// packet `id`; its record dies with the last copy.
+    pub(super) fn settle(&mut self, id: u64) {
+        let Some(rec) = self.live_mut(id) else {
+            return;
+        };
+        rec.copies -= 1;
+        if rec.copies > 0 {
+            return;
+        }
+        self.live -= 1;
+        while let Some(Some(SentRecord { copies: 0, .. })) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Forgets every record (copies still in flight settle as no-ops).
+    pub(super) fn clear(&mut self) {
+        self.slots.clear();
+        self.live = 0;
+    }
 }
 
 /// Why one copy of a datagram left the network undelivered: the counter it
@@ -66,7 +137,7 @@ impl World {
     /// a quiescent world with empty buffers reports zero.
     #[must_use]
     pub fn outstanding_sends(&self) -> usize {
-        self.sent_at.len()
+        self.sent_at.live
     }
 
     /// A fresh datagram from `src` under the next packet id.
@@ -91,12 +162,7 @@ impl World {
     /// flushed, a scheduled datagram when its inject event fires.
     pub(super) fn account_send(&mut self, _node: NodeId, packet: &DataPacket) {
         self.stats.data_sent += 1;
-        let record = SentRecord {
-            at: self.now,
-            copies: 1,
-            delivered: false,
-        };
-        self.sent_at.insert(packet.id, record);
+        self.sent_at.open(packet.id, self.now);
         tr!(
             self,
             _node,
@@ -107,24 +173,13 @@ impl World {
         );
     }
 
-    /// Accounts for one terminal event — delivery or drop — of one copy of
-    /// a sent datagram, removing the record when no copies remain.
-    pub(super) fn settle_send(&mut self, id: u64) {
-        if let Some(rec) = self.sent_at.get_mut(&id) {
-            rec.copies -= 1;
-            if rec.copies == 0 {
-                self.sent_at.remove(&id);
-            }
-        }
-    }
-
     /// One copy of `packet` dies at `_node`: counted, traced (the node and
     /// the tag feed the flight recorder only), settled.
     pub(super) fn drop_data(&mut self, _node: NodeId, packet: &DataPacket, why: DataDrop) {
         let DataDrop(counter, _tag) = why;
         *counter(&mut self.stats) += 1;
         tr!(self, _node, DataDrop, _tag, packet.id, packet.ttl);
-        self.settle_send(packet.id);
+        self.sent_at.settle(packet.id);
     }
 
     /// One data-plane step at `node`: deliver locally, forward via the
@@ -136,9 +191,12 @@ impl World {
             // duplication active, later copies are counted separately.
             let first = self
                 .sent_at
-                .get(&packet.id)
+                .live_mut(packet.id)
                 .filter(|rec| !rec.delivered)
-                .map(|rec| rec.at);
+                .map(|rec| {
+                    rec.delivered = true;
+                    rec.at
+                });
             if self.dedupe_delivery && first.is_none() {
                 return self.drop_data(node, &packet, DataDrop::DUPLICATE);
             }
@@ -156,10 +214,7 @@ impl World {
                 packet.id,
                 first.map_or(0, |sent| self.now.since(sent).as_micros())
             );
-            if let Some(rec) = self.sent_at.get_mut(&packet.id) {
-                rec.delivered = true;
-            }
-            self.settle_send(packet.id);
+            self.sent_at.settle(packet.id);
             return;
         }
         let route = self.nodes[node.0]
@@ -210,5 +265,60 @@ impl World {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn window_slides_past_settled_records() {
+        // A long steady flow, at most three packets in flight: the window
+        // never holds more than the live span.
+        let mut w = SendWindow::default();
+        for id in 1..=10_000u64 {
+            w.open(id, SimTime::ZERO);
+            if id > 3 {
+                w.settle(id - 3);
+            }
+            assert!(w.slots.len() <= 4 && w.live <= 3, "id {id}");
+        }
+        assert_eq!((w.base, w.live), (9_998, 3));
+    }
+
+    #[test]
+    fn window_grows_both_ways_and_counts_only_live_records() {
+        let mut w = SendWindow::default();
+        w.open(50, SimTime::ZERO);
+        w.open(47, SimTime::ZERO); // minted earlier, sent later
+        w.open(53, SimTime::ZERO);
+        assert_eq!((w.base, w.slots.len(), w.live), (47, 7, 3));
+        assert!(w.live_mut(48).is_none(), "never opened");
+        assert!(w.live_mut(46).is_none() && w.live_mut(54).is_none());
+
+        // A duplicated copy keeps the record alive through one settle.
+        w.live_mut(50).expect("in flight").copies += 1;
+        w.settle(50);
+        assert_eq!(w.live, 3);
+        w.settle(50);
+        assert_eq!(w.live, 2);
+        assert!(w.live_mut(50).is_none(), "dead, though still in the window");
+        w.settle(50); // a stray settle of a dead record is a no-op
+        assert_eq!(w.live, 2);
+
+        // The front slides over dead slots only: 48 and 49 may yet be sent.
+        w.settle(47);
+        assert_eq!((w.base, w.live), (48, 1));
+        w.open(48, SimTime::ZERO);
+        w.open(49, SimTime::ZERO);
+        w.settle(49);
+        w.settle(48);
+        assert_eq!((w.base, w.live), (51, 1), "slid past the dead 50 too");
+        w.clear();
+        assert_eq!((w.slots.len(), w.live), (0, 0));
+        w.settle(53); // in flight at the clear
+        w.open(2, SimTime::ZERO);
+        assert_eq!((w.base, w.live), (2, 1));
     }
 }

@@ -60,7 +60,7 @@ impl World {
             0
         );
         for id in dropped {
-            self.settle_send(id);
+            self.sent_at.settle(id);
         }
         // The radio dies with the node: flush its transmit queue and abort
         // any in-flight serialization (surviving transmitters may speed up,
@@ -100,7 +100,7 @@ impl World {
         // The buffer was flushed at crash time, so this is normally empty —
         // settled anyway so a future code path can't reintroduce the leak.
         for id in flushed {
-            self.settle_send(id);
+            self.sent_at.settle(id);
         }
         tr!(self, node, NodeReboot, "reboot", 0, 0);
         if self.nodes[node.0].agent.is_some() {

@@ -56,7 +56,7 @@ pub use builder::WorldBuilder;
 pub use controlled::{PendingClass, PendingEvent};
 
 use controlled::ControlledQueue;
-use data_plane::{DataDrop, SentRecord};
+use data_plane::{DataDrop, SendWindow};
 use radio::PhyJob;
 
 #[derive(Debug)]
@@ -138,11 +138,10 @@ pub struct World {
     topo: Topology,
     link_model: LinkModel,
     nodes: Vec<NodeSlot>,
-    addr_to_node: HashMap<Address, NodeId>,
     stats: WorldStats,
     rng: StdRng,
     next_packet_id: u64,
-    sent_at: HashMap<u64, SentRecord>,
+    sent_at: SendWindow,
     link_feedback: bool,
     context_interval: Option<SimDuration>,
     default_ttl: u8,
@@ -210,10 +209,13 @@ impl World {
         self.nodes[node.0].os.addr()
     }
 
-    /// Resolves an address to its node.
+    /// Resolves an address to its node: addresses are assigned by index,
+    /// so this is arithmetic, not a lookup.
     #[must_use]
     pub fn node_of(&self, addr: Address) -> Option<NodeId> {
-        self.addr_to_node.get(&addr).copied()
+        builder::address_node(addr)
+            .filter(|&i| i < self.nodes.len())
+            .map(NodeId)
     }
 
     /// Read access to a node's simulated OS.
@@ -336,10 +338,16 @@ impl World {
     pub fn stats(&self) -> WorldStats {
         let mut s = self.stats.clone();
         s.sim_elapsed_us = self.now.as_micros();
+        // Sum by the counters' static names first, so each `String` key is
+        // built once per name rather than once per node.
+        let mut totals: HashMap<&'static str, u64> = HashMap::new();
         for slot in &self.nodes {
             for (name, v) in slot.os.counters() {
-                *s.agent_counters.entry((*name).to_string()).or_insert(0) += v;
+                *totals.entry(name).or_insert(0) += v;
             }
+        }
+        for (name, v) in totals {
+            *s.agent_counters.entry(name.to_string()).or_insert(0) += v;
         }
         s
     }
@@ -488,7 +496,7 @@ impl World {
                 if let Some(q) = self.nodes[node.0].os.nf_buffer.remove(&dst) {
                     self.stats.data_dropped_buffer += q.len() as u64;
                     for p in q {
-                        self.settle_send(p.id);
+                        self.sent_at.settle(p.id);
                     }
                 }
             }

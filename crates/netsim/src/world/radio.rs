@@ -107,7 +107,7 @@ impl World {
 
     /// The data plane forwards `packet` one hop towards `next_hop`: both
     /// entry orders side by side (module docs, differences (a) and (b)).
-    pub(super) fn forward(&mut self, node: NodeId, packet: DataPacket, next_hop: Address) {
+    pub(super) fn forward(&mut self, node: NodeId, mut packet: DataPacket, next_hop: Address) {
         let Some(nb) = self.node_of(next_hop) else {
             return self.drop_data(node, &packet, DataDrop::BAD_NEXT_HOP);
         };
@@ -115,15 +115,17 @@ impl World {
         if ideal && self.link_fails(node, nb, &packet) {
             return;
         }
-        let Some(next) = packet.next_hop_copy() else {
+        // The hop budget is spent here, on the packet the caller handed over.
+        if packet.ttl <= 1 {
             return self.drop_data(node, &packet, DataDrop::TTL);
-        };
-        if ideal {
-            self.charge_tx(node, next.wire_len(), Some((nb, next.ttl)));
         }
-        let dst = next.dst;
+        packet.ttl -= 1;
+        if ideal {
+            self.charge_tx(node, packet.wire_len(), Some((nb, packet.ttl)));
+        }
+        let dst = packet.dst;
         self.filter_event(node, FilterEvent::RouteUsed { dst, next_hop });
-        self.transmit(node, PhyJob::Data { nb, packet: next });
+        self.transmit(node, PhyJob::Data { nb, packet });
     }
 
     /// Hands a frame to `node`'s transmitter. Without an engine
@@ -154,7 +156,7 @@ impl World {
                     PhyJob::Data { packet, .. } => {
                         self.stats.data_dropped_buffer += 1;
                         tr!(self, node, PhyDrop, "phy_queue", packet.id, wire);
-                        self.settle_send(packet.id);
+                        self.sent_at.settle(packet.id);
                     }
                     PhyJob::Broadcast { .. } | PhyJob::Unicast { .. } => {
                         self.stats.control_lost += 1;
@@ -315,7 +317,7 @@ impl World {
             self.stats.data_duplicated += 1;
             // The clone is a second in-flight copy of the same id; the
             // send record must outlive both.
-            if let Some(rec) = self.sent_at.get_mut(&packet.id) {
+            if let Some(rec) = self.sent_at.live_mut(packet.id) {
                 rec.copies += 1;
             }
             copies = 2;

@@ -106,3 +106,44 @@ fn untraced_world_yields_empty_trace() {
     assert_eq!(world.trace_jsonl(), "");
     assert_eq!(world.trace_dropped(), 0);
 }
+
+#[test]
+fn a_ttl_drop_records_the_budget_the_packet_arrived_with() {
+    // 0 → 1 → 2 under TTL 2: the sender spends one, the relay finds one
+    // left and drops the packet — the record carries that 1, not a
+    // decremented 0, and the relay transmits nothing.
+    let mut world = World::builder()
+        .topology(Topology::line(3))
+        .seed(2)
+        .default_ttl(2)
+        .trace(64)
+        .build();
+    let (relay, dst) = (world.addr(NodeId(1)), world.addr(NodeId(2)));
+    world
+        .os_mut(NodeId(0))
+        .route_table_mut()
+        .add_host_route(dst, relay, 2);
+    world
+        .os_mut(NodeId(1))
+        .route_table_mut()
+        .add_host_route(dst, dst, 1);
+    let id = world.send_datagram(NodeId(0), dst, b"budget".to_vec());
+    world.run_for(SimDuration::from_millis(100));
+
+    let trace = world.trace();
+    let data: Vec<_> = trace
+        .records()
+        .iter()
+        .map(|r| (r.node, r.kind, r.tag, r.a, r.b))
+        .collect();
+    assert_eq!(
+        data,
+        vec![
+            (0, TraceKind::DataSend, "data", 2, 6),
+            (0, TraceKind::DataHop, "data", 1, 1),
+            (1, TraceKind::DataDrop, "ttl", id, 1),
+        ]
+    );
+    assert_eq!(world.stats().data_dropped_ttl, 1);
+    assert_eq!(world.outstanding_sends(), 0);
+}
