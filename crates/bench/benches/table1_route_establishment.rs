@@ -11,20 +11,20 @@
 //! DYMO, MANETKit within a small factor of the monolith — is the claim
 //! under reproduction.
 
-use manetkit_bench::scenarios::{
-    dymo_route_establishment, dymoum_factory, mean_delay, mkit_dymo_factory, mkit_olsr_factory,
-    olsr_route_establishment, olsrd_factory,
-};
+use manetkit_bench::scenarios::{dymo_route_establishment, mean_delay, olsr_route_establishment};
+use manetkit_bench::Protocol;
 
 fn main() {
     const RUNS: u64 = 5;
     println!("\n=== Table 1 (reproduction): Route Establishment Delay ===\n");
     println!("5-node linear topology, {RUNS} seeded runs each, simulated milliseconds.\n");
 
-    let (olsrd, ok1) = mean_delay(RUNS, |s| olsr_route_establishment(&olsrd_factory(), s));
-    let (mkit_olsr, ok2) = mean_delay(RUNS, |s| olsr_route_establishment(&mkit_olsr_factory(), s));
-    let (dymoum, ok3) = mean_delay(RUNS, |s| dymo_route_establishment(&dymoum_factory(), s));
-    let (mkit_dymo, ok4) = mean_delay(RUNS, |s| dymo_route_establishment(&mkit_dymo_factory(), s));
+    let olsr = |p: Protocol| mean_delay(RUNS, |s| olsr_route_establishment(&p.factory(), s));
+    let dymo = |p: Protocol| mean_delay(RUNS, |s| dymo_route_establishment(&p.factory(), s));
+    let (olsrd, ok1) = olsr(Protocol::Olsrd);
+    let (mkit_olsr, ok2) = olsr(Protocol::MkitOlsr);
+    let (dymoum, ok3) = dymo(Protocol::Dymoum);
+    let (mkit_dymo, ok4) = dymo(Protocol::MkitDymo);
     assert!(
         ok1 && ok2 && ok3 && ok4,
         "every run must establish its route"

@@ -10,7 +10,6 @@ pub mod chaos;
 pub mod footprint;
 pub mod reuse;
 pub mod scenarios;
-pub mod txn_chaos;
 
 /// The parallel campaign engine (re-exported `campaign` crate): declarative
 /// [`campaign::CampaignSpec`] grids executed across OS threads with
@@ -25,7 +24,6 @@ pub use chaos::{
 pub use scenarios::{
     dymo_route_establishment, olsr_route_establishment, AgentFactory, RouteEstablishment,
 };
-pub use txn_chaos::{run_campaign as txn_chaos_campaign, TxnChaosReport};
 
 /// Formats a simulated duration as milliseconds with three decimals.
 #[must_use]

@@ -1,7 +1,6 @@
 //! Reusable evaluation scenarios: the paper's 5-node linear testbed and the
 //! route-establishment measurements of Table 1.
 
-use campaign::Protocol;
 use netsim::{LinkState, NodeId, SimDuration, SimTime, Topology, World};
 
 pub use campaign::AgentFactory;
@@ -13,36 +12,6 @@ pub struct RouteEstablishment {
     pub delay: netsim::SimDuration,
     /// Whether the route actually appeared within the deadline.
     pub established: bool,
-}
-
-/// Factory for MANETKit OLSR nodes.
-#[must_use]
-pub fn mkit_olsr_factory() -> AgentFactory {
-    Protocol::MkitOlsr.factory()
-}
-
-/// Factory for monolithic Unik-olsrd-analogue nodes.
-#[must_use]
-pub fn olsrd_factory() -> AgentFactory {
-    Protocol::Olsrd.factory()
-}
-
-/// Factory for MANETKit DYMO nodes.
-#[must_use]
-pub fn mkit_dymo_factory() -> AgentFactory {
-    Protocol::MkitDymo.factory()
-}
-
-/// Factory for monolithic DYMOUM-analogue nodes.
-#[must_use]
-pub fn dymoum_factory() -> AgentFactory {
-    Protocol::Dymoum.factory()
-}
-
-/// Factory for MANETKit AODV nodes.
-#[must_use]
-pub fn mkit_aodv_factory() -> AgentFactory {
-    Protocol::MkitAodv.factory()
 }
 
 fn step_until(world: &mut World, deadline: SimTime, mut done: impl FnMut(&World) -> bool) -> bool {
@@ -133,12 +102,13 @@ pub fn mean_delay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campaign::Protocol;
 
     #[test]
     fn olsr_establishment_measures_both_implementations() {
-        let mkit = olsr_route_establishment(&mkit_olsr_factory(), 1);
+        let mkit = olsr_route_establishment(&Protocol::MkitOlsr.factory(), 1);
         assert!(mkit.established, "MKit-OLSR must converge: {mkit:?}");
-        let mono = olsr_route_establishment(&olsrd_factory(), 1);
+        let mono = olsr_route_establishment(&Protocol::Olsrd.factory(), 1);
         assert!(mono.established, "olsrd must converge: {mono:?}");
         // Both are interval-dominated: hundreds of milliseconds to seconds.
         for r in [mkit, mono] {
@@ -149,9 +119,9 @@ mod tests {
 
     #[test]
     fn dymo_establishment_is_rtt_dominated() {
-        let mkit = dymo_route_establishment(&mkit_dymo_factory(), 1);
+        let mkit = dymo_route_establishment(&Protocol::MkitDymo.factory(), 1);
         assert!(mkit.established, "{mkit:?}");
-        let mono = dymo_route_establishment(&dymoum_factory(), 1);
+        let mono = dymo_route_establishment(&Protocol::Dymoum.factory(), 1);
         assert!(mono.established, "{mono:?}");
         // Discovery is a flood round trip: tens of ms, far below OLSR's
         // interval-bound convergence.

@@ -1,6 +1,7 @@
 //! The declarative campaign vocabulary: protocols, topologies, traffic,
 //! scenarios, fault axes and the grid that multiplies them into cells.
 
+use adapt::Stack;
 use manetkit_baseline::{Dymoum, Olsrd, OlsrdConfig};
 use netsim::fault::{FaultPlan, FrameChaos};
 use netsim::mobility::{random_waypoint_field, RandomWaypoint};
@@ -96,26 +97,18 @@ impl Protocol {
     /// return).
     #[must_use]
     pub fn factory(self) -> AgentFactory {
-        match self {
-            Protocol::MkitOlsr => Box::new(|| {
-                let (node, _handle) = manetkit_olsr::node(Default::default());
-                Box::new(node)
-            }),
-            Protocol::MkitDymo => Box::new(|| {
-                let (node, _handle) = manetkit_dymo::node(Default::default());
-                Box::new(node)
-            }),
-            Protocol::MkitAodv => Box::new(|| {
-                let (node, _handle) = manetkit_aodv::node(Default::default());
-                Box::new(node)
-            }),
-            Protocol::Olsrd => Box::new(|| Box::new(Olsrd::new(OlsrdConfig::default()))),
-            Protocol::Dymoum => Box::new(|| Box::new(Dymoum::new())),
-            Protocol::Geo => Box::new(|| Box::new(NullAgent)),
+        let stack = match self {
+            Protocol::MkitOlsr => Stack::Olsr,
+            Protocol::MkitDymo => Stack::Dymo,
+            Protocol::MkitAodv => Stack::Aodv,
+            Protocol::Olsrd => return Box::new(|| Box::new(Olsrd::new(OlsrdConfig::default()))),
+            Protocol::Dymoum => return Box::new(|| Box::new(Dymoum::new())),
+            Protocol::Geo => return Box::new(|| Box::new(NullAgent)),
             Protocol::Adaptive => {
                 panic!("adaptive cells are installed by the campaign engine, not a factory")
             }
-        }
+        };
+        Box::new(move || Box::new(stack.node().0))
     }
 }
 

@@ -54,5 +54,5 @@ pub use invariant::{
     default_suite, CoordPhase, CounterConservation, Invariant, NoSplitBrain, NodeObs, Observation,
     RollbackExactness, StuckResolution,
 };
-pub use scenario::{olsr_to_dymo, ScenarioConfig, TwoPhaseSwitch};
+pub use scenario::{ScenarioConfig, TwoPhaseSwitch};
 pub use schedule::{Choice, Schedule};

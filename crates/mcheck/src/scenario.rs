@@ -1,4 +1,5 @@
-//! The checked scenario: a fleet-wide OLSR → DYMO switch committed
+//! The checked scenario: a fleet-wide OLSR → DYMO switch (the
+//! [`Stack::recipe_to`] recipe every other experiment commits) committed
 //! two-phase while the scheduler is free to reorder deliveries, drop
 //! messages, and crash/reboot nodes.
 //!
@@ -38,7 +39,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-use manetkit::{structural_hash, NodeHandle, ReconfigOp, TxnCounters, TxnCtl};
+use adapt::Stack;
+use manetkit::{structural_hash, NodeHandle, TxnCounters, TxnCtl};
 use netsim::{NodeId, PendingClass, Topology, World};
 
 use crate::explorer::Model;
@@ -78,28 +80,6 @@ impl Default for ScenarioConfig {
             skip_doomed_rollback: false,
         }
     }
-}
-
-/// The OLSR → DYMO switch recipe (the same composition change the E14/E15
-/// experiments commit).
-#[must_use]
-pub fn olsr_to_dymo() -> Vec<ReconfigOp> {
-    vec![
-        ReconfigOp::RemoveProtocol {
-            name: "olsr".into(),
-        },
-        ReconfigOp::RemoveProtocol { name: "mpr".into() },
-        ReconfigOp::MutateSystem {
-            op: Box::new(|sys| {
-                manetkit_dymo::register_messages(sys);
-                sys.register_message(manetkit::neighbour::hello_registration());
-            }),
-        },
-        ReconfigOp::AddProtocol(manetkit::neighbour::neighbour_detection_cf(
-            Default::default(),
-        )),
-        ReconfigOp::AddProtocol(manetkit_dymo::dymo_cf(Default::default())),
-    ]
 }
 
 /// The transaction id the scenario's single 2PC round uses.
@@ -151,7 +131,7 @@ impl TwoPhaseSwitch {
         let mut handles = Vec::new();
         let mut baseline = 0;
         for i in 0..cfg.nodes {
-            let (mut node, handle) = manetkit_olsr::node(Default::default());
+            let (mut node, handle) = Stack::Olsr.node();
             node.set_publish_composition(true);
             if cfg.skip_doomed_rollback {
                 node.set_skip_doomed_rollback(true);
@@ -182,7 +162,7 @@ impl TwoPhaseSwitch {
         for h in &s.handles {
             h.txn_ctl(TxnCtl::Prepare {
                 id: TXN_ID,
-                ops: olsr_to_dymo(),
+                ops: Stack::Olsr.recipe_to(Stack::Dymo),
                 requested: None,
                 deadline: None,
                 quiesce_within: Duration::ZERO,

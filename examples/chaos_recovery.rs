@@ -11,7 +11,8 @@
 //! cargo run --example chaos_recovery
 //! ```
 
-use manetkit_repro::manetkit::{FleetCoordinator, ReconfigOp, ReconfigRequest, Strategy};
+use manetkit_repro::adapt::{install_fleet, Stack};
+use manetkit_repro::manetkit::{ReconfigRequest, Strategy};
 use manetkit_repro::netsim::fault::FaultPlan;
 use manetkit_repro::prelude::*;
 
@@ -19,25 +20,6 @@ const NODES: usize = 6;
 
 fn secs(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(n)
-}
-
-/// The OLSR → DYMO switch recipe (the `protocol_switch` example, as a
-/// fleet-wide recipe).
-fn dymo_switch() -> Vec<ReconfigOp> {
-    vec![
-        ReconfigOp::RemoveProtocol {
-            name: "olsr".into(),
-        },
-        ReconfigOp::RemoveProtocol { name: "mpr".into() },
-        ReconfigOp::RegisterMessage(manetkit_repro::manetkit::neighbour::hello_registration()),
-        ReconfigOp::AddProtocol(manetkit_repro::manetkit::neighbour::neighbour_detection_cf(
-            Default::default(),
-        )),
-        ReconfigOp::AddProtocol(manetkit_repro::manetkit_dymo::dymo_cf(Default::default())),
-        ReconfigOp::MutateSystem {
-            op: Box::new(manetkit_repro::manetkit_dymo::register_messages),
-        },
-    ]
 }
 
 fn main() {
@@ -61,12 +43,7 @@ fn main() {
         .seed(3)
         .fault_plan(plan)
         .build();
-    let mut fleet = FleetCoordinator::default();
-    for i in 0..NODES {
-        let (node, handle) = manetkit_repro::manetkit_olsr::node(Default::default());
-        world.install_agent(NodeId(i), Box::new(node));
-        fleet.add(handle);
-    }
+    let fleet = install_fleet(&mut world, Stack::Olsr);
 
     // CBR traffic node 0 → node 5 for the whole exercise.
     let dst = world.addr(NodeId(NODES - 1));
@@ -95,7 +72,7 @@ fn main() {
         .execute(
             &mut world,
             ReconfigRequest::new()
-                .recipe(dymo_switch)
+                .recipe(|| Stack::Olsr.recipe_to(Stack::Dymo))
                 .strategy(Strategy::Retry),
         )
         .deferred;

@@ -12,16 +12,20 @@
 //! Writes `BENCH_txn_chaos.json` (outcome mix + counters) and, with the
 //! flight recorder on, `BENCH_trace_txn.jsonl` — the reconfiguration
 //! timeline (prepare/commit/abort/rollback records interleaved with the
-//! fault events that caused them).
+//! fault events that caused them). `cargo test --example txn_chaos` checks
+//! the campaign's consistency and that a same-seed replay is identical.
 //!
 //! ```text
 //! cargo run --release --example txn_chaos
 //! ```
 
+use manetkit_repro::adapt::{install_fleet, Stack};
 use manetkit_repro::manetkit::{
-    FleetCoordinator, ReconfigOp, ReconfigRequest, Strategy, TxnOptions, TxnVerdict,
+    assert_fleet_conservation, FleetTxnReport, ReconfigRequest, Strategy, TxnCounters, TxnOptions,
+    TxnVerdict,
 };
 use manetkit_repro::netsim::fault::FaultPlan;
+use manetkit_repro::netsim::WorldStats;
 use manetkit_repro::prelude::*;
 
 const NODES: usize = 5;
@@ -34,95 +38,108 @@ fn secs(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(n)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Stack {
-    Olsr,
-    Dymo,
+fn round_start(r: u64) -> u64 {
+    WARMUP_S + r * ROUND_GAP_S
 }
 
-impl Stack {
-    fn flipped(self) -> Stack {
-        match self {
-            Stack::Olsr => Stack::Dymo,
-            Stack::Dymo => Stack::Olsr,
-        }
-    }
-
-    fn protocols(self) -> Vec<String> {
-        match self {
-            Stack::Olsr => vec!["mpr".to_string(), "olsr".to_string()],
-            Stack::Dymo => vec!["neighbour-detection".to_string(), "dymo".to_string()],
-        }
-    }
-
-    fn switch_recipe(self) -> Vec<ReconfigOp> {
-        use manetkit_repro::manetkit::neighbour::{hello_registration, neighbour_detection_cf};
-        match self {
-            Stack::Olsr => vec![
-                ReconfigOp::RemoveProtocol {
-                    name: "olsr".into(),
-                },
-                ReconfigOp::RemoveProtocol { name: "mpr".into() },
-                ReconfigOp::MutateSystem {
-                    op: Box::new(|sys| {
-                        manetkit_repro::manetkit_dymo::register_messages(sys);
-                        sys.register_message(hello_registration());
-                    }),
-                },
-                ReconfigOp::AddProtocol(neighbour_detection_cf(Default::default())),
-                ReconfigOp::AddProtocol(manetkit_repro::manetkit_dymo::dymo_cf(Default::default())),
-            ],
-            Stack::Dymo => vec![
-                ReconfigOp::RemoveProtocol {
-                    name: "dymo".into(),
-                },
-                ReconfigOp::RemoveProtocol {
-                    name: "neighbour-detection".into(),
-                },
-                ReconfigOp::MutateSystem {
-                    op: Box::new(manetkit_repro::manetkit_olsr::register_messages),
-                },
-                ReconfigOp::AddProtocol(manetkit_repro::manetkit_olsr::mpr_cf(Default::default())),
-                ReconfigOp::AddProtocol(manetkit_repro::manetkit_olsr::olsr_cf(Default::default())),
-            ],
-        }
-    }
-}
-
-fn main() {
-    let round = |r: u64| WARMUP_S + r * ROUND_GAP_S;
-    // The fault script, phased against the round starts (see module docs).
-    // The 500 µs offset on the round-2 crash is deterministically earlier
-    // than any post-broadcast callback: the link model's minimum one-hop
-    // latency is 800 µs and the protocol timers fire on whole-second
-    // phases, so the node dies unprepared and the round must abort.
-    let plan = FaultPlan::builder(7)
-        .crash_for(secs(round(1) - 1), NodeId(1), SimDuration::from_secs(6))
+/// The fault script, phased against the round starts (see module docs).
+/// The 500 µs offset on the round-2 crash is deterministically earlier
+/// than any post-broadcast callback: the link model's minimum one-hop
+/// latency is 800 µs and the protocol timers fire on whole-second
+/// phases, so the node dies unprepared and the round must abort.
+fn chaos_plan(seed: u64) -> FaultPlan {
+    FaultPlan::builder(seed)
         .crash_for(
-            secs(round(2)) + SimDuration::from_micros(500),
+            secs(round_start(1) - 1),
+            NodeId(1),
+            SimDuration::from_secs(6),
+        )
+        .crash_for(
+            secs(round_start(2)) + SimDuration::from_micros(500),
             NodeId(3),
             SimDuration::from_secs(10),
         )
         .crash_for(
-            secs(round(3)) + SimDuration::from_millis(1_500),
+            secs(round_start(3)) + SimDuration::from_millis(1_500),
             NodeId(2),
             SimDuration::from_secs(6),
         )
-        .build();
+        .build()
+}
 
+/// The campaign's result.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// The coordinator's report of each round.
+    rounds: Vec<FleetTxnReport>,
+    /// Nodes whose final stack disagrees with the verdict history.
+    wedged: Vec<usize>,
+    stats: WorldStats,
+    /// The reconfiguration timeline: transaction phase records interleaved
+    /// with the faults that caused them (packet-level records filtered out
+    /// to keep the artifact small).
+    #[cfg(feature = "trace")]
+    timeline: String,
+}
+
+/// The nodes that missed a committed round and get its switch re-applied.
+fn repaired(round: &FleetTxnReport) -> Vec<NodeId> {
+    if round.verdict != TxnVerdict::Committed {
+        return Vec::new();
+    }
+    round
+        .skipped
+        .iter()
+        .chain(&round.unresolved)
+        .copied()
+        .collect()
+}
+
+impl Outcome {
+    fn rounds_with(&self, verdict: TxnVerdict) -> usize {
+        self.rounds.iter().filter(|r| r.verdict == verdict).count()
+    }
+
+    fn repairs(&self) -> usize {
+        self.rounds.iter().map(|r| repaired(r).len()).sum()
+    }
+
+    /// The E15 acceptance criterion: no node is wedged in a half-applied
+    /// composition, every prepared per-node transaction resolved exactly
+    /// once, and the script produced all three outcomes.
+    fn check(&self) {
+        assert!(self.wedged.is_empty(), "nodes {:?} are wedged", self.wedged);
+        assert_fleet_conservation(&self.stats, 0);
+        assert!(
+            self.rounds_with(TxnVerdict::Committed) >= 3,
+            "most rounds commit"
+        );
+        assert!(
+            self.rounds_with(TxnVerdict::Aborted) >= 1,
+            "the pre-prepare crash aborts a round"
+        );
+        assert!(self.repairs() >= 1, "a missed committed round is repaired");
+        assert_eq!(self.stats.node_crashes, 3);
+        assert_eq!(self.stats.node_reboots, 3);
+        assert!(
+            self.stats.delivery_ratio() > 0.5,
+            "traffic keeps flowing across the rounds"
+        );
+    }
+}
+
+/// Runs the campaign: [`ROUNDS`] alternating OLSR ⇄ DYMO two-phase
+/// switches under [`chaos_plan`], with CBR traffic node 0 → node 4
+/// throughout and a settle window at the end.
+fn run(seed: u64) -> Outcome {
     let builder = World::builder()
         .topology(Topology::line(NODES))
-        .seed(7)
-        .fault_plan(plan);
+        .seed(seed)
+        .fault_plan(chaos_plan(seed));
     #[cfg(feature = "trace")]
     let builder = builder.trace(1 << 16);
     let mut world = builder.build();
-    let mut fleet = FleetCoordinator::default();
-    for i in 0..NODES {
-        let (node, handle) = manetkit_repro::manetkit_olsr::node(Default::default());
-        fleet.add(handle);
-        world.install_agent(NodeId(i), Box::new(node));
-    }
+    let fleet = install_fleet(&mut world, Stack::Olsr);
 
     // CBR 0 → 4 at 4 pkt/s across every phase.
     let dst = world.addr(NodeId(NODES - 1));
@@ -132,127 +149,141 @@ fn main() {
         t += SimDuration::from_millis(250);
     }
 
-    let opts = TxnOptions::default();
     let mut current = Stack::Olsr;
-    let mut committed = 0u32;
-    let mut aborted = 0u32;
-    let mut repairs = 0u32;
-    let mut outcomes = Vec::new();
+    let mut rounds = Vec::new();
     for r in 0..ROUNDS {
-        world.run_until(secs(round(r)));
+        world.run_until(secs(round_start(r)));
         let from = current;
+        let to = if from == Stack::Olsr {
+            Stack::Dymo
+        } else {
+            Stack::Olsr
+        };
         let report = fleet.execute(
             &mut world,
             ReconfigRequest::new()
-                .recipe(|| from.switch_recipe())
-                .strategy(Strategy::TwoPhase(opts.clone())),
+                .recipe(|| from.recipe_to(to))
+                .strategy(Strategy::TwoPhase(TxnOptions::default())),
         );
-        println!("round {r} @ {:3}s: {report}", round(r),);
         match report.verdict {
-            TxnVerdict::Committed => {
-                committed += 1;
-                current = current.flipped();
-                // Reconcile nodes that missed the committed round: the same
-                // recipe enqueues best-effort and applies at their next
-                // (post-reboot) quiescent point, after the doomed rollback.
-                for id in report.skipped.iter().chain(&report.unresolved) {
-                    let handle = fleet.handle_of(*id).expect("fleet member");
-                    for op in from.switch_recipe() {
-                        handle.apply(op);
-                    }
-                    repairs += 1;
-                    println!("         repair: re-applying the switch on node {}", id.0);
-                }
-            }
-            TxnVerdict::Aborted => aborted += 1,
+            TxnVerdict::Committed => current = to,
+            TxnVerdict::Aborted => {}
             other => unreachable!("no health gate in this campaign: {other}"),
         }
-        outcomes.push((report.txn, report.verdict.to_string()));
+        // Reconcile nodes that missed the committed round: the same recipe
+        // enqueues best-effort and applies at their next (post-reboot)
+        // quiescent point, after the doomed rollback.
+        for id in repaired(&report) {
+            let handle = fleet.handle_of(id).expect("fleet member");
+            for op in from.recipe_to(to) {
+                handle.apply(op);
+            }
+        }
+        rounds.push(report);
     }
 
-    // Settle, then verify nobody is wedged.
+    // Settle: reboots, doomed rollbacks and repairs all land.
     world.run_until(secs(END_S));
     let expected = current.protocols();
-    for (i, stack) in fleet.stacks().iter().enumerate() {
-        assert_eq!(*stack, expected, "node {i} is wedged");
+    let wedged = (fleet.stacks().iter().enumerate())
+        .filter(|(_, stack)| **stack != expected)
+        .map(|(i, _)| i)
+        .collect();
+    Outcome {
+        rounds,
+        wedged,
+        stats: world.stats(),
+        #[cfg(feature = "trace")]
+        timeline: {
+            let keep = [
+                "\"kind\":\"txn_",
+                "\"kind\":\"quiesce_begin\"",
+                "\"kind\":\"reconfig_apply\"",
+                "\"kind\":\"state_transfer\"",
+                "\"kind\":\"rebind\"",
+                "\"kind\":\"resume\"",
+                "\"kind\":\"fault\"",
+                "\"kind\":\"node_crash\"",
+                "\"kind\":\"node_reboot\"",
+            ];
+            let jsonl = world.trace_jsonl();
+            jsonl
+                .lines()
+                .filter(|l| keep.iter().any(|k| l.contains(k)))
+                .flat_map(|l| [l, "\n"])
+                .collect()
+        },
     }
-    let stats = world.stats();
-    let prepared = stats.agent_counter("txn.prepared");
-    let txn_committed = stats.agent_counter("txn.committed");
-    let rolled_back = stats.agent_counter("txn.rolled_back");
-    assert_eq!(
+}
+
+fn main() {
+    let out = run(7);
+    for (r, round) in (0..).zip(&out.rounds) {
+        println!("round {r} @ {:3}s: {round}", round_start(r));
+        for id in repaired(round) {
+            println!("         repair: re-applying the switch on node {}", id.0);
+        }
+    }
+    out.check();
+    let committed = out.rounds_with(TxnVerdict::Committed);
+    let aborted = out.rounds_with(TxnVerdict::Aborted);
+    let abort_rate = aborted as f64 / ROUNDS as f64;
+    let repairs = out.repairs();
+    let TxnCounters {
         prepared,
-        txn_committed + rolled_back,
-        "every prepared per-node transaction resolved exactly once"
-    );
-    assert!(committed >= 3 && aborted >= 1 && repairs >= 1);
+        committed: txn_committed,
+        rolled_back,
+    } = TxnCounters::from_lookup(|c| out.stats.agent_counter(c));
     println!(
         "\n{ROUNDS} rounds: {committed} committed, {aborted} aborted \
          (abort rate {:.0}%), {repairs} repairs; \
          counters prepared={prepared} committed={txn_committed} rolled_back={rolled_back}; \
          delivery {:.1}% — no wedged nodes",
-        100.0 * f64::from(aborted) / ROUNDS as f64,
-        100.0 * stats.delivery_ratio(),
+        100.0 * abort_rate,
+        100.0 * out.stats.delivery_ratio(),
     );
 
-    let mut json = String::from("{\n  \"experiment\": \"e15-txn-chaos\",\n");
-    json.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
-    json.push_str(&format!("  \"committed\": {committed},\n"));
-    json.push_str(&format!("  \"aborted\": {aborted},\n"));
-    json.push_str(&format!(
-        "  \"abort_rate\": {:.4},\n",
-        f64::from(aborted) / ROUNDS as f64
-    ));
-    json.push_str(&format!("  \"repairs\": {repairs},\n"));
-    json.push_str(&format!(
-        "  \"counters\": {{\"prepared\": {prepared}, \"committed\": {txn_committed}, \
-         \"rolled_back\": {rolled_back}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"delivery_ratio\": {:.4},\n",
-        stats.delivery_ratio()
-    ));
-    json.push_str("  \"outcomes\": [");
-    for (i, (txn, verdict)) in outcomes.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("{{\"txn\": {txn}, \"verdict\": \"{verdict}\"}}"));
-    }
-    json.push_str("]\n}\n");
+    let outcomes: Vec<String> = (out.rounds.iter())
+        .map(|r| format!("{{\"txn\": {}, \"verdict\": \"{}\"}}", r.txn, r.verdict))
+        .collect();
+    let json = format!(
+        "{{\n  \"experiment\": \"e15-txn-chaos\",\n  \"rounds\": {ROUNDS},\n  \
+         \"committed\": {committed},\n  \"aborted\": {aborted},\n  \
+         \"abort_rate\": {abort_rate:.4},\n  \"repairs\": {repairs},\n  \
+         \"counters\": {{\"prepared\": {prepared}, \"committed\": {txn_committed}, \
+         \"rolled_back\": {rolled_back}}},\n  \"delivery_ratio\": {:.4},\n  \
+         \"outcomes\": [{}]\n}}\n",
+        out.stats.delivery_ratio(),
+        outcomes.join(", "),
+    );
     std::fs::write("BENCH_txn_chaos.json", json).expect("write report");
     println!("report written to BENCH_txn_chaos.json");
 
-    // The reconfiguration timeline: transaction phase records interleaved
-    // with the faults that caused them (packet-level records filtered out
-    // to keep the artifact small).
     #[cfg(feature = "trace")]
     {
-        let keep = [
-            "\"kind\":\"txn_",
-            "\"kind\":\"quiesce_begin\"",
-            "\"kind\":\"reconfig_apply\"",
-            "\"kind\":\"state_transfer\"",
-            "\"kind\":\"rebind\"",
-            "\"kind\":\"resume\"",
-            "\"kind\":\"fault\"",
-            "\"kind\":\"node_crash\"",
-            "\"kind\":\"node_reboot\"",
-        ];
-        let jsonl = world.trace_jsonl();
-        let timeline: String = jsonl
-            .lines()
-            .filter(|l| keep.iter().any(|k| l.contains(k)))
-            .flat_map(|l| [l, "\n"])
-            .collect();
         assert!(
-            timeline.contains("\"kind\":\"txn_rollback\""),
+            out.timeline.contains("\"kind\":\"txn_rollback\""),
             "the abort round's rollbacks are on the timeline"
         );
-        std::fs::write("BENCH_trace_txn.jsonl", &timeline).expect("write trace");
+        std::fs::write("BENCH_trace_txn.jsonl", &out.timeline).expect("write trace");
         println!(
             "transaction timeline ({} records) written to BENCH_trace_txn.jsonl",
-            timeline.lines().count()
+            out.timeline.lines().count()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn campaign_commits_aborts_repairs_and_stays_consistent() {
+        run(7).check();
+    }
+
+    #[test]
+    fn same_seed_campaign_replays_identically() {
+        assert_eq!(run(11), run(11), "the campaign must be deterministic");
     }
 }

@@ -1,7 +1,7 @@
 //! Workspace-level end-to-end scenarios: runtime protocol switching under
 //! traffic, reconfiguration robustness, and large-network behaviour.
 
-use manetkit_repro::manetkit::ReconfigOp;
+use manetkit_repro::adapt::Stack;
 use manetkit_repro::prelude::*;
 
 #[test]
@@ -12,7 +12,7 @@ fn switch_olsr_to_dymo_under_traffic() {
         .build();
     let mut handles = Vec::new();
     for i in 0..4 {
-        let (node, h) = manetkit_repro::manetkit_olsr::node(Default::default());
+        let (node, h) = Stack::Olsr.node();
         world.install_agent(NodeId(i), Box::new(node));
         handles.push(h);
     }
@@ -22,33 +22,17 @@ fn switch_olsr_to_dymo_under_traffic() {
     world.run_for(SimDuration::from_secs(1));
     assert_eq!(world.stats().data_delivered, 1);
 
-    // Live switch on every node.
+    // Live switch on every node, one best-effort op at a time.
     for h in &handles {
-        h.apply(ReconfigOp::RemoveProtocol {
-            name: "olsr".into(),
-        });
-        h.apply(ReconfigOp::RemoveProtocol { name: "mpr".into() });
-        h.apply(ReconfigOp::MutateSystem {
-            op: Box::new(|sys| {
-                manetkit_repro::manetkit_dymo::register_messages(sys);
-                sys.register_message(manetkit_repro::manetkit::neighbour::hello_registration());
-            }),
-        });
-        h.apply(ReconfigOp::AddProtocol(
-            manetkit_repro::manetkit::neighbour::neighbour_detection_cf(Default::default()),
-        ));
-        h.apply(ReconfigOp::AddProtocol(
-            manetkit_repro::manetkit_dymo::dymo_cf(Default::default()),
-        ));
+        for op in Stack::Olsr.recipe_to(Stack::Dymo) {
+            h.apply(op);
+        }
     }
     world.run_for(SimDuration::from_secs(5));
     for h in &handles {
         let st = h.status();
         assert!(st.last_error.is_none(), "{:?}", st.last_error);
-        assert_eq!(
-            st.protocols,
-            vec!["neighbour-detection".to_string(), "dymo".to_string()]
-        );
+        assert_eq!(st.protocols, Stack::Dymo.protocols());
     }
     world.send_datagram(NodeId(0), far, b"after".to_vec());
     world.run_for(SimDuration::from_secs(5));

@@ -5,35 +5,13 @@
 //! 5% of the pre-switch baseline. With the flight recorder on, the full
 //! prepare → commit → revert timeline is asserted from the trace JSONL.
 
-use manetkit_repro::manetkit::{
-    FleetCoordinator, HealthGate, ReconfigOp, ReconfigRequest, Strategy, TxnOptions, TxnVerdict,
-};
+use manetkit_repro::adapt::{install_fleet, Stack};
+use manetkit_repro::manetkit::{HealthGate, ReconfigRequest, Strategy, TxnOptions, TxnVerdict};
 use manetkit_repro::netsim::fault::FaultPlan;
 use manetkit_repro::prelude::*;
 
 fn secs(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(n)
-}
-
-/// The live OLSR → DYMO switch recipe (same composition change as the
-/// best-effort switch in `end_to_end.rs`, here as one atomic batch).
-fn olsr_to_dymo() -> Vec<ReconfigOp> {
-    vec![
-        ReconfigOp::RemoveProtocol {
-            name: "olsr".into(),
-        },
-        ReconfigOp::RemoveProtocol { name: "mpr".into() },
-        ReconfigOp::MutateSystem {
-            op: Box::new(|sys| {
-                manetkit_repro::manetkit_dymo::register_messages(sys);
-                sys.register_message(manetkit_repro::manetkit::neighbour::hello_registration());
-            }),
-        },
-        ReconfigOp::AddProtocol(manetkit_repro::manetkit::neighbour::neighbour_detection_cf(
-            Default::default(),
-        )),
-        ReconfigOp::AddProtocol(manetkit_repro::manetkit_dymo::dymo_cf(Default::default())),
-    ]
 }
 
 #[test]
@@ -59,12 +37,7 @@ fn health_gated_switch_auto_reverts_and_recovers() {
     #[cfg(feature = "trace")]
     let builder = builder.trace(1 << 16);
     let mut world = builder.build();
-    let mut fleet = FleetCoordinator::default();
-    for i in 0..5 {
-        let (node, handle) = manetkit_repro::manetkit_olsr::node(Default::default());
-        fleet.add(handle);
-        world.install_agent(NodeId(i), Box::new(node));
-    }
+    let fleet = install_fleet(&mut world, Stack::Olsr);
     // Let OLSR converge end to end before traffic starts.
     world.run_until(secs(40));
     let stacks_before = fleet.stacks();
@@ -82,7 +55,7 @@ fn health_gated_switch_auto_reverts_and_recovers() {
     let report = fleet.execute(
         &mut world,
         ReconfigRequest::new()
-            .recipe(olsr_to_dymo)
+            .recipe(|| Stack::Olsr.recipe_to(Stack::Dymo))
             .strategy(Strategy::TwoPhase(TxnOptions::default()))
             .health_gate(HealthGate::over_window(SimDuration::from_secs(10)).max_drop(0.25)),
     );
