@@ -27,7 +27,7 @@ use crate::handlers::{
     RouteLifetimeHandler, SweepHandler,
 };
 use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
-use crate::state::DymoState;
+use crate::state::{seq_newer, DymoState};
 use crate::DYMO_CF;
 
 /// One alternative path to a destination.
@@ -40,6 +40,9 @@ pub struct AltPath {
     pub hop_count: u8,
     /// Sequence number the path was learned under.
     pub seq: u16,
+    /// When the path lapses: one route lifetime after it was learned, when
+    /// the relay it starts with forgets its own unused route.
+    pub expiry: SimTime,
 }
 
 /// The multipath S component: the standard state plus per-destination
@@ -74,24 +77,32 @@ impl MultipathState {
     }
 
     /// Offers an alternative path; kept when its first hop differs from the
-    /// primary route's and from already-known alternatives.
+    /// primary route's, and either no known alternative starts with that hop
+    /// or the offer carries a newer sequence number than the one that does
+    /// (a later discovery refreshes it).
     pub fn offer_alternative(&mut self, dst: Address, alt: AltPath) -> bool {
         let primary_hop = self.base.routes.get(&dst).map(|r| r.next_hop);
         if primary_hop == Some(alt.next_hop) {
             return false;
         }
         let alts = self.alternatives.entry(dst).or_default();
-        if alts.iter().any(|a| a.next_hop == alt.next_hop) {
-            return false;
+        if let Some(known) = alts.iter_mut().find(|a| a.next_hop == alt.next_hop) {
+            if !seq_newer(alt.seq, known.seq) {
+                return false;
+            }
+            *known = alt;
+        } else {
+            alts.push(alt);
         }
-        alts.push(alt);
         alts.sort_by_key(|a| a.hop_count);
         true
     }
 
-    /// Takes the best alternative path to `dst`, if any.
-    pub fn take_alternative(&mut self, dst: Address) -> Option<AltPath> {
+    /// Takes the best live alternative path to `dst`, if any; lapsed ones
+    /// are dropped.
+    pub fn take_alternative(&mut self, dst: Address, now: SimTime) -> Option<AltPath> {
         let alts = self.alternatives.get_mut(&dst)?;
+        alts.retain(|a| a.expiry > now);
         if alts.is_empty() {
             return None;
         }
@@ -128,8 +139,8 @@ impl EventHandler for MultipathReHandler {
         if orig.addr == local {
             return;
         }
-        let now = ctx.now();
         let s = state.get_mut::<MultipathState>();
+        let expiry = ctx.now() + s.base.params.route_lifetime;
 
         if re.kind == ReKind::Rreq && s.base.duplicates.contains_key(&(orig.addr, orig.seq)) {
             // Duplicate RREQ: mine it for link-disjoint paths rather than
@@ -141,6 +152,7 @@ impl EventHandler for MultipathReHandler {
                     next_hop: from,
                     hop_count: hops,
                     seq: orig.seq,
+                    expiry,
                 },
             );
             if disjoint {
@@ -186,11 +198,11 @@ impl EventHandler for MultipathReHandler {
                         next_hop: from,
                         hop_count,
                         seq: hop.seq,
+                        expiry,
                     },
                 );
             }
         }
-        let _ = now;
     }
 }
 
@@ -221,7 +233,7 @@ impl MultipathRerrHandler {
         s.purge_via(via);
         let mut unrepaired = Vec::new();
         for (dst, seq) in broken {
-            if let Some(alt) = s.take_alternative(dst) {
+            if let Some(alt) = s.take_alternative(dst, now) {
                 s.base
                     .offer_route(dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
                 ctx.os().route_table_mut().add_host_route(
@@ -287,7 +299,7 @@ impl EventHandler for MultipathRerrHandler {
                 if let Some(r) = s.base.routes.get_mut(dst) {
                     r.broken = true;
                 }
-                if let Some(alt) = s.take_alternative(*dst) {
+                if let Some(alt) = s.take_alternative(*dst, now) {
                     s.base
                         .offer_route(*dst, alt.next_hop, alt.seq.max(*seq), alt.hop_count, now);
                     ctx.os().route_table_mut().add_host_route(
@@ -313,7 +325,7 @@ impl EventHandler for MultipathRerrHandler {
                 if let Some(r) = s.base.routes.get_mut(dst) {
                     r.broken = true;
                 }
-                if let Some(alt) = s.take_alternative(*dst) {
+                if let Some(alt) = s.take_alternative(*dst, now) {
                     s.base
                         .offer_route(*dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
                     ctx.os().route_table_mut().add_host_route(
@@ -428,10 +440,20 @@ pub fn disable_ops() -> Vec<ReconfigOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimTime;
+    use netsim::{SimDuration, SimTime};
 
     fn addr(n: u8) -> Address {
         Address::v4([10, 0, 0, n])
+    }
+
+    /// An alternative via `10.0.0.<hop>` that lapses at 5 s.
+    fn alt(hop: u8, hop_count: u8, seq: u16) -> AltPath {
+        AltPath {
+            next_hop: addr(hop),
+            hop_count,
+            seq,
+            expiry: SimTime::ZERO + SimDuration::from_secs(5),
+        }
     }
 
     #[test]
@@ -439,62 +461,53 @@ mod tests {
         let mut s = MultipathState::default();
         s.base.offer_route(addr(9), addr(2), 1, 3, SimTime::ZERO);
         // Same next hop as primary: rejected.
-        assert!(!s.offer_alternative(
-            addr(9),
-            AltPath {
-                next_hop: addr(2),
-                hop_count: 4,
-                seq: 1
-            }
-        ));
+        assert!(!s.offer_alternative(addr(9), alt(2, 4, 1)));
         // Different next hop: accepted once.
-        let alt = AltPath {
-            next_hop: addr(3),
-            hop_count: 4,
-            seq: 1,
+        assert!(s.offer_alternative(addr(9), alt(3, 4, 1)));
+        assert!(!s.offer_alternative(addr(9), alt(3, 4, 1)), "no duplicates");
+    }
+
+    #[test]
+    fn a_newer_discovery_refreshes_a_known_alternative() {
+        let mut s = MultipathState::default();
+        s.base.offer_route(addr(9), addr(2), 1, 3, SimTime::ZERO);
+        assert!(s.offer_alternative(addr(9), alt(3, 4, 1)));
+        let fresh = AltPath {
+            expiry: SimTime::ZERO + SimDuration::from_secs(12),
+            ..alt(3, 2, 2)
         };
-        assert!(s.offer_alternative(addr(9), alt));
-        assert!(!s.offer_alternative(addr(9), alt), "no duplicates");
+        assert!(s.offer_alternative(addr(9), fresh), "newer seq, same hop");
+        assert!(!s.offer_alternative(addr(9), alt(3, 1, 1)), "older seq");
+        assert_eq!(s.alternatives[&addr(9)], vec![fresh]);
     }
 
     #[test]
     fn take_alternative_prefers_shorter() {
         let mut s = MultipathState::default();
         s.base.offer_route(addr(9), addr(2), 1, 3, SimTime::ZERO);
-        s.offer_alternative(
-            addr(9),
-            AltPath {
-                next_hop: addr(4),
-                hop_count: 6,
-                seq: 1,
-            },
-        );
-        s.offer_alternative(
-            addr(9),
-            AltPath {
-                next_hop: addr(3),
-                hop_count: 4,
-                seq: 1,
-            },
-        );
-        assert_eq!(s.take_alternative(addr(9)).unwrap().next_hop, addr(3));
-        assert_eq!(s.take_alternative(addr(9)).unwrap().next_hop, addr(4));
-        assert!(s.take_alternative(addr(9)).is_none());
+        s.offer_alternative(addr(9), alt(4, 6, 1));
+        s.offer_alternative(addr(9), alt(3, 4, 1));
+        let now = SimTime::ZERO;
+        assert_eq!(s.take_alternative(addr(9), now).unwrap().next_hop, addr(3));
+        assert_eq!(s.take_alternative(addr(9), now).unwrap().next_hop, addr(4));
+        assert!(s.take_alternative(addr(9), now).is_none());
+    }
+
+    #[test]
+    fn lapsed_alternatives_are_never_taken() {
+        let mut s = MultipathState::default();
+        s.offer_alternative(addr(9), alt(3, 4, 1));
+        let lapse = SimTime::ZERO + SimDuration::from_secs(5);
+        assert!(s.take_alternative(addr(9), lapse).is_none());
+        assert!(s.alternatives[&addr(9)].is_empty(), "dropped, not kept");
     }
 
     #[test]
     fn purge_drops_paths_via_broken_neighbour() {
         let mut s = MultipathState::default();
-        s.offer_alternative(
-            addr(9),
-            AltPath {
-                next_hop: addr(3),
-                hop_count: 4,
-                seq: 1,
-            },
-        );
+        s.offer_alternative(addr(9), alt(3, 4, 1));
         s.purge_via(addr(3));
-        assert!(s.take_alternative(addr(9)).is_none());
+        assert!(s.take_alternative(addr(9), SimTime::ZERO).is_none());
     }
 
     #[test]

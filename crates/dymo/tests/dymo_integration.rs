@@ -145,18 +145,16 @@ fn traffic_keeps_routes_alive() {
     assert!(s.agent_counter("route_refreshed") > 0);
 }
 
-#[test]
-fn multipath_variant_fails_over_without_rediscovery() {
-    // Diamond with a tail: 0 - {1,2} - 3. Two link-disjoint paths 0->3.
+/// The diamond 0 - {1,2} - 3 (two link-disjoint paths 0 -> 3) with
+/// multipath DYMO enabled on every node.
+fn multipath_diamond(seed: u64) -> World {
     let mut topo = Topology::empty(4);
-    topo.set_link(NodeId(0), NodeId(1), LinkState::Up);
-    topo.set_link(NodeId(0), NodeId(2), LinkState::Up);
-    topo.set_link(NodeId(1), NodeId(3), LinkState::Up);
-    topo.set_link(NodeId(2), NodeId(3), LinkState::Up);
-    let (mut world, handles) = dymo_world(topo, 7);
+    for relay in [1, 2] {
+        topo.set_link(NodeId(0), NodeId(relay), LinkState::Up);
+        topo.set_link(NodeId(relay), NodeId(3), LinkState::Up);
+    }
+    let (mut world, handles) = dymo_world(topo, seed);
     world.run_for(SimDuration::from_secs(2));
-
-    // Enable multipath everywhere.
     for h in &handles {
         for op in multipath::enable_ops() {
             h.apply(op);
@@ -170,10 +168,38 @@ fn multipath_variant_fails_over_without_rediscovery() {
             h.status().last_error
         );
     }
+    world
+}
 
+/// Sends one datagram 0 -> 3 and lets it travel for half a second.
+fn send_to_far_end(world: &mut World, payload: &[u8]) {
     let far = world.addr(NodeId(3));
-    world.send_datagram(NodeId(0), far, b"probe".to_vec());
+    world.send_datagram(NodeId(0), far, payload.to_vec());
     world.run_for(SimDuration::from_millis(500));
+}
+
+/// Takes node 0's first link toward node 3 down and sends two datagrams
+/// across the break. The first is lost: its failed transmission is what
+/// reveals the break. Returns the relay cut off.
+fn break_primary(world: &mut World) -> NodeId {
+    let far = world.addr(NodeId(3));
+    let hop = world
+        .os(NodeId(0))
+        .route_table()
+        .lookup(far)
+        .unwrap()
+        .next_hop;
+    let relay = world.node_of(hop).unwrap();
+    world.set_link(NodeId(0), relay, LinkState::Down);
+    send_to_far_end(world, b"after-break");
+    send_to_far_end(world, b"after-repair");
+    relay
+}
+
+#[test]
+fn multipath_variant_fails_over_without_rediscovery() {
+    let mut world = multipath_diamond(7);
+    send_to_far_end(&mut world, b"probe");
     let s = world.stats();
     assert_eq!(s.data_delivered, 1);
     assert!(
@@ -182,22 +208,9 @@ fn multipath_variant_fails_over_without_rediscovery() {
     );
 
     // Break the primary's first link while routes are fresh (well inside
-    // the 5 s lifetime). The first post-break packet is lost — its failed
-    // transmission is what reveals the break — and failover repairs the
-    // route without a new RREQ flood, so the next packet flows.
-    let primary_hop = world
-        .os(NodeId(0))
-        .route_table()
-        .lookup(far)
-        .unwrap()
-        .next_hop;
-    let primary_node = world.node_of(primary_hop).unwrap();
-    let discoveries_before = s.agent_counter("route_discovery");
-    world.set_link(NodeId(0), primary_node, LinkState::Down);
-    world.send_datagram(NodeId(0), far, b"after-break".to_vec());
-    world.run_for(SimDuration::from_millis(500));
-    world.send_datagram(NodeId(0), far, b"after-failover".to_vec());
-    world.run_for(SimDuration::from_millis(500));
+    // the 5 s lifetime): failover repairs the route without a new RREQ
+    // flood, so the second packet flows.
+    break_primary(&mut world);
     let s2 = world.stats();
     assert!(
         s2.agent_counter("multipath_failover") >= 1,
@@ -205,10 +218,83 @@ fn multipath_variant_fails_over_without_rediscovery() {
     );
     assert_eq!(
         s2.agent_counter("route_discovery"),
-        discoveries_before,
+        s.agent_counter("route_discovery"),
         "no re-flood needed after failover: {s2:?}"
     );
     assert_eq!(s2.data_delivered, 2, "traffic keeps flowing: {s2:?}");
+}
+
+#[test]
+fn multipath_relearns_alternatives_on_every_discovery() {
+    // The seeds cover both orders in which the second discovery's two RREQ
+    // copies reach node 3. In seeds 3, 6 and 8 the duplicate comes through
+    // the relay node 3 already holds an older alternative for, which must
+    // be refreshed and answered rather than ignored.
+    for seed in 1..=8 {
+        let mut world = multipath_diamond(seed);
+        send_to_far_end(&mut world, b"first discovery");
+        // The first failover spends the only alternative.
+        let relay = break_primary(&mut world);
+        world.set_link(NodeId(0), relay, LinkState::Up);
+        // Idle past every route lifetime: the next datagram starts a
+        // second discovery with both paths up.
+        world.run_for(SimDuration::from_secs(8));
+        send_to_far_end(&mut world, b"second discovery");
+        let s = world.stats();
+        assert_eq!(s.agent_counter("route_discovery"), 2, "seed {seed}: {s:?}");
+        assert_eq!(
+            s.agent_counter("multipath_extra_rrep"),
+            2,
+            "seed {seed}: node 3 answers the second discovery's duplicate too: {s:?}"
+        );
+
+        break_primary(&mut world);
+        let s2 = world.stats();
+        assert_eq!(
+            s2.agent_counter("multipath_failover"),
+            2,
+            "seed {seed}: {s2:?}"
+        );
+        assert_eq!(
+            s2.agent_counter("route_discovery"),
+            2,
+            "seed {seed}: the refreshed alternative repairs the break without a flood: {s2:?}"
+        );
+        assert_eq!(s2.data_delivered, 4, "seed {seed}: {s2:?}");
+    }
+}
+
+#[test]
+fn multipath_never_fails_over_to_a_lapsed_alternative() {
+    let mut world = multipath_diamond(7);
+    send_to_far_end(&mut world, b"probe");
+    // Traffic keeps the primary path's routes alive for longer than a
+    // route lifetime; the alternative's relay forgets its unused route to
+    // node 3 meanwhile.
+    for _ in 0..14 {
+        send_to_far_end(&mut world, b"steady");
+    }
+    let s = world.stats();
+    assert_eq!(s.data_delivered, 15, "{s:?}");
+
+    break_primary(&mut world);
+    let s2 = world.stats();
+    assert_eq!(
+        s2.agent_counter("multipath_failover"),
+        s.agent_counter("multipath_failover"),
+        "a lapsed alternative is no failover target: {s2:?}"
+    );
+    assert_eq!(
+        s2.agent_counter("route_discovery"),
+        s.agent_counter("route_discovery") + 1,
+        "{s2:?}"
+    );
+    assert_eq!(
+        s2.data_delivered,
+        s.data_delivered + 1,
+        "the datagram after the break waits for the discovery instead of \
+         dying at a relay without a route: {s2:?}"
+    );
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //!   `seq` counts insertions; this total order is the determinism contract
 //!   every layer above relies on.
 //! * [`HeapQueue`] — the textbook `BinaryHeap` scheduler with the same API,
-//!   kept as the property-test oracle and bench baseline.
+//!   kept only as the property-test oracle.
 //!
 //! Any client that schedules identical events in an identical order gets an
 //! identical pop sequence — regardless of which queue implementation runs

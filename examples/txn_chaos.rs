@@ -104,7 +104,7 @@ impl Outcome {
         self.rounds.iter().map(|r| repaired(r).len()).sum()
     }
 
-    /// The E15 acceptance criterion: no node is wedged in a half-applied
+    /// The E15 acceptance check: no node is wedged in a half-applied
     /// composition, every prepared per-node transaction resolved exactly
     /// once, and the script produced all three outcomes.
     fn check(&self) {
