@@ -7,9 +7,10 @@
 //! [`EventTuple`](crate::registry::EventTuple)s and the Framework Manager
 //! wires them together by name.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use packetbb::{Address, Message};
 
@@ -19,6 +20,7 @@ use packetbb::{Address, Message};
 /// `&'static str` without holding the lock; the leak is bounded by the number
 /// of *distinct* event type names a process ever uses, which for a routing
 /// deployment is a few dozen.
+#[derive(Default)]
 struct InternTable {
     by_name: HashMap<&'static str, u32>,
     names: Vec<&'static str>,
@@ -26,12 +28,23 @@ struct InternTable {
 
 fn intern_table() -> &'static RwLock<InternTable> {
     static TABLE: OnceLock<RwLock<InternTable>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        RwLock::new(InternTable {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
+    TABLE.get_or_init(RwLock::default)
+}
+
+/// Read access to the global intern table.
+fn read_table() -> RwLockReadGuard<'static, InternTable> {
+    intern_table()
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// This thread's copy of the part of the intern table it has needed
+    /// (`names` a prefix of the global names, `by_name` the names it has
+    /// interned). An entry never changes once interned, so a copy never
+    /// goes stale: a hit takes no lock, and threads stepping worlds side by
+    /// side do not contend on the global table.
+    static LOCAL_TABLE: RefCell<InternTable> = RefCell::default();
 }
 
 /// An interned event type name, e.g. `"TC_OUT"`.
@@ -49,42 +62,67 @@ impl EventType {
     /// Interns `name` and returns its event type.
     ///
     /// The first call for a given name allocates an entry in the global
-    /// intern table; every subsequent call is a read-locked hash lookup that
-    /// returns the identical id with **no further allocation**. Hot paths
-    /// should still cache the returned value (it is `Copy`) rather than
-    /// re-interning per event.
+    /// intern table; every subsequent call returns the identical id with
+    /// **no further allocation** — from the calling thread's own copy once
+    /// the thread has seen the name (no lock), else by a read-locked
+    /// lookup. Hot paths should still cache the returned value (it is
+    /// `Copy`) rather than re-interning per event.
     #[must_use]
     pub fn named(name: &str) -> Self {
-        // Fast path: already interned (read lock only).
-        if let Some(&id) = intern_table()
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .by_name
-            .get(name)
-        {
+        let local = LOCAL_TABLE.try_with(|local| local.borrow().by_name.get(name).copied());
+        if let Ok(Some(id)) = local {
             return EventType(id);
+        }
+        let (id, name) = Self::intern_global(name);
+        // A thread being torn down simply skips its copy.
+        let _ = LOCAL_TABLE.try_with(|local| local.borrow_mut().by_name.insert(name, id));
+        EventType(id)
+    }
+
+    /// [`EventType::named`] against the global table: the id and the
+    /// leaked name.
+    fn intern_global(name: &str) -> (u32, &'static str) {
+        let found = |table: &InternTable| {
+            let id = *table.by_name.get(name)?;
+            Some((id, table.names[id as usize]))
+        };
+        // Fast path: already interned (read lock only).
+        if let Some(hit) = found(&read_table()) {
+            return hit;
         }
         let mut table = intern_table()
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         // Re-check under the write lock: another thread may have won the race.
-        if let Some(&id) = table.by_name.get(name) {
-            return EventType(id);
+        if let Some(hit) = found(&table) {
+            return hit;
         }
         let id = u32::try_from(table.names.len()).expect("intern table overflow");
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
         table.names.push(leaked);
         table.by_name.insert(leaked, id);
-        EventType(id)
+        (id, leaked)
     }
 
-    /// The type name.
+    /// The type name. Read from the calling thread's copy of the intern
+    /// table, which is topped up from the global table (one read lock) only
+    /// when it lacks the id.
     #[must_use]
     pub fn as_str(&self) -> &'static str {
-        intern_table()
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .names[self.0 as usize]
+        let id = self.0 as usize;
+        LOCAL_TABLE
+            .try_with(|local| {
+                let mut local = local.borrow_mut();
+                if let Some(&name) = local.names.get(id) {
+                    return name;
+                }
+                // Ids are dense, so the copy is a prefix of the global
+                // names: extend it up to the global table's length.
+                let known = local.names.len();
+                local.names.extend_from_slice(&read_table().names[known..]);
+                local.names[id]
+            })
+            .unwrap_or_else(|_| read_table().names[id])
     }
 
     /// The dense intern id. Ids start at 0 and are assigned in interning
@@ -100,11 +138,7 @@ impl EventType {
     /// [`EventType::id`] is `< intern_count()` at the time of the call.
     #[must_use]
     pub fn intern_count() -> usize {
-        intern_table()
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .names
-            .len()
+        read_table().names.len()
     }
 }
 
@@ -436,6 +470,58 @@ mod tests {
         assert_eq!(EventType::intern_count(), before + 1);
         assert_ne!(c, a);
         assert!((c.id() as usize) < EventType::intern_count());
+    }
+
+    #[test]
+    fn threads_agree_on_ids_and_names() {
+        let names: Vec<String> = (0..48).map(|i| format!("__THREADED_{i}")).collect();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<(u32, &'static str)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (names, start) = (&names, &start);
+                    s.spawn(move || {
+                        // All four start together and each interns in its
+                        // own order, so ids are handed out while the others
+                        // are reading.
+                        start.wait();
+                        let mut order: Vec<usize> = (0..names.len()).collect();
+                        order.rotate_left(t * 12);
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        let mut got = vec![(0, ""); names.len()];
+                        for i in order {
+                            let ty = EventType::named(&names[i]);
+                            got[i] = (ty.id(), ty.as_str());
+                        }
+                        // Again, now from the thread's own copy.
+                        for (i, name) in names.iter().enumerate() {
+                            let ty = EventType::named(name);
+                            assert_eq!((ty.id(), ty.as_str()), got[i]);
+                            assert_eq!(ty.as_str(), name);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        for got in &seen[1..] {
+            assert_eq!(got, &seen[0], "every thread got the same ids and names");
+        }
+        let ids: std::collections::HashSet<u32> = seen[0].iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids.len(), names.len(), "distinct names, distinct ids");
+        // A type interned on one thread reads back, and orders, on another.
+        let fresh = EventType::named("__THREADED_LATE");
+        let (name, before) =
+            std::thread::spawn(move || (fresh.as_str(), fresh < EventType::named("__THREADED_0")))
+                .join()
+                .expect("reader");
+        assert_eq!((name, before), ("__THREADED_LATE", false));
     }
 
     #[test]

@@ -440,6 +440,11 @@ impl Deployment {
         self.slots.iter().map(|s| s.cf.name().to_string()).collect()
     }
 
+    /// The deployed protocol CFs in stack order.
+    pub(crate) fn protocols(&self) -> impl Iterator<Item = &ManetProtocolCf> {
+        self.slots.iter().map(|s| &s.cf)
+    }
+
     /// Read access to a deployed protocol CF.
     #[must_use]
     pub fn protocol(&self, name: &str) -> Option<&ManetProtocolCf> {
@@ -1075,11 +1080,14 @@ struct ProtocolAdapter {
 
 impl ProtocolAdapter {
     fn from_cf(cf: &ManetProtocolCf) -> Self {
+        // Interned, so the meta-model's per-query copies of these ids
+        // (snapshots, integrity rules, composition hashes) copy no strings.
+        let event_iface = |t: &EventType| intern_name(&format!("event:{t}"));
         let mut provided: Vec<InterfaceId> = cf
             .tuple()
             .provided
             .iter()
-            .map(|t| InterfaceId::from_string(format!("event:{t}")))
+            .map(|t| InterfaceId::of(event_iface(t)))
             .collect();
         if cf.is_reactive() {
             provided.push(InterfaceId::of(REACTIVE_IFACE));
@@ -1088,7 +1096,7 @@ impl ProtocolAdapter {
             .tuple()
             .required
             .iter()
-            .map(|t| opencom::ReceptacleId::from_string(format!("event:{t}")))
+            .map(|t| opencom::ReceptacleId::of(event_iface(t)))
             .collect();
         ProtocolAdapter {
             name: cf.name().to_string(),

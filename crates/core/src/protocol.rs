@@ -387,16 +387,16 @@ impl ManetProtocolCf {
     /// Names of all plug-ins (handlers, sources, forwarder).
     #[must_use]
     pub fn plugin_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .handlers
-            .iter()
-            .map(|h| h.handler.name().to_string())
-            .collect();
-        names.extend(self.sources.iter().map(|s| s.source.name().to_string()));
-        if let Some(f) = &self.forwarder {
-            names.push(f.name().to_string());
-        }
-        names
+        self.plugins().map(str::to_string).collect()
+    }
+
+    /// The plug-in names of [`plugin_names`](Self::plugin_names), borrowed.
+    pub(crate) fn plugins(&self) -> impl Iterator<Item = &str> {
+        let handlers = self.handlers.iter().map(|h| h.handler.name());
+        let sources = self.sources.iter().map(|s| s.source.name());
+        handlers
+            .chain(sources)
+            .chain(self.forwarder.as_ref().map(|f| f.name()))
     }
 
     // ---- lifecycle & delivery (called by the deployment) ------------------

@@ -7,30 +7,45 @@
 //! [`NodeOs`](netsim::NodeOs) counters so it surfaces in
 //! [`WorldStats::agent_counters`](netsim::WorldStats) under `bus.*` names.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::manager::UnitId;
 
-/// Interns an arbitrary counter name, returning a `&'static str`.
+/// Interns an arbitrary name, returning a `&'static str`.
 ///
 /// Each distinct name is leaked at most once process-wide, so repeated
 /// deployments (one per simulated node) can stamp per-unit counter names
-/// without growing memory per deployment. Needed because
-/// [`netsim::NodeOs`] counters key on `&'static str`.
+/// and meta-model interface ids without growing memory per deployment.
+/// Needed because [`netsim::NodeOs`] counters key on `&'static str`. A
+/// name the calling thread has interned before is found in its own copy,
+/// without a lock.
 #[must_use]
 pub fn intern_name(name: &str) -> &'static str {
+    thread_local! {
+        static LOCAL: RefCell<HashSet<&'static str>> = RefCell::default();
+    }
     static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    if let Ok(Some(hit)) = LOCAL.try_with(|local| local.borrow().get(name).copied()) {
+        return hit;
+    }
     let mut set = NAMES
-        .get_or_init(|| Mutex::new(HashSet::new()))
+        .get_or_init(Mutex::default)
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    if let Some(&existing) = set.get(name) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    set.insert(leaked);
-    leaked
+    let interned = match set.get(name) {
+        Some(&existing) => existing,
+        None => {
+            let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+            set.insert(leaked);
+            leaked
+        }
+    };
+    drop(set);
+    // A thread being torn down simply skips its copy.
+    let _ = LOCAL.try_with(|local| local.borrow_mut().insert(interned));
+    interned
 }
 
 /// Per-unit event counters.
@@ -118,6 +133,46 @@ mod tests {
         let b = intern_name("bus.test.events_in");
         assert!(std::ptr::eq(a, b));
         assert_eq!(a, "bus.test.events_in");
+    }
+
+    #[test]
+    fn threads_share_one_interned_copy() {
+        let names: Vec<String> = (0..32).map(|i| format!("bus.threaded.{i}")).collect();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<&'static str>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (names, start) = (&names, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut got: Vec<&'static str> = Vec::new();
+                        for round in 0..2 {
+                            for i in 0..names.len() {
+                                let i = (i + t * 8) % names.len();
+                                let interned = intern_name(&names[i]);
+                                assert_eq!(interned, names[i]);
+                                if round == 0 {
+                                    got.push(interned);
+                                } else {
+                                    assert!(got.iter().any(|g| std::ptr::eq(*g, interned)));
+                                }
+                            }
+                        }
+                        got.sort_unstable();
+                        got
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        for got in &seen[1..] {
+            for (a, b) in got.iter().zip(&seen[0]) {
+                assert!(std::ptr::eq(*a, *b), "one leaked copy per name");
+            }
+        }
     }
 
     #[test]

@@ -31,11 +31,15 @@
 //! `txn_abort`, `txn_rollback`, `txn_revert`) and bump `txn.*` OS counters
 //! that surface in `WorldStats::agent_counters`.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use netsim::NodeOs;
+use opencom::{InterfaceId, ReceptacleId};
 
+use crate::event::EventType;
 use crate::node::{DeployError, Deployment, ReconfigOp, Switched};
 use crate::protocol::ManetProtocolCf;
 use crate::registry::EventTuple;
@@ -160,40 +164,78 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
 /// while full-fidelity (state-inclusive) exactness is verified at unwind
 /// time by the engine itself and surfaced as `txn.rollback_mismatch`.
 ///
-/// The hash is deterministic across processes (`DefaultHasher` with its
-/// fixed keys over a canonical rendering), so it can sit in persisted
-/// model-checker fingerprints.
+/// The hash is deterministic across processes: `DefaultHasher` with its
+/// fixed keys, fed names only — interface, receptacle, event-type and
+/// plug-in names, never kernel or intern ids — so it can sit in persisted
+/// model-checker fingerprints. It reads the deployment in place (no
+/// architecture snapshot, no string copies), because the model checker
+/// computes it at every agent callback.
 #[must_use]
 pub fn structural_hash(dep: &Deployment) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    let arch = dep.meta().architecture();
-    let mut components: Vec<(String, Vec<String>, Vec<String>)> = arch
-        .components
-        .iter()
-        .map(|c| {
-            let mut provided: Vec<String> =
-                c.provided.iter().map(|i| i.as_str().to_string()).collect();
-            provided.sort();
-            let mut required: Vec<String> =
-                c.required.iter().map(|r| r.as_str().to_string()).collect();
-            required.sort();
-            (c.name.clone(), provided, required)
-        })
-        .collect();
-    components.sort();
+    let mut h = DefaultHasher::new();
+    // The component multiset: one digest per component over its name and
+    // sorted interface and receptacle names, then the digests sorted, so
+    // kernel ids and load order drop out.
+    let mut components: Vec<u64> = Vec::new();
+    let mut order: Vec<usize> = Vec::new();
+    dep.meta().visit_components(|name, provided, required| {
+        let mut c = DefaultHasher::new();
+        name.hash(&mut c);
+        hash_sorted(provided, InterfaceId::as_str, &mut order, &mut c);
+        hash_sorted(required, ReceptacleId::as_str, &mut order, &mut c);
+        components.push(c.finish());
+    });
+    components.sort_unstable();
     components.hash(&mut h);
-    for name in dep.protocol_names() {
-        let Some(cf) = dep.protocol(&name) else {
-            continue;
-        };
+    for cf in dep.protocols() {
         cf.name().hash(&mut h);
-        format!("{:?}", cf.tuple()).hash(&mut h);
-        cf.plugin_names().hash(&mut h);
+        let tuple = cf.tuple();
+        for types in [&tuple.required, &tuple.provided, &tuple.exclusive] {
+            hash_names(types, &mut h);
+        }
+        let mut plugins = 0usize;
+        for plugin in cf.plugins() {
+            plugin.hash(&mut h);
+            plugins += 1;
+        }
+        plugins.hash(&mut h);
         cf.is_reactive().hash(&mut h);
     }
-    format!("{:?}", dep.system().config()).hash(&mut h);
+    let system = dep.system().config();
+    system.registrations.len().hash(&mut h);
+    for r in &system.registrations {
+        r.msg_type.hash(&mut h);
+        r.in_event.as_str().hash(&mut h);
+        r.out_event.map(|t| t.as_str()).hash(&mut h);
+    }
+    system.netlink.hash(&mut h);
+    system.power_status.hash(&mut h);
     h.finish()
+}
+
+/// Hashes the names of `items` in sorted order, with their count;
+/// `order` is scratch space.
+fn hash_sorted<T>(
+    items: &[T],
+    name: impl Fn(&T) -> &str,
+    order: &mut Vec<usize>,
+    h: &mut impl Hasher,
+) {
+    order.clear();
+    order.extend(0..items.len());
+    order.sort_unstable_by(|&a, &b| name(&items[a]).cmp(name(&items[b])));
+    items.len().hash(h);
+    for &i in order.iter() {
+        name(&items[i]).hash(h);
+    }
+}
+
+/// Hashes event types by name, in order, with their count.
+fn hash_names(types: &[EventType], h: &mut impl Hasher) {
+    types.len().hash(h);
+    for t in types {
+        t.as_str().hash(h);
+    }
 }
 
 /// One reversible step of an applied transaction. Undo is *physical*:

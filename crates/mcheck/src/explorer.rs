@@ -7,16 +7,31 @@
 //! by the factory. Determinism of the controlled world makes replay exact:
 //! same prefix, same state, same pending-event ids.
 //!
-//! The frontier holds schedule prefixes; popping one replays it, hashes
-//! the resulting state into the dedup set, runs every [`Invariant`], and —
-//! unless the state is terminal, at the depth bound, or pruned — pushes
-//! one extended prefix per enabled [`Choice`]. A [`Vec`]-backed pop from
-//! the tail gives DFS, a pop from the head gives BFS; BFS is the default
-//! because with hash dedup it visits every state at its *shallowest*
-//! depth, so no state is ever dropped for depth reasons that a shorter
-//! path could have reached.
+//! The frontier holds schedule prefixes as node ids of a **prefix tree**
+//! (each node is its parent's prefix plus one [`Choice`]), so a queued
+//! prefix costs one tree node and is spelled out only when it is visited.
+//! Popping one replays it, hashes the resulting state into the dedup set,
+//! runs every [`Invariant`], and — unless the state is terminal, at the
+//! depth bound, or pruned — pushes one child per enabled [`Choice`]. A pop
+//! from the tail gives DFS, a pop from the head gives BFS; BFS is the
+//! default because with hash dedup it visits every state at its
+//! *shallowest* depth, so no state is ever dropped for depth reasons that a
+//! shorter path could have reached.
+//!
+//! **Visits run on every core.** Under BFS the explorer pops up to
+//! [`BATCH`] prefixes at once and hands them to scoped worker threads,
+//! which build, replay, fingerprint and observe each state and list its
+//! enabled choices. A sequential merge then does everything that decides
+//! the outcome — dedup, invariants, the stop condition, the state cap and
+//! the child pushes — in exactly the pop order of a one-at-a-time walk, so
+//! every report, count and counterexample is independent of the number of
+//! workers. DFS keeps a batch of one: its next pop depends on the last
+//! expansion. A model never leaves the worker that built it, so [`Model`]
+//! needs no `Send`; only the factory is shared (`Sync`).
 
 use std::collections::{HashSet, VecDeque};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::invariant::{Invariant, Observation};
 use crate::schedule::{Choice, Schedule};
@@ -62,7 +77,7 @@ pub enum Strategy {
 }
 
 /// One invariant violation, with the schedule that reproduces it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Name of the violated invariant.
     pub invariant: &'static str,
@@ -75,7 +90,7 @@ pub struct Violation {
 }
 
 /// Exploration statistics and outcome.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreReport {
     /// States visited (schedule prefixes replayed).
     pub states_explored: u64,
@@ -123,9 +138,63 @@ pub struct Counterexample {
 /// A pruning hook: observation + schedule prefix → skip this subtree?
 type PruneHook = Box<dyn Fn(&Observation, &[Choice]) -> bool>;
 
+/// Prefixes a BFS pops per batch of parallel visits. A constant, so the
+/// work a batch skips (states already in the dedup set when it starts)
+/// does not depend on the host either.
+const BATCH: usize = 256;
+
+/// The node id of the empty prefix in a [`PrefixTree`].
+const ROOT: u32 = u32::MAX;
+
+/// The frontier's schedule prefixes, stored once each: node `i` is the
+/// prefix of its parent extended by one choice.
+#[derive(Default)]
+struct PrefixTree {
+    nodes: Vec<(u32, Choice)>,
+}
+
+impl PrefixTree {
+    /// Adds the prefix `parent` + `choice` and returns its id.
+    fn push(&mut self, parent: u32, choice: Choice) -> u32 {
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != ROOT)
+            .expect("prefix tree overflow: more than 2^32 - 1 queued prefixes");
+        self.nodes.push((parent, choice));
+        id
+    }
+
+    /// Spells out the prefix with id `id`.
+    fn prefix(&self, mut id: u32) -> Vec<Choice> {
+        let mut choices = Vec::new();
+        while id != ROOT {
+            let (parent, choice) = self.nodes[id as usize];
+            choices.push(choice);
+            id = parent;
+        }
+        choices.reverse();
+        choices
+    }
+}
+
+/// What a worker learns about one popped prefix.
+enum Visit {
+    /// The state's fingerprint was in the dedup set before the batch
+    /// started: the merge only counts it.
+    Seen,
+    /// Everything the merge needs to dedup, check and expand the state.
+    New {
+        fingerprint: u64,
+        obs: Observation,
+        prefix: Vec<Choice>,
+        /// Empty when the state is terminal or at the depth bound.
+        enabled: Vec<Choice>,
+    },
+}
+
 /// The bounded model checker.
 pub struct Explorer<M: Model> {
-    factory: Box<dyn Fn() -> M>,
+    factory: Box<dyn Fn() -> M + Sync>,
     invariants: Vec<Box<dyn Invariant>>,
     strategy: Strategy,
     depth_bound: usize,
@@ -137,8 +206,9 @@ pub struct Explorer<M: Model> {
 impl<M: Model> Explorer<M> {
     /// An explorer over fresh models built by `factory`: BFS, depth bound
     /// 20, no state cap, stop at the first violation, no pruning, no
-    /// invariants (add them with [`Explorer::invariant`]).
-    pub fn new(factory: impl Fn() -> M + 'static) -> Self {
+    /// invariants (add them with [`Explorer::invariant`]). The factory is
+    /// called from every worker thread, hence `Sync`.
+    pub fn new(factory: impl Fn() -> M + Sync + 'static) -> Self {
         Explorer {
             factory: Box::new(factory),
             invariants: Vec::new(),
@@ -266,83 +336,502 @@ impl<M: Model> Explorer<M> {
             })
     }
 
-    /// The shared exploration loop. `stop` is consulted at every unique
-    /// state; returning `true` ends the walk with that state's prefix.
+    /// The shared exploration loop, one worker per available core.
+    /// `stop` is consulted at every unique state; returning `true` ends
+    /// the walk with that state's prefix.
     fn walk(
         &self,
         stop: impl Fn(&Observation, &[Choice]) -> bool,
         report: &mut ExploreReport,
     ) -> Option<(String, Vec<Choice>)> {
-        let mut frontier: VecDeque<Vec<Choice>> = VecDeque::new();
-        frontier.push_back(Vec::new());
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.walk_on(workers, stop, report)
+    }
+
+    /// [`Explorer::walk`] with its visits spread over `workers` threads
+    /// (the caller's included). The merge below is the only place that
+    /// changes the report, the dedup set or the frontier, and it takes
+    /// the batch in pop order, so the outcome is the one-at-a-time walk's.
+    fn walk_on(
+        &self,
+        workers: usize,
+        stop: impl Fn(&Observation, &[Choice]) -> bool,
+        report: &mut ExploreReport,
+    ) -> Option<(String, Vec<Choice>)> {
+        let mut tree = PrefixTree::default();
+        let mut frontier: VecDeque<u32> = VecDeque::from([ROOT]);
         let mut seen: HashSet<u64> = HashSet::new();
-        while let Some(prefix) = match self.strategy {
-            Strategy::Dfs => frontier.pop_back(),
-            Strategy::Bfs => frontier.pop_front(),
-        } {
-            if report.states_explored >= self.max_states {
+        let mut scenario: Option<String> = None;
+        let mut batch: Vec<u32> = Vec::new();
+        while !frontier.is_empty() {
+            let room = self.max_states - report.states_explored;
+            if room == 0 {
                 report.truncated = true;
                 break;
             }
-            report.states_explored += 1;
-            let mut model = (self.factory)();
-            let mut replay_ok = true;
-            for &c in &prefix {
-                if !model.apply(c) {
-                    // Enabled sets are computed one step before the replay,
-                    // so this indicates a nondeterministic model — surface
-                    // it loudly rather than exploring garbage.
-                    replay_ok = false;
-                    break;
+            batch.clear();
+            match self.strategy {
+                Strategy::Dfs => batch.extend(frontier.pop_back()),
+                Strategy::Bfs => {
+                    let room = usize::try_from(room).unwrap_or(usize::MAX);
+                    batch.extend(frontier.drain(..frontier.len().min(BATCH).min(room)));
                 }
             }
-            assert!(replay_ok, "replay diverged: model is not deterministic");
-            if !seen.insert(model.fingerprint()) {
-                report.dedup_hits += 1;
-                continue;
-            }
-            report.states_unique += 1;
-            report.max_depth = report.max_depth.max(prefix.len());
-            let obs = model.observe();
-            for inv in &self.invariants {
-                if let Err(detail) = inv.check(&obs) {
-                    report.violations.push(Violation {
-                        invariant: inv.name(),
-                        detail,
-                        depth: prefix.len(),
-                        schedule: Schedule {
-                            scenario: model.name().to_string(),
-                            choices: prefix.clone(),
-                        },
-                    });
-                    if self.stop_at_first {
-                        return None;
-                    }
-                }
-            }
-            if stop(&obs, &prefix) {
-                return Some((model.name().to_string(), prefix));
-            }
-            if obs.terminal {
-                report.terminal_states += 1;
-                continue;
-            }
-            if prefix.len() >= self.depth_bound {
-                report.bound_hits += 1;
-                continue;
-            }
-            if let Some(hook) = &self.prune {
-                if hook(&obs, &prefix) {
-                    report.pruned += 1;
+            let visits = self.visit_batch(workers, &tree, &batch, &seen);
+            for (&node, visit) in batch.iter().zip(visits) {
+                report.states_explored += 1;
+                let Visit::New {
+                    fingerprint,
+                    obs,
+                    prefix,
+                    enabled,
+                } = visit
+                else {
+                    report.dedup_hits += 1;
+                    continue;
+                };
+                if !seen.insert(fingerprint) {
+                    report.dedup_hits += 1;
                     continue;
                 }
-            }
-            for c in model.enabled() {
-                let mut child = prefix.clone();
-                child.push(c);
-                frontier.push_back(child);
+                report.states_unique += 1;
+                report.max_depth = report.max_depth.max(prefix.len());
+                for inv in &self.invariants {
+                    if let Err(detail) = inv.check(&obs) {
+                        report.violations.push(Violation {
+                            invariant: inv.name(),
+                            detail,
+                            depth: prefix.len(),
+                            schedule: Schedule {
+                                scenario: self.scenario(&mut scenario),
+                                choices: prefix.clone(),
+                            },
+                        });
+                        if self.stop_at_first {
+                            return None;
+                        }
+                    }
+                }
+                if stop(&obs, &prefix) {
+                    return Some((self.scenario(&mut scenario), prefix));
+                }
+                if obs.terminal {
+                    report.terminal_states += 1;
+                    continue;
+                }
+                if prefix.len() >= self.depth_bound {
+                    report.bound_hits += 1;
+                    continue;
+                }
+                if let Some(hook) = &self.prune {
+                    if hook(&obs, &prefix) {
+                        report.pruned += 1;
+                        continue;
+                    }
+                }
+                for c in enabled {
+                    frontier.push_back(tree.push(node, c));
+                }
             }
         }
         None
+    }
+
+    /// The scenario name schedules carry, read from one fresh model the
+    /// first time a schedule needs it.
+    fn scenario(&self, cached: &mut Option<String>) -> String {
+        cached
+            .get_or_insert_with(|| (self.factory)().name().to_string())
+            .clone()
+    }
+
+    /// Visits every prefix of `batch` on up to `workers` threads, the
+    /// caller's included, and returns the visits in batch order. Threads
+    /// take the next unvisited prefix as they free up, so deep and shallow
+    /// prefixes balance.
+    fn visit_batch(
+        &self,
+        workers: usize,
+        tree: &PrefixTree,
+        batch: &[u32],
+        seen: &HashSet<u64>,
+    ) -> Vec<Visit> {
+        let factory: &(dyn Fn() -> M + Sync) = &*self.factory;
+        let depth_bound = self.depth_bound;
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&node) = batch.get(i) else {
+                    return done;
+                };
+                done.push((i, visit(factory, depth_bound, tree, node, seen)));
+            }
+        };
+        let mut visits = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers.min(batch.len()))
+                .map(|_| s.spawn(work))
+                .collect();
+            let mut visits = work();
+            for helper in helpers {
+                visits.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            visits
+        });
+        visits.sort_unstable_by_key(|&(i, _)| i);
+        visits.into_iter().map(|(_, visit)| visit).collect()
+    }
+}
+
+/// Builds the state the prefix `node` leads to and reports what the merge
+/// needs of it (see [`Visit`]).
+fn visit<M: Model>(
+    factory: &(dyn Fn() -> M + Sync),
+    depth_bound: usize,
+    tree: &PrefixTree,
+    node: u32,
+    seen: &HashSet<u64>,
+) -> Visit {
+    let prefix = tree.prefix(node);
+    let mut model = factory();
+    for &c in &prefix {
+        // Enabled sets are computed one step before the replay, so a
+        // refused choice indicates a nondeterministic model — surface it
+        // loudly rather than exploring garbage.
+        assert!(
+            model.apply(c),
+            "replay diverged: model is not deterministic"
+        );
+    }
+    let fingerprint = model.fingerprint();
+    if seen.contains(&fingerprint) {
+        return Visit::Seen;
+    }
+    let obs = model.observe();
+    let enabled = if obs.terminal || prefix.len() >= depth_bound {
+        Vec::new()
+    } else {
+        model.enabled()
+    };
+    Visit::New {
+        fingerprint,
+        obs,
+        prefix,
+        enabled,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::hash::{Hash, Hasher};
+
+    use super::*;
+    use crate::invariant::{default_suite, CoordPhase, NodeObs};
+    use crate::scenario::{ScenarioConfig, TwoPhaseSwitch};
+    use manetkit::TxnPhase;
+
+    impl<M: Model> Explorer<M> {
+        /// The one-prefix-at-a-time walk, kept as it was before visits were
+        /// batched across threads and prefixes shared a tree: the oracle
+        /// every worker count must reproduce exactly.
+        fn walk_sequential(
+            &self,
+            stop: impl Fn(&Observation, &[Choice]) -> bool,
+            report: &mut ExploreReport,
+        ) -> Option<(String, Vec<Choice>)> {
+            let mut frontier: VecDeque<Vec<Choice>> = VecDeque::new();
+            frontier.push_back(Vec::new());
+            let mut seen: HashSet<u64> = HashSet::new();
+            while let Some(prefix) = match self.strategy {
+                Strategy::Dfs => frontier.pop_back(),
+                Strategy::Bfs => frontier.pop_front(),
+            } {
+                if report.states_explored >= self.max_states {
+                    report.truncated = true;
+                    break;
+                }
+                report.states_explored += 1;
+                let mut model = (self.factory)();
+                for &c in &prefix {
+                    assert!(
+                        model.apply(c),
+                        "replay diverged: model is not deterministic"
+                    );
+                }
+                if !seen.insert(model.fingerprint()) {
+                    report.dedup_hits += 1;
+                    continue;
+                }
+                report.states_unique += 1;
+                report.max_depth = report.max_depth.max(prefix.len());
+                let obs = model.observe();
+                for inv in &self.invariants {
+                    if let Err(detail) = inv.check(&obs) {
+                        report.violations.push(Violation {
+                            invariant: inv.name(),
+                            detail,
+                            depth: prefix.len(),
+                            schedule: Schedule {
+                                scenario: model.name().to_string(),
+                                choices: prefix.clone(),
+                            },
+                        });
+                        if self.stop_at_first {
+                            return None;
+                        }
+                    }
+                }
+                if stop(&obs, &prefix) {
+                    return Some((model.name().to_string(), prefix));
+                }
+                if obs.terminal {
+                    report.terminal_states += 1;
+                    continue;
+                }
+                if prefix.len() >= self.depth_bound {
+                    report.bound_hits += 1;
+                    continue;
+                }
+                if let Some(hook) = &self.prune {
+                    if hook(&obs, &prefix) {
+                        report.pruned += 1;
+                        continue;
+                    }
+                }
+                for c in model.enabled() {
+                    let mut child = prefix.clone();
+                    child.push(c);
+                    frontier.push_back(child);
+                }
+            }
+            None
+        }
+    }
+
+    /// Walks `explorer` with `stop` on the sequential oracle and on 1, 2, 3
+    /// and 8 workers: every report field, every violation schedule and the
+    /// stopping prefix must be equal. Returns the oracle's report.
+    fn assert_worker_counts_agree<M: Model>(
+        explorer: &Explorer<M>,
+        stop: impl Fn(&Observation, &[Choice]) -> bool,
+    ) -> (ExploreReport, Option<(String, Vec<Choice>)>) {
+        let mut oracle = ExploreReport::default();
+        let stopped = explorer.walk_sequential(&stop, &mut oracle);
+        for workers in [1, 2, 3, 8] {
+            let mut report = ExploreReport::default();
+            let found = explorer.walk_on(workers, &stop, &mut report);
+            assert_eq!(report, oracle, "{workers} workers");
+            assert_eq!(found, stopped, "{workers} workers");
+        }
+        (oracle, stopped)
+    }
+
+    /// A cheap model to explore whole: a walk on a 40 × 30 grid, where
+    /// `Timer` steps along an axis and `Reboot` sends `a` back to 0 on
+    /// every third row, so paths merge (dedup hits), the corner is
+    /// terminal and a depth bound below 69 cuts paths off.
+    struct Grid {
+        a: u32,
+        b: u32,
+    }
+
+    impl Grid {
+        fn can_reset(&self) -> bool {
+            self.a > 0 && self.b.is_multiple_of(3)
+        }
+    }
+
+    impl Model for Grid {
+        fn name(&self) -> &str {
+            "grid"
+        }
+
+        fn enabled(&self) -> Vec<Choice> {
+            let mut out = Vec::new();
+            if self.a < 39 {
+                out.push(Choice::Timer { node: 0 });
+            }
+            if self.b < 29 {
+                out.push(Choice::Timer { node: 1 });
+            }
+            if self.can_reset() {
+                out.push(Choice::Reboot { node: 0 });
+            }
+            out
+        }
+
+        fn apply(&mut self, choice: Choice) -> bool {
+            match choice {
+                Choice::Timer { node: 0 } if self.a < 39 => self.a += 1,
+                Choice::Timer { node: 1 } if self.b < 29 => self.b += 1,
+                Choice::Reboot { node: 0 } if self.can_reset() => self.a = 0,
+                _ => return false,
+            }
+            true
+        }
+
+        fn fingerprint(&self) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            (self.a, self.b).hash(&mut h);
+            h.finish()
+        }
+
+        fn observe(&self) -> Observation {
+            Observation {
+                txn: 1,
+                baseline_hash: 0,
+                coordinator: CoordPhase::Preparing,
+                terminal: self.a == 39 && self.b == 29,
+                nodes: vec![NodeObs {
+                    node: 0,
+                    alive: true,
+                    phase: None,
+                    composition_hash: Some(u64::from(self.a) << 32 | u64::from(self.b)),
+                    counters: manetkit::TxnCounters::default(),
+                    rollback_mismatch: 0,
+                    pending_ctl: 0,
+                    verdict_in_flight: false,
+                }],
+            }
+        }
+    }
+
+    /// `(a, b)` of a [`Grid`] observation.
+    fn grid_at(obs: &Observation) -> (u64, u64) {
+        let h = obs.nodes[0].composition_hash.unwrap_or_default();
+        (h >> 32, h & 0xffff_ffff)
+    }
+
+    /// Flags every grid state on the anti-diagonal `a + b == 20`.
+    struct Diagonal;
+
+    impl Invariant for Diagonal {
+        fn name(&self) -> &'static str {
+            "diagonal"
+        }
+
+        fn check(&self, obs: &Observation) -> Result<(), String> {
+            match grid_at(obs) {
+                (a, b) if a + b == 20 => Err(format!("a={a} b={b}")),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    fn grid(strategy: Strategy) -> Explorer<Grid> {
+        Explorer::new(|| Grid { a: 0, b: 0 })
+            .invariant(Diagonal)
+            .strategy(strategy)
+            .depth_bound(50)
+    }
+
+    #[test]
+    fn grid_walks_agree_on_every_worker_count() {
+        let never = |_: &Observation, _: &[Choice]| false;
+        for strategy in [Strategy::Bfs, Strategy::Dfs] {
+            // Uncapped, collecting every violation: several full batches.
+            let (all, _) = assert_worker_counts_agree(&grid(strategy).keep_going(), never);
+            assert!(!all.truncated && all.states_explored > 3 * BATCH as u64);
+            assert!(all.dedup_hits > 0 && all.bound_hits > 0 && all.violations.len() > 1);
+            assert_eq!(all.terminal_states, 0, "the corner lies beyond the bound");
+            // Capped mid-batch, and stopping at the first violation.
+            let (capped, _) =
+                assert_worker_counts_agree(&grid(strategy).keep_going().max_states(700), never);
+            assert!(capped.truncated && capped.states_explored == 700);
+            let (first, _) = assert_worker_counts_agree(&grid(strategy), never);
+            assert_eq!(first.violations.len(), 1);
+            // A prune hook, and a search that stops at its goal.
+            let pruned = grid(strategy)
+                .keep_going()
+                .prune(|obs, prefix| grid_at(obs).1 == 6 || prefix.len() == 33);
+            assert!(assert_worker_counts_agree(&pruned, never).0.pruned > 0);
+            let (_, found) = assert_worker_counts_agree(&grid(strategy).keep_going(), |obs, _| {
+                grid_at(obs) == (17, 12)
+            });
+            assert!(found.is_some());
+        }
+        // The whole grid under a generous bound: the corner is terminal.
+        let (whole, _) =
+            assert_worker_counts_agree(&grid(Strategy::Bfs).keep_going().depth_bound(80), never);
+        assert_eq!((whole.terminal_states, whole.bound_hits), (1, 0));
+    }
+
+    fn switch(cfg: ScenarioConfig) -> Explorer<TwoPhaseSwitch> {
+        Explorer::new(move || TwoPhaseSwitch::new(cfg.clone())).invariants(default_suite())
+    }
+
+    #[test]
+    fn switch_walks_agree_on_every_worker_count() {
+        let never = |_: &Observation, _: &[Choice]| false;
+        let cfg = ScenarioConfig::default();
+        let (bfs, _) =
+            assert_worker_counts_agree(&switch(cfg.clone()).depth_bound(12).max_states(600), never);
+        assert!(bfs.truncated && bfs.violations.is_empty() && bfs.dedup_hits > 0);
+        let (dfs, _) = assert_worker_counts_agree(
+            &switch(cfg.clone())
+                .strategy(Strategy::Dfs)
+                .depth_bound(8)
+                .max_states(250),
+            never,
+        );
+        assert!(dfs.truncated && dfs.bound_hits > 0);
+        // Uncapped: the whole graph to depth 3.
+        let (shallow, _) = assert_worker_counts_agree(&switch(cfg.clone()).depth_bound(3), never);
+        assert!(!shallow.truncated && shallow.bound_hits > 0);
+        // The directed search for a participant that died prepared after
+        // the coordinator decided to commit.
+        let (_, found) = assert_worker_counts_agree(&switch(cfg).depth_bound(8), |obs, _| {
+            matches!(
+                obs.coordinator,
+                CoordPhase::Committing | CoordPhase::Committed
+            ) && obs
+                .nodes
+                .iter()
+                .any(|n| !n.alive && n.phase == Some(TxnPhase::Prepared))
+        });
+        assert!(found.is_some());
+    }
+
+    #[test]
+    fn the_seeded_mutation_is_caught_identically_on_every_worker_count() {
+        let never = |_: &Observation, _: &[Choice]| false;
+        let mutated = ScenarioConfig {
+            skip_doomed_rollback: true,
+            ..ScenarioConfig::default()
+        };
+        // Stop at the first violation: the E17 counterexample.
+        let (first, _) =
+            assert_worker_counts_agree(&switch(mutated.clone()).depth_bound(12), never);
+        assert_eq!(first.states_explored, 67);
+        assert_eq!(first.violations.len(), 1);
+        assert_eq!(first.violations[0].depth, 3);
+        // Keep going under a cap: many violations, in one order.
+        let (all, _) = assert_worker_counts_agree(
+            &switch(mutated).depth_bound(12).max_states(400).keep_going(),
+            never,
+        );
+        assert!(all.violations.len() > 1);
+    }
+
+    #[test]
+    fn prefix_tree_spells_prefixes_back() {
+        let mut tree = PrefixTree::default();
+        assert!(tree.prefix(ROOT).is_empty());
+        let a = tree.push(ROOT, Choice::Timer { node: 0 });
+        let b = tree.push(a, Choice::Crash { node: 1 });
+        let c = tree.push(a, Choice::Verdict { node: 2 });
+        assert_eq!(
+            tree.prefix(b),
+            [Choice::Timer { node: 0 }, Choice::Crash { node: 1 }]
+        );
+        assert_eq!(
+            tree.prefix(c),
+            [Choice::Timer { node: 0 }, Choice::Verdict { node: 2 }]
+        );
     }
 }

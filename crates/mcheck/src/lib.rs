@@ -19,10 +19,14 @@
 //! replay-based: a state *is* the schedule prefix that reaches it, and
 //! visiting it means replaying the prefix through a fresh
 //! [`TwoPhaseSwitch`] (CHESS-style stateless search with fingerprint
-//! dedup). On a violation the schedule ships as the counterexample — a
-//! byte-stable JSONL file that re-executes the exact interleaving through
-//! the normal `World`, plus a trace-crate timeline of the violating run
-//! when the flight recorder is on.
+//! dedup). Queued prefixes share a prefix tree, and the visits — build,
+//! replay, fingerprint, observe — run on every core, while a sequential
+//! merge makes every decision in the one-at-a-time order, so reports and
+//! counterexamples do not depend on the number of cores. On a violation
+//! the schedule ships as the counterexample — a byte-stable JSONL file
+//! that re-executes the exact interleaving through the normal `World`,
+//! plus a trace-crate timeline of the violating run when the flight
+//! recorder is on.
 //!
 //! ```
 //! use mcheck::{default_suite, Explorer, ScenarioConfig, TwoPhaseSwitch};

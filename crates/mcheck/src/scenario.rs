@@ -129,14 +129,15 @@ impl TwoPhaseSwitch {
         let mut world = builder.build();
         world.set_controlled(true);
         let mut handles = Vec::new();
-        let mut baseline = 0;
+        let mut baseline = None;
         for i in 0..cfg.nodes {
             let (mut node, handle) = Stack::Olsr.node();
             node.set_publish_composition(true);
             if cfg.skip_doomed_rollback {
                 node.set_skip_doomed_rollback(true);
             }
-            baseline = structural_hash(node.deployment());
+            // Every node starts from the same stack: hash the first.
+            baseline.get_or_insert_with(|| structural_hash(node.deployment()));
             handles.push(handle);
             world.install_agent(NodeId(i), Box::new(node));
         }
@@ -147,7 +148,7 @@ impl TwoPhaseSwitch {
             handles,
             cfg,
             name,
-            baseline,
+            baseline: baseline.unwrap_or_default(),
             coord: CoordPhase::Preparing,
             outbox,
             crashes_used: 0,

@@ -192,6 +192,12 @@ impl ComponentFramework {
         self.kernel.architecture()
     }
 
+    /// Walks the plug-in architecture in place (see
+    /// [`Kernel::visit_components`]).
+    pub fn visit_components(&self, visit: impl FnMut(&str, &[InterfaceId], &[ReceptacleId])) {
+        self.kernel.visit_components(visit);
+    }
+
     fn check_rules(&self, change: &PendingChange) -> Result<(), ComponentError> {
         let arch = self.kernel.architecture();
         for rule in self.rules.read().iter() {

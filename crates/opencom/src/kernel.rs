@@ -349,6 +349,21 @@ impl Kernel {
         }
     }
 
+    /// Walks the architecture meta-model in place: hands `visit` every
+    /// loaded component's name, provided interfaces and required
+    /// receptacles, in id order, under one read lock. A reader that only
+    /// digests the graph needs no [`ArchitectureSnapshot`] copy of it.
+    pub fn visit_components(&self, mut visit: impl FnMut(&str, &[InterfaceId], &[ReceptacleId])) {
+        let s = self.state.read();
+        for e in s.components.values() {
+            visit(
+                e.component.name(),
+                &e.component.provided(),
+                &e.component.required(),
+            );
+        }
+    }
+
     /// Number of loaded components.
     #[must_use]
     pub fn component_count(&self) -> usize {

@@ -21,10 +21,14 @@
 //! cargo run --release --example mcheck_2pc [-- --smoke] [-- --depth N]
 //! ```
 //!
-//! The default depth bound (12) is chosen so the full run *exhausts* the
-//! bounded graph — the queue drains before the 400k-state cap — in about
-//! a minute. `--smoke` caps the audit at 50k visited states for CI (the
-//! smoke run trades exhaustion for time and stops at the cap).
+//! At the default depth bound (12) the full run drains its queue before the
+//! 400k-state cap: 204,214 states explored, 36,810 unique, 810 terminal,
+//! and asserts exactly those counts. It does not *exhaust* the scenario —
+//! 9,324 unique states sit at the depth bound, so
+//! `ExploreReport::exhausted()` is false — but every interleaving up to
+//! depth 12 is checked. The explorer visits states on every core; the run
+//! takes tens of seconds on two. `--smoke` caps the audit at 50k visited
+//! states (it stops at the cap; nothing is asserted about its counts).
 
 use manetkit_repro::mcheck::{default_suite, Explorer, ScenarioConfig, Strategy, TwoPhaseSwitch};
 
@@ -72,14 +76,31 @@ fn main() {
         "the real engine must satisfy every invariant: {:?}",
         report.violations
     );
+    if !smoke && depth == 12 {
+        let counts = (
+            report.states_explored,
+            report.states_unique,
+            report.dedup_hits,
+            report.terminal_states,
+            report.bound_hits,
+            report.max_depth,
+            report.truncated,
+        );
+        assert_eq!(
+            counts,
+            (204_214, 36_810, 167_404, 810, 9_324, 12, false),
+            "the depth-12 graph changed: (explored, unique, dedup hits, terminal, bound hits, max depth, truncated)"
+        );
+    }
     assert!(
         report.states_unique >= 10_000,
         "expected a ≥10k-state graph, got {}",
         report.states_unique
     );
 
-    // Pass 2: the seeded mutation must be caught. A DFS with a tight
-    // budget finds the crash→reboot interleaving quickly.
+    // Pass 2: the seeded mutation must be caught. BFS finds the shortest
+    // violating interleaving — a crash after prepare, then a reboot that
+    // skips the rollback — within the first few dozen states.
     let mutated = ScenarioConfig {
         skip_doomed_rollback: true,
         ..ScenarioConfig::default()
@@ -100,6 +121,11 @@ fn main() {
     println!(
         "mutation caught after {} states: {} at depth {} — {}",
         mutation_report.states_explored, violation.invariant, violation.depth, violation.detail
+    );
+    assert_eq!(
+        (mutation_report.states_explored, violation.depth),
+        (67, 3),
+        "the counterexample moved"
     );
 
     // Export the counterexample through a traced replay.
