@@ -8,11 +8,10 @@
 //! a [`NodeHandle`] through which external software enacts runtime
 //! reconfiguration at quiescent points (§4.5).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use netsim::{ContextSample, FilterEvent, NodeOs};
+use netsim::{ContextSample, FilterEvent, NodeOs, TimerToken};
 use opencom::{
     AnyInterface, Component, ComponentFramework, ComponentId, IntegrityRule, InterfaceId,
     PendingChange,
@@ -267,6 +266,18 @@ struct Slot {
     /// The protocol name, interned once so the delivery hot path can hand
     /// a `&'static str` to [`ProtoCtx`] without a per-event `String`.
     name: &'static str,
+    /// Event types with a pending timer, whose tokens are
+    /// [`timer_token`]`(unit, type)`: what removing the protocol cancels.
+    timers: Vec<EventType>,
+}
+
+/// The OS timer token of `unit`'s timer for event type `ty`. A unit holds
+/// at most one pending timer per type, and the OS keeps at most one per
+/// token, so re-arming a type needs no lookup: the OS replaces the old one.
+/// Unit ids are never reused, so a removed protocol's token cannot reach
+/// its successor.
+fn timer_token(unit: UnitId, ty: EventType) -> TimerToken {
+    (unit as u64) << 32 | u64::from(ty.id())
 }
 
 /// What a successful [`Deployment::switch_protocol`] leaves for an undo
@@ -289,7 +300,6 @@ pub struct Deployment {
     slots: Vec<Slot>,
     meta: ComponentFramework,
     concurrency: ConcurrencyModel,
-    timers: TimerTable,
     stats: DeploymentStats,
     telemetry: BusTelemetry,
     /// Telemetry state at the last [`flush_telemetry`](Self::flush_telemetry)
@@ -304,53 +314,6 @@ pub struct Deployment {
     /// Reused buffer for the `*_IN` events of one received frame.
     rx_events: Vec<Event>,
     started: bool,
-}
-
-#[derive(Debug, Default)]
-struct TimerTable {
-    next_token: u64,
-    by_token: HashMap<u64, (String, EventType)>,
-    by_key: HashMap<(String, EventType), u64>,
-}
-
-impl TimerTable {
-    fn arm(&mut self, protocol: &str, ty: EventType) -> (u64, Option<u64>) {
-        self.next_token += 1;
-        let token = self.next_token;
-        let old = self.by_key.insert((protocol.to_string(), ty), token);
-        if let Some(old_token) = old {
-            self.by_token.remove(&old_token);
-        }
-        self.by_token.insert(token, (protocol.to_string(), ty));
-        (token, old)
-    }
-
-    fn cancel(&mut self, protocol: &str, ty: &EventType) -> Option<u64> {
-        let token = self.by_key.remove(&(protocol.to_string(), *ty))?;
-        self.by_token.remove(&token);
-        Some(token)
-    }
-
-    fn fire(&mut self, token: u64) -> Option<(String, EventType)> {
-        let entry = self.by_token.remove(&token)?;
-        self.by_key.remove(&(entry.0.clone(), entry.1));
-        Some(entry)
-    }
-
-    fn drop_protocol(&mut self, protocol: &str) -> Vec<u64> {
-        let tokens: Vec<u64> = self
-            .by_key
-            .iter()
-            .filter(|((p, _), _)| p == protocol)
-            .map(|(_, t)| *t)
-            .collect();
-        for t in &tokens {
-            if let Some((p, ty)) = self.by_token.remove(t) {
-                self.by_key.remove(&(p, ty));
-            }
-        }
-        tokens
-    }
 }
 
 impl Deployment {
@@ -378,7 +341,6 @@ impl Deployment {
             slots: Vec::new(),
             meta,
             concurrency,
-            timers: TimerTable::default(),
             stats: DeploymentStats::default(),
             telemetry: BusTelemetry::new(),
             telemetry_flushed: BusTelemetry::new(),
@@ -629,6 +591,7 @@ impl Deployment {
                 unit,
                 component,
                 name,
+                timers: Vec::new(),
             },
         );
         Ok(())
@@ -705,10 +668,10 @@ impl Deployment {
             }
             self.system.flush(os);
         }
-        for token in self.timers.drop_protocol(name) {
-            os.cancel_timer(token);
-        }
         let slot = self.slots.remove(idx);
+        for &ty in &slot.timers {
+            os.cancel_timer(timer_token(slot.unit, ty));
+        }
         self.manager.deactivate(slot.unit);
         Ok(slot.cf)
     }
@@ -842,6 +805,9 @@ impl Deployment {
     /// Starts the deployment: derives the System tuple and starts every
     /// protocol.
     pub fn start(&mut self, os: &mut NodeOs) {
+        // Every (re)start — install, reboot, reinstall — finds the node's
+        // timers cancelled, so no slot has one pending.
+        self.slots.iter_mut().for_each(|s| s.timers.clear());
         self.refresh_system_tuple();
         self.started = true;
         for idx in 0..self.slots.len() {
@@ -881,15 +847,24 @@ impl Deployment {
     }
 
     /// A timer token fired.
-    pub fn on_timer(&mut self, os: &mut NodeOs, token: u64) {
-        let Some((protocol, ty)) = self.timers.fire(token) else {
-            return; // stale timer of a removed protocol
-        };
-        let Some(idx) = self.slots.iter().position(|s| s.cf.name() == protocol) else {
+    pub fn on_timer(&mut self, os: &mut NodeOs, token: TimerToken) {
+        let unit = (token >> 32) as UnitId;
+        // A protocol removed at this callback's quiescent point leaves its
+        // timer nobody to deliver to.
+        let Some(idx) = self.slots.iter().position(|s| s.unit == unit) else {
             return;
         };
-        let mut ctx = ProtoCtx::new(os, &protocol);
-        self.slots[idx].cf.on_timer(&ty, &mut ctx);
+        let slot = &mut self.slots[idx];
+        let Some(i) = slot
+            .timers
+            .iter()
+            .position(|&ty| timer_token(unit, ty) == token)
+        else {
+            return;
+        };
+        let ty = slot.timers.swap_remove(i);
+        let mut ctx = ProtoCtx::new(os, slot.name);
+        slot.cf.on_timer(&ty, &mut ctx);
         let out = ctx.take_outputs();
         drop(ctx);
         self.apply_outputs(idx, out, os);
@@ -1045,18 +1020,18 @@ impl Deployment {
         for (dst, msg) in sends {
             self.system.send_direct(msg, dst);
         }
-        let name = self.slots[idx].name;
+        let slot = &mut self.slots[idx];
         for ty in timer_cancels {
-            if let Some(token) = self.timers.cancel(name, &ty) {
-                os.cancel_timer(token);
+            if let Some(i) = slot.timers.iter().position(|&t| t == ty) {
+                slot.timers.swap_remove(i);
+                os.cancel_timer(timer_token(slot.unit, ty));
             }
         }
         for (delay, ty) in timer_sets {
-            let (token, old) = self.timers.arm(name, ty);
-            if let Some(old_token) = old {
-                os.cancel_timer(old_token);
+            if !slot.timers.contains(&ty) {
+                slot.timers.push(ty);
             }
-            os.set_timer(delay, token);
+            os.set_timer(delay, timer_token(slot.unit, ty));
         }
     }
 }

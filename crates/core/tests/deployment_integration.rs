@@ -79,6 +79,28 @@ fn handle_reconfigures_at_quiescent_point() {
     assert!(!handles[1].status().protocols.is_empty());
 }
 
+/// A removed protocol leaves nothing behind in the event kernel: its
+/// timers are cancelled, not left to fire into nothing.
+#[test]
+fn a_removed_protocol_leaves_no_pending_timer() {
+    let mut world = World::builder().nodes(1).build();
+    let (node, handle) = nd_node();
+    world.install_agent(NodeId(0), Box::new(node));
+    world.run_for(SimDuration::from_secs(2));
+    assert!(
+        world.pending_events() > 0,
+        "the protocol's timers are armed"
+    );
+    handle.apply(ReconfigOp::RemoveProtocol {
+        name: NEIGHBOUR_CF.to_string(),
+    });
+    // The next timer callback applies the removal.
+    while !handle.status().protocols.is_empty() {
+        assert!(world.step().is_some(), "the removal was never applied");
+    }
+    assert_eq!(world.pending_events(), 0);
+}
+
 #[test]
 fn duplicate_protocol_rejected_via_handle() {
     let (mut world, handles) = nd_world(Topology::line(2));

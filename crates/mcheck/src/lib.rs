@@ -4,8 +4,8 @@
 //! recovery, fleet 2PC) is exercised elsewhere by property tests and chaos
 //! campaigns, but both sample the interleaving space. This crate walks it
 //! **exhaustively** up to a bound: the deterministic `netsim` world is put
-//! in controlled-delivery mode, where nothing is scheduled behind the
-//! checker's back, and every nondeterministic decision — which pending
+//! in controlled-delivery mode, where nothing fires behind the checker's
+//! back, and every nondeterministic decision — which pending
 //! message to deliver next, whether to drop it instead, when a node
 //! crashes or reboots, which timer fires — becomes an explicit
 //! [`Choice`]. The [`Explorer`] then drives a fleet-wide 2PC protocol

@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use adapt::Stack;
 use manetkit::{structural_hash, NodeHandle, TxnCounters, TxnCtl};
-use netsim::{NodeId, PendingClass, Topology, World};
+use netsim::{NodeId, PendingClass, PendingEvent, Topology, World};
 
 use crate::explorer::Model;
 use crate::invariant::{CoordPhase, NodeObs, Observation};
@@ -119,7 +119,8 @@ impl TwoPhaseSwitch {
     pub fn new(cfg: ScenarioConfig) -> Self {
         let builder = World::builder()
             .topology(Topology::full(cfg.nodes))
-            .seed(cfg.seed);
+            .seed(cfg.seed)
+            .controlled();
         #[cfg(feature = "trace")]
         let builder = if cfg.trace {
             builder.trace(1 << 14)
@@ -127,7 +128,6 @@ impl TwoPhaseSwitch {
             builder
         };
         let mut world = builder.build();
-        world.set_controlled(true);
         let mut handles = Vec::new();
         let mut baseline = None;
         for i in 0..cfg.nodes {
@@ -174,25 +174,23 @@ impl TwoPhaseSwitch {
 
     /// Drains everything that is not a scheduling choice: infrastructure
     /// events (agent starts after install/reboot) and behaviourally inert
-    /// pending events (arrivals addressed to crashed nodes, timers from a
-    /// previous boot epoch) — the world accounts them exactly as a free
-    /// run would, and leaving them pending would only pollute the choice
-    /// set and the fingerprint.
+    /// arrivals (frames addressed to crashed nodes) — the world accounts
+    /// them exactly as a free run would, and leaving them pending would
+    /// only pollute the choice set and the fingerprint. (A crashed node's
+    /// timers are cancelled by the crash itself.)
     fn settle(&mut self) {
         loop {
             let infra = self.world.run_controlled_infra();
-            let dead: Vec<u64> = self
+            let dead: Vec<PendingEvent> = self
                 .world
                 .pending_controlled()
-                .iter()
+                .into_iter()
                 .filter(|e| !e.live)
-                .map(|e| e.id)
                 .collect();
-            let drained = dead.len();
-            for id in dead {
-                self.world.deliver_controlled(id);
+            for event in &dead {
+                self.world.deliver_controlled(event);
             }
-            if infra == 0 && drained == 0 {
+            if infra == 0 && dead.is_empty() {
                 break;
             }
         }
@@ -267,22 +265,6 @@ impl TwoPhaseSwitch {
         })
     }
 
-    /// Earliest live pending message on the `from → node` channel. The
-    /// descriptor list is (time, id)-sorted, so "earliest" is the frame
-    /// the radio would deliver first on that channel — per-channel FIFO.
-    fn earliest_message(&self, node: usize, from: usize) -> Option<u64> {
-        self.world
-            .pending_controlled()
-            .iter()
-            .find(|e| {
-                e.live
-                    && e.node == NodeId(node)
-                    && e.from == Some(NodeId(from))
-                    && matches!(e.class, PendingClass::Control | PendingClass::Data)
-            })
-            .map(|e| e.id)
-    }
-
     /// Delivers the outbox verdict for `node`: the participant's control
     /// queue receives the same verb the real coordinator would send. The
     /// verb is processed at the node's next quiescent point — delivery
@@ -300,15 +282,25 @@ impl TwoPhaseSwitch {
         });
         true
     }
+}
 
-    /// Earliest live armed timer on `node`.
-    fn earliest_timer(&self, node: usize) -> Option<u64> {
-        self.world
-            .pending_controlled()
-            .iter()
-            .find(|e| e.live && e.node == NodeId(node) && e.class == PendingClass::Timer)
-            .map(|e| e.id)
-    }
+/// Earliest live pending message on the `from → node` channel. `pending` is
+/// in kernel pop order, so "earliest" is the frame the radio would deliver
+/// first on that channel — per-channel FIFO.
+fn earliest_message(pending: &[PendingEvent], node: usize, from: usize) -> Option<&PendingEvent> {
+    pending.iter().find(|e| {
+        e.live
+            && e.node == NodeId(node)
+            && e.from == Some(NodeId(from))
+            && matches!(e.class, PendingClass::Control | PendingClass::Data)
+    })
+}
+
+/// Earliest armed timer on `node`.
+fn earliest_timer(pending: &[PendingEvent], node: usize) -> Option<&PendingEvent> {
+    pending
+        .iter()
+        .find(|e| e.node == NodeId(node) && e.class == PendingClass::Timer)
 }
 
 impl Model for TwoPhaseSwitch {
@@ -317,10 +309,11 @@ impl Model for TwoPhaseSwitch {
     }
 
     fn enabled(&self) -> Vec<Choice> {
+        let pending = self.world.pending_controlled();
         let mut out = Vec::new();
         for node in 0..self.cfg.nodes {
             for from in 0..self.cfg.nodes {
-                if from != node && self.earliest_message(node, from).is_some() {
+                if from != node && earliest_message(&pending, node, from).is_some() {
                     out.push(Choice::Deliver { node, from });
                     if self.drops_used < self.cfg.max_drops {
                         out.push(Choice::Drop { node, from });
@@ -329,7 +322,7 @@ impl Model for TwoPhaseSwitch {
             }
         }
         for node in 0..self.cfg.nodes {
-            if self.earliest_timer(node).is_some() {
+            if earliest_timer(&pending, node).is_some() {
                 out.push(Choice::Timer { node });
             }
         }
@@ -351,20 +344,20 @@ impl Model for TwoPhaseSwitch {
     }
 
     fn apply(&mut self, choice: Choice) -> bool {
+        let pending = self.world.pending_controlled();
         let ok = match choice {
-            Choice::Deliver { node, from } => self
-                .earliest_message(node, from)
-                .is_some_and(|id| self.world.deliver_controlled(id)),
+            Choice::Deliver { node, from } => earliest_message(&pending, node, from)
+                .is_some_and(|e| self.world.deliver_controlled(e)),
             Choice::Drop { node, from } => {
                 self.drops_used < self.cfg.max_drops
-                    && self.earliest_message(node, from).is_some_and(|id| {
+                    && earliest_message(&pending, node, from).is_some_and(|e| {
                         self.drops_used += 1;
-                        self.world.drop_controlled(id)
+                        self.world.drop_controlled(e)
                     })
             }
-            Choice::Timer { node } => self
-                .earliest_timer(node)
-                .is_some_and(|id| self.world.deliver_controlled(id)),
+            Choice::Timer { node } => {
+                earliest_timer(&pending, node).is_some_and(|e| self.world.deliver_controlled(e))
+            }
             Choice::Verdict { node } => self.deliver_verdict(node),
             Choice::Crash { node } => {
                 let up = self.world.node_up(NodeId(node));
@@ -417,7 +410,7 @@ impl Model for TwoPhaseSwitch {
             handle.pending_ops().hash(&mut h);
         }
         // Pending multiset under the no-absolute-time abstraction. The
-        // descriptor list is (at, id)-sorted, which is itself a
+        // descriptor list is in (time, seq) order, which is itself a
         // time-derived order — re-sort on time-free keys so two states
         // differing only in arrival timestamps collide.
         let mut pending: Vec<(u8, usize, usize, u64)> = self
@@ -538,7 +531,7 @@ mod tests {
     /// Drives every node's earliest timer once, in node order.
     fn tick_all(s: &mut TwoPhaseSwitch) {
         for node in 0..s.cfg.nodes {
-            if s.earliest_timer(node).is_some() {
+            if earliest_timer(&s.world.pending_controlled(), node).is_some() {
                 assert!(s.apply(Choice::Timer { node }));
             }
         }
@@ -643,8 +636,9 @@ mod tests {
             tick_all(&mut s);
             for node in 0..3 {
                 for from in 0..3 {
-                    while let Some(id) = s.earliest_message(node, from) {
-                        s.world.deliver_controlled(id);
+                    while let Some(&e) = earliest_message(&s.world.pending_controlled(), node, from)
+                    {
+                        s.world.deliver_controlled(&e);
                     }
                 }
             }

@@ -16,8 +16,8 @@
 //!
 //! * **Crash** — the node's agent is suspended (no callbacks), the kernel
 //!   route table is flushed, the netfilter buffer is dropped, and every
-//!   pending timer is invalidated (boot-epoch guard). Frames to or from
-//!   the node are dropped.
+//!   pending timer is cancelled in the event kernel, so none fires into the
+//!   rebooted incarnation. Frames to or from the node are dropped.
 //! * **Reboot** — the OS restarts with a fresh battery and the agent is
 //!   reinstalled cold: a per-node reboot factory (if registered) builds a
 //!   brand-new agent, otherwise the suspended instance has `start` called
@@ -321,8 +321,8 @@ struct ActivePartition {
 }
 
 /// Runtime fault state inside the world: the plan's RNG, frame chaos and
-/// the set of active partitions. Crash flags and boot epochs live on the
-/// world's node slots.
+/// the set of active partitions. Crash flags live on the world's node
+/// slots.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
     pub(crate) rng: StdRng,

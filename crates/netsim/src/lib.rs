@@ -61,6 +61,7 @@ pub use fault::{FaultEntry, FaultKind, FaultPlan, FaultPlanBuilder, FrameChaos};
 pub use os::{BatteryModel, NodeOs, TimerToken};
 pub use packet::{ControlFrame, ControlMessages, DataPacket, Frame, NodeId};
 pub use route::{KernelRouteTable, RouteEntry};
+pub use simkern::EventHandle;
 pub use stats::{StatsWindow, WorldStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{GilbertElliott, LinkModel, LinkPhase, LinkState, Topology};

@@ -1,6 +1,6 @@
 //! The per-node simulated operating system handle.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use packetbb::Address;
 
@@ -95,8 +95,11 @@ pub(crate) enum Action {
         dst: Option<Address>,
         bytes: Vec<u8>,
     },
-    /// Arm a timer to fire at an absolute time.
+    /// Arm a timer to fire at an absolute time, replacing any pending
+    /// timer with the same token.
     SetTimer { at: SimTime, token: TimerToken },
+    /// Cancel the pending timer with this token, if any.
+    CancelTimer { token: TimerToken },
     /// Re-run the data plane for packets buffered toward `dst`.
     Reinject { dst: Address },
     /// Drop packets buffered toward `dst` (route discovery failed).
@@ -120,7 +123,6 @@ pub struct NodeOs {
     pub(crate) nf_buffer: HashMap<Address, VecDeque<DataPacket>>,
     pub(crate) nf_buffer_cap: usize,
     pub(crate) actions: Vec<Action>,
-    pub(crate) cancelled_timers: HashSet<TimerToken>,
     pub(crate) battery: Battery,
     counters: HashMap<&'static str, u64>,
     /// Monotonic source for protocol sequence numbers.
@@ -156,7 +158,6 @@ impl NodeOs {
             nf_buffer: HashMap::new(),
             nf_buffer_cap: 64,
             actions: Vec::new(),
-            cancelled_timers: HashSet::new(),
             battery: Battery::new(battery),
             counters: HashMap::new(),
             seq: 0,
@@ -242,18 +243,21 @@ impl NodeOs {
         });
     }
 
-    /// Arms a timer to fire after `delay` with the given token.
+    /// Arms a timer to fire after `delay` with the given token. A node has
+    /// at most one pending timer per token: arming a pending token replaces
+    /// its timer. Queued, like every OS request, and applied in call order.
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        self.cancelled_timers.remove(&token);
         self.actions.push(Action::SetTimer {
             at: self.now + delay,
             token,
         });
     }
 
-    /// Cancels every pending timer carrying `token`.
+    /// Cancels the pending timer carrying `token`, if there is one; it
+    /// never fires. Queued in order with [`set_timer`](Self::set_timer), so
+    /// a cancel followed by a re-arm leaves exactly the new timer pending.
     pub fn cancel_timer(&mut self, token: TimerToken) {
-        self.cancelled_timers.insert(token);
+        self.actions.push(Action::CancelTimer { token });
     }
 
     /// Originates a data packet from this node through the data plane.
@@ -316,9 +320,10 @@ impl NodeOs {
     }
 
     /// Crash semantics at the OS level: flush the kernel route table, drop
-    /// the netfilter buffer and discard any queued actions and timer
-    /// bookkeeping. Returns the ids of the buffered packets dropped, so
-    /// the world can settle their in-flight send records.
+    /// the netfilter buffer and discard any queued actions (the world
+    /// cancels the node's pending timers). Returns the ids of the buffered
+    /// packets dropped, so the world can settle their in-flight send
+    /// records.
     /// Counters survive (they are cumulative run statistics, not state).
     pub(crate) fn crash_flush(&mut self) -> Vec<u64> {
         let dropped = self
@@ -329,7 +334,6 @@ impl NodeOs {
         self.nf_buffer.clear();
         self.route_table.clear();
         self.actions.clear();
-        self.cancelled_timers.clear();
         dropped
     }
 
@@ -582,7 +586,6 @@ mod tests {
         assert!(os.route_table().is_empty());
         assert!(os.nf_buffer.is_empty());
         assert!(os.actions.is_empty());
-        assert!(os.cancelled_timers.is_empty());
         assert_eq!(os.counter("rreq"), 1, "counters are run statistics");
     }
 
@@ -597,12 +600,16 @@ mod tests {
     }
 
     #[test]
-    fn timer_cancellation_bookkeeping() {
+    fn timer_requests_queue_in_order() {
         let mut os = os();
         os.cancel_timer(5);
-        assert!(os.cancelled_timers.contains(&5));
-        // Re-arming clears the cancellation.
         os.set_timer(SimDuration::from_secs(1), 5);
-        assert!(!os.cancelled_timers.contains(&5));
+        assert!(matches!(
+            os.actions[..],
+            [
+                Action::CancelTimer { token: 5 },
+                Action::SetTimer { token: 5, .. }
+            ]
+        ));
     }
 }

@@ -32,6 +32,7 @@ pub struct WorldBuilder {
     geo_routing: bool,
     fault_plan: Option<FaultPlan>,
     phy: PhyModel,
+    controlled: bool,
     #[cfg(feature = "trace")]
     trace_capacity: Option<usize>,
 }
@@ -51,6 +52,7 @@ impl Default for WorldBuilder {
             geo_routing: false,
             fault_plan: None,
             phy: PhyModel::Ideal,
+            controlled: false,
             #[cfg(feature = "trace")]
             trace_capacity: None,
         }
@@ -158,6 +160,21 @@ impl WorldBuilder {
         self
     }
 
+    /// Builds the world in controlled-delivery mode. It never fires an
+    /// event by itself (`run_until` moves only the clock): frame arrivals,
+    /// timer fires, agent starts and data-plane hops wait in the event
+    /// kernel, listed by [`World::pending_controlled`], and an external
+    /// scheduler decides what fires next via
+    /// [`World::deliver_controlled`], [`World::drop_controlled`] and
+    /// [`World::run_controlled_infra`]. This is the seam the `mcheck`
+    /// bounded model checker owns: because kernel handles are allocated in
+    /// deterministic order, the same choice sequence replays the same run.
+    #[must_use]
+    pub fn controlled(mut self) -> Self {
+        self.controlled = true;
+        self
+    }
+
     /// Attaches the flight recorder: every node gets a fixed-capacity ring
     /// of [`trace::TraceRecord`](mktrace::TraceRecord)s fed from the frame
     /// plane, the data plane and the reconfiguration hooks. When the ring
@@ -203,7 +220,7 @@ impl WorldBuilder {
                 os,
                 agent: None,
                 crashed: false,
-                boot_epoch: 0,
+                timers: Vec::new(),
                 factory: None,
             });
         }
@@ -228,7 +245,7 @@ impl WorldBuilder {
             fault,
             dedupe_delivery,
             ge_phases: HashMap::new(),
-            controlled: None,
+            controlled: self.controlled,
             phy: Phy::new(&self.phy, self.nodes),
         };
         if let Some(plan) = self.fault_plan {

@@ -29,7 +29,7 @@ impl World {
     }
 
     /// Suspends a node: last-gasp `on_crash` callback (queued actions are
-    /// discarded), OS flushed, boot epoch bumped. Idempotent.
+    /// discarded), OS flushed, pending timers cancelled. Idempotent.
     pub(super) fn crash_node(&mut self, node: NodeId, exhausted: bool) {
         let now = self.now;
         let slot = &mut self.nodes[node.0];
@@ -37,7 +37,6 @@ impl World {
             return;
         }
         slot.crashed = true;
-        slot.boot_epoch += 1;
         slot.os.set_now(now);
         if exhausted {
             slot.os.battery.advance_to(now);
@@ -50,6 +49,7 @@ impl World {
             agent.on_crash(&mut slot.os);
         }
         let dropped = slot.os.crash_flush();
+        self.cancel_timers(node);
         self.stats.data_dropped_crash += dropped.len() as u64;
         tr!(
             self,

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use simkern::EventQueue;
+use simkern::{EventHandle, EventQueue};
 
 use packetbb::Address;
 use phy::{Phy, TxId};
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 
 use crate::agent::{ContextSample, FilterEvent, RoutingAgent};
 use crate::fault::{FaultInjector, FaultKind};
-use crate::os::{Action, NodeOs};
+use crate::os::{Action, NodeOs, TimerToken};
 use crate::packet::{DataPacket, Frame, NodeId};
 use crate::stats::{StatsWindow, WorldStats};
 use crate::time::{SimDuration, SimTime};
@@ -55,7 +55,6 @@ mod tests;
 pub use builder::WorldBuilder;
 pub use controlled::{PendingClass, PendingEvent};
 
-use controlled::ControlledQueue;
 use data_plane::{DataDrop, SendWindow};
 use radio::PhyJob;
 
@@ -71,10 +70,7 @@ enum EventKind {
     },
     TimerFire {
         node: NodeId,
-        token: u64,
-        /// Boot epoch at arming time: timers armed before a crash never
-        /// fire into the rebooted incarnation.
-        epoch: u32,
+        token: TimerToken,
     },
     DataPlane {
         node: NodeId,
@@ -105,7 +101,8 @@ enum EventKind {
     /// A phy-layer transmission finishes serializing onto the air. Stale
     /// when `seq` no longer matches the engine's (the completion deadline
     /// moved after a fair-share rate reallocation, or a crash flushed the
-    /// transmitter): stale events are ignored on arrival.
+    /// transmitter): stale events are ignored on arrival (see
+    /// `World::schedule_phy` for why they are not cancelled).
     PhyComplete {
         tx: TxId,
         seq: u64,
@@ -122,8 +119,9 @@ struct NodeSlot {
     /// Whether the node is currently crashed (or battery-dead): its agent
     /// is suspended and no frame enters or leaves.
     crashed: bool,
-    /// Bumped on every crash; timers carry the epoch they were armed in.
-    boot_epoch: u32,
+    /// The node's pending timers, at most one per token. Only lookups by
+    /// token and cancel-them-all touch it, so its order is never observed.
+    timers: Vec<(TimerToken, EventHandle)>,
     /// Optional factory replacing the agent on reboot; without one the
     /// suspended instance is restarted over the flushed OS.
     factory: Option<RebootFactory>,
@@ -152,9 +150,10 @@ pub struct World {
     dedupe_delivery: bool,
     /// Per-link Gilbert–Elliott chain phase, keyed by the undirected pair.
     ge_phases: HashMap<(usize, usize), LinkPhase>,
-    /// Controlled-delivery mode: when set, scheduled events divert here and
-    /// an external scheduler (the `mcheck` model checker) picks the order.
-    controlled: Option<ControlledQueue>,
+    /// Controlled-delivery mode ([`WorldBuilder::controlled`]): the world
+    /// never fires an event by itself; an external scheduler (the `mcheck`
+    /// model checker) picks from the kernel's pending events.
+    controlled: bool,
     /// The channel engine for non-ideal phy models; `None` under
     /// [`PhyModel::Ideal`](phy::PhyModel::Ideal), the zero-airtime case of
     /// the one radio path.
@@ -274,13 +273,15 @@ impl World {
         self.schedule(self.now, EventKind::StartAgent { node });
     }
 
-    /// Removes and returns a node's agent, after calling its `stop`.
+    /// Removes and returns a node's agent, after calling its `stop`. The
+    /// node's pending timers are cancelled, so none reaches a later agent.
     pub fn remove_agent(&mut self, node: NodeId) -> Option<Box<dyn RoutingAgent>> {
         let slot = &mut self.nodes[node.0];
         let mut agent = slot.agent.take()?;
         slot.os.set_now(self.now);
         agent.stop(&mut slot.os);
         self.flush_actions(node);
+        self.cancel_timers(node);
         Some(agent)
     }
 
@@ -300,15 +301,18 @@ impl World {
         self.schedule(at, EventKind::NodeMove { node, x, y });
     }
 
-    /// Runs until simulated time `t` (inclusive of events at `t`).
+    /// Runs until simulated time `t` (inclusive of events at `t`). In
+    /// controlled mode only the clock moves: events wait for the scheduler.
     pub fn run_until(&mut self, t: SimTime) {
         self.flush_all();
-        while let Some((at, kind)) = self.kern.pop_due(t) {
-            self.now = at;
-            self.dispatch(kind);
+        if !self.controlled {
+            while let Some((at, kind)) = self.kern.pop_due(t) {
+                self.now = at;
+                self.dispatch(kind);
+            }
+            self.kern.advance_to(t);
         }
         self.now = t;
-        self.kern.advance_to(t);
     }
 
     /// Runs for a span of simulated time.
@@ -316,9 +320,13 @@ impl World {
         self.run_until(self.now + d);
     }
 
-    /// Processes a single event; returns its time, or `None` when idle.
+    /// Processes a single event; returns its time, or `None` when idle (or
+    /// in controlled mode, where the scheduler picks events).
     pub fn step(&mut self) -> Option<SimTime> {
         self.flush_all();
+        if self.controlled {
+            return None;
+        }
         let (at, kind) = self.kern.pop_due(SimTime::MAX)?;
         self.now = at;
         self.dispatch(kind);
@@ -418,11 +426,23 @@ impl World {
 
     // ---- internals --------------------------------------------------------
 
-    fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let at = at.max(self.now);
-        match self.controlled.as_mut() {
-            Some(ctl) => ctl.park(at, kind),
-            None => self.kern.schedule(at, kind),
+    fn schedule(&mut self, at: SimTime, kind: EventKind) -> EventHandle {
+        self.kern.schedule(at.max(self.now), kind)
+    }
+
+    /// Cancels every pending timer of `node` (on a crash or agent removal).
+    fn cancel_timers(&mut self, node: NodeId) {
+        for (_, handle) in std::mem::take(&mut self.nodes[node.0].timers) {
+            self.kern.cancel(handle);
+        }
+    }
+
+    /// Cancels `node`'s pending timer carrying `token`, if there is one.
+    fn cancel_timer(&mut self, node: NodeId, token: TimerToken) {
+        let timers = &mut self.nodes[node.0].timers;
+        if let Some(i) = timers.iter().position(|&(t, _)| t == token) {
+            let (_, handle) = timers.swap_remove(i);
+            self.kern.cancel(handle);
         }
     }
 
@@ -478,9 +498,13 @@ impl World {
         match action {
             Action::SendControl { dst, bytes } => self.send_control(node, dst, bytes),
             Action::SetTimer { at, token } => {
-                let epoch = self.nodes[node.0].boot_epoch;
-                self.schedule(at, EventKind::TimerFire { node, token, epoch });
+                // A re-arm is a fresh schedule (a new seq) in place of the
+                // old timer, exactly as if the old one had never existed.
+                self.cancel_timer(node, token);
+                let handle = self.schedule(at, EventKind::TimerFire { node, token });
+                self.nodes[node.0].timers.push((token, handle));
             }
+            Action::CancelTimer { token } => self.cancel_timer(node, token),
             Action::Reinject { dst } => {
                 let queued: Vec<DataPacket> = self.nodes[node.0]
                     .os
@@ -540,15 +564,9 @@ impl World {
                     self.data_plane(node, packet);
                 }
             },
-            EventKind::TimerFire { node, token, epoch } => {
-                // Timers armed before a crash never fire into the rebooted
-                // incarnation: their epoch is stale.
-                if self.nodes[node.0].crashed || epoch != self.nodes[node.0].boot_epoch {
-                    return;
-                }
-                if self.nodes[node.0].os.cancelled_timers.remove(&token) {
-                    return;
-                }
+            EventKind::TimerFire { node, token } => {
+                // No longer pending (and the node is up: crashes cancel).
+                self.nodes[node.0].timers.retain(|&(t, _)| t != token);
                 self.with_agent(node, |agent, os| agent.on_timer(os, token));
             }
             EventKind::DataInject { node, packet } => {

@@ -174,7 +174,9 @@ impl World {
     /// Schedules completion deadlines issued by the phy engine. Every rate
     /// reallocation bumps the affected transmission's sequence number and
     /// reissues its deadline; superseded deadlines arrive stale and are
-    /// ignored (simkern has no event cancellation).
+    /// ignored. They are not cancelled: the engine's `(tx, seq)` contract
+    /// is what `Phy::complete` checks, and callers that drive the engine
+    /// without a world (the benchmark's phy micro-drive) rely on it.
     pub(super) fn schedule_phy(&mut self, rescheds: Vec<PhyResched>) {
         for PhyResched { tx, seq, at } in rescheds {
             self.schedule(at, EventKind::PhyComplete { tx, seq });

@@ -180,6 +180,132 @@ fn timers_fire_and_cancel() {
     assert!(!obs.timers.contains(&8), "cancelled timer must not fire");
 }
 
+/// Runs `requests` against an [`Echo`] on a one-node world (after its
+/// start timer, token 1, has fired) and returns the tokens that fired.
+fn timer_requests(requests: impl FnOnce(&mut NodeOs)) -> Vec<u64> {
+    let mut w = World::builder().nodes(1).build();
+    let echo = Echo::new();
+    let observed = echo.observed();
+    w.install_agent(NodeId(0), Box::new(echo));
+    w.run_for(SimDuration::from_millis(20));
+    requests(w.os_mut(NodeId(0)));
+    w.run_for(SimDuration::from_millis(50));
+    let timers = observed.lock().unwrap().timers.clone();
+    timers[1..].to_vec()
+}
+
+#[test]
+fn set_cancel_set_fires_once() {
+    let fired = timer_requests(|os| {
+        os.set_timer(SimDuration::from_millis(5), 7);
+        os.cancel_timer(7);
+        os.set_timer(SimDuration::from_millis(6), 7);
+    });
+    assert_eq!(fired, vec![7]);
+}
+
+#[test]
+fn rearming_a_pending_timer_replaces_it() {
+    let fired = timer_requests(|os| {
+        os.set_timer(SimDuration::from_millis(5), 7);
+        os.set_timer(SimDuration::from_millis(6), 7);
+    });
+    assert_eq!(fired, vec![7]);
+}
+
+#[test]
+fn set_set_cancel_never_fires() {
+    let fired = timer_requests(|os| {
+        os.set_timer(SimDuration::from_millis(5), 7);
+        os.set_timer(SimDuration::from_millis(6), 7);
+        os.cancel_timer(7);
+    });
+    assert!(fired.is_empty(), "{fired:?}");
+}
+
+/// Arms its own token on start.
+struct Armer {
+    token: u64,
+    fired: Arc<Mutex<Vec<u64>>>,
+}
+
+impl RoutingAgent for Armer {
+    fn name(&self) -> &str {
+        "armer"
+    }
+    fn start(&mut self, os: &mut NodeOs) {
+        os.set_timer(SimDuration::from_millis(10), self.token);
+    }
+    fn on_frame(&mut self, _os: &mut NodeOs, _from: Address, _bytes: &[u8]) {}
+    fn on_timer(&mut self, _os: &mut NodeOs, token: u64) {
+        self.fired.lock().unwrap().push(token);
+    }
+    fn on_filter_event(&mut self, _os: &mut NodeOs, _event: FilterEvent) {}
+}
+
+#[test]
+fn a_removed_agents_timers_never_reach_its_successor() {
+    let mut w = World::builder().nodes(1).build();
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let armer = |token| {
+        Box::new(Armer {
+            token,
+            fired: fired.clone(),
+        })
+    };
+    w.install_agent(NodeId(0), armer(5));
+    w.run_for(SimDuration::from_millis(2));
+    assert!(w.remove_agent(NodeId(0)).is_some());
+    w.install_agent(NodeId(0), armer(9));
+    w.run_for(SimDuration::from_millis(30));
+    assert_eq!(*fired.lock().unwrap(), vec![9]);
+}
+
+/// Broadcasts and re-arms token 1 every tick, and arms then cancels
+/// token 2, so each tick leaves a cancelled timer behind.
+struct Ticker;
+
+impl RoutingAgent for Ticker {
+    fn name(&self) -> &str {
+        "ticker"
+    }
+    fn start(&mut self, os: &mut NodeOs) {
+        os.set_timer(SimDuration::from_millis(10), 1);
+    }
+    fn on_frame(&mut self, _os: &mut NodeOs, _from: Address, _bytes: &[u8]) {}
+    fn on_timer(&mut self, os: &mut NodeOs, _token: u64) {
+        os.broadcast_control(b"tick".to_vec());
+        os.set_timer(SimDuration::from_millis(10), 1);
+        os.set_timer(SimDuration::from_millis(5), 2);
+        os.cancel_timer(2);
+    }
+    fn on_filter_event(&mut self, _os: &mut NodeOs, _event: FilterEvent) {}
+}
+
+#[test]
+fn controlled_deliveries_keep_the_kernel_bounded() {
+    let mut w = World::builder()
+        .topology(Topology::full(2))
+        .controlled()
+        .build();
+    for i in 0..2 {
+        w.install_agent(NodeId(i), Box::new(Ticker));
+    }
+    for step in 0..1_000 {
+        w.run_controlled_infra();
+        let next = w.pending_controlled()[0];
+        // Every third arrival is lost instead of delivered.
+        if next.class == PendingClass::Control && step % 3 == 0 {
+            assert!(w.drop_controlled(&next));
+        } else {
+            assert!(w.deliver_controlled(&next));
+        }
+    }
+    assert!(w.stats().control_lost > 100 && w.stats().control_received > 100);
+    assert!(w.kern.len() <= 4, "{} pending", w.kern.len());
+    assert!(w.kern.capacity() <= 8, "slab grew to {}", w.kern.capacity());
+}
+
 #[test]
 fn no_route_buffers_and_reinjects() {
     let mut w = World::builder().topology(Topology::full(2)).seed(2).build();
@@ -373,8 +499,8 @@ fn crash_suspends_node_and_reboot_restarts_it() {
     assert_eq!(s.node_crashes, 1);
     assert_eq!(s.node_reboots, 1);
     let obs = observed.lock().unwrap();
-    // The pre-crash start timer (armed at 0, due at 10 ms) is stale by
-    // epoch; only the post-reboot start's timer (due 25 ms) fires.
+    // The crash cancelled the pre-crash start timer (armed at 0, due at
+    // 10 ms); only the post-reboot start's timer (due 25 ms) fires.
     assert_eq!(obs.timers, vec![1]);
 }
 

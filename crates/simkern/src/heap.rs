@@ -2,48 +2,28 @@
 //!
 //! [`HeapQueue`] implements the same `(time, seq)` contract as
 //! [`EventQueue`](crate::EventQueue) with the textbook data structure —
-//! payloads inline in heap nodes, O(log n) sift per operation. It exists
+//! `(time, seq)` keys in a heap, O(log n) sift per operation. It exists
 //! only as the oracle of the order-equivalence property tests
 //! (`tests/wheel_equivalence.rs`); the simulator never uses it. The wheel's
 //! own throughput is the benchmark's `simkern.hold_events_per_s`.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::time::SimTime;
 
-struct HeapEntry<E> {
-    t: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    /// Reversed `(t, seq)` order so the max-heap pops the earliest entry.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
-/// A binary-heap discrete-event queue with the [`EventQueue`](crate::EventQueue) API.
+/// A binary-heap discrete-event queue with the [`EventQueue`](crate::EventQueue)
+/// API. Its handles are the events' `seq` numbers.
+///
+/// Cancellation is lazy deletion, as in dslab's `canceled_events`: the
+/// heap keeps `(t, seq)` keys, payloads wait in a map, and a cancelled key
+/// stays in the heap until it surfaces at the top, where it is discarded.
+/// The top of the heap is therefore always a live event.
 pub struct HeapQueue<E> {
     now: u64,
     seq: u64,
-    heap: BinaryHeap<HeapEntry<E>>,
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    events: HashMap<u64, E>,
 }
 
 impl<E> Default for HeapQueue<E> {
@@ -60,6 +40,7 @@ impl<E> HeapQueue<E> {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
+            events: HashMap::new(),
         }
     }
 
@@ -69,36 +50,58 @@ impl<E> HeapQueue<E> {
         SimTime::from_micros(self.now)
     }
 
-    /// Number of pending events.
+    /// Number of pending events; cancelled ones are not counted.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     /// True when nothing is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 
-    /// Schedules `event` for `at`, clamped to the current time.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    /// Schedules `event` for `at`, clamped to the current time, and returns
+    /// its handle.
+    pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
         let t = at.as_micros().max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(HeapEntry { t, seq, event });
+        self.heap.push(Reverse((t, seq)));
+        self.events.insert(seq, event);
+        seq
+    }
+
+    /// Cancels a pending event and returns it; `None` when it already
+    /// popped or was cancelled.
+    pub fn cancel(&mut self, handle: u64) -> Option<E> {
+        let event = self.events.remove(&handle)?;
+        self.discard_cancelled_top();
+        Some(event)
     }
 
     /// Pops the earliest pending event if its deadline is ≤ `limit`,
     /// advancing the clock to that deadline.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let due = self.heap.peek().map(|e| e.t <= limit.as_micros());
-        if due != Some(true) {
+        let &Reverse((t, seq)) = self.heap.peek()?;
+        if t > limit.as_micros() {
             return None;
         }
-        let entry = self.heap.pop().expect("peeked");
-        self.now = entry.t;
-        Some((SimTime::from_micros(entry.t), entry.event))
+        self.heap.pop();
+        self.now = t;
+        let event = self.events.remove(&seq).expect("the heap's top is live");
+        self.discard_cancelled_top();
+        Some((SimTime::from_micros(t), event))
+    }
+
+    fn discard_cancelled_top(&mut self) {
+        while let Some(Reverse((_, seq))) = self.heap.peek() {
+            if self.events.contains_key(seq) {
+                return;
+            }
+            self.heap.pop();
+        }
     }
 
     /// Advances the clock to `t` without popping.
@@ -112,13 +115,31 @@ impl<E> HeapQueue<E> {
     /// Earliest pending deadline, if any.
     #[must_use]
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| SimTime::from_micros(e.t))
+        self.heap
+            .peek()
+            .map(|Reverse((t, _))| SimTime::from_micros(*t))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cancelled_events_are_skipped() {
+        let mut q = HeapQueue::new();
+        let a = q.schedule(SimTime::from_micros(5), "a");
+        q.schedule(SimTime::from_micros(9), "b");
+        assert_eq!(q.cancel(a), Some("a"));
+        assert_eq!(q.cancel(a), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.next_deadline(), Some(SimTime::from_micros(9)));
+        assert_eq!(
+            q.pop_due(SimTime::MAX),
+            Some((SimTime::from_micros(9), "b"))
+        );
+        assert!(q.is_empty());
+    }
 
     #[test]
     fn matches_the_queue_contract() {

@@ -17,9 +17,13 @@
 //! * [`EventQueue`] — a hierarchical timing-wheel scheduler with an
 //!   arena-backed event store. Events pop in `(time, seq)` order, where
 //!   `seq` counts insertions; this total order is the determinism contract
-//!   every layer above relies on.
-//! * [`HeapQueue`] — the textbook `BinaryHeap` scheduler with the same API,
-//!   kept only as the property-test oracle.
+//!   every layer above relies on. Scheduling returns an [`EventHandle`]
+//!   (payload index plus generation) that cancels the event in O(1); a
+//!   cancelled event is never popped, counted or reported, and the events
+//!   that survive keep their order.
+//! * [`HeapQueue`] — the textbook `BinaryHeap` scheduler with the same API
+//!   (cancellation by lazy deletion), kept only as the property-test
+//!   oracle.
 //!
 //! Any client that schedules identical events in an identical order gets an
 //! identical pop sequence — regardless of which queue implementation runs
@@ -27,12 +31,10 @@
 //! advanced. The property tests in `tests/` pin the two implementations to
 //! each other over arbitrary interleavings.
 
-mod arena;
 mod heap;
 mod queue;
 mod time;
 
-pub use arena::Arena;
 pub use heap::HeapQueue;
-pub use queue::EventQueue;
+pub use queue::{EventHandle, EventQueue};
 pub use time::{SimDuration, SimTime};

@@ -24,9 +24,24 @@
 //! * `overflow` — a `BinaryHeap` for the rare event scheduled beyond the
 //!   wheel span; migrated into the wheel when the clock catches up.
 //!
-//! Slot entries are 16-byte `(time, arena index)` pairs; payloads live in an
-//! [`Arena`] so cascades move compact records, not event structs. Seq order
-//! is positional: slots, cascades and `due` all preserve insertion order.
+//! Slot entries are 16-byte `(time, index)` pairs; payloads live in a slab
+//! indexed by `u32` (freed indices are recycled), so cascades move compact
+//! records, not event structs. Seq order is positional: slots, cascades
+//! and `due` all preserve insertion order.
+//!
+//! # Cancellation
+//!
+//! An index has two owners. Its wheel entry owns the *index*: it is freed
+//! only when the entry is popped or discarded, never reused while the
+//! entry points at it, so "the payload is gone" is the whole test for a
+//! cancelled entry — the hot path reads no generation, only the payload it
+//! takes. The [`EventHandle`] owns the *payload*:
+//! [`cancel`](EventQueue::cancel) takes it out in O(1) and leaves the entry
+//! where it is, as a tombstone. Tombstones are never popped, reported or
+//! counted, and those in front of the next live deadline are discarded
+//! before the clock jumps there, so no entry is ever left behind the
+//! clock. Survivors are not moved, so they keep their `seq` order: a
+//! cancellation changes which events fire, never the order of the rest.
 //!
 //! Scheduling and popping are O(1) amortised versus O(log n) comparison-heap
 //! operations — the difference that lets 10k-node worlds with hundreds of
@@ -35,7 +50,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::arena::Arena;
 use crate::time::SimTime;
 
 /// Number of wheel levels.
@@ -47,17 +61,33 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Bit shift above which a deadline no longer fits any wheel level.
 const SPAN_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
+/// A handle to one scheduled event: its payload index plus the generation
+/// (the low 32 bits of its `seq`) of the event it was issued for.
+///
+/// Valid from [`schedule`](EventQueue::schedule) until the event pops or is
+/// cancelled; afterwards every operation on it returns `None`. (A stale
+/// handle could alias only if its index were reused by an event scheduled
+/// exactly a multiple of 2³² schedules later.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventHandle {
+    idx: u32,
+    gen: u32,
+}
+
 /// A scheduled entry: deadline and payload index — 16 bytes, so cascades
 /// stream compact records. No sequence number: insertion order within a
 /// slot IS seq order, cascades preserve it (same-deadline entries always
 /// travel to the same lower slot together), and the one structure that
 /// genuinely reorders — the overflow heap — carries its own `(t, seq, idx)`
-/// triples and replays them back in order.
+/// triples and replays them back in order. No generation either (see the
+/// module docs).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     t: u64,
     idx: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// A discrete-event queue with a virtual clock.
 ///
@@ -67,8 +97,16 @@ struct Entry {
 pub struct EventQueue<E> {
     now: u64,
     seq: u64,
+    /// Payloads by index; an entry is live while its payload is here.
+    payloads: Vec<Option<E>>,
+    /// Each index's latest generation, beside `payloads` rather than in it
+    /// so a payload-sized slot does not grow by a padded word. Written on
+    /// schedule and read only through a handle, so popping never reads it.
+    gens: Vec<u32>,
+    /// Indices free for reuse.
+    free: Vec<u32>,
+    /// Live events.
     len: usize,
-    arena: Arena<E>,
     /// Flat `LEVELS × SLOTS` grid: `slots[k * SLOTS + i]` holds entries for
     /// level-`k` slot `i`, in seq order. Slot buffers are recycled across
     /// cascades (never dropped), so a steady-state queue stops allocating.
@@ -97,8 +135,10 @@ impl<E> EventQueue<E> {
         EventQueue {
             now: 0,
             seq: 0,
+            payloads: Vec::new(),
+            gens: Vec::new(),
+            free: Vec::new(),
             len: 0,
-            arena: Arena::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             due: Vec::new(),
@@ -113,7 +153,7 @@ impl<E> EventQueue<E> {
         SimTime::from_micros(self.now)
     }
 
-    /// Number of pending events.
+    /// Number of pending events; cancelled ones are not counted.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -127,12 +167,22 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` for `at`, clamped to the current time — the clock
     /// never runs backwards, so a stale deadline fires immediately rather
-    /// than silently in the past.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    /// than silently in the past. The handle cancels it until it pops.
+    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
         let t = at.as_micros().max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.arena.insert(event);
+        let gen = seq as u32;
+        let idx = if let Some(idx) = self.free.pop() {
+            self.payloads[idx as usize] = Some(event);
+            self.gens[idx as usize] = gen;
+            idx
+        } else {
+            let idx = u32::try_from(self.payloads.len()).expect("more than 2³² pending events");
+            self.payloads.push(Some(event));
+            self.gens.push(gen);
+            idx
+        };
         self.len += 1;
         if t >> SPAN_BITS != self.now >> SPAN_BITS {
             // Beyond the wheel span: the overflow heap needs the explicit
@@ -141,6 +191,53 @@ impl<E> EventQueue<E> {
         } else {
             self.insert_entry(Entry { t, idx });
         }
+        EventHandle { idx, gen }
+    }
+
+    /// Payload slots allocated so far, live or free for reuse: the most
+    /// entries, pending or cancelled but not yet discarded, ever held.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.payloads.len()
+    }
+
+    /// Cancels a pending event and returns it; `None` when the handle's
+    /// event already popped or was cancelled. O(1): the wheel entry stays
+    /// behind as a tombstone that is never popped, counted or reported, and
+    /// keeps its index until it is discarded.
+    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
+        let idx = handle.idx as usize;
+        if self.gens.get(idx) != Some(&handle.gen) {
+            return None;
+        }
+        let event = self.payloads[idx].take()?;
+        self.len -= 1;
+        Some(event)
+    }
+
+    /// Discards every tombstone now, freeing its index, without moving the
+    /// clock. Pops discard the tombstones they pass; a queue whose events
+    /// leave by [`cancel`](Self::cancel) alone never pops, so it calls this
+    /// instead. Survivors stay where they are. O(pending entries).
+    pub fn discard_cancelled(&mut self) {
+        let mut due = std::mem::take(&mut self.due);
+        due.drain(..self.due_head);
+        self.due_head = 0;
+        due.retain(|e| self.keep(e.idx));
+        self.due = due;
+        for k in 0..LEVELS {
+            let mut bits = self.occupied[k];
+            while bits != 0 {
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.live_slot(k * SLOTS + slot).is_empty() {
+                    self.occupied[k] &= !(1 << slot);
+                }
+            }
+        }
+        let mut far = std::mem::take(&mut self.overflow);
+        far.retain(|&Reverse((_, _, idx))| self.keep(idx));
+        self.overflow = far;
     }
 
     /// Pops the earliest pending event if its deadline is ≤ `limit`,
@@ -149,49 +246,71 @@ impl<E> EventQueue<E> {
     /// horizon miss is observationally free and the clock only ever sits on
     /// popped deadlines or explicit [`advance_to`](Self::advance_to) marks.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let limit = limit.as_micros();
-        if self.due_is_empty() {
-            if let Some(slot) = self.scan_level(0) {
-                // Fast path: the next deadline sits in the clock's current
-                // 64 µs window. Every entry in a level-0 slot shares one
-                // exact deadline, and jumping within the window crosses no
-                // level boundary — no scans, no cascades.
-                let t = self.slots[slot][0].t;
-                if t > limit {
-                    return None;
-                }
-                debug_assert!(t > self.now && t >> SLOT_BITS == self.now >> SLOT_BITS);
-                self.now = t;
-                self.drain_current_into_due();
-            } else {
-                // Jump the clock straight to the exact next deadline;
-                // cascades happen inside `set_now` and land the deadline's
-                // events in `due` (via insert-at-now) or the current
-                // level-0 slot.
-                let deadline = self.next_deadline()?.as_micros();
-                if deadline > limit {
-                    return None;
-                }
-                self.set_now(deadline);
-                self.drain_current_into_due();
-            }
-        } else if self.now > limit {
+        if !self.front(limit.as_micros()) {
             return None;
         }
+        let entry = self.pop_due_head();
+        let event = self
+            .release(entry.idx)
+            .expect("front leaves a live entry at the head of due");
+        Some((SimTime::from_micros(entry.t), event))
+    }
+
+    /// Brings the earliest live event to the head of `due` if its deadline
+    /// is ≤ `limit`, moving the clock there and discarding the tombstones
+    /// met on the way; `false` (clock untouched) when there is none.
+    fn front(&mut self, limit: u64) -> bool {
+        loop {
+            while let Some(&entry) = self.due.get(self.due_head) {
+                if self.is_live(entry.idx) {
+                    return self.now <= limit;
+                }
+                self.pop_due_head();
+                self.release(entry.idx);
+            }
+            match self.next_live() {
+                Some(t) if t <= limit => {
+                    // Cascades inside `set_now` land the deadline's events
+                    // in `due` (via insert-at-now) or the current level-0
+                    // slot.
+                    self.set_now(t);
+                    self.drain_current_into_due();
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    fn is_live(&self, idx: u32) -> bool {
+        self.payloads[idx as usize].is_some()
+    }
+
+    /// Whether `idx`'s entry stays: a tombstone's index is freed instead.
+    fn keep(&mut self, idx: u32) -> bool {
+        let live = self.is_live(idx);
+        if !live {
+            self.release(idx);
+        }
+        live
+    }
+
+    /// Frees `idx` as its entry is popped or discarded, returning the
+    /// payload if the event was live.
+    fn release(&mut self, idx: u32) -> Option<E> {
+        let event = self.payloads[idx as usize].take();
+        self.len -= usize::from(event.is_some());
+        self.free.push(idx);
+        event
+    }
+
+    fn pop_due_head(&mut self) -> Entry {
         let entry = self.due[self.due_head];
         self.due_head += 1;
         if self.due_head == self.due.len() {
             self.due.clear();
             self.due_head = 0;
         }
-        self.len -= 1;
-        let event = self.arena.remove(entry.idx);
-        Some((SimTime::from_micros(entry.t), event))
-    }
-
-    /// True when no event at exactly `now` is waiting in `due`.
-    fn due_is_empty(&self) -> bool {
-        self.due_head >= self.due.len()
+        entry
     }
 
     /// Advances the clock to `t` without popping.
@@ -201,37 +320,102 @@ impl<E> EventQueue<E> {
     pub fn advance_to(&mut self, t: SimTime) {
         let t = t.as_micros();
         if t > self.now {
-            debug_assert!(self.due_is_empty(), "advance_to skipped due events");
+            // Clears the tombstones in front of the next live event, so the
+            // jump leaves no entry behind the clock.
+            let skipped = self.front(t);
+            debug_assert!(!skipped, "advance_to skipped due events");
             self.set_now(t);
         }
     }
 
-    /// Earliest pending deadline, if any.
+    /// Earliest pending deadline, if any. Never a cancelled event's: the
+    /// tombstones in front of the answer are discarded on the way.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        if self.is_empty() {
-            return None;
-        }
-        if let Some(entry) = self.due.get(self.due_head) {
-            return Some(SimTime::from_micros(entry.t));
-        }
-        // The lowest occupied level holds the minimum (higher levels only
-        // cover deadlines beyond the current lower-level windows), and
-        // within it the first occupied slot; slot entries are unsorted, so
-        // scan that one slot for the exact deadline.
+    pub fn next_deadline(&mut self) -> Option<SimTime> {
+        let due = self.due[self.due_head..]
+            .iter()
+            .find(|e| self.is_live(e.idx));
+        due.map(|e| e.t)
+            .or_else(|| self.next_live())
+            .map(SimTime::from_micros)
+    }
+
+    /// Every pending event with its deadline and handle, in the order
+    /// [`pop_due`](Self::pop_due) would fire them. It walks the whole queue:
+    /// this is for inspecting what can happen next, not for a hot path.
+    #[must_use]
+    pub fn pending(&self) -> Vec<(SimTime, EventHandle, &E)> {
+        let live = |&Entry { t, idx }: &Entry| {
+            let event = self.payloads[idx as usize].as_ref()?;
+            let gen = self.gens[idx as usize];
+            Some((SimTime::from_micros(t), EventHandle { idx, gen }, event))
+        };
+        let mut out: Vec<_> = self.due[self.due_head..].iter().filter_map(live).collect();
+        // Containers hold disjoint, increasing deadline ranges: `due`, then
+        // each level's slots ahead of the clock, then the overflow heap.
+        // Equal deadlines share a slot in seq order, so a stable sort by
+        // deadline within each slot is the pop order.
         for k in 0..LEVELS {
-            if let Some(slot) = self.scan_level(k) {
-                let min = self.slots[k * SLOTS + slot]
-                    .iter()
-                    .map(|e| e.t)
-                    .min()
-                    .expect("occupancy bit set on empty slot");
-                return Some(SimTime::from_micros(min));
+            for slot in self.ahead(k) {
+                let start = out.len();
+                out.extend(self.slots[k * SLOTS + slot].iter().filter_map(live));
+                out[start..].sort_by_key(|&(t, ..)| t);
             }
         }
-        self.overflow
-            .peek()
-            .map(|Reverse((t, _, _))| SimTime::from_micros(*t))
+        let mut far: Vec<_> = self.overflow.iter().map(|Reverse(e)| *e).collect();
+        far.sort_unstable();
+        out.extend(
+            far.iter()
+                .filter_map(|&(t, _, idx)| live(&Entry { t, idx })),
+        );
+        out
+    }
+
+    /// The earliest live deadline outside `due`. Tombstones met on the way
+    /// are discarded — a slot holding nothing else is emptied — so nothing,
+    /// live or cancelled, precedes the returned deadline.
+    fn next_live(&mut self) -> Option<u64> {
+        for k in 0..LEVELS {
+            while let Some(slot) = self.ahead(k).next() {
+                if let Some(t) = self.live_min(k * SLOTS + slot) {
+                    return Some(t);
+                }
+                self.occupied[k] &= !(1 << slot);
+            }
+        }
+        while let Some(&Reverse((t, _, idx))) = self.overflow.peek() {
+            if self.is_live(idx) {
+                return Some(t);
+            }
+            self.release(idx);
+            self.overflow.pop();
+        }
+        None
+    }
+
+    /// The earliest deadline among wheel slot `i`'s live entries. Every
+    /// entry of a level-0 slot shares one deadline, so its first entry
+    /// stands for all; when the earliest entry is a tombstone the slot is
+    /// purged of tombstones and searched again.
+    fn live_min(&mut self, i: usize) -> Option<u64> {
+        let slot = &self.slots[i];
+        let first = if i < SLOTS {
+            slot.first()
+        } else {
+            slot.iter().min_by_key(|e| e.t)
+        }?;
+        if self.is_live(first.idx) {
+            return Some(first.t);
+        }
+        self.live_slot(i).iter().map(|e| e.t).min()
+    }
+
+    /// Purges wheel slot `i` of tombstones and returns what is left.
+    fn live_slot(&mut self, i: usize) -> &[Entry] {
+        let mut slot = std::mem::take(&mut self.slots[i]);
+        slot.retain(|e| self.keep(e.idx));
+        self.slots[i] = slot;
+        &self.slots[i]
     }
 
     /// Places an entry into `due` or a wheel slot. The deadline must be
@@ -253,23 +437,19 @@ impl<E> EventQueue<E> {
         self.occupied[k] |= 1 << slot;
     }
 
-    /// Index of the first occupied level-`k` slot ahead of the clock. The
+    /// Level `k`'s occupied slots ahead of the clock, earliest first. The
     /// clock's own slot is excluded: at level 0 it is drained into `due` the
     /// moment the clock lands on it, and at higher levels it cascades down
     /// when the clock enters it, so a set bit there would be a stale past
     /// entry, not pending work.
-    fn scan_level(&self, k: usize) -> Option<usize> {
-        let bits = self.occupied[k];
-        if bits == 0 {
-            return None;
-        }
-        let shift = SLOT_BITS * k as u32;
-        let cur = ((self.now >> shift) & 63) as u32;
-        let ahead = bits & ((!0u64 << cur) << 1);
-        if ahead == 0 {
-            return None;
-        }
-        Some(ahead.trailing_zeros() as usize)
+    fn ahead(&self, k: usize) -> impl Iterator<Item = usize> {
+        let cur = ((self.now >> (SLOT_BITS * k as u32)) & 63) as u32;
+        let mut bits = self.occupied[k] & ((!0u64 << cur) << 1);
+        std::iter::from_fn(move || {
+            let slot = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(slot)
+        })
     }
 
     /// Moves the clock to `t`, cascading every higher-level slot the clock
@@ -277,11 +457,12 @@ impl<E> EventQueue<E> {
     /// entries that now fit the wheel.
     fn set_now(&mut self, t: u64) {
         let old = self.now;
-        if t == old {
+        debug_assert!(t >= old);
+        self.now = t;
+        if (t ^ old) >> SLOT_BITS == 0 {
+            // Within the clock's 64 µs window: no level boundary crossed.
             return;
         }
-        debug_assert!(t > old);
-        self.now = t;
         for k in (1..LEVELS).rev() {
             let shift = SLOT_BITS * k as u32;
             if t >> shift == old >> shift {
@@ -333,6 +514,11 @@ impl<E> EventQueue<E> {
                 due.append(&mut slots[cur]);
             }
         }
+    }
+
+    /// True when no event at exactly `now` is waiting in `due`.
+    fn due_is_empty(&self) -> bool {
+        self.due_head >= self.due.len()
     }
 }
 
@@ -461,5 +647,148 @@ mod tests {
         assert_eq!(q.next_deadline(), Some(at(64 * 64 + 9)));
         q.schedule(at(40), 1);
         assert_eq!(q.next_deadline(), Some(at(40)));
+    }
+
+    #[test]
+    fn cancelled_events_are_never_popped_counted_or_reported() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(at(10), "a");
+        let b = q.schedule(at(10), "b");
+        let far = q.schedule(at(64 * 64 * 3), "far");
+        q.schedule(at(64 * 64 * 5), "kept");
+        assert_eq!(q.cancel(a), Some("a"));
+        assert_eq!(q.cancel(far), Some("far"));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.next_deadline(), Some(at(10)));
+        let pending: Vec<&str> = q.pending().into_iter().map(|(_, _, e)| *e).collect();
+        assert_eq!(pending, vec!["b", "kept"]);
+        assert_eq!(q.cancel(b), Some("b"));
+        assert_eq!(q.next_deadline(), Some(at(64 * 64 * 5)));
+        assert_eq!(drain(&mut q), vec![(64 * 64 * 5, "kept")]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_popped_or_cancelled_handle_cancels_nothing() {
+        let mut q = EventQueue::new();
+        let popped = q.schedule(at(5), 1u32);
+        assert_eq!(q.pop_due(SimTime::MAX), Some((at(5), 1)));
+        assert_eq!(q.cancel(popped), None, "cancel after pop");
+        let twice = q.schedule(at(9), 2);
+        assert_eq!(twice.idx, popped.idx, "a popped event's index is reused");
+        assert_eq!(q.cancel(twice), Some(2));
+        assert_eq!(q.cancel(twice), None, "second cancel");
+        let next = q.schedule(at(9), 3);
+        assert_ne!(next.idx, twice.idx, "a tombstone keeps its index");
+        assert_eq!(drain(&mut q), vec![(9, 3)]);
+        // Both indices are free again and the next schedules reuse them;
+        // the old handles must not reach the events now living there.
+        let tenants = [q.schedule(at(20), 4), q.schedule(at(20), 5)];
+        assert_eq!(q.capacity(), 2, "no schedule grew the slab");
+        assert!(tenants.iter().any(|h| h.idx == twice.idx));
+        for stale in [popped, twice] {
+            assert!(tenants.iter().all(|h| *h != stale));
+            assert_eq!(q.cancel(stale), None);
+        }
+        assert_eq!(drain(&mut q), vec![(20, 4), (20, 5)]);
+    }
+
+    #[test]
+    fn a_steady_hold_stops_growing_the_slab() {
+        // Each round pops one event and schedules two, one of which is
+        // cancelled: the pending set stays at 8, so must the footprint.
+        let mut q = EventQueue::new();
+        for i in 0..8u64 {
+            q.schedule(at(i * 10), i);
+        }
+        for round in 0..10_000u64 {
+            let (t, _) = q.pop_due(SimTime::MAX).unwrap();
+            let doomed = q.schedule(t + SimDuration::from_micros(37), round);
+            q.schedule(t + SimDuration::from_micros(80), round);
+            assert_eq!(q.cancel(doomed), Some(round));
+        }
+        assert_eq!(q.len(), 8);
+        assert!(q.capacity() <= 16, "slab grew to {}", q.capacity());
+    }
+
+    #[test]
+    fn discarding_tombstones_frees_them_in_place() {
+        // A queue drained by cancel alone, as a controlled world drains
+        // its kernel: no pop ever passes the tombstones.
+        let mut q = EventQueue::new();
+        let span = 1u64 << SPAN_BITS;
+        let kept = [q.schedule(at(0), 0), q.schedule(at(64 * 64 + 1), 1)];
+        for round in 0..1_000u64 {
+            let handles: Vec<_> = [0, 3, 70, 64 * 64 + 1, span + 9]
+                .iter()
+                .map(|&t| q.schedule(at(t), round))
+                .collect();
+            for h in handles {
+                assert_eq!(q.cancel(h), Some(round));
+            }
+            q.discard_cancelled();
+            assert!(q.capacity() <= 7, "slab grew to {}", q.capacity());
+        }
+        assert_eq!(q.now(), SimTime::ZERO);
+        let listed: Vec<_> = q.pending().into_iter().map(|(_, h, _)| h).collect();
+        assert_eq!(listed, kept);
+        assert_eq!(drain(&mut q), vec![(0, 0), (64 * 64 + 1, 1)]);
+    }
+
+    #[test]
+    fn tombstones_never_sit_behind_the_clock() {
+        // Cancelled entries at every level, then clock jumps over them by
+        // both routes (a pop beyond them and an explicit advance); the
+        // wheel must keep working across later window wraps.
+        let mut q = EventQueue::new();
+        let span = 1u64 << SPAN_BITS;
+        for t in [3, 70, 64 * 64 + 1, 64 * 64 * 64 * 2, span + 9] {
+            let h = q.schedule(at(t), t);
+            q.cancel(h);
+        }
+        q.schedule(at(64 * 64 * 64 * 3), 1);
+        q.advance_to(at(64 * 64 * 64 * 2 + 5));
+        assert_eq!(q.pop_due(SimTime::MAX), Some((at(64 * 64 * 64 * 3), 1)));
+        let base = q.now().as_micros();
+        for t in [1, 66, 64 * 64 + 2, span] {
+            q.schedule(at(base + t), base + t);
+        }
+        let popped: Vec<u64> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            popped,
+            vec![base + 1, base + 66, base + 64 * 64 + 2, base + span]
+        );
+    }
+
+    #[test]
+    fn a_horizon_miss_over_tombstones_leaves_the_clock() {
+        // Once in the wheel and once in the overflow heap.
+        for base in [0, 1u64 << SPAN_BITS] {
+            let mut q = EventQueue::new();
+            let h = q.schedule(at(base + 20), ());
+            q.schedule(at(base + 500), ());
+            q.cancel(h);
+            assert_eq!(q.pop_due(at(base + 100)), None);
+            assert_eq!(q.now(), SimTime::ZERO);
+            q.advance_to(at(base + 100));
+            assert_eq!(q.pop_due(SimTime::MAX), Some((at(base + 500), ())));
+        }
+    }
+
+    #[test]
+    fn pending_lists_events_in_pop_order() {
+        let mut q = EventQueue::new();
+        let span = 1u64 << SPAN_BITS;
+        // 100 and 70 share a level-1 slot, out of order.
+        let times = [100, 3, span + 1, 64 * 64 + 9, 3, 0, 70, span + 1, 70];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(at(t), i);
+        }
+        let listed: Vec<(u64, usize)> = q
+            .pending()
+            .into_iter()
+            .map(|(t, _, e)| (t.as_micros(), *e))
+            .collect();
+        assert_eq!(listed, drain(&mut q));
     }
 }

@@ -22,9 +22,9 @@
 //! ```
 //!
 //! At the default depth bound (12) the full run drains its queue before the
-//! 400k-state cap: 204,214 states explored, 36,810 unique, 810 terminal,
+//! 400k-state cap: 198,175 states explored, 35,605 unique, 762 terminal,
 //! and asserts exactly those counts. It does not *exhaust* the scenario —
-//! 9,324 unique states sit at the depth bound, so
+//! 8,892 unique states sit at the depth bound, so
 //! `ExploreReport::exhausted()` is false — but every interleaving up to
 //! depth 12 is checked. The explorer visits states on every core; the run
 //! takes tens of seconds on two. `--smoke` caps the audit at 50k visited
@@ -88,7 +88,7 @@ fn main() {
         );
         assert_eq!(
             counts,
-            (204_214, 36_810, 167_404, 810, 9_324, 12, false),
+            (198_175, 35_605, 162_570, 762, 8_892, 12, false),
             "the depth-12 graph changed: (explored, unique, dedup hits, terminal, bound hits, max depth, truncated)"
         );
     }
