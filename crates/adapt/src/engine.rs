@@ -46,7 +46,6 @@ impl Default for AdaptConfig {
             penalty_ticks: 6,
             txn: TxnOptions {
                 health: Some(HealthGate::over_window(SimDuration::from_secs(5)).max_drop(0.3)),
-                ..TxnOptions::default()
             },
         }
     }

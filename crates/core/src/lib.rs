@@ -84,7 +84,6 @@ pub use reconfig::{
 pub use registry::EventTuple;
 pub use smallvec::SmallVec;
 pub use system::{SystemCf, SystemConfig};
-pub use telemetry::{BusTelemetry, UnitCounters};
 pub use txn::invariants::{
     assert_fleet_conservation, check_fleet_conservation, ConservationViolation, TxnCounters,
 };

@@ -22,12 +22,10 @@ use parking_lot::Mutex;
 use crate::concurrency::{ConcurrencyModel, DispatchQueue};
 use crate::event::{ContextValue, Event, EventType, Payload};
 use crate::manager::{FrameworkManager, UnitId};
-use crate::protocol::{
-    CtxOutputs, Handover, ManetProtocolCf, ProtoCtx, ProtocolError, ProtocolStats,
-};
+use crate::protocol::{CtxOutputs, Handover, ManetProtocolCf, ProtoCtx, ProtocolError};
 use crate::registry::EventTuple;
 use crate::system::{MessageRegistration, SystemCf};
-use crate::telemetry::{intern_name, BusTelemetry};
+use crate::telemetry::{intern_name, BusTally};
 
 /// Interface id a reactive protocol's reflective adapter exposes; the
 /// default integrity rules key on it.
@@ -48,6 +46,9 @@ pub enum DeployError {
     NoSuchProtocol(String),
     /// A protocol with the given name is already deployed.
     DuplicateProtocol(String),
+    /// A transaction was handed a `Mutate` of the named protocol, which it
+    /// cannot roll back.
+    NotUndoable(String),
     /// A switch failed (`cause`) and putting the retired protocol back
     /// failed too (`reinstate`): the deployment lost that protocol.
     SwitchUnrecovered {
@@ -67,6 +68,10 @@ impl fmt::Display for DeployError {
             DeployError::DuplicateProtocol(n) => {
                 write!(f, "protocol {n:?} already deployed")
             }
+            DeployError::NotUndoable(n) => write!(
+                f,
+                "Mutate({n}) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"
+            ),
             DeployError::SwitchUnrecovered { cause, reinstate } => {
                 write!(
                     f,
@@ -166,19 +171,6 @@ impl fmt::Debug for ReconfigOp {
     }
 }
 
-/// Aggregate counters of a deployment.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeploymentStats {
-    /// Events routed through the Framework Manager.
-    pub events_routed: u64,
-    /// Dispatch rounds (external stimuli processed).
-    pub dispatch_rounds: u64,
-    /// Reconfiguration operations applied.
-    pub reconfigs_applied: u64,
-    /// Per-protocol counters.
-    pub protocols: Vec<(String, ProtocolStats)>,
-}
-
 /// Where a node stands in its most recent reconfiguration transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnPhase {
@@ -219,13 +211,15 @@ pub struct TxnReport {
     pub detail: String,
 }
 
-/// A status snapshot shared with [`NodeHandle`]s.
+/// A status snapshot shared with [`NodeHandle`]s. The node writes it at
+/// the end of every callback that changed what it reports: its start and
+/// stop, a quiescent point that processed a transaction verb, a
+/// reconfiguration op or a doomed rollback, and the first callback after a
+/// crash.
 #[derive(Debug, Clone)]
 pub struct NodeStatus {
     /// Deployed protocol names, in stack order.
     pub protocols: Vec<String>,
-    /// Reconfiguration operations applied so far.
-    pub reconfigs_applied: u64,
     /// Most recent reconfiguration failure, if any.
     pub last_error: Option<String>,
     /// Whether the node is running. Set to `false` when the simulated node
@@ -236,8 +230,6 @@ pub struct NodeStatus {
     /// The most recent transaction's outcome (`None` until the node first
     /// participates in one).
     pub txn: Option<TxnReport>,
-    /// Deployment counters.
-    pub stats: DeploymentStats,
     /// [`structural_hash`](crate::txn::structural_hash) of the live
     /// composition, published only when
     /// [`ManetNode::set_publish_composition`] is on (the hash walk is not
@@ -249,11 +241,9 @@ impl Default for NodeStatus {
     fn default() -> Self {
         NodeStatus {
             protocols: Vec::new(),
-            reconfigs_applied: 0,
             last_error: None,
             alive: true,
             txn: None,
-            stats: DeploymentStats::default(),
             composition_hash: None,
         }
     }
@@ -300,14 +290,12 @@ pub struct Deployment {
     slots: Vec<Slot>,
     meta: ComponentFramework,
     concurrency: ConcurrencyModel,
-    stats: DeploymentStats,
-    telemetry: BusTelemetry,
-    /// Telemetry state at the last [`flush_telemetry`](Self::flush_telemetry)
-    /// call; flushing bumps OS counters by the delta since.
-    telemetry_flushed: BusTelemetry,
-    /// Interned `bus.<unit>.events_{in,out}` counter names, indexed by unit
-    /// id and filled lazily on first flush.
-    counter_names: Vec<Option<(&'static str, &'static str)>>,
+    /// Bus counts not yet flushed into the OS counters.
+    tally: BusTally,
+    /// Reconfiguration ops applied, by [`apply`](Self::apply) or a
+    /// committed transaction: the generation of the flight recorder's
+    /// `resume` records.
+    pub(crate) ops_applied: u64,
     /// The dispatch queue, empty between rounds and reused across them so a
     /// round only allocates when it outgrows every round before it.
     queue: DispatchQueue,
@@ -341,10 +329,8 @@ impl Deployment {
             slots: Vec::new(),
             meta,
             concurrency,
-            stats: DeploymentStats::default(),
-            telemetry: BusTelemetry::new(),
-            telemetry_flushed: BusTelemetry::new(),
-            counter_names: Vec::new(),
+            tally: BusTally::default(),
+            ops_applied: 0,
             queue: DispatchQueue::for_model(concurrency),
             rx_events: Vec::new(),
             started: false,
@@ -416,113 +402,12 @@ impl Deployment {
             .map(|s| &s.cf)
     }
 
-    /// Dispatch telemetry (per-unit event counters, queue high-water mark,
-    /// dispatch rounds).
-    #[must_use]
-    pub fn telemetry(&self) -> &BusTelemetry {
-        &self.telemetry
-    }
-
-    /// Flushes the deterministic telemetry counters into the OS counter
-    /// table (surfacing them in `WorldStats::agent_counters` under `bus.*`
-    /// names). Bumps by the delta since the previous flush, so calling after
-    /// every callback is cheap and idempotent.
+    /// Adds the bus counts tallied since the previous call to the OS
+    /// counter table (surfacing them in `WorldStats::agent_counters` under
+    /// `bus.*` names) and zeroes the tally, so calling after every callback
+    /// is cheap and idempotent.
     pub fn flush_telemetry(&mut self, os: &mut NodeOs) {
-        let rounds = self.telemetry.dispatch_rounds - self.telemetry_flushed.dispatch_rounds;
-        os.bump_by("bus.dispatch_rounds", rounds);
-        let hwm = self.telemetry.queue_depth_hwm as u64;
-        let flushed_hwm = self.telemetry_flushed.queue_depth_hwm as u64;
-        os.bump_by("bus.queue_depth_hwm", hwm - flushed_hwm);
-        for (unit, counters) in self.telemetry.units().iter().enumerate() {
-            let previous = self.telemetry_flushed.unit(unit);
-            let delta_in = counters.events_in - previous.events_in;
-            let delta_out = counters.events_out - previous.events_out;
-            if delta_in == 0 && delta_out == 0 {
-                continue;
-            }
-            if self.counter_names.len() <= unit {
-                self.counter_names.resize(unit + 1, None);
-            }
-            let (in_name, out_name) = match self.counter_names[unit] {
-                Some(names) => names,
-                None => {
-                    let Some(name) = self.manager.unit_name(unit) else {
-                        continue;
-                    };
-                    let names = (
-                        intern_name(&format!("bus.{name}.events_in")),
-                        intern_name(&format!("bus.{name}.events_out")),
-                    );
-                    self.counter_names[unit] = Some(names);
-                    names
-                }
-            };
-            os.bump_by(in_name, delta_in);
-            os.bump_by(out_name, delta_out);
-        }
-        self.telemetry_flushed.copy_from(&self.telemetry);
-    }
-
-    /// Aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> DeploymentStats {
-        let mut s = self.stats.clone();
-        s.protocols = self
-            .slots
-            .iter()
-            .map(|slot| (slot.cf.name().to_string(), slot.cf.stats()))
-            .collect();
-        s
-    }
-
-    /// Writes what [`protocol_names`](Self::protocol_names) and
-    /// [`stats`](Self::stats) would return into `status`, reusing its
-    /// buffers: counters are overwritten in place and the name lists are
-    /// rebuilt only when the composition is not the one already there.
-    fn publish_into(&self, status: &mut NodeStatus) {
-        let names = self.slots.iter().map(|slot| slot.name);
-        if !names.eq(status.protocols.iter().map(String::as_str)) {
-            status.protocols = self.protocol_names();
-            status.stats.protocols = self
-                .slots
-                .iter()
-                .map(|slot| (slot.name.to_string(), slot.cf.stats()))
-                .collect();
-        }
-        for (slot, (_, stats)) in self.slots.iter().zip(&mut status.stats.protocols) {
-            *stats = slot.cf.stats();
-        }
-        // Destructured so that a new counter cannot be left unpublished.
-        let DeploymentStats {
-            events_routed,
-            dispatch_rounds,
-            reconfigs_applied,
-            protocols: _,
-        } = self.stats;
-        status.stats.events_routed = events_routed;
-        status.stats.dispatch_rounds = dispatch_rounds;
-        status.stats.reconfigs_applied = reconfigs_applied;
-    }
-
-    /// Deploys a protocol. When the deployment is already started the
-    /// protocol starts immediately (its source timers arm).
-    ///
-    /// # Errors
-    ///
-    /// Fails on duplicate names, a second reactive protocol, or integrity
-    /// rule veto.
-    pub fn add_protocol(
-        &mut self,
-        cf: ManetProtocolCf,
-        os: &mut NodeOs,
-    ) -> Result<(), DeployError> {
-        self.add_protocol_offline(cf)?;
-        if self.started {
-            let idx = self.slots.len() - 1;
-            self.start_protocol(idx, os);
-            self.drain(os);
-        }
-        Ok(())
+        self.tally.flush(&self.manager, os);
     }
 
     /// Deploys a protocol before the node has access to an OS (pre-install
@@ -530,28 +415,11 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`add_protocol`](Self::add_protocol).
+    /// Fails on duplicate names, a second reactive protocol, or integrity
+    /// rule veto.
     pub fn add_protocol_offline(&mut self, cf: ManetProtocolCf) -> Result<(), DeployError> {
-        self.try_add_protocol_offline(cf).map_err(|(_, e)| e)
-    }
-
-    /// Like [`add_protocol_offline`](Self::add_protocol_offline), but hands
-    /// the protocol CF back on failure instead of dropping it — the
-    /// transactional path, where a rejected CF (and the state it may carry)
-    /// must survive the abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns the untouched CF alongside the failure.
-    // The Err variant is deliberately the full CF: the caller re-owns it to
-    // reinstate carried state on abort, so boxing would only move the cost.
-    #[allow(clippy::result_large_err)]
-    pub fn try_add_protocol_offline(
-        &mut self,
-        cf: ManetProtocolCf,
-    ) -> Result<(), (ManetProtocolCf, DeployError)> {
-        let at = self.slots.len();
-        self.try_insert_protocol_offline(at, cf)
+        self.try_insert_protocol_offline(self.slots.len(), cf)
+            .map_err(|(_, e)| e)
     }
 
     /// Inserts a protocol at stack position `at` (used by transactional
@@ -729,7 +597,9 @@ impl Deployment {
     }
 
     /// Applies one reconfiguration operation (at a quiescent point — no
-    /// event is in flight when this is called).
+    /// event is in flight when this is called). Every op but `Mutate` is the
+    /// transaction engine's, with its undo entry dropped: outside a
+    /// transaction nothing can undo it.
     ///
     /// # Errors
     ///
@@ -737,66 +607,26 @@ impl Deployment {
     /// left unchanged on error.
     pub fn apply(&mut self, op: ReconfigOp, os: &mut NodeOs) -> Result<(), DeployError> {
         match op {
-            ReconfigOp::AddProtocol(cf) => {
-                self.add_protocol(cf, os)?;
-                os.trace_reconfig_apply("add_protocol");
-            }
-            ReconfigOp::RemoveProtocol { name } => {
-                self.remove_protocol(&name, os)?;
-                os.trace_reconfig_apply("remove_protocol");
-            }
-            ReconfigOp::SwitchProtocol {
-                old,
-                new,
-                transfer_state,
-            } => {
-                // Outside a transaction nothing can undo the switch, so the
-                // retired CF is dropped.
-                self.switch_protocol(&old, new, transfer_state, os)?;
-            }
-            ReconfigOp::UpdateTuple { protocol, tuple } => {
-                let slot = self
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.cf.name() == protocol)
-                    .ok_or(DeployError::NoSuchProtocol(protocol))?;
-                slot.cf.set_tuple(tuple.clone());
-                self.manager.update_tuple(slot.unit, tuple);
-                os.trace_rebind("update_tuple");
-            }
             ReconfigOp::Mutate { protocol, op } => {
-                let slot = self
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.cf.name() == protocol)
-                    .ok_or_else(|| DeployError::NoSuchProtocol(protocol.clone()))?;
+                let idx = self
+                    .protocol_position(&protocol)
+                    .ok_or(DeployError::NoSuchProtocol(protocol))?;
+                let slot = &mut self.slots[idx];
                 op(&mut slot.cf);
                 // The mutation may have changed the tuple; re-derive wiring.
-                let tuple = slot.cf.tuple().clone();
-                self.manager.update_tuple(slot.unit, tuple);
+                self.manager
+                    .update_tuple(slot.unit, slot.cf.tuple().clone());
                 // Re-arm timers so sources added by the mutation run.
                 if self.started {
-                    let idx = self
-                        .slots
-                        .iter()
-                        .position(|s| s.cf.name() == protocol)
-                        .expect("slot still present");
                     self.start_protocol(idx, os);
                 }
                 os.trace_rebind("mutate");
             }
-            ReconfigOp::RegisterMessage(reg) => {
-                self.system.register_message(reg);
-                self.refresh_system_tuple();
-                os.trace_rebind("register_message");
-            }
-            ReconfigOp::MutateSystem { op } => {
-                op(&mut self.system);
-                self.refresh_system_tuple();
-                os.trace_rebind("mutate_system");
+            op => {
+                crate::txn::apply_one(self, op, os)?;
             }
         }
-        self.stats.reconfigs_applied += 1;
+        self.ops_applied += 1;
         Ok(())
     }
 
@@ -893,14 +723,13 @@ impl Deployment {
 
     /// [`dispatch`](Self::dispatch) over a caller-owned buffer, left empty.
     fn dispatch_drain(&mut self, os: &mut NodeOs, events: &mut Vec<Event>, origin: Option<UnitId>) {
-        self.stats.dispatch_rounds += 1;
         let mut queue = self.take_queue();
         for ev in events.drain(..) {
             self.route_event(&mut queue, ev, origin);
         }
         self.run_queue(queue, os);
         self.system.flush(os);
-        self.telemetry.record_round();
+        self.tally.record_round();
     }
 
     fn drain(&mut self, os: &mut NodeOs) {
@@ -948,17 +777,15 @@ impl Deployment {
             event.meta.origin = origin.and_then(|o| self.origin_name(o));
         }
         if let Some(o) = origin {
-            self.telemetry.record_out(o);
+            self.tally.record_out(o);
         }
         // Wrap once; every subscriber shares this allocation. Routing walks
         // the precomputed table without allocating a recipient list.
         let shared = Arc::new(event);
-        let Deployment { manager, stats, .. } = self;
-        manager.route_for_each(shared.ty, origin, |target| {
-            stats.events_routed += 1;
+        self.manager.route_for_each(shared.ty, origin, |target| {
             queue.push(target, Arc::clone(&shared));
         });
-        self.telemetry.observe_queue_depth(queue.len());
+        self.tally.observe_queue_depth(queue.len());
     }
 
     fn deliver_one(
@@ -968,7 +795,7 @@ impl Deployment {
         event: &Event,
         os: &mut NodeOs,
     ) {
-        self.telemetry.record_in(unit);
+        self.tally.record_in(unit);
         os.trace_bus_deliver(event.ty.as_str(), unit as u64, queue.len() as u64);
         if unit == self.system_unit {
             self.system.consume(event, os);
@@ -1000,13 +827,7 @@ impl Deployment {
         self.run_queue(queue, os);
         self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
         self.system.flush(os);
-        self.telemetry.record_round();
-    }
-
-    /// Credits `n` reconfiguration ops to the counters (the transactional
-    /// path applies ops itself and reports them here on commit).
-    pub(crate) fn note_reconfigs(&mut self, n: u64) {
-        self.stats.reconfigs_applied += n;
+        self.tally.record_round();
     }
 
     fn apply_side_effects(
@@ -1100,9 +921,20 @@ impl Component for ProtocolAdapter {
 
 // ---- ManetNode: the netsim adapter -----------------------------------------
 
-/// Pending reconfiguration ops, each optionally stamped with the virtual
-/// time it was requested at (feeds the flight recorder's quiesce-wait).
-type PendingOps = Arc<Mutex<Vec<(ReconfigOp, Option<netsim::SimTime>)>>>;
+/// What a [`ManetNode`] shares with its [`NodeHandle`]s, behind one lock:
+/// the requests waiting for the next quiescent point and the status last
+/// published.
+#[derive(Default)]
+struct Inbox {
+    /// Pending reconfiguration ops, each optionally stamped with the
+    /// virtual time it was requested at (feeds the flight recorder's
+    /// quiesce-wait).
+    ops: Vec<(ReconfigOp, Option<netsim::SimTime>)>,
+    /// Pending transaction control verbs, in arrival order.
+    verbs: Vec<TxnCtl>,
+    /// The status the node last published.
+    status: NodeStatus,
+}
 
 /// A transaction control verb delivered through a [`NodeHandle`], processed
 /// FIFO at the node's next quiescent point. The fleet coordinator drives
@@ -1154,8 +986,6 @@ impl fmt::Debug for TxnCtl {
     }
 }
 
-type TxnCtlQueue = Arc<Mutex<Vec<TxnCtl>>>;
-
 /// External control handle over a running [`ManetNode`].
 ///
 /// Reconfiguration requests enqueue here and are enacted at the node's next
@@ -1163,15 +993,13 @@ type TxnCtlQueue = Arc<Mutex<Vec<TxnCtl>>>;
 /// reconfiguration discipline.
 #[derive(Clone)]
 pub struct NodeHandle {
-    ops: PendingOps,
-    txns: TxnCtlQueue,
-    status: Arc<Mutex<NodeStatus>>,
+    inbox: Arc<Mutex<Inbox>>,
 }
 
 impl NodeHandle {
     /// Enqueues a reconfiguration operation.
     pub fn apply(&self, op: ReconfigOp) {
-        self.ops.lock().push((op, None));
+        self.inbox.lock().ops.push((op, None));
     }
 
     /// Enqueues a reconfiguration operation stamped with the virtual time
@@ -1179,28 +1007,28 @@ impl NodeHandle {
     /// quiesce-begin record reports how long the oldest stamped op waited
     /// for the quiescent point.
     pub fn apply_at(&self, op: ReconfigOp, now: netsim::SimTime) {
-        self.ops.lock().push((op, Some(now)));
+        self.inbox.lock().ops.push((op, Some(now)));
     }
 
     /// The most recent status snapshot.
     #[must_use]
     pub fn status(&self) -> NodeStatus {
-        self.status.lock().clone()
+        self.inbox.lock().status.clone()
     }
 
     /// Number of operations still waiting for a quiescent point.
     #[must_use]
     pub fn pending_ops(&self) -> usize {
-        self.ops.lock().len()
+        self.inbox.lock().ops.len()
     }
 
     /// Discards every operation still waiting for a quiescent point and
     /// returns how many were dropped (give-up path for nodes that will not
     /// come back).
     pub fn clear_pending(&self) -> usize {
-        let mut ops = self.ops.lock();
-        let dropped = ops.len();
-        ops.clear();
+        let mut inbox = self.inbox.lock();
+        let dropped = inbox.ops.len();
+        inbox.ops.clear();
         dropped
     }
 
@@ -1208,7 +1036,7 @@ impl NodeHandle {
     /// [`NodeStatus::alive`]).
     #[must_use]
     pub fn is_alive(&self) -> bool {
-        self.status.lock().alive
+        self.inbox.lock().status.alive
     }
 
     /// Enqueues a transaction control verb (see [`TxnCtl`]). Verbs are
@@ -1216,14 +1044,14 @@ impl NodeHandle {
     /// immediately followed by an `Abort` resolves deterministically even
     /// when the node only wakes after both were enqueued.
     pub fn txn_ctl(&self, ctl: TxnCtl) {
-        self.txns.lock().push(ctl);
+        self.inbox.lock().verbs.push(ctl);
     }
 
     /// Number of transaction control verbs still waiting for a quiescent
     /// point.
     #[must_use]
     pub fn pending_txn_ctl(&self) -> usize {
-        self.txns.lock().len()
+        self.inbox.lock().verbs.len()
     }
 }
 
@@ -1238,9 +1066,7 @@ impl fmt::Debug for NodeHandle {
 /// A MANETKit deployment living on a netsim node.
 pub struct ManetNode {
     deployment: Deployment,
-    ops: PendingOps,
-    txns: TxnCtlQueue,
-    status: Arc<Mutex<NodeStatus>>,
+    inbox: Arc<Mutex<Inbox>>,
     /// A prepared transaction awaiting commit or abort. While one is open,
     /// plain pending ops stay queued (they would contaminate the undo log's
     /// checkpoint).
@@ -1253,9 +1079,16 @@ pub struct ManetNode {
     /// first post-reboot quiescent point rolls it back before anything
     /// else, so a reboot can never resurrect a half-committed composition.
     txn_doomed: bool,
+    /// The most recent transaction's outcome and reconfiguration failure,
+    /// as the next published status reports them.
+    txn: Option<TxnReport>,
+    last_error: Option<String>,
+    /// The published status no longer reports the node: this callback's
+    /// quiescent point changed something, or a crash marked it not alive.
+    stale: bool,
     /// Publish [`structural_hash`](crate::txn::structural_hash) into
-    /// [`NodeStatus::composition_hash`] on every status refresh. Off by
-    /// default: only the model checker needs a per-step composition digest.
+    /// [`NodeStatus::composition_hash`] with every status. Off by default:
+    /// only the model checker needs a per-step composition digest.
     publish_composition: bool,
     /// **Fault-injection hook for the model checker** — when set, the
     /// doomed-transaction path after a crash reports the transaction rolled
@@ -1271,19 +1104,21 @@ impl ManetNode {
     pub fn new(concurrency: ConcurrencyModel) -> Self {
         ManetNode {
             deployment: Deployment::new(concurrency),
-            ops: Arc::new(Mutex::new(Vec::new())),
-            txns: Arc::new(Mutex::new(Vec::new())),
-            status: Arc::new(Mutex::new(NodeStatus::default())),
+            inbox: Arc::new(Mutex::new(Inbox::default())),
             prepared: None,
             committed: None,
             txn_doomed: false,
+            txn: None,
+            last_error: None,
+            stale: false,
             publish_composition: false,
             skip_doomed_rollback: false,
         }
     }
 
-    /// Publish the composition's structural hash with every status refresh
-    /// (see [`NodeStatus::composition_hash`]).
+    /// Publish the composition's structural hash with every status (see
+    /// [`NodeStatus::composition_hash`]). Set it before installing the
+    /// node: a status is published only when it changes.
     pub fn set_publish_composition(&mut self, on: bool) {
         self.publish_composition = on;
     }
@@ -1311,162 +1146,49 @@ impl ManetNode {
     #[must_use]
     pub fn handle(&self) -> NodeHandle {
         NodeHandle {
-            ops: self.ops.clone(),
-            txns: self.txns.clone(),
-            status: self.status.clone(),
+            inbox: Arc::clone(&self.inbox),
         }
     }
 
-    fn set_txn_report(&self, id: u64, phase: TxnPhase, detail: String) {
-        self.status.lock().txn = Some(TxnReport { id, phase, detail });
+    fn report(&mut self, id: u64, phase: TxnPhase, detail: String) {
+        self.txn = Some(TxnReport { id, phase, detail });
     }
 
-    /// Processes queued transaction control verbs (FIFO). Runs before plain
-    /// pending ops so 2PC outcomes resolve first.
-    fn txn_point(&mut self, os: &mut NodeOs) {
-        // A crash while a transaction was prepared dooms it: the
-        // coordinator cannot have committed (it never saw us prepared, or
-        // saw us die), so roll back before anything else runs.
-        if self.txn_doomed {
-            self.txn_doomed = false;
-            if let Some(txn) = self.prepared.take() {
-                let id = txn.id;
-                os.trace_txn_abort(id, "crashed");
-                os.bump("txn.aborted");
-                if self.skip_doomed_rollback {
-                    // Seeded mutation: claim the rollback happened without
-                    // unwinding (and without bumping `txn.rolled_back`).
-                    // The half-applied prepare survives the reboot — the
-                    // exact bug the invariants exist to catch.
-                    drop(txn);
-                    self.set_txn_report(
-                        id,
-                        TxnPhase::RolledBack,
-                        "crashed while prepared".to_string(),
-                    );
-                } else {
-                    let clean = crate::txn::rollback(&mut self.deployment, txn, os);
-                    let detail = if clean {
-                        "crashed while prepared".to_string()
-                    } else {
-                        "crashed while prepared; rollback mismatch".to_string()
-                    };
-                    self.set_txn_report(id, TxnPhase::RolledBack, detail);
-                }
-            }
-        }
-        let ctls: Vec<TxnCtl> = std::mem::take(&mut *self.txns.lock());
-        for ctl in ctls {
-            match ctl {
-                TxnCtl::Prepare {
-                    id,
-                    ops,
-                    requested,
-                    deadline,
-                    quiesce_within,
-                } => {
-                    // A new transaction finalises any undo log retained
-                    // from the previous committed one.
-                    self.committed = None;
-                    if self.prepared.is_some() {
-                        os.bump("txn.aborted");
-                        os.trace_txn_abort(id, "busy");
-                        self.set_txn_report(
-                            id,
-                            TxnPhase::Aborted,
-                            "a transaction is already prepared".to_string(),
-                        );
-                        continue;
-                    }
-                    let now = os.now();
-                    if let Some(dl) = deadline {
-                        if now > dl {
-                            // The coordinator's prepare window has passed:
-                            // it has already counted us out. Refusing here
-                            // keeps a late-waking node from preparing into
-                            // a transaction that was resolved without it.
-                            os.bump("txn.prepare_expired");
-                            os.bump("txn.aborted");
-                            os.trace_txn_abort(id, "quiesce_timeout");
-                            self.set_txn_report(
-                                id,
-                                TxnPhase::Aborted,
-                                format!(
-                                    "quiescent point reached at {}us, after the prepare deadline {}us",
-                                    now.as_micros(),
-                                    dl.as_micros()
-                                ),
-                            );
-                            continue;
-                        }
-                    }
-                    let waited = requested.map_or(0, |t| now.since(t).as_micros());
-                    os.trace_quiesce_begin(ops.len() as u64, waited);
-                    match crate::txn::prepare(&mut self.deployment, id, ops, quiesce_within, os) {
-                        Ok(txn) => {
-                            self.set_txn_report(id, TxnPhase::Prepared, String::new());
-                            self.prepared = Some(txn);
-                        }
-                        Err(aborted) => {
-                            self.status.lock().last_error = Some(aborted.to_string());
-                            self.set_txn_report(
-                                id,
-                                TxnPhase::Aborted,
-                                format!("{}: {}", aborted.reason, aborted.detail),
-                            );
-                        }
-                    }
-                }
-                TxnCtl::Commit { id } => {
-                    if self.prepared.as_ref().is_some_and(|t| t.id == id) {
-                        let txn = self.prepared.take().expect("checked above");
-                        crate::txn::commit(&mut self.deployment, &txn, os);
-                        self.committed = Some(txn);
-                        self.set_txn_report(id, TxnPhase::Committed, String::new());
-                    }
-                }
-                TxnCtl::Abort { id, reason } => {
-                    if self.prepared.as_ref().is_some_and(|t| t.id == id) {
-                        let txn = self.prepared.take().expect("checked above");
-                        os.trace_txn_abort(id, reason);
-                        os.bump("txn.aborted");
-                        let clean = crate::txn::rollback(&mut self.deployment, txn, os);
-                        let detail = if clean {
-                            reason.to_string()
-                        } else {
-                            format!("{reason}; rollback mismatch")
-                        };
-                        self.set_txn_report(id, TxnPhase::RolledBack, detail);
-                    }
-                }
-                TxnCtl::Revert { id } => {
-                    if self.committed.as_ref().is_some_and(|t| t.id == id) {
-                        let txn = self.committed.take().expect("checked above");
-                        let clean = crate::txn::revert(&mut self.deployment, txn, os);
-                        let detail = if clean {
-                            String::new()
-                        } else {
-                            "rollback mismatch".to_string()
-                        };
-                        self.set_txn_report(id, TxnPhase::Reverted, detail);
-                    }
-                }
-            }
-        }
-    }
-
+    /// The quiescent point at the start of every callback: a doomed
+    /// transaction rolls back, queued verbs run FIFO so 2PC outcomes
+    /// resolve first, then queued plain ops — unless a transaction is left
+    /// open. With nothing queued it takes one lock.
     fn quiescent_point(&mut self, os: &mut NodeOs) {
-        self.txn_point(os);
-        if self.prepared.is_some() {
-            // Plain ops wait until the open transaction resolves: applying
+        if std::mem::take(&mut self.txn_doomed) {
+            self.roll_back_doomed(os);
+        }
+        let (verbs, mut ops) = {
+            let mut inbox = self.inbox.lock();
+            let verbs = std::mem::take(&mut inbox.verbs);
+            // Plain ops wait until an open transaction resolves: applying
             // them now would change the composition underneath the undo
             // log's checkpoint.
-            return;
+            let ops = if verbs.is_empty() && self.prepared.is_none() {
+                std::mem::take(&mut inbox.ops)
+            } else {
+                Vec::new()
+            };
+            (verbs, ops)
+        };
+        if !verbs.is_empty() {
+            self.stale = true;
+            for verb in verbs {
+                self.run_verb(verb, os);
+            }
+            if self.prepared.is_some() {
+                return;
+            }
+            ops = std::mem::take(&mut self.inbox.lock().ops);
         }
-        let ops: Vec<(ReconfigOp, Option<netsim::SimTime>)> = std::mem::take(&mut *self.ops.lock());
         if ops.is_empty() {
             return;
         }
+        self.stale = true;
         let now = os.now();
         let waited = ops
             .iter()
@@ -1483,22 +1205,139 @@ impl ManetNode {
                 }
                 Err(e) => {
                     os.bump("reconfig.ops_failed");
-                    self.status.lock().last_error = Some(e.to_string());
+                    self.last_error = Some(e.to_string());
                 }
             }
         }
-        os.trace_resume(applied, self.deployment.stats().reconfigs_applied);
+        os.trace_resume(applied, self.deployment.ops_applied);
     }
 
-    fn publish_status(&self) {
-        let hash = self
-            .publish_composition
-            .then(|| crate::txn::structural_hash(&self.deployment));
-        let mut status = self.status.lock();
-        self.deployment.publish_into(&mut status);
-        status.reconfigs_applied = status.stats.reconfigs_applied;
-        status.alive = true;
-        status.composition_hash = hash;
+    /// A crash while a transaction was prepared dooms it: the coordinator
+    /// cannot have committed (it never saw us prepared, or saw us die), so
+    /// it rolls back before anything else runs.
+    fn roll_back_doomed(&mut self, os: &mut NodeOs) {
+        let Some(txn) = self.prepared.take() else {
+            return;
+        };
+        let id = txn.id;
+        os.trace_txn_abort(id, "crashed");
+        os.bump("txn.aborted");
+        let detail = if self.skip_doomed_rollback {
+            // Seeded mutation: claim the rollback happened without
+            // unwinding (and without bumping `txn.rolled_back`). The
+            // half-applied prepare survives the reboot — the exact bug the
+            // invariants exist to catch.
+            drop(txn);
+            "crashed while prepared"
+        } else if crate::txn::rollback(&mut self.deployment, txn, os) {
+            "crashed while prepared"
+        } else {
+            "crashed while prepared; rollback mismatch"
+        };
+        self.report(id, TxnPhase::RolledBack, detail.to_string());
+        self.stale = true;
+    }
+
+    /// Runs one transaction control verb.
+    fn run_verb(&mut self, verb: TxnCtl, os: &mut NodeOs) {
+        match verb {
+            TxnCtl::Prepare {
+                id,
+                ops,
+                requested,
+                deadline,
+                quiesce_within,
+            } => {
+                // A new transaction finalises any undo log retained from
+                // the previous committed one.
+                self.committed = None;
+                if self.prepared.is_some() {
+                    os.bump("txn.aborted");
+                    os.trace_txn_abort(id, "busy");
+                    let detail = "a transaction is already prepared".to_string();
+                    self.report(id, TxnPhase::Aborted, detail);
+                    return;
+                }
+                let now = os.now();
+                if let Some(dl) = deadline.filter(|&dl| now > dl) {
+                    // The coordinator's prepare window has passed: it has
+                    // already counted us out. Refusing here keeps a
+                    // late-waking node from preparing into a transaction
+                    // that was resolved without it.
+                    os.bump("txn.prepare_expired");
+                    os.bump("txn.aborted");
+                    os.trace_txn_abort(id, "quiesce_timeout");
+                    let detail = format!(
+                        "quiescent point reached at {}us, after the prepare deadline {}us",
+                        now.as_micros(),
+                        dl.as_micros()
+                    );
+                    self.report(id, TxnPhase::Aborted, detail);
+                    return;
+                }
+                let waited = requested.map_or(0, |t| now.since(t).as_micros());
+                os.trace_quiesce_begin(ops.len() as u64, waited);
+                match crate::txn::prepare(&mut self.deployment, id, ops, quiesce_within, os) {
+                    Ok(txn) => {
+                        self.report(id, TxnPhase::Prepared, String::new());
+                        self.prepared = Some(txn);
+                    }
+                    Err(aborted) => {
+                        self.last_error = Some(aborted.to_string());
+                        let detail = format!("{}: {}", aborted.reason, aborted.detail);
+                        self.report(id, TxnPhase::Aborted, detail);
+                    }
+                }
+            }
+            TxnCtl::Commit { id } => {
+                if let Some(txn) = self.prepared.take_if(|t| t.id == id) {
+                    crate::txn::commit(&mut self.deployment, &txn, os);
+                    self.committed = Some(txn);
+                    self.report(id, TxnPhase::Committed, String::new());
+                }
+            }
+            TxnCtl::Abort { id, reason } => {
+                if let Some(txn) = self.prepared.take_if(|t| t.id == id) {
+                    os.trace_txn_abort(id, reason);
+                    os.bump("txn.aborted");
+                    let detail = if crate::txn::rollback(&mut self.deployment, txn, os) {
+                        reason.to_string()
+                    } else {
+                        format!("{reason}; rollback mismatch")
+                    };
+                    self.report(id, TxnPhase::RolledBack, detail);
+                }
+            }
+            TxnCtl::Revert { id } => {
+                if let Some(txn) = self.committed.take_if(|t| t.id == id) {
+                    let detail = if crate::txn::revert(&mut self.deployment, txn, os) {
+                        String::new()
+                    } else {
+                        "rollback mismatch".to_string()
+                    };
+                    self.report(id, TxnPhase::Reverted, detail);
+                }
+            }
+        }
+    }
+
+    /// Ends a callback: flushes the bus tally and, if the callback changed
+    /// what the node reports, publishes its status.
+    fn finish(&mut self, os: &mut NodeOs) {
+        self.deployment.flush_telemetry(os);
+        if self.stale {
+            self.stale = false;
+            let status = NodeStatus {
+                protocols: self.deployment.protocol_names(),
+                last_error: self.last_error.clone(),
+                alive: true,
+                txn: self.txn.clone(),
+                composition_hash: self
+                    .publish_composition
+                    .then(|| crate::txn::structural_hash(&self.deployment)),
+            };
+            self.inbox.lock().status = status;
+        }
     }
 }
 
@@ -1518,42 +1357,38 @@ impl netsim::RoutingAgent for ManetNode {
     fn start(&mut self, os: &mut NodeOs) {
         self.quiescent_point(os);
         self.deployment.start(os);
-        self.deployment.flush_telemetry(os);
-        self.publish_status();
+        self.stale = true;
+        self.finish(os);
     }
 
     fn on_frame(&mut self, os: &mut NodeOs, from: Address, bytes: &[u8]) {
         self.quiescent_point(os);
         self.deployment.on_frame(os, from, bytes);
-        self.deployment.flush_telemetry(os);
-        self.publish_status();
+        self.finish(os);
     }
 
     fn on_timer(&mut self, os: &mut NodeOs, token: u64) {
         self.quiescent_point(os);
         self.deployment.on_timer(os, token);
-        self.deployment.flush_telemetry(os);
-        self.publish_status();
+        self.finish(os);
     }
 
     fn on_filter_event(&mut self, os: &mut NodeOs, event: FilterEvent) {
         self.quiescent_point(os);
         self.deployment.on_filter_event(os, &event);
-        self.deployment.flush_telemetry(os);
-        self.publish_status();
+        self.finish(os);
     }
 
     fn on_context(&mut self, os: &mut NodeOs, sample: ContextSample) {
         self.quiescent_point(os);
         self.deployment.on_context(os, &sample);
-        self.deployment.flush_telemetry(os);
-        self.publish_status();
+        self.finish(os);
     }
 
     fn stop(&mut self, os: &mut NodeOs) {
         self.deployment.stop(os);
-        self.deployment.flush_telemetry(os);
-        self.publish_status();
+        self.stale = true;
+        self.finish(os);
     }
 
     fn on_crash(&mut self, _os: &mut NodeOs) {
@@ -1566,6 +1401,7 @@ impl netsim::RoutingAgent for ManetNode {
         if self.prepared.is_some() {
             self.txn_doomed = true;
         }
-        self.status.lock().alive = false;
+        self.inbox.lock().status.alive = false;
+        self.stale = true;
     }
 }

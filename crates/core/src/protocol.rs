@@ -244,19 +244,6 @@ pub trait Forwarder: Send {
     fn forward(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
 }
 
-/// Counters a protocol CF keeps about itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProtocolStats {
-    /// Events delivered to this CF.
-    pub events_delivered: u64,
-    /// Events handled by at least one handler.
-    pub events_handled: u64,
-    /// Messages passed to the F element.
-    pub messages_forwarded: u64,
-    /// Source firings.
-    pub source_firings: u64,
-}
-
 /// Errors from protocol CF reconfiguration operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -323,7 +310,6 @@ pub struct ManetProtocolCf {
     /// [`RouteCarry`](crate::carry::RouteCarry), used when a switch hands
     /// routes to a protocol with a different state type.
     route_carrier: Option<RouteCarrier>,
-    stats: ProtocolStats,
     /// Named timers armed when the protocol starts (e.g. expiry sweeps).
     startup_timers: Vec<(SimDuration, EventType)>,
     /// Message kinds this protocol treats as *reactive* route discovery —
@@ -347,7 +333,6 @@ impl ManetProtocolCf {
                 state: StateSlot::empty(),
                 state_codec: None,
                 route_carrier: None,
-                stats: ProtocolStats::default(),
                 startup_timers: Vec::new(),
                 reactive: false,
             },
@@ -376,12 +361,6 @@ impl ManetProtocolCf {
     #[must_use]
     pub fn is_reactive(&self) -> bool {
         self.reactive
-    }
-
-    /// The protocol's self-observed counters.
-    #[must_use]
-    pub fn stats(&self) -> ProtocolStats {
-        self.stats
     }
 
     /// Names of all plug-ins (handlers, sources, forwarder).
@@ -435,23 +414,15 @@ impl ManetProtocolCf {
 
     /// Delivers an event to the matching handlers and the forwarder.
     pub fn deliver(&mut self, event: &Event, ctx: &mut ProtoCtx<'_>) {
-        self.stats.events_delivered += 1;
-        let mut handled = false;
         for h in &mut self.handlers {
             if h.subs.contains(&event.ty) {
                 h.handler.handle(event, &mut self.state, ctx);
-                handled = true;
             }
         }
         if let Some(f) = &mut self.forwarder {
             if self.forwarder_subs.contains(&event.ty) {
                 f.forward(event, &mut self.state, ctx);
-                self.stats.messages_forwarded += 1;
-                handled = true;
             }
-        }
-        if handled {
-            self.stats.events_handled += 1;
         }
     }
 
@@ -463,7 +434,6 @@ impl ManetProtocolCf {
         if let Some(slot) = self.sources.iter_mut().find(|s| &s.timer == ty) {
             slot.source.fire(&mut self.state, ctx);
             ctx.set_timer(slot.source.period(), slot.timer);
-            self.stats.source_firings += 1;
             return;
         }
         let ev = Event::signal(*ty);
@@ -884,8 +854,7 @@ mod tests {
         let mut ctx = ProtoCtx::new(&mut os, "test");
         cf.deliver(&Event::signal(types::tc_in()), &mut ctx);
         assert_eq!(cf.state().get::<CounterState>().seen, 1);
-        assert_eq!(cf.stats().events_delivered, 2);
-        assert_eq!(cf.stats().events_handled, 1);
+        assert!(ctx.take_outputs().emitted.is_empty());
     }
 
     #[test]
@@ -905,7 +874,6 @@ mod tests {
         let out = ctx.take_outputs();
         assert_eq!(out.emitted[0].ty, types::hello_out());
         assert_eq!(out.timer_sets.len(), 1);
-        assert_eq!(cf.stats().source_firings, 1);
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //!
 //! * [`Strategy::BestEffort`]: ops enqueue everywhere and apply
 //!   independently at each node's quiescent point; crashed nodes pick
-//!   theirs up after reboot.
-//! * [`Strategy::Retry`]: like best-effort, but dead nodes are tracked
-//!   against the coordinator's retry budget and dropped once it is
-//!   exhausted (the permanently-dead give-up path).
+//!   theirs up after reboot, or are given up on with
+//!   [`FleetCoordinator::give_up_deferred`].
 //! * [`Strategy::TwoPhase`]: a two-phase commit over the per-node
 //!   transaction engine ([`crate::txn`]) — every alive node *prepares*
 //!   the batch (checkpoint + apply + hold the undo log open), and the
@@ -34,7 +32,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netsim::{NodeId, SimDuration, World};
-use parking_lot::Mutex;
 
 use crate::node::{NodeHandle, ReconfigOp, TxnCtl, TxnPhase};
 
@@ -43,13 +40,6 @@ use crate::node::{NodeHandle, ReconfigOp, TxnCtl, TxnPhase};
 pub struct FleetCoordinator {
     handles: Vec<NodeHandle>,
     ids: Vec<NodeId>,
-    /// How many consecutive times a [`Strategy::Retry`] execution may find
-    /// a node dead before its pending ops are dropped automatically
-    /// (`None`: never give up).
-    retry_budget: Option<u32>,
-    /// Consecutive dead-at-enqueue counts, indexed like `handles`. Shared
-    /// so cloned coordinators agree on the budget accounting.
-    attempts: Arc<Mutex<Vec<u32>>>,
     /// Transaction id allocator.
     next_txn: Arc<AtomicU64>,
 }
@@ -112,10 +102,9 @@ pub enum TxnVerdict {
     /// The fleet committed but the health gate tripped; every participant
     /// reverted to its checkpoint.
     Reverted,
-    /// Non-transactional execution ([`Strategy::BestEffort`] /
-    /// [`Strategy::Retry`]): the batches were enqueued and apply
-    /// independently at each node's quiescent point — watch
-    /// [`FleetCoordinator::status`] for convergence.
+    /// Non-transactional execution ([`Strategy::BestEffort`]): the batches
+    /// were enqueued and apply independently at each node's quiescent
+    /// point — watch [`FleetCoordinator::status`] for convergence.
     Enqueued,
 }
 
@@ -197,38 +186,22 @@ impl HealthGate {
 }
 
 /// Knobs for [`Strategy::TwoPhase`] executions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TxnOptions {
-    /// Virtual-time budget for every participant to reach a quiescent
-    /// point and prepare. Nodes reaching their quiescent point later
-    /// refuse the prepare themselves (see [`TxnCtl::Prepare`]).
-    pub prepare_timeout: SimDuration,
-    /// Simulation slice between coordinator status polls.
-    pub poll: SimDuration,
-    /// Virtual-time budget for commit/abort/revert acknowledgements.
-    pub resolve_timeout: SimDuration,
-    /// Wall-clock budget for each node's quiescence-lock probe.
-    pub quiesce_within: std::time::Duration,
     /// Optional health-gated commit.
     pub health: Option<HealthGate>,
-    /// `true` (default): nodes that are down when the transaction starts
-    /// are skipped (reported in [`FleetTxnReport::skipped`]); `false`:
-    /// any dead node aborts the transaction up front.
-    pub skip_dead: bool,
 }
 
-impl Default for TxnOptions {
-    fn default() -> Self {
-        TxnOptions {
-            prepare_timeout: SimDuration::from_secs(5),
-            poll: SimDuration::from_millis(100),
-            resolve_timeout: SimDuration::from_secs(5),
-            quiesce_within: crate::txn::DEFAULT_QUIESCE_WITHIN,
-            health: None,
-            skip_dead: true,
-        }
-    }
-}
+/// Virtual-time budget for every participant to reach a quiescent point
+/// and prepare. Nodes reaching their quiescent point later refuse the
+/// prepare themselves (see [`TxnCtl::Prepare`]).
+const PREPARE_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
+/// Simulation slice between coordinator status polls.
+const POLL: SimDuration = SimDuration::from_millis(100);
+
+/// Virtual-time budget for commit/abort/revert acknowledgements.
+const RESOLVE_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// What the network did while a committed composition ran its health
 /// gate's provisional window — the rest of the statistics window whose
@@ -286,13 +259,12 @@ pub struct FleetTxnReport {
     pub verdict: TxnVerdict,
     /// Nodes that took part.
     pub participants: Vec<NodeId>,
-    /// Nodes excluded from the run: down at the start of a transaction,
-    /// or dropped by an exhausted [`Strategy::Retry`] budget.
+    /// Nodes excluded from the run: down at the start of a transaction.
     pub skipped: Vec<NodeId>,
-    /// Nodes that were down at enqueue time of a best-effort/retry
-    /// execution; their batches apply at the first post-reboot quiescent
-    /// point. Always empty for transactional runs (a transaction skips
-    /// dead nodes instead).
+    /// Nodes that were down at enqueue time of a best-effort execution;
+    /// their batches apply at the first post-reboot quiescent point. Always
+    /// empty for transactional runs (a transaction skips dead nodes
+    /// instead).
     pub deferred: Vec<NodeId>,
     /// Why the transaction aborted or reverted (`None` on commit).
     pub reason: Option<String>,
@@ -371,13 +343,9 @@ impl Recipe<'_> {
 #[non_exhaustive]
 pub enum Strategy {
     /// Enqueue on every handle unconditionally; each node applies at its
-    /// own quiescent point (down nodes at their first post-reboot one).
+    /// own quiescent point (down nodes at their first post-reboot one, or
+    /// never, after [`FleetCoordinator::give_up_deferred`]).
     BestEffort,
-    /// Like best-effort, but nodes found dead are counted against the
-    /// coordinator's retry budget ([`FleetCoordinator::set_retry_budget`])
-    /// and abandoned — pending ops dropped, nothing new enqueued — once it
-    /// is exhausted.
-    Retry,
     /// Fleet-wide two-phase commit: all-or-nothing, with optional
     /// health-gated provisional commit via [`TxnOptions::health`].
     TwoPhase(TxnOptions),
@@ -434,21 +402,13 @@ impl<'a> ReconfigRequest<'a> {
         self
     }
 
-    /// Attaches a health gate. A transactional strategy keeps its other
-    /// options; a non-transactional (or unset) strategy is upgraded to
-    /// [`Strategy::TwoPhase`] with defaults, since only a transaction can
-    /// revert. Call after [`strategy`](Self::strategy) when combining.
+    /// Attaches a health gate, replacing any earlier one. A
+    /// non-transactional (or unset) strategy is upgraded to
+    /// [`Strategy::TwoPhase`], since only a transaction can revert. Call
+    /// after [`strategy`](Self::strategy) when combining.
     pub fn health_gate(mut self, gate: HealthGate) -> Self {
-        self.strategy = Some(match self.strategy.take() {
-            Some(Strategy::TwoPhase(mut opts)) => {
-                opts.health = Some(gate);
-                Strategy::TwoPhase(opts)
-            }
-            _ => Strategy::TwoPhase(TxnOptions {
-                health: Some(gate),
-                ..TxnOptions::default()
-            }),
-        });
+        let health = Some(gate);
+        self.strategy = Some(Strategy::TwoPhase(TxnOptions { health }));
         self
     }
 }
@@ -472,8 +432,6 @@ impl FleetCoordinator {
         FleetCoordinator {
             handles,
             ids,
-            retry_budget: None,
-            attempts: Arc::new(Mutex::new(Vec::new())),
             next_txn: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -514,18 +472,10 @@ impl FleetCoordinator {
             .map(|i| &self.handles[i])
     }
 
-    /// Caps how many consecutive [`Strategy::Retry`] executions may find a
-    /// node dead before the coordinator automatically drops that node's
-    /// pending ops (the permanently-dead give-up path). `None` (the
-    /// default) defers forever.
-    pub fn set_retry_budget(&mut self, budget: Option<u32>) {
-        self.retry_budget = budget;
-    }
-
     /// Executes a [`ReconfigRequest`] across the fleet — the single entry
     /// point for every coordination discipline.
     ///
-    /// Best-effort and retry strategies enqueue and return immediately
+    /// The best-effort strategy enqueues and returns immediately
     /// (verdict [`TxnVerdict::Enqueued`], with down nodes named in
     /// [`FleetTxnReport::deferred`]); the transactional strategy advances
     /// the world (`run_for`) while the coordinator polls for prepare and
@@ -536,8 +486,7 @@ impl FleetCoordinator {
             .recipe
             .unwrap_or_else(|| Recipe::Uniform(Box::new(Vec::new)));
         match req.strategy.unwrap_or(Strategy::BestEffort) {
-            Strategy::BestEffort => self.enqueue(&recipe, false),
-            Strategy::Retry => self.enqueue(&recipe, true),
+            Strategy::BestEffort => self.enqueue(&recipe),
             Strategy::TwoPhase(opts) => self.two_phase(world, &recipe, &opts),
         }
     }
@@ -595,53 +544,22 @@ impl FleetCoordinator {
 
     // ---- strategy internals ------------------------------------------------
 
-    /// Best-effort / retry enqueue behind [`execute`](Self::execute). With
-    /// `retry_aware`, dead nodes are counted against the retry budget and
-    /// abandoned (pending dropped, nothing enqueued, reported in `skipped`)
-    /// once it is exhausted.
-    fn enqueue(&self, recipe: &Recipe<'_>, retry_aware: bool) -> FleetTxnReport {
+    /// Best-effort enqueue behind [`execute`](Self::execute).
+    fn enqueue(&self, recipe: &Recipe<'_>) -> FleetTxnReport {
         let mut deferred = Vec::new();
-        let mut abandoned = Vec::new();
-        {
-            let mut attempts = self.attempts.lock();
-            if attempts.len() < self.handles.len() {
-                attempts.resize(self.handles.len(), 0);
+        for (i, handle) in self.handles.iter().enumerate() {
+            if !handle.is_alive() {
+                deferred.push(self.ids[i]);
             }
-            for (i, handle) in self.handles.iter().enumerate() {
-                if handle.is_alive() {
-                    if retry_aware {
-                        attempts[i] = 0;
-                    }
-                } else {
-                    if retry_aware {
-                        attempts[i] += 1;
-                        if self.retry_budget.is_some_and(|budget| attempts[i] > budget) {
-                            // Budget exhausted: the node is treated as
-                            // permanently dead. Drop whatever it still
-                            // holds and skip it.
-                            handle.clear_pending();
-                            abandoned.push(self.ids[i]);
-                            continue;
-                        }
-                    }
-                    deferred.push(self.ids[i]);
-                }
-                for op in recipe.for_node(i) {
-                    handle.apply(op);
-                }
+            for op in recipe.for_node(i) {
+                handle.apply(op);
             }
         }
-        let participants = self
-            .ids
-            .iter()
-            .copied()
-            .filter(|id| !abandoned.contains(id))
-            .collect();
         FleetTxnReport {
             txn: 0,
             verdict: TxnVerdict::Enqueued,
-            participants,
-            skipped: abandoned,
+            participants: self.ids.clone(),
+            skipped: Vec::new(),
             deferred,
             reason: None,
             pre_ratio: None,
@@ -702,13 +620,6 @@ impl FleetCoordinator {
             unresolved: Vec::new(),
             unprepared: Vec::new(),
         };
-        if !opts.skip_dead && !report.skipped.is_empty() {
-            report.reason = Some(format!(
-                "node(s) {} down and skip_dead is off",
-                id_list(&report.skipped)
-            ));
-            return report;
-        }
         if participants.is_empty() {
             report.reason = Some("no alive participants".to_string());
             return report;
@@ -730,19 +641,19 @@ impl FleetCoordinator {
 
         // Phase 1: prepare everywhere, with a virtual deadline.
         let started = world.now();
-        let deadline = started + opts.prepare_timeout;
+        let deadline = started + PREPARE_TIMEOUT;
         for &i in &participants {
             self.handles[i].txn_ctl(TxnCtl::Prepare {
                 id: txn,
                 ops: recipe.for_node(i),
                 requested: Some(started),
                 deadline: Some(deadline),
-                quiesce_within: opts.quiesce_within,
+                quiesce_within: crate::txn::DEFAULT_QUIESCE_WITHIN,
             });
         }
         let mut abort_reason: Option<String> = None;
         loop {
-            world.run_for(opts.poll);
+            world.run_for(POLL);
             let mut all_prepared = true;
             for &i in &participants {
                 match self.handles[i].status().txn {
@@ -794,7 +705,7 @@ impl FleetCoordinator {
                     reason: "peer_abort",
                 });
             }
-            report.unresolved = self.drain(world, &participants, txn, opts, |phase| {
+            report.unresolved = self.drain(world, &participants, txn, |phase| {
                 matches!(
                     phase,
                     TxnPhase::Aborted | TxnPhase::RolledBack | TxnPhase::Reverted
@@ -809,7 +720,7 @@ impl FleetCoordinator {
         for &i in &participants {
             self.handles[i].txn_ctl(TxnCtl::Commit { id: txn });
         }
-        report.unresolved = self.drain(world, &participants, txn, opts, |phase| {
+        report.unresolved = self.drain(world, &participants, txn, |phase| {
             phase == TxnPhase::Committed
         });
         report.verdict = TxnVerdict::Committed;
@@ -827,7 +738,7 @@ impl FleetCoordinator {
                 for &i in &participants {
                     self.handles[i].txn_ctl(TxnCtl::Revert { id: txn });
                 }
-                report.unresolved = self.drain(world, &participants, txn, opts, |phase| {
+                report.unresolved = self.drain(world, &participants, txn, |phase| {
                     phase == TxnPhase::Reverted
                 });
                 report.verdict = TxnVerdict::Reverted;
@@ -848,12 +759,11 @@ impl FleetCoordinator {
         world: &mut World,
         participants: &[usize],
         txn: u64,
-        opts: &TxnOptions,
         done: impl Fn(TxnPhase) -> bool,
     ) -> Vec<NodeId> {
-        let deadline = world.now() + opts.resolve_timeout;
+        let deadline = world.now() + RESOLVE_TIMEOUT;
         loop {
-            world.run_for(opts.poll);
+            world.run_for(POLL);
             let laggards: Vec<NodeId> = participants
                 .iter()
                 .filter(|&&i| {
@@ -875,7 +785,6 @@ impl fmt::Debug for FleetCoordinator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FleetCoordinator")
             .field("nodes", &self.ids)
-            .field("retry_budget", &self.retry_budget)
             .finish()
     }
 }
@@ -923,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_strategy_defers_on_crashed_node_and_applies_on_reboot() {
+    fn best_effort_defers_on_crashed_node_and_applies_on_reboot() {
         let plan = FaultPlan::builder(0)
             .crash_for(ms(500), NodeId(1), SimDuration::from_millis(1_500))
             .build();
@@ -931,12 +840,7 @@ mod tests {
         world.run_until(ms(1_000));
         assert!(!world.node_up(NodeId(1)));
 
-        let report = fleet.execute(
-            &mut world,
-            ReconfigRequest::new()
-                .recipe(register_hello)
-                .strategy(Strategy::Retry),
-        );
+        let report = fleet.execute(&mut world, ReconfigRequest::new().recipe(register_hello));
         assert_eq!(report.verdict, TxnVerdict::Enqueued);
         assert_eq!(report.txn, 0, "no transaction id for an enqueue");
         assert_eq!(
@@ -1013,12 +917,7 @@ mod tests {
         let (mut world, fleet) = fleet_world(plan);
         world.run_until(ms(1_000));
 
-        let report = fleet.execute(
-            &mut world,
-            ReconfigRequest::new()
-                .recipe(register_hello)
-                .strategy(Strategy::Retry),
-        );
+        let report = fleet.execute(&mut world, ReconfigRequest::new().recipe(register_hello));
         assert_eq!(report.deferred, vec![NodeId(1)]);
 
         // Node 0 applies at its next quiescent point; node 1 never will.
@@ -1027,51 +926,6 @@ mod tests {
         assert_eq!(abandoned, vec![(NodeId(1), 1)]);
         let status = fleet.status();
         assert!(status.converged(), "give-up clears the deferral: {status}");
-    }
-
-    #[test]
-    fn retry_budget_gives_up_on_permanently_dead_nodes_automatically() {
-        let plan = FaultPlan::builder(0).crash(ms(500), NodeId(1)).build();
-        let (mut world, mut fleet) = fleet_world(plan);
-        fleet.set_retry_budget(Some(1));
-        world.run_until(ms(1_000));
-
-        // First encounter: within budget, the op is deferred normally.
-        let report = fleet.execute(
-            &mut world,
-            ReconfigRequest::new()
-                .recipe(register_hello)
-                .strategy(Strategy::Retry),
-        );
-        assert_eq!(report.deferred, vec![NodeId(1)]);
-        assert_eq!(fleet.status().deferred, vec![NodeId(1)]);
-
-        // Second encounter: budget exceeded — pending ops are dropped and
-        // nothing new enqueues on the dead node.
-        let report = fleet.execute(
-            &mut world,
-            ReconfigRequest::new()
-                .recipe(register_hello)
-                .strategy(Strategy::Retry),
-        );
-        assert!(
-            report.deferred.is_empty(),
-            "given-up node no longer deferred"
-        );
-        assert_eq!(report.skipped, vec![NodeId(1)], "abandonment is reported");
-        assert_eq!(report.participants, vec![NodeId(0)]);
-
-        world.run_until(ms(2_500));
-        let status = fleet.status();
-        assert!(
-            status.converged(),
-            "auto-give-up clears the backlog: {status}"
-        );
-        assert_eq!(
-            world.stats().agent_counter("reconfig.ops_applied"),
-            2,
-            "the alive node applied both rounds; the dead one applied nothing"
-        );
     }
 
     #[test]
@@ -1189,19 +1043,15 @@ mod tests {
             other => panic!("expected TwoPhase upgrade, got {other:?}"),
         }
 
-        // On an existing two-phase strategy the other options survive.
-        let opts = TxnOptions {
-            prepare_timeout: SimDuration::from_secs(9),
-            ..TxnOptions::default()
+        // On an existing two-phase strategy the gate replaces its own.
+        let earlier = TxnOptions {
+            health: Some(HealthGate::default()),
         };
         let req = ReconfigRequest::new()
-            .strategy(Strategy::TwoPhase(opts))
+            .strategy(Strategy::TwoPhase(earlier))
             .health_gate(gate.clone());
         match req.strategy {
-            Some(Strategy::TwoPhase(opts)) => {
-                assert_eq!(opts.prepare_timeout, SimDuration::from_secs(9));
-                assert_eq!(opts.health, Some(gate));
-            }
+            Some(Strategy::TwoPhase(opts)) => assert_eq!(opts.health, Some(gate)),
             other => panic!("expected TwoPhase, got {other:?}"),
         }
     }

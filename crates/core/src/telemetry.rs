@@ -1,17 +1,19 @@
 //! Dispatch telemetry for the unified event bus.
 //!
-//! A [`Deployment`](crate::node::Deployment) keeps one [`BusTelemetry`]
-//! updated as events flow: per-unit in/out counters, the dispatch-queue
-//! high-water mark and the number of dispatch rounds. All of it is
-//! deterministic and is flushed into the node's
-//! [`NodeOs`](netsim::NodeOs) counters so it surfaces in
-//! [`WorldStats::agent_counters`](netsim::WorldStats) under `bus.*` names.
+//! A [`Deployment`](crate::node::Deployment) tallies, as events flow,
+//! per-unit in/out counts, the dispatch-queue high-water mark and the
+//! number of dispatch rounds. The counts live in the node's [`NodeOs`]
+//! counters: after every callback the tally is added there and zeroed, so
+//! they surface in [`WorldStats::agent_counters`](netsim::WorldStats) under
+//! `bus.*` names. All of it is deterministic.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use crate::manager::UnitId;
+use netsim::NodeOs;
+
+use crate::manager::{FrameworkManager, UnitId};
 
 /// Interns an arbitrary name, returning a `&'static str`.
 ///
@@ -48,78 +50,85 @@ pub fn intern_name(name: &str) -> &'static str {
     interned
 }
 
-/// Per-unit event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UnitCounters {
-    /// Events delivered *to* the unit.
-    pub events_in: u64,
-    /// Events emitted *by* the unit (before fan-out).
-    pub events_out: u64,
+/// The bus counts of one deployment since its last flush: per-unit event
+/// counts and dispatch rounds, which a flush adds to the node's OS counters
+/// and zeroes, and the queue-depth high-water mark, which a flush raises
+/// the OS counter to.
+#[derive(Debug, Default)]
+pub(crate) struct BusTally {
+    units: Vec<UnitTally>,
+    rounds: u64,
+    hwm: usize,
+    flushed_hwm: usize,
 }
 
-/// Aggregate dispatch telemetry of one deployment.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BusTelemetry {
-    units: Vec<UnitCounters>,
-    /// Highest number of events ever pending in a dispatch queue.
-    pub queue_depth_hwm: usize,
-    /// Dispatch rounds completed.
-    pub dispatch_rounds: u64,
+#[derive(Debug, Default, Clone, Copy)]
+struct UnitTally {
+    events_in: u64,
+    events_out: u64,
+    /// Interned `bus.<unit>.events_{in,out}` names, filled on first flush.
+    names: Option<(&'static str, &'static str)>,
 }
 
-impl BusTelemetry {
-    /// Fresh, all-zero telemetry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn unit_mut(&mut self, unit: UnitId) -> &mut UnitCounters {
+impl BusTally {
+    fn unit_mut(&mut self, unit: UnitId) -> &mut UnitTally {
         if self.units.len() <= unit {
-            self.units.resize(unit + 1, UnitCounters::default());
+            self.units.resize(unit + 1, UnitTally::default());
         }
         &mut self.units[unit]
     }
 
     /// Records one event delivered to `unit`.
-    pub fn record_in(&mut self, unit: UnitId) {
+    pub(crate) fn record_in(&mut self, unit: UnitId) {
         self.unit_mut(unit).events_in += 1;
     }
 
     /// Records one event emitted by `unit`.
-    pub fn record_out(&mut self, unit: UnitId) {
+    pub(crate) fn record_out(&mut self, unit: UnitId) {
         self.unit_mut(unit).events_out += 1;
     }
 
     /// Raises the queue-depth high-water mark to `depth` if higher.
-    pub fn observe_queue_depth(&mut self, depth: usize) {
-        if depth > self.queue_depth_hwm {
-            self.queue_depth_hwm = depth;
-        }
+    pub(crate) fn observe_queue_depth(&mut self, depth: usize) {
+        self.hwm = self.hwm.max(depth);
     }
 
     /// Accounts one completed dispatch round.
-    pub fn record_round(&mut self) {
-        self.dispatch_rounds += 1;
+    pub(crate) fn record_round(&mut self) {
+        self.rounds += 1;
     }
 
-    /// Overwrites `self` with `other`, reusing the per-unit buffer.
-    pub(crate) fn copy_from(&mut self, other: &BusTelemetry) {
-        self.units.clone_from(&other.units);
-        self.queue_depth_hwm = other.queue_depth_hwm;
-        self.dispatch_rounds = other.dispatch_rounds;
-    }
-
-    /// Counters of `unit` (zero when the unit never moved an event).
-    #[must_use]
-    pub fn unit(&self, unit: UnitId) -> UnitCounters {
-        self.units.get(unit).copied().unwrap_or_default()
-    }
-
-    /// Per-unit counters indexed by [`UnitId`].
-    #[must_use]
-    pub fn units(&self) -> &[UnitCounters] {
-        &self.units
+    /// Adds the tally to `os`'s `bus.*` counters and zeroes it. The round
+    /// and high-water-mark counters appear after any flush; a unit appears,
+    /// under the name `manager` registered it with (removed or not), once
+    /// it has moved an event in either direction.
+    pub(crate) fn flush(&mut self, manager: &FrameworkManager, os: &mut NodeOs) {
+        os.bump_by("bus.dispatch_rounds", std::mem::take(&mut self.rounds));
+        os.bump_by("bus.queue_depth_hwm", (self.hwm - self.flushed_hwm) as u64);
+        self.flushed_hwm = self.hwm;
+        for (unit, tally) in self.units.iter_mut().enumerate() {
+            let events_in = std::mem::take(&mut tally.events_in);
+            let events_out = std::mem::take(&mut tally.events_out);
+            if events_in == 0 && events_out == 0 {
+                continue;
+            }
+            let (in_name, out_name) = match tally.names {
+                Some(names) => names,
+                None => {
+                    let Some(name) = manager.unit_name(unit) else {
+                        continue;
+                    };
+                    let names = (
+                        intern_name(&format!("bus.{name}.events_in")),
+                        intern_name(&format!("bus.{name}.events_out")),
+                    );
+                    tally.names = Some(names);
+                    names
+                }
+            };
+            os.bump_by(in_name, events_in);
+            os.bump_by(out_name, events_out);
+        }
     }
 }
 
@@ -176,38 +185,41 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut t = BusTelemetry::new();
-        t.record_in(2);
-        t.record_in(2);
-        t.record_out(0);
-        assert_eq!(t.unit(2).events_in, 2);
-        assert_eq!(t.unit(0).events_out, 1);
-        assert_eq!(t.unit(7), UnitCounters::default());
-        assert_eq!(t.units().len(), 3);
-    }
-
-    #[test]
-    fn hwm_and_rounds() {
-        let mut t = BusTelemetry::new();
-        t.observe_queue_depth(3);
-        t.observe_queue_depth(1);
-        assert_eq!(t.queue_depth_hwm, 3);
-        t.record_round();
-        t.record_round();
-        assert_eq!(t.dispatch_rounds, 2);
-    }
-
-    #[test]
-    fn copy_from_is_a_clone_into_place() {
-        let mut t = BusTelemetry::new();
-        t.record_in(3);
-        t.record_out(1);
-        t.observe_queue_depth(5);
-        t.record_round();
-        let mut copy = BusTelemetry::new();
-        copy.record_in(9);
-        copy.copy_from(&t);
-        assert_eq!(copy, t);
+    fn a_flush_adds_the_tally_once() {
+        let mut manager = FrameworkManager::new();
+        let system = manager.register("system", crate::registry::EventTuple::new());
+        let probe = manager.register("probe", crate::registry::EventTuple::new());
+        let mut os = NodeOs::standalone(netsim::NodeId(0), packetbb::Address::v4([10, 0, 0, 1]));
+        let mut tally = BusTally::default();
+        tally.record_in(probe);
+        tally.record_in(probe);
+        tally.record_out(system);
+        tally.observe_queue_depth(3);
+        tally.observe_queue_depth(1);
+        tally.record_round();
+        tally.flush(&manager, &mut os);
+        let counters = |os: &NodeOs| {
+            let mut c: Vec<(&str, u64)> = os.counters().iter().map(|(k, v)| (*k, *v)).collect();
+            c.sort_unstable();
+            c
+        };
+        let first = vec![
+            ("bus.dispatch_rounds", 1),
+            ("bus.probe.events_in", 2),
+            ("bus.probe.events_out", 0),
+            ("bus.queue_depth_hwm", 3),
+            ("bus.system.events_in", 0),
+            ("bus.system.events_out", 1),
+        ];
+        assert_eq!(counters(&os), first);
+        // Nothing moved: a second flush adds nothing.
+        tally.flush(&manager, &mut os);
+        assert_eq!(counters(&os), first);
+        // The high-water mark only ever rises to the deepest queue seen.
+        tally.observe_queue_depth(5);
+        tally.record_round();
+        tally.flush(&manager, &mut os);
+        assert_eq!(os.counter("bus.queue_depth_hwm"), 5);
+        assert_eq!(os.counter("bus.dispatch_rounds"), 2);
     }
 }

@@ -241,7 +241,7 @@ fn hash_names(types: &[EventType], h: &mut impl Hasher) {
 /// One reversible step of an applied transaction. Undo is *physical*:
 /// removed CFs ride along in the log and are reinserted on rollback, which
 /// is the only way to restore type-erased protocol state exactly.
-enum Undo {
+pub(crate) enum Undo {
     /// An `AddProtocol` applied — undo removes it again.
     RemoveAdded { name: String },
     /// A `RemoveProtocol` applied — undo reinserts the kept CF at its old
@@ -339,18 +339,29 @@ pub fn prepare(
     }
     let checkpoint = fingerprint(dep);
     let mut undo: Vec<Undo> = Vec::with_capacity(ops.len());
-    let mut ops_applied = 0u64;
-    let mut failure: Option<(&'static str, String)> = None;
+    let mut failure: Option<DeployError> = None;
     for op in ops {
-        if failure.is_some() {
-            break; // remaining ops are dropped; the batch is atomic
-        }
-        match apply_one(dep, op, &mut undo, os) {
-            Ok(()) => ops_applied += 1,
-            Err((reason, detail)) => failure = Some((reason, detail)),
+        // The first failure drops the remaining ops; the batch is atomic.
+        match apply_one(dep, op, os) {
+            Ok(entry) => undo.push(entry),
+            Err(e) => {
+                failure = Some(e);
+                break;
+            }
         }
     }
-    if let Some((reason, detail)) = failure {
+    let ops_applied = undo.len() as u64;
+    if let Some(e) = failure {
+        let cause = match &e {
+            DeployError::SwitchUnrecovered { cause, .. } => cause.as_ref(),
+            other => other,
+        };
+        let reason = match cause {
+            DeployError::Integrity(_) => "integrity",
+            DeployError::NotUndoable(_) => "non_undoable",
+            _ => "op_failed",
+        };
+        let detail = e.to_string();
         let clean = unwind(dep, &checkpoint, undo, os);
         os.bump("txn.aborted");
         // NOT txn.rolled_back: that counter tracks *prepared* transactions
@@ -380,7 +391,7 @@ pub fn prepare(
 /// `PreparedTxn` so a health gate can still [`revert`] — drop it to
 /// finalise.
 pub fn commit(dep: &mut Deployment, txn: &PreparedTxn, os: &mut NodeOs) {
-    dep.note_reconfigs(txn.ops_applied);
+    dep.ops_applied += txn.ops_applied;
     os.bump_by("reconfig.ops_applied", txn.ops_applied);
     os.bump("txn.committed");
     os.trace_txn_commit(txn.id, txn.ops_applied);
@@ -416,59 +427,32 @@ pub fn revert(dep: &mut Deployment, txn: PreparedTxn, os: &mut NodeOs) -> bool {
     clean
 }
 
-/// Applies a whole batch transactionally in one step: prepare then commit.
-/// The single-node convenience over the prepare/commit split the fleet
-/// coordinator uses.
-///
-/// # Errors
-///
-/// Aborts (with rollback already performed) under the same conditions as
-/// [`prepare`].
-pub fn apply_transactional(
-    dep: &mut Deployment,
-    id: u64,
-    ops: Vec<ReconfigOp>,
-    os: &mut NodeOs,
-) -> Result<u64, TxnAborted> {
-    let txn = prepare(dep, id, ops, DEFAULT_QUIESCE_WITHIN, os)?;
-    let applied = txn.ops_applied;
-    commit(dep, &txn, os);
-    Ok(applied)
-}
-
-/// Applies one op, logging its undo. On error the op itself has had no
-/// effect (individual ops are atomic); the caller unwinds previous ops.
-fn apply_one(
+/// Applies one op and returns the entry that undoes it: the one
+/// implementation of every undoable op, which
+/// [`Deployment::apply`](crate::node::Deployment::apply) runs with the entry
+/// dropped. A `Mutate` is refused, having no undo. On error the op itself
+/// has had no effect (individual ops are atomic); a transaction unwinds the
+/// ops before it.
+pub(crate) fn apply_one(
     dep: &mut Deployment,
     op: ReconfigOp,
-    undo: &mut Vec<Undo>,
     os: &mut NodeOs,
-) -> Result<(), (&'static str, String)> {
+) -> Result<Undo, DeployError> {
     match op {
         ReconfigOp::AddProtocol(cf) => {
             let name = cf.name().to_string();
-            let at = dep.protocol_names().len();
-            match dep.try_insert_protocol(at, cf, os) {
-                Ok(()) => {
-                    undo.push(Undo::RemoveAdded { name });
-                    os.trace_reconfig_apply("add_protocol");
-                    Ok(())
-                }
-                Err((_, e)) => Err(classify(&e)),
-            }
+            let at = dep.protocols().count();
+            dep.try_insert_protocol(at, cf, os).map_err(|(_, e)| e)?;
+            os.trace_reconfig_apply("add_protocol");
+            Ok(Undo::RemoveAdded { name })
         }
         ReconfigOp::RemoveProtocol { name } => {
             let index = dep
                 .protocol_position(&name)
-                .ok_or_else(|| ("op_failed", format!("no protocol named {name:?}")))?;
-            match dep.remove_protocol(&name, os) {
-                Ok(cf) => {
-                    undo.push(Undo::Reinsert { cf, index });
-                    os.trace_reconfig_apply("remove_protocol");
-                    Ok(())
-                }
-                Err(e) => Err(classify(&e)),
-            }
+                .ok_or_else(|| DeployError::NoSuchProtocol(name.clone()))?;
+            let cf = dep.remove_protocol(&name, os)?;
+            os.trace_reconfig_apply("remove_protocol");
+            Ok(Undo::Reinsert { cf, index })
         }
         ReconfigOp::SwitchProtocol {
             old,
@@ -476,65 +460,36 @@ fn apply_one(
             transfer_state,
         } => {
             let new_name = new.name().to_string();
-            match dep.switch_protocol(&old, new, transfer_state, os) {
-                Ok(Switched { old, index, moved }) => {
-                    undo.push(Undo::UnSwitch {
-                        new_name,
-                        old,
-                        index,
-                        moved,
-                    });
-                    Ok(())
-                }
-                Err(e) => Err(classify(&e)),
-            }
+            let Switched { old, index, moved } =
+                dep.switch_protocol(&old, new, transfer_state, os)?;
+            Ok(Undo::UnSwitch {
+                new_name,
+                old,
+                index,
+                moved,
+            })
         }
         ReconfigOp::UpdateTuple { protocol, tuple } => {
-            match dep.swap_protocol_tuple(&protocol, tuple) {
-                Ok(previous) => {
-                    undo.push(Undo::RestoreTuple {
-                        protocol,
-                        tuple: previous,
-                    });
-                    os.trace_rebind("update_tuple");
-                    Ok(())
-                }
-                Err(e) => Err(classify(&e)),
-            }
+            let tuple = dep.swap_protocol_tuple(&protocol, tuple)?;
+            os.trace_rebind("update_tuple");
+            Ok(Undo::RestoreTuple { protocol, tuple })
         }
-        ReconfigOp::Mutate { protocol, .. } => Err((
-            "non_undoable",
-            format!("Mutate({protocol}) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"),
-        )),
+        ReconfigOp::Mutate { protocol, .. } => Err(DeployError::NotUndoable(protocol)),
         ReconfigOp::RegisterMessage(reg) => {
             let config = dep.system().config();
             dep.system_mut().register_message(reg);
             dep.refresh_system_tuple();
-            undo.push(Undo::RestoreSystem { config });
             os.trace_rebind("register_message");
-            Ok(())
+            Ok(Undo::RestoreSystem { config })
         }
         ReconfigOp::MutateSystem { op } => {
             let config = dep.system().config();
             op(dep.system_mut());
             dep.refresh_system_tuple();
-            undo.push(Undo::RestoreSystem { config });
             os.trace_rebind("mutate_system");
-            Ok(())
+            Ok(Undo::RestoreSystem { config })
         }
     }
-}
-
-fn classify(e: &DeployError) -> (&'static str, String) {
-    let cause = match e {
-        DeployError::SwitchUnrecovered { cause, .. } => cause.as_ref(),
-        other => other,
-    };
-    let reason = match cause {
-        DeployError::Integrity(_) => "integrity",
-        _ => "op_failed",
-    };
-    (reason, e.to_string())
 }
 
 /// Unwinds an undo log in reverse and verifies the result against the

@@ -433,6 +433,10 @@ fn mutate_ops_abort_as_non_undoable() {
     let aborted = txn::prepare(&mut dep, 3, ops, Duration::from_millis(50), &mut os)
         .expect_err("Mutate must abort the transaction");
     assert_eq!(aborted.reason, "non_undoable");
+    assert_eq!(
+        aborted.detail,
+        "Mutate(alpha) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"
+    );
     assert!(aborted.rollback_clean);
     assert_eq!(txn::fingerprint(&dep), before);
 }

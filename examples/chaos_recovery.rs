@@ -3,7 +3,7 @@
 //! the whole fleet to reactive DYMO mid-outage through the
 //! [`FleetCoordinator`], and delivery recovers once the network heals.
 //!
-//! The crashed node cannot apply the switch while down — the `Retry`
+//! The crashed node cannot apply the switch while down — the best-effort
 //! strategy reports it *deferred*, and the queued operations apply
 //! automatically at its first post-reboot quiescent point.
 //!
@@ -73,7 +73,7 @@ fn main() {
             &mut world,
             ReconfigRequest::new()
                 .recipe(|| Stack::Olsr.recipe_to(Stack::Dymo))
-                .strategy(Strategy::Retry),
+                .strategy(Strategy::BestEffort),
         )
         .deferred;
     println!(

@@ -97,7 +97,6 @@ fn churn(smoke: bool, seed: u64) -> Vec<Round> {
     scenario.install_traffic(&mut world);
     let options = TxnOptions {
         health: Some(HealthGate::over_window(SimDuration::from_secs(1)).max_drop(0.9)),
-        ..TxnOptions::default()
     };
 
     let mut window = world.stats_window();
