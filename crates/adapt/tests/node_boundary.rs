@@ -9,7 +9,6 @@
 mod support;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use adapt::Stack;
 use manetkit::neighbour::hello_registration;
@@ -33,7 +32,6 @@ fn prepare(id: u64, ops: Vec<ReconfigOp>) -> TxnCtl {
         ops,
         requested: None,
         deadline: None,
-        quiesce_within: Duration::from_millis(100),
     }
 }
 

@@ -1,44 +1,51 @@
-//! `structural_hash` reads a deployment in place: component, interface,
-//! event-type and plug-in names straight from the meta-model and the CFs.
-//! It used to render an architecture snapshot and `Debug` text instead.
-//! The rendered hash is kept here as the oracle, and both must separate
-//! exactly the same compositions: `new(a) == new(b) ⇔ old(a) == old(b)`
-//! over every composition the six stack switches pass through (prepare,
-//! commit, abort, rollback, revert) and the remaining op kinds.
+//! `structural_hash` reads a deployment in place: protocol, interface,
+//! event-type and plug-in names straight from the protocol CFs. The
+//! oracle here renders the same composition to strings and `Debug` text
+//! first, and both must separate exactly the same compositions:
+//! `hash(a) == hash(b) ⇔ rendered(a) == rendered(b)` over every
+//! composition the six stack switches pass through (prepare, commit,
+//! abort, rollback, revert) and the remaining op kinds.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::Duration;
 
 use adapt::Stack;
 use manetkit::system::MessageRegistration;
-use manetkit::{structural_hash, txn, Deployment, EventTuple, EventType, ReconfigOp};
+use manetkit::{
+    structural_hash, txn, Deployment, EventTuple, EventType, ManetProtocolCf, ReconfigOp,
+};
 use netsim::{NodeId, NodeOs};
 use packetbb::Address;
 
-/// The structural hash as it was before it read the deployment in place.
+/// The structural hash over rendered strings: each protocol as a
+/// `(name, provided interfaces, required interfaces)` component, sorted,
+/// then the protocols in stack order and the System CF's `Debug` text.
 fn rendered_hash(dep: &Deployment) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    let arch = dep.meta().architecture();
-    let mut components: Vec<(String, Vec<String>, Vec<String>)> = arch
-        .components
+    let protocols: Vec<&ManetProtocolCf> = dep
+        .protocol_names()
         .iter()
-        .map(|c| {
-            let mut provided: Vec<String> =
-                c.provided.iter().map(|i| i.as_str().to_string()).collect();
+        .map(|name| dep.protocol(name).expect("a deployed protocol"))
+        .collect();
+    let interfaces = |types: &[EventType]| -> Vec<String> {
+        types.iter().map(|t| format!("event:{t}")).collect()
+    };
+    let mut components: Vec<(String, Vec<String>, Vec<String>)> = protocols
+        .iter()
+        .map(|cf| {
+            let mut provided = interfaces(&cf.tuple().provided);
+            if cf.is_reactive() {
+                provided.push("IReactiveRouting".into());
+            }
             provided.sort();
-            let mut required: Vec<String> =
-                c.required.iter().map(|r| r.as_str().to_string()).collect();
+            let mut required = interfaces(&cf.tuple().required);
             required.sort();
-            (c.name.clone(), provided, required)
+            (cf.name().to_string(), provided, required)
         })
         .collect();
     components.sort();
     components.hash(&mut h);
-    for name in dep.protocol_names() {
-        let Some(cf) = dep.protocol(&name) else {
-            continue;
-        };
+    for cf in protocols {
         cf.name().hash(&mut h);
         format!("{:?}", cf.tuple()).hash(&mut h);
         cf.plugin_names().hash(&mut h);
@@ -98,7 +105,7 @@ fn prepare(
     ops: Vec<ReconfigOp>,
     os: &mut NodeOs,
 ) -> txn::PreparedTxn {
-    txn::prepare(dep, id, ops, Duration::ZERO, os).expect("the recipe prepares")
+    txn::prepare(dep, id, ops, os).expect("the recipe prepares")
 }
 
 #[test]
@@ -208,14 +215,7 @@ fn tuple_system_and_plugin_changes_are_separated_alike() {
         }),
     };
     let before = seen.record(dep);
-    assert!(txn::prepare(
-        dep,
-        17,
-        vec![rotate(first.clone())],
-        Duration::ZERO,
-        &mut os
-    )
-    .is_err());
+    assert!(txn::prepare(dep, 17, vec![rotate(first.clone())], &mut os).is_err());
     assert_eq!(seen.record(dep), before, "a refused Mutate changes nothing");
     dep.apply(rotate(first), &mut os).expect("mutate applies");
     assert_ne!(seen.record(dep), before, "plug-in order is structure");

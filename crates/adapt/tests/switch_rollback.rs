@@ -7,8 +7,6 @@
 
 mod support;
 
-use std::time::Duration;
-
 use adapt::Stack;
 use manetkit::{NodeHandle, TxnCtl, TxnPhase};
 use netsim::{NodeId, Topology, World};
@@ -77,7 +75,6 @@ fn undone_switch_restores_everything(from: Stack, to: Stack, commit_first: bool)
             ops: from.recipe_to(to),
             requested: Some(world.now()),
             deadline: None,
-            quiesce_within: Duration::from_millis(100),
         });
     }
     world.run_for(ms(300));

@@ -13,9 +13,9 @@
 //!   round-robin (thread-per-ManetProtocol semantics). Both preserve the
 //!   paper's per-protocol FIFO ordering guarantee.
 //! * [`ThroughputLab`] — a real-thread harness (crossbeam channels, one OS
-//!   thread per worker) used by the concurrency benchmark to measure the
-//!   throughput/latency trade-off among the three models outside the
-//!   simulator.
+//!   thread per worker) that `examples/paper_tables.rs` runs as E9 to
+//!   measure the throughput/latency trade-off among the three models
+//!   outside the simulator.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -71,8 +71,8 @@ pub use concurrency::{ConcurrencyModel, DispatchQueue, LabReport, ThroughputLab}
 pub use event::{Event, EventMeta, EventType, Payload};
 pub use manager::FrameworkManager;
 pub use node::{
-    DeployError, Deployment, ManetNode, NodeHandle, NodeStatus, ReconfigOp, TxnCtl, TxnPhase,
-    TxnReport,
+    DeployError, Deployment, IntegrityViolation, ManetNode, NodeHandle, NodeStatus, ReconfigOp,
+    TxnCtl, TxnPhase, TxnReport,
 };
 pub use protocol::{
     EventHandler, EventSource, Forwarder, ManetProtocolCf, ProtoCtx, StateCodec, StateSlot,

@@ -12,10 +12,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use netsim::{ContextSample, FilterEvent, NodeOs, TimerToken};
-use opencom::{
-    AnyInterface, Component, ComponentFramework, ComponentId, IntegrityRule, InterfaceId,
-    PendingChange,
-};
 use packetbb::Address;
 use parking_lot::Mutex;
 
@@ -27,10 +23,6 @@ use crate::registry::EventTuple;
 use crate::system::{MessageRegistration, SystemCf};
 use crate::telemetry::{intern_name, BusTally};
 
-/// Interface id a reactive protocol's reflective adapter exposes; the
-/// default integrity rules key on it.
-pub const REACTIVE_IFACE: &str = "IReactiveRouting";
-
 /// Name the System CF registers under with the Framework Manager.
 const SYSTEM_UNIT: &str = "system";
 
@@ -38,8 +30,8 @@ const SYSTEM_UNIT: &str = "system";
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum DeployError {
-    /// The reflective meta-CF (integrity rules) vetoed the change.
-    Integrity(opencom::ComponentError),
+    /// An integrity rule vetoed the change.
+    Integrity(IntegrityViolation),
     /// A fine-grained protocol operation failed.
     Protocol(ProtocolError),
     /// No protocol with the given name is deployed.
@@ -93,11 +85,26 @@ impl std::error::Error for DeployError {
     }
 }
 
-impl From<opencom::ComponentError> for DeployError {
-    fn from(e: opencom::ComponentError) -> Self {
-        DeployError::Integrity(e)
+/// An integrity rule's veto of a structural change.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IntegrityViolation {
+    /// The rule that fired.
+    pub rule: &'static str,
+    /// The rule's explanation.
+    pub reason: &'static str,
+}
+
+impl fmt::Display for IntegrityViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "integrity rule {:?} vetoed the change: {}",
+            self.rule, self.reason
+        )
     }
 }
+
+impl std::error::Error for IntegrityViolation {}
 
 impl From<ProtocolError> for DeployError {
     fn from(e: ProtocolError) -> Self {
@@ -252,7 +259,6 @@ impl Default for NodeStatus {
 struct Slot {
     cf: ManetProtocolCf,
     unit: UnitId,
-    component: ComponentId,
     /// The protocol name, interned once so the delivery hot path can hand
     /// a `&'static str` to [`ProtoCtx`] without a per-event `String`.
     name: &'static str,
@@ -288,7 +294,6 @@ pub struct Deployment {
     system_unit: UnitId,
     manager: FrameworkManager,
     slots: Vec<Slot>,
-    meta: ComponentFramework,
     concurrency: ConcurrencyModel,
     /// Bus counts not yet flushed into the OS counters.
     tally: BusTally,
@@ -305,29 +310,16 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// An empty deployment under the given concurrency model, with the
-    /// default integrity rules ("at most one reactive protocol", unique
-    /// protocol names) installed.
+    /// An empty deployment under the given concurrency model.
     #[must_use]
     pub fn new(concurrency: ConcurrencyModel) -> Self {
         let mut manager = FrameworkManager::new();
         let system_unit = manager.register(SYSTEM_UNIT, EventTuple::new());
-        let meta = ComponentFramework::new("manetkit");
-        meta.add_rule(IntegrityRule::new(
-            "unique-protocol-names",
-            |arch, change| match change {
-                PendingChange::Load { name } if arch.count_named(name) >= 1 => {
-                    Err(format!("a protocol named {name:?} is already deployed"))
-                }
-                _ => Ok(()),
-            },
-        ));
         Deployment {
             system: SystemCf::new(),
             system_unit,
             manager,
             slots: Vec::new(),
-            meta,
             concurrency,
             tally: BusTally::default(),
             ops_applied: 0,
@@ -360,13 +352,6 @@ impl Deployment {
     #[must_use]
     pub fn manager(&self) -> &FrameworkManager {
         &self.manager
-    }
-
-    /// The reflective meta-CF (architecture meta-model over deployed
-    /// protocols).
-    #[must_use]
-    pub fn meta(&self) -> &ComponentFramework {
-        &self.meta
     }
 
     /// The configured concurrency model.
@@ -415,8 +400,7 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate names, a second reactive protocol, or integrity
-    /// rule veto.
+    /// Fails on a duplicate name or a second reactive protocol.
     pub fn add_protocol_offline(&mut self, cf: ManetProtocolCf) -> Result<(), DeployError> {
         self.try_insert_protocol_offline(self.slots.len(), cf)
             .map_err(|(_, e)| e)
@@ -424,7 +408,9 @@ impl Deployment {
 
     /// Inserts a protocol at stack position `at` (used by transactional
     /// rollback to reinstate a removed protocol in its original position),
-    /// returning the CF on failure.
+    /// returning the CF on failure. Its two checks are the deployment's
+    /// integrity rules: protocol names are unique, and at most one
+    /// protocol is reactive.
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_insert_protocol_offline(
         &mut self,
@@ -436,17 +422,12 @@ impl Deployment {
             return Err((cf, err));
         }
         if cf.is_reactive() && self.slots.iter().any(|s| s.cf.is_reactive()) {
-            let err = DeployError::Integrity(opencom::ComponentError::IntegrityViolation {
-                rule: "one-reactive-protocol".into(),
-                reason: "a reactive routing protocol is already deployed".into(),
+            let err = DeployError::Integrity(IntegrityViolation {
+                rule: "one-reactive-protocol",
+                reason: "a reactive routing protocol is already deployed",
             });
             return Err((cf, err));
         }
-        let adapter = ProtocolAdapter::from_cf(&cf);
-        let component = match self.meta.insert(Arc::new(adapter)) {
-            Ok(id) => id,
-            Err(e) => return Err((cf, e.into())),
-        };
         let unit = self
             .manager
             .register(cf.name().to_string(), cf.tuple().clone());
@@ -457,7 +438,6 @@ impl Deployment {
             Slot {
                 cf,
                 unit,
-                component,
                 name,
                 timers: Vec::new(),
             },
@@ -510,7 +490,7 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Fails when the protocol is unknown or the meta-CF vetoes removal.
+    /// Fails when the protocol is unknown.
     pub fn remove_protocol(
         &mut self,
         name: &str,
@@ -521,7 +501,6 @@ impl Deployment {
             .iter()
             .position(|s| s.cf.name() == name)
             .ok_or_else(|| DeployError::NoSuchProtocol(name.to_string()))?;
-        self.meta.remove(self.slots[idx].component)?;
         // Give the protocol its shutdown hook (kernel-route cleanup etc.).
         {
             let proto_name = self.slots[idx].cf.name().to_string();
@@ -866,59 +845,6 @@ impl fmt::Debug for Deployment {
     }
 }
 
-/// Reflective adapter exposing a protocol CF in the meta-CF's architecture
-/// meta-model.
-struct ProtocolAdapter {
-    name: String,
-    provided: Vec<InterfaceId>,
-    required: Vec<opencom::ReceptacleId>,
-}
-
-impl ProtocolAdapter {
-    fn from_cf(cf: &ManetProtocolCf) -> Self {
-        // Interned, so the meta-model's per-query copies of these ids
-        // (snapshots, integrity rules, composition hashes) copy no strings.
-        let event_iface = |t: &EventType| intern_name(&format!("event:{t}"));
-        let mut provided: Vec<InterfaceId> = cf
-            .tuple()
-            .provided
-            .iter()
-            .map(|t| InterfaceId::of(event_iface(t)))
-            .collect();
-        if cf.is_reactive() {
-            provided.push(InterfaceId::of(REACTIVE_IFACE));
-        }
-        let required = cf
-            .tuple()
-            .required
-            .iter()
-            .map(|t| opencom::ReceptacleId::of(event_iface(t)))
-            .collect();
-        ProtocolAdapter {
-            name: cf.name().to_string(),
-            provided,
-            required,
-        }
-    }
-}
-
-impl Component for ProtocolAdapter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn provided(&self) -> Vec<InterfaceId> {
-        self.provided.clone()
-    }
-    fn required(&self) -> Vec<opencom::ReceptacleId> {
-        self.required.clone()
-    }
-    fn query_interface(&self, id: &InterfaceId) -> Option<AnyInterface> {
-        self.provided
-            .contains(id)
-            .then(|| AnyInterface::new(id.clone(), Arc::new(())))
-    }
-}
-
 // ---- ManetNode: the netsim adapter -----------------------------------------
 
 /// What a [`ManetNode`] shares with its [`NodeHandle`]s, behind one lock:
@@ -952,8 +878,6 @@ pub enum TxnCtl {
         /// later than this refuses the prepare (`quiesce_timeout`) instead
         /// of preparing into a transaction the coordinator gave up on.
         deadline: Option<netsim::SimTime>,
-        /// Wall-clock budget for the quiescence-lock probe.
-        quiesce_within: std::time::Duration,
     },
     /// Make a prepared transaction permanent (undo log retained for a
     /// possible health revert).
@@ -1246,7 +1170,6 @@ impl ManetNode {
                 ops,
                 requested,
                 deadline,
-                quiesce_within,
             } => {
                 // A new transaction finalises any undo log retained from
                 // the previous committed one.
@@ -1277,7 +1200,7 @@ impl ManetNode {
                 }
                 let waited = requested.map_or(0, |t| now.since(t).as_micros());
                 os.trace_quiesce_begin(ops.len() as u64, waited);
-                match crate::txn::prepare(&mut self.deployment, id, ops, quiesce_within, os) {
+                match crate::txn::prepare(&mut self.deployment, id, ops, os) {
                     Ok(txn) => {
                         self.report(id, TxnPhase::Prepared, String::new());
                         self.prepared = Some(txn);

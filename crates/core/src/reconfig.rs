@@ -648,7 +648,6 @@ impl FleetCoordinator {
                 ops: recipe.for_node(i),
                 requested: Some(started),
                 deadline: Some(deadline),
-                quiesce_within: crate::txn::DEFAULT_QUIESCE_WITHIN,
             });
         }
         let mut abort_reason: Option<String> = None;

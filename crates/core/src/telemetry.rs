@@ -19,7 +19,7 @@ use crate::manager::{FrameworkManager, UnitId};
 ///
 /// Each distinct name is leaked at most once process-wide, so repeated
 /// deployments (one per simulated node) can stamp per-unit counter names
-/// and meta-model interface ids without growing memory per deployment.
+/// and protocol names without growing memory per deployment.
 /// Needed because [`netsim::NodeOs`] counters key on `&'static str`. A
 /// name the calling thread has interned before is found in its own copy,
 /// without a lock.

@@ -8,14 +8,14 @@
 //! a transaction:
 //!
 //! 1. **Checkpoint** — capture a [`CompositionFingerprint`] of the
-//!    architecture meta-model, protocol tuples/plug-ins, exported protocol
-//!    state and System CF configuration.
+//!    protocol stack (names, tuples, plug-ins, reactivity), exported
+//!    protocol state and System CF configuration.
 //! 2. **Apply** — run each op while building a physical undo log (removed
 //!    CFs are *kept*, not reconstructed — protocol state lives in
 //!    type-erased [`StateSlot`](crate::protocol::StateSlot)s that cannot be
 //!    cloned).
-//! 3. **Validate** — any op failure, integrity veto, quiescence timeout or
-//!    non-undoable op aborts the transaction.
+//! 3. **Validate** — any op failure, integrity veto or non-undoable op
+//!    aborts the transaction.
 //! 4. **Roll back** — unwind the undo log in reverse and verify the
 //!    fingerprint matches the checkpoint, so an abort provably restores the
 //!    pre-transaction composition.
@@ -34,10 +34,8 @@
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::time::Duration;
 
 use netsim::NodeOs;
-use opencom::{InterfaceId, ReceptacleId};
 
 use crate::event::EventType;
 use crate::node::{DeployError, Deployment, ReconfigOp, Switched};
@@ -45,9 +43,9 @@ use crate::protocol::ManetProtocolCf;
 use crate::registry::EventTuple;
 use crate::system::SystemConfig;
 
-/// Default wall-clock budget for reaching quiescence on the meta-CF's
-/// [`QuiescenceLock`](opencom::QuiescenceLock) before a prepare gives up.
-pub const DEFAULT_QUIESCE_WITHIN: Duration = Duration::from_millis(100);
+/// Interface name a reactive protocol provides in its component digest
+/// (see [`structural_hash`]).
+const REACTIVE_IFACE: &str = "IReactiveRouting";
 
 /// Why a transaction aborted.
 ///
@@ -57,9 +55,8 @@ pub const DEFAULT_QUIESCE_WITHIN: Duration = Duration::from_millis(100);
 pub struct TxnAborted {
     /// Transaction id.
     pub id: u64,
-    /// Machine-readable reason tag (`op_failed`, `integrity`,
-    /// `non_undoable`, `quiesce_timeout`, `prepare_timeout`, `peer_abort`,
-    /// `crashed`, `health`, `busy`).
+    /// Machine-readable reason tag: `op_failed`, `integrity` or
+    /// `non_undoable`.
     pub reason: &'static str,
     /// Human-readable detail (the underlying error).
     pub detail: String,
@@ -84,15 +81,12 @@ impl fmt::Display for TxnAborted {
 impl std::error::Error for TxnAborted {}
 
 /// An id-free structural digest of a deployment: what the composition *is*,
-/// independent of the kernel identifiers that change when a component is
-/// removed and reinserted. Two fingerprints compare equal iff the
-/// architecture meta-model, every protocol's tuple/plug-ins/reactivity,
-/// exported protocol state bytes and the System CF configuration all match.
+/// independent of the unit ids that change when a protocol is removed and
+/// reinserted. Two fingerprints compare equal iff every protocol's
+/// name/tuple/plug-ins/reactivity, its exported state bytes, the stack
+/// order and the System CF configuration all match.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompositionFingerprint {
-    /// Architecture meta-model entries as `(name, provided, required)`
-    /// interface-name triples, sorted by name (kernel ids normalised out).
-    pub components: Vec<(String, Vec<String>, Vec<String>)>,
     /// Per-protocol digests in stack order.
     pub protocols: Vec<ProtocolFingerprint>,
     /// System CF configuration.
@@ -117,25 +111,8 @@ pub struct ProtocolFingerprint {
 /// Computes the [`CompositionFingerprint`] of a deployment.
 #[must_use]
 pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
-    let arch = dep.meta().architecture();
-    let mut components: Vec<(String, Vec<String>, Vec<String>)> = arch
-        .components
-        .iter()
-        .map(|c| {
-            let mut provided: Vec<String> =
-                c.provided.iter().map(|i| i.as_str().to_string()).collect();
-            provided.sort();
-            let mut required: Vec<String> =
-                c.required.iter().map(|r| r.as_str().to_string()).collect();
-            required.sort();
-            (c.name.clone(), provided, required)
-        })
-        .collect();
-    components.sort();
     let protocols = dep
-        .protocol_names()
-        .iter()
-        .filter_map(|name| dep.protocol(name))
+        .protocols()
         .map(|cf| ProtocolFingerprint {
             name: cf.name().to_string(),
             tuple: cf.tuple().clone(),
@@ -145,19 +122,19 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
         })
         .collect();
     CompositionFingerprint {
-        components,
         protocols,
         system: dep.system().config(),
     }
 }
 
-/// A 64-bit digest of the deployment's *structure*: the component
-/// meta-model, protocol names/tuples/plug-ins/reactivity and the System CF
-/// configuration — deliberately **excluding** exported protocol state
-/// bytes. Routing soft state (neighbour tables, sequence numbers) churns
-/// with every received frame, so a state-inclusive hash would never be
-/// stable across two observations of the same composition; the structural
-/// hash only moves when a reconfiguration op changes what is composed.
+/// A 64-bit digest of the deployment's *structure*: the protocols as a
+/// component multiset, their names/tuples/plug-ins/reactivity in stack
+/// order and the System CF configuration — deliberately **excluding**
+/// exported protocol state bytes. Routing soft state (neighbour tables,
+/// sequence numbers) churns with every received frame, so a
+/// state-inclusive hash would never be stable across two observations of
+/// the same composition; the structural hash only moves when a
+/// reconfiguration op changes what is composed.
 ///
 /// This is the observable the `mcheck` invariants compare: rollback
 /// exactness in the structural sense is `hash == pre-transaction hash`,
@@ -165,26 +142,20 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
 /// time by the engine itself and surfaced as `txn.rollback_mismatch`.
 ///
 /// The hash is deterministic across processes: `DefaultHasher` with its
-/// fixed keys, fed names only — interface, receptacle, event-type and
-/// plug-in names, never kernel or intern ids — so it can sit in persisted
-/// model-checker fingerprints. It reads the deployment in place (no
-/// architecture snapshot, no string copies), because the model checker
-/// computes it at every agent callback.
+/// fixed keys, fed names only — interface, event-type and plug-in names,
+/// never unit or intern ids — so it can sit in persisted model-checker
+/// fingerprints. It reads the deployment in place (no string copies),
+/// because the model checker computes it at every agent callback.
 #[must_use]
 pub fn structural_hash(dep: &Deployment) -> u64 {
     let mut h = DefaultHasher::new();
-    // The component multiset: one digest per component over its name and
-    // sorted interface and receptacle names, then the digests sorted, so
-    // kernel ids and load order drop out.
-    let mut components: Vec<u64> = Vec::new();
+    // The component multiset: one digest per protocol, sorted, so stack
+    // order drops out of this part.
     let mut order: Vec<usize> = Vec::new();
-    dep.meta().visit_components(|name, provided, required| {
-        let mut c = DefaultHasher::new();
-        name.hash(&mut c);
-        hash_sorted(provided, InterfaceId::as_str, &mut order, &mut c);
-        hash_sorted(required, ReceptacleId::as_str, &mut order, &mut c);
-        components.push(c.finish());
-    });
+    let mut components: Vec<u64> = dep
+        .protocols()
+        .map(|cf| component_digest(cf, &mut order))
+        .collect();
     components.sort_unstable();
     components.hash(&mut h);
     for cf in dep.protocols() {
@@ -213,20 +184,36 @@ pub fn structural_hash(dep: &Deployment) -> u64 {
     h.finish()
 }
 
-/// Hashes the names of `items` in sorted order, with their count;
-/// `order` is scratch space.
-fn hash_sorted<T>(
-    items: &[T],
-    name: impl Fn(&T) -> &str,
-    order: &mut Vec<usize>,
-    h: &mut impl Hasher,
-) {
+/// One protocol's digest as a component: its name, then its provided
+/// interfaces (`event:<type>` per provided type, and [`REACTIVE_IFACE`]
+/// for a reactive protocol) and its required ones (`event:<type>` per
+/// required type), each list counted and sorted by name. `order` is
+/// scratch space.
+fn component_digest(cf: &ManetProtocolCf, order: &mut Vec<usize>) -> u64 {
+    let mut c = DefaultHasher::new();
+    cf.name().hash(&mut c);
+    let tuple = cf.tuple();
+    (tuple.provided.len() + usize::from(cf.is_reactive())).hash(&mut c);
+    if cf.is_reactive() {
+        // Upper case sorts before every `event:` name.
+        REACTIVE_IFACE.hash(&mut c);
+    }
+    hash_interfaces(&tuple.provided, order, &mut c);
+    tuple.required.len().hash(&mut c);
+    hash_interfaces(&tuple.required, order, &mut c);
+    c.finish()
+}
+
+/// Hashes `event:<type>` for each of `types` in name order, each exactly
+/// as `str::hash` hashes the formatted name, without formatting it.
+fn hash_interfaces(types: &[EventType], order: &mut Vec<usize>, h: &mut impl Hasher) {
     order.clear();
-    order.extend(0..items.len());
-    order.sort_unstable_by(|&a, &b| name(&items[a]).cmp(name(&items[b])));
-    items.len().hash(h);
+    order.extend(0..types.len());
+    order.sort_unstable_by(|&a, &b| types[a].as_str().cmp(types[b].as_str()));
     for &i in order.iter() {
-        name(&items[i]).hash(h);
+        h.write(b"event:");
+        h.write(types[i].as_str().as_bytes());
+        h.write_u8(0xff);
     }
 }
 
@@ -301,42 +288,18 @@ impl PreparedTxn {
 
 /// Checkpoints the deployment, applies `ops` and returns the prepared
 /// transaction with its undo log, or rolls everything back and reports why.
-///
-/// Quiescence is probed with a bounded wait (`quiesce_within`) on the
-/// meta-CF's lock — if activities are still in flight past the deadline the
-/// prepare aborts with reason `quiesce_timeout` instead of blocking forever.
-/// The guard is dropped before ops run (the per-op kernel paths re-acquire
-/// it; the lock is not reentrant).
+/// Call it at a quiescent point: no event may be in flight.
 ///
 /// # Errors
 ///
 /// Aborts (with rollback already performed) on any op failure, integrity
-/// veto, quiescence timeout, or a non-undoable `Mutate` op.
+/// veto, or a non-undoable `Mutate` op.
 pub fn prepare(
     dep: &mut Deployment,
     id: u64,
     ops: Vec<ReconfigOp>,
-    quiesce_within: Duration,
     os: &mut NodeOs,
 ) -> Result<PreparedTxn, TxnAborted> {
-    // Bounded quiescence probe: acquire and immediately drop. In-flight
-    // activity holds read locks; if we can take the write lock the
-    // framework is quiescent *now*, and since ops run synchronously from
-    // this same thread nothing can start in between.
-    match dep.meta().quiescence().reconfigure_within(quiesce_within) {
-        Ok(guard) => drop(guard),
-        Err(timeout) => {
-            os.bump("txn.quiesce_timeout");
-            os.bump("txn.aborted");
-            os.trace_txn_abort(id, "quiesce_timeout");
-            return Err(TxnAborted {
-                id,
-                reason: "quiesce_timeout",
-                detail: timeout.to_string(),
-                rollback_clean: true,
-            });
-        }
-    }
     let checkpoint = fingerprint(dep);
     let mut undo: Vec<Undo> = Vec::with_capacity(ops.len());
     let mut failure: Option<DeployError> = None;
@@ -686,5 +649,27 @@ pub mod invariants {
             assert!(msg.contains("prepared 4"), "{msg}");
             assert!(msg.contains("rolled_back 0"), "{msg}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Interface names fed in pieces hash exactly like the formatted
+    /// strings they stand for, which keeps persisted hashes stable.
+    #[test]
+    fn interface_names_hash_as_formatted_strings() {
+        let types = [
+            EventType::named("TXN_B_TYPE"),
+            EventType::named("TXN_A_TYPE"),
+        ];
+        let mut fed = DefaultHasher::new();
+        hash_interfaces(&types, &mut Vec::new(), &mut fed);
+        let mut formatted = DefaultHasher::new();
+        for name in ["event:TXN_A_TYPE", "event:TXN_B_TYPE"] {
+            name.hash(&mut formatted);
+        }
+        assert_eq!(fed.finish(), formatted.finish());
     }
 }

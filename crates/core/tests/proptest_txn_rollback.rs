@@ -1,7 +1,7 @@
 //! Property-based tests of transactional reconfiguration: a transaction
 //! that aborts at ANY failure point must leave the composition — the
-//! architecture meta-model, every protocol's tuple/plug-ins, the exported
-//! protocol state bytes and the System CF configuration — exactly as the
+//! protocol stack, every protocol's tuple/plug-ins, the exported protocol
+//! state bytes and the System CF configuration — exactly as the
 //! checkpoint recorded it. The same holds for an explicit rollback of a
 //! successfully prepared transaction, and for a transaction doomed by a
 //! node crash between prepare and commit.
@@ -9,8 +9,6 @@
 //! The routing CFs export their route tables through state codecs, so for
 //! them "exactly" covers every route, lifetime and pending discovery — and
 //! the kernel table a reinstated CF mirrors its live routes into.
-
-use std::time::Duration;
 
 use manetkit::event::{Event, EventType};
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
@@ -219,7 +217,7 @@ proptest! {
             .enumerate()
             .map(|(i, c)| build_op(*c, i))
             .collect();
-        match txn::prepare(&mut dep, 1, ops, Duration::from_millis(50), &mut os) {
+        match txn::prepare(&mut dep, 1, ops, &mut os) {
             Ok(prepared) => {
                 // The batch applied cleanly; roll it back anyway (the
                 // coordinator-abort path) and demand exactness.
@@ -268,7 +266,7 @@ proptest! {
             .collect();
         // These op codes never fail on the base composition, so prepare
         // must succeed.
-        let prepared = match txn::prepare(&mut dep, 2, ops, Duration::from_millis(50), &mut os) {
+        let prepared = match txn::prepare(&mut dep, 2, ops, &mut os) {
             Ok(p) => p,
             Err(e) => panic!("unexpected abort: {e}"),
         };
@@ -301,7 +299,7 @@ proptest! {
         let before = txn::fingerprint(&dep);
         prop_assert!(before.protocols[0].state.is_some(), "DYMO exports its state");
 
-        let prepared = match txn::prepare(&mut dep, 5, retire_dymo(how), Duration::from_millis(50), &mut os) {
+        let prepared = match txn::prepare(&mut dep, 5, retire_dymo(how), &mut os) {
             Ok(p) => p,
             Err(e) => panic!("unexpected abort: {e}"),
         };
@@ -365,7 +363,6 @@ proptest! {
             ops: retire_dymo(how),
             requested: Some(world.now()),
             deadline: None,
-            quiesce_within: Duration::from_millis(50),
         });
         world.run_until(ms(2_400));
         let report = handles[1].status().txn.expect("node reached prepare");
@@ -410,8 +407,7 @@ fn a_lossy_stop_is_reported_as_a_rollback_mismatch() {
     let ops = vec![ReconfigOp::RemoveProtocol {
         name: DYMO_CF.into(),
     }];
-    let prepared = txn::prepare(&mut dep, 6, ops, Duration::from_millis(50), &mut os)
-        .expect("removal prepares");
+    let prepared = txn::prepare(&mut dep, 6, ops, &mut os).expect("removal prepares");
     assert!(!txn::rollback(&mut dep, prepared, &mut os));
     assert_eq!(os.counter("txn.rollback_mismatch"), 1);
 }
@@ -430,8 +426,8 @@ fn mutate_ops_abort_as_non_undoable() {
             op: Box::new(|_| {}),
         },
     ];
-    let aborted = txn::prepare(&mut dep, 3, ops, Duration::from_millis(50), &mut os)
-        .expect_err("Mutate must abort the transaction");
+    let aborted =
+        txn::prepare(&mut dep, 3, ops, &mut os).expect_err("Mutate must abort the transaction");
     assert_eq!(aborted.reason, "non_undoable");
     assert_eq!(
         aborted.detail,
@@ -439,34 +435,6 @@ fn mutate_ops_abort_as_non_undoable() {
     );
     assert!(aborted.rollback_clean);
     assert_eq!(txn::fingerprint(&dep), before);
-}
-
-/// A quiescence timeout (activity still in flight past the deadline)
-/// aborts the prepare without touching the composition, instead of
-/// blocking forever.
-#[test]
-fn quiesce_timeout_aborts_without_blocking() {
-    let mut os = NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]));
-    let mut dep = base_deployment(&mut os);
-    let before = txn::fingerprint(&dep);
-    // Hold an activity (read) guard, as an in-flight event shepherd would.
-    // QuiescenceLock clones share the same lock, which sidesteps borrowing
-    // `dep` while `prepare` needs it mutably.
-    let quiescence = dep.meta().quiescence().clone();
-    let _activity = quiescence.activity();
-    let started = std::time::Instant::now();
-    let aborted = txn::prepare(
-        &mut dep,
-        4,
-        vec![ReconfigOp::RegisterMessage(registration(61))],
-        Duration::from_millis(30),
-        &mut os,
-    )
-    .expect_err("prepare must time out under activity");
-    assert!(started.elapsed() < Duration::from_secs(2), "bounded wait");
-    assert_eq!(aborted.reason, "quiesce_timeout");
-    assert_eq!(txn::fingerprint(&dep), before);
-    assert_eq!(os.counter("txn.quiesce_timeout"), 1);
 }
 
 /// Crash between prepare and commit: the node reboots with the transaction
@@ -505,7 +473,6 @@ fn crash_between_prepare_and_commit_rolls_back_on_reboot() {
         ops: vec![ReconfigOp::AddProtocol(stateful_cf("extra".into(), 1))],
         requested: Some(world.now()),
         deadline: None,
-        quiesce_within: Duration::from_millis(50),
     });
     world.run_until(ms(2_400));
     let report = handles[1].status().txn.expect("node reached prepare");
@@ -530,4 +497,63 @@ fn crash_between_prepare_and_commit_rolls_back_on_reboot() {
     // The ledger the model checker audits at every state holds at the
     // end of the fault run too: no transaction is open any more.
     manetkit::assert_fleet_conservation(&stats, 0);
+}
+
+/// A protocol's tuple can change after it was inserted: through a committed
+/// `UpdateTuple`, or through a `Mutate` applied outside any transaction. A
+/// later transaction that removes the protocol and is rolled back must
+/// still land exactly on its checkpoint, and the structural hash must read
+/// the tuple the protocol holds now.
+fn tuple_change_then_rolled_back_removal(change: impl FnOnce(&mut Deployment, &mut NodeOs)) {
+    let mut os = NodeOs::standalone(NodeId(0), addr(1));
+    let mut dep = dymo_deployment(manetkit_dymo::dymo_cf(Default::default()), &mut os);
+    let initial = manetkit::structural_hash(&dep);
+    change(&mut dep, &mut os);
+    let hash = manetkit::structural_hash(&dep);
+    assert_ne!(hash, initial, "the tuple is part of the structure");
+    let before = txn::fingerprint(&dep);
+
+    let ops = vec![ReconfigOp::RemoveProtocol {
+        name: DYMO_CF.into(),
+    }];
+    let prepared = txn::prepare(&mut dep, 21, ops, &mut os).expect("removal prepares");
+    assert!(
+        txn::rollback(&mut dep, prepared, &mut os),
+        "rollback is clean"
+    );
+    assert_eq!(os.counter("txn.rollback_mismatch"), 0);
+    assert_eq!(manetkit::structural_hash(&dep), hash);
+    assert_eq!(txn::fingerprint(&dep), before);
+}
+
+/// `tuple` with one more required type.
+fn with_extra_requirement(tuple: &EventTuple) -> EventTuple {
+    tuple.clone().requires(EventType::named("TXN_EXTRA"))
+}
+
+#[test]
+fn a_committed_tuple_update_survives_a_rolled_back_removal() {
+    tuple_change_then_rolled_back_removal(|dep, os| {
+        let tuple = with_extra_requirement(dep.protocol(DYMO_CF).expect("dymo").tuple());
+        let ops = vec![ReconfigOp::UpdateTuple {
+            protocol: DYMO_CF.into(),
+            tuple,
+        }];
+        let prepared = txn::prepare(dep, 20, ops, os).expect("the update prepares");
+        txn::commit(dep, &prepared, os);
+    });
+}
+
+#[test]
+fn a_mutated_tuple_survives_a_rolled_back_removal() {
+    tuple_change_then_rolled_back_removal(|dep, os| {
+        let op = ReconfigOp::Mutate {
+            protocol: DYMO_CF.into(),
+            op: Box::new(|cf| {
+                let tuple = with_extra_requirement(cf.tuple());
+                cf.set_tuple(tuple);
+            }),
+        };
+        dep.apply(op, os).expect("the mutation applies");
+    });
 }

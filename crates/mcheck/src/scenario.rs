@@ -37,7 +37,6 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::time::Duration;
 
 use adapt::Stack;
 use manetkit::{structural_hash, NodeHandle, TxnCounters, TxnCtl};
@@ -157,16 +156,13 @@ impl TwoPhaseSwitch {
         // Start the agents (parked StartAgent infra events) so every node
         // has published a composition before the first choice.
         s.settle();
-        // Phase 1: prepare everywhere. `quiesce_within: ZERO` is the
-        // deterministic try-lock probe — no wall-clock budget can leak
-        // host timing into the exploration.
+        // Phase 1: prepare everywhere.
         for h in &s.handles {
             h.txn_ctl(TxnCtl::Prepare {
                 id: TXN_ID,
                 ops: Stack::Olsr.recipe_to(Stack::Dymo),
                 requested: None,
                 deadline: None,
-                quiesce_within: Duration::ZERO,
             });
         }
         s

@@ -393,7 +393,7 @@ const DEPLOYMENTS: [(&str, f64); 5] = [
 /// measured code-dominated C images).
 fn code_census() -> [u64; 5] {
     let packetbb = census("packetbb/src");
-    let framework = census("core/src opencom/src") + packetbb;
+    let framework = census("core/src") + packetbb;
     let olsr = census("olsr/src/mpr olsr/src/olsr olsr/src/lib.rs");
     let dymo =
         census("dymo/src/handlers.rs dymo/src/messages.rs dymo/src/state.rs dymo/src/lib.rs");
@@ -501,8 +501,6 @@ PacketGenerator/PacketParser (PacketBB)|generic|OLSR DYMO AODV|packetbb/src/pack
 packetbb/src/message.rs packetbb/src/addrblock.rs packetbb/src/tlv.rs packetbb/src/wire.rs \
 packetbb/src/address.rs packetbb/src/time.rs packetbb/src/registry.rs
 Kernel RouteTable|generic|OLSR DYMO AODV|netsim/src/route.rs
-OpenCom component runtime|generic|OLSR DYMO AODV|opencom/src/kernel.rs opencom/src/cf.rs \
-opencom/src/component.rs opencom/src/interface.rs opencom/src/arch.rs opencom/src/quiescence.rs
 MPR CF (shared flooding service)|generic|OLSR DYMO AODV|olsr/src/mpr/state.rs \
 olsr/src/mpr/components.rs olsr/src/mpr/mod.rs
 OLSR: topology set + route calc|specific|OLSR|olsr/src/olsr/state.rs
@@ -1117,7 +1115,7 @@ mod tests {
             let [generic, specific, ..] = reuse_summary(&components, stack);
             (generic, specific)
         });
-        assert_eq!(counts, [(10, 4), (11, 6), (11, 3)]);
+        assert_eq!(counts, [(9, 4), (10, 6), (10, 3)]);
         shapes_hold(|s| report_reuse(&components, s));
     }
 

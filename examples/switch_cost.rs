@@ -17,7 +17,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use manetkit_repro::adapt::{install_fleet, Stack};
 use manetkit_repro::campaign::{ScenarioSpec, TopologySpec, TrafficSpec};
@@ -175,7 +174,6 @@ fn prepare_abort_probe() -> [Vec<usize>; 3] {
             ops: Stack::Dymo.recipe_to(Stack::Aodv),
             requested: Some(world.now()),
             deadline: None,
-            quiesce_within: Duration::from_millis(100),
         });
     }
     world.run_for(SimDuration::from_millis(300));

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so this workspace-local
 //! crate provides the small slice of the `parking_lot` API the repository
-//! uses — `Mutex`, `RwLock` and `Condvar` with non-poisoning guards — backed
+//! uses — `Mutex` and `Condvar` with non-poisoning guards — backed
 //! by `std::sync`. Lock poisoning is absorbed by recovering the inner guard
 //! (`parking_lot` has no poisoning either, so semantics match).
 //!
@@ -120,118 +120,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// A readers-writer lock (non-poisoning, like `parking_lot::RwLock`).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(sync::RwLockReadGuard<'a, T>);
-
-/// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Creates a lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(sync::PoisonError::into_inner))
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(sync::PoisonError::into_inner))
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(RwLockReadGuard(g)),
-            Err(sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard(p.into_inner())),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.0.try_write() {
-            Ok(g) => Some(RwLockWriteGuard(g)),
-            Err(sync::TryLockError::Poisoned(p)) => Some(RwLockWriteGuard(p.into_inner())),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access, giving up after `timeout`.
-    ///
-    /// `std::sync::RwLock` has no native timed acquisition, so this polls
-    /// `try_write` with a short exponential backoff until the deadline —
-    /// semantically equivalent to `parking_lot`'s `try_write_for` for the
-    /// uncontended and briefly-contended cases this workspace exercises.
-    pub fn try_write_for(&self, timeout: std::time::Duration) -> Option<RwLockWriteGuard<'_, T>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut backoff = std::time::Duration::from_micros(10);
-        loop {
-            if let Some(g) = self.try_write() {
-                return Some(g);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            std::thread::sleep(backoff.min(deadline - now));
-            backoff = (backoff * 2).min(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Mutable access without locking (the borrow proves exclusivity).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_read() {
-            Some(g) => f.debug_tuple("RwLock").field(&*g).finish(),
-            None => f.write_str("RwLock(<locked>)"),
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,33 +130,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_round_trip() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(*l.read(), vec![1, 2]);
-        let _r = l.read();
-        assert!(l.try_write().is_none());
-    }
-
-    #[test]
-    fn try_write_for_times_out_under_reader_and_succeeds_free() {
-        let l = RwLock::new(0);
-        assert!(l
-            .try_write_for(std::time::Duration::from_millis(5))
-            .is_some());
-        let r = l.read();
-        let started = std::time::Instant::now();
-        assert!(l
-            .try_write_for(std::time::Duration::from_millis(20))
-            .is_none());
-        assert!(started.elapsed() >= std::time::Duration::from_millis(20));
-        drop(r);
-        assert!(l
-            .try_write_for(std::time::Duration::from_millis(5))
-            .is_some());
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub use manetkit_dymo;
 pub use manetkit_olsr;
 pub use mcheck;
 pub use netsim;
-pub use opencom;
 pub use packetbb;
 
 /// Convenient glob-import surface used by the examples and tests.
