@@ -197,7 +197,7 @@ pub fn run(spec: &CampaignSpec, config: &RunConfig) -> CampaignReport {
             serial_micros += second.dispatch_micros;
             if first.fingerprint() != second.fingerprint() {
                 // Name *what* diverged (the earliest differing stat field)…
-                let mut detail = match first.stats.first_difference(&second.stats) {
+                let detail = match first.stats.first_difference(&second.stats) {
                     Some((field, a, b)) => format!(
                         "{}: first differing stat `{field}` ({a} vs {b})",
                         first.label()
@@ -211,16 +211,14 @@ pub fn run(spec: &CampaignSpec, config: &RunConfig) -> CampaignReport {
                 // show *where*: the first diverging record with node,
                 // virtual time and record kind.
                 #[cfg(feature = "trace")]
-                {
+                let detail = {
                     let (_, left) = run_cell_traced(spec, _cell, TRACE_RING_CAPACITY);
                     let (_, right) = run_cell_traced(spec, _cell, TRACE_RING_CAPACITY);
                     match netsim::trace::first_divergence(&left, &right) {
-                        Some(d) => detail.push_str(&format!("; traced replay: {d}")),
-                        None => {
-                            detail.push_str("; traced replay did not reproduce the divergence");
-                        }
+                        Some(d) => format!("{detail}; traced replay: {d}"),
+                        None => format!("{detail}; traced replay did not reproduce the divergence"),
                     }
-                }
+                };
                 mismatched.push(first.label());
                 details.push(detail);
             }

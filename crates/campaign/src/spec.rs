@@ -4,7 +4,7 @@
 use adapt::Stack;
 use manetkit_baseline::{Dymoum, Olsrd, OlsrdConfig};
 use netsim::fault::{FaultPlan, FrameChaos};
-use netsim::mobility::{random_waypoint_field, RandomWaypoint};
+use netsim::mobility::{RandomWaypoint, Walk};
 use netsim::{
     Channel, LinkModel, NodeId, NodeOs, PhyModel, RoutingAgent, SimDuration, SimTime, Topology,
     World, WorldBuilder,
@@ -556,11 +556,13 @@ impl ScenarioSpec {
         self.mobility.as_ref()
     }
 
-    /// Schedules the scenario's mobility (per-node moves over the spatial
-    /// grid) into a freshly built world. A no-op for static scenarios.
+    /// Installs the scenario's mobility into a freshly built world: the
+    /// walk streams, one pending event at a time, moving nodes over the
+    /// spatial grid ([`World::install_walk`]). A no-op for static
+    /// scenarios.
     pub fn install_mobility(&self, world: &mut World) {
         if let Some(params) = self.mobility {
-            random_waypoint_field(params).schedule_into(world);
+            world.install_walk(Walk::new(params));
         }
     }
 
@@ -928,6 +930,29 @@ mod tests {
             let agent = f();
             assert!(!agent.name().is_empty());
         }
+    }
+
+    #[test]
+    fn mobility_streams_one_pending_event() {
+        let spec = ScenarioSpec::builder()
+            .mobility(RandomWaypoint {
+                nodes: 50,
+                radius: 0.2,
+                duration: SimDuration::from_secs(30),
+                seed: 4,
+                ..RandomWaypoint::default()
+            })
+            .build();
+        let mut world = spec.world_builder().seed(1).build();
+        spec.install_mobility(&mut world);
+        assert_eq!(world.pending_events(), 1);
+        world.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+        assert_eq!(world.pending_events(), 0);
+        let moved = (0..50).any(|i| {
+            let node = NodeId(i);
+            world.topology().position(node) != spec.topology().build().position(node)
+        });
+        assert!(moved, "the walk moved the nodes");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`World`] — a discrete-event simulator over virtual [`SimTime`];
 //!   deterministic for a given seed.
 //! * [`Topology`] — a per-link connectivity matrix (the MAC-filter/MobiEmu
-//!   analogue) with link delay/loss models and mobility (scheduled link
-//!   changes).
+//!   analogue) or a spatial index over node positions, with link
+//!   delay/loss models and mobility ([`mobility`]: scheduled link changes,
+//!   or a random-waypoint walk the world steps itself).
 //! * [`NodeOs`] — each node's simulated OS: kernel route table
 //!   ([`KernelRouteTable`]), a netfilter-style hook with packet buffering
 //!   and re-injection, timers, context sensors (battery), and send/receive

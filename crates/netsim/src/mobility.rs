@@ -1,10 +1,18 @@
-//! Mobility: node movement translated into link-change schedules.
+//! Mobility: a random-waypoint walk over the unit square, sampled at
+//! fixed steps.
 //!
 //! The MobiEmu tool the paper used replays connectivity changes derived
-//! from node movement. This module provides the same capability: a
-//! random-waypoint walk over the unit square, sampled at fixed steps, with
-//! links derived from a radio radius — producing a deterministic
-//! [`LinkState`] schedule that can be applied to a [`World`].
+//! from node movement. Here the walk itself is the one model of movement,
+//! [`Walk`], and it reaches a [`World`] in one of three encodings:
+//!
+//! * streamed: [`World::install_walk`] takes the walk and fires one event
+//!   per step that moves the nodes, so a run holds O(n) walk state and one
+//!   pending event instead of every future move;
+//! * as a [`MoveSchedule`] ([`random_waypoint_field`]): every move of the
+//!   walk, precomputed, for a spatial topology — what the streamed walk is
+//!   tested against;
+//! * as a [`MobilityTrace`] ([`random_waypoint`]): pairwise link changes
+//!   for a dense topology, derived from a radio radius.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,10 +58,114 @@ impl Default for RandomWaypoint {
     }
 }
 
-/// Number of whole sampling steps a waypoint pause covers (rounded up so
-/// any positive pause rests for at least one step).
-fn pause_steps(params: &RandomWaypoint) -> u64 {
-    params.pause.as_micros().div_ceil(params.step.as_micros())
+/// A random-waypoint walk in progress: every node's position, waypoint and
+/// remaining rest, and the walk's own seeded RNG — O(n) state, whatever
+/// the duration. Steps fall at `step`, `2·step`, … until the duration is
+/// covered.
+#[derive(Debug, Clone)]
+pub struct Walk {
+    pos: Vec<(f64, f64)>,
+    waypoint: Vec<(f64, f64)>,
+    /// Steps each node still rests at its waypoint.
+    hold: Vec<u64>,
+    rng: StdRng,
+    move_per_step: f64,
+    /// Steps of rest on reaching a waypoint: the pause, rounded up.
+    rest: u64,
+    step: SimDuration,
+    /// When the next step falls.
+    next: SimTime,
+    /// Steps not yet taken.
+    left: u64,
+}
+
+impl Walk {
+    /// Starts the walk `params` describes: positions first, then
+    /// waypoints, drawn from an RNG seeded with `params.seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `nodes == 0`, the step is zero, or the radius or speed
+    /// is not finite.
+    #[must_use]
+    pub fn new(params: RandomWaypoint) -> Self {
+        assert!(params.nodes > 0, "need at least one node");
+        let step = params.step.as_micros();
+        assert!(step > 0, "step must be positive");
+        assert!(
+            params.radius.is_finite() && params.speed.is_finite(),
+            "parameters must be finite"
+        );
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let n = params.nodes;
+        let pos = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
+        let waypoint = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
+        Walk {
+            pos,
+            waypoint,
+            hold: vec![0; n],
+            rng,
+            move_per_step: params.speed * params.step.as_secs_f64(),
+            rest: params.pause.as_micros().div_ceil(step),
+            step: params.step,
+            next: SimTime::ZERO + params.step,
+            left: params.duration.as_micros().div_ceil(step),
+        }
+    }
+
+    /// Every node's current position.
+    #[must_use]
+    pub fn positions(&self) -> &[(f64, f64)] {
+        &self.pos
+    }
+
+    /// Steps not yet taken.
+    #[must_use]
+    pub fn steps_left(&self) -> u64 {
+        self.left
+    }
+
+    /// When the next step falls; `None` once the duration is covered.
+    #[must_use]
+    pub fn next_at(&self) -> Option<SimTime> {
+        (self.left > 0).then_some(self.next)
+    }
+
+    /// Takes the next step: every node that is not resting moves toward
+    /// its waypoint, and one that reaches it draws the next and rests
+    /// there. Calls `moved` for each node whose position changed, in node
+    /// order. A resting node neither moves nor draws from the RNG, so a
+    /// zero pause reproduces the pause-free walk byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the walk has no step left.
+    pub fn step(&mut self, mut moved: impl FnMut(NodeId, (f64, f64))) {
+        assert!(self.left > 0, "the walk is over");
+        self.left -= 1;
+        self.next += self.step;
+        for i in 0..self.pos.len() {
+            if self.hold[i] > 0 {
+                self.hold[i] -= 1;
+                continue;
+            }
+            let (wx, wy) = self.waypoint[i];
+            let (x, y) = self.pos[i];
+            let (dx, dy) = (wx - x, wy - y);
+            let dist = (dx * dx + dy * dy).sqrt();
+            let d = self.move_per_step;
+            if dist <= d {
+                self.pos[i] = (wx, wy);
+                self.waypoint[i] = (self.rng.gen(), self.rng.gen());
+                self.hold[i] = self.rest;
+            } else {
+                self.pos[i] = (x + dx / dist * d, y + dy / dist * d);
+            }
+            if self.pos[i] != (x, y) {
+                moved(NodeId(i), self.pos[i]);
+            }
+        }
+    }
 }
 
 /// One scheduled link change.
@@ -95,11 +207,12 @@ impl MobilityTrace {
     }
 }
 
-/// A per-node movement schedule for spatial topologies: the scalable
-/// counterpart of [`MobilityTrace`]. Where the trace pre-computes O(n²)
-/// pairwise link transitions per step, this stores O(n) position updates
-/// and lets the world's grid index derive connectivity on demand — the
-/// form that makes 10k-node mobile worlds tractable.
+/// Every move of a walk, precomputed, for spatial topologies: O(n) position
+/// updates per step where [`MobilityTrace`] holds O(n²) pairwise link
+/// transitions, with the world's grid index deriving connectivity on
+/// demand. A world normally streams the walk instead
+/// ([`World::install_walk`]); scheduling this up front moves the nodes the
+/// same way, in the same event order, and is the streamed walk's oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoveSchedule {
     /// Spatial topology at time zero (positions plus radio radius).
@@ -130,11 +243,10 @@ impl MoveSchedule {
     }
 }
 
-/// Generates a random-waypoint walk as a spatial topology plus per-node
-/// move schedule. Draws from the seeded RNG in the same order as
-/// [`random_waypoint`], so the same parameters describe the same physical
-/// movement in either representation — only the encoding differs (O(n)
-/// moves per step here versus O(n²) pair scans there).
+/// Runs a random-waypoint [`Walk`] to its end and returns its spatial
+/// starting topology plus every move it made. The same parameters describe
+/// the same physical movement as [`random_waypoint`]; only the encoding
+/// differs.
 ///
 /// # Panics
 ///
@@ -142,54 +254,18 @@ impl MoveSchedule {
 /// positive, or parameters are non-finite.
 #[must_use]
 pub fn random_waypoint_field(params: RandomWaypoint) -> MoveSchedule {
-    assert!(params.nodes > 0, "need at least one node");
-    assert!(params.step.as_micros() > 0, "step must be positive");
-    assert!(
-        params.radius.is_finite() && params.speed.is_finite(),
-        "parameters must be finite"
-    );
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let n = params.nodes;
-    let mut pos: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-    let mut waypoint: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-
-    let initial = Topology::spatial(pos.clone(), params.radius);
-
+    let mut walk = Walk::new(params);
+    let initial = Topology::spatial(walk.positions().to_vec(), params.radius);
     let mut moves = Vec::new();
-    let step_secs = params.step.as_secs_f64();
-    let move_per_step = params.speed * step_secs;
-    let rest = pause_steps(&params);
-    let mut hold = vec![0u64; n];
-    let mut t = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < params.duration {
-        t += params.step;
-        for i in 0..n {
-            // A resting node neither moves nor draws from the RNG, so a
-            // zero pause reproduces the pause-free walk byte for byte.
-            if hold[i] > 0 {
-                hold[i] -= 1;
-                continue;
-            }
-            let (wx, wy) = waypoint[i];
-            let (x, y) = pos[i];
-            let (dx, dy) = (wx - x, wy - y);
-            let dist = (dx * dx + dy * dy).sqrt();
-            if dist <= move_per_step {
-                pos[i] = (wx, wy);
-                waypoint[i] = (rng.gen(), rng.gen());
-                hold[i] = rest;
-            } else {
-                pos[i] = (x + dx / dist * move_per_step, y + dy / dist * move_per_step);
-            }
-            if pos[i] != (x, y) {
-                moves.push((t, NodeId(i), pos[i].0, pos[i].1));
-            }
-        }
+    while let Some(at) = walk.next_at() {
+        walk.step(|node, (x, y)| moves.push((at, node, x, y)));
     }
     MoveSchedule { initial, moves }
 }
 
-/// Generates a random-waypoint trace.
+/// Runs a random-waypoint [`Walk`] to its end and returns the dense
+/// topology it starts from plus every link transition its movement causes
+/// (a pair scan after each step).
 ///
 /// # Panics
 ///
@@ -197,28 +273,18 @@ pub fn random_waypoint_field(params: RandomWaypoint) -> MoveSchedule {
 /// non-finite.
 #[must_use]
 pub fn random_waypoint(params: RandomWaypoint) -> MobilityTrace {
-    assert!(params.nodes > 0, "need at least one node");
-    assert!(params.step.as_micros() > 0, "step must be positive");
-    assert!(
-        params.radius.is_finite() && params.speed.is_finite(),
-        "parameters must be finite"
-    );
-    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut walk = Walk::new(params);
     let n = params.nodes;
-    let mut pos: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-    let mut waypoint: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-
     let in_range = |pos: &[(f64, f64)], a: usize, b: usize| {
         let dx = pos[a].0 - pos[b].0;
         let dy = pos[a].1 - pos[b].1;
         (dx * dx + dy * dy).sqrt() <= params.radius
     };
 
-    // Initial topology.
     let mut initial = Topology::empty(n);
     for a in 0..n {
         for b in (a + 1)..n {
-            if in_range(&pos, a, b) {
+            if in_range(walk.positions(), a, b) {
                 initial.set_link(NodeId(a), NodeId(b), LinkState::Up);
             }
         }
@@ -226,38 +292,13 @@ pub fn random_waypoint(params: RandomWaypoint) -> MobilityTrace {
 
     let mut current = initial.clone();
     let mut changes = Vec::new();
-    let step_secs = params.step.as_secs_f64();
-    let move_per_step = params.speed * step_secs;
-    let rest = pause_steps(&params);
-    let mut hold = vec![0u64; n];
-    let mut t = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < params.duration {
-        t += params.step;
-        // Move every node toward its waypoint; pick a new one on arrival
-        // and rest there for the configured pause.
-        for i in 0..n {
-            if hold[i] > 0 {
-                hold[i] -= 1;
-                continue;
-            }
-            let (wx, wy) = waypoint[i];
-            let (x, y) = pos[i];
-            let (dx, dy) = (wx - x, wy - y);
-            let dist = (dx * dx + dy * dy).sqrt();
-            if dist <= move_per_step {
-                pos[i] = (wx, wy);
-                waypoint[i] = (rng.gen(), rng.gen());
-                hold[i] = rest;
-            } else {
-                pos[i] = (x + dx / dist * move_per_step, y + dy / dist * move_per_step);
-            }
-        }
-        // Emit transitions.
+    while let Some(at) = walk.next_at() {
+        walk.step(|_, _| {});
+        let pos = walk.positions();
         for a in 0..n {
             for b in (a + 1)..n {
-                let now_up = in_range(&pos, a, b);
-                let was_up = current.link_up(NodeId(a), NodeId(b));
-                if now_up != was_up {
+                let now_up = in_range(pos, a, b);
+                if now_up != current.link_up(NodeId(a), NodeId(b)) {
                     let state = if now_up {
                         LinkState::Up
                     } else {
@@ -265,7 +306,7 @@ pub fn random_waypoint(params: RandomWaypoint) -> MobilityTrace {
                     };
                     current.set_link(NodeId(a), NodeId(b), state);
                     changes.push(LinkChange {
-                        at: t,
+                        at,
                         a: NodeId(a),
                         b: NodeId(b),
                         state,

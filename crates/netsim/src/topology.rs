@@ -265,11 +265,11 @@ impl SpatialField {
         )
     }
 
-    /// Nodes within radio range of `a`, in bucket order.
-    fn in_range_of(&self, a: usize) -> Vec<NodeId> {
+    /// Appends the nodes within radio range of `a` to `out`, in bucket
+    /// order.
+    fn in_range_of(&self, a: usize, out: &mut Vec<NodeId>) {
         let (ax, ay) = self.positions[a];
         let r2 = self.radius * self.radius;
-        let mut out = Vec::new();
         let (gxs, gys) = self.block_around(a);
         for gy in gys {
             for gx in gxs.clone() {
@@ -281,7 +281,6 @@ impl SpatialField {
                 }
             }
         }
-        out
     }
 
     fn move_node(&mut self, node: usize, x: f64, y: f64) {
@@ -572,23 +571,34 @@ impl Topology {
         }
     }
 
-    /// Current neighbours of `a`, in ascending id order.
-    #[must_use]
-    pub fn neighbours(&self, a: NodeId) -> Vec<NodeId> {
+    /// Writes the current neighbours of `a` into `out`, replacing what it
+    /// held, in ascending id order: the form for callers that query in a
+    /// loop and keep one buffer.
+    pub fn neighbours_into(&self, a: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
         match &self.backend {
-            Backend::Dense { up } => (0..self.n)
-                .filter(|b| a.0 != *b && up[a.0 * self.n + b])
-                .map(NodeId)
-                .collect(),
+            Backend::Dense { up } => out.extend(
+                (0..self.n)
+                    .filter(|b| a.0 != *b && up[a.0 * self.n + b])
+                    .map(NodeId),
+            ),
             Backend::Spatial(field) => {
-                let mut out = field.in_range_of(a.0);
+                field.in_range_of(a.0, out);
                 // Bucket order is arbitrary; callers iterate neighbour sets
                 // into scheduling decisions, so pin ascending-id order to
                 // match the dense backend exactly.
                 out.sort_unstable();
-                out
             }
         }
+    }
+
+    /// Current neighbours of `a`, in ascending id order, in a new `Vec`
+    /// (see [`neighbours_into`](Self::neighbours_into)).
+    #[must_use]
+    pub fn neighbours(&self, a: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.neighbours_into(a, &mut out);
+        out
     }
 
     /// Whether this topology derives links from node positions.
@@ -685,9 +695,11 @@ impl Topology {
         }
         let mut seen = vec![false; self.n];
         let mut stack = vec![0usize];
+        let mut nbs = Vec::new();
         seen[0] = true;
         while let Some(cur) = stack.pop() {
-            for nb in self.neighbours(NodeId(cur)) {
+            self.neighbours_into(NodeId(cur), &mut nbs);
+            for &nb in &nbs {
                 if !seen[nb.0] {
                     seen[nb.0] = true;
                     stack.push(nb.0);
@@ -705,10 +717,12 @@ impl Topology {
         }
         let mut dist = vec![usize::MAX; self.n];
         let mut queue = std::collections::VecDeque::new();
+        let mut nbs = Vec::new();
         dist[a.0] = 0;
         queue.push_back(a.0);
         while let Some(cur) = queue.pop_front() {
-            for nb in self.neighbours(NodeId(cur)) {
+            self.neighbours_into(NodeId(cur), &mut nbs);
+            for &nb in &nbs {
                 if dist[nb.0] == usize::MAX {
                     dist[nb.0] = dist[cur] + 1;
                     if nb == b {

@@ -247,6 +247,8 @@ impl WorldBuilder {
             ge_phases: HashMap::new(),
             controlled: self.controlled,
             phy: Phy::new(&self.phy, self.nodes),
+            walk: None,
+            receivers: Vec::new(),
         };
         if let Some(plan) = self.fault_plan {
             for entry in plan.entries() {

@@ -87,6 +87,7 @@ impl World {
             | EventKind::NodeMove { node, .. }
             | EventKind::ContextTick { node } => (PendingClass::Infra, *node, None, 0, true),
             EventKind::LinkChange { a, .. } => (PendingClass::Infra, *a, None, 0, true),
+            EventKind::WalkStep => (PendingClass::Infra, NodeId(0), None, 0, true),
             // Serialization deadlines are simulator infrastructure: dropping
             // or reordering them would desynchronize the engine's clock.
             EventKind::PhyComplete { tx, .. } => (PendingClass::Infra, NodeId(0), None, *tx, true),

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use simkern::{EventHandle, EventQueue};
+use simkern::{EventHandle, EventQueue, SeqBlock};
 
 use packetbb::Address;
 use phy::{Phy, TxId};
@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 
 use crate::agent::{ContextSample, FilterEvent, RoutingAgent};
 use crate::fault::{FaultInjector, FaultKind};
+use crate::mobility::Walk;
 use crate::os::{Action, NodeOs, TimerToken};
 use crate::packet::{DataPacket, Frame, NodeId};
 use crate::stats::{StatsWindow, WorldStats};
@@ -95,6 +96,9 @@ enum EventKind {
         x: f64,
         y: f64,
     },
+    /// One step of the streamed walk: its moves, in node order, then the
+    /// next step under the walk's next reserved seq.
+    WalkStep,
     ContextTick {
         node: NodeId,
     },
@@ -108,6 +112,14 @@ enum EventKind {
         seq: u64,
     },
     Fault(FaultKind),
+}
+
+/// A walk the world streams, and the seqs reserved for its remaining
+/// steps.
+#[derive(Debug)]
+struct StreamedWalk {
+    walk: Walk,
+    seqs: SeqBlock,
 }
 
 /// Builds a fresh agent for a rebooting node (true cold boot).
@@ -158,6 +170,10 @@ pub struct World {
     /// [`PhyModel::Ideal`](phy::PhyModel::Ideal), the zero-airtime case of
     /// the one radio path.
     phy: Option<Phy<PhyJob>>,
+    /// The walk installed by [`World::install_walk`], if any.
+    walk: Option<StreamedWalk>,
+    /// Scratch for a broadcast's receivers, reused frame to frame.
+    receivers: Vec<NodeId>,
 }
 
 /// A built `World` (agents installed or not) is `Send`: campaign engines
@@ -299,6 +315,28 @@ impl World {
     /// grid index updates incrementally when the event fires.
     pub fn schedule_node_move(&mut self, at: SimTime, node: NodeId, x: f64, y: f64) {
         self.schedule(at, EventKind::NodeMove { node, x, y });
+    }
+
+    /// Streams a random-waypoint walk: one event per step applies that
+    /// step's moves in node order (each with its `NodeMove` trace record)
+    /// and schedules the next step. One seq per step is reserved now, so a
+    /// step sorts against every other event exactly where its moves would
+    /// had they all been scheduled now with
+    /// [`MoveSchedule::schedule_into`](crate::mobility::MoveSchedule::schedule_into):
+    /// the same run, holding one pending event instead of every move. The
+    /// walk's starting positions must be the topology's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a walk is already installed.
+    pub fn install_walk(&mut self, walk: Walk) {
+        assert!(self.walk.is_none(), "the world already streams a walk");
+        let mut seqs = self.kern.reserve(walk.steps_left());
+        if let Some(at) = walk.next_at() {
+            self.kern
+                .schedule_reserved(&mut seqs, at.max(self.now), EventKind::WalkStep);
+        }
+        self.walk = Some(StreamedWalk { walk, seqs });
     }
 
     /// Runs until simulated time `t` (inclusive of events at `t`). In
@@ -444,6 +482,19 @@ impl World {
             let (_, handle) = timers.swap_remove(i);
             self.kern.cancel(handle);
         }
+    }
+
+    /// Relocates `node` on the spatial topology.
+    fn move_node(&mut self, node: NodeId, x: f64, y: f64) {
+        self.topo.move_node(node, x, y);
+        tr!(
+            self,
+            node,
+            NodeMove,
+            "mobility",
+            (x * 1e6) as u64,
+            (y * 1e6) as u64
+        );
     }
 
     fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn RoutingAgent, &mut NodeOs)) {
@@ -603,16 +654,17 @@ impl World {
                     matches!(state, LinkState::Up)
                 );
             }
-            EventKind::NodeMove { node, x, y } => {
-                self.topo.move_node(node, x, y);
-                tr!(
-                    self,
-                    node,
-                    NodeMove,
-                    "mobility",
-                    (x * 1e6) as u64,
-                    (y * 1e6) as u64
-                );
+            EventKind::NodeMove { node, x, y } => self.move_node(node, x, y),
+            EventKind::WalkStep => {
+                let Some(mut stream) = self.walk.take() else {
+                    return;
+                };
+                stream.walk.step(|node, (x, y)| self.move_node(node, x, y));
+                if let Some(at) = stream.walk.next_at() {
+                    self.kern
+                        .schedule_reserved(&mut stream.seqs, at, EventKind::WalkStep);
+                }
+                self.walk = Some(stream);
             }
             EventKind::ContextTick { node } => {
                 if !self.nodes[node.0].crashed {

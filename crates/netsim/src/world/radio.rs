@@ -237,9 +237,12 @@ impl World {
             PhyJob::Broadcast { frame } => {
                 // One serialization occupied the air; each in-range
                 // neighbour gets its own reachability, loss and delay draws.
-                for nb in self.topo.neighbours(node) {
+                let mut receivers = std::mem::take(&mut self.receivers);
+                self.topo.neighbours_into(node, &mut receivers);
+                for &nb in &receivers {
                     self.radio_control(node, nb, &frame);
                 }
+                self.receivers = receivers;
             }
             PhyJob::Unicast { nb, frame } => {
                 if !self.radio_control(node, nb, &frame) {

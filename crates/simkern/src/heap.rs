@@ -10,6 +10,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use crate::queue::SeqBlock;
 use crate::time::SimTime;
 
 /// A binary-heap discrete-event queue with the [`EventQueue`](crate::EventQueue)
@@ -68,6 +69,27 @@ impl<E> HeapQueue<E> {
         let t = at.as_micros().max(self.now);
         let seq = self.seq;
         self.seq += 1;
+        self.heap.push(Reverse((t, seq)));
+        self.events.insert(seq, event);
+        seq
+    }
+
+    /// Takes the next `n` seqs for [`schedule_reserved`](Self::schedule_reserved).
+    pub fn reserve(&mut self, n: u64) -> SeqBlock {
+        let block = SeqBlock::new(self.seq, n);
+        self.seq += n;
+        block
+    }
+
+    /// Schedules `event` for `at`, clamped to the current time, under
+    /// `block`'s next seq, and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is spent.
+    pub fn schedule_reserved(&mut self, block: &mut SeqBlock, at: SimTime, event: E) -> u64 {
+        let t = at.as_micros().max(self.now);
+        let seq = block.take();
         self.heap.push(Reverse((t, seq)));
         self.events.insert(seq, event);
         seq

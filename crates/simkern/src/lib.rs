@@ -20,7 +20,10 @@
 //!   every layer above relies on. Scheduling returns an [`EventHandle`]
 //!   (payload index plus generation) that cancels the event in O(1); a
 //!   cancelled event is never popped, counted or reported, and the events
-//!   that survive keep their order.
+//!   that survive keep their order. [`EventQueue::reserve`] takes a
+//!   [`SeqBlock`] of seqs now for events scheduled later: a reserved seq
+//!   sorts where it was reserved, so a source can stream its events one
+//!   at a time in the order it would have scheduled them all at once.
 //! * [`HeapQueue`] — the textbook `BinaryHeap` scheduler with the same API
 //!   (cancellation by lazy deletion), kept only as the property-test
 //!   oracle.
@@ -36,5 +39,5 @@ mod queue;
 mod time;
 
 pub use heap::HeapQueue;
-pub use queue::{EventHandle, EventQueue};
+pub use queue::{EventHandle, EventQueue, SeqBlock};
 pub use time::{SimDuration, SimTime};

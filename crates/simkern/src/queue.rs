@@ -43,6 +43,20 @@
 //! clock. Survivors are not moved, so they keep their `seq` order: a
 //! cancellation changes which events fire, never the order of the rest.
 //!
+//! # Reserved seqs
+//!
+//! [`reserve`](EventQueue::reserve) takes a block of `n` seqs now, and
+//! [`schedule_reserved`](EventQueue::schedule_reserved) later schedules an
+//! event under the block's next one: a reserved seq sorts where it was
+//! reserved — after every event scheduled before the reservation and before
+//! every event scheduled after it, at the same deadline. That is what lets
+//! a source stream its events one at a time (schedule the next when the
+//! current fires) and still pop in exactly the order it would have if it
+//! had scheduled them all at the reservation. The ordering is settled when
+//! the entry is inserted: it goes to the position its seq sorts to among
+//! the entries with its deadline, which all sit in one container (`due`,
+//! one wheel slot, or the overflow heap). Popping never reads a seq.
+//!
 //! Scheduling and popping are O(1) amortised versus O(log n) comparison-heap
 //! operations — the difference that lets 10k-node worlds with hundreds of
 //! thousands of in-flight events dispatch at tens of millions of events/sec.
@@ -74,6 +88,42 @@ pub struct EventHandle {
     gen: u32,
 }
 
+/// A block of seqs taken by [`EventQueue::reserve`] (or
+/// [`HeapQueue::reserve`](crate::HeapQueue::reserve)), spent one at a time,
+/// in order, by `schedule_reserved` on the queue that issued it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeqBlock {
+    next: u64,
+    end: u64,
+}
+
+impl SeqBlock {
+    /// The block `[start, start + n)`.
+    pub(crate) fn new(start: u64, n: u64) -> Self {
+        SeqBlock {
+            next: start,
+            end: start + n,
+        }
+    }
+
+    /// Seqs not yet spent.
+    #[must_use]
+    pub fn remaining(&self) -> u64 {
+        self.end - self.next
+    }
+
+    /// Spends the block's next seq.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is spent.
+    pub(crate) fn take(&mut self) -> u64 {
+        assert!(self.next < self.end, "the seq block is spent");
+        self.next += 1;
+        self.next - 1
+    }
+}
+
 /// A scheduled entry: deadline and payload index — 16 bytes, so cascades
 /// stream compact records. No sequence number: insertion order within a
 /// slot IS seq order, cascades preserve it (same-deadline entries always
@@ -99,10 +149,12 @@ pub struct EventQueue<E> {
     seq: u64,
     /// Payloads by index; an entry is live while its payload is here.
     payloads: Vec<Option<E>>,
-    /// Each index's latest generation, beside `payloads` rather than in it
-    /// so a payload-sized slot does not grow by a padded word. Written on
-    /// schedule and read only through a handle, so popping never reads it.
-    gens: Vec<u32>,
+    /// Each index's latest seq, beside `payloads` rather than in it so a
+    /// payload-sized slot does not grow by a padded word. Its low 32 bits
+    /// are the handle's generation. Written on schedule and read only
+    /// through a handle or by a reserved insertion, so popping never reads
+    /// it.
+    seqs: Vec<u64>,
     /// Indices free for reuse.
     free: Vec<u32>,
     /// Live events.
@@ -136,7 +188,7 @@ impl<E> EventQueue<E> {
             now: 0,
             seq: 0,
             payloads: Vec::new(),
-            gens: Vec::new(),
+            seqs: Vec::new(),
             free: Vec::new(),
             len: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
@@ -169,18 +221,51 @@ impl<E> EventQueue<E> {
     /// never runs backwards, so a stale deadline fires immediately rather
     /// than silently in the past. The handle cancels it until it pops.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
-        let t = at.as_micros().max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let gen = seq as u32;
+        self.schedule_as(seq, at, event, false)
+    }
+
+    /// Takes the next `n` seqs for [`schedule_reserved`](Self::schedule_reserved):
+    /// events scheduled through the block sort, among equal deadlines, as
+    /// if they had been scheduled now.
+    pub fn reserve(&mut self, n: u64) -> SeqBlock {
+        let block = SeqBlock::new(self.seq, n);
+        self.seq += n;
+        block
+    }
+
+    /// Schedules `event` for `at` (clamped as in [`schedule`](Self::schedule))
+    /// under `block`'s next seq: it pops after every pending event with the
+    /// same deadline and a smaller seq and before every one with a larger
+    /// seq. O(entries sharing its container) rather than O(1), so it suits
+    /// a source with one event pending at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is spent. A block from another queue is a
+    /// logic error.
+    pub fn schedule_reserved(
+        &mut self,
+        block: &mut SeqBlock,
+        at: SimTime,
+        event: E,
+    ) -> EventHandle {
+        self.schedule_as(block.take(), at, event, true)
+    }
+
+    /// Stores `event` under `seq` and places its entry: `reserved` entries
+    /// by seq among their deadline's, the rest (the newest seq) at the end.
+    fn schedule_as(&mut self, seq: u64, at: SimTime, event: E, reserved: bool) -> EventHandle {
+        let t = at.as_micros().max(self.now);
         let idx = if let Some(idx) = self.free.pop() {
             self.payloads[idx as usize] = Some(event);
-            self.gens[idx as usize] = gen;
+            self.seqs[idx as usize] = seq;
             idx
         } else {
             let idx = u32::try_from(self.payloads.len()).expect("more than 2³² pending events");
             self.payloads.push(Some(event));
-            self.gens.push(gen);
+            self.seqs.push(seq);
             idx
         };
         self.len += 1;
@@ -188,10 +273,15 @@ impl<E> EventQueue<E> {
             // Beyond the wheel span: the overflow heap needs the explicit
             // seq for tie-breaking, wheel slots get it from insertion order.
             self.overflow.push(Reverse((t, seq, idx)));
+        } else if reserved {
+            self.insert_sorted(Entry { t, idx }, seq);
         } else {
             self.insert_entry(Entry { t, idx });
         }
-        EventHandle { idx, gen }
+        EventHandle {
+            idx,
+            gen: seq as u32,
+        }
     }
 
     /// Payload slots allocated so far, live or free for reuse: the most
@@ -207,7 +297,7 @@ impl<E> EventQueue<E> {
     /// keeps its index until it is discarded.
     pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
         let idx = handle.idx as usize;
-        if self.gens.get(idx) != Some(&handle.gen) {
+        if self.seqs.get(idx).map(|&seq| seq as u32) != Some(handle.gen) {
             return None;
         }
         let event = self.payloads[idx].take()?;
@@ -347,7 +437,7 @@ impl<E> EventQueue<E> {
     pub fn pending(&self) -> Vec<(SimTime, EventHandle, &E)> {
         let live = |&Entry { t, idx }: &Entry| {
             let event = self.payloads[idx as usize].as_ref()?;
-            let gen = self.gens[idx as usize];
+            let gen = self.seqs[idx as usize] as u32;
             Some((SimTime::from_micros(t), EventHandle { idx, gen }, event))
         };
         let mut out: Vec<_> = self.due[self.due_head..].iter().filter_map(live).collect();
@@ -426,15 +516,41 @@ impl<E> EventQueue<E> {
             self.due.push(entry);
             return;
         }
-        // Lowest level whose current window contains the deadline: level k
-        // covers deadlines sharing the clock's level-(k+1) slot, i.e. the
-        // highest bit where deadline and clock differ picks the level.
-        let high_bit = 63 - (entry.t ^ self.now).leading_zeros();
-        let k = (high_bit / SLOT_BITS) as usize;
-        debug_assert!(k < LEVELS, "insert_entry deadline beyond the wheel span");
-        let slot = ((entry.t >> (SLOT_BITS * k as u32)) & 63) as usize;
+        let (k, slot) = wheel_slot(entry.t, self.now);
         self.slots[k * SLOTS + slot].push(entry);
         self.occupied[k] |= 1 << slot;
+    }
+
+    /// Places an entry scheduled under `seq` where that seq sorts among the
+    /// entries with its deadline. They all share its container: `due` for
+    /// the current instant, otherwise the one wheel slot the deadline maps
+    /// to (cascades move a slot's entries together, and a deadline enters
+    /// a lower level only by cascade). Entries with other deadlines in the
+    /// slot keep their places, so every deadline's entries stay in seq
+    /// order. The deadline must be within the wheel span.
+    fn insert_sorted(&mut self, entry: Entry, seq: u64) {
+        let EventQueue {
+            now,
+            seqs,
+            slots,
+            due,
+            due_head,
+            occupied,
+            ..
+        } = self;
+        let after = |e: &Entry| e.t == entry.t && seqs[e.idx as usize] > seq;
+        let (list, start) = if entry.t == *now {
+            (due, *due_head)
+        } else {
+            let (k, slot) = wheel_slot(entry.t, *now);
+            occupied[k] |= 1 << slot;
+            (&mut slots[k * SLOTS + slot], 0)
+        };
+        let at = list[start..]
+            .iter()
+            .position(after)
+            .map_or(list.len(), |i| start + i);
+        list.insert(at, entry);
     }
 
     /// Level `k`'s occupied slots ahead of the clock, earliest first. The
@@ -520,6 +636,18 @@ impl<E> EventQueue<E> {
     fn due_is_empty(&self) -> bool {
         self.due_head >= self.due.len()
     }
+}
+
+/// The wheel level and slot that hold deadline `t` while the clock reads
+/// `now` (`t > now`, within the span): the lowest level whose current
+/// window contains the deadline. Level k covers deadlines sharing the
+/// clock's level-(k+1) slot, so the highest bit where deadline and clock
+/// differ picks the level.
+fn wheel_slot(t: u64, now: u64) -> (usize, usize) {
+    let high_bit = 63 - (t ^ now).leading_zeros();
+    let k = (high_bit / SLOT_BITS) as usize;
+    debug_assert!(k < LEVELS, "deadline beyond the wheel span");
+    (k, ((t >> (SLOT_BITS * k as u32)) & 63) as usize)
 }
 
 #[cfg(test)]
@@ -773,6 +901,70 @@ mod tests {
             q.advance_to(at(base + 100));
             assert_eq!(q.pop_due(SimTime::MAX), Some((at(base + 500), ())));
         }
+    }
+
+    #[test]
+    fn a_reserved_seq_sorts_where_it_was_reserved() {
+        // At every place a deadline can wait — due, each wheel level, the
+        // overflow heap — events scheduled before and after a reservation
+        // tie with the two reserved ones scheduled last.
+        let span = 1u64 << SPAN_BITS;
+        for t in [0, 5, 70, 64 * 64 + 3, 64 * 64 * 64 * 9, span - 1, span + 7] {
+            let mut q = EventQueue::new();
+            q.schedule(at(t), "before");
+            let mut block = q.reserve(2);
+            q.schedule(at(t), "after");
+            q.schedule(at(t + 1), "later");
+            assert_eq!(block.remaining(), 2);
+            let first = q.schedule_reserved(&mut block, at(t), "first");
+            q.schedule_reserved(&mut block, at(t), "second");
+            assert_eq!(block.remaining(), 0);
+            let listed: Vec<&str> = q.pending().into_iter().map(|(_, _, e)| *e).collect();
+            assert_eq!(
+                listed,
+                ["before", "first", "second", "after", "later"],
+                "t = {t}"
+            );
+            assert_eq!(q.cancel(first), Some("first"));
+            let popped: Vec<&str> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+            assert_eq!(popped, ["before", "second", "after", "later"], "t = {t}");
+        }
+    }
+
+    #[test]
+    fn a_reserved_event_streamed_behind_the_clock_keeps_its_place() {
+        // A source that schedules its next event when the current one
+        // fires: each lands among events scheduled long after the block.
+        let mut q = EventQueue::new();
+        let mut block = q.reserve(3);
+        for k in 1..=3u64 {
+            q.schedule(at(k * 1_000), ("other", k));
+        }
+        q.schedule_reserved(&mut block, at(1_000), ("stream", 1));
+        let mut order = Vec::new();
+        while let Some((t, e)) = q.pop_due(SimTime::MAX) {
+            if e.0 == "stream" && block.remaining() > 0 {
+                q.schedule_reserved(
+                    &mut block,
+                    t + SimDuration::from_micros(1_000),
+                    ("stream", e.1 + 1),
+                );
+            }
+            order.push(e);
+        }
+        let expect: Vec<_> = (1..=3)
+            .flat_map(|k| [("stream", k), ("other", k)])
+            .collect();
+        assert_eq!(order, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "the seq block is spent")]
+    fn a_spent_block_schedules_nothing() {
+        let mut q = EventQueue::new();
+        let mut block = q.reserve(1);
+        q.schedule_reserved(&mut block, at(1), ());
+        q.schedule_reserved(&mut block, at(2), ());
     }
 
     #[test]
