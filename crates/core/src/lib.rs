@@ -78,8 +78,8 @@ pub use protocol::{
     EventHandler, EventSource, Forwarder, ManetProtocolCf, ProtoCtx, StateCodec, StateSlot,
 };
 pub use reconfig::{
-    Disruption, FleetCoordinator, FleetStatus, FleetTxnReport, HealthGate, ReconfigRequest,
-    Strategy, TxnOptions, TxnVerdict,
+    CoordinatorPhase, Disruption, FleetCoordinator, FleetStatus, FleetTxnReport, HealthGate,
+    Recipe, ReconfigRequest, Strategy, TwoPhaseMachine, TxnOptions, TxnVerdict, Wait,
 };
 pub use registry::EventTuple;
 pub use smallvec::SmallVec;

@@ -179,7 +179,7 @@ impl fmt::Debug for ReconfigOp {
 }
 
 /// Where a node stands in its most recent reconfiguration transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxnPhase {
     /// Ops applied, undo log live, awaiting commit or abort.
     Prepared,
@@ -1136,9 +1136,11 @@ impl ManetNode {
         os.trace_resume(applied, self.deployment.ops_applied);
     }
 
-    /// A crash while a transaction was prepared dooms it: the coordinator
-    /// cannot have committed (it never saw us prepared, or saw us die), so
-    /// it rolls back before anything else runs.
+    /// A crash while a transaction was prepared dooms it: it rolls back
+    /// before anything else runs. The node cannot know the verdict. The
+    /// coordinator may have committed, because it reads a crashed node's
+    /// last published phase, `Prepared`; the node presumes abort, and the
+    /// coordinator lists it in `FleetTxnReport::unresolved`.
     fn roll_back_doomed(&mut self, os: &mut NodeOs) {
         let Some(txn) = self.prepared.take() else {
             return;

@@ -25,15 +25,18 @@
 //!   otherwise the prepared subset rolls back and no node is left running
 //!   the new composition. An optional [`HealthGate`] then watches the
 //!   committed composition for a provisional window and *reverts* the
-//!   whole fleet if the delivery ratio regresses.
+//!   whole fleet if the delivery ratio regresses. The commit is a
+//!   [`TwoPhaseMachine`] that holds no world: `execute` steps it at its
+//!   100 ms polls, and the model checker steps it after every scheduled
+//!   event.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use netsim::{NodeId, SimDuration, World};
+use netsim::{NodeId, SimDuration, SimTime, World, WorldStats};
 
-use crate::node::{NodeHandle, ReconfigOp, TxnCtl, TxnPhase};
+use crate::node::{NodeHandle, NodeStatus, ReconfigOp, TxnCtl, TxnPhase, TxnReport};
 
 /// Coordinates reconfiguration over many node handles.
 #[derive(Clone, Default)]
@@ -319,24 +322,10 @@ impl fmt::Display for FleetTxnReport {
     }
 }
 
-/// The operation batches a [`ReconfigRequest`] applies: one recipe invoked
-/// per node (ops own protocol state, so `ReconfigOp` is not `Clone`), or a
-/// node-indexed recipe for staged rollouts.
-enum Recipe<'a> {
-    /// The same batch everywhere (`recipe()` invoked once per node).
-    Uniform(Box<dyn Fn() -> Vec<ReconfigOp> + 'a>),
-    /// Node-specific batches: `recipe(i)` for handle index `i`.
-    PerNode(Box<dyn Fn(usize) -> Vec<ReconfigOp> + 'a>),
-}
-
-impl Recipe<'_> {
-    fn for_node(&self, i: usize) -> Vec<ReconfigOp> {
-        match self {
-            Recipe::Uniform(f) => f(),
-            Recipe::PerNode(f) => f(i),
-        }
-    }
-}
+/// The operation batches a reconfiguration applies: `recipe(i)` is the
+/// batch for handle index `i`. It is invoked once per node, because
+/// [`ReconfigOp`]s own protocol state and cannot be cloned.
+pub type Recipe<'a> = Box<dyn Fn(usize) -> Vec<ReconfigOp> + 'a>;
 
 /// The coordination discipline a [`ReconfigRequest`] executes under.
 #[derive(Debug, Clone, PartialEq)]
@@ -384,15 +373,14 @@ impl<'a> ReconfigRequest<'a> {
 
     /// Sets the fleet-wide recipe; it is invoked once per node because
     /// [`ReconfigOp`]s own protocol state and cannot be cloned.
-    pub fn recipe(mut self, recipe: impl Fn() -> Vec<ReconfigOp> + 'a) -> Self {
-        self.recipe = Some(Recipe::Uniform(Box::new(recipe)));
-        self
+    pub fn recipe(self, recipe: impl Fn() -> Vec<ReconfigOp> + 'a) -> Self {
+        self.recipe_per_node(move |_| recipe())
     }
 
     /// Sets a node-indexed recipe (`recipe(i)` for handle index `i`) for
     /// staged or heterogeneous rollouts.
     pub fn recipe_per_node(mut self, recipe: impl Fn(usize) -> Vec<ReconfigOp> + 'a) -> Self {
-        self.recipe = Some(Recipe::PerNode(Box::new(recipe)));
+        self.recipe = Some(Box::new(recipe));
         self
     }
 
@@ -482,12 +470,10 @@ impl FleetCoordinator {
     /// resolve acknowledgements, so call it where simulation time is
     /// allowed to progress.
     pub fn execute(&self, world: &mut World, req: ReconfigRequest<'_>) -> FleetTxnReport {
-        let recipe = req
-            .recipe
-            .unwrap_or_else(|| Recipe::Uniform(Box::new(Vec::new)));
+        let recipe = req.recipe.unwrap_or_else(|| Box::new(|_| Vec::new()));
         match req.strategy.unwrap_or(Strategy::BestEffort) {
             Strategy::BestEffort => self.enqueue(&recipe),
-            Strategy::TwoPhase(opts) => self.two_phase(world, &recipe, &opts),
+            Strategy::TwoPhase(opts) => self.two_phase(world, recipe, opts.health),
         }
     }
 
@@ -551,7 +537,7 @@ impl FleetCoordinator {
             if !handle.is_alive() {
                 deferred.push(self.ids[i]);
             }
-            for op in recipe.for_node(i) {
+            for op in recipe(i) {
                 handle.apply(op);
             }
         }
@@ -570,214 +556,337 @@ impl FleetCoordinator {
         }
     }
 
-    /// The two-phase commit engine behind [`Strategy::TwoPhase`].
-    ///
-    /// Phase 1 (*prepare*): every alive node gets its batch with a virtual
-    /// prepare deadline; each checkpoints, applies, and holds its undo log
-    /// open at its own quiescent point. Phase 2: if — and only if — every
-    /// participant reported `Prepared` before the deadline, the coordinator
-    /// broadcasts *commit*; otherwise it broadcasts *abort* and the
-    /// prepared subset rolls back to its checkpoints, so no mix of old and
-    /// new compositions survives.
-    ///
-    /// With a [`HealthGate`] configured, a committed composition runs
-    /// provisionally for the gate's window; if the fleet delivery ratio
-    /// drops more than `max_drop` below the baseline the coordinator
-    /// broadcasts *revert* and the fleet returns to the checkpoint
-    /// compositions ([`TxnVerdict::Reverted`]).
-    ///
-    /// The world is advanced (`run_for`) while the coordinator waits. A
-    /// participant that crashes mid-transaction dooms its own prepared
-    /// transaction (rolled back at its first post-reboot quiescent point)
-    /// and shows up in [`FleetTxnReport::unresolved`].
+    /// Drives a [`TwoPhaseMachine`] behind [`Strategy::TwoPhase`]: hands
+    /// its verbs to the nodes, runs the world to the time it asks to be
+    /// woken at (a poll, or a health-gate window, whose statistics it is
+    /// fed) and feeds it every node's status, until it reports.
     fn two_phase(
         &self,
         world: &mut World,
-        recipe: &Recipe<'_>,
-        opts: &TxnOptions,
+        recipe: Recipe<'_>,
+        gate: Option<HealthGate>,
     ) -> FleetTxnReport {
         let txn = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut participants = Vec::new();
-        let mut skipped = Vec::new();
-        for (i, handle) in self.handles.iter().enumerate() {
-            if handle.is_alive() {
-                participants.push(i);
-            } else {
-                skipped.push(self.ids[i]);
-            }
-        }
-        let participant_ids: Vec<NodeId> = participants.iter().map(|&i| self.ids[i]).collect();
-        let mut report = FleetTxnReport {
-            txn,
-            verdict: TxnVerdict::Aborted,
-            participants: participant_ids,
-            skipped,
-            deferred: Vec::new(),
-            reason: None,
-            pre_ratio: None,
-            window_ratio: None,
-            disruption: None,
-            unresolved: Vec::new(),
-            unprepared: Vec::new(),
-        };
-        if participants.is_empty() {
-            report.reason = Some("no alive participants".to_string());
-            return report;
-        }
-
-        // Health baseline: measure a pre-window unless one was supplied.
+        let nodes: Vec<(NodeId, bool)> = self
+            .ids
+            .iter()
+            .zip(&self.handles)
+            .map(|(&id, handle)| (id, handle.is_alive()))
+            .collect();
+        let (mut machine, mut next) =
+            TwoPhaseMachine::start(txn, &nodes, recipe, gate, world.now());
         let mut window = world.stats_window();
-        if let Some(gate) = &opts.health {
-            let baseline = match gate.baseline {
-                Some(b) => b,
-                None => {
-                    window.skip(world);
-                    world.run_for(gate.window);
-                    window.advance(world).delivery_ratio()
-                }
-            };
-            report.pre_ratio = Some(baseline);
+        while let Some(wait) = next {
+            for (i, verb) in wait.verbs {
+                self.handles[i].txn_ctl(verb);
+            }
+            if wait.measure {
+                window.skip(world);
+            }
+            world.run_until(wait.until);
+            let stats = wait.measure.then(|| window.advance(world));
+            let statuses: Vec<NodeStatus> = self.handles.iter().map(NodeHandle::status).collect();
+            next = machine.step(world.now(), &statuses, stats.as_ref());
         }
+        machine.report
+    }
+}
 
-        // Phase 1: prepare everywhere, with a virtual deadline.
-        let started = world.now();
-        let deadline = started + PREPARE_TIMEOUT;
-        for &i in &participants {
-            self.handles[i].txn_ctl(TxnCtl::Prepare {
-                id: txn,
-                ops: recipe.for_node(i),
-                requested: Some(started),
-                deadline: Some(deadline),
-            });
-        }
-        let mut abort_reason: Option<String> = None;
-        loop {
-            world.run_for(POLL);
-            let mut all_prepared = true;
-            for &i in &participants {
-                match self.handles[i].status().txn {
-                    Some(r) if r.id == txn => match r.phase {
-                        TxnPhase::Prepared | TxnPhase::Committed => {}
-                        TxnPhase::Aborted | TxnPhase::RolledBack | TxnPhase::Reverted => {
-                            abort_reason =
-                                Some(format!("node {} {}: {}", self.ids[i].0, r.phase, r.detail));
-                            all_prepared = false;
-                        }
-                    },
-                    _ => all_prepared = false,
-                }
-            }
-            if abort_reason.is_some() {
-                break;
-            }
-            if all_prepared {
-                break;
-            }
-            if world.now() > deadline {
-                let laggards: Vec<NodeId> = participants
-                    .iter()
-                    .filter(|&&i| {
-                        !matches!(
-                            self.handles[i].status().txn,
-                            Some(ref r) if r.id == txn && r.phase == TxnPhase::Prepared
-                        )
-                    })
-                    .map(|&i| self.ids[i])
-                    .collect();
-                abort_reason = Some(format!(
-                    "prepare deadline passed with node(s) {} unprepared",
-                    id_list(&laggards)
-                ));
-                report.unprepared = laggards;
-                break;
-            }
-        }
+/// Where a [`TwoPhaseMachine`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CoordinatorPhase {
+    /// Measuring the health gate's baseline over a pre-window.
+    Baseline,
+    /// Waiting, until the prepare deadline, for every `Prepared`.
+    Preparing,
+    /// Waiting, within the resolve budget, for every `Committed`.
+    Committing,
+    /// Waiting, within the resolve budget, for every rollback.
+    Aborting,
+    /// Committed; running the health gate's provisional window.
+    Provisional,
+    /// Waiting, within the resolve budget, for every `Reverted`.
+    Reverting,
+    /// The report is final.
+    Done,
+}
 
-        if let Some(reason) = abort_reason {
-            // Phase 2a: abort. The per-node ctl queue is FIFO, so a node
-            // that has not processed its Prepare yet will prepare and then
-            // immediately roll back — or refuse the stale prepare at its
-            // deadline — either way converging on the checkpoint.
-            for &i in &participants {
-                self.handles[i].txn_ctl(TxnCtl::Abort {
-                    id: txn,
-                    reason: "peer_abort",
-                });
-            }
-            report.unresolved = self.drain(world, &participants, txn, |phase| {
-                matches!(
-                    phase,
-                    TxnPhase::Aborted | TxnPhase::RolledBack | TxnPhase::Reverted
-                )
-            });
-            report.verdict = TxnVerdict::Aborted;
-            report.reason = Some(reason);
-            return report;
-        }
+/// What a [`TwoPhaseMachine`] asks of whoever owns the clock: deliver the
+/// verbs, then step it again at `until`.
+#[derive(Debug)]
+pub struct Wait {
+    /// `(handle index, verb)` pairs, in delivery order.
+    pub verbs: Vec<(usize, TxnCtl)>,
+    /// When the machine next needs stepping.
+    pub until: SimTime,
+    /// Whether the wait is a health-gate window: the next step wants the
+    /// statistics the world gathers until `until`.
+    pub measure: bool,
+}
 
-        // Phase 2b: commit.
-        for &i in &participants {
-            self.handles[i].txn_ctl(TxnCtl::Commit { id: txn });
-        }
-        report.unresolved = self.drain(world, &participants, txn, |phase| {
-            phase == TxnPhase::Committed
-        });
-        report.verdict = TxnVerdict::Committed;
+/// The fleet two-phase commit as a state machine that holds no [`World`]:
+/// [`FleetCoordinator::execute`] steps it at its polls, and a model
+/// checker can step it after every scheduled event. Each step answers with
+/// a [`Wait`], or with `None` once [`report`](Self::report) is final.
+///
+/// Phase 1 (*prepare*): every alive participant gets its batch with a
+/// virtual prepare deadline; each checkpoints, applies, and holds its undo
+/// log open at its own quiescent point. Phase 2: if — and only if — every
+/// participant's *published* phase is `Prepared` (so a node that prepared
+/// and then crashed still counts) before a poll finds the deadline passed,
+/// the machine sends *commit*; on the first failed phase, or at the
+/// deadline, it sends *abort*, and the prepared subset rolls back. Then it
+/// waits, within a resolve budget, for acknowledgements, and names the
+/// participants that gave none in [`FleetTxnReport::unresolved`] (one that
+/// crashed prepared rolls itself back when it reboots).
+///
+/// With a [`HealthGate`], a committed composition runs provisionally for
+/// the gate's window; if the fleet delivery ratio drops more than
+/// `max_drop` below the baseline the machine sends *revert*.
+pub struct TwoPhaseMachine<'a> {
+    recipe: Recipe<'a>,
+    gate: Option<HealthGate>,
+    /// Handle indices of the participants, in `report.participants` order.
+    participants: Vec<usize>,
+    report: FleetTxnReport,
+    phase: CoordinatorPhase,
+    /// The prepare deadline or the end of the resolve budget.
+    deadline: Option<SimTime>,
+}
 
-        // Health-gated provisional window.
-        if let Some(gate) = &opts.health {
-            let baseline = report.pre_ratio.unwrap_or(1.0);
-            window.skip(world);
-            world.run_for(gate.window);
-            let provisional = window.advance(world);
-            let ratio = provisional.delivery_ratio();
-            report.window_ratio = Some(ratio);
-            report.disruption = Some(Disruption::of(&provisional));
-            if baseline - ratio > gate.max_drop {
-                for &i in &participants {
-                    self.handles[i].txn_ctl(TxnCtl::Revert { id: txn });
-                }
-                report.unresolved = self.drain(world, &participants, txn, |phase| {
-                    phase == TxnPhase::Reverted
-                });
-                report.verdict = TxnVerdict::Reverted;
-                report.reason = Some(format!(
-                    "delivery ratio {ratio:.3} fell more than {:.3} below baseline {baseline:.3}",
-                    gate.max_drop
-                ));
+impl<'a> TwoPhaseMachine<'a> {
+    /// Starts transaction `txn` at `now` over `nodes[i]`, the id of handle
+    /// `i` and whether it is up. Those up get their `Prepare` verbs — after
+    /// a pre-window of the gate's length when it must measure a baseline.
+    pub fn start(
+        txn: u64,
+        nodes: &[(NodeId, bool)],
+        recipe: Recipe<'a>,
+        gate: Option<HealthGate>,
+        now: SimTime,
+    ) -> (Self, Option<Wait>) {
+        let participants: Vec<usize> = (0..nodes.len()).filter(|&i| nodes[i].1).collect();
+        let mut machine = TwoPhaseMachine {
+            recipe,
+            gate,
+            report: FleetTxnReport {
+                txn,
+                verdict: TxnVerdict::Aborted,
+                participants: participants.iter().map(|&i| nodes[i].0).collect(),
+                skipped: nodes.iter().filter(|n| !n.1).map(|n| n.0).collect(),
+                deferred: Vec::new(),
+                reason: None,
+                pre_ratio: None,
+                window_ratio: None,
+                disruption: None,
+                unresolved: Vec::new(),
+                unprepared: Vec::new(),
+            },
+            participants,
+            phase: CoordinatorPhase::Baseline,
+            deadline: None,
+        };
+        let next = match &machine.gate {
+            _ if machine.participants.is_empty() => {
+                machine.report.reason = Some("no alive participants".to_string());
+                machine.finish()
             }
-        }
-        report
+            Some(gate) if gate.baseline.is_none() => wait(Vec::new(), now + gate.window, true),
+            gate => {
+                machine.report.pre_ratio = gate.as_ref().and_then(|g| g.baseline);
+                machine.prepare(now)
+            }
+        };
+        (machine, next)
     }
 
-    /// Runs the world in poll slices until every participant's status
-    /// reports the wanted phase for `txn`, or the resolve budget runs out.
-    /// Returns the nodes that never got there.
-    fn drain(
+    /// Where the machine stands.
+    #[must_use]
+    pub fn phase(&self) -> CoordinatorPhase {
+        self.phase
+    }
+
+    /// The deadline it waits on: stepped past it, it gives up on laggards.
+    #[must_use]
+    pub fn deadline(&self) -> Option<SimTime> {
+        self.deadline
+    }
+
+    /// The report so far, final once the phase is `Done`.
+    pub fn report(&self) -> &FleetTxnReport {
+        &self.report
+    }
+
+    /// One poll at `now`: `statuses[i]` is the status of handle `i`, and
+    /// `window` the statistics a measuring [`Wait`] asked for.
+    ///
+    /// # Panics
+    ///
+    /// If a measured window is missing.
+    pub fn step(
+        &mut self,
+        now: SimTime,
+        statuses: &[NodeStatus],
+        window: Option<&WorldStats>,
+    ) -> Option<Wait> {
+        let txn = self.report.txn;
+        let phases: Vec<Option<&TxnReport>> = self
+            .participants
+            .iter()
+            .map(|&i| statuses[i].txn.as_ref().filter(|r| r.id == txn))
+            .collect();
+        let expired = self.deadline.is_some_and(|deadline| now > deadline);
+        match self.phase {
+            CoordinatorPhase::Baseline => {
+                let window = window.expect("the health gate's pre-window");
+                self.report.pre_ratio = Some(window.delivery_ratio());
+                self.prepare(now)
+            }
+            CoordinatorPhase::Preparing => {
+                let mut failed = None;
+                for (r, id) in phases.iter().zip(&self.report.participants) {
+                    if let Some(r) = r.filter(|r| rolled_back(r.phase)) {
+                        failed = Some(format!("node {} {}: {}", id.0, r.phase, r.detail));
+                    }
+                }
+                if failed.is_some() {
+                    self.resolve(now, TxnVerdict::Aborted, failed)
+                } else if phases.iter().all(Option::is_some) {
+                    self.resolve(now, TxnVerdict::Committed, None)
+                } else if expired {
+                    self.report.unprepared = self.laggards(&phases, |p| p == TxnPhase::Prepared);
+                    let laggards = id_list(&self.report.unprepared);
+                    let reason =
+                        format!("prepare deadline passed with node(s) {laggards} unprepared");
+                    self.resolve(now, TxnVerdict::Aborted, Some(reason))
+                } else {
+                    wait(Vec::new(), now + POLL, false)
+                }
+            }
+            CoordinatorPhase::Committing
+            | CoordinatorPhase::Aborting
+            | CoordinatorPhase::Reverting => {
+                let wanted = self.phase;
+                let laggards = self.laggards(&phases, |p| match wanted {
+                    CoordinatorPhase::Committing => p == TxnPhase::Committed,
+                    CoordinatorPhase::Reverting => p == TxnPhase::Reverted,
+                    _ => rolled_back(p),
+                });
+                if !laggards.is_empty() && !expired {
+                    return wait(Vec::new(), now + POLL, false);
+                }
+                self.report.unresolved = laggards;
+                match &self.gate {
+                    Some(gate) if wanted == CoordinatorPhase::Committing => {
+                        (self.phase, self.deadline) = (CoordinatorPhase::Provisional, None);
+                        wait(Vec::new(), now + gate.window, true)
+                    }
+                    _ => self.finish(),
+                }
+            }
+            CoordinatorPhase::Provisional => {
+                let window = window.expect("the health gate's provisional window");
+                let max_drop = self.gate.as_ref().map_or(0.0, |g| g.max_drop);
+                let baseline = self.report.pre_ratio.unwrap_or(1.0);
+                let ratio = window.delivery_ratio();
+                self.report.window_ratio = Some(ratio);
+                self.report.disruption = Some(Disruption::of(window));
+                if baseline - ratio > max_drop {
+                    let reason = format!(
+                        "delivery ratio {ratio:.3} fell more than {max_drop:.3} below baseline {baseline:.3}"
+                    );
+                    self.resolve(now, TxnVerdict::Reverted, Some(reason))
+                } else {
+                    self.finish()
+                }
+            }
+            CoordinatorPhase::Done => None,
+        }
+    }
+
+    /// Sends every participant its `Prepare` verb with the deadline.
+    fn prepare(&mut self, now: SimTime) -> Option<Wait> {
+        let (id, deadline) = (self.report.txn, now + PREPARE_TIMEOUT);
+        let prepare = |ops| TxnCtl::Prepare {
+            id,
+            ops,
+            requested: Some(now),
+            deadline: Some(deadline),
+        };
+        let verbs = self
+            .participants
+            .iter()
+            .map(|&i| (i, prepare((self.recipe)(i))))
+            .collect();
+        (self.phase, self.deadline) = (CoordinatorPhase::Preparing, Some(deadline));
+        wait(verbs, now + POLL, false)
+    }
+
+    /// Records the verdict, sends every participant its verb, and waits,
+    /// within the resolve budget, for their acknowledgements. The per-node
+    /// verb queue is FIFO, so a node told to abort before it processed its
+    /// `Prepare` prepares and rolls straight back — or refuses the stale
+    /// prepare at its deadline — either way converging on the checkpoint.
+    fn resolve(
+        &mut self,
+        now: SimTime,
+        verdict: TxnVerdict,
+        reason: Option<String>,
+    ) -> Option<Wait> {
+        let (phase, verb): (_, fn(u64) -> TxnCtl) = match verdict {
+            TxnVerdict::Committed => (CoordinatorPhase::Committing, |id| TxnCtl::Commit { id }),
+            TxnVerdict::Reverted => (CoordinatorPhase::Reverting, |id| TxnCtl::Revert { id }),
+            _ => (CoordinatorPhase::Aborting, |id| TxnCtl::Abort {
+                id,
+                reason: "peer_abort",
+            }),
+        };
+        (self.report.verdict, self.report.reason) = (verdict, reason);
+        let verbs = self
+            .participants
+            .iter()
+            .map(|&i| (i, verb(self.report.txn)))
+            .collect();
+        (self.phase, self.deadline) = (phase, Some(now + RESOLVE_TIMEOUT));
+        wait(verbs, now + POLL, false)
+    }
+
+    fn finish(&mut self) -> Option<Wait> {
+        (self.phase, self.deadline) = (CoordinatorPhase::Done, None);
+        None
+    }
+
+    /// Participants whose report for the transaction is not in a phase
+    /// `done` accepts.
+    fn laggards(
         &self,
-        world: &mut World,
-        participants: &[usize],
-        txn: u64,
+        phases: &[Option<&TxnReport>],
         done: impl Fn(TxnPhase) -> bool,
     ) -> Vec<NodeId> {
-        let deadline = world.now() + RESOLVE_TIMEOUT;
-        loop {
-            world.run_for(POLL);
-            let laggards: Vec<NodeId> = participants
-                .iter()
-                .filter(|&&i| {
-                    !matches!(
-                        self.handles[i].status().txn,
-                        Some(ref r) if r.id == txn && done(r.phase)
-                    )
-                })
-                .map(|&i| self.ids[i])
-                .collect();
-            if laggards.is_empty() || world.now() > deadline {
-                return laggards;
-            }
-        }
+        phases
+            .iter()
+            .zip(&self.report.participants)
+            .filter(|(r, _)| !r.is_some_and(|r| done(r.phase)))
+            .map(|(_, &id)| id)
+            .collect()
     }
+}
+
+fn wait(verbs: Vec<(usize, TxnCtl)>, until: SimTime, measure: bool) -> Option<Wait> {
+    Some(Wait {
+        verbs,
+        until,
+        measure,
+    })
+}
+
+/// Whether a participant's phase is one an abort ends in (or a failed
+/// prepare reports).
+fn rolled_back(phase: TxnPhase) -> bool {
+    matches!(
+        phase,
+        TxnPhase::Aborted | TxnPhase::RolledBack | TxnPhase::Reverted
+    )
 }
 
 impl fmt::Debug for FleetCoordinator {
@@ -1015,6 +1124,200 @@ mod tests {
         let stats = world.stats();
         assert!(stats.agent_counter("txn.aborted") >= 1);
         assert!(stats.agent_counter("txn.rolled_back") >= 1);
+    }
+
+    // ---- the two-phase machine, stepped without a world ------------------
+
+    /// A published status whose last report for txn 1 is in `phase`.
+    fn reporting(phase: Option<TxnPhase>) -> NodeStatus {
+        NodeStatus {
+            txn: phase.map(|phase| TxnReport {
+                id: 1,
+                phase,
+                detail: format!("{phase} here"),
+            }),
+            ..NodeStatus::default()
+        }
+    }
+
+    fn statuses(phases: &[Option<TxnPhase>]) -> Vec<NodeStatus> {
+        phases.iter().map(|&p| reporting(p)).collect()
+    }
+
+    /// Starts txn 1 at 1 s over `n` alive nodes.
+    fn start(n: usize, gate: Option<HealthGate>) -> (TwoPhaseMachine<'static>, Option<Wait>) {
+        let nodes: Vec<(NodeId, bool)> = (0..n).map(|i| (NodeId(i), true)).collect();
+        TwoPhaseMachine::start(1, &nodes, Box::new(|_| register_hello()), gate, ms(1_000))
+    }
+
+    /// The verbs a step sends, as `(handle index, verb)` in debug form,
+    /// and the time it asks to be woken at.
+    fn sent(step: &Option<Wait>) -> (Vec<(usize, String)>, SimTime) {
+        let wait = step.as_ref().expect("the machine finished early");
+        let verbs = wait.verbs.iter().map(|(i, v)| (*i, format!("{v:?}")));
+        (verbs.collect(), wait.until)
+    }
+
+    /// Steps until the machine reports, with the same statuses at every
+    /// poll; returns the time of the last step.
+    fn run_out(m: &mut TwoPhaseMachine<'_>, mut now: SimTime, st: &[NodeStatus]) -> SimTime {
+        while let Some(wait) = m.step(now, st, None) {
+            now = wait.until;
+        }
+        now
+    }
+
+    fn every(n: usize, verb: &str) -> Vec<(usize, String)> {
+        (0..n).map(|i| (i, verb.to_string())).collect()
+    }
+
+    const PREPARED: Option<TxnPhase> = Some(TxnPhase::Prepared);
+
+    #[test]
+    fn machine_commits_only_once_every_participant_reports_prepared() {
+        let (mut m, first) = start(3, None);
+        let (verbs, until) = sent(&first);
+        assert_eq!(verbs, every(3, "Prepare(#1, 1 ops)"));
+        assert_eq!(until, ms(1_100), "the first poll");
+        let waiting = m.step(ms(1_100), &statuses(&[PREPARED, None, PREPARED]), None);
+        assert_eq!(sent(&waiting), (Vec::new(), ms(1_200)));
+        assert_eq!(m.phase(), CoordinatorPhase::Preparing);
+        let commit = m.step(ms(1_200), &statuses(&[PREPARED; 3]), None);
+        assert_eq!(sent(&commit).0, every(3, "Commit(#1)"));
+        assert_eq!(m.phase(), CoordinatorPhase::Committing);
+        let committed = Some(TxnPhase::Committed);
+        assert!(m
+            .step(ms(1_300), &statuses(&[committed; 3]), None)
+            .is_none());
+        let done = m.report();
+        assert_eq!(done.verdict, TxnVerdict::Committed, "{done}");
+        assert!(
+            done.reason.is_none() && done.unresolved.is_empty(),
+            "{done}"
+        );
+        assert_eq!(m.phase(), CoordinatorPhase::Done);
+    }
+
+    #[test]
+    fn machine_aborts_on_one_failed_prepare_before_the_deadline() {
+        let (mut m, _) = start(3, None);
+        let failed = m.step(
+            ms(1_100),
+            &statuses(&[PREPARED, Some(TxnPhase::Aborted), None]),
+            None,
+        );
+        assert_eq!(sent(&failed).0, every(3, "Abort(#1, peer_abort)"));
+        assert_eq!(m.phase(), CoordinatorPhase::Aborting);
+        let rolled_back = Some(TxnPhase::RolledBack);
+        let aborted = Some(TxnPhase::Aborted);
+        let acks = statuses(&[rolled_back, aborted, rolled_back]);
+        assert!(m.step(ms(1_200), &acks, None).is_none());
+        let done = m.report();
+        assert_eq!(done.verdict, TxnVerdict::Aborted);
+        assert_eq!(done.reason.as_deref(), Some("node 1 aborted: aborted here"));
+        assert!(
+            done.unprepared.is_empty() && done.unresolved.is_empty(),
+            "{done}"
+        );
+    }
+
+    #[test]
+    fn machine_aborts_at_the_first_poll_past_the_deadline_naming_the_laggards() {
+        let (mut m, first) = start(3, None);
+        let (_, mut now) = sent(&first);
+        let laggard = statuses(&[PREPARED, None, None]);
+        // Polls up to and including start + 5 s find the deadline not passed.
+        while now <= ms(6_000) {
+            let (verbs, until) = sent(&m.step(now, &laggard, None));
+            assert!(verbs.is_empty(), "aborted at {now}");
+            now = until;
+        }
+        assert_eq!(now, ms(6_100), "the first poll past the deadline");
+        let abort = m.step(now, &laggard, None);
+        assert_eq!(sent(&abort).0, every(3, "Abort(#1, peer_abort)"));
+        let rolled_back = statuses(&[Some(TxnPhase::RolledBack); 3]);
+        assert!(m.step(ms(6_200), &rolled_back, None).is_none());
+        let done = m.report();
+        assert_eq!(done.unprepared, vec![NodeId(1), NodeId(2)], "{done}");
+        assert_eq!(
+            done.reason.as_deref(),
+            Some("prepare deadline passed with node(s) [1, 2] unprepared")
+        );
+    }
+
+    #[test]
+    fn machine_names_participants_unresolved_when_the_budget_runs_out() {
+        let (mut m, _) = start(2, None);
+        let (_, mut now) = sent(&m.step(ms(1_100), &statuses(&[PREPARED; 2]), None));
+        let stalled = statuses(&[Some(TxnPhase::Committed), PREPARED]);
+        now = run_out(&mut m, now, &stalled);
+        assert_eq!(now, ms(6_200), "the first poll past the resolve budget");
+        let done = m.report();
+        assert_eq!(done.verdict, TxnVerdict::Committed);
+        assert_eq!(done.unresolved, vec![NodeId(1)], "{done}");
+    }
+
+    #[test]
+    fn machine_reverts_when_the_gate_window_falls_below_baseline() {
+        let gate = HealthGate::over_window(SimDuration::from_secs(4)).max_drop(0.2);
+        let (mut m, pre) = start(2, Some(gate));
+        let pre = pre.expect("a pre-window");
+        assert!(pre.verbs.is_empty() && pre.measure && pre.until == ms(5_000));
+        let window = |sent, delivered| WorldStats {
+            data_sent: sent,
+            data_delivered: delivered,
+            ..WorldStats::default()
+        };
+        let prepare = m.step(ms(5_000), &statuses(&[None; 2]), Some(&window(10, 9)));
+        assert_eq!(
+            sent(&prepare).0.len(),
+            2,
+            "the prepares follow the pre-window"
+        );
+        m.step(ms(5_100), &statuses(&[PREPARED; 2]), None);
+        let committed = statuses(&[Some(TxnPhase::Committed); 2]);
+        let provisional = m.step(ms(5_200), &committed, None).expect("a window");
+        assert!(provisional.measure && provisional.until == ms(9_200));
+        assert_eq!(m.phase(), CoordinatorPhase::Provisional);
+        let revert = m.step(ms(9_200), &committed, Some(&window(10, 5)));
+        assert_eq!(sent(&revert).0, every(2, "Revert(#1)"));
+        let reverted = statuses(&[Some(TxnPhase::Reverted); 2]);
+        assert!(m.step(ms(9_300), &reverted, None).is_none());
+        let done = m.report();
+        assert_eq!(done.verdict, TxnVerdict::Reverted);
+        assert_eq!((done.pre_ratio, done.window_ratio), (Some(0.9), Some(0.5)));
+        assert_eq!(
+            done.reason.as_deref(),
+            Some("delivery ratio 0.500 fell more than 0.200 below baseline 0.900")
+        );
+    }
+
+    #[test]
+    fn machine_counts_a_prepared_participant_that_went_down() {
+        let (mut m, _) = start(2, None);
+        let mut down = statuses(&[PREPARED; 2]);
+        down[1].alive = false;
+        // The coordinator reads only the published phase: the crashed
+        // node's is still `Prepared`, so the fleet commits.
+        let commit = m.step(ms(1_100), &down, None);
+        assert_eq!(sent(&commit).0, every(2, "Commit(#1)"));
+        down[0] = reporting(Some(TxnPhase::Committed));
+        run_out(&mut m, ms(1_200), &down);
+        let done = m.report();
+        assert_eq!(done.verdict, TxnVerdict::Committed);
+        assert_eq!(done.unresolved, vec![NodeId(1)], "{done}");
+    }
+
+    #[test]
+    fn machine_with_no_alive_participant_reports_at_once() {
+        let recipe: Recipe<'static> = Box::new(|_| Vec::new());
+        let (m, step) = TwoPhaseMachine::start(7, &[(NodeId(4), false)], recipe, None, ms(0));
+        assert!(step.is_none());
+        let done = m.report();
+        assert_eq!((done.txn, done.verdict), (7, TxnVerdict::Aborted));
+        assert_eq!(done.skipped, vec![NodeId(4)]);
+        assert_eq!(done.reason.as_deref(), Some("no alive participants"));
+        assert_eq!((m.phase(), m.deadline()), (CoordinatorPhase::Done, None));
     }
 
     #[test]

@@ -185,7 +185,7 @@ enum Visit {
     /// Everything the merge needs to dedup, check and expand the state.
     New {
         fingerprint: u64,
-        obs: Observation,
+        obs: Box<Observation>,
         prefix: Vec<Choice>,
         /// Empty when the state is terminal or at the depth bound.
         enabled: Vec<Choice>,
@@ -512,7 +512,7 @@ fn visit<M: Model>(
     if seen.contains(&fingerprint) {
         return Visit::Seen;
     }
-    let obs = model.observe();
+    let obs = Box::new(model.observe());
     let enabled = if obs.terminal || prefix.len() >= depth_bound {
         Vec::new()
     } else {
@@ -531,9 +531,9 @@ mod tests {
     use std::hash::{Hash, Hasher};
 
     use super::*;
-    use crate::invariant::{default_suite, CoordPhase, NodeObs};
+    use crate::invariant::{default_suite, NodeObs};
     use crate::scenario::{ScenarioConfig, TwoPhaseSwitch};
-    use manetkit::TxnPhase;
+    use manetkit::{CoordinatorPhase, TxnPhase};
 
     impl<M: Model> Explorer<M> {
         /// The one-prefix-at-a-time walk, kept as it was before visits were
@@ -685,7 +685,8 @@ mod tests {
             Observation {
                 txn: 1,
                 baseline_hash: 0,
-                coordinator: CoordPhase::Preparing,
+                coordinator: CoordinatorPhase::Preparing,
+                report: None,
                 terminal: self.a == 39 && self.b == 29,
                 nodes: vec![NodeObs {
                     node: 0,
@@ -784,15 +785,13 @@ mod tests {
         let (shallow, _) = assert_worker_counts_agree(&switch(cfg.clone()).depth_bound(3), never);
         assert!(!shallow.truncated && shallow.bound_hits > 0);
         // The directed search for a participant that died prepared after
-        // the coordinator decided to commit.
+        // the coordinator sent the commit.
         let (_, found) = assert_worker_counts_agree(&switch(cfg).depth_bound(8), |obs, _| {
-            matches!(
-                obs.coordinator,
-                CoordPhase::Committing | CoordPhase::Committed
-            ) && obs
-                .nodes
-                .iter()
-                .any(|n| !n.alive && n.phase == Some(TxnPhase::Prepared))
+            obs.coordinator == CoordinatorPhase::Committing
+                && obs
+                    .nodes
+                    .iter()
+                    .any(|n| !n.alive && n.phase == Some(TxnPhase::Prepared))
         });
         assert!(found.is_some());
     }
@@ -807,7 +806,7 @@ mod tests {
         // Stop at the first violation: the E17 counterexample.
         let (first, _) =
             assert_worker_counts_agree(&switch(mutated.clone()).depth_bound(12), never);
-        assert_eq!(first.states_explored, 67);
+        assert_eq!(first.states_explored, 85);
         assert_eq!(first.violations.len(), 1);
         assert_eq!(first.violations[0].depth, 3);
         // Keep going under a cap: many violations, in one order.

@@ -14,34 +14,11 @@
 //!   committed compositions coexist on live nodes.
 //!
 //! [`StuckResolution`] is the liveness-ish companion: once the coordinator
-//! has resolved the transaction, no live node may be wedged in `Prepared`
-//! with nothing in flight that could ever resolve it.
+//! has reported, no live node may be wedged in `Prepared` with nothing in
+//! flight that could ever resolve it.
 
-use manetkit::{TxnCounters, TxnPhase};
+use manetkit::{CoordinatorPhase, FleetTxnReport, TxnCounters, TxnPhase};
 use std::collections::BTreeSet;
-
-/// Where the modelled coordinator stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoordPhase {
-    /// Prepare verbs sent; waiting for every participant to prepare.
-    Preparing,
-    /// Commit verbs sent; waiting for participants to commit.
-    Committing,
-    /// Abort verbs sent; waiting for participants to roll back.
-    Aborting,
-    /// Resolved: the transaction committed fleet-wide.
-    Committed,
-    /// Resolved: the transaction aborted fleet-wide.
-    Aborted,
-}
-
-impl CoordPhase {
-    /// Whether the coordinator has reached a verdict.
-    #[must_use]
-    pub fn is_done(self) -> bool {
-        matches!(self, CoordPhase::Committed | CoordPhase::Aborted)
-    }
-}
 
 /// The transaction-level abstraction of one node at one state.
 #[derive(Debug, Clone)]
@@ -63,9 +40,10 @@ pub struct NodeObs {
     pub rollback_mismatch: u64,
     /// Control verbs queued at the node but not yet processed.
     pub pending_ctl: usize,
-    /// A coordinator verdict for this node has been decided but not yet
-    /// delivered (it sits in the coordinator's outbox). The node can
-    /// still be resolved, so it is not stuck.
+    /// A verb the coordinator sent this node after the prepare — commit,
+    /// abort or revert — has not been delivered yet (it waits in the
+    /// scenario's outbox for [`Choice::Verdict`](crate::Choice::Verdict)).
+    /// The node can still be resolved, so it is not stuck.
     pub verdict_in_flight: bool,
 }
 
@@ -77,10 +55,12 @@ pub struct Observation {
     /// Structural hash of the pre-transaction composition every node
     /// started from.
     pub baseline_hash: u64,
-    /// Modelled coordinator phase.
-    pub coordinator: CoordPhase,
-    /// Whether the state is terminal: coordinator resolved, every node's
-    /// report resolved, no unprocessed verbs.
+    /// The coordinator's phase.
+    pub coordinator: CoordinatorPhase,
+    /// The coordinator's final report, once it is done.
+    pub report: Option<FleetTxnReport>,
+    /// Whether the state is terminal: coordinator done, every node's
+    /// report resolved, no undelivered or unprocessed verbs.
     pub terminal: bool,
     /// Per-node observations, in node-id order.
     pub nodes: Vec<NodeObs>,
@@ -237,15 +217,15 @@ impl Invariant for NoSplitBrain {
     }
 }
 
-/// Liveness-ish: once the coordinator has resolved the transaction, a live
-/// node still reporting `Prepared` with an empty verb queue *and no
-/// verdict on its way* can never resolve — its commit/abort verb was
-/// lost, which the delivery model makes impossible (verbs ride the
-/// handle, not the radio, and verdicts wait in the coordinator's outbox
+/// Liveness-ish: once the coordinator has reported, a live node still
+/// reporting `Prepared` with an empty verb queue *and no verdict on its
+/// way* can never resolve — the coordinator never sent it a verdict, or
+/// the verb was lost, which the delivery model makes impossible (verbs
+/// ride the handle, not the radio, and wait in the scenario's outbox
 /// until delivered). The outbox clause matters: a node that crashed
-/// before preparing and reboots after the fleet resolved processes its
-/// still-queued `Prepare` and sits legitimately prepared until its
-/// verdict arrives.
+/// before preparing and reboots after the coordinator gave up on it
+/// processes its still-queued `Prepare` and sits legitimately prepared
+/// until its verdict arrives.
 #[derive(Debug, Default)]
 pub struct StuckResolution;
 
@@ -255,7 +235,7 @@ impl Invariant for StuckResolution {
     }
 
     fn check(&self, obs: &Observation) -> Result<(), String> {
-        if !obs.coordinator.is_done() {
+        if obs.coordinator != CoordinatorPhase::Done {
             return Ok(());
         }
         for n in &obs.nodes {
@@ -306,7 +286,8 @@ mod tests {
         Observation {
             txn: 1,
             baseline_hash: 1,
-            coordinator: CoordPhase::Preparing,
+            coordinator: CoordinatorPhase::Preparing,
+            report: None,
             terminal: false,
             nodes,
         }
@@ -365,7 +346,7 @@ mod tests {
         n.phase = Some(TxnPhase::Prepared);
         let mut o = obs(vec![n]);
         assert!(StuckResolution.check(&o).is_ok(), "still preparing");
-        o.coordinator = CoordPhase::Committed;
+        o.coordinator = CoordinatorPhase::Done;
         assert!(StuckResolution.check(&o).is_err(), "wedged after verdict");
         o.nodes[0].pending_ctl = 1;
         assert!(StuckResolution.check(&o).is_ok(), "verb still in flight");

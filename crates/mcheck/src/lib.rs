@@ -7,10 +7,14 @@
 //! in controlled-delivery mode, where nothing fires behind the checker's
 //! back, and every nondeterministic decision — which pending
 //! message to deliver next, whether to drop it instead, when a node
-//! crashes or reboots, which timer fires — becomes an explicit
-//! [`Choice`]. The [`Explorer`] then drives a fleet-wide 2PC protocol
-//! switch through every schedulable interleaving within the crash/drop
-//! budgets, checking a reusable [`Invariant`] suite at every state:
+//! crashes or reboots, which timer fires, when a coordinator verdict
+//! reaches a node and when the coordinator's deadline passes — becomes an
+//! explicit [`Choice`]. The [`Explorer`] then drives a fleet-wide 2PC
+//! protocol switch, coordinated by the same
+//! [`TwoPhaseMachine`](manetkit::TwoPhaseMachine) that
+//! `FleetCoordinator::execute` steps, through every schedulable
+//! interleaving within the crash/drop budgets, checking a reusable
+//! [`Invariant`] suite at every state:
 //! rollback exactness, no split-brain composition, and the
 //! `prepared == committed + rolled_back` ledger shared with the engine's
 //! own tests via `manetkit::txn::invariants`.
@@ -55,7 +59,7 @@ mod schedule;
 
 pub use explorer::{Counterexample, ExploreReport, Explorer, Model, Strategy, Violation};
 pub use invariant::{
-    default_suite, CoordPhase, CounterConservation, Invariant, NoSplitBrain, NodeObs, Observation,
+    default_suite, CounterConservation, Invariant, NoSplitBrain, NodeObs, Observation,
     RollbackExactness, StuckResolution,
 };
 pub use scenario::{ScenarioConfig, TwoPhaseSwitch};

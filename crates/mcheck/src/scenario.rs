@@ -3,25 +3,30 @@
 //! two-phase while the scheduler is free to reorder deliveries, drop
 //! messages, and crash/reboot nodes.
 //!
-//! # The coordinator abstraction
+//! # The coordinator
 //!
-//! The real two-phase strategy ([`FleetCoordinator::execute`]
-//! (manetkit::FleetCoordinator::execute) with `Strategy::TwoPhase`)
-//! advances the world
-//! itself (`run_for` + polling), which the controlled world forbids — the
-//! checker owns the clock. The scenario therefore models the coordinator
-//! as a *reaction function* with the same phase structure: after every
-//! scheduled choice it re-reads the participants' statuses and decides
-//! the same verdict the real coordinator would (commit when everyone
-//! prepared, abort when anyone failed or died). The *decision* is
-//! instantly reactive — the coordinator's polling latency is not a choice
-//! point — but the **verdict transport is**: deciding fills a per-node
-//! outbox, and each participant only learns the outcome when the
-//! scheduler plays [`Choice::Verdict`] for it. That window — some nodes
-//! told to commit while others still sit prepared — is exactly where
-//! split-brain compositions would appear, so it must be schedulable.
-//! Verdicts ride the in-process control channel (reliable), so they can
-//! be delayed and reordered against everything else but not dropped.
+//! The coordinator is the real one: the [`TwoPhaseMachine`] that
+//! [`FleetCoordinator::execute`](manetkit::FleetCoordinator::execute)
+//! steps at its 100 ms polls. Here the checker owns the clock, so the
+//! scenario steps the machine after every scheduled choice, with every
+//! node's published status. Two things the real driver gets from time
+//! become choices:
+//!
+//! * **Verdict transport.** The `Prepare` verbs go straight to the nodes,
+//!   but every later verb waits in a per-node outbox until the scheduler
+//!   plays [`Choice::Verdict`] for that node. That window — some nodes
+//!   told to commit while others still sit prepared — is exactly where
+//!   split-brain compositions would appear, so it must be schedulable.
+//!   Verbs ride the in-process control channel (reliable), so they can be
+//!   delayed and reordered against everything else but not dropped.
+//! * **Deadline expiry.** The fingerprint leaves absolute time out, so the
+//!   machine is stepped at the deadline it waits on, never past it, until
+//!   the scheduler plays [`Choice::Expire`]: then it is stepped just past
+//!   it, and gives up on the participants that have not answered — an
+//!   abort with `unprepared` laggards in the prepare phase, `unresolved`
+//!   ones after a verdict. The nodes keep the world's clock, so one that
+//!   reaches its quiescent point after the prepare deadline still refuses
+//!   the prepare.
 //!
 //! # The dedup abstraction
 //!
@@ -29,21 +34,26 @@
 //! projection of the state: per-node liveness, transaction phase,
 //! published composition hash, `txn.*` ledgers, queued verbs, the pending
 //! message multiset (class/owner/sender, **not** absolute arrival times),
-//! the coordinator phase and the spent budgets. Routing soft state
-//! (neighbour tables, sequence numbers) is deliberately outside the
+//! the coordinator's phase, the outbox and the spent budgets. Routing soft
+//! state (neighbour tables, sequence numbers) is deliberately outside the
 //! abstraction — it churns with every frame and cannot influence the
 //! checked invariants, so folding it in would explode the state count
 //! without adding discriminating power.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::mem;
 
 use adapt::Stack;
-use manetkit::{structural_hash, NodeHandle, TxnCounters, TxnCtl};
-use netsim::{NodeId, PendingClass, PendingEvent, Topology, World};
+use manetkit::{
+    structural_hash, CoordinatorPhase, NodeHandle, NodeStatus, Recipe, TwoPhaseMachine,
+    TxnCounters, TxnCtl,
+};
+use netsim::{NodeId, PendingClass, PendingEvent, SimDuration, Topology, World};
 
 use crate::explorer::Model;
-use crate::invariant::{CoordPhase, NodeObs, Observation};
+use crate::invariant::{NodeObs, Observation};
 use crate::schedule::Choice;
 
 /// Scenario parameters.
@@ -84,13 +94,6 @@ impl Default for ScenarioConfig {
 /// The transaction id the scenario's single 2PC round uses.
 const TXN_ID: u64 = 1;
 
-/// A decided-but-undelivered coordinator verdict sitting in the outbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VerdictKind {
-    Commit,
-    Abort,
-}
-
 /// A fleet mid-switch under a controlled scheduler. Implements
 /// [`Model`]; build fresh instances via a closure over a
 /// [`ScenarioConfig`] and hand them to an
@@ -102,18 +105,19 @@ pub struct TwoPhaseSwitch {
     name: String,
     /// Structural hash every node starts from (the rollback target).
     baseline: u64,
-    coord: CoordPhase,
-    /// Decided verdicts not yet delivered — one slot per node, filled
-    /// when the coordinator decides, emptied by [`Choice::Verdict`].
-    outbox: Vec<Option<VerdictKind>>,
+    coordinator: TwoPhaseMachine<'static>,
+    /// Verbs the coordinator sent and the scheduler has not delivered —
+    /// one queue per node, emptied by [`Choice::Verdict`].
+    outbox: Vec<VecDeque<TxnCtl>>,
     crashes_used: u32,
     drops_used: u32,
 }
 
 impl TwoPhaseSwitch {
     /// Builds the initial state: a full-mesh OLSR fleet in controlled
-    /// mode, agents started, `Prepare` verbs already queued at every
-    /// node (processing them is the scheduler's business).
+    /// mode, agents started, and the coordinator started, with its
+    /// `Prepare` verbs already queued at every node (processing them is
+    /// the scheduler's business).
     #[must_use]
     pub fn new(cfg: ScenarioConfig) -> Self {
         let builder = World::builder()
@@ -140,143 +144,66 @@ impl TwoPhaseSwitch {
             handles.push(handle);
             world.install_agent(NodeId(i), Box::new(node));
         }
-        let name = format!("olsr_to_dymo_{}", cfg.nodes);
-        let outbox = vec![None; cfg.nodes];
-        let mut s = TwoPhaseSwitch {
-            world,
-            handles,
-            cfg,
-            name,
-            baseline: baseline.unwrap_or_default(),
-            coord: CoordPhase::Preparing,
-            outbox,
-            crashes_used: 0,
-            drops_used: 0,
-        };
         // Start the agents (parked StartAgent infra events) so every node
         // has published a composition before the first choice.
-        s.settle();
-        // Phase 1: prepare everywhere.
-        for h in &s.handles {
-            h.txn_ctl(TxnCtl::Prepare {
-                id: TXN_ID,
-                ops: Stack::Olsr.recipe_to(Stack::Dymo),
-                requested: None,
-                deadline: None,
-            });
+        settle(&mut world);
+        let recipe: Recipe<'static> = Box::new(|_| Stack::Olsr.recipe_to(Stack::Dymo));
+        let nodes: Vec<(NodeId, bool)> = (0..cfg.nodes).map(|i| (NodeId(i), true)).collect();
+        let (coordinator, prepare) =
+            TwoPhaseMachine::start(TXN_ID, &nodes, recipe, None, world.now());
+        for (i, verb) in prepare.map(|wait| wait.verbs).unwrap_or_default() {
+            handles[i].txn_ctl(verb);
         }
-        s
-    }
-
-    /// Drains everything that is not a scheduling choice: infrastructure
-    /// events (agent starts after install/reboot) and behaviourally inert
-    /// arrivals (frames addressed to crashed nodes) — the world accounts
-    /// them exactly as a free run would, and leaving them pending would
-    /// only pollute the choice set and the fingerprint. (A crashed node's
-    /// timers are cancelled by the crash itself.)
-    fn settle(&mut self) {
-        loop {
-            let infra = self.world.run_controlled_infra();
-            let dead: Vec<PendingEvent> = self
-                .world
-                .pending_controlled()
-                .into_iter()
-                .filter(|e| !e.live)
-                .collect();
-            for event in &dead {
-                self.world.deliver_controlled(event);
-            }
-            if infra == 0 && dead.is_empty() {
-                break;
-            }
+        TwoPhaseSwitch {
+            world,
+            handles,
+            name: format!("olsr_to_dymo_{}", cfg.nodes),
+            outbox: (0..cfg.nodes).map(|_| VecDeque::new()).collect(),
+            cfg,
+            baseline: baseline.unwrap_or_default(),
+            coordinator,
+            crashes_used: 0,
+            drops_used: 0,
         }
     }
 
-    /// One reaction step of the modelled coordinator, iterated to a fixed
-    /// point (each step can advance at most one phase).
-    fn react(&mut self) {
-        loop {
-            let before = self.coord;
-            self.coord_step();
-            if self.coord == before {
-                break;
-            }
-        }
-    }
-
-    fn coord_step(&mut self) {
-        match self.coord {
-            CoordPhase::Preparing => {
-                let mut all_prepared = true;
-                let mut any_failed = false;
-                for h in &self.handles {
-                    let st = h.status();
-                    if !st.alive {
-                        // The real coordinator times the dead node out of
-                        // its prepare window; the model reacts immediately.
-                        any_failed = true;
-                        continue;
-                    }
-                    match st.txn {
-                        Some(r) if r.id == TXN_ID => match r.phase {
-                            manetkit::TxnPhase::Prepared | manetkit::TxnPhase::Committed => {}
-                            _ => any_failed = true,
-                        },
-                        _ => all_prepared = false,
-                    }
-                }
-                if any_failed {
-                    self.outbox = vec![Some(VerdictKind::Abort); self.cfg.nodes];
-                    self.coord = CoordPhase::Aborting;
-                } else if all_prepared {
-                    self.outbox = vec![Some(VerdictKind::Commit); self.cfg.nodes];
-                    self.coord = CoordPhase::Committing;
-                }
-            }
-            CoordPhase::Committing => {
-                if self.verdict_settled() {
-                    self.coord = CoordPhase::Committed;
-                }
-            }
-            CoordPhase::Aborting => {
-                if self.verdict_settled() {
-                    self.coord = CoordPhase::Aborted;
-                }
-            }
-            CoordPhase::Committed | CoordPhase::Aborted => {}
-        }
-    }
-
-    /// The coordinator's resolve-drain condition: every participant has
-    /// either left `Prepared` or crashed (a dead participant counts as
-    /// unresolved-but-drained, exactly like
-    /// `FleetTxnReport::unresolved` — its own doomed rollback squares it
-    /// with the fleet if it ever reboots).
-    fn verdict_settled(&self) -> bool {
-        self.handles.iter().all(|h| {
-            let st = h.status();
-            !st.alive
-                || matches!(st.txn, Some(ref r) if r.id == TXN_ID
-                    && r.phase != manetkit::TxnPhase::Prepared)
-        })
-    }
-
-    /// Delivers the outbox verdict for `node`: the participant's control
-    /// queue receives the same verb the real coordinator would send. The
-    /// verb is processed at the node's next quiescent point — delivery
-    /// and processing stay separately schedulable.
-    fn deliver_verdict(&mut self, node: usize) -> bool {
-        let Some(kind) = self.outbox[node].take() else {
-            return false;
+    /// Steps the coordinator with every node's published status, at the
+    /// deadline it waits on — the latest time that has not expired it — or,
+    /// for an expiry, 1 µs past it. The verbs it sends wait in the outbox.
+    fn poll(&mut self, expire: bool) {
+        let Some(deadline) = self.coordinator.deadline() else {
+            return;
         };
-        self.handles[node].txn_ctl(match kind {
-            VerdictKind::Commit => TxnCtl::Commit { id: TXN_ID },
-            VerdictKind::Abort => TxnCtl::Abort {
-                id: TXN_ID,
-                reason: "peer_abort",
-            },
-        });
-        true
+        let now = deadline + SimDuration::from_micros(u64::from(expire));
+        let statuses: Vec<NodeStatus> = self.handles.iter().map(NodeHandle::status).collect();
+        if let Some(wait) = self.coordinator.step(now, &statuses, None) {
+            for (i, verb) in wait.verbs {
+                self.outbox[i].push_back(verb);
+            }
+        }
+    }
+}
+
+/// Drains everything that is not a scheduling choice: infrastructure
+/// events (agent starts after install/reboot) and behaviourally inert
+/// arrivals (frames addressed to crashed nodes) — the world accounts them
+/// exactly as a free run would, and leaving them pending would only
+/// pollute the choice set and the fingerprint. (A crashed node's timers are
+/// cancelled by the crash itself.)
+fn settle(world: &mut World) {
+    loop {
+        let infra = world.run_controlled_infra();
+        let dead: Vec<PendingEvent> = world
+            .pending_controlled()
+            .into_iter()
+            .filter(|e| !e.live)
+            .collect();
+        for event in &dead {
+            world.deliver_controlled(event);
+        }
+        if infra == 0 && dead.is_empty() {
+            break;
+        }
     }
 }
 
@@ -323,9 +250,12 @@ impl Model for TwoPhaseSwitch {
             }
         }
         for node in 0..self.cfg.nodes {
-            if self.outbox[node].is_some() {
+            if !self.outbox[node].is_empty() {
                 out.push(Choice::Verdict { node });
             }
+        }
+        if self.coordinator.deadline().is_some() {
+            out.push(Choice::Expire);
         }
         for node in 0..self.cfg.nodes {
             if self.world.node_up(NodeId(node)) {
@@ -354,7 +284,11 @@ impl Model for TwoPhaseSwitch {
             Choice::Timer { node } => {
                 earliest_timer(&pending, node).is_some_and(|e| self.world.deliver_controlled(e))
             }
-            Choice::Verdict { node } => self.deliver_verdict(node),
+            Choice::Verdict { node } => self.outbox[node]
+                .pop_front()
+                .map(|verb| self.handles[node].txn_ctl(verb))
+                .is_some(),
+            Choice::Expire => self.coordinator.deadline().is_some(),
             Choice::Crash { node } => {
                 let up = self.world.node_up(NodeId(node));
                 if up && self.crashes_used < self.cfg.max_crashes {
@@ -375,8 +309,8 @@ impl Model for TwoPhaseSwitch {
             }
         };
         if ok {
-            self.settle();
-            self.react();
+            settle(&mut self.world);
+            self.poll(choice == Choice::Expire);
         }
         ok
     }
@@ -386,10 +320,8 @@ impl Model for TwoPhaseSwitch {
         for (i, handle) in self.handles.iter().enumerate() {
             let st = handle.status();
             self.world.node_up(NodeId(i)).hash(&mut h);
-            match st.txn.as_ref().filter(|r| r.id == TXN_ID) {
-                Some(r) => phase_code(r.phase).hash(&mut h),
-                None => u8::MAX.hash(&mut h),
-            }
+            let phase = st.txn.as_ref().filter(|r| r.id == TXN_ID).map(|r| r.phase);
+            phase.hash(&mut h);
             st.composition_hash.unwrap_or(0).hash(&mut h);
             let os = self.world.os(NodeId(i));
             for c in [
@@ -430,14 +362,12 @@ impl Model for TwoPhaseSwitch {
             .collect();
         pending.sort_unstable();
         pending.hash(&mut h);
-        coord_code(self.coord).hash(&mut h);
-        for v in &self.outbox {
-            match v {
-                None => 0u8,
-                Some(VerdictKind::Commit) => 1,
-                Some(VerdictKind::Abort) => 2,
-            }
-            .hash(&mut h);
+        self.coordinator.phase().hash(&mut h);
+        for verbs in &self.outbox {
+            verbs.len().hash(&mut h);
+            verbs
+                .iter()
+                .for_each(|verb| mem::discriminant(verb).hash(&mut h));
         }
         self.crashes_used.hash(&mut h);
         self.drops_used.hash(&mut h);
@@ -457,12 +387,13 @@ impl Model for TwoPhaseSwitch {
                     counters: TxnCounters::from_lookup(|c| os.counter(c)),
                     rollback_mismatch: os.counter("txn.rollback_mismatch"),
                     pending_ctl: self.handles[i].pending_txn_ctl(),
-                    verdict_in_flight: self.outbox[i].is_some(),
+                    verdict_in_flight: !self.outbox[i].is_empty(),
                 }
             })
             .collect();
-        let terminal = self.coord.is_done()
-            && self.outbox.iter().all(Option::is_none)
+        let done = self.coordinator.phase() == CoordinatorPhase::Done;
+        let terminal = done
+            && self.outbox.iter().all(VecDeque::is_empty)
             && nodes.iter().all(|n| {
                 n.pending_ctl == 0
                     && matches!(n.phase, Some(p) if p != manetkit::TxnPhase::Prepared)
@@ -470,7 +401,8 @@ impl Model for TwoPhaseSwitch {
         Observation {
             txn: TXN_ID,
             baseline_hash: self.baseline,
-            coordinator: self.coord,
+            coordinator: self.coordinator.phase(),
+            report: done.then(|| self.coordinator.report().clone()),
             terminal,
             nodes,
         }
@@ -496,93 +428,114 @@ impl Model for TwoPhaseSwitch {
     }
 }
 
-/// Stable per-phase codes for the fingerprint (not `#[derive(Hash)]` on
-/// the upstream enum, so reordering variants there cannot silently change
-/// persisted fingerprints).
-fn phase_code(p: manetkit::TxnPhase) -> u8 {
-    match p {
-        manetkit::TxnPhase::Prepared => 0,
-        manetkit::TxnPhase::Committed => 1,
-        manetkit::TxnPhase::Aborted => 2,
-        manetkit::TxnPhase::RolledBack => 3,
-        manetkit::TxnPhase::Reverted => 4,
-    }
-}
-
-fn coord_code(c: CoordPhase) -> u8 {
-    match c {
-        CoordPhase::Preparing => 0,
-        CoordPhase::Committing => 1,
-        CoordPhase::Aborting => 2,
-        CoordPhase::Committed => 3,
-        CoordPhase::Aborted => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manetkit::TxnPhase;
+    use manetkit::{TxnPhase, TxnVerdict};
 
-    /// Drives every node's earliest timer once, in node order.
-    fn tick_all(s: &mut TwoPhaseSwitch) {
-        for node in 0..s.cfg.nodes {
+    /// Drives every node's earliest timer once, in node order (`skip`
+    /// excepted).
+    fn tick_all_but(s: &mut TwoPhaseSwitch, skip: Option<usize>) {
+        for node in (0..s.cfg.nodes).filter(|&n| Some(n) != skip) {
             if earliest_timer(&s.world.pending_controlled(), node).is_some() {
                 assert!(s.apply(Choice::Timer { node }));
             }
         }
     }
 
-    /// Delivers every decided-but-undelivered verdict, in node order.
+    fn tick_all(s: &mut TwoPhaseSwitch) {
+        tick_all_but(s, None);
+    }
+
+    /// Delivers every sent-but-undelivered verdict, in node order.
     fn deliver_verdicts(s: &mut TwoPhaseSwitch) {
         for node in 0..s.cfg.nodes {
-            if s.outbox[node].is_some() {
+            while !s.outbox[node].is_empty() {
                 assert!(s.apply(Choice::Verdict { node }));
             }
+        }
+    }
+
+    fn assert_invariants_hold(obs: &Observation) {
+        for inv in crate::invariant::default_suite() {
+            assert!(inv.check(obs).is_ok(), "{}", inv.name());
         }
     }
 
     #[test]
     fn undisturbed_run_commits_everywhere() {
         let mut s = TwoPhaseSwitch::new(ScenarioConfig::default());
-        assert_eq!(s.coord, CoordPhase::Preparing);
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Preparing);
         // First timer tick per node processes the Prepare verb.
         tick_all(&mut s);
-        assert_eq!(s.coord, CoordPhase::Committing);
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Committing);
         // The commit verdicts reach every participant, and the next tick
         // processes them.
         deliver_verdicts(&mut s);
         tick_all(&mut s);
-        assert_eq!(s.coord, CoordPhase::Committed);
         let obs = s.observe();
         assert!(obs.terminal, "{obs:?}");
+        let report = obs.report.as_ref().expect("the coordinator reported");
+        assert_eq!(report.verdict, TxnVerdict::Committed, "{report}");
+        assert!(report.unresolved.is_empty(), "{report}");
         for n in &obs.nodes {
             assert_eq!(n.phase, Some(TxnPhase::Committed));
             let hash = n.composition_hash.expect("published");
             assert_ne!(hash, obs.baseline_hash, "the switch changed the stack");
         }
-        for inv in crate::invariant::default_suite() {
-            assert!(inv.check(&obs).is_ok(), "{}", inv.name());
-        }
+        assert_invariants_hold(&obs);
     }
 
     #[test]
-    fn crash_during_prepare_aborts_and_rolls_back() {
+    fn crash_before_prepare_expires_into_an_abort_and_rolls_back() {
         let mut s = TwoPhaseSwitch::new(ScenarioConfig::default());
-        // Node 0 prepares, then dies; the coordinator reacts by aborting.
+        // Node 0 dies before processing its Prepare; the others prepare,
+        // and the coordinator waits for node 0 until its deadline expires.
+        assert!(s.apply(Choice::Crash { node: 0 }));
+        tick_all_but(&mut s, Some(0));
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Preparing);
+        assert!(s.enabled().contains(&Choice::Expire));
+        assert!(s.apply(Choice::Expire));
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Aborting);
+        // The abort verdicts go out (the dead node's verb queues behind its
+        // Prepare) and the survivors roll back.
+        deliver_verdicts(&mut s);
+        tick_all_but(&mut s, Some(0));
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Aborting);
+        // The dead node reboots: it prepares, then rolls straight back.
+        assert!(s.apply(Choice::Reboot { node: 0 }));
+        let obs = s.observe();
+        let report = obs.report.as_ref().expect("every participant rolled back");
+        assert_eq!(report.verdict, TxnVerdict::Aborted, "{report}");
+        assert_eq!(report.unprepared, vec![NodeId(0)], "{report}");
+        assert!(report.unresolved.is_empty(), "{report}");
+        for n in &obs.nodes {
+            assert_eq!(n.phase, Some(TxnPhase::RolledBack), "node {}", n.node);
+            assert_eq!(n.composition_hash, Some(obs.baseline_hash));
+        }
+        assert!(obs.terminal, "{obs:?}");
+        assert_invariants_hold(&obs);
+    }
+
+    #[test]
+    fn crash_after_prepare_commits_and_rolls_back_on_reboot() {
+        let mut s = TwoPhaseSwitch::new(ScenarioConfig::default());
+        // Node 0 prepares, then dies. Its published phase still reads
+        // `Prepared`, so once the others prepare the fleet commits.
         assert!(s.apply(Choice::Timer { node: 0 }));
         assert!(s.apply(Choice::Crash { node: 0 }));
-        assert_eq!(s.coord, CoordPhase::Aborting);
-        // The abort verdicts go out (the dead node's verb queues up for
-        // its next boot) and the survivors process Prepare then Abort.
+        tick_all_but(&mut s, Some(0));
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Committing);
         deliver_verdicts(&mut s);
-        for _ in 0..2 {
-            for node in 1..3 {
-                assert!(s.apply(Choice::Timer { node }));
-            }
-        }
-        assert_eq!(s.coord, CoordPhase::Aborted);
-        // The dead node reboots: its doomed rollback runs at start-up.
+        tick_all_but(&mut s, Some(0));
+        // The dead node never acknowledges: the resolve budget runs out.
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Committing);
+        assert!(s.apply(Choice::Expire));
+        let report = s.observe().report.expect("the coordinator gave up");
+        assert_eq!(report.verdict, TxnVerdict::Committed, "{report}");
+        assert_eq!(report.unresolved, vec![NodeId(0)], "{report}");
+        // On reboot the node rolls its doomed prepare back (and ignores
+        // the commit queued behind it).
         assert!(s.apply(Choice::Reboot { node: 0 }));
         let obs = s.observe();
         assert_eq!(obs.nodes[0].phase, Some(TxnPhase::RolledBack));
@@ -591,9 +544,10 @@ mod tests {
             Some(obs.baseline_hash),
             "rollback restored the checkpoint"
         );
-        for inv in crate::invariant::default_suite() {
-            assert!(inv.check(&obs).is_ok(), "{}", inv.name());
+        for n in &obs.nodes[1..] {
+            assert_eq!(n.phase, Some(TxnPhase::Committed), "node {}", n.node);
         }
+        assert_invariants_hold(&obs);
     }
 
     #[test]
@@ -620,7 +574,7 @@ mod tests {
         tick_all(&mut s);
         deliver_verdicts(&mut s);
         tick_all(&mut s);
-        assert_eq!(s.coord, CoordPhase::Committed);
+        assert_eq!(s.coordinator.phase(), CoordinatorPhase::Done);
         // Deliver all in-flight hellos, then let the fleet idle: fire
         // every timer and deliver every hello for a few rounds. Committed
         // quiescent states must revisit a previously seen fingerprint —
@@ -638,7 +592,7 @@ mod tests {
                     }
                 }
             }
-            s.settle();
+            settle(&mut s.world);
             if !seen.insert(s.fingerprint()) {
                 collided = true;
                 break;

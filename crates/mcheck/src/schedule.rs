@@ -42,15 +42,19 @@ pub enum Choice {
         /// Owning node.
         node: usize,
     },
-    /// Deliver the coordinator's pending 2PC verdict (commit or abort) to
-    /// `node`. Verdicts travel the in-process control channel — reliable,
-    /// so not droppable — but *when* each participant learns the outcome
-    /// is the scheduler's call: this is the window where split-brain
-    /// compositions would live.
+    /// Deliver the oldest verb the coordinator sent `node` after the
+    /// prepare (commit, abort or revert). Verbs travel the in-process
+    /// control channel — reliable, so not droppable — but *when* each
+    /// participant learns the outcome is the scheduler's call: this is the
+    /// window where split-brain compositions would live.
     Verdict {
         /// Receiving node.
         node: usize,
     },
+    /// Let the deadline the coordinator is waiting on pass — the prepare
+    /// deadline, or the end of the resolve budget — before anything else
+    /// happens.
+    Expire,
     /// Crash `node` (consumes one unit of the crash budget).
     Crash {
         /// Crashing node.
@@ -72,22 +76,24 @@ impl Choice {
             Choice::Drop { .. } => "drop",
             Choice::Timer { .. } => "timer",
             Choice::Verdict { .. } => "verdict",
+            Choice::Expire => "expire",
             Choice::Crash { .. } => "crash",
             Choice::Reboot { .. } => "reboot",
         }
     }
 
     /// The node the choice acts on (the destination, for message
-    /// choices).
+    /// choices); `None` for an expiry, which acts on the coordinator.
     #[must_use]
-    pub fn node(self) -> usize {
+    pub fn node(self) -> Option<usize> {
         match self {
             Choice::Deliver { node, .. }
             | Choice::Drop { node, .. }
             | Choice::Timer { node }
             | Choice::Verdict { node }
             | Choice::Crash { node }
-            | Choice::Reboot { node } => node,
+            | Choice::Reboot { node } => Some(node),
+            Choice::Expire => None,
         }
     }
 
@@ -98,6 +104,7 @@ impl Choice {
             Choice::Deliver { from, .. } | Choice::Drop { from, .. } => Some(from),
             Choice::Timer { .. }
             | Choice::Verdict { .. }
+            | Choice::Expire
             | Choice::Crash { .. }
             | Choice::Reboot { .. } => None,
         }
@@ -106,14 +113,15 @@ impl Choice {
     /// Rebuilds a choice from its stable name, node and (for message
     /// choices) sender.
     #[must_use]
-    pub fn parse(op: &str, node: usize, from: Option<usize>) -> Option<Choice> {
-        Some(match (op, from) {
-            ("deliver", Some(from)) => Choice::Deliver { node, from },
-            ("drop", Some(from)) => Choice::Drop { node, from },
-            ("timer", None) => Choice::Timer { node },
-            ("verdict", None) => Choice::Verdict { node },
-            ("crash", None) => Choice::Crash { node },
-            ("reboot", None) => Choice::Reboot { node },
+    pub fn parse(op: &str, node: Option<usize>, from: Option<usize>) -> Option<Choice> {
+        Some(match (op, node, from) {
+            ("deliver", Some(node), Some(from)) => Choice::Deliver { node, from },
+            ("drop", Some(node), Some(from)) => Choice::Drop { node, from },
+            ("timer", Some(node), None) => Choice::Timer { node },
+            ("verdict", Some(node), None) => Choice::Verdict { node },
+            ("expire", None, None) => Choice::Expire,
+            ("crash", Some(node), None) => Choice::Crash { node },
+            ("reboot", Some(node), None) => Choice::Reboot { node },
             _ => return None,
         })
     }
@@ -121,9 +129,10 @@ impl Choice {
 
 impl fmt::Display for Choice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.from() {
-            Some(from) => write!(f, "{}@{}<-{}", self.op(), self.node(), from),
-            None => write!(f, "{}@{}", self.op(), self.node()),
+        match (self.node(), self.from()) {
+            (Some(node), Some(from)) => write!(f, "{}@{node}<-{from}", self.op()),
+            (Some(node), None) => write!(f, "{}@{node}", self.op()),
+            (None, _) => f.write_str(self.op()),
         }
     }
 }
@@ -143,7 +152,8 @@ pub struct Schedule {
 impl Schedule {
     /// Byte-stable JSONL serialization: a header line
     /// (`{"v":1,"format":"mcheck-schedule",...}`) followed by one line per
-    /// step, fixed key order, no whitespace.
+    /// step, fixed key order, no whitespace. A step carries `node` and
+    /// `from` only where its choice has them.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         use fmt::Write as _;
@@ -155,27 +165,14 @@ impl Schedule {
             self.choices.len()
         );
         for (i, c) in self.choices.iter().enumerate() {
-            match c.from() {
-                Some(from) => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"step\":{},\"op\":\"{}\",\"node\":{},\"from\":{}}}",
-                        i,
-                        c.op(),
-                        c.node(),
-                        from
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"step\":{},\"op\":\"{}\",\"node\":{}}}",
-                        i,
-                        c.op(),
-                        c.node()
-                    );
-                }
+            let _ = write!(out, "{{\"step\":{i},\"op\":\"{}\"", c.op());
+            if let Some(node) = c.node() {
+                let _ = write!(out, ",\"node\":{node}");
             }
+            if let Some(from) = c.from() {
+                let _ = write!(out, ",\"from\":{from}");
+            }
+            out.push_str("}\n");
         }
         out
     }
@@ -209,11 +206,10 @@ impl Schedule {
             }
             let op =
                 str_field(line, "op").ok_or_else(|| format!("line {lineno}: missing \"op\""))?;
-            let node = num_field(line, "node")
-                .ok_or_else(|| format!("line {lineno}: missing \"node\""))?;
+            let node = num_field(line, "node");
             let from = num_field(line, "from");
             let choice = Choice::parse(&op, node, from)
-                .ok_or_else(|| format!("line {lineno}: bad op/from combination {op:?}"))?;
+                .ok_or_else(|| format!("line {lineno}: bad op/node/from combination {op:?}"))?;
             choices.push(choice);
         }
         if choices.len() != steps {
@@ -267,6 +263,7 @@ mod tests {
                 Choice::Deliver { node: 2, from: 0 },
                 Choice::Drop { node: 1, from: 2 },
                 Choice::Verdict { node: 1 },
+                Choice::Expire,
                 Choice::Crash { node: 0 },
                 Choice::Reboot { node: 0 },
             ],
@@ -277,6 +274,10 @@ mod tests {
     fn jsonl_round_trips_byte_identically() {
         let s = sample();
         let jsonl = s.to_jsonl();
+        assert!(
+            jsonl.contains("\n{\"step\":4,\"op\":\"expire\"}\n"),
+            "{jsonl}"
+        );
         let back = Schedule::from_jsonl(&jsonl).expect("parses");
         assert_eq!(back, s);
         assert_eq!(back.to_jsonl(), jsonl, "serialization is byte-stable");
@@ -292,9 +293,13 @@ mod tests {
         assert!(Schedule::from_jsonl(&bad_op)
             .unwrap_err()
             .contains("meltdown"));
+        let nodeless = jsonl.replace("\"op\":\"timer\",\"node\":0", "\"op\":\"timer\"");
+        assert!(Schedule::from_jsonl(&nodeless).is_err());
+        let expire_at = jsonl.replace("\"op\":\"expire\"", "\"op\":\"expire\",\"node\":1");
+        assert!(Schedule::from_jsonl(&expire_at).is_err());
         let truncated: String = jsonl.lines().take(3).collect::<Vec<_>>().join("\n");
         assert!(Schedule::from_jsonl(&truncated)
             .unwrap_err()
-            .contains("promised 6 steps"));
+            .contains("promised 7 steps"));
     }
 }

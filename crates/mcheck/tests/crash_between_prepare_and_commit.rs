@@ -10,10 +10,8 @@
 //! reboot the doomed-transaction rollback must restore the checkpoint
 //! byte-exactly.
 
-use manetkit::TxnPhase;
-use mcheck::{
-    default_suite, Choice, CoordPhase, Explorer, Model, ScenarioConfig, Schedule, TwoPhaseSwitch,
-};
+use manetkit::{CoordinatorPhase, TxnPhase};
+use mcheck::{default_suite, Choice, Explorer, Model, ScenarioConfig, Schedule, TwoPhaseSwitch};
 
 fn explorer(cfg: ScenarioConfig) -> Explorer<TwoPhaseSwitch> {
     Explorer::new(move || TwoPhaseSwitch::new(cfg.clone()))
@@ -23,19 +21,17 @@ fn explorer(cfg: ScenarioConfig) -> Explorer<TwoPhaseSwitch> {
 fn replayed_schedule_pins_crash_between_prepare_and_commit() {
     // Directed search for the shortest interleaving where a participant
     // died holding a prepared transaction after the coordinator had
-    // already decided to commit (BFS ⇒ shortest schedule, so the pinned
+    // already sent the commit (BFS ⇒ shortest schedule, so the pinned
     // file stays minimal).
     let cfg = ScenarioConfig::default();
     let found = explorer(cfg.clone())
         .depth_bound(8)
         .find(|obs| {
-            matches!(
-                obs.coordinator,
-                CoordPhase::Committing | CoordPhase::Committed
-            ) && obs
-                .nodes
-                .iter()
-                .any(|n| !n.alive && n.phase == Some(TxnPhase::Prepared))
+            obs.coordinator == CoordinatorPhase::Committing
+                && obs
+                    .nodes
+                    .iter()
+                    .any(|n| !n.alive && n.phase == Some(TxnPhase::Prepared))
         })
         .expect("a crash-between-prepare-and-commit state exists within depth 8");
 

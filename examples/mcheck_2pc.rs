@@ -21,14 +21,16 @@
 //! cargo run --release --example mcheck_2pc [-- --smoke] [-- --depth N]
 //! ```
 //!
-//! At the default depth bound (12) the full run drains its queue before the
-//! 400k-state cap: 198,175 states explored, 35,605 unique, 762 terminal,
-//! and asserts exactly those counts. It does not *exhaust* the scenario —
-//! 8,892 unique states sit at the depth bound, so
-//! `ExploreReport::exhausted()` is false — but every interleaving up to
-//! depth 12 is checked. The explorer visits states on every core; the run
-//! takes tens of seconds on two. `--smoke` caps the audit at 50k visited
-//! states (it stops at the cap; nothing is asserted about its counts).
+//! The coordinator is the real `TwoPhaseMachine`, with the expiry of its
+//! deadlines as a scheduling choice. At the default depth bound (12) the
+//! full run drains its queue before the 1,000,000-state cap: 544,932
+//! states explored, 98,015 unique, 3,652 terminal, and asserts exactly
+//! those counts. It does not *exhaust* the scenario — 34,283 unique states
+//! sit at the depth bound, so `ExploreReport::exhausted()` is false — but
+//! every interleaving up to depth 12 is checked. The explorer visits
+//! states on every core; the run takes about a minute on two. `--smoke`
+//! caps the audit at 50k visited states (it stops at the cap; nothing is
+//! asserted about its counts).
 
 use manetkit_repro::mcheck::{default_suite, Explorer, ScenarioConfig, Strategy, TwoPhaseSwitch};
 
@@ -43,7 +45,7 @@ fn audit_explorer(cfg: ScenarioConfig, depth: usize, cap: u64) -> Explorer<TwoPh
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let cap: u64 = if smoke { 50_000 } else { 400_000 };
+    let cap: u64 = if smoke { 50_000 } else { 1_000_000 };
     let depth: usize = args
         .iter()
         .position(|a| a == "--depth")
@@ -88,7 +90,7 @@ fn main() {
         );
         assert_eq!(
             counts,
-            (198_175, 35_605, 162_570, 762, 8_892, 12, false),
+            (544_932, 98_015, 446_917, 3_652, 34_283, 12, false),
             "the depth-12 graph changed: (explored, unique, dedup hits, terminal, bound hits, max depth, truncated)"
         );
     }
@@ -100,7 +102,7 @@ fn main() {
 
     // Pass 2: the seeded mutation must be caught. BFS finds the shortest
     // violating interleaving — a crash after prepare, then a reboot that
-    // skips the rollback — within the first few dozen states.
+    // skips the rollback — within the first hundred states.
     let mutated = ScenarioConfig {
         skip_doomed_rollback: true,
         ..ScenarioConfig::default()
@@ -124,7 +126,7 @@ fn main() {
     );
     assert_eq!(
         (mutation_report.states_explored, violation.depth),
-        (67, 3),
+        (85, 3),
         "the counterexample moved"
     );
 
