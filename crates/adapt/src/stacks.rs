@@ -13,7 +13,7 @@
 use std::fmt;
 
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
-use manetkit::{ManetNode, ManetProtocolCf, NodeHandle, ReconfigOp, SystemCf};
+use manetkit::{ManetNode, ManetProtocolCf, NodeHandle, ReconfigOp, SystemConfig};
 
 /// A complete routing composition the fleet can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,18 +93,20 @@ impl Stack {
         }
     }
 
-    /// Registers this stack's message types with a System CF (message
-    /// registration is idempotent, so re-registering shared types is
-    /// safe).
-    fn register_messages(self, system: &mut SystemCf) {
-        match self {
-            Stack::Olsr => manetkit_olsr::register_messages(system),
-            Stack::Dymo => manetkit_dymo::register_messages(system),
-            Stack::Aodv => manetkit_aodv::register_messages(system),
-        }
+    /// The System CF configuration this stack loads: its protocol crate's,
+    /// plus the HELLO registration of Neighbour Detection for a reactive
+    /// stack (loading upserts registrations, so loading shared types again
+    /// is safe).
+    fn system_config(self) -> SystemConfig {
+        let mut config = match self {
+            Stack::Olsr => manetkit_olsr::system_config(),
+            Stack::Dymo => manetkit_dymo::system_config(),
+            Stack::Aodv => manetkit_aodv::system_config(),
+        };
         if self.is_reactive() {
-            system.register_message(hello_registration());
+            config.registrations.push(hello_registration());
         }
+        config
     }
 
     /// The atomic switch recipe from this stack to `target`.
@@ -121,7 +123,7 @@ impl Stack {
     /// one the successor went on to maintain.
     ///
     /// To or from OLSR nothing can be carried: the source-only protocols
-    /// are removed, the target's message types registered and the
+    /// are removed, the target's System configuration loaded and the
     /// target-only protocols added.
     ///
     /// Switching a stack to itself yields an empty batch.
@@ -130,9 +132,7 @@ impl Stack {
         if self == target {
             return Vec::new();
         }
-        let register = ReconfigOp::MutateSystem {
-            op: Box::new(move |sys| target.register_messages(sys)),
-        };
+        let register = ReconfigOp::LoadSystem(target.system_config());
         let bring_up = match (target.reactive_cf(), self.is_reactive()) {
             (Some(new), true) => {
                 return vec![
@@ -150,8 +150,8 @@ impl Stack {
                 manetkit_olsr::olsr_cf(Default::default()),
             ],
         };
-        // Tear down (routing protocol first, then its substrate), register
-        // the target's messages, bring the target up.
+        // Tear down (routing protocol first, then its substrate), load the
+        // target's System configuration, bring the target up.
         let mut ops: Vec<ReconfigOp> = self
             .protocols()
             .into_iter()
@@ -186,7 +186,7 @@ mod tests {
                         matches!(
                             ops.as_slice(),
                             [
-                                ReconfigOp::MutateSystem { .. },
+                                ReconfigOp::LoadSystem(_),
                                 ReconfigOp::SwitchProtocol {
                                     transfer_state: true,
                                     ..

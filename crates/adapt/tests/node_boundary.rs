@@ -14,7 +14,8 @@ use adapt::Stack;
 use manetkit::neighbour::hello_registration;
 use manetkit::protocol::{proto_start_event, EventHandler, ProtoCtx, StateSlot};
 use manetkit::{
-    Event, EventTuple, EventType, ManetProtocolCf, NodeHandle, ReconfigOp, TxnCtl, TxnPhase,
+    Event, EventTuple, EventType, ManetProtocolCf, NodeHandle, ReconfigOp, SystemConfig, TxnCtl,
+    TxnPhase,
 };
 use netsim::fault::FaultPlan;
 use netsim::{NodeId, SimDuration, SimTime, Topology, World};
@@ -128,7 +129,10 @@ fn handle_status_after_every_step_is_pinned() {
     run.handles[0].apply(ReconfigOp::RemoveProtocol {
         name: "no-such".into(),
     });
-    run.handles[1].apply(ReconfigOp::RegisterMessage(hello_registration()));
+    run.handles[1].apply(ReconfigOp::LoadSystem(SystemConfig {
+        registrations: vec![hello_registration()],
+        ..SystemConfig::default()
+    }));
     run.until(secs(3));
     assert!(run.handles[0].status().last_error.is_some());
 

@@ -4,7 +4,8 @@
 //! first, and both must separate exactly the same compositions:
 //! `hash(a) == hash(b) ⇔ rendered(a) == rendered(b)` over every
 //! composition the six stack switches pass through (prepare, commit,
-//! abort, rollback, revert) and the remaining op kinds.
+//! abort, rollback, revert), the remaining op kinds and the paper's
+//! protocol variants.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -12,8 +13,12 @@ use std::hash::{Hash, Hasher};
 use adapt::Stack;
 use manetkit::system::MessageRegistration;
 use manetkit::{
-    structural_hash, txn, Deployment, EventTuple, EventType, ManetProtocolCf, ReconfigOp,
+    structural_hash, txn, Deployment, EventTuple, EventType, ManetProtocolCf, Plugin, ReconfigOp,
+    SystemConfig,
 };
+use manetkit_dymo::variants::{flooding, gossip, multipath};
+use manetkit_dymo::{DymoState, RouteDiscoveryHandler};
+use manetkit_olsr::variants::power;
 use netsim::{NodeId, NodeOs};
 use packetbb::Address;
 
@@ -180,12 +185,20 @@ fn tuple_system_and_plugin_changes_are_separated_alike() {
     assert_eq!(seen.record(dep), initial, "the original tuple is back");
 
     // System registrations and plug-in flags.
+    let load = |registrations, power_status| {
+        ReconfigOp::LoadSystem(SystemConfig {
+            registrations,
+            netlink: false,
+            power_status,
+        })
+    };
     let register = |msg_type, out_event| {
-        ReconfigOp::RegisterMessage(MessageRegistration {
+        let registration = MessageRegistration {
             msg_type,
             in_event: EventType::named("HASH_TEST_IN"),
             out_event,
-        })
+        };
+        load(vec![registration], false)
     };
     commit(dep, 13, register(200, None), &mut os);
     seen.record(dep);
@@ -198,29 +211,106 @@ fn tuple_system_and_plugin_changes_are_separated_alike() {
     seen.record(dep);
     commit(dep, 15, register(201, None), &mut os);
     seen.record(dep);
-    let power = ReconfigOp::MutateSystem {
-        op: Box::new(|sys| sys.enable_power_status()),
-    };
-    commit(dep, 16, power, &mut os);
+    commit(dep, 16, load(Vec::new(), true), &mut os);
     seen.record(dep);
 
-    // Plug-ins: a `Mutate` cannot run inside a transaction, and applied
-    // outside one it moves the first handler to the back of the list.
+    // Plug-ins: unplugging the first handler and plugging it again moves
+    // it to the back of the list.
     let first = dep.protocol("dymo").expect("dymo").plugin_names()[0].clone();
-    let rotate = |first: String| ReconfigOp::Mutate {
+    let rotate = ReconfigOp::Recompose {
         protocol: "dymo".into(),
-        op: Box::new(move |cf| {
-            let handler = cf.remove_handler(&first).expect("handler");
-            cf.add_handler(handler).expect("re-added");
-        }),
+        plug: vec![Plugin::Handler(Box::new(
+            RouteDiscoveryHandler::<DymoState>::default(),
+        ))],
+        unplug: vec![first],
+        state: None,
     };
     let before = seen.record(dep);
-    assert!(txn::prepare(dep, 17, vec![rotate(first.clone())], &mut os).is_err());
-    assert_eq!(seen.record(dep), before, "a refused Mutate changes nothing");
-    dep.apply(rotate(first), &mut os).expect("mutate applies");
+    commit(dep, 17, rotate, &mut os);
     assert_ne!(seen.record(dep), before, "plug-in order is structure");
 
     assert_eq!(seen.assert_same_partition(), 8);
+}
+
+/// A variant's recipes: its name, the stack it varies, how to enable it and
+/// (for all but flooding) how to disable it again.
+type Variant = (
+    &'static str,
+    Stack,
+    fn() -> Vec<ReconfigOp>,
+    Option<fn() -> Vec<ReconfigOp>>,
+);
+
+#[test]
+fn each_variant_is_separated_and_disabling_restores_the_base() {
+    let variants: [Variant; 5] = [
+        (
+            "power",
+            Stack::Olsr,
+            || power::enable_ops(Default::default()),
+            Some(|| power::disable_ops(Default::default())),
+        ),
+        (
+            "gossip",
+            Stack::Dymo,
+            || gossip::enable_ops(0.6),
+            Some(gossip::disable_ops),
+        ),
+        (
+            "multipath",
+            Stack::Dymo,
+            multipath::enable_ops,
+            Some(multipath::disable_ops),
+        ),
+        (
+            "flooding through a new MPR CF",
+            Stack::Dymo,
+            || flooding::enable_ops(Some(manetkit_olsr::mpr_cf(Default::default()))),
+            None,
+        ),
+        (
+            "flooding through a shared MPR CF",
+            Stack::Dymo,
+            || flooding::enable_ops(None),
+            None,
+        ),
+    ];
+    let mut seen = Compositions::default();
+    let mut enabled: Vec<u64> = Vec::new();
+    for (name, stack, enable, disable) in variants {
+        let (mut node, mut os) = started(stack);
+        let dep = node.deployment_mut();
+        let base = seen.record(dep);
+        let t = prepare(dep, 1, enable(), &mut os);
+        txn::commit(dep, &t, &mut os);
+        let on = seen.record(dep);
+        assert_ne!(on, base, "{name} differs from its base");
+        assert!(
+            !enabled.contains(&on),
+            "{name} differs from the other variants"
+        );
+        enabled.push(on);
+        let Some(disable) = disable else { continue };
+        let t = prepare(dep, 2, disable(), &mut os);
+        txn::commit(dep, &t, &mut os);
+        let off = seen.record(dep);
+        if name == "power" {
+            // Loading never unloads: the residual-power registration stays,
+            // and with it the base is back.
+            let (mut base_node, mut base_os) = started(stack);
+            let registered = base_node.deployment_mut();
+            let residual = ReconfigOp::LoadSystem(SystemConfig {
+                registrations: vec![power::residual_power_registration()],
+                ..SystemConfig::default()
+            });
+            let t = prepare(registered, 3, vec![residual], &mut base_os);
+            txn::commit(registered, &t, &mut base_os);
+            assert_eq!(off, seen.record(registered), "{name} disabled");
+        } else {
+            assert_eq!(off, base, "{name} disabled");
+        }
+    }
+    assert!(seen.assert_same_partition() >= 7);
 }
 
 #[test]

@@ -11,10 +11,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use adapt::Stack;
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
 use manetkit::prelude::{ConcurrencyModel, ManetNode, ReconfigRequest};
-use manetkit::{CarriedRoute, RouteCarry, TxnVerdict};
+use manetkit::{txn, CarriedRoute, RouteCarry, TxnVerdict};
 use manetkit_aodv::{AodvParams, AodvRoute, AodvState};
+use manetkit_dymo::variants::flooding;
 use manetkit_dymo::{DymoParams, DymoRoute, DymoState};
-use netsim::{LinkState, NodeId, SimDuration, SimTime, Topology, World};
+use netsim::{LinkState, NodeId, NodeOs, SimDuration, SimTime, Topology, World};
 use packetbb::Address;
 use proptest::prelude::*;
 use support::{assert_loop_free, cbr, install, ms, secs, Fleet};
@@ -226,18 +227,64 @@ fn smoke_mesh_switches_without_disruption() {
     fleet_switches_without_disruption(Topology::random_geometric(64, 0.36, 42), 1, &flows);
 }
 
-/// A DYMO node whose sequence number already stands at `own_seq`.
-fn seasoned_dymo_node(own_seq: u16) -> ManetNode {
+/// A DYMO node (over Neighbour Detection) whose S element is `state`.
+fn dymo_node_holding(state: DymoState) -> ManetNode {
     let mut node = ManetNode::new(ConcurrencyModel::SingleThreaded);
     let dep = node.deployment_mut();
-    manetkit_dymo::register_messages(dep.system_mut());
+    dep.system_mut().load(&manetkit_dymo::system_config());
     dep.system_mut().register_message(hello_registration());
     dep.add_protocol_offline(neighbour_detection_cf(Default::default()))
         .expect("fresh deployment");
     let mut dymo = manetkit_dymo::dymo_cf(DymoParams::default());
-    dymo.state_mut().get_mut::<DymoState>().own_seq = own_seq;
+    *dymo.state_mut().get_mut::<DymoState>() = state;
     dep.add_protocol_offline(dymo).expect("fresh deployment");
     node
+}
+
+/// A DYMO node whose sequence number already stands at `own_seq`.
+fn seasoned_dymo_node(own_seq: u16) -> ManetNode {
+    dymo_node_holding(DymoState {
+        own_seq,
+        ..DymoState::default()
+    })
+}
+
+/// The optimised-flooding variant retypes DYMO's S element. Its codec and
+/// carrier come with the new type, so a flooding node still checkpoints
+/// its route table and hands it to AODV on a switch, and the switch still
+/// rolls back exactly.
+#[test]
+fn a_flooding_dymo_node_carries_its_routes_to_aodv_and_rolls_back_clean() {
+    let entries: [Entry; 3] = [
+        (2, 2, Some(5), 1, 60_000, false),
+        (3, 2, Some(9), 2, 60_000, false),
+        (4, 2, Some(1), 3, 60_000, true),
+    ];
+    let mut node = dymo_node_holding(dymo_table(&entries, 40));
+    let mut os = NodeOs::standalone(NodeId(0), addr(1));
+    let dep = node.deployment_mut();
+    dep.start(&mut os);
+    for op in flooding::enable_ops(None) {
+        dep.apply(op, &mut os).expect("flooding applies");
+    }
+    let before = txn::fingerprint(dep);
+    let dymo = before.protocols.iter().find(|p| p.name == "dymo");
+    let bytes = dymo.and_then(|p| p.state.as_ref()).map_or(0, Vec::len);
+    assert!(bytes > 0, "a flooding node checkpoints its routes");
+
+    let switch = Stack::Dymo.recipe_to(Stack::Aodv);
+    let prepared = txn::prepare(dep, 1, switch, &mut os).expect("the switch prepares");
+    let aodv = dep.protocol("aodv").expect("aodv runs");
+    let carried = aodv.state().get::<AodvState>().export_carry(SimTime::ZERO);
+    assert_eq!(carried.own_seq, 40);
+    assert_eq!(carried.routes, clamped(live(&entries, 0, true), 0));
+
+    assert!(
+        txn::rollback(dep, prepared, &mut os),
+        "the rollback is clean"
+    );
+    assert_eq!(txn::fingerprint(dep), before);
+    assert_eq!(os.counter("txn.rollback_mismatch"), 0);
 }
 
 /// `own_seq` crosses the switch verbatim. Node 2 answers a discovery under

@@ -48,7 +48,7 @@ use manetkit::node::{Deployment, ManetNode, NodeHandle};
 use manetkit::prelude::ConcurrencyModel;
 use manetkit::protocol::{ManetProtocolCf, StateSlot};
 use manetkit::registry::EventTuple;
-use manetkit::system::SystemCf;
+use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
 pub use handlers::{
@@ -92,9 +92,11 @@ pub fn aodv_cf(params: AodvParams) -> ManetProtocolCf {
                 .provides(types::rerr_out())
                 .provides(types::route_found()),
         )
-        .state(StateSlot::new(state))
-        .state_codec(handlers::state_codec)
-        .route_carrier(handlers::route_carrier())
+        .state(
+            StateSlot::new(state)
+                .with_codec(handlers::state_codec)
+                .with_carrier(handlers::route_carrier()),
+        )
         .startup_timer(params.sweep, handlers::aodv_sweep_timer())
         .handler(Box::new(AodvDiscoveryHandler))
         .handler(Box::new(RreqHandler))
@@ -105,12 +107,19 @@ pub fn aodv_cf(params: AodvParams) -> ManetProtocolCf {
         .build()
 }
 
-/// Registers the message types AODV needs and enables the NetLink plug-in.
-pub fn register_messages(system: &mut SystemCf) {
-    system.register_in_out(msg_type::AODV_RREQ, types::re_in(), types::re_out());
-    system.register_in_out(msg_type::AODV_RREP, types::re_in(), types::re_out());
-    system.register_in_out(msg_type::AODV_RERR, types::rerr_in(), types::rerr_out());
-    system.enable_netlink();
+/// The System CF configuration AODV loads: its message types, and the
+/// NetLink plug-in.
+#[must_use]
+pub fn system_config() -> SystemConfig {
+    SystemConfig {
+        registrations: vec![
+            MessageRegistration::in_out(msg_type::AODV_RREQ, types::re_in(), types::re_out()),
+            MessageRegistration::in_out(msg_type::AODV_RREP, types::re_in(), types::re_out()),
+            MessageRegistration::in_out(msg_type::AODV_RERR, types::rerr_in(), types::rerr_out()),
+        ],
+        netlink: true,
+        power_status: false,
+    }
 }
 
 /// Installs AODV plus the Neighbour Detection CF into a deployment.
@@ -120,7 +129,7 @@ pub fn register_messages(system: &mut SystemCf) {
 /// Propagates integrity violations (e.g. another reactive protocol is
 /// already deployed).
 pub fn deploy(dep: &mut Deployment, config: AodvDeployment) -> Result<(), manetkit::DeployError> {
-    register_messages(dep.system_mut());
+    dep.system_mut().load(&system_config());
     dep.system_mut().register_message(hello_registration());
     dep.add_protocol_offline(neighbour_detection_cf(config.neighbour))?;
     dep.add_protocol_offline(aodv_cf(config.params))?;

@@ -118,9 +118,7 @@ fn switch_aodv_to_dymo_at_runtime() {
         h.apply(ReconfigOp::RemoveProtocol {
             name: manetkit_aodv::AODV_CF.into(),
         });
-        h.apply(ReconfigOp::MutateSystem {
-            op: Box::new(manetkit_dymo::register_messages),
-        });
+        h.apply(ReconfigOp::LoadSystem(manetkit_dymo::system_config()));
         h.apply(ReconfigOp::AddProtocol(manetkit_dymo::dymo_cf(
             Default::default(),
         )));

@@ -75,7 +75,7 @@ pub use node::{
     TxnCtl, TxnPhase, TxnReport,
 };
 pub use protocol::{
-    EventHandler, EventSource, Forwarder, ManetProtocolCf, ProtoCtx, StateCodec, StateSlot,
+    EventHandler, EventSource, Forwarder, ManetProtocolCf, Plugin, ProtoCtx, StateCodec, StateSlot,
 };
 pub use reconfig::{
     CoordinatorPhase, Disruption, FleetCoordinator, FleetStatus, FleetTxnReport, HealthGate,

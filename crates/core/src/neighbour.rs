@@ -329,11 +329,7 @@ pub fn neighbour_detection_cf(config: NeighbourConfig) -> ManetProtocolCf {
 /// The System CF registration HELLO messages need.
 #[must_use]
 pub fn hello_registration() -> MessageRegistration {
-    MessageRegistration {
-        msg_type: msg_type::HELLO,
-        in_event: types::hello_in(),
-        out_event: Some(types::hello_out()),
-    }
+    MessageRegistration::in_out(msg_type::HELLO, types::hello_in(), types::hello_out())
 }
 
 #[cfg(test)]

@@ -18,9 +18,11 @@ use parking_lot::Mutex;
 use crate::concurrency::{ConcurrencyModel, DispatchQueue};
 use crate::event::{ContextValue, Event, EventType, Payload};
 use crate::manager::{FrameworkManager, UnitId};
-use crate::protocol::{CtxOutputs, Handover, ManetProtocolCf, ProtoCtx, ProtocolError};
+use crate::protocol::{
+    CtxOutputs, Displaced, Handover, ManetProtocolCf, Plugin, ProtoCtx, StateSlot,
+};
 use crate::registry::EventTuple;
-use crate::system::{MessageRegistration, SystemCf};
+use crate::system::{SystemCf, SystemConfig};
 use crate::telemetry::{intern_name, BusTally};
 
 /// Name the System CF registers under with the Framework Manager.
@@ -32,15 +34,10 @@ const SYSTEM_UNIT: &str = "system";
 pub enum DeployError {
     /// An integrity rule vetoed the change.
     Integrity(IntegrityViolation),
-    /// A fine-grained protocol operation failed.
-    Protocol(ProtocolError),
     /// No protocol with the given name is deployed.
     NoSuchProtocol(String),
     /// A protocol with the given name is already deployed.
     DuplicateProtocol(String),
-    /// A transaction was handed a `Mutate` of the named protocol, which it
-    /// cannot roll back.
-    NotUndoable(String),
     /// A switch failed (`cause`) and putting the retired protocol back
     /// failed too (`reinstate`): the deployment lost that protocol.
     SwitchUnrecovered {
@@ -55,15 +52,10 @@ impl fmt::Display for DeployError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeployError::Integrity(e) => write!(f, "integrity veto: {e}"),
-            DeployError::Protocol(e) => write!(f, "protocol operation failed: {e}"),
             DeployError::NoSuchProtocol(n) => write!(f, "no protocol named {n:?}"),
             DeployError::DuplicateProtocol(n) => {
                 write!(f, "protocol {n:?} already deployed")
             }
-            DeployError::NotUndoable(n) => write!(
-                f,
-                "Mutate({n}) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"
-            ),
             DeployError::SwitchUnrecovered { cause, reinstate } => {
                 write!(
                     f,
@@ -78,7 +70,6 @@ impl std::error::Error for DeployError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DeployError::Integrity(e) => Some(e),
-            DeployError::Protocol(e) => Some(e),
             DeployError::SwitchUnrecovered { cause, .. } => Some(cause.as_ref()),
             _ => None,
         }
@@ -106,13 +97,11 @@ impl fmt::Display for IntegrityViolation {
 
 impl std::error::Error for IntegrityViolation {}
 
-impl From<ProtocolError> for DeployError {
-    fn from(e: ProtocolError) -> Self {
-        DeployError::Protocol(e)
-    }
-}
-
 /// A runtime reconfiguration request, enacted at the next quiescent point.
+///
+/// Every op is data, and every op is undoable: the transaction engine
+/// applies each one and keeps what it displaced as its undo entry (see
+/// [`txn`](crate::txn)).
 pub enum ReconfigOp {
     /// Deploy an additional protocol (started immediately).
     AddProtocol(ManetProtocolCf),
@@ -142,24 +131,25 @@ pub enum ReconfigOp {
         /// New tuple.
         tuple: EventTuple,
     },
-    /// Run an arbitrary fine-grained mutation against a protocol CF
-    /// (replace handlers/forwarder/state); the wiring is re-derived
-    /// afterwards.
-    Mutate {
+    /// Recompose a protocol's C and S elements in place — how the paper's
+    /// variants are derived on a running node. The `unplug` plug-ins are
+    /// removed first; then each `plug` plug-in replaces the same-named one
+    /// of its kind in place, or is appended; then `state` derives the new S
+    /// element from the current one (its codec and carrier come with it).
+    /// The protocol restarts once afterwards, re-arming its source timers.
+    Recompose {
         /// Target protocol.
         protocol: String,
-        /// The mutation, run at the quiescent point.
-        op: Box<dyn FnOnce(&mut ManetProtocolCf) + Send>,
+        /// Plug-ins to plug, in order.
+        plug: Vec<Plugin>,
+        /// Names of handlers or sources to remove.
+        unplug: Vec<String>,
+        /// Derives the replacement S element from the current one.
+        state: Option<fn(&StateSlot) -> StateSlot>,
     },
-    /// Add or replace a System CF message registration.
-    RegisterMessage(MessageRegistration),
-    /// Run an arbitrary mutation against the System CF (load plug-ins such
-    /// as NetLink or PowerStatus); the System tuple is re-derived
-    /// afterwards.
-    MutateSystem {
-        /// The mutation, run at the quiescent point.
-        op: Box<dyn FnOnce(&mut SystemCf) + Send>,
-    },
+    /// Load a System CF configuration (see [`SystemCf::load`]): upsert its
+    /// message registrations in order and load the plug-ins it enables.
+    LoadSystem(SystemConfig),
 }
 
 impl fmt::Debug for ReconfigOp {
@@ -171,9 +161,8 @@ impl fmt::Debug for ReconfigOp {
                 write!(f, "SwitchProtocol({old} -> {})", new.name())
             }
             ReconfigOp::UpdateTuple { protocol, .. } => write!(f, "UpdateTuple({protocol})"),
-            ReconfigOp::Mutate { protocol, .. } => write!(f, "Mutate({protocol})"),
-            ReconfigOp::RegisterMessage(r) => write!(f, "RegisterMessage({})", r.msg_type),
-            ReconfigOp::MutateSystem { .. } => write!(f, "MutateSystem"),
+            ReconfigOp::Recompose { protocol, .. } => write!(f, "Recompose({protocol})"),
+            ReconfigOp::LoadSystem(_) => write!(f, "LoadSystem"),
         }
     }
 }
@@ -524,8 +513,7 @@ impl Deployment {
     }
 
     /// Retires `old` and starts `new` at the top of the stack in the same
-    /// quiescent point — the one implementation of `SwitchProtocol`,
-    /// shared by [`apply`](Self::apply) and the transaction engine. With
+    /// quiescent point — the one implementation of `SwitchProtocol`. With
     /// `transfer_state` the retiring CF hands its S element over (see
     /// [`ReconfigOp::SwitchProtocol`]) between its stop, which withdraws
     /// its kernel routes, and the successor's start, which installs the
@@ -575,36 +563,52 @@ impl Deployment {
         }
     }
 
+    /// Recomposes the named protocol (see [`ReconfigOp::Recompose`]) and
+    /// restarts it once, returning what it displaced.
+    pub(crate) fn recompose(
+        &mut self,
+        protocol: &str,
+        plug: Vec<Plugin>,
+        unplug: &[String],
+        state: Option<fn(&StateSlot) -> StateSlot>,
+        os: &mut NodeOs,
+    ) -> Result<Displaced, DeployError> {
+        let idx = self
+            .protocol_position(protocol)
+            .ok_or_else(|| DeployError::NoSuchProtocol(protocol.to_string()))?;
+        let displaced = self.slots[idx].cf.recompose(plug, unplug, state);
+        if self.started {
+            self.start_protocol(idx, os);
+        }
+        Ok(displaced)
+    }
+
+    /// Undoes a recompose of the named protocol: stops it, which withdraws
+    /// what its current composition installed, puts back what the
+    /// recompose displaced and starts it again.
+    pub(crate) fn restore(&mut self, protocol: &str, displaced: Displaced, os: &mut NodeOs) {
+        let Some(idx) = self.protocol_position(protocol) else {
+            return;
+        };
+        if self.started {
+            self.stop_protocol(idx, os);
+        }
+        self.slots[idx].cf.restore(displaced);
+        if self.started {
+            self.start_protocol(idx, os);
+        }
+    }
+
     /// Applies one reconfiguration operation (at a quiescent point — no
-    /// event is in flight when this is called). Every op but `Mutate` is the
-    /// transaction engine's, with its undo entry dropped: outside a
-    /// transaction nothing can undo it.
+    /// event is in flight when this is called): the transaction engine's
+    /// implementation of the op, with its undo entry dropped.
     ///
     /// # Errors
     ///
     /// Propagates failures of the underlying operation; the deployment is
     /// left unchanged on error.
     pub fn apply(&mut self, op: ReconfigOp, os: &mut NodeOs) -> Result<(), DeployError> {
-        match op {
-            ReconfigOp::Mutate { protocol, op } => {
-                let idx = self
-                    .protocol_position(&protocol)
-                    .ok_or(DeployError::NoSuchProtocol(protocol))?;
-                let slot = &mut self.slots[idx];
-                op(&mut slot.cf);
-                // The mutation may have changed the tuple; re-derive wiring.
-                self.manager
-                    .update_tuple(slot.unit, slot.cf.tuple().clone());
-                // Re-arm timers so sources added by the mutation run.
-                if self.started {
-                    self.start_protocol(idx, os);
-                }
-                os.trace_rebind("mutate");
-            }
-            op => {
-                crate::txn::apply_one(self, op, os)?;
-            }
-        }
+        crate::txn::apply_one(self, op, os)?;
         self.ops_applied += 1;
         Ok(())
     }
@@ -628,14 +632,18 @@ impl Deployment {
     /// Stops every protocol (cancels timers).
     pub fn stop(&mut self, os: &mut NodeOs) {
         for idx in 0..self.slots.len() {
-            let name = self.slots[idx].name;
-            let mut ctx = ProtoCtx::new(os, name);
-            self.slots[idx].cf.stop(&mut ctx);
-            let out = ctx.take_outputs();
-            drop(ctx);
-            self.apply_outputs(idx, out, os);
+            self.stop_protocol(idx, os);
         }
         self.started = false;
+    }
+
+    fn stop_protocol(&mut self, idx: usize, os: &mut NodeOs) {
+        let name = self.slots[idx].name;
+        let mut ctx = ProtoCtx::new(os, name);
+        self.slots[idx].cf.stop(&mut ctx);
+        let out = ctx.take_outputs();
+        drop(ctx);
+        self.apply_outputs(idx, out, os);
     }
 
     fn start_protocol(&mut self, idx: usize, os: &mut NodeOs) {

@@ -11,9 +11,10 @@
 //! * **S** — a [`StateSlot`] holding the protocol state as a replaceable,
 //!   transferable unit.
 //!
-//! Each plug-in can be replaced at runtime ([`ManetProtocolCf::replace_handler`],
-//! [`ManetProtocolCf::replace_forwarder`], [`ManetProtocolCf::replace_state`])
-//! — that is how the paper derives power-aware OLSR, fisheye OLSR and
+//! C and S can be recomposed at runtime — handlers and sources plugged in
+//! or out, the S element derived into a new representation — by a
+//! [`Recompose`](crate::node::ReconfigOp::Recompose) op: that is how the
+//! paper derives power-aware OLSR and gossip, optimised-flooding and
 //! multipath DYMO from the base protocols. Handlers run atomically: the
 //! deployment never re-enters a protocol CF.
 
@@ -27,25 +28,55 @@ use crate::carry::RouteCarrier;
 use crate::event::{Event, EventType};
 use crate::registry::EventTuple;
 
-/// The S element: protocol state as a reified, transferable unit.
+/// The S element: protocol state as a reified, transferable unit, with the
+/// codec and route carrier that read its concrete type.
 ///
 /// Handlers downcast to their concrete state type with [`StateSlot::get`].
 /// When a protocol (or one of its elements) is replaced, the slot can be
-/// carried over wholesale or mapped into a new representation
-/// ([`ManetProtocolCf::map_state`]) — the paper's state-transfer story.
-pub struct StateSlot(Box<dyn Any + Send>);
+/// carried over wholesale or derived into a new representation (a
+/// [`Recompose`](crate::node::ReconfigOp::Recompose) with a `state`
+/// derivation) — the paper's state-transfer story. A derived slot brings
+/// its own codec and carrier, so they always match the state they read.
+pub struct StateSlot {
+    state: Box<dyn Any + Send>,
+    codec: Option<StateCodec>,
+    carrier: Option<RouteCarrier>,
+}
 
 impl StateSlot {
-    /// Wraps a concrete state value.
+    /// Wraps a concrete state value (no codec, no carrier).
     #[must_use]
     pub fn new<T: Any + Send>(state: T) -> Self {
-        StateSlot(Box::new(state))
+        StateSlot {
+            state: Box::new(state),
+            codec: None,
+            carrier: None,
+        }
     }
 
     /// An empty slot (unit state).
     #[must_use]
     pub fn empty() -> Self {
-        StateSlot(Box::new(()))
+        StateSlot::new(())
+    }
+
+    /// Attaches a state codec: deterministic bytes of the state, so
+    /// transactional checkpoints can prove rollback exactness (see
+    /// [`ManetProtocolCf::export_state`]).
+    #[must_use]
+    pub fn with_codec(mut self, codec: StateCodec) -> Self {
+        self.codec = Some(codec);
+        self
+    }
+
+    /// Attaches a route carrier: how the state converts to and from the
+    /// neutral [`RouteCarry`](crate::carry::RouteCarry), so a
+    /// `SwitchProtocol` to or from a protocol with a different state type
+    /// carries the live routes across.
+    #[must_use]
+    pub fn with_carrier(mut self, carrier: RouteCarrier) -> Self {
+        self.carrier = Some(carrier);
+        self
     }
 
     /// Borrows the state as `T`.
@@ -57,7 +88,7 @@ impl StateSlot {
     /// condition.
     #[must_use]
     pub fn get<T: Any>(&self) -> &T {
-        self.0
+        self.state
             .downcast_ref::<T>()
             .expect("protocol state slot holds a different type")
     }
@@ -69,7 +100,7 @@ impl StateSlot {
     /// Panics when the slot holds a different type.
     #[must_use]
     pub fn get_mut<T: Any>(&mut self) -> &mut T {
-        self.0
+        self.state
             .downcast_mut::<T>()
             .expect("protocol state slot holds a different type")
     }
@@ -77,26 +108,7 @@ impl StateSlot {
     /// Attempts to borrow the state as `T`.
     #[must_use]
     pub fn try_get<T: Any>(&self) -> Option<&T> {
-        self.0.downcast_ref::<T>()
-    }
-
-    /// Whether both slots hold the same concrete type (so one can stand
-    /// in for the other under the same handlers).
-    #[must_use]
-    pub fn same_type(&self, other: &StateSlot) -> bool {
-        (*self.0).type_id() == (*other.0).type_id()
-    }
-
-    /// Consumes the slot, recovering the concrete state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the slot unchanged when the type does not match.
-    pub fn into_inner<T: Any>(self) -> Result<T, StateSlot> {
-        match self.0.downcast::<T>() {
-            Ok(b) => Ok(*b),
-            Err(b) => Err(StateSlot(b)),
-        }
+        self.state.downcast_ref::<T>()
     }
 }
 
@@ -244,32 +256,16 @@ pub trait Forwarder: Send {
     fn forward(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
 }
 
-/// Errors from protocol CF reconfiguration operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ProtocolError {
-    /// No plug-in with the given name exists.
-    NoSuchPlugin(String),
-    /// A plug-in with the given name already exists.
-    DuplicatePlugin(String),
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::NoSuchPlugin(n) => write!(f, "no plug-in named {n:?}"),
-            ProtocolError::DuplicatePlugin(n) => {
-                write!(f, "a plug-in named {n:?} already exists")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
 struct SourceSlot {
     source: Box<dyn EventSource>,
     timer: EventType,
+}
+
+impl SourceSlot {
+    fn new(source: Box<dyn EventSource>) -> Self {
+        let timer = EventType::named(&format!("__src:{}", source.name()));
+        SourceSlot { source, timer }
+    }
 }
 
 /// A handler plus its subscription set, sampled when the handler is
@@ -284,6 +280,68 @@ impl HandlerSlot {
     fn new(handler: Box<dyn EventHandler>) -> Self {
         let subs = handler.subscriptions();
         HandlerSlot { handler, subs }
+    }
+}
+
+/// A C-element plug-in, as a
+/// [`Recompose`](crate::node::ReconfigOp::Recompose) plugs it.
+pub enum Plugin {
+    /// An event handler.
+    Handler(Box<dyn EventHandler>),
+    /// A periodic event source (its timer arms when the protocol restarts).
+    Source(Box<dyn EventSource>),
+}
+
+/// One change a recompose made to a plug-in list.
+enum Edit<T> {
+    /// A plug-in was appended.
+    Appended,
+    /// The plug-in at this index was replaced; this is what it held.
+    Replaced(usize, T),
+    /// The plug-in at this index was removed.
+    Removed(usize, T),
+}
+
+/// What a [`ManetProtocolCf::recompose`] displaced: its plug-in edits in
+/// order, with what they replaced or removed, and the S element it
+/// replaced. Putting these back is the recompose's exact undo.
+pub(crate) struct Displaced {
+    handlers: Vec<Edit<HandlerSlot>>,
+    sources: Vec<Edit<SourceSlot>>,
+    state: Option<StateSlot>,
+}
+
+/// Reads the plug-in name of a handler or source slot.
+type Key<T> = fn(&T) -> &str;
+
+/// Removes the plug-in named `name` from `list`, if there is one.
+fn unplug_from<T>(list: &mut Vec<T>, name: &str, key: Key<T>, edits: &mut Vec<Edit<T>>) {
+    if let Some(i) = list.iter().position(|s| key(s) == name) {
+        edits.push(Edit::Removed(i, list.remove(i)));
+    }
+}
+
+/// Puts `slot` in place of the same-named one in `list`, or appends it.
+fn plug_into<T>(list: &mut Vec<T>, slot: T, key: Key<T>, edits: &mut Vec<Edit<T>>) {
+    match list.iter().position(|s| key(s) == key(&slot)) {
+        Some(i) => edits.push(Edit::Replaced(i, std::mem::replace(&mut list[i], slot))),
+        None => {
+            list.push(slot);
+            edits.push(Edit::Appended);
+        }
+    }
+}
+
+/// Undoes `edits` on `list`, latest first.
+fn undo_edits<T>(list: &mut Vec<T>, edits: Vec<Edit<T>>) {
+    for edit in edits.into_iter().rev() {
+        match edit {
+            Edit::Appended => {
+                list.pop();
+            }
+            Edit::Replaced(i, old) => list[i] = old,
+            Edit::Removed(i, old) => list.insert(i, old),
+        }
     }
 }
 
@@ -302,14 +360,6 @@ pub struct ManetProtocolCf {
     /// [`HandlerSlot::subs`]).
     forwarder_subs: Vec<EventType>,
     state: StateSlot,
-    /// Optional state codec: exports the S element to deterministic bytes
-    /// so transactional checkpoints can fingerprint it (see
-    /// [`export_state`](Self::export_state)).
-    state_codec: Option<StateCodec>,
-    /// Optional conversion of the S element to and from the neutral
-    /// [`RouteCarry`](crate::carry::RouteCarry), used when a switch hands
-    /// routes to a protocol with a different state type.
-    route_carrier: Option<RouteCarrier>,
     /// Named timers armed when the protocol starts (e.g. expiry sweeps).
     startup_timers: Vec<(SimDuration, EventType)>,
     /// Message kinds this protocol treats as *reactive* route discovery —
@@ -331,8 +381,6 @@ impl ManetProtocolCf {
                 forwarder: None,
                 forwarder_subs: Vec::new(),
                 state: StateSlot::empty(),
-                state_codec: None,
-                route_carrier: None,
                 startup_timers: Vec::new(),
                 reactive: false,
             },
@@ -442,119 +490,63 @@ impl ManetProtocolCf {
 
     // ---- fine-grained reconfiguration -------------------------------------
 
-    /// Adds a handler. Its subscription set is sampled now — handlers
-    /// declare static interests (the tuples are declarative); to change
-    /// them, replace the handler.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a plug-in with the same name exists.
-    pub fn add_handler(&mut self, handler: Box<dyn EventHandler>) -> Result<(), ProtocolError> {
-        if self.plugin_names().iter().any(|n| n == handler.name()) {
-            return Err(ProtocolError::DuplicatePlugin(handler.name().to_string()));
-        }
-        self.handlers.push(HandlerSlot::new(handler));
-        Ok(())
-    }
-
-    /// Removes the handler named `name`, returning it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no handler has that name.
-    pub fn remove_handler(&mut self, name: &str) -> Result<Box<dyn EventHandler>, ProtocolError> {
-        let idx = self
-            .handlers
-            .iter()
-            .position(|h| h.handler.name() == name)
-            .ok_or_else(|| ProtocolError::NoSuchPlugin(name.to_string()))?;
-        Ok(self.handlers.remove(idx).handler)
-    }
-
-    /// Replaces the handler named `name` in place (same position), returning
-    /// the old one.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no handler has that name.
-    pub fn replace_handler(
+    /// Recomposes the C and S elements (see
+    /// [`ReconfigOp::Recompose`](crate::node::ReconfigOp::Recompose)):
+    /// removes the `unplug` plug-ins (an absent name is already unplugged),
+    /// plugs `plug` — each replaces the same-named plug-in of its kind in
+    /// place, or is appended — and replaces the S element by `state`'s
+    /// derivation from it. Returns everything displaced, which
+    /// [`restore`](Self::restore) puts back exactly.
+    pub(crate) fn recompose(
         &mut self,
-        name: &str,
-        new: Box<dyn EventHandler>,
-    ) -> Result<Box<dyn EventHandler>, ProtocolError> {
-        let idx = self
-            .handlers
-            .iter()
-            .position(|h| h.handler.name() == name)
-            .ok_or_else(|| ProtocolError::NoSuchPlugin(name.to_string()))?;
-        let old = std::mem::replace(&mut self.handlers[idx], HandlerSlot::new(new));
-        Ok(old.handler)
-    }
-
-    /// Adds a periodic source (its timer arms when the protocol is next
-    /// (re)started — the deployment re-arms timers after `Mutate` ops).
-    ///
-    /// # Errors
-    ///
-    /// Fails when a plug-in with the same name exists.
-    pub fn add_source(&mut self, source: Box<dyn EventSource>) -> Result<(), ProtocolError> {
-        if self.plugin_names().iter().any(|n| n == source.name()) {
-            return Err(ProtocolError::DuplicatePlugin(source.name().to_string()));
+        plug: Vec<Plugin>,
+        unplug: &[String],
+        state: Option<fn(&StateSlot) -> StateSlot>,
+    ) -> Displaced {
+        let (mut handlers, mut sources) = (Vec::new(), Vec::new());
+        let handler: Key<HandlerSlot> = |h| h.handler.name();
+        let source: Key<SourceSlot> = |s| s.source.name();
+        for name in unplug {
+            unplug_from(&mut self.handlers, name, handler, &mut handlers);
+            unplug_from(&mut self.sources, name, source, &mut sources);
         }
-        let timer = EventType::named(&format!("__src:{}", source.name()));
-        self.sources.push(SourceSlot { source, timer });
-        Ok(())
+        for plugin in plug {
+            match plugin {
+                Plugin::Handler(h) => plug_into(
+                    &mut self.handlers,
+                    HandlerSlot::new(h),
+                    handler,
+                    &mut handlers,
+                ),
+                Plugin::Source(s) => {
+                    plug_into(&mut self.sources, SourceSlot::new(s), source, &mut sources)
+                }
+            }
+        }
+        let state = state.map(|derive| {
+            let derived = derive(&self.state);
+            std::mem::replace(&mut self.state, derived)
+        });
+        Displaced {
+            handlers,
+            sources,
+            state,
+        }
     }
 
-    /// Removes the source named `name`, returning it. The deployment
-    /// cancels its timer at the next safe point.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no source has that name.
-    pub fn remove_source(&mut self, name: &str) -> Result<Box<dyn EventSource>, ProtocolError> {
-        let idx = self
-            .sources
-            .iter()
-            .position(|s| s.source.name() == name)
-            .ok_or_else(|| ProtocolError::NoSuchPlugin(name.to_string()))?;
-        Ok(self.sources.remove(idx).source)
-    }
-
-    /// Replaces the source named `name` in place, returning the old one.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no source has that name.
-    pub fn replace_source(
-        &mut self,
-        name: &str,
-        new: Box<dyn EventSource>,
-    ) -> Result<Box<dyn EventSource>, ProtocolError> {
-        let slot = self
-            .sources
-            .iter_mut()
-            .find(|s| s.source.name() == name)
-            .ok_or_else(|| ProtocolError::NoSuchPlugin(name.to_string()))?;
-        Ok(std::mem::replace(&mut slot.source, new))
-    }
-
-    /// Replaces the F element, returning the old one.
-    pub fn replace_forwarder(&mut self, new: Box<dyn Forwarder>) -> Option<Box<dyn Forwarder>> {
-        self.forwarder_subs = new.subscriptions();
-        self.forwarder.replace(new)
+    /// Undoes a [`recompose`](Self::recompose): its edits in reverse, then
+    /// the S element it replaced.
+    pub(crate) fn restore(&mut self, displaced: Displaced) {
+        undo_edits(&mut self.handlers, displaced.handlers);
+        undo_edits(&mut self.sources, displaced.sources);
+        if let Some(state) = displaced.state {
+            self.state = state;
+        }
     }
 
     /// Replaces the S element wholesale, returning the old state.
     pub fn replace_state(&mut self, new: StateSlot) -> StateSlot {
         std::mem::replace(&mut self.state, new)
-    }
-
-    /// Maps the current state into a new representation (state transfer
-    /// with conversion — e.g. standard route table → multipath route table).
-    pub fn map_state(&mut self, f: impl FnOnce(StateSlot) -> StateSlot) {
-        let old = std::mem::replace(&mut self.state, StateSlot::empty());
-        self.state = f(old);
     }
 
     /// Takes the S element out (for carry-over into a replacement
@@ -573,11 +565,11 @@ impl ManetProtocolCf {
         successor: &mut ManetProtocolCf,
         now: SimTime,
     ) -> Handover {
-        if self.state.same_type(&successor.state) {
+        if (*self.state.state).type_id() == (*successor.state.state).type_id() {
             successor.state = self.take_state();
             return Handover::Moved;
         }
-        match (self.route_carrier, successor.route_carrier) {
+        match (self.state.carrier, successor.state.carrier) {
             (Some(from), Some(to)) => {
                 let carry = (from.export)(&self.state, now);
                 (to.adopt)(&mut successor.state, &carry, now);
@@ -587,26 +579,14 @@ impl ManetProtocolCf {
         }
     }
 
-    /// Installs (or replaces) the route carrier (see
-    /// [`ManetProtocolBuilder::route_carrier`]).
-    pub fn set_route_carrier(&mut self, carrier: RouteCarrier) {
-        self.route_carrier = Some(carrier);
-    }
-
-    /// Installs (or replaces) the state codec used by
-    /// [`export_state`](Self::export_state).
-    pub fn set_state_codec(&mut self, codec: StateCodec) {
-        self.state_codec = Some(codec);
-    }
-
-    /// Exports the S element as deterministic bytes through the protocol's
-    /// state codec, or `None` when no codec is installed. Two exports are
+    /// Exports the S element as deterministic bytes through its state
+    /// codec, or `None` when it has none. Two exports are
     /// byte-identical exactly when the codec considers the states equal —
     /// the fingerprint the transactional reconfiguration engine compares
     /// across checkpoint/rollback.
     #[must_use]
     pub fn export_state(&self) -> Option<Vec<u8>> {
-        self.state_codec.as_ref().map(|codec| codec(&self.state))
+        self.state.codec.map(|codec| codec(&self.state))
     }
 
     /// Read access to the state slot.
@@ -647,7 +627,7 @@ pub(crate) enum Handover {
 /// Exports a protocol's S element as deterministic bytes (any stable
 /// encoding works — `Debug` text of an ordered structure is fine; the bytes
 /// are compared, never decoded).
-pub type StateCodec = Box<dyn Fn(&StateSlot) -> Vec<u8> + Send>;
+pub type StateCodec = fn(&StateSlot) -> Vec<u8>;
 
 /// Builder for [`ManetProtocolCf`].
 pub struct ManetProtocolBuilder {
@@ -676,17 +656,18 @@ impl ManetProtocolBuilder {
     /// Panics on duplicate plug-in names (a composition bug).
     #[must_use]
     pub fn handler(mut self, handler: Box<dyn EventHandler>) -> Self {
-        self.cf
-            .add_handler(handler)
-            .expect("duplicate plug-in name");
+        assert!(
+            self.cf.plugins().all(|n| n != handler.name()),
+            "duplicate plug-in name"
+        );
+        self.cf.handlers.push(HandlerSlot::new(handler));
         self
     }
 
     /// Adds a periodic source.
     #[must_use]
     pub fn source(mut self, source: Box<dyn EventSource>) -> Self {
-        let timer = EventType::named(&format!("__src:{}", source.name()));
-        self.cf.sources.push(SourceSlot { source, timer });
+        self.cf.sources.push(SourceSlot::new(source));
         self
     }
 
@@ -698,28 +679,11 @@ impl ManetProtocolBuilder {
         self
     }
 
-    /// Sets the S element.
+    /// Sets the S element (with the codec and carrier it brings, see
+    /// [`StateSlot::with_codec`] and [`StateSlot::with_carrier`]).
     #[must_use]
     pub fn state(mut self, state: StateSlot) -> Self {
         self.cf.state = state;
-        self
-    }
-
-    /// Installs a state codec (deterministic byte export of the S element)
-    /// used by transactional checkpoints to prove rollback exactness.
-    #[must_use]
-    pub fn state_codec(mut self, codec: impl Fn(&StateSlot) -> Vec<u8> + Send + 'static) -> Self {
-        self.cf.state_codec = Some(Box::new(codec));
-        self
-    }
-
-    /// Declares how the S element converts to and from the neutral
-    /// [`RouteCarry`](crate::carry::RouteCarry), so a `SwitchProtocol`
-    /// to or from a protocol with a different state type carries the live
-    /// routes across.
-    #[must_use]
-    pub fn route_carrier(mut self, carrier: RouteCarrier) -> Self {
-        self.cf.route_carrier = Some(carrier);
         self
     }
 
@@ -828,7 +792,6 @@ mod tests {
         *s.get_mut::<u32>() += 1;
         assert_eq!(s.try_get::<u32>(), Some(&6));
         assert!(s.try_get::<u64>().is_none());
-        assert_eq!(s.into_inner::<u32>().unwrap(), 6);
     }
 
     #[test]
@@ -887,55 +850,53 @@ mod tests {
         assert_eq!(cf.state().get::<CounterState>().seen, 1);
     }
 
-    #[test]
-    fn handler_replacement_in_place() {
-        struct Negator;
-        impl EventHandler for Negator {
-            fn name(&self) -> &str {
-                "counter"
-            }
-            fn subscriptions(&self) -> Vec<EventType> {
-                vec![types::hello_in()]
-            }
-            fn handle(&mut self, _ev: &Event, state: &mut StateSlot, _ctx: &mut ProtoCtx<'_>) {
-                state.get_mut::<CounterState>().seen += 100;
-            }
+    struct Negator;
+    impl EventHandler for Negator {
+        fn name(&self) -> &str {
+            "counter"
         }
-        let mut cf = sample_cf();
-        cf.replace_handler("counter", Box::new(Negator)).unwrap();
+        fn subscriptions(&self) -> Vec<EventType> {
+            vec![types::hello_in()]
+        }
+        fn handle(&mut self, _ev: &Event, state: &mut StateSlot, _ctx: &mut ProtoCtx<'_>) {
+            state.get_mut::<CounterState>().seen += 100;
+        }
+    }
+
+    fn hello_in_count(cf: &mut ManetProtocolCf) -> u32 {
         let mut os = test_os();
         let mut ctx = ProtoCtx::new(&mut os, "test");
         cf.deliver(&Event::signal(types::hello_in()), &mut ctx);
-        assert_eq!(cf.state().get::<CounterState>().seen, 100);
-
-        assert!(matches!(
-            cf.replace_handler("ghost", Box::new(Negator)),
-            Err(ProtocolError::NoSuchPlugin(_))
-        ));
+        cf.state().get::<CounterState>().seen
     }
 
     #[test]
-    fn duplicate_plugin_rejected() {
+    fn recompose_replaces_in_place_and_restores_exactly() {
         let mut cf = sample_cf();
-        let err = cf.add_handler(Box::new(CountingHandler)).unwrap_err();
-        assert!(matches!(err, ProtocolError::DuplicatePlugin(_)));
+        let plug = vec![Plugin::Handler(Box::new(Negator))];
+        let unplug = ["tick".to_string(), "ghost".to_string()];
+        let displaced = cf.recompose(plug, &unplug, None);
+        assert_eq!(cf.plugin_names(), ["counter"]);
+        assert_eq!(hello_in_count(&mut cf), 100);
+
+        cf.restore(displaced);
+        assert_eq!(cf.plugin_names(), ["counter", "tick"]);
+        assert_eq!(hello_in_count(&mut cf), 101, "the original handler is back");
     }
 
     #[test]
     fn state_transfer() {
         let mut cf = sample_cf();
         cf.state_mut().get_mut::<CounterState>().seen = 7;
+        let derive: fn(&StateSlot) -> StateSlot =
+            |slot| StateSlot::new(u64::from(slot.get::<CounterState>().seen) * 2);
+        let displaced = cf.recompose(Vec::new(), &[], Some(derive));
+        assert_eq!(*cf.state().get::<u64>(), 14);
+        cf.restore(displaced);
+        assert_eq!(cf.state().get::<CounterState>().seen, 7);
+
         let carried = cf.take_state();
         assert_eq!(carried.get::<CounterState>().seen, 7);
-
-        // Map-based transfer converts representation.
-        let mut cf2 = sample_cf();
-        cf2.replace_state(carried);
-        cf2.map_state(|slot| {
-            let old = slot.into_inner::<CounterState>().unwrap();
-            StateSlot::new(old.seen as u64 * 2)
-        });
-        assert_eq!(*cf2.state().get::<u64>(), 14);
     }
 
     #[test]

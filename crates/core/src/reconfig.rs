@@ -324,7 +324,9 @@ impl fmt::Display for FleetTxnReport {
 
 /// The operation batches a reconfiguration applies: `recipe(i)` is the
 /// batch for handle index `i`. It is invoked once per node, because
-/// [`ReconfigOp`]s own protocol state and cannot be cloned.
+/// [`ReconfigOp`]s own protocol state and cannot be cloned. Every op is
+/// undoable, so any recipe, a §5 variant as much as a protocol switch, can
+/// run two-phase.
 pub type Recipe<'a> = Box<dyn Fn(usize) -> Vec<ReconfigOp> + 'a>;
 
 /// The coordination discipline a [`ReconfigRequest`] executes under.
@@ -936,7 +938,14 @@ mod tests {
     }
 
     fn register_hello() -> Vec<ReconfigOp> {
-        vec![ReconfigOp::RegisterMessage(hello_registration())]
+        vec![load_hello()]
+    }
+
+    fn load_hello() -> ReconfigOp {
+        ReconfigOp::LoadSystem(crate::SystemConfig {
+            registrations: vec![hello_registration()],
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -1007,7 +1016,7 @@ mod tests {
             &mut world,
             ReconfigRequest::new().recipe_per_node(|i| {
                 if i == 0 {
-                    vec![ReconfigOp::RegisterMessage(hello_registration())]
+                    vec![load_hello()]
                 } else {
                     Vec::new()
                 }

@@ -32,9 +32,33 @@ pub struct MessageRegistration {
     pub out_event: Option<EventType>,
 }
 
+impl MessageRegistration {
+    /// `msg_type` with both an in and an out event.
+    #[must_use]
+    pub fn in_out(msg_type: u8, in_event: EventType, out_event: EventType) -> Self {
+        MessageRegistration {
+            msg_type,
+            in_event,
+            out_event: Some(out_event),
+        }
+    }
+
+    /// `msg_type` with an in event only (a protocol F element transmits
+    /// this kind itself).
+    #[must_use]
+    pub fn in_only(msg_type: u8, in_event: EventType) -> Self {
+        MessageRegistration {
+            msg_type,
+            in_event,
+            out_event: None,
+        }
+    }
+}
+
 /// The System CF's *configuration* — the part of its identity that
-/// reconfiguration operations mutate (message registrations and loaded
-/// plug-ins), as a cloneable, comparable value.
+/// reconfiguration operations change (message registrations and loaded
+/// plug-ins), as a cloneable, comparable value. It is also what a protocol
+/// crate asks the System CF to [`load`](SystemCf::load).
 ///
 /// Runtime artefacts (the tx aggregation buffer, sequence numbers,
 /// observability counters) are deliberately excluded: a checkpoint/restore
@@ -53,9 +77,7 @@ pub struct SystemConfig {
 /// The System CF.
 #[derive(Debug, Default)]
 pub struct SystemCf {
-    registrations: Vec<MessageRegistration>,
-    netlink: bool,
-    power_status: bool,
+    config: SystemConfig,
     /// Outgoing (dst, message) pairs aggregated within a dispatch round.
     /// Routed `*_OUT` events lend their message; by the time the round
     /// flushes the event is gone and the buffer owns it outright.
@@ -75,52 +97,31 @@ impl SystemCf {
         Self::default()
     }
 
-    /// Loads a NetworkDriver registration for one message type.
+    /// Loads a NetworkDriver registration for one message type, replacing
+    /// any earlier registration of that type (it moves to the end).
     pub fn register_message(&mut self, registration: MessageRegistration) {
-        self.registrations
-            .retain(|r| r.msg_type != registration.msg_type);
-        self.registrations.push(registration);
+        let registrations = &mut self.config.registrations;
+        registrations.retain(|r| r.msg_type != registration.msg_type);
+        registrations.push(registration);
     }
 
-    /// Convenience: register `msg_type` with both in and out events.
-    pub fn register_in_out(&mut self, msg_type: u8, in_event: EventType, out_event: EventType) {
-        self.register_message(MessageRegistration {
-            msg_type,
-            in_event,
-            out_event: Some(out_event),
-        });
-    }
-
-    /// Convenience: register `msg_type` with an in event only (a protocol
-    /// F element transmits this kind itself).
-    pub fn register_in_only(&mut self, msg_type: u8, in_event: EventType) {
-        self.register_message(MessageRegistration {
-            msg_type,
-            in_event,
-            out_event: None,
-        });
-    }
-
-    /// Loads the NetLink plug-in: netfilter events become routed events.
-    pub fn enable_netlink(&mut self) {
-        self.netlink = true;
-    }
-
-    /// Loads the PowerStatus plug-in: battery samples become
-    /// `POWER_STATUS` events.
-    pub fn enable_power_status(&mut self) {
-        self.power_status = true;
-    }
-
-    /// Snapshots the reconfigurable configuration (registrations and
-    /// plug-in flags) — the checkpoint half of transactional rollback.
-    #[must_use]
-    pub fn config(&self) -> SystemConfig {
-        SystemConfig {
-            registrations: self.registrations.clone(),
-            netlink: self.netlink,
-            power_status: self.power_status,
+    /// Loads `config` on top of the current configuration: its
+    /// registrations in order (see [`register_message`](Self::register_message)),
+    /// and every plug-in it enables. A plug-in it leaves off stays as it
+    /// is. Callers re-derive the System tuple afterwards.
+    pub fn load(&mut self, config: &SystemConfig) {
+        for r in &config.registrations {
+            self.register_message(r.clone());
         }
+        self.config.netlink |= config.netlink;
+        self.config.power_status |= config.power_status;
+    }
+
+    /// The reconfigurable configuration (registrations and plug-in flags)
+    /// — what a transactional checkpoint snapshots.
+    #[must_use]
+    pub fn config(&self) -> &SystemConfig {
+        &self.config
     }
 
     /// Restores a configuration previously captured with
@@ -128,22 +129,20 @@ impl SystemCf {
     /// sequence, counters) untouched. Callers re-derive the System tuple
     /// afterwards.
     pub fn restore_config(&mut self, config: SystemConfig) {
-        self.registrations = config.registrations;
-        self.netlink = config.netlink;
-        self.power_status = config.power_status;
+        self.config = config;
     }
 
     /// The System CF's event tuple, derived from its loaded plug-ins.
     #[must_use]
     pub fn tuple(&self) -> EventTuple {
         let mut t = EventTuple::new();
-        for r in &self.registrations {
+        for r in &self.config.registrations {
             t = t.provides(r.in_event);
             if let Some(out) = &r.out_event {
                 t = t.requires(*out);
             }
         }
-        if self.netlink {
+        if self.config.netlink {
             t = t
                 .provides(types::no_route())
                 .provides(types::route_update())
@@ -151,7 +150,7 @@ impl SystemCf {
                 .provides(types::tx_failed())
                 .requires(types::route_found());
         }
-        if self.power_status {
+        if self.config.power_status {
             t = t.provides(types::power_status());
         }
         t
@@ -170,6 +169,7 @@ impl SystemCf {
         };
         for msg in messages {
             match self
+                .config
                 .registrations
                 .iter()
                 .find(|r| r.msg_type == msg.msg_type())
@@ -248,7 +248,7 @@ impl SystemCf {
     /// Converts a netfilter event into routed events (NetLink plug-in).
     #[must_use]
     pub fn filter_event(&mut self, event: &FilterEvent) -> Vec<Event> {
-        if !self.netlink {
+        if !self.config.netlink {
             return Vec::new();
         }
         let (ty, ctl) = match event {
@@ -286,7 +286,7 @@ impl SystemCf {
     /// Converts a context sample into routed events (PowerStatus plug-in).
     #[must_use]
     pub fn context_event(&mut self, sample: &ContextSample) -> Vec<Event> {
-        if !self.power_status {
+        if !self.config.power_status {
             return Vec::new();
         }
         match sample {
@@ -324,16 +324,28 @@ mod tests {
 
     fn hello_system() -> SystemCf {
         let mut sys = SystemCf::new();
-        sys.register_in_out(0, types::hello_in(), types::hello_out());
-        sys.register_in_only(1, types::tc_in());
+        sys.register_message(MessageRegistration::in_out(
+            0,
+            types::hello_in(),
+            types::hello_out(),
+        ));
+        sys.register_message(MessageRegistration::in_only(1, types::tc_in()));
         sys
+    }
+
+    /// Loads the NetLink and PowerStatus plug-ins named by the flags.
+    fn enable(sys: &mut SystemCf, netlink: bool, power_status: bool) {
+        sys.load(&SystemConfig {
+            registrations: Vec::new(),
+            netlink,
+            power_status,
+        });
     }
 
     #[test]
     fn tuple_derivation() {
         let mut sys = hello_system();
-        sys.enable_netlink();
-        sys.enable_power_status();
+        enable(&mut sys, true, true);
         let t = sys.tuple();
         assert!(t.is_provided(&types::hello_in()));
         assert!(t.is_required(&types::hello_out()));
@@ -404,7 +416,7 @@ mod tests {
         let dst = Address::v4([10, 0, 0, 7]);
         // Disabled: nothing.
         assert!(sys.filter_event(&FilterEvent::NoRoute { dst }).is_empty());
-        sys.enable_netlink();
+        enable(&mut sys, true, false);
         let evs = sys.filter_event(&FilterEvent::NoRoute { dst });
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].ty, types::no_route());
@@ -414,7 +426,7 @@ mod tests {
     #[test]
     fn route_found_reinjects() {
         let mut sys = hello_system();
-        sys.enable_netlink();
+        enable(&mut sys, true, false);
         let mut os = test_os();
         let dst = Address::v4([10, 0, 0, 7]);
         let ev = Event {
@@ -433,7 +445,7 @@ mod tests {
     fn power_status_conversion() {
         let mut sys = hello_system();
         assert!(sys.context_event(&ContextSample::Battery(0.5)).is_empty());
-        sys.enable_power_status();
+        enable(&mut sys, false, true);
         let evs = sys.context_event(&ContextSample::Battery(0.5));
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].ty, types::power_status());
@@ -441,10 +453,22 @@ mod tests {
 
     #[test]
     fn reregistration_replaces() {
-        let mut sys = SystemCf::new();
-        sys.register_in_out(0, types::hello_in(), types::hello_out());
-        sys.register_in_only(0, types::hello_in());
+        let mut sys = hello_system();
+        sys.load(&SystemConfig {
+            registrations: vec![MessageRegistration::in_only(0, types::hello_in())],
+            netlink: false,
+            power_status: true,
+        });
         let t = sys.tuple();
         assert!(!t.is_required(&types::hello_out()));
+        assert_eq!(
+            sys.config().registrations[1].msg_type,
+            0,
+            "moved to the end"
+        );
+        assert!(sys.config().power_status);
+        // Loading never unloads a plug-in.
+        enable(&mut sys, false, false);
+        assert!(sys.config().power_status);
     }
 }

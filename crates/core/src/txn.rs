@@ -10,12 +10,12 @@
 //! 1. **Checkpoint** — capture a [`CompositionFingerprint`] of the
 //!    protocol stack (names, tuples, plug-ins, reactivity), exported
 //!    protocol state and System CF configuration.
-//! 2. **Apply** — run each op while building a physical undo log (removed
-//!    CFs are *kept*, not reconstructed — protocol state lives in
-//!    type-erased [`StateSlot`](crate::protocol::StateSlot)s that cannot be
-//!    cloned).
-//! 3. **Validate** — any op failure, integrity veto or non-undoable op
-//!    aborts the transaction.
+//! 2. **Apply** — run each op, keeping what it displaced (removed CFs,
+//!    plug-ins, S elements, tuples, System configuration) as a physical
+//!    undo log: nothing is reconstructed, so every [`ReconfigOp`] undoes
+//!    exactly.
+//! 3. **Validate** — any op failure or integrity veto aborts the
+//!    transaction.
 //! 4. **Roll back** — unwind the undo log in reverse and verify the
 //!    fingerprint matches the checkpoint, so an abort provably restores the
 //!    pre-transaction composition.
@@ -39,7 +39,7 @@ use netsim::NodeOs;
 
 use crate::event::EventType;
 use crate::node::{DeployError, Deployment, ReconfigOp, Switched};
-use crate::protocol::ManetProtocolCf;
+use crate::protocol::{Displaced, ManetProtocolCf};
 use crate::registry::EventTuple;
 use crate::system::SystemConfig;
 
@@ -55,8 +55,7 @@ const REACTIVE_IFACE: &str = "IReactiveRouting";
 pub struct TxnAborted {
     /// Transaction id.
     pub id: u64,
-    /// Machine-readable reason tag: `op_failed`, `integrity` or
-    /// `non_undoable`.
+    /// Machine-readable reason tag: `op_failed` or `integrity`.
     pub reason: &'static str,
     /// Human-readable detail (the underlying error).
     pub detail: String,
@@ -123,7 +122,7 @@ pub fn fingerprint(dep: &Deployment) -> CompositionFingerprint {
         .collect();
     CompositionFingerprint {
         protocols,
-        system: dep.system().config(),
+        system: dep.system().config().clone(),
     }
 }
 
@@ -246,8 +245,14 @@ pub(crate) enum Undo {
     },
     /// An `UpdateTuple` applied — undo restores the previous tuple.
     RestoreTuple { protocol: String, tuple: EventTuple },
-    /// A System CF mutation applied — undo restores the configuration
-    /// snapshot taken just before.
+    /// A `Recompose` applied — undo puts back the plug-ins and the S
+    /// element it displaced.
+    Restore {
+        protocol: String,
+        displaced: Displaced,
+    },
+    /// A `LoadSystem` applied — undo restores the configuration snapshot
+    /// taken just before.
     RestoreSystem { config: SystemConfig },
 }
 
@@ -260,6 +265,7 @@ impl fmt::Debug for Undo {
                 write!(f, "UnSwitch({new_name} -> {})", old.name())
             }
             Undo::RestoreTuple { protocol, .. } => write!(f, "RestoreTuple({protocol})"),
+            Undo::Restore { protocol, .. } => write!(f, "Restore({protocol})"),
             Undo::RestoreSystem { .. } => write!(f, "RestoreSystem"),
         }
     }
@@ -292,8 +298,8 @@ impl PreparedTxn {
 ///
 /// # Errors
 ///
-/// Aborts (with rollback already performed) on any op failure, integrity
-/// veto, or a non-undoable `Mutate` op.
+/// Aborts (with rollback already performed) on any op failure or integrity
+/// veto.
 pub fn prepare(
     dep: &mut Deployment,
     id: u64,
@@ -321,7 +327,6 @@ pub fn prepare(
         };
         let reason = match cause {
             DeployError::Integrity(_) => "integrity",
-            DeployError::NotUndoable(_) => "non_undoable",
             _ => "op_failed",
         };
         let detail = e.to_string();
@@ -391,11 +396,10 @@ pub fn revert(dep: &mut Deployment, txn: PreparedTxn, os: &mut NodeOs) -> bool {
 }
 
 /// Applies one op and returns the entry that undoes it: the one
-/// implementation of every undoable op, which
+/// implementation of every op, which
 /// [`Deployment::apply`](crate::node::Deployment::apply) runs with the entry
-/// dropped. A `Mutate` is refused, having no undo. On error the op itself
-/// has had no effect (individual ops are atomic); a transaction unwinds the
-/// ops before it.
+/// dropped. On error the op itself has had no effect (individual ops are
+/// atomic); a transaction unwinds the ops before it.
 pub(crate) fn apply_one(
     dep: &mut Deployment,
     op: ReconfigOp,
@@ -437,19 +441,24 @@ pub(crate) fn apply_one(
             os.trace_rebind("update_tuple");
             Ok(Undo::RestoreTuple { protocol, tuple })
         }
-        ReconfigOp::Mutate { protocol, .. } => Err(DeployError::NotUndoable(protocol)),
-        ReconfigOp::RegisterMessage(reg) => {
-            let config = dep.system().config();
-            dep.system_mut().register_message(reg);
-            dep.refresh_system_tuple();
-            os.trace_rebind("register_message");
-            Ok(Undo::RestoreSystem { config })
+        ReconfigOp::Recompose {
+            protocol,
+            plug,
+            unplug,
+            state,
+        } => {
+            let displaced = dep.recompose(&protocol, plug, &unplug, state, os)?;
+            os.trace_rebind("recompose");
+            Ok(Undo::Restore {
+                protocol,
+                displaced,
+            })
         }
-        ReconfigOp::MutateSystem { op } => {
-            let config = dep.system().config();
-            op(dep.system_mut());
+        ReconfigOp::LoadSystem(load) => {
+            let config = dep.system().config().clone();
+            dep.system_mut().load(&load);
             dep.refresh_system_tuple();
-            os.trace_rebind("mutate_system");
+            os.trace_rebind("load_system");
             Ok(Undo::RestoreSystem { config })
         }
     }
@@ -489,6 +498,10 @@ fn unwind(
             Undo::RestoreTuple { protocol, tuple } => {
                 let _ = dep.swap_protocol_tuple(&protocol, tuple);
             }
+            Undo::Restore {
+                protocol,
+                displaced,
+            } => dep.restore(&protocol, displaced, os),
             Undo::RestoreSystem { config } => {
                 dep.system_mut().restore_config(config);
                 dep.refresh_system_tuple();

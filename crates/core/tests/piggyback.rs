@@ -6,6 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use manetkit::event::{types, Event, EventType};
 use manetkit::prelude::*;
+use manetkit::system::MessageRegistration;
 use netsim::{NodeId, NodeOs, SimDuration};
 use packetbb::{Address, MessageBuilder, Packet};
 
@@ -47,11 +48,12 @@ fn same_round_broadcasts_share_one_packet() {
         .build();
     let mut node = ManetNode::new(ConcurrencyModel::SingleThreaded);
     let dep = node.deployment_mut();
-    dep.system_mut().register_in_out(
-        42,
-        EventType::named("BURST_IN"),
-        EventType::named("BURST_OUT"),
-    );
+    dep.system_mut()
+        .register_message(MessageRegistration::in_out(
+            42,
+            EventType::named("BURST_IN"),
+            EventType::named("BURST_OUT"),
+        ));
     dep.add_protocol_offline(burst_protocol(5)).unwrap();
     world.install_agent(NodeId(0), Box::new(node));
 
@@ -97,16 +99,18 @@ fn cross_protocol_piggybacking_on_one_node() {
         .build();
     let mut node = ManetNode::new(ConcurrencyModel::SingleThreaded);
     let dep = node.deployment_mut();
-    dep.system_mut().register_in_out(
-        42,
-        EventType::named("BURST_IN"),
-        EventType::named("BURST_OUT"),
-    );
-    dep.system_mut().register_in_out(
-        43,
-        EventType::named("OTHER_IN"),
-        EventType::named("OTHER_OUT"),
-    );
+    dep.system_mut()
+        .register_message(MessageRegistration::in_out(
+            42,
+            EventType::named("BURST_IN"),
+            EventType::named("BURST_OUT"),
+        ));
+    dep.system_mut()
+        .register_message(MessageRegistration::in_out(
+            43,
+            EventType::named("OTHER_IN"),
+            EventType::named("OTHER_OUT"),
+        ));
     dep.add_protocol_offline(burst_protocol(1)).unwrap();
 
     struct OtherSource;

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use manetkit::event::{types, Event};
-use manetkit::system::SystemCf;
+use manetkit::system::{MessageRegistration, SystemCf};
 use netsim::{ControlFrame, ControlMessages, FilterEvent, NodeId, NodeOs, RoutingAgent};
 use packetbb::registry::{msg_type, tlv_type};
 use packetbb::{Address, AddressBlock, AddressTlv, Message, MessageBuilder, Packet, Tlv};
@@ -17,9 +17,13 @@ const RECEIVERS: usize = 4;
 
 fn system() -> SystemCf {
     let mut sys = SystemCf::new();
-    sys.register_in_out(msg_type::HELLO, types::hello_in(), types::hello_out());
-    sys.register_in_out(msg_type::RREQ, types::re_in(), types::re_out());
-    sys.register_in_only(msg_type::RERR, types::rerr_in());
+    for registration in [
+        MessageRegistration::in_out(msg_type::HELLO, types::hello_in(), types::hello_out()),
+        MessageRegistration::in_out(msg_type::RREQ, types::re_in(), types::re_out()),
+        MessageRegistration::in_only(msg_type::RERR, types::rerr_in()),
+    ] {
+        sys.register_message(registration);
+    }
     sys
 }
 

@@ -8,17 +8,21 @@
 //!
 //! The routing CFs export their route tables through state codecs, so for
 //! them "exactly" covers every route, lifetime and pending discovery — and
-//! the kernel table a reinstated CF mirrors its live routes into.
+//! the kernel table a reinstated CF mirrors its live routes into. The
+//! paper's protocol variants are recipes like any other: each one, followed
+//! by a drawn tail of ops, unwinds exactly too.
 
 use manetkit::event::{Event, EventType};
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
 use manetkit::prelude::*;
-use manetkit::protocol::{proto_stop_event, ProtoCtx, StateSlot};
+use manetkit::protocol::{proto_stop_event, Plugin, ProtoCtx, StateSlot};
 use manetkit::system::MessageRegistration;
 use manetkit::txn;
-use manetkit::TxnPhase;
+use manetkit::{SystemConfig, TxnPhase};
 use manetkit_dymo::state::PendingDiscovery;
+use manetkit_dymo::variants::{flooding, gossip, multipath};
 use manetkit_dymo::{DymoRoute, DymoState, DYMO_CF};
+use manetkit_olsr::variants::power;
 use netsim::fault::FaultPlan;
 use netsim::{KernelRouteTable, NodeId, NodeOs, SimDuration, SimTime, Topology, World};
 use packetbb::Address;
@@ -35,13 +39,33 @@ fn stateful_cf(name: String, state: u64) -> ManetProtocolCf {
                 .requires(EventType::named("TXN_A"))
                 .provides(EventType::named("TXN_B")),
         )
-        .state(StateSlot::new(state))
-        .state_codec(|slot| {
+        .state(StateSlot::new(state).with_codec(|slot| {
             slot.try_get::<u64>()
                 .map(|v| v.to_le_bytes().to_vec())
                 .unwrap_or_default()
-        })
+        }))
         .build()
+}
+
+/// A handler that does nothing, under the given plug-in name.
+struct Inert(String);
+
+impl EventHandler for Inert {
+    fn name(&self) -> &str {
+        &self.0
+    }
+    fn subscriptions(&self) -> Vec<EventType> {
+        Vec::new()
+    }
+    fn handle(&mut self, _: &Event, _: &mut StateSlot, _: &mut ProtoCtx<'_>) {}
+}
+
+/// Loads one registration into the System CF.
+fn load(registration: MessageRegistration) -> ReconfigOp {
+    ReconfigOp::LoadSystem(SystemConfig {
+        registrations: vec![registration],
+        ..SystemConfig::default()
+    })
 }
 
 fn registration(msg_type: u8) -> MessageRegistration {
@@ -66,8 +90,8 @@ fn base_deployment(os: &mut NodeOs) -> Deployment {
 }
 
 /// Builds op `i` of a batch from a generated code. Codes deliberately mix
-/// ops that succeed, ops that must fail (unknown/duplicate protocols) and
-/// a non-undoable `Mutate` — every mix exercises a different abort point.
+/// ops that succeed and ops that must fail (unknown/duplicate protocols) —
+/// every mix exercises a different abort point.
 fn build_op(code: u8, i: usize) -> ReconfigOp {
     match code {
         0 => ReconfigOp::AddProtocol(stateful_cf(format!("p{i}"), i as u64)),
@@ -84,19 +108,25 @@ fn build_op(code: u8, i: usize) -> ReconfigOp {
                 .requires(EventType::named("TXN_B"))
                 .provides(EventType::named("TXN_C")),
         },
-        5 => ReconfigOp::Mutate {
+        5 => ReconfigOp::Recompose {
             protocol: "gamma".into(),
-            op: Box::new(|_| {}),
+            plug: vec![Plugin::Handler(Box::new(Inert(format!("h{}", i % 3))))],
+            unplug: Vec::new(),
+            state: Some(|slot| {
+                StateSlot::new(slot.get::<u64>() + 1)
+                    .with_codec(|slot| slot.get::<u64>().to_le_bytes().to_vec())
+            }),
         },
-        6 => ReconfigOp::RegisterMessage(registration(50 + (i as u8 % 100))),
+        6 => load(registration(50 + (i as u8 % 100))),
         7 => ReconfigOp::SwitchProtocol {
             old: "alpha".into(),
             new: stateful_cf(format!("s{i}"), 100 + i as u64),
             transfer_state: true,
         },
-        _ => ReconfigOp::MutateSystem {
-            op: Box::new(|sys| sys.enable_netlink()),
-        },
+        _ => ReconfigOp::LoadSystem(SystemConfig {
+            netlink: true,
+            ..SystemConfig::default()
+        }),
     }
 }
 
@@ -177,9 +207,7 @@ fn retire_dymo(code: u8) -> Vec<ReconfigOp> {
             transfer_state: true,
         }],
         _ => vec![
-            ReconfigOp::MutateSystem {
-                op: Box::new(manetkit_aodv::register_messages),
-            },
+            ReconfigOp::LoadSystem(manetkit_aodv::system_config()),
             ReconfigOp::SwitchProtocol {
                 old: DYMO_CF.into(),
                 new: manetkit_aodv::aodv_cf(Default::default()),
@@ -192,7 +220,7 @@ fn retire_dymo(code: u8) -> Vec<ReconfigOp> {
 /// A started deployment running the given DYMO CF.
 fn dymo_deployment(cf: ManetProtocolCf, os: &mut NodeOs) -> Deployment {
     let mut dep = Deployment::new(ConcurrencyModel::SingleThreaded);
-    manetkit_dymo::register_messages(dep.system_mut());
+    dep.system_mut().load(&manetkit_dymo::system_config());
     dep.add_protocol_offline(cf).unwrap();
     dep.start(os);
     dep
@@ -201,8 +229,7 @@ fn dymo_deployment(cf: ManetProtocolCf, os: &mut NodeOs) -> Deployment {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Whatever mix of valid, failing and non-undoable ops a transaction
-    /// carries, an abort at any injected failure point — or an explicit
+    /// Whatever mix of valid and failing ops a transaction carries, an abort at any injected failure point — or an explicit
     /// rollback of a fully prepared batch — restores the composition
     /// fingerprint byte-identically to the checkpoint.
     #[test]
@@ -242,7 +269,7 @@ proptest! {
     #[test]
     fn revert_after_commit_restores_the_checkpoint(
         codes in proptest::collection::vec(prop_oneof![
-            Just(0u8), Just(4u8), Just(6u8), Just(7u8), Just(8u8)
+            Just(0u8), Just(4u8), Just(5u8), Just(6u8), Just(7u8), Just(8u8)
         ], 1..6),
     ) {
         let mut os = NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]));
@@ -321,6 +348,127 @@ proptest! {
     }
 }
 
+/// The routing protocol each variant recipe recomposes.
+const OLSR_CF: &str = "olsr";
+
+/// Variant recipe `code` over its base stack, with whatever must already
+/// be committed for it to apply (the variant a disable recipe removes):
+/// `(runs over OLSR, committed first, the recipe)`.
+fn variant_recipe(code: u8) -> (bool, Vec<ReconfigOp>, Vec<ReconfigOp>) {
+    let power_on = || power::enable_ops(Default::default());
+    match code {
+        0 => (true, Vec::new(), power_on()),
+        1 => (true, power_on(), power::disable_ops(Default::default())),
+        2 => (false, Vec::new(), gossip::enable_ops(0.5)),
+        3 => (false, gossip::enable_ops(0.5), gossip::disable_ops()),
+        4 => (false, Vec::new(), multipath::enable_ops()),
+        5 => (false, multipath::enable_ops(), multipath::disable_ops()),
+        6 => {
+            let mpr = manetkit_olsr::mpr_cf(Default::default());
+            (false, Vec::new(), flooding::enable_ops(Some(mpr)))
+        }
+        _ => (false, Vec::new(), flooding::enable_ops(None)),
+    }
+}
+
+/// Tail op `i` after a variant recipe on `routing` (the OLSR or DYMO CF):
+/// even codes succeed, odd codes fail.
+fn tail_op(code: u8, i: usize, routing: &str) -> ReconfigOp {
+    match code {
+        0 => ReconfigOp::AddProtocol(stateful_cf(format!("t{i}"), i as u64)),
+        1 => ReconfigOp::RemoveProtocol {
+            name: "ghost".into(),
+        },
+        2 => load(registration(150 + i as u8)),
+        3 => ReconfigOp::Recompose {
+            protocol: "ghost".into(),
+            plug: Vec::new(),
+            unplug: vec!["ghost".into()],
+            state: None,
+        },
+        4 => ReconfigOp::UpdateTuple {
+            protocol: routing.into(),
+            tuple: EventTuple::new().requires(EventType::named("TXN_TAIL")),
+        },
+        _ => ReconfigOp::UpdateTuple {
+            protocol: "ghost".into(),
+            tuple: EventTuple::new(),
+        },
+    }
+}
+
+/// A started OLSR deployment, or a DYMO one (with Neighbour Detection)
+/// whose S element holds `routes`.
+fn variant_base(olsr: bool, routes: &[RouteSpec], os: &mut NodeOs) -> Deployment {
+    let mut dep = Deployment::new(ConcurrencyModel::SingleThreaded);
+    if olsr {
+        manetkit_olsr::deploy(&mut dep, Default::default()).unwrap();
+    } else {
+        dep.system_mut().load(&manetkit_dymo::system_config());
+        dep.system_mut().register_message(hello_registration());
+        dep.add_protocol_offline(neighbour_detection_cf(Default::default()))
+            .unwrap();
+        dep.add_protocol_offline(dymo_with(routes, &[])).unwrap();
+    }
+    dep.start(os);
+    dep
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every variant recipe of §5 — power-aware OLSR on and off; gossip
+    /// and multipath DYMO on and off; optimised flooding through a new or
+    /// a shared MPR CF — followed by a drawn tail of succeeding and failing
+    /// ops, unwinds exactly: an abort, a rollback of the prepared batch and
+    /// a revert of the committed one all land on the checkpoint, DYMO's
+    /// state bytes included.
+    #[test]
+    fn every_variant_recipe_unwinds_exactly(
+        variant in 0u8..8,
+        tail in proptest::collection::vec(0u8..6, 0..5),
+        routes in arb_routes(),
+        commit_first in any::<bool>(),
+    ) {
+        let mut os = NodeOs::standalone(NodeId(0), addr(1));
+        let (olsr, committed, recipe) = variant_recipe(variant);
+        let mut dep = variant_base(olsr, &routes, &mut os);
+        if !committed.is_empty() {
+            let on = match txn::prepare(&mut dep, 1, committed, &mut os) {
+                Ok(p) => p,
+                Err(e) => panic!("the variant does not apply: {e}"),
+            };
+            txn::commit(&mut dep, &on, &mut os);
+        }
+        let before = txn::fingerprint(&dep);
+        if !olsr {
+            let dymo = before.protocols.iter().find(|p| p.name == DYMO_CF).expect("dymo");
+            prop_assert!(dymo.state.as_ref().is_some_and(|s| !s.is_empty()), "DYMO exports its state");
+        }
+        let routing = if olsr { OLSR_CF } else { DYMO_CF };
+        let mut ops = recipe;
+        ops.extend(tail.iter().enumerate().map(|(i, c)| tail_op(*c, i, routing)));
+        match txn::prepare(&mut dep, 2, ops, &mut os) {
+            Ok(prepared) => {
+                prop_assert_ne!(txn::fingerprint(&dep), before.clone(), "the recipe changed something");
+                let clean = if commit_first {
+                    txn::commit(&mut dep, &prepared, &mut os);
+                    txn::revert(&mut dep, prepared, &mut os)
+                } else {
+                    txn::rollback(&mut dep, prepared, &mut os)
+                };
+                prop_assert!(clean, "fingerprint mismatch after the unwind");
+            }
+            Err(aborted) => {
+                prop_assert!(tail.iter().any(|c| c % 2 == 1), "only the tail fails: {}", aborted);
+                prop_assert!(aborted.rollback_clean, "dirty abort: {}", aborted);
+            }
+        }
+        prop_assert_eq!(txn::fingerprint(&dep), before);
+        prop_assert_eq!(os.counter("txn.rollback_mismatch"), 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -347,7 +495,7 @@ proptest! {
         for i in 0..2 {
             let mut node = ManetNode::new(ConcurrencyModel::SingleThreaded);
             let dep = node.deployment_mut();
-            manetkit_dymo::register_messages(dep.system_mut());
+            dep.system_mut().load(&manetkit_dymo::system_config());
             dep.system_mut().register_message(hello_registration());
             dep.add_protocol_offline(neighbour_detection_cf(Default::default())).unwrap();
             dep.add_protocol_offline(dymo_with(&routes, &[])).unwrap();
@@ -398,11 +546,17 @@ fn a_lossy_stop_is_reported_as_a_rollback_mismatch() {
             state.get_mut::<DymoState>().routes.clear();
         }
     }
-    let mut cf = dymo_with(&[(9, 2, 17, 3, 60, false)], &[]);
-    cf.replace_handler("sweep-handler", Box::new(LossyStop))
-        .unwrap();
     let mut os = NodeOs::standalone(NodeId(0), addr(1));
+    let cf = dymo_with(&[(9, 2, 17, 3, 60, false)], &[]);
     let mut dep = dymo_deployment(cf, &mut os);
+    let lossy = ReconfigOp::Recompose {
+        protocol: DYMO_CF.into(),
+        plug: vec![Plugin::Handler(Box::new(LossyStop))],
+        unplug: Vec::new(),
+        state: None,
+    };
+    dep.apply(lossy, &mut os)
+        .expect("the lossy handler plugs in");
 
     let ops = vec![ReconfigOp::RemoveProtocol {
         name: DYMO_CF.into(),
@@ -410,31 +564,6 @@ fn a_lossy_stop_is_reported_as_a_rollback_mismatch() {
     let prepared = txn::prepare(&mut dep, 6, ops, &mut os).expect("removal prepares");
     assert!(!txn::rollback(&mut dep, prepared, &mut os));
     assert_eq!(os.counter("txn.rollback_mismatch"), 1);
-}
-
-/// A non-undoable `Mutate` op aborts the transaction with the dedicated
-/// reason, even when every other op in the batch is valid.
-#[test]
-fn mutate_ops_abort_as_non_undoable() {
-    let mut os = NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]));
-    let mut dep = base_deployment(&mut os);
-    let before = txn::fingerprint(&dep);
-    let ops = vec![
-        ReconfigOp::RegisterMessage(registration(60)),
-        ReconfigOp::Mutate {
-            protocol: "alpha".into(),
-            op: Box::new(|_| {}),
-        },
-    ];
-    let aborted =
-        txn::prepare(&mut dep, 3, ops, &mut os).expect_err("Mutate must abort the transaction");
-    assert_eq!(aborted.reason, "non_undoable");
-    assert_eq!(
-        aborted.detail,
-        "Mutate(alpha) is an opaque FnOnce and cannot be rolled back; apply it outside a transaction"
-    );
-    assert!(aborted.rollback_clean);
-    assert_eq!(txn::fingerprint(&dep), before);
 }
 
 /// Crash between prepare and commit: the node reboots with the transaction
@@ -500,7 +629,7 @@ fn crash_between_prepare_and_commit_rolls_back_on_reboot() {
 }
 
 /// A protocol's tuple can change after it was inserted: through a committed
-/// `UpdateTuple`, or through a `Mutate` applied outside any transaction. A
+/// `UpdateTuple`, or through one applied outside any transaction. A
 /// later transaction that removes the protocol and is rolled back must
 /// still land exactly on its checkpoint, and the structural hash must read
 /// the tuple the protocol holds now.
@@ -545,15 +674,13 @@ fn a_committed_tuple_update_survives_a_rolled_back_removal() {
 }
 
 #[test]
-fn a_mutated_tuple_survives_a_rolled_back_removal() {
+fn a_tuple_applied_outside_a_transaction_survives_a_rolled_back_removal() {
     tuple_change_then_rolled_back_removal(|dep, os| {
-        let op = ReconfigOp::Mutate {
+        let tuple = with_extra_requirement(dep.protocol(DYMO_CF).expect("dymo").tuple());
+        let op = ReconfigOp::UpdateTuple {
             protocol: DYMO_CF.into(),
-            op: Box::new(|cf| {
-                let tuple = with_extra_requirement(cf.tuple());
-                cf.set_tuple(tuple);
-            }),
+            tuple,
         };
-        dep.apply(op, os).expect("the mutation applies");
+        dep.apply(op, os).expect("the update applies");
     });
 }

@@ -33,10 +33,19 @@ impl DymoStateAccess for DymoState {
     }
 }
 
+/// A DYMO S element holding `state`, with the codec and route carrier that
+/// read an `S`: every DYMO S element, standard or a variant's, is built
+/// here, so its codec and carrier always match its type.
+#[must_use]
+pub fn state_slot<S: DymoStateAccess>(state: S) -> StateSlot {
+    StateSlot::new(state)
+        .with_codec(state_codec::<S>)
+        .with_carrier(route_carrier::<S>())
+}
+
 /// The route carrier of a DYMO CF whose S element is an `S`: live routes
 /// and sequence number of the embedded [`DymoState`], whatever wraps it.
-#[must_use]
-pub fn route_carrier<S: DymoStateAccess>() -> RouteCarrier {
+fn route_carrier<S: DymoStateAccess>() -> RouteCarrier {
     RouteCarrier {
         export: |slot, now| slot.get::<S>().dymo().export_carry(now),
         adopt: |slot, carry, now| slot.get_mut::<S>().dymo_mut().adopt_carry(carry, now),
@@ -45,8 +54,7 @@ pub fn route_carrier<S: DymoStateAccess>() -> RouteCarrier {
 
 /// The state codec of a DYMO CF whose S element is an `S` (see
 /// [`DymoState::encode`]).
-#[must_use]
-pub fn state_codec<S: DymoStateAccess>(slot: &StateSlot) -> Vec<u8> {
+fn state_codec<S: DymoStateAccess>(slot: &StateSlot) -> Vec<u8> {
     slot.try_get::<S>()
         .map(|s| s.dymo().encode())
         .unwrap_or_default()

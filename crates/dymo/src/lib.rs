@@ -54,15 +54,15 @@ pub mod variants {
 
 use manetkit::event::types;
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf, NeighbourConfig};
-use manetkit::node::{Deployment, ManetNode, NodeHandle};
+use manetkit::node::{Deployment, ManetNode, NodeHandle, ReconfigOp};
 use manetkit::prelude::ConcurrencyModel;
-use manetkit::protocol::{ManetProtocolCf, StateSlot};
+use manetkit::protocol::{EventHandler, ManetProtocolCf, Plugin, StateSlot};
 use manetkit::registry::EventTuple;
-use manetkit::system::SystemCf;
+use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
 pub use handlers::{
-    learn_from_path, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
+    learn_from_path, state_slot, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
     RouteLifetimeHandler, SweepHandler, DYMO_SWEEP_TIMER,
 };
 pub use messages::{PathHop, ReKind, RouteElement, RouteError};
@@ -103,28 +103,59 @@ pub fn dymo_cf(params: DymoParams) -> ManetProtocolCf {
         params,
         ..DymoState::default()
     };
-    ManetProtocolCf::builder(DYMO_CF)
+    let cf = ManetProtocolCf::builder(DYMO_CF)
         .reactive()
         .tuple(dymo_tuple())
-        .state(StateSlot::new(state))
-        .state_codec(handlers::state_codec::<DymoState>)
-        .route_carrier(handlers::route_carrier::<DymoState>())
-        .startup_timer(params.sweep, handlers::dymo_sweep_timer())
-        .handler(Box::new(RouteDiscoveryHandler::<DymoState>::default()))
-        .handler(Box::new(ReHandler::<DymoState>::default()))
-        .handler(Box::new(RerrHandler::<DymoState>::default()))
-        .handler(Box::new(RouteLifetimeHandler::<DymoState>::default()))
-        .handler(Box::new(SweepHandler::<DymoState>::default()))
+        .state(state_slot(state))
+        .startup_timer(params.sweep, handlers::dymo_sweep_timer());
+    standard_handlers()
+        .into_iter()
+        .fold(cf, |cf, handler| cf.handler(handler))
         .build()
 }
 
-/// Registers the message types DYMO needs with a System CF and enables the
+/// The standard DYMO handlers, in the order the DYMO CF holds them.
+fn standard_handlers() -> [Box<dyn EventHandler>; 5] {
+    [
+        Box::new(RouteDiscoveryHandler::<DymoState>::default()),
+        Box::new(ReHandler::<DymoState>::default()),
+        Box::new(RerrHandler::<DymoState>::default()),
+        Box::new(RouteLifetimeHandler::<DymoState>::default()),
+        Box::new(SweepHandler::<DymoState>::default()),
+    ]
+}
+
+/// How a DYMO variant is disabled: a `Recompose` of the DYMO CF that
+/// unplugs the standard handlers and the variant's own `handlers`, plugs
+/// the standard ones back in their order, and derives the S element back
+/// with `state`.
+fn standard_recompose(handlers: &[&str], state: Option<fn(&StateSlot) -> StateSlot>) -> ReconfigOp {
+    let standard = standard_handlers();
+    let names = standard
+        .iter()
+        .map(|h| h.name())
+        .chain(handlers.iter().copied());
+    ReconfigOp::Recompose {
+        protocol: DYMO_CF.into(),
+        unplug: names.map(String::from).collect(),
+        plug: standard.map(Plugin::Handler).into(),
+        state,
+    }
+}
+
+/// The System CF configuration DYMO loads: its message types, and the
 /// NetLink plug-in.
-pub fn register_messages(system: &mut SystemCf) {
-    system.register_in_out(msg_type::RREQ, types::re_in(), types::re_out());
-    system.register_in_out(msg_type::RREP, types::re_in(), types::re_out());
-    system.register_in_out(msg_type::RERR, types::rerr_in(), types::rerr_out());
-    system.enable_netlink();
+#[must_use]
+pub fn system_config() -> SystemConfig {
+    SystemConfig {
+        registrations: vec![
+            MessageRegistration::in_out(msg_type::RREQ, types::re_in(), types::re_out()),
+            MessageRegistration::in_out(msg_type::RREP, types::re_in(), types::re_out()),
+            MessageRegistration::in_out(msg_type::RERR, types::rerr_in(), types::rerr_out()),
+        ],
+        netlink: true,
+        power_status: false,
+    }
 }
 
 /// Installs DYMO plus the Neighbour Detection CF into a deployment
@@ -135,7 +166,7 @@ pub fn register_messages(system: &mut SystemCf) {
 /// Propagates integrity violations (e.g. another reactive protocol is
 /// already deployed).
 pub fn deploy(dep: &mut Deployment, config: DymoDeployment) -> Result<(), manetkit::DeployError> {
-    register_messages(dep.system_mut());
+    dep.system_mut().load(&system_config());
     dep.system_mut().register_message(hello_registration());
     dep.add_protocol_offline(neighbour_detection_cf(config.neighbour))?;
     dep.add_protocol_offline(dymo_cf(config.params))?;
@@ -149,7 +180,7 @@ pub fn deploy(dep: &mut Deployment, config: DymoDeployment) -> Result<(), manetk
 ///
 /// Propagates integrity violations.
 pub fn deploy_core(dep: &mut Deployment, params: DymoParams) -> Result<(), manetkit::DeployError> {
-    register_messages(dep.system_mut());
+    dep.system_mut().load(&system_config());
     dep.add_protocol_offline(dymo_cf(params))
 }
 

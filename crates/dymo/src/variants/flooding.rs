@@ -18,12 +18,12 @@ use std::collections::BTreeSet;
 
 use manetkit::event::{types, Event, EventType, Payload};
 use manetkit::node::ReconfigOp;
-use manetkit::protocol::{EventHandler, ManetProtocolCf, ProtoCtx, StateSlot};
+use manetkit::protocol::{EventHandler, ManetProtocolCf, Plugin, ProtoCtx, StateSlot};
 use packetbb::Address;
 
 use crate::handlers::{
-    DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler, RouteLifetimeHandler,
-    SweepHandler,
+    state_slot, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
+    RouteLifetimeHandler, SweepHandler,
 };
 use crate::state::DymoState;
 use crate::DYMO_CF;
@@ -86,49 +86,35 @@ pub fn enable_ops(mpr_replacement: Option<ManetProtocolCf>) -> Vec<ReconfigOp> {
         });
         ops.push(ReconfigOp::AddProtocol(mpr));
     }
-    ops.push(ReconfigOp::Mutate {
+    // The DYMO CF now also consumes MPR_CHANGE.
+    ops.push(ReconfigOp::UpdateTuple {
         protocol: DYMO_CF.to_string(),
-        op: Box::new(|cf| {
-            cf.map_state(|slot| {
-                let base = slot
-                    .into_inner::<DymoState>()
-                    .unwrap_or_else(|_| panic!("standard DYMO state expected"));
-                StateSlot::new(MprGatedState {
-                    base,
-                    selectors: BTreeSet::new(),
-                })
-            });
-            cf.replace_handler("re-handler", Box::new(gated_re_handler()))
-                .expect("re-handler present");
-            let _ = cf.remove_handler("selector-tracker");
-            cf.add_handler(Box::new(SelectorTracker))
-                .expect("no duplicate tracker");
-            cf.replace_handler(
-                "route-discovery-handler",
-                Box::new(RouteDiscoveryHandler::<MprGatedState>::default()),
-            )
-            .expect("route-discovery-handler present");
-            cf.replace_handler(
-                "rerr-handler",
-                Box::new(RerrHandler::<MprGatedState>::default()),
-            )
-            .expect("rerr-handler present");
-            cf.replace_handler(
-                "route-lifetime-handler",
-                Box::new(RouteLifetimeHandler::<MprGatedState>::default()),
-            )
-            .expect("route-lifetime-handler present");
-            cf.replace_handler(
-                "sweep-handler",
-                Box::new(SweepHandler::<MprGatedState>::default()),
-            )
-            .expect("sweep-handler present");
-            // Subscribe the CF to MPR_CHANGE.
-            let tuple = cf.tuple().clone().requires(types::mpr_change());
-            cf.set_tuple(tuple);
-        }),
+        tuple: crate::dymo_tuple().requires(types::mpr_change()),
+    });
+    let handlers: [Box<dyn EventHandler>; 6] = [
+        Box::new(RouteDiscoveryHandler::<MprGatedState>::default()),
+        Box::new(gated_re_handler()),
+        Box::new(RerrHandler::<MprGatedState>::default()),
+        Box::new(RouteLifetimeHandler::<MprGatedState>::default()),
+        Box::new(SweepHandler::<MprGatedState>::default()),
+        Box::new(SelectorTracker),
+    ];
+    ops.push(ReconfigOp::Recompose {
+        protocol: DYMO_CF.to_string(),
+        plug: handlers.map(Plugin::Handler).into(),
+        unplug: Vec::new(),
+        state: Some(to_mpr_gated),
     });
     ops
+}
+
+/// The MPR-gated S element, holding a copy of the standard one's routes
+/// and no selectors yet.
+fn to_mpr_gated(slot: &StateSlot) -> StateSlot {
+    state_slot(MprGatedState {
+        base: slot.get::<DymoState>().clone(),
+        selectors: BTreeSet::new(),
+    })
 }
 
 #[cfg(test)]

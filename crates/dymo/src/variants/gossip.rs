@@ -12,13 +12,16 @@
 
 use manetkit::event::{Event, EventType};
 use manetkit::node::ReconfigOp;
-use manetkit::protocol::{EventHandler, ProtoCtx, StateSlot};
+use manetkit::protocol::{EventHandler, Plugin, ProtoCtx, StateSlot};
 use packetbb::Address;
 
 use crate::handlers::ReHandler;
 use crate::messages::{ReKind, RouteElement};
 use crate::state::DymoState;
 use crate::DYMO_CF;
+
+/// Plug-in name of the gossiping RE handler.
+pub const GOSSIP_RE_HANDLER: &str = "gossip-re-handler";
 
 /// Deterministic per-(flood, node) coin flip.
 #[must_use]
@@ -62,7 +65,7 @@ impl GossipReHandler {
 
 impl EventHandler for GossipReHandler {
     fn name(&self) -> &str {
-        "re-handler"
+        GOSSIP_RE_HANDLER
     }
     fn subscriptions(&self) -> Vec<EventType> {
         vec![manetkit::event::types::re_in()]
@@ -85,28 +88,22 @@ impl EventHandler for GossipReHandler {
     }
 }
 
-/// Reconfiguration enacting gossip flooding with probability `p`.
+/// Reconfiguration enacting gossip flooding with probability `p`: the
+/// standard RE handler gives way to the gossiping one.
 #[must_use]
 pub fn enable_ops(p: f64) -> Vec<ReconfigOp> {
-    vec![ReconfigOp::Mutate {
+    vec![ReconfigOp::Recompose {
         protocol: DYMO_CF.to_string(),
-        op: Box::new(move |cf| {
-            cf.replace_handler("re-handler", Box::new(GossipReHandler::new(p)))
-                .expect("re-handler present");
-        }),
+        plug: vec![Plugin::Handler(Box::new(GossipReHandler::new(p)))],
+        unplug: vec!["re-handler".into()],
+        state: None,
     }]
 }
 
 /// Reverts to blind flooding.
 #[must_use]
 pub fn disable_ops() -> Vec<ReconfigOp> {
-    vec![ReconfigOp::Mutate {
-        protocol: DYMO_CF.to_string(),
-        op: Box::new(|cf| {
-            cf.replace_handler("re-handler", Box::new(ReHandler::<DymoState>::default()))
-                .expect("re-handler present");
-        }),
-    }]
+    vec![crate::standard_recompose(&[GOSSIP_RE_HANDLER], None)]
 }
 
 #[cfg(test)]

@@ -18,13 +18,13 @@ use std::collections::BTreeMap;
 
 use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
 use manetkit::node::ReconfigOp;
-use manetkit::protocol::{EventHandler, ProtoCtx, StateSlot};
+use manetkit::protocol::{EventHandler, Plugin, ProtoCtx, StateSlot};
 use netsim::SimTime;
 use packetbb::Address;
 
 use crate::handlers::{
-    route_carrier, state_codec, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
-    RouteLifetimeHandler, SweepHandler,
+    state_slot, DymoStateAccess, ReHandler, RouteDiscoveryHandler, RouteLifetimeHandler,
+    SweepHandler,
 };
 use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
 use crate::state::{seq_newer, DymoState};
@@ -121,9 +121,15 @@ impl MultipathState {
 /// paths instead of discarding them.
 pub struct MultipathReHandler;
 
+/// Plug-in name of the multipath RE handler.
+pub const MULTIPATH_RE_HANDLER: &str = "multipath-re-handler";
+
+/// Plug-in name of the multipath RERR handler.
+pub const MULTIPATH_RERR_HANDLER: &str = "multipath-rerr-handler";
+
 impl EventHandler for MultipathReHandler {
     fn name(&self) -> &str {
-        "re-handler"
+        MULTIPATH_RE_HANDLER
     }
     fn subscriptions(&self) -> Vec<EventType> {
         vec![types::re_in()]
@@ -267,7 +273,7 @@ impl MultipathRerrHandler {
 
 impl EventHandler for MultipathRerrHandler {
     fn name(&self) -> &str {
-        "rerr-handler"
+        MULTIPATH_RERR_HANDLER
     }
     fn subscriptions(&self) -> Vec<EventType> {
         vec![
@@ -358,83 +364,42 @@ impl EventHandler for MultipathRerrHandler {
 
 /// Reconfiguration operations enacting multipath DYMO on a running
 /// deployment: S-component replacement (with state transfer) plus RE/RERR
-/// handler swaps. Exactly the three replacements of §5.2.
+/// handler swaps — exactly the three replacements of §5.2 — with the
+/// generic handlers re-plugged to read through [`MultipathState`].
 #[must_use]
 pub fn enable_ops() -> Vec<ReconfigOp> {
-    vec![ReconfigOp::Mutate {
+    vec![ReconfigOp::Recompose {
         protocol: DYMO_CF.to_string(),
-        op: Box::new(|cf| {
-            cf.map_state(|slot| {
-                let base = slot
-                    .into_inner::<DymoState>()
-                    .unwrap_or_else(|_| panic!("standard DYMO state expected"));
-                manetkit::protocol::StateSlot::new(MultipathState::from_standard(base))
-            });
-            cf.set_state_codec(Box::new(state_codec::<MultipathState>));
-            cf.set_route_carrier(route_carrier::<MultipathState>());
-            cf.replace_handler("re-handler", Box::new(MultipathReHandler))
-                .expect("re-handler present");
-            cf.replace_handler("rerr-handler", Box::new(MultipathRerrHandler))
-                .expect("rerr-handler present");
-            // The generic helpers must now read through MultipathState.
-            cf.replace_handler(
-                "route-discovery-handler",
-                Box::new(RouteDiscoveryHandler::<MultipathState>::default()),
-            )
-            .expect("route-discovery-handler present");
-            cf.replace_handler(
-                "route-lifetime-handler",
-                Box::new(RouteLifetimeHandler::<MultipathState>::default()),
-            )
-            .expect("route-lifetime-handler present");
-            cf.replace_handler(
-                "sweep-handler",
-                Box::new(SweepHandler::<MultipathState>::default()),
-            )
-            .expect("sweep-handler present");
-        }),
+        plug: vec![
+            Plugin::Handler(Box::new(RouteDiscoveryHandler::<MultipathState>::default())),
+            Plugin::Handler(Box::new(RouteLifetimeHandler::<MultipathState>::default())),
+            Plugin::Handler(Box::new(SweepHandler::<MultipathState>::default())),
+            Plugin::Handler(Box::new(MultipathReHandler)),
+            Plugin::Handler(Box::new(MultipathRerrHandler)),
+        ],
+        unplug: vec!["re-handler".into(), "rerr-handler".into()],
+        state: Some(to_multipath),
     }]
+}
+
+/// The multipath S element, holding a copy of the standard one's routes.
+fn to_multipath(slot: &StateSlot) -> StateSlot {
+    let base = slot.get::<DymoState>().clone();
+    state_slot(MultipathState::from_standard(base))
 }
 
 /// Reverts to standard single-path DYMO (alternatives are dropped, the
 /// primary route table is carried back).
 #[must_use]
 pub fn disable_ops() -> Vec<ReconfigOp> {
-    vec![ReconfigOp::Mutate {
-        protocol: DYMO_CF.to_string(),
-        op: Box::new(|cf| {
-            cf.map_state(|slot| {
-                let multi = slot
-                    .into_inner::<MultipathState>()
-                    .unwrap_or_else(|_| panic!("multipath DYMO state expected"));
-                manetkit::protocol::StateSlot::new(multi.base)
-            });
-            cf.set_state_codec(Box::new(state_codec::<DymoState>));
-            cf.set_route_carrier(route_carrier::<DymoState>());
-            cf.replace_handler("re-handler", Box::new(ReHandler::<DymoState>::default()))
-                .expect("re-handler present");
-            cf.replace_handler(
-                "rerr-handler",
-                Box::new(RerrHandler::<DymoState>::default()),
-            )
-            .expect("rerr-handler present");
-            cf.replace_handler(
-                "route-discovery-handler",
-                Box::new(RouteDiscoveryHandler::<DymoState>::default()),
-            )
-            .expect("route-discovery-handler present");
-            cf.replace_handler(
-                "route-lifetime-handler",
-                Box::new(RouteLifetimeHandler::<DymoState>::default()),
-            )
-            .expect("route-lifetime-handler present");
-            cf.replace_handler(
-                "sweep-handler",
-                Box::new(SweepHandler::<DymoState>::default()),
-            )
-            .expect("sweep-handler present");
-        }),
-    }]
+    let handlers = [MULTIPATH_RE_HANDLER, MULTIPATH_RERR_HANDLER];
+    vec![crate::standard_recompose(&handlers, Some(to_standard))]
+}
+
+/// The standard S element, holding a copy of the multipath one's primary
+/// routes.
+fn to_standard(slot: &StateSlot) -> StateSlot {
+    state_slot(slot.get::<MultipathState>().base.clone())
 }
 
 #[cfg(test)]

@@ -49,11 +49,11 @@ pub mod variants {
 use manetkit::event::types;
 use manetkit::node::{Deployment, ManetNode, NodeHandle};
 use manetkit::prelude::ConcurrencyModel;
-use manetkit::system::SystemCf;
+use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
 pub use mpr::{mpr_cf, MprConfig, MPR_CF};
-pub use olsr::{olsr_cf, OlsrConfig, OLSR_CF};
+pub use olsr::{olsr_cf, olsr_tuple, OlsrConfig, OLSR_CF};
 
 /// Joint configuration for a standard OLSR deployment.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -64,12 +64,19 @@ pub struct OlsrDeployment {
     pub olsr: OlsrConfig,
 }
 
-/// Registers the message types OLSR needs with a System CF: HELLO (driver
-/// sends and receives) and TC (in-only: the MPR CF floods TCs itself).
-pub fn register_messages(system: &mut SystemCf) {
-    system.register_in_out(msg_type::HELLO, types::hello_in(), types::hello_out());
-    system.register_in_only(msg_type::TC, types::tc_in());
-    system.enable_power_status();
+/// The System CF configuration OLSR loads: HELLO (driver sends and
+/// receives), TC (in-only: the MPR CF floods TCs itself) and the
+/// PowerStatus plug-in.
+#[must_use]
+pub fn system_config() -> SystemConfig {
+    SystemConfig {
+        registrations: vec![
+            MessageRegistration::in_out(msg_type::HELLO, types::hello_in(), types::hello_out()),
+            MessageRegistration::in_only(msg_type::TC, types::tc_in()),
+        ],
+        netlink: false,
+        power_status: true,
+    }
 }
 
 /// Installs MPR + OLSR into an existing deployment (offline).
@@ -79,7 +86,7 @@ pub fn register_messages(system: &mut SystemCf) {
 /// Propagates integrity violations (e.g. an OLSR instance already
 /// deployed).
 pub fn deploy(dep: &mut Deployment, config: OlsrDeployment) -> Result<(), manetkit::DeployError> {
-    register_messages(dep.system_mut());
+    dep.system_mut().load(&system_config());
     dep.add_protocol_offline(mpr_cf(config.mpr))?;
     dep.add_protocol_offline(olsr_cf(config.olsr))?;
     Ok(())

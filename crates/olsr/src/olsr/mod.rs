@@ -39,18 +39,22 @@ impl Default for OlsrConfig {
     }
 }
 
+/// The OLSR CF's event tuple.
+#[must_use]
+pub fn olsr_tuple() -> EventTuple {
+    EventTuple::new()
+        .requires(types::tc_in())
+        .requires(types::nhood_change())
+        .requires(types::mpr_change())
+        .provides(types::tc_out())
+}
+
 /// Builds the OLSR CF.
 #[must_use]
 pub fn olsr_cf(config: OlsrConfig) -> ManetProtocolCf {
     let sweep = SimDuration::from_micros(config.topology_validity.as_micros() / 3);
     ManetProtocolCf::builder(OLSR_CF)
-        .tuple(
-            EventTuple::new()
-                .requires(types::tc_in())
-                .requires(types::nhood_change())
-                .requires(types::mpr_change())
-                .provides(types::tc_out()),
-        )
+        .tuple(olsr_tuple())
         .state(StateSlot::new(OlsrState::default()))
         .startup_timer(sweep, components::topo_expiry_timer())
         .source(Box::new(TcSource {

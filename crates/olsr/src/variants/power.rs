@@ -12,16 +12,21 @@
 //! 3. the OLSR CF's route metric switches to energy-aware.
 //!
 //! [`enable_ops`] returns the reconfiguration operations to apply through a
-//! [`NodeHandle`](manetkit::NodeHandle); [`disable_ops`] reverts them.
+//! [`NodeHandle`](manetkit::NodeHandle) or inside a transaction;
+//! [`disable_ops`] reverts them. The residual-power registration stays
+//! loaded: loading a System configuration never unloads anything.
 
 use manetkit::event::types;
 use manetkit::node::ReconfigOp;
-use manetkit::system::MessageRegistration;
+use manetkit::protocol::{Plugin, StateSlot};
+use manetkit::system::{MessageRegistration, SystemConfig};
 use netsim::SimDuration;
 use packetbb::registry::msg_type;
 
 use crate::mpr::{MprCalculator, MprHelloHandler, MprHelloSource, MprState, MPR_CF};
-use crate::olsr::{EnergyMapHandler, OlsrState, ResidualPowerSource, RouteMetric, OLSR_CF};
+use crate::olsr::{
+    olsr_tuple, EnergyMapHandler, OlsrState, ResidualPowerSource, RouteMetric, OLSR_CF,
+};
 
 /// Configuration of the power-aware variant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +54,7 @@ impl Default for PowerAwareConfig {
 /// MPR CF floods the messages itself).
 #[must_use]
 pub fn residual_power_registration() -> MessageRegistration {
-    MessageRegistration {
-        msg_type: msg_type::RESIDUAL_POWER,
-        in_event: types::power_msg_in(),
-        out_event: None,
-    }
+    MessageRegistration::in_only(msg_type::RESIDUAL_POWER, types::power_msg_in())
 }
 
 /// Reconfiguration operations enabling power-aware routing on a running
@@ -61,56 +62,29 @@ pub fn residual_power_registration() -> MessageRegistration {
 #[must_use]
 pub fn enable_ops(config: PowerAwareConfig) -> Vec<ReconfigOp> {
     vec![
-        ReconfigOp::RegisterMessage(residual_power_registration()),
-        ReconfigOp::Mutate {
-            protocol: MPR_CF.to_string(),
-            op: Box::new(move |cf| {
-                // Power-aware Hello Handler: tracks neighbour energy.
-                cf.replace_handler(
-                    "hello-handler",
-                    Box::new(MprHelloHandler {
-                        validity: config.link_validity,
-                        track_energy: true,
-                    }),
-                )
-                .expect("mpr hello handler present");
-                // Hello source advertises our own energy.
-                cf.replace_source(
-                    "hello-source",
-                    Box::new(MprHelloSource {
-                        interval: config.hello_interval,
-                        validity: config.link_validity,
-                        advertise_energy: true,
-                    }),
-                )
-                .expect("mpr hello source present");
-                // Power-aware MPR Calculator.
-                cf.state_mut().get_mut::<MprState>().calculator = MprCalculator::PowerAware;
-            }),
-        },
-        ReconfigOp::Mutate {
+        ReconfigOp::LoadSystem(SystemConfig {
+            registrations: vec![residual_power_registration()],
+            ..SystemConfig::default()
+        }),
+        mpr_recompose(config, true),
+        // The OLSR CF now provides the power dissemination and consumes
+        // the echoes.
+        ReconfigOp::UpdateTuple {
             protocol: OLSR_CF.to_string(),
-            op: Box::new(move |cf| {
-                let _ = cf.remove_handler("energy-map-handler");
-                cf.add_handler(Box::new(EnergyMapHandler))
-                    .expect("no duplicate energy handler");
-                let _ = cf.remove_source("residual-power");
-                cf.add_source(Box::new(ResidualPowerSource {
+            tuple: olsr_tuple()
+                .provides(types::power_msg_out())
+                .requires(types::power_msg_in()),
+        },
+        ReconfigOp::Recompose {
+            protocol: OLSR_CF.to_string(),
+            plug: vec![
+                Plugin::Handler(Box::new(EnergyMapHandler)),
+                Plugin::Source(Box::new(ResidualPowerSource {
                     interval: config.power_interval,
-                }))
-                .expect("no duplicate residual power source");
-                cf.state_mut()
-                    .get_mut::<OlsrState>()
-                    .set_metric(RouteMetric::EnergyAware);
-                // The OLSR CF now provides the power dissemination and
-                // consumes the echoes.
-                let tuple = cf
-                    .tuple()
-                    .clone()
-                    .provides(types::power_msg_out())
-                    .requires(types::power_msg_in());
-                cf.set_tuple(tuple);
-            }),
+                })),
+            ],
+            unplug: Vec::new(),
+            state: Some(route_metric::<true>),
         },
     ]
 }
@@ -121,44 +95,70 @@ pub fn enable_ops(config: PowerAwareConfig) -> Vec<ReconfigOp> {
 #[must_use]
 pub fn disable_ops(config: PowerAwareConfig) -> Vec<ReconfigOp> {
     vec![
-        ReconfigOp::Mutate {
-            protocol: MPR_CF.to_string(),
-            op: Box::new(move |cf| {
-                cf.replace_handler(
-                    "hello-handler",
-                    Box::new(MprHelloHandler {
-                        validity: config.link_validity,
-                        track_energy: false,
-                    }),
-                )
-                .expect("mpr hello handler present");
-                cf.replace_source(
-                    "hello-source",
-                    Box::new(MprHelloSource {
-                        interval: config.hello_interval,
-                        validity: config.link_validity,
-                        advertise_energy: false,
-                    }),
-                )
-                .expect("mpr hello source present");
-                cf.state_mut().get_mut::<MprState>().calculator = MprCalculator::Standard;
-            }),
-        },
-        ReconfigOp::Mutate {
+        mpr_recompose(config, false),
+        ReconfigOp::UpdateTuple {
             protocol: OLSR_CF.to_string(),
-            op: Box::new(|cf| {
-                let _ = cf.remove_handler("energy-map-handler");
-                let _ = cf.remove_source("residual-power");
-                let state = cf.state_mut().get_mut::<OlsrState>();
-                state.set_metric(RouteMetric::HopCount);
-                state.clear_energy();
-                let mut tuple = cf.tuple().clone();
-                tuple.provided.retain(|t| *t != types::power_msg_out());
-                tuple.required.retain(|t| *t != types::power_msg_in());
-                cf.set_tuple(tuple);
-            }),
+            tuple: olsr_tuple(),
+        },
+        ReconfigOp::Recompose {
+            protocol: OLSR_CF.to_string(),
+            plug: Vec::new(),
+            unplug: vec!["energy-map-handler".into(), "residual-power".into()],
+            state: Some(route_metric::<false>),
         },
     ]
+}
+
+/// The MPR CF with the Hello Handler and Hello Source tracking and
+/// advertising energy, and the power-aware MPR Calculator, when
+/// `power_aware`; with the standard ones otherwise.
+fn mpr_recompose(config: PowerAwareConfig, power_aware: bool) -> ReconfigOp {
+    let handler = MprHelloHandler {
+        validity: config.link_validity,
+        track_energy: power_aware,
+    };
+    let source = MprHelloSource {
+        interval: config.hello_interval,
+        validity: config.link_validity,
+        advertise_energy: power_aware,
+    };
+    ReconfigOp::Recompose {
+        protocol: MPR_CF.to_string(),
+        plug: vec![
+            Plugin::Handler(Box::new(handler)),
+            Plugin::Source(Box::new(source)),
+        ],
+        unplug: Vec::new(),
+        state: Some(if power_aware {
+            mpr_calculator::<true>
+        } else {
+            mpr_calculator::<false>
+        }),
+    }
+}
+
+/// The MPR state under the power-aware MPR Calculator, or the standard one.
+fn mpr_calculator<const POWER_AWARE: bool>(slot: &StateSlot) -> StateSlot {
+    let mut state = slot.get::<MprState>().clone();
+    state.calculator = if POWER_AWARE {
+        MprCalculator::PowerAware
+    } else {
+        MprCalculator::Standard
+    };
+    StateSlot::new(state)
+}
+
+/// The OLSR state under the energy-aware route metric, or under hop count
+/// with its energy readings dropped.
+fn route_metric<const ENERGY_AWARE: bool>(slot: &StateSlot) -> StateSlot {
+    let mut state = slot.get::<OlsrState>().clone();
+    if ENERGY_AWARE {
+        state.set_metric(RouteMetric::EnergyAware);
+    } else {
+        state.set_metric(RouteMetric::HopCount);
+        state.clear_energy();
+    }
+    StateSlot::new(state)
 }
 
 #[cfg(test)]
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn enable_then_disable_round_trips_composition() {
         let mut dep = Deployment::new(ConcurrencyModel::SingleThreaded);
-        crate::register_messages(dep.system_mut());
+        dep.system_mut().load(&crate::system_config());
         dep.add_protocol_offline(crate::mpr::mpr_cf(MprConfig::default()))
             .unwrap();
         dep.add_protocol_offline(crate::olsr::olsr_cf(OlsrConfig::default()))

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use manetkit_repro::campaign::{Protocol, ScenarioSpec, TopologySpec, TrafficSpec};
 use manetkit_repro::manetkit::prelude::*;
-use manetkit_repro::manetkit::{LabReport, ThroughputLab};
+use manetkit_repro::manetkit::{LabReport, Plugin, ThroughputLab};
 use manetkit_repro::manetkit_baseline::{Dymoum, Olsrd};
 use manetkit_repro::manetkit_dymo::variants::{flooding, multipath};
 use manetkit_repro::manetkit_olsr::variants::{fisheye, power};
@@ -878,18 +878,17 @@ fn interpose(dep: &mut Deployment, os: &mut NodeOs) {
 }
 
 fn replace_handler(dep: &mut Deployment, os: &mut NodeOs) {
-    let op = Box::new(|cf: &mut ManetProtocolCf| {
-        let validity = SimDuration::from_secs(6);
-        let handler = olsr::mpr::MprHelloHandler {
-            validity,
-            track_energy: false,
-        };
-        let replaced = cf.replace_handler("hello-handler", Box::new(handler));
-        replaced.expect("hello handler");
-    });
-    let protocol = "mpr".into();
-    dep.apply(ReconfigOp::Mutate { protocol, op }, os)
-        .expect("mutates");
+    let handler = olsr::mpr::MprHelloHandler {
+        validity: SimDuration::from_secs(6),
+        track_energy: false,
+    };
+    let op = ReconfigOp::Recompose {
+        protocol: "mpr".into(),
+        plug: vec![Plugin::Handler(Box::new(handler))],
+        unplug: Vec::new(),
+        state: None,
+    };
+    dep.apply(op, os).expect("recomposes");
 }
 
 /// E10: µs per reconfiguration at the quiescent point of a started OLSR

@@ -11,7 +11,7 @@
 //! cargo run --example protocol_switch
 //! ```
 
-use manetkit_repro::manetkit::ReconfigOp;
+use manetkit_repro::manetkit::{ReconfigOp, SystemConfig};
 use manetkit_repro::prelude::*;
 
 fn main() {
@@ -54,9 +54,10 @@ fn main() {
             name: "olsr".into(),
         });
         h.apply(ReconfigOp::RemoveProtocol { name: "mpr".into() });
-        h.apply(ReconfigOp::RegisterMessage(
-            manetkit_repro::manetkit::neighbour::hello_registration(),
-        ));
+        h.apply(ReconfigOp::LoadSystem(SystemConfig {
+            registrations: vec![manetkit_repro::manetkit::neighbour::hello_registration()],
+            ..SystemConfig::default()
+        }));
         h.apply(ReconfigOp::AddProtocol(
             manetkit_repro::manetkit::neighbour::neighbour_detection_cf(Default::default()),
         ));
@@ -67,9 +68,9 @@ fn main() {
     // DYMO needs its message registrations and the NetLink plug-in, which
     // `dymo_cf` assumes; load them into the System CF at runtime too.
     for h in &handles {
-        h.apply(ReconfigOp::MutateSystem {
-            op: Box::new(manetkit_repro::manetkit_dymo::register_messages),
-        });
+        h.apply(ReconfigOp::LoadSystem(
+            manetkit_repro::manetkit_dymo::system_config(),
+        ));
     }
     world.run_for(SimDuration::from_secs(5));
 
