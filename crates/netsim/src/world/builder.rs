@@ -249,6 +249,7 @@ impl WorldBuilder {
             phy: Phy::new(&self.phy, self.nodes),
             walk: None,
             receivers: Vec::new(),
+            geo_hops: HashMap::new(),
         };
         if let Some(plan) = self.fault_plan {
             for entry in plan.entries() {

@@ -221,9 +221,12 @@ impl World {
             .os
             .route_table()
             .lookup(packet.dst)
-            .cloned();
+            .map(|entry| entry.next_hop);
         match route {
-            Some(entry) => self.forward(node, packet, entry.next_hop),
+            Some(next_hop) => match self.node_of(next_hop) {
+                Some(nb) => self.forward(node, packet, nb),
+                None => self.drop_data(node, &packet, DataDrop::BAD_NEXT_HOP),
+            },
             None if self.geo_routing => {
                 // Agentless greedy geographic forwarding: relay via the
                 // neighbour strictly closest to the destination, or drop at
@@ -231,12 +234,9 @@ impl World {
                 // wins, so agents can override geo decisions per prefix.
                 let hop = self
                     .node_of(packet.dst)
-                    .and_then(|dst_node| self.topo.geo_next_hop(node, dst_node));
+                    .and_then(|dst_node| self.geo_next_hop(node, dst_node));
                 match hop {
-                    Some(nb) => {
-                        let next_hop = self.nodes[nb.0].os.addr();
-                        self.forward(node, packet, next_hop);
-                    }
+                    Some(nb) => self.forward(node, packet, nb),
                     None => self.drop_data(node, &packet, DataDrop::GEO_DEAD_END),
                 }
             }

@@ -11,6 +11,7 @@
 //! `data_plane` routing steps and datagram accounting; `fault` crash,
 //! reboot and partition enactment; `controlled` the model checker's seam.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use simkern::{EventHandle, EventQueue, SeqBlock};
@@ -174,6 +175,13 @@ pub struct World {
     walk: Option<StreamedWalk>,
     /// Scratch for a broadcast's receivers, reused frame to frame.
     receivers: Vec<NodeId>,
+    /// Greedy next hops answered since the topology last changed, keyed by
+    /// `(from, dst)`: a flow's datagrams follow one greedy path until
+    /// something moves, so most agentless hops are a lookup here rather
+    /// than a scan of the spatial index ([`World::geo_next_hop`]). Ids are
+    /// held as `u32` (a world has at most `MAX_NODES`), which halves the
+    /// table a 10,000-node city refills every walk step.
+    geo_hops: HashMap<(u32, u32), Option<u32>>,
 }
 
 /// A built `World` (agents installed or not) is `Send`: campaign engines
@@ -303,7 +311,7 @@ impl World {
 
     /// Changes a link immediately.
     pub fn set_link(&mut self, a: NodeId, b: NodeId, state: LinkState) {
-        self.topo.set_link(a, b, state);
+        self.change_topology(|topo| topo.set_link(a, b, state));
     }
 
     /// Schedules a future link change (mobility).
@@ -484,9 +492,36 @@ impl World {
         }
     }
 
+    /// The one way to change the topology: every change forgets the
+    /// remembered greedy next hops.
+    fn change_topology(&mut self, change: impl FnOnce(&mut Topology)) {
+        change(&mut self.topo);
+        // `clear` sweeps the whole table even when it is empty, and a walk
+        // step moves every node.
+        if !self.geo_hops.is_empty() {
+            self.geo_hops.clear();
+        }
+    }
+
+    /// The greedy next hop from `from` towards `dst`: the topology's answer,
+    /// asked once per pair between two topology changes.
+    fn geo_next_hop(&mut self, from: NodeId, dst: NodeId) -> Option<NodeId> {
+        let topo = &self.topo;
+        let ask = || topo.geo_next_hop(from, dst).map(|nb| nb.0 as u32);
+        let hop = match self.geo_hops.entry((from.0 as u32, dst.0 as u32)) {
+            Entry::Occupied(hit) => {
+                let hop = *hit.get();
+                debug_assert_eq!(hop, ask(), "stale greedy next hop {from} -> {dst}");
+                hop
+            }
+            Entry::Vacant(miss) => *miss.insert(ask()),
+        };
+        hop.map(|nb| NodeId(nb as usize))
+    }
+
     /// Relocates `node` on the spatial topology.
     fn move_node(&mut self, node: NodeId, x: f64, y: f64) {
-        self.topo.move_node(node, x, y);
+        self.change_topology(|topo| topo.move_node(node, x, y));
         tr!(
             self,
             node,
@@ -644,7 +679,7 @@ impl World {
                 }
             }
             EventKind::LinkChange { a, b, state } => {
-                self.topo.set_link(a, b, state);
+                self.change_topology(|topo| topo.set_link(a, b, state));
                 tr!(
                     self,
                     NodeId(a.0.min(b.0)),

@@ -27,6 +27,7 @@ use packetbb::Address;
 use phy::{Enqueue as PhyEnqueue, Resched as PhyResched, TxId};
 use rand::Rng;
 
+use super::builder::node_address;
 use super::{DataDrop, EventKind, World};
 use crate::agent::FilterEvent;
 use crate::packet::{ControlFrame, DataPacket, Frame, NodeId};
@@ -105,12 +106,9 @@ impl World {
         self.transmit(node, job);
     }
 
-    /// The data plane forwards `packet` one hop towards `next_hop`: both
+    /// The data plane forwards `packet` one hop to the neighbour `nb`: both
     /// entry orders side by side (module docs, differences (a) and (b)).
-    pub(super) fn forward(&mut self, node: NodeId, mut packet: DataPacket, next_hop: Address) {
-        let Some(nb) = self.node_of(next_hop) else {
-            return self.drop_data(node, &packet, DataDrop::BAD_NEXT_HOP);
-        };
+    pub(super) fn forward(&mut self, node: NodeId, mut packet: DataPacket, nb: NodeId) {
         let ideal = self.phy.is_none();
         if ideal && self.link_fails(node, nb, &packet) {
             return;
@@ -123,7 +121,7 @@ impl World {
         if ideal {
             self.charge_tx(node, packet.wire_len(), Some((nb, packet.ttl)));
         }
-        let dst = packet.dst;
+        let (dst, next_hop) = (packet.dst, node_address(nb.0));
         self.filter_event(node, FilterEvent::RouteUsed { dst, next_hop });
         self.transmit(node, PhyJob::Data { nb, packet });
     }
@@ -303,7 +301,7 @@ impl World {
         let (dst, src) = (packet.dst, packet.src);
         self.tx_failed(node, nb);
         if src != self.nodes[node.0].os.addr() {
-            let next_hop = self.nodes[nb.0].os.addr();
+            let next_hop = node_address(nb.0);
             self.filter_event(node, FilterEvent::ForwardFailure { dst, src, next_hop });
         }
         true

@@ -8,9 +8,16 @@
 //! ties with injections scheduled after the walk was installed. The step
 //! must fire first, as its moves would have, or the first hop of those
 //! datagrams sees other positions and the run changes.
+//!
+//! The world remembers each greedy next hop only until the topology
+//! changes; the last test moves a node between two datagrams of one flow
+//! and checks that the second takes the new next hop.
+
+use std::sync::{Arc, Mutex};
 
 use netsim::mobility::{random_waypoint_field, RandomWaypoint, Walk};
-use netsim::{NodeId, SimDuration, SimTime, World};
+use netsim::{FilterEvent, NodeId, NodeOs, RoutingAgent, SimDuration, SimTime, Topology, World};
+use packetbb::Address;
 
 const SECS: u64 = 12;
 
@@ -101,4 +108,67 @@ fn a_walk_keeps_one_event_pending_until_its_last_step() {
     assert_eq!(w.pending_events(), 1);
     w.run_until(SimTime::ZERO + SimDuration::from_secs(SECS));
     assert_eq!(w.pending_events(), 0, "the last step schedules nothing");
+}
+
+/// Records the next hop of every datagram its node forwards.
+struct HopLog(Arc<Mutex<Vec<Address>>>);
+
+impl RoutingAgent for HopLog {
+    fn name(&self) -> &str {
+        "hop-log"
+    }
+    fn start(&mut self, _: &mut NodeOs) {}
+    fn on_frame(&mut self, _: &mut NodeOs, _: Address, _: &[u8]) {}
+    fn on_timer(&mut self, _: &mut NodeOs, _: u64) {}
+    fn on_filter_event(&mut self, _: &mut NodeOs, event: FilterEvent) {
+        if let FilterEvent::RouteUsed { next_hop, .. } = event {
+            self.0.lock().unwrap().push(next_hop);
+        }
+    }
+}
+
+#[test]
+fn a_move_between_two_datagrams_reroutes_the_second() {
+    // The source `s` reaches `a` and `b` but not the destination `d`; `a`
+    // is nearer `d`. Then `a` steps aside, still in range of `s` but no
+    // longer nearer `d` than `s` is.
+    let (s, a, b, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let topo = Topology::spatial(vec![(0.1, 0.5), (0.35, 0.5), (0.3, 0.6), (0.9, 0.5)], 0.3);
+    let builder = World::builder().topology(topo).seed(3).geo_routing(true);
+    #[cfg(feature = "trace")]
+    let builder = builder.trace(1 << 8);
+    let mut w = builder.build();
+    let hops = Arc::new(Mutex::new(Vec::new()));
+    w.install_agent(s, Box::new(HopLog(Arc::clone(&hops))));
+
+    let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let dst = w.addr(d);
+    w.send_datagram_at(at(1), s, dst, vec![0; 32]);
+    w.schedule_node_move(at(2), a, 0.1, 0.25);
+    w.send_datagram_at(at(3), s, dst, vec![0; 32]);
+
+    w.run_until(at(1));
+    assert_eq!(w.topology().geo_next_hop(s, d), Some(a));
+    w.run_until(at(4));
+    assert_eq!(
+        w.topology().geo_next_hop(s, d),
+        Some(b),
+        "the move changes the greedy next hop"
+    );
+    assert!(
+        w.topology().link_up(s, a),
+        "the old next hop is still a neighbour"
+    );
+    assert_eq!(*hops.lock().unwrap(), [w.addr(a), w.addr(b)]);
+    #[cfg(feature = "trace")]
+    {
+        let first_hops: Vec<u64> = w
+            .trace()
+            .records()
+            .iter()
+            .filter(|r| r.node == s.0 as u32 && r.kind == netsim::trace::TraceKind::DataHop)
+            .map(|r| r.a)
+            .collect();
+        assert_eq!(first_hops, [a.0 as u64, b.0 as u64]);
+    }
 }
