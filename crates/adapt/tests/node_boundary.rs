@@ -1,10 +1,10 @@
 //! Goldens for the node boundary, the layer between a `ManetNode` and the
 //! world: what a `NodeHandle` reader sees after every step, and the `bus.*`
-//! counters the deployments flush. They run through failed plain ops, a
+//! counters the deployments keep. They run through failed plain ops, a
 //! committed two-phase switch, a prepare cut short by a crash and a reboot,
-//! and a revert. Both were pinned before the boundary was reworked, and a
-//! rework of how status is published or counters are kept must not move
-//! them.
+//! a revert, and a cold boot into a new deployment over the same OS. Each
+//! was pinned before the boundary was reworked, and a rework of how status
+//! is published or counters are kept must not move them.
 
 mod support;
 
@@ -315,6 +315,58 @@ fn bus_counters_through_a_failed_prepare_a_switch_and_a_revert_are_pinned() {
             ("bus.queue_depth_hwm", 3),
             ("bus.system.events_in", 19),
             ("bus.system.events_out", 55),
+        ],
+    );
+}
+
+/// `bus.queue_depth_hwm` as one node's own counters hold it.
+fn node_hwm(world: &World, node: NodeId) -> u64 {
+    world.os(node).counter("bus.queue_depth_hwm")
+}
+
+#[test]
+fn bus_counters_after_a_cold_boot_are_pinned() {
+    // Node 2 crashes at 3 s and cold-boots at 4 s into a fresh AODV
+    // deployment over the same OS, whose counters survive the crash.
+    let plan = FaultPlan::builder(0)
+        .crash_for(at(3_000), NodeId(2), SimDuration::from_secs(1))
+        .build();
+    let mut world = World::builder()
+        .topology(Topology::line(NODES))
+        .seed(13)
+        .fault_plan(plan)
+        .build();
+    let _fleet = install(&mut world, Stack::Dymo);
+    world.set_reboot_factory(NodeId(2), || Box::new(Stack::Aodv.node().0));
+    cbr(&mut world, NodeId(0), NodeId(2), secs(1), secs(6), ms(250));
+    world.run_until(at(2_900));
+    let before = node_hwm(&world, NodeId(2));
+    world.run_until(secs(6));
+    // The new deployment's high-water mark lands on top of the old one's,
+    // and the retired DYMO's names stay.
+    let os = world.os(NodeId(2));
+    assert_eq!(
+        (
+            before,
+            node_hwm(&world, NodeId(2)),
+            os.counter("bus.dymo.events_in")
+        ),
+        (1, 2, 2)
+    );
+    assert_bus(
+        &world,
+        "cold boot",
+        &[
+            ("bus.aodv.events_in", 1),
+            ("bus.aodv.events_out", 0),
+            ("bus.dispatch_rounds", 255),
+            ("bus.dymo.events_in", 47),
+            ("bus.dymo.events_out", 12),
+            ("bus.neighbour-detection.events_in", 17),
+            ("bus.neighbour-detection.events_out", 21),
+            ("bus.queue_depth_hwm", 4),
+            ("bus.system.events_in", 28),
+            ("bus.system.events_out", 60),
         ],
     );
 }

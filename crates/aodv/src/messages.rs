@@ -34,7 +34,7 @@ impl Rreq {
         let mut target_block = AddressBlock::new(vec![self.target]).expect("one target");
         match self.target_seq {
             Some(ts) => target_block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::TARGET_SEQ_NUM, ts.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::TARGET_SEQ_NUM, ts.to_be_bytes()),
                 0,
             )),
             None => target_block.add_tlv(AddressTlv::single(Tlv::flag(tlv_type::UNKNOWN_SEQ), 0)),
@@ -46,7 +46,7 @@ impl Rreq {
             .hop_limit(self.hop_limit)
             .push_tlv(Tlv::with_value(
                 tlv_type::RREQ_ID,
-                self.rreq_id.to_be_bytes().to_vec(),
+                self.rreq_id.to_be_bytes(),
             ))
             .push_address_block(target_block)
             .build()
@@ -118,7 +118,7 @@ impl Rrep {
             .hop_limit(32)
             .push_tlv(Tlv::with_value(
                 tlv_type::LIFETIME,
-                vec![packetbb::time::encode_time(self.lifetime_ms)],
+                [packetbb::time::encode_time(self.lifetime_ms)],
             ))
             .push_address_block(AddressBlock::new(vec![self.orig]).expect("one orig"))
             .build()
@@ -178,7 +178,7 @@ impl Rerr {
         let mut block = AddressBlock::new(addrs).expect("non-empty");
         for (i, (_, s)) in self.unreachable.iter().enumerate() {
             block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes()),
                 i as u8,
             ));
         }

@@ -80,7 +80,7 @@ impl Dymoum {
         let mut block = AddressBlock::new(addrs).expect("non-empty");
         for (i, (_, s)) in path.iter().enumerate() {
             block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes()),
                 i as u8,
             ));
         }
@@ -273,7 +273,7 @@ impl Dymoum {
         let mut block = AddressBlock::new(addrs).expect("non-empty");
         for (i, (_, s)) in unreachable.iter().enumerate() {
             block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes()),
                 i as u8,
             ));
         }

@@ -101,7 +101,7 @@ impl Olsrd {
             .seq_num(seq)
             .push_tlv(Tlv::with_value(
                 tlv_type::WILLINGNESS,
-                vec![willingness::DEFAULT],
+                [willingness::DEFAULT],
             ));
         if !self.links.is_empty() {
             let addrs: Vec<Address> = self.links.keys().copied().collect();
@@ -113,7 +113,7 @@ impl Olsrd {
                     link_status::ASYMMETRIC
                 };
                 block.add_tlv(AddressTlv::single(
-                    Tlv::with_value(tlv_type::LINK_STATUS, vec![status]),
+                    Tlv::with_value(tlv_type::LINK_STATUS, [status]),
                     i as u8,
                 ));
                 if self.mprs.contains(addr) {
@@ -141,7 +141,7 @@ impl Olsrd {
             .seq_num(seq)
             .push_tlv(Tlv::with_value(
                 tlv_type::CONT_SEQ_NUM,
-                self.ansn.to_be_bytes().to_vec(),
+                self.ansn.to_be_bytes(),
             ))
             .push_address_block(AddressBlock::new(advertised).expect("non-empty"))
             .build();

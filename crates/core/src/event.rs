@@ -8,44 +8,18 @@
 //! wires them together by name.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
+use netsim::{Interner, NameTable};
 use packetbb::{Address, Message};
 
-/// The process-wide intern table mapping event type names to dense ids.
-///
-/// Names are leaked exactly once (`Box::leak`) so `as_str` can hand out
-/// `&'static str` without holding the lock; the leak is bounded by the number
-/// of *distinct* event type names a process ever uses, which for a routing
-/// deployment is a few dozen.
-#[derive(Default)]
-struct InternTable {
-    by_name: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
-
-fn intern_table() -> &'static RwLock<InternTable> {
-    static TABLE: OnceLock<RwLock<InternTable>> = OnceLock::new();
-    TABLE.get_or_init(RwLock::default)
-}
-
-/// Read access to the global intern table.
-fn read_table() -> RwLockReadGuard<'static, InternTable> {
-    intern_table()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 thread_local! {
-    /// This thread's copy of the part of the intern table it has needed
-    /// (`names` a prefix of the global names, `by_name` the names it has
-    /// interned). An entry never changes once interned, so a copy never
-    /// goes stale: a hit takes no lock, and threads stepping worlds side by
-    /// side do not contend on the global table.
-    static LOCAL_TABLE: RefCell<InternTable> = RefCell::default();
+    static LOCAL_TYPES: RefCell<NameTable> = RefCell::default();
 }
+/// Event type names and their dense ids, process-wide. A routing
+/// deployment uses a few dozen names, each leaked once.
+static TYPES: Interner = Interner::new(&LOCAL_TYPES);
 
 /// An interned event type name, e.g. `"TC_OUT"`.
 ///
@@ -63,66 +37,20 @@ impl EventType {
     ///
     /// The first call for a given name allocates an entry in the global
     /// intern table; every subsequent call returns the identical id with
-    /// **no further allocation** — from the calling thread's own copy once
-    /// the thread has seen the name (no lock), else by a read-locked
-    /// lookup. Hot paths should still cache the returned value (it is
+    /// **no further allocation**, from the calling thread's own copy of
+    /// the table (no lock unless the table has grown since the thread last
+    /// looked). Hot paths should still cache the returned value (it is
     /// `Copy`) rather than re-interning per event.
     #[must_use]
     pub fn named(name: &str) -> Self {
-        let local = LOCAL_TABLE.try_with(|local| local.borrow().by_name.get(name).copied());
-        if let Ok(Some(id)) = local {
-            return EventType(id);
-        }
-        let (id, name) = Self::intern_global(name);
-        // A thread being torn down simply skips its copy.
-        let _ = LOCAL_TABLE.try_with(|local| local.borrow_mut().by_name.insert(name, id));
-        EventType(id)
+        EventType(TYPES.id(name))
     }
 
-    /// [`EventType::named`] against the global table: the id and the
-    /// leaked name.
-    fn intern_global(name: &str) -> (u32, &'static str) {
-        let found = |table: &InternTable| {
-            let id = *table.by_name.get(name)?;
-            Some((id, table.names[id as usize]))
-        };
-        // Fast path: already interned (read lock only).
-        if let Some(hit) = found(&read_table()) {
-            return hit;
-        }
-        let mut table = intern_table()
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Re-check under the write lock: another thread may have won the race.
-        if let Some(hit) = found(&table) {
-            return hit;
-        }
-        let id = u32::try_from(table.names.len()).expect("intern table overflow");
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        table.names.push(leaked);
-        table.by_name.insert(leaked, id);
-        (id, leaked)
-    }
-
-    /// The type name. Read from the calling thread's copy of the intern
-    /// table, which is topped up from the global table (one read lock) only
-    /// when it lacks the id.
+    /// The type name, read from the calling thread's copy of the intern
+    /// table.
     #[must_use]
     pub fn as_str(&self) -> &'static str {
-        let id = self.0 as usize;
-        LOCAL_TABLE
-            .try_with(|local| {
-                let mut local = local.borrow_mut();
-                if let Some(&name) = local.names.get(id) {
-                    return name;
-                }
-                // Ids are dense, so the copy is a prefix of the global
-                // names: extend it up to the global table's length.
-                let known = local.names.len();
-                local.names.extend_from_slice(&read_table().names[known..]);
-                local.names[id]
-            })
-            .unwrap_or_else(|_| read_table().names[id])
+        TYPES.name(self.0)
     }
 
     /// The dense intern id. Ids start at 0 and are assigned in interning
@@ -138,7 +66,7 @@ impl EventType {
     /// [`EventType::id`] is `< intern_count()` at the time of the call.
     #[must_use]
     pub fn intern_count() -> usize {
-        read_table().names.len()
+        TYPES.count()
     }
 }
 

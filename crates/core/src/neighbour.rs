@@ -4,7 +4,6 @@
 //! optimised-flooding variant replaces it with the richer MPR CF).
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use netsim::{SimDuration, SimTime};
@@ -41,8 +40,9 @@ pub struct NeighbourInfo {
     pub last_heard: SimTime,
     /// Whether bidirectionality has been confirmed.
     pub symmetric: bool,
-    /// The neighbour's own symmetric neighbours (our 2-hop set through it).
-    pub two_hop: BTreeSet<Address>,
+    /// The neighbour's own symmetric neighbours (our 2-hop set through
+    /// it), sorted and deduplicated.
+    pub two_hop: Vec<Address>,
 }
 
 /// The S element: the neighbour table.
@@ -66,14 +66,15 @@ impl NeighbourTable {
     /// `(neighbour, two_hop)` pairs reachable through symmetric neighbours.
     #[must_use]
     pub fn two_hop_pairs(&self, local: Address) -> Vec<(Address, Address)> {
-        let sym: BTreeSet<Address> = self.symmetric().into_iter().collect();
+        // In address order, as the table iterates.
+        let sym = self.symmetric();
         let mut pairs = Vec::new();
         for (nb, info) in &self.neighbours {
             if !info.symmetric {
                 continue;
             }
             for th in &info.two_hop {
-                if *th != local && !sym.contains(th) {
+                if *th != local && sym.binary_search(th).is_err() {
                     pairs.push((*nb, *th));
                 }
             }
@@ -109,7 +110,7 @@ pub fn build_hello(
         .seq_num(seq)
         .push_tlv(Tlv::with_value(
             tlv_type::VALIDITY_TIME,
-            vec![packetbb::time::encode_time(validity.as_millis())],
+            [packetbb::time::encode_time(validity.as_millis())],
         ));
     if !neighbours.is_empty() {
         let addrs: Vec<Address> = neighbours.iter().map(|(a, _)| *a).collect();
@@ -121,7 +122,7 @@ pub fn build_hello(
                 link_status::ASYMMETRIC
             };
             block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::LINK_STATUS, vec![status]),
+                Tlv::with_value(tlv_type::LINK_STATUS, [status]),
                 i as u8,
             ));
         }
@@ -246,13 +247,13 @@ impl EventHandler for HelloHandler {
         let entry = table.neighbours.entry(sender).or_insert(NeighbourInfo {
             last_heard: now,
             symmetric: false,
-            two_hop: BTreeSet::new(),
+            two_hop: Vec::new(),
         });
         let was_symmetric = entry.symmetric;
         entry.last_heard = now;
         entry.symmetric = hears_us;
-        if !entry.two_hop.iter().eq(advertised.iter()) {
-            entry.two_hop = advertised.iter().copied().collect();
+        if entry.two_hop != *advertised {
+            entry.two_hop.clone_from(advertised);
         }
 
         if hears_us && !was_symmetric {
@@ -379,7 +380,7 @@ mod tests {
             NeighbourInfo {
                 last_heard: SimTime::ZERO,
                 symmetric: true,
-                two_hop: [far, local].into_iter().collect(),
+                two_hop: vec![local, far],
             },
         );
         assert_eq!(t.symmetric(), vec![nb]);

@@ -23,7 +23,7 @@ use crate::protocol::{
 };
 use crate::registry::EventTuple;
 use crate::system::{SystemCf, SystemConfig};
-use crate::telemetry::{intern_name, BusTally};
+use crate::telemetry::{intern_name, BusCounters};
 
 /// Name the System CF registers under with the Framework Manager.
 const SYSTEM_UNIT: &str = "system";
@@ -284,8 +284,8 @@ pub struct Deployment {
     manager: FrameworkManager,
     slots: Vec<Slot>,
     concurrency: ConcurrencyModel,
-    /// Bus counts not yet flushed into the OS counters.
-    tally: BusTally,
+    /// The ids the bus counts are bumped through, in the OS counters.
+    bus: BusCounters,
     /// Reconfiguration ops applied, by [`apply`](Self::apply) or a
     /// committed transaction: the generation of the flight recorder's
     /// `resume` records.
@@ -310,7 +310,7 @@ impl Deployment {
             manager,
             slots: Vec::new(),
             concurrency,
-            tally: BusTally::default(),
+            bus: BusCounters::default(),
             ops_applied: 0,
             queue: DispatchQueue::for_model(concurrency),
             rx_events: Vec::new(),
@@ -374,14 +374,6 @@ impl Deployment {
             .iter()
             .find(|s| s.cf.name() == name)
             .map(|s| &s.cf)
-    }
-
-    /// Adds the bus counts tallied since the previous call to the OS
-    /// counter table (surfacing them in `WorldStats::agent_counters` under
-    /// `bus.*` names) and zeroes the tally, so calling after every callback
-    /// is cheap and idempotent.
-    pub fn flush_telemetry(&mut self, os: &mut NodeOs) {
-        self.tally.flush(&self.manager, os);
     }
 
     /// Deploys a protocol before the node has access to an OS (pre-install
@@ -712,11 +704,11 @@ impl Deployment {
     fn dispatch_drain(&mut self, os: &mut NodeOs, events: &mut Vec<Event>, origin: Option<UnitId>) {
         let mut queue = self.take_queue();
         for ev in events.drain(..) {
-            self.route_event(&mut queue, ev, origin);
+            self.route_event(&mut queue, ev, origin, os);
         }
         self.run_queue(queue, os);
         self.system.flush(os);
-        self.tally.record_round();
+        BusCounters::record_round(os);
     }
 
     fn drain(&mut self, os: &mut NodeOs) {
@@ -749,7 +741,13 @@ impl Deployment {
         self.slots.iter().find(|s| s.unit == unit).map(|s| s.name)
     }
 
-    fn route_event(&mut self, queue: &mut DispatchQueue, mut event: Event, origin: Option<UnitId>) {
+    fn route_event(
+        &mut self,
+        queue: &mut DispatchQueue,
+        mut event: Event,
+        origin: Option<UnitId>,
+        os: &mut NodeOs,
+    ) {
         // Feed the context concentrator.
         if let Payload::Context(value) = &event.payload {
             let key = match value {
@@ -764,7 +762,7 @@ impl Deployment {
             event.meta.origin = origin.and_then(|o| self.origin_name(o));
         }
         if let Some(o) = origin {
-            self.tally.record_out(o);
+            self.bus.record_out(&self.manager, o, os);
         }
         // Wrap once; every subscriber shares this allocation. Routing walks
         // the precomputed table without allocating a recipient list.
@@ -772,7 +770,7 @@ impl Deployment {
         self.manager.route_for_each(shared.ty, origin, |target| {
             queue.push(target, Arc::clone(&shared));
         });
-        self.tally.observe_queue_depth(queue.len());
+        self.bus.observe_queue_depth(queue.len(), os);
     }
 
     fn deliver_one(
@@ -782,7 +780,7 @@ impl Deployment {
         event: &Event,
         os: &mut NodeOs,
     ) {
-        self.tally.record_in(unit);
+        self.bus.record_in(&self.manager, unit, os);
         os.trace_bus_deliver(event.ty.as_str(), unit as u64, queue.len() as u64);
         if unit == self.system_unit {
             self.system.consume(event, os);
@@ -798,7 +796,7 @@ impl Deployment {
         drop(ctx);
         let origin_unit = self.slots[idx].unit;
         for ev in out.emitted {
-            self.route_event(queue, ev, Some(origin_unit));
+            self.route_event(queue, ev, Some(origin_unit), os);
         }
         self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
     }
@@ -809,12 +807,12 @@ impl Deployment {
         let origin_unit = self.slots[idx].unit;
         let mut queue = self.take_queue();
         for ev in out.emitted {
-            self.route_event(&mut queue, ev, Some(origin_unit));
+            self.route_event(&mut queue, ev, Some(origin_unit), os);
         }
         self.run_queue(queue, os);
         self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
         self.system.flush(os);
-        self.tally.record_round();
+        BusCounters::record_round(os);
     }
 
     fn apply_side_effects(
@@ -1254,10 +1252,11 @@ impl ManetNode {
         }
     }
 
-    /// Ends a callback: flushes the bus tally and, if the callback changed
-    /// what the node reports, publishes its status.
+    /// Ends a callback: shows the bus round and high-water-mark counters
+    /// and, if the callback changed what the node reports, publishes its
+    /// status.
     fn finish(&mut self, os: &mut NodeOs) {
-        self.deployment.flush_telemetry(os);
+        BusCounters::show(os);
         if self.stale {
             self.stale = false;
             let status = NodeStatus {

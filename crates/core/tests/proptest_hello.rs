@@ -3,7 +3,8 @@
 //! only when it changed must be indistinguishable from the one it replaced,
 //! which built a `Vec` of advertised pairs (one `Vec` of TLVs per address), a
 //! fresh `BTreeSet` per HELLO and looked the sender up twice. That older
-//! logic lives on below, as the oracle.
+//! logic lives on below, as the oracle; its sets become the table's sorted
+//! slices only when it fills a `NeighbourInfo`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -39,6 +40,24 @@ fn old_parse_hello_neighbours(msg: &Message) -> Vec<(Address, bool)> {
     out
 }
 
+/// `NeighbourTable::two_hop_pairs` as it was, over a `BTreeSet` of the
+/// symmetric neighbours.
+fn old_two_hop_pairs(table: &NeighbourTable) -> Vec<(Address, Address)> {
+    let sym: BTreeSet<Address> = table.symmetric().into_iter().collect();
+    let mut pairs = Vec::new();
+    for (nb, info) in &table.neighbours {
+        if !info.symmetric {
+            continue;
+        }
+        for th in &info.two_hop {
+            if *th != LOCAL && !sym.contains(th) {
+                pairs.push((*nb, *th));
+            }
+        }
+    }
+    pairs
+}
+
 #[derive(Default)]
 struct OldHandler {
     table: NeighbourTable,
@@ -72,15 +91,15 @@ impl OldHandler {
             .or_insert(NeighbourInfo {
                 last_heard: netsim::SimTime::ZERO,
                 symmetric: false,
-                two_hop: BTreeSet::new(),
+                two_hop: Vec::new(),
             });
         entry.symmetric = hears_us;
-        entry.two_hop = two_hop;
+        entry.two_hop = two_hop.into_iter().collect();
         if hears_us && !was_symmetric {
             self.links_added += 1;
             self.changes.push(NeighbourhoodChange {
                 sym_neighbours: self.table.symmetric(),
-                two_hop: self.table.two_hop_pairs(LOCAL),
+                two_hop: old_two_hop_pairs(&self.table),
                 added: vec![sender],
                 lost: vec![],
             });

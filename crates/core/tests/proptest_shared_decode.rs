@@ -91,7 +91,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     .expect("non-empty, one family");
                 for (i, value) in tlvs {
                     block.add_tlv(AddressTlv::single(
-                        Tlv::with_value(tlv_type::ADDR_SEQ_NUM, value.to_be_bytes().to_vec()),
+                        Tlv::with_value(tlv_type::ADDR_SEQ_NUM, value.to_be_bytes()),
                         i % len,
                     ));
                 }

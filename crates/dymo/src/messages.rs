@@ -102,7 +102,7 @@ impl RouteElement {
         let mut target_block = AddressBlock::new(vec![self.target]).expect("single target address");
         if let Some(ts) = self.target_seq {
             target_block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::TARGET_SEQ_NUM, ts.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::TARGET_SEQ_NUM, ts.to_be_bytes()),
                 0,
             ));
         }
@@ -110,7 +110,7 @@ impl RouteElement {
         let mut path_block = AddressBlock::new(addrs).expect("non-empty path");
         for (i, hop) in self.path.iter().enumerate() {
             path_block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, hop.seq.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, hop.seq.to_be_bytes()),
                 i as u8,
             ));
         }
@@ -197,7 +197,7 @@ impl RouteError {
         let mut block = AddressBlock::new(addrs).expect("non-empty");
         for (i, (_, s)) in self.unreachable.iter().enumerate() {
             block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes().to_vec()),
+                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes()),
                 i as u8,
             ));
             block.add_tlv(AddressTlv::single(

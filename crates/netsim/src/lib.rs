@@ -45,6 +45,8 @@
 #![forbid(unsafe_code)]
 
 mod agent;
+mod counter;
+mod intern;
 mod os;
 mod packet;
 mod route;
@@ -58,7 +60,9 @@ pub mod mobility;
 pub mod traffic;
 
 pub use agent::{ContextSample, FilterEvent, RoutingAgent};
+pub use counter::CounterId;
 pub use fault::{FaultEntry, FaultKind, FaultPlan, FaultPlanBuilder, FrameChaos};
+pub use intern::{Interner, NameTable};
 pub use os::{BatteryModel, NodeOs, TimerToken};
 pub use packet::{ControlFrame, ControlMessages, DataPacket, Frame, NodeId};
 pub use route::{KernelRouteTable, RouteEntry};

@@ -5,6 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use packetbb::Address;
 
 use crate::agent::RoutingAgent;
+use crate::counter::{CounterId, Counters};
 use crate::packet::{ControlFrame, ControlMessages, DataPacket, NodeId};
 use crate::route::KernelRouteTable;
 use crate::time::{SimDuration, SimTime};
@@ -124,7 +125,7 @@ pub struct NodeOs {
     pub(crate) nf_buffer_cap: usize,
     pub(crate) actions: Vec<Action>,
     pub(crate) battery: Battery,
-    counters: HashMap<&'static str, u64>,
+    pub(crate) counters: Counters,
     /// Monotonic source for protocol sequence numbers.
     seq: u16,
     /// The control frame under delivery, parked around the agent's
@@ -159,7 +160,7 @@ impl NodeOs {
             nf_buffer_cap: 64,
             actions: Vec::new(),
             battery: Battery::new(battery),
-            counters: HashMap::new(),
+            counters: Counters::default(),
             seq: 0,
             rx_frame: None,
             #[cfg(feature = "trace")]
@@ -297,19 +298,27 @@ impl NodeOs {
     /// Adds `delta` to a named statistic counter. A zero delta still
     /// materialises the counter so it appears (as 0) in reports.
     pub fn bump_by(&mut self, counter: &'static str, delta: u64) {
-        *self.counters.entry(counter).or_insert(0) += delta;
+        self.bump_id(CounterId::named(counter), delta);
+    }
+
+    /// [`bump_by`](Self::bump_by) through an id the caller looked up once:
+    /// an index into this node's table, with no hashing.
+    #[inline]
+    pub fn bump_id(&mut self, counter: CounterId, delta: u64) {
+        self.counters.bump(counter, delta);
     }
 
     /// Reads a named counter.
     #[must_use]
     pub fn counter(&self, counter: &str) -> u64 {
-        self.counters.get(counter).copied().unwrap_or(0)
+        CounterId::find(counter)
+            .and_then(|id| self.counters.get(id))
+            .unwrap_or(0)
     }
 
-    /// All named counters.
-    #[must_use]
-    pub fn counters(&self) -> &HashMap<&'static str, u64> {
-        &self.counters
+    /// All named counters, in no particular order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.counters.present().map(|(id, v)| (id.name(), v))
     }
 
     /// The next protocol sequence number (monotonic, wrapping).

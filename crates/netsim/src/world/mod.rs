@@ -21,6 +21,7 @@ use phy::{Phy, TxId};
 use rand::rngs::StdRng;
 
 use crate::agent::{ContextSample, FilterEvent, RoutingAgent};
+use crate::counter::Counters;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::mobility::Walk;
 use crate::os::{Action, NodeOs, TimerToken};
@@ -392,16 +393,16 @@ impl World {
     pub fn stats(&self) -> WorldStats {
         let mut s = self.stats.clone();
         s.sim_elapsed_us = self.now.as_micros();
-        // Sum by the counters' static names first, so each `String` key is
-        // built once per name rather than once per node.
-        let mut totals: HashMap<&'static str, u64> = HashMap::new();
+        // Sum by id first, so each name is looked up and each `String` key
+        // built once per counter rather than once per node.
+        let mut totals = Counters::default();
         for slot in &self.nodes {
-            for (name, v) in slot.os.counters() {
-                *totals.entry(name).or_insert(0) += v;
+            for (id, v) in slot.os.counters.present() {
+                totals.bump(id, v);
             }
         }
-        for (name, v) in totals {
-            *s.agent_counters.entry(name.to_string()).or_insert(0) += v;
+        for (id, v) in totals.present() {
+            *s.agent_counters.entry(id.name().to_string()).or_insert(0) += v;
         }
         s
     }

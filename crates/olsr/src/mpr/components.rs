@@ -36,16 +36,13 @@ pub fn build_olsr_hello(
         .seq_num(seq)
         .push_tlv(Tlv::with_value(
             tlv_type::VALIDITY_TIME,
-            vec![packetbb::time::encode_time(validity.as_millis())],
+            [packetbb::time::encode_time(validity.as_millis())],
         ))
-        .push_tlv(Tlv::with_value(
-            tlv_type::WILLINGNESS,
-            vec![state.willingness],
-        ));
+        .push_tlv(Tlv::with_value(tlv_type::WILLINGNESS, [state.willingness]));
     if let Some(energy) = residual_energy {
         b = b.push_tlv(Tlv::with_value(
             tlv_type::RESIDUAL_ENERGY,
-            vec![(energy.clamp(0.0, 1.0) * 255.0) as u8],
+            [(energy.clamp(0.0, 1.0) * 255.0) as u8],
         ));
     }
     let links: Vec<(&Address, &LinkInfo)> = state.links.iter().collect();
@@ -58,7 +55,7 @@ pub fn build_olsr_hello(
                 LinkStatus::Asymmetric => link_status::ASYMMETRIC,
             };
             block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::LINK_STATUS, vec![status]),
+                Tlv::with_value(tlv_type::LINK_STATUS, [status]),
                 i as u8,
             ));
             if state.mpr_set.contains(addr) {

@@ -34,12 +34,9 @@ pub fn build_tc(
         .seq_num(seq)
         .push_tlv(Tlv::with_value(
             tlv_type::VALIDITY_TIME,
-            vec![packetbb::time::encode_time(validity.as_millis())],
+            [packetbb::time::encode_time(validity.as_millis())],
         ))
-        .push_tlv(Tlv::with_value(
-            tlv_type::CONT_SEQ_NUM,
-            ansn.to_be_bytes().to_vec(),
-        ));
+        .push_tlv(Tlv::with_value(tlv_type::CONT_SEQ_NUM, ansn.to_be_bytes()));
     if !advertised.is_empty() {
         b = b.push_address_block(
             AddressBlock::new(advertised.to_vec()).expect("non-empty single-family"),
@@ -275,7 +272,7 @@ impl EventSource for ResidualPowerSource {
             .seq_num(seq)
             .push_tlv(Tlv::with_value(
                 tlv_type::RESIDUAL_ENERGY,
-                vec![(level.clamp(0.0, 1.0) * 255.0) as u8],
+                [(level.clamp(0.0, 1.0) * 255.0) as u8],
             ))
             .build();
         ctx.os().bump("power_msg_sent");

@@ -1,5 +1,6 @@
 //! Network addresses as carried in PacketBB address blocks.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -41,7 +42,9 @@ impl AddressFamily {
 /// A network-layer address (IPv4 or IPv6).
 ///
 /// Stored inline (no allocation); ordering and hashing follow the raw byte
-/// representation so addresses can key route tables directly.
+/// representation so addresses can key route tables directly. IPv4 sorts
+/// before IPv6, and within a family addresses sort as big-endian integers,
+/// which is the octets' lexicographic order compared without `memcmp`.
 ///
 /// ```
 /// use packetbb::Address;
@@ -49,7 +52,7 @@ impl AddressFamily {
 /// assert_eq!(a.octets(), &[10, 0, 0, 1]);
 /// assert_eq!(a.to_string(), "10.0.0.1");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Address {
     /// An IPv4 address.
     V4([u8; 4]),
@@ -106,6 +109,26 @@ impl Address {
             }
             _ => None,
         }
+    }
+}
+
+impl Ord for Address {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Address::V4(a), Address::V4(b)) => u32::from_be_bytes(*a).cmp(&u32::from_be_bytes(*b)),
+            (Address::V6(a), Address::V6(b)) => {
+                u128::from_be_bytes(*a).cmp(&u128::from_be_bytes(*b))
+            }
+            (a, b) => a.family().cmp(&b.family()),
+        }
+    }
+}
+
+impl PartialOrd for Address {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

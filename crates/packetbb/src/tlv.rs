@@ -1,6 +1,7 @@
 //! Type-Length-Value attributes attached to packets, messages and addresses.
 
-use bytes::Bytes;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A Type-Length-Value attribute.
 ///
@@ -19,7 +20,62 @@ use bytes::Bytes;
 pub struct Tlv {
     tlv_type: u8,
     type_ext: Option<u8>,
-    value: Option<Bytes>,
+    value: Option<Value>,
+}
+
+/// The longest value a [`Tlv`] stores without a heap allocation.
+const INLINE: usize = 16;
+
+/// A TLV value: up to [`INLINE`] bytes in place, a longer one boxed. Equal
+/// and hashed by content, however stored.
+#[derive(Clone)]
+enum Value {
+    Inline(u8, [u8; INLINE]),
+    Boxed(Box<[u8]>),
+}
+
+impl Value {
+    fn new(bytes: &[u8]) -> Self {
+        if bytes.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            // At most `INLINE`, so the length fits.
+            Value::Inline(bytes.len() as u8, buf)
+        } else {
+            Value::Boxed(bytes.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Value::Inline(len, buf) => &buf[..usize::from(*len)],
+            Value::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Value {}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("b\"")?;
+        for &b in self.as_slice() {
+            write!(f, "{}", std::ascii::escape_default(b))?;
+        }
+        f.write_str("\"")
+    }
 }
 
 impl Tlv {
@@ -33,13 +89,13 @@ impl Tlv {
         }
     }
 
-    /// Creates a TLV carrying `value`.
+    /// Creates a TLV carrying a copy of `value`.
     #[must_use]
-    pub fn with_value(tlv_type: u8, value: impl Into<Bytes>) -> Self {
+    pub fn with_value(tlv_type: u8, value: impl AsRef<[u8]>) -> Self {
         Tlv {
             tlv_type,
             type_ext: None,
-            value: Some(value.into()),
+            value: Some(Value::new(value.as_ref())),
         }
     }
 
@@ -65,7 +121,7 @@ impl Tlv {
     /// The attribute value, if any.
     #[must_use]
     pub fn value(&self) -> Option<&[u8]> {
-        self.value.as_deref()
+        self.value.as_ref().map(Value::as_slice)
     }
 
     /// The value interpreted as a single octet.

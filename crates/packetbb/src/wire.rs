@@ -5,8 +5,6 @@
 //! 16-bit big-endian sizes, TLV blocks prefixed with their byte length, and
 //! head/mid/tail compression of address blocks.
 
-use bytes::Bytes;
-
 use crate::addrblock::{AddressBlock, PrefixMode};
 use crate::error::DecodeError;
 use crate::tlv::{AddressTlv, Tlv};
@@ -136,7 +134,7 @@ fn decode_tlv(r: &mut Reader<'_>) -> Result<(Tlv, Option<(u8, u8)>), DecodeError
     };
     let value = if flags & TLV_HAS_VALUE != 0 {
         let len = r.u16("tlv value length")? as usize;
-        Some(Bytes::copy_from_slice(r.bytes(len, "tlv value")?))
+        Some(r.bytes(len, "tlv value")?)
     } else {
         None
     };
