@@ -65,9 +65,14 @@ fn send_rreq(s: &mut AodvState, dst: Address, ctx: &mut ProtoCtx<'_>) {
 }
 
 /// Starts route discovery on `NO_ROUTE` traps.
+#[derive(Clone)]
 pub struct AodvDiscoveryHandler;
 
 impl EventHandler for AodvDiscoveryHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "route-discovery-handler"
     }
@@ -108,6 +113,7 @@ impl EventHandler for AodvDiscoveryHandler {
 /// Handles RREQs: learns the reverse route to the originator, answers as
 /// destination (or as an intermediate with a fresh-enough route), or
 /// re-floods.
+#[derive(Clone)]
 pub struct RreqHandler;
 
 impl RreqHandler {
@@ -125,6 +131,10 @@ impl RreqHandler {
 }
 
 impl EventHandler for RreqHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "rreq-handler"
     }
@@ -220,9 +230,14 @@ impl EventHandler for RreqHandler {
 
 /// Handles RREPs: installs the forward route, maintains precursors, relays
 /// toward the originator.
+#[derive(Clone)]
 pub struct RrepHandler;
 
 impl EventHandler for RrepHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "rrep-handler"
     }
@@ -311,9 +326,14 @@ fn report_breaks(s: &mut AodvState, broken: Vec<BrokenRoute>, ctx: &mut ProtoCtx
 
 /// Handles breakage: link feedback, forwarding failures, neighbourhood
 /// losses and incoming RERRs (propagated to precursors).
+#[derive(Clone)]
 pub struct AodvRerrHandler;
 
 impl EventHandler for AodvRerrHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "rerr-handler"
     }
@@ -377,9 +397,14 @@ impl EventHandler for AodvRerrHandler {
 }
 
 /// Refreshes lifetimes on `ROUTE_UPDATE` (active-route timeout reset).
+#[derive(Clone)]
 pub struct AodvLifetimeHandler;
 
 impl EventHandler for AodvLifetimeHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "route-lifetime-handler"
     }
@@ -402,9 +427,14 @@ impl EventHandler for AodvLifetimeHandler {
 /// kernel cleanup; also the start and stop hooks, which mirror the S
 /// element's live routes into the kernel table and withdraw them again
 /// without touching S.
+#[derive(Clone)]
 pub struct AodvSweepHandler;
 
 impl EventHandler for AodvSweepHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "sweep-handler"
     }

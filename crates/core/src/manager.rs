@@ -55,7 +55,7 @@ impl Wiring {
 /// or a tuple changes ([`FrameworkManager::rewire`]) — per-dispatch routing
 /// is a bounds-checked index, no hashing and no allocation
 /// ([`FrameworkManager::route_for_each`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FrameworkManager {
     units: Vec<UnitDecl>,
     /// Dense routing table indexed by [`EventType::id`]. Types interned

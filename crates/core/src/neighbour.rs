@@ -177,6 +177,7 @@ crate::cached_event_type! {
     fn expiry_timer => EXPIRY_TIMER;
 }
 
+#[derive(Clone)]
 struct HelloSource {
     interval: SimDuration,
     validity: SimDuration,
@@ -201,9 +202,13 @@ impl EventSource for HelloSource {
         ctx.os().bump("hello_sent");
         ctx.emit(Event::message_out(types::hello_out(), msg));
     }
+
+    fn fork(&self) -> Option<Box<dyn EventSource>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct HelloHandler {
     /// The sender's advertised symmetric neighbours, sorted and deduplicated;
     /// kept between HELLOs so the steady state allocates nothing.
@@ -213,6 +218,9 @@ struct HelloHandler {
 impl EventHandler for HelloHandler {
     fn name(&self) -> &str {
         "hello-handler"
+    }
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
     }
     fn subscriptions(&self) -> Vec<EventType> {
         vec![types::hello_in()]
@@ -264,6 +272,7 @@ impl EventHandler for HelloHandler {
     }
 }
 
+#[derive(Clone)]
 struct ExpiryHandler {
     validity: SimDuration,
     sweep: SimDuration,
@@ -272,6 +281,9 @@ struct ExpiryHandler {
 impl EventHandler for ExpiryHandler {
     fn name(&self) -> &str {
         "expiry-handler"
+    }
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
     }
     fn subscriptions(&self) -> Vec<EventType> {
         vec![expiry_timer()]

@@ -19,7 +19,7 @@ use crate::concurrency::{ConcurrencyModel, DispatchQueue};
 use crate::event::{ContextValue, Event, EventType, Payload};
 use crate::manager::{FrameworkManager, UnitId};
 use crate::protocol::{
-    CtxOutputs, Displaced, Handover, ManetProtocolCf, Plugin, ProtoCtx, StateSlot,
+    fork_all, CtxOutputs, Displaced, Handover, ManetProtocolCf, Plugin, ProtoCtx, StateSlot,
 };
 use crate::registry::EventTuple;
 use crate::system::{SystemCf, SystemConfig};
@@ -150,6 +150,45 @@ pub enum ReconfigOp {
     /// Load a System CF configuration (see [`SystemCf::load`]): upsert its
     /// message registrations in order and load the plug-ins it enables.
     LoadSystem(SystemConfig),
+}
+
+impl ReconfigOp {
+    /// An independent copy, or `None` when a protocol or plug-in it
+    /// carries cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<ReconfigOp> {
+        Some(match self {
+            ReconfigOp::AddProtocol(cf) => ReconfigOp::AddProtocol(cf.fork()?),
+            ReconfigOp::RemoveProtocol { name } => {
+                ReconfigOp::RemoveProtocol { name: name.clone() }
+            }
+            ReconfigOp::SwitchProtocol {
+                old,
+                new,
+                transfer_state,
+            } => ReconfigOp::SwitchProtocol {
+                old: old.clone(),
+                new: new.fork()?,
+                transfer_state: *transfer_state,
+            },
+            ReconfigOp::UpdateTuple { protocol, tuple } => ReconfigOp::UpdateTuple {
+                protocol: protocol.clone(),
+                tuple: tuple.clone(),
+            },
+            ReconfigOp::Recompose {
+                protocol,
+                plug,
+                unplug,
+                state,
+            } => ReconfigOp::Recompose {
+                protocol: protocol.clone(),
+                plug: fork_all(plug, Plugin::fork)?,
+                unplug: unplug.clone(),
+                state: *state,
+            },
+            ReconfigOp::LoadSystem(config) => ReconfigOp::LoadSystem(config.clone()),
+        })
+    }
 }
 
 impl fmt::Debug for ReconfigOp {
@@ -341,6 +380,38 @@ impl Deployment {
     #[must_use]
     pub fn manager(&self) -> &FrameworkManager {
         &self.manager
+    }
+
+    /// An independent copy in exactly this deployment's state, between
+    /// callbacks: every protocol through [`ManetProtocolCf::fork`], the
+    /// System CF, wiring and bus counts cloned. `None` when a plug-in
+    /// cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<Deployment> {
+        debug_assert!(
+            self.queue.is_empty() && self.rx_events.is_empty(),
+            "a deployment forks between dispatch rounds"
+        );
+        let slots = fork_all(&self.slots, |s| {
+            Some(Slot {
+                cf: s.cf.fork()?,
+                unit: s.unit,
+                name: s.name,
+                timers: s.timers.clone(),
+            })
+        })?;
+        Some(Deployment {
+            system: self.system.clone(),
+            system_unit: self.system_unit,
+            manager: self.manager.clone(),
+            slots,
+            concurrency: self.concurrency,
+            bus: self.bus.clone(),
+            ops_applied: self.ops_applied,
+            queue: DispatchQueue::for_model(self.concurrency),
+            rx_events: Vec::new(),
+            started: self.started,
+        })
     }
 
     /// The configured concurrency model.
@@ -868,6 +939,17 @@ struct Inbox {
     status: NodeStatus,
 }
 
+impl Inbox {
+    /// A deep copy: no verb, op or status is shared with `self`.
+    fn fork(&self) -> Option<Inbox> {
+        Some(Inbox {
+            ops: fork_all(&self.ops, |(op, at)| Some((op.fork()?, *at)))?,
+            verbs: fork_all(&self.verbs, TxnCtl::fork)?,
+            status: self.status.clone(),
+        })
+    }
+}
+
 /// A transaction control verb delivered through a [`NodeHandle`], processed
 /// FIFO at the node's next quiescent point. The fleet coordinator drives
 /// two-phase commit with these.
@@ -903,6 +985,29 @@ pub enum TxnCtl {
         /// Transaction id.
         id: u64,
     },
+}
+
+impl TxnCtl {
+    /// An independent copy, or `None` when a `Prepare`'s ops cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<TxnCtl> {
+        Some(match self {
+            TxnCtl::Prepare {
+                id,
+                ops,
+                requested,
+                deadline,
+            } => TxnCtl::Prepare {
+                id: *id,
+                ops: fork_all(ops, ReconfigOp::fork)?,
+                requested: *requested,
+                deadline: *deadline,
+            },
+            TxnCtl::Commit { id } => TxnCtl::Commit { id: *id },
+            TxnCtl::Abort { id, reason } => TxnCtl::Abort { id: *id, reason },
+            TxnCtl::Revert { id } => TxnCtl::Revert { id: *id },
+        })
+    }
 }
 
 impl fmt::Debug for TxnCtl {
@@ -1078,6 +1183,55 @@ impl ManetNode {
         NodeHandle {
             inbox: Arc::clone(&self.inbox),
         }
+    }
+
+    /// The status last published (what [`NodeHandle::status`] reads).
+    #[must_use]
+    pub fn status(&self) -> NodeStatus {
+        self.inbox.lock().status.clone()
+    }
+
+    /// Enqueues a transaction control verb, as [`NodeHandle::txn_ctl`]
+    /// does.
+    pub fn txn_ctl(&mut self, ctl: TxnCtl) {
+        self.inbox.lock().verbs.push(ctl);
+    }
+
+    /// Transaction control verbs waiting for a quiescent point.
+    #[must_use]
+    pub fn pending_txn_ctl(&self) -> usize {
+        self.inbox.lock().verbs.len()
+    }
+
+    /// Reconfiguration ops waiting for a quiescent point.
+    #[must_use]
+    pub fn pending_ops(&self) -> usize {
+        self.inbox.lock().ops.len()
+    }
+
+    /// An independent copy in exactly this node's state, between
+    /// callbacks: the deployment and any open or retained transaction
+    /// forked, and a fresh inbox holding a deep copy of this one's, so no
+    /// [`NodeHandle`] of the original reaches the copy. `None` when a
+    /// plug-in cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<ManetNode> {
+        let fork_txn = |txn: &Option<crate::txn::PreparedTxn>| match txn {
+            Some(txn) => txn.fork().map(Some),
+            None => Some(None),
+        };
+        Some(ManetNode {
+            deployment: self.deployment.fork()?,
+            inbox: Arc::new(Mutex::new(self.inbox.lock().fork()?)),
+            prepared: fork_txn(&self.prepared)?,
+            committed: fork_txn(&self.committed)?,
+            txn_doomed: self.txn_doomed,
+            txn: self.txn.clone(),
+            last_error: self.last_error.clone(),
+            stale: self.stale,
+            publish_composition: self.publish_composition,
+            skip_doomed_rollback: self.skip_doomed_rollback,
+        })
     }
 
     fn report(&mut self, id: u64, phase: TxnPhase, detail: String) {
@@ -1284,6 +1438,10 @@ impl fmt::Debug for ManetNode {
 impl netsim::RoutingAgent for ManetNode {
     fn name(&self) -> &str {
         "manetkit"
+    }
+
+    fn fork(&self) -> Option<Box<dyn netsim::RoutingAgent>> {
+        Some(Box::new(ManetNode::fork(self)?))
     }
 
     fn start(&mut self, os: &mut NodeOs) {

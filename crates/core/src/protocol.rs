@@ -37,20 +37,29 @@ use crate::registry::EventTuple;
 /// [`Recompose`](crate::node::ReconfigOp::Recompose) with a `state`
 /// derivation) — the paper's state-transfer story. A derived slot brings
 /// its own codec and carrier, so they always match the state they read.
+/// A clone copies the state (a forked node's S element).
 pub struct StateSlot {
     state: Box<dyn Any + Send>,
     codec: Option<StateCodec>,
     carrier: Option<RouteCarrier>,
+    /// Clones `state`, whose concrete type only [`StateSlot::new`] knew.
+    clone_state: fn(&(dyn Any + Send)) -> Box<dyn Any + Send>,
 }
 
 impl StateSlot {
     /// Wraps a concrete state value (no codec, no carrier).
     #[must_use]
-    pub fn new<T: Any + Send>(state: T) -> Self {
+    pub fn new<T: Any + Send + Clone>(state: T) -> Self {
         StateSlot {
             state: Box::new(state),
             codec: None,
             carrier: None,
+            clone_state: |state| {
+                let state: &T = (state as &dyn Any)
+                    .downcast_ref()
+                    .expect("a slot keeps the type it was built with");
+                Box::new(state.clone())
+            },
         }
     }
 
@@ -109,6 +118,15 @@ impl StateSlot {
     #[must_use]
     pub fn try_get<T: Any>(&self) -> Option<&T> {
         self.state.downcast_ref::<T>()
+    }
+}
+
+impl Clone for StateSlot {
+    fn clone(&self) -> Self {
+        StateSlot {
+            state: (self.clone_state)(&*self.state),
+            ..*self
+        }
     }
 }
 
@@ -230,6 +248,12 @@ pub trait EventHandler: Send {
 
     /// Processes one event. Runs atomically per protocol.
     fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
+
+    /// An independent copy in exactly this plug-in's state (a forked
+    /// node's), or `None` (the default) when it cannot be copied.
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        None
+    }
 }
 
 /// A C-element plug-in that emits events periodically (timer-driven).
@@ -242,6 +266,11 @@ pub trait EventSource: Send {
 
     /// Produces this round's events.
     fn fire(&mut self, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
+
+    /// An independent copy (see [`EventHandler::fork`]); `None` by default.
+    fn fork(&self) -> Option<Box<dyn EventSource>> {
+        None
+    }
 }
 
 /// The F element: a forwarding strategy over the protocol's topology.
@@ -254,6 +283,11 @@ pub trait Forwarder: Send {
 
     /// Transmits or relays the event's message.
     fn forward(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
+
+    /// An independent copy (see [`EventHandler::fork`]); `None` by default.
+    fn fork(&self) -> Option<Box<dyn Forwarder>> {
+        None
+    }
 }
 
 struct SourceSlot {
@@ -265,6 +299,13 @@ impl SourceSlot {
     fn new(source: Box<dyn EventSource>) -> Self {
         let timer = EventType::named(&format!("__src:{}", source.name()));
         SourceSlot { source, timer }
+    }
+
+    fn fork(&self) -> Option<Self> {
+        Some(SourceSlot {
+            source: self.source.fork()?,
+            timer: self.timer,
+        })
     }
 }
 
@@ -281,6 +322,13 @@ impl HandlerSlot {
         let subs = handler.subscriptions();
         HandlerSlot { handler, subs }
     }
+
+    fn fork(&self) -> Option<Self> {
+        Some(HandlerSlot {
+            handler: self.handler.fork()?,
+            subs: self.subs.clone(),
+        })
+    }
 }
 
 /// A C-element plug-in, as a
@@ -290,6 +338,17 @@ pub enum Plugin {
     Handler(Box<dyn EventHandler>),
     /// A periodic event source (its timer arms when the protocol restarts).
     Source(Box<dyn EventSource>),
+}
+
+impl Plugin {
+    /// An independent copy, or `None` when the plug-in cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<Plugin> {
+        Some(match self {
+            Plugin::Handler(h) => Plugin::Handler(h.fork()?),
+            Plugin::Source(s) => Plugin::Source(s.fork()?),
+        })
+    }
 }
 
 /// One change a recompose made to a plug-in list.
@@ -309,6 +368,32 @@ pub(crate) struct Displaced {
     handlers: Vec<Edit<HandlerSlot>>,
     sources: Vec<Edit<SourceSlot>>,
     state: Option<StateSlot>,
+}
+
+impl<T> Edit<T> {
+    fn fork(&self, fork: impl Fn(&T) -> Option<T>) -> Option<Self> {
+        Some(match self {
+            Edit::Appended => Edit::Appended,
+            Edit::Replaced(i, old) => Edit::Replaced(*i, fork(old)?),
+            Edit::Removed(i, old) => Edit::Removed(*i, fork(old)?),
+        })
+    }
+}
+
+impl Displaced {
+    /// An independent copy, or `None` when a displaced plug-in cannot fork.
+    pub(crate) fn fork(&self) -> Option<Displaced> {
+        Some(Displaced {
+            handlers: fork_all(&self.handlers, |e| e.fork(HandlerSlot::fork))?,
+            sources: fork_all(&self.sources, |e| e.fork(SourceSlot::fork))?,
+            state: self.state.clone(),
+        })
+    }
+}
+
+/// Forks every item, or gives `None` when one cannot fork.
+pub(crate) fn fork_all<T, U>(items: &[T], fork: impl Fn(&T) -> Option<U>) -> Option<Vec<U>> {
+    items.iter().map(fork).collect()
 }
 
 /// Reads the plug-in name of a handler or source slot.
@@ -415,6 +500,27 @@ impl ManetProtocolCf {
     #[must_use]
     pub fn plugin_names(&self) -> Vec<String> {
         self.plugins().map(str::to_string).collect()
+    }
+
+    /// An independent copy in exactly this CF's state: every plug-in
+    /// through its `fork`, the S element cloned. `None` when a plug-in
+    /// cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<ManetProtocolCf> {
+        Some(ManetProtocolCf {
+            name: self.name.clone(),
+            tuple: self.tuple.clone(),
+            handlers: fork_all(&self.handlers, HandlerSlot::fork)?,
+            sources: fork_all(&self.sources, SourceSlot::fork)?,
+            forwarder: match &self.forwarder {
+                Some(f) => Some(f.fork()?),
+                None => None,
+            },
+            forwarder_subs: self.forwarder_subs.clone(),
+            state: self.state.clone(),
+            startup_timers: self.startup_timers.clone(),
+            reactive: self.reactive,
+        })
     }
 
     /// The plug-in names of [`plugin_names`](Self::plugin_names), borrowed.
@@ -740,7 +846,7 @@ mod tests {
         NodeOs::standalone(NodeId(0), Address::v4([10, 0, 0, 1]))
     }
 
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct CounterState {
         seen: u32,
     }

@@ -75,7 +75,7 @@ pub struct SystemConfig {
 }
 
 /// The System CF.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemCf {
     config: SystemConfig,
     /// Outgoing (dst, message) pairs aggregated within a dispatch round.

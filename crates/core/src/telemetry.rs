@@ -34,7 +34,7 @@ pub fn intern_name(name: &str) -> &'static str {
 
 /// What one deployment keeps to bump its `bus.*` counts in place: its
 /// units' counter ids and the deepest dispatch queue it has seen.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BusCounters {
     /// How far this deployment has raised `bus.queue_depth_hwm`. A new
     /// deployment over the same OS (a cold boot) starts again from 0, so

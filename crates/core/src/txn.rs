@@ -256,6 +256,45 @@ pub(crate) enum Undo {
     RestoreSystem { config: SystemConfig },
 }
 
+impl Undo {
+    /// An independent copy, or `None` when a kept CF or displaced plug-in
+    /// cannot fork.
+    fn fork(&self) -> Option<Undo> {
+        Some(match self {
+            Undo::RemoveAdded { name } => Undo::RemoveAdded { name: name.clone() },
+            Undo::Reinsert { cf, index } => Undo::Reinsert {
+                cf: cf.fork()?,
+                index: *index,
+            },
+            Undo::UnSwitch {
+                new_name,
+                old,
+                index,
+                moved,
+            } => Undo::UnSwitch {
+                new_name: new_name.clone(),
+                old: old.fork()?,
+                index: *index,
+                moved: *moved,
+            },
+            Undo::RestoreTuple { protocol, tuple } => Undo::RestoreTuple {
+                protocol: protocol.clone(),
+                tuple: tuple.clone(),
+            },
+            Undo::Restore {
+                protocol,
+                displaced,
+            } => Undo::Restore {
+                protocol: protocol.clone(),
+                displaced: displaced.fork()?,
+            },
+            Undo::RestoreSystem { config } => Undo::RestoreSystem {
+                config: config.clone(),
+            },
+        })
+    }
+}
+
 impl fmt::Debug for Undo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -289,6 +328,18 @@ impl PreparedTxn {
     #[must_use]
     pub fn checkpoint(&self) -> &CompositionFingerprint {
         &self.checkpoint
+    }
+
+    /// An independent copy of the transaction and its undo log (for a
+    /// forked node), or `None` when an entry cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<PreparedTxn> {
+        Some(PreparedTxn {
+            id: self.id,
+            ops_applied: self.ops_applied,
+            checkpoint: self.checkpoint.clone(),
+            undo: crate::protocol::fork_all(&self.undo, Undo::fork)?,
+        })
     }
 }
 

@@ -125,7 +125,7 @@ fn duplicate_protocol_rejected_via_handle() {
 fn tuple_rewiring_detaches_consumer() {
     // A probe protocol counts NHOOD_CHANGE events; clearing its tuple at
     // runtime must stop deliveries (declarative reconfiguration).
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct ProbeState {
         seen: u64,
     }

@@ -17,7 +17,7 @@ use crate::state::{DymoState, RouteUpdate};
 /// (e.g. the multipath variant's) embed one and implement this trait, which
 /// lets the generic handlers below be reused unchanged over either — the
 /// code-reuse story of §6.3 at the type level.
-pub trait DymoStateAccess: Any + Send {
+pub trait DymoStateAccess: Any + Send + Clone {
     /// The embedded standard state, mutably.
     fn dymo_mut(&mut self) -> &mut DymoState;
     /// The embedded standard state.
@@ -130,6 +130,10 @@ impl<S: DymoStateAccess> Default for RouteDiscoveryHandler<S> {
 }
 
 impl<S: DymoStateAccess> EventHandler for RouteDiscoveryHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self(PhantomData)))
+    }
+
     fn name(&self) -> &str {
         "route-discovery-handler"
     }
@@ -177,10 +181,11 @@ impl<S: DymoStateAccess> EventHandler for RouteDiscoveryHandler<S> {
 /// optimised-flooding variant replaces this handler with one gated on MPR
 /// selector state.
 /// Decides whether a fresh RREQ received from `Address` is re-broadcast.
-pub type RelayGate<S> = Box<dyn Fn(&S, Address) -> bool + Send>;
+pub type RelayGate<S> = fn(&S, Address) -> bool;
 
 /// The RE handler (see module docs): RREQ flooding with path accumulation
 /// and RREP relaying, with a pluggable relay gate.
+#[derive(Clone)]
 pub struct ReHandler<S: DymoStateAccess = DymoState> {
     relay_gate: RelayGate<S>,
 }
@@ -188,7 +193,7 @@ pub struct ReHandler<S: DymoStateAccess = DymoState> {
 impl<S: DymoStateAccess> Default for ReHandler<S> {
     fn default() -> Self {
         ReHandler {
-            relay_gate: Box::new(|_, _| true),
+            relay_gate: |_, _| true,
         }
     }
 }
@@ -196,14 +201,16 @@ impl<S: DymoStateAccess> Default for ReHandler<S> {
 impl<S: DymoStateAccess> ReHandler<S> {
     /// A handler whose RREQ relaying is gated by `gate(state, sender)`.
     #[must_use]
-    pub fn with_relay_gate(gate: impl Fn(&S, Address) -> bool + Send + 'static) -> Self {
-        ReHandler {
-            relay_gate: Box::new(gate),
-        }
+    pub fn with_relay_gate(gate: RelayGate<S>) -> Self {
+        ReHandler { relay_gate: gate }
     }
 }
 
 impl<S: DymoStateAccess> EventHandler for ReHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "re-handler"
     }
@@ -327,6 +334,10 @@ impl<S: DymoStateAccess> Default for RerrHandler<S> {
 }
 
 impl<S: DymoStateAccess> EventHandler for RerrHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self(PhantomData)))
+    }
+
     fn name(&self) -> &str {
         "rerr-handler"
     }
@@ -402,6 +413,10 @@ impl<S: DymoStateAccess> Default for RouteLifetimeHandler<S> {
 }
 
 impl<S: DymoStateAccess> EventHandler for RouteLifetimeHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self(PhantomData)))
+    }
+
     fn name(&self) -> &str {
         "route-lifetime-handler"
     }
@@ -433,6 +448,10 @@ impl<S: DymoStateAccess> Default for SweepHandler<S> {
 }
 
 impl<S: DymoStateAccess> EventHandler for SweepHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self(PhantomData)))
+    }
+
     fn name(&self) -> &str {
         "sweep-handler"
     }

@@ -30,7 +30,7 @@ use crate::DYMO_CF;
 
 /// S component of the optimised-flooding variant: the standard state plus
 /// the cached relay-selector set.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MprGatedState {
     /// The embedded standard DYMO state.
     pub base: DymoState,
@@ -48,9 +48,14 @@ impl DymoStateAccess for MprGatedState {
 }
 
 /// Caches the MPR CF's selector announcements.
+#[derive(Clone)]
 pub struct SelectorTracker;
 
 impl EventHandler for SelectorTracker {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "selector-tracker"
     }

@@ -40,6 +40,7 @@ pub fn gossip_decision(orig: Address, seq: u16, local: Address, p: f64) -> bool 
 
 /// The gossiping RE handler: delegates to the standard logic with relaying
 /// allowed or suppressed according to the coin flip.
+#[derive(Clone)]
 pub struct GossipReHandler {
     p: f64,
     relay: ReHandler<DymoState>,
@@ -64,6 +65,10 @@ impl GossipReHandler {
 }
 
 impl EventHandler for GossipReHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         GOSSIP_RE_HANDLER
     }

@@ -47,7 +47,7 @@ pub struct AltPath {
 
 /// The multipath S component: the standard state plus per-destination
 /// alternative paths.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MultipathState {
     /// The embedded standard DYMO state (primary routes live here).
     pub base: DymoState,
@@ -119,6 +119,7 @@ impl MultipathState {
 
 /// Multipath RE handler: processes duplicate RREQs for link-disjoint
 /// paths instead of discarding them.
+#[derive(Clone)]
 pub struct MultipathReHandler;
 
 /// Plug-in name of the multipath RE handler.
@@ -128,6 +129,10 @@ pub const MULTIPATH_RE_HANDLER: &str = "multipath-re-handler";
 pub const MULTIPATH_RERR_HANDLER: &str = "multipath-rerr-handler";
 
 impl EventHandler for MultipathReHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         MULTIPATH_RE_HANDLER
     }
@@ -224,6 +229,7 @@ impl StandardDelegate {
 
 /// Multipath RERR handler: fails over to an alternative path before
 /// resorting to a route error.
+#[derive(Clone)]
 pub struct MultipathRerrHandler;
 
 impl MultipathRerrHandler {
@@ -272,6 +278,10 @@ impl MultipathRerrHandler {
 }
 
 impl EventHandler for MultipathRerrHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         MULTIPATH_RERR_HANDLER
     }

@@ -1,46 +1,63 @@
 //! The bounded state-graph explorer.
 //!
-//! The checker is **replay-based** (stateless-model-checking style): a
-//! controlled [`World`](netsim::World) cannot be cloned, so an explored
-//! state is represented by the schedule prefix that leads to it, and
-//! visiting a state means replaying its prefix through a fresh model built
-//! by the factory. Determinism of the controlled world makes replay exact:
-//! same prefix, same state, same pending-event ids.
+//! An explored state is represented by the schedule prefix that leads to
+//! it (stateless-model-checking style). The frontier holds prefixes as
+//! node ids of a **prefix tree** (each node is its parent's prefix plus one
+//! [`Choice`]), so a queued prefix costs one tree node and is spelled out
+//! only when it is visited. Visiting one builds its state, hashes it into
+//! the dedup set, runs every [`Invariant`], and — unless the state is
+//! terminal, at the depth bound, or pruned — pushes one child per enabled
+//! [`Choice`]. A pop from the tail gives DFS, a pop from the head gives
+//! BFS; BFS is the default because with hash dedup it visits every state at
+//! its *shallowest* depth, so no state is ever dropped for depth reasons
+//! that a shorter path could have reached.
 //!
-//! The frontier holds schedule prefixes as node ids of a **prefix tree**
-//! (each node is its parent's prefix plus one [`Choice`]), so a queued
-//! prefix costs one tree node and is spelled out only when it is visited.
-//! Popping one replays it, hashes the resulting state into the dedup set,
-//! runs every [`Invariant`], and — unless the state is terminal, at the
-//! depth bound, or pruned — pushes one child per enabled [`Choice`]. A pop
-//! from the tail gives DFS, a pop from the head gives BFS; BFS is the
-//! default because with hash dedup it visits every state at its
-//! *shallowest* depth, so no state is ever dropped for depth reasons that a
-//! shorter path could have reached.
+//! **Fork, don't replay.** An expansion pushes its children side by side,
+//! so the frontier is a sequence of *sibling groups*. A visit takes one
+//! group: it builds the parent once, by replaying the parent's prefix
+//! through a fresh model from the factory, then forks it ([`Model::fork`])
+//! for every child but the last, which takes the parent itself, and applies
+//! each child's one choice. Determinism of the controlled world makes both
+//! exact: same prefix, same state, same pending-event ids, whether the
+//! state was replayed or forked. Replay stays the oracle:
+//! [`Explorer::replay`] and [`Explorer::counterexample`] rebuild from the
+//! prefix alone.
 //!
 //! **Visits run on every core.** Under BFS the explorer pops up to
-//! [`BATCH`] prefixes at once and hands them to scoped worker threads,
-//! which build, replay, fingerprint and observe each state and list its
-//! enabled choices. A sequential merge then does everything that decides
-//! the outcome — dedup, invariants, the stop condition, the state cap and
-//! the child pushes — in exactly the pop order of a one-at-a-time walk, so
-//! every report, count and counterexample is independent of the number of
-//! workers. DFS keeps a batch of one: its next pop depends on the last
-//! expansion. A model never leaves the worker that built it, so [`Model`]
-//! needs no `Send`; only the factory is shared (`Sync`).
+//! [`BATCH`] prefixes at once and hands their sibling groups to scoped
+//! worker threads, which build, fork, fingerprint and observe each state
+//! and list its enabled choices. A sequential merge then does everything
+//! that decides the outcome — dedup, invariants, the stop condition, the
+//! state cap and the child pushes — in exactly the pop order of a
+//! one-at-a-time walk, so every report, count and counterexample is
+//! independent of the number of workers. DFS keeps a batch of one: its
+//! next pop depends on the last expansion. A model never leaves the worker
+//! that built it, so [`Model`] needs no `Send`; only the factory is shared
+//! (`Sync`).
 
 use std::collections::{HashSet, VecDeque};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::invariant::{Invariant, Observation};
 use crate::schedule::{Choice, Schedule};
 
 /// A system the explorer can drive: deterministic, rebuildable from
-/// nothing, with enumerable choice points.
+/// nothing, forkable, with enumerable choice points.
 pub trait Model {
     /// Scenario name, recorded in schedules.
     fn name(&self) -> &str;
+
+    /// An independent copy in exactly this state. Whatever choices follow,
+    /// the copy must answer [`fingerprint`](Self::fingerprint),
+    /// [`observe`](Self::observe), [`enabled`](Self::enabled) and
+    /// [`timeline`](Self::timeline) as a replay of the same prefix
+    /// would, and the two must not see each other's choices.
+    #[must_use]
+    fn fork(&self) -> Self
+    where
+        Self: Sized;
 
     /// The choices enabled at the current state, in a canonical order
     /// (the order is part of the exploration determinism).
@@ -162,6 +179,12 @@ impl PrefixTree {
             .expect("prefix tree overflow: more than 2^32 - 1 queued prefixes");
         self.nodes.push((parent, choice));
         id
+    }
+
+    /// The parent and last choice of prefix `id`; `None` for the empty
+    /// prefix.
+    fn last(&self, id: u32) -> Option<(u32, Choice)> {
+        (id != ROOT).then(|| self.nodes[id as usize])
     }
 
     /// Spells out the prefix with id `id`.
@@ -447,8 +470,8 @@ impl<M: Model> Explorer<M> {
 
     /// Visits every prefix of `batch` on up to `workers` threads, the
     /// caller's included, and returns the visits in batch order. Threads
-    /// take the next unvisited prefix as they free up, so deep and shallow
-    /// prefixes balance.
+    /// take the next unvisited sibling group as they free up, so deep and
+    /// shallow groups balance.
     fn visit_batch(
         &self,
         workers: usize,
@@ -458,19 +481,22 @@ impl<M: Model> Explorer<M> {
     ) -> Vec<Visit> {
         let factory: &(dyn Fn() -> M + Sync) = &*self.factory;
         let depth_bound = self.depth_bound;
+        let groups = sibling_groups(tree, batch);
         let next = AtomicUsize::new(0);
         let work = || {
             let mut done = Vec::new();
             loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&node) = batch.get(i) else {
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                let Some(group) = groups.get(g) else {
                     return done;
                 };
-                done.push((i, visit(factory, depth_bound, tree, node, seen)));
+                let siblings = &batch[group.clone()];
+                let visits = visit_siblings(factory, depth_bound, tree, siblings, seen);
+                done.extend((group.start..).zip(visits));
             }
         };
         let mut visits = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..workers.min(batch.len()))
+            let helpers: Vec<_> = (1..workers.min(groups.len()))
                 .map(|_| s.spawn(work))
                 .collect();
             let mut visits = work();
@@ -488,26 +514,73 @@ impl<M: Model> Explorer<M> {
     }
 }
 
-/// Builds the state the prefix `node` leads to and reports what the merge
-/// needs of it (see [`Visit`]).
-fn visit<M: Model>(
+/// Splits `batch` into its runs of prefixes with one parent, in order.
+fn sibling_groups(tree: &PrefixTree, batch: &[u32]) -> Vec<Range<usize>> {
+    let parent = |i: usize| tree.last(batch[i]).map(|(parent, _)| parent);
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for i in 1..=batch.len() {
+        if i == batch.len() || parent(i) != parent(start) {
+            groups.push(start..i);
+            start = i;
+        }
+    }
+    groups
+}
+
+/// Visits one sibling group: builds the parent they share by replaying its
+/// prefix, forks it for every sibling but the last, which takes the parent
+/// itself, and applies each sibling's choice (see [`Visit`]).
+fn visit_siblings<M: Model>(
     factory: &(dyn Fn() -> M + Sync),
     depth_bound: usize,
     tree: &PrefixTree,
-    node: u32,
+    siblings: &[u32],
     seen: &HashSet<u64>,
-) -> Visit {
-    let prefix = tree.prefix(node);
-    let mut model = factory();
-    for &c in &prefix {
+) -> Vec<Visit> {
+    let Some((parent_id, _)) = tree.last(siblings[0]) else {
+        // The empty prefix: the factory's own state.
+        return vec![inspect(&factory(), Vec::new(), depth_bound, seen)];
+    };
+    let parent_prefix = tree.prefix(parent_id);
+    let mut parent = factory();
+    for &c in &parent_prefix {
         // Enabled sets are computed one step before the replay, so a
         // refused choice indicates a nondeterministic model — surface it
         // loudly rather than exploring garbage.
         assert!(
-            model.apply(c),
+            parent.apply(c),
             "replay diverged: model is not deterministic"
         );
     }
+    let visit = |mut model: M, node: u32| {
+        let (_, choice) = tree.last(node).expect("a sibling has a parent");
+        assert!(
+            model.apply(choice),
+            "fork diverged: {choice} was enabled at the parent"
+        );
+        let mut prefix = Vec::with_capacity(parent_prefix.len() + 1);
+        prefix.extend_from_slice(&parent_prefix);
+        prefix.push(choice);
+        inspect(&model, prefix, depth_bound, seen)
+    };
+    let (&last, forked) = siblings.split_last().expect("a group is never empty");
+    let mut visits: Vec<Visit> = forked
+        .iter()
+        .map(|&node| visit(parent.fork(), node))
+        .collect();
+    visits.push(visit(parent, last));
+    visits
+}
+
+/// Reports what the merge needs of the state `model` holds, reached by
+/// `prefix` (see [`Visit`]).
+fn inspect<M: Model>(
+    model: &M,
+    prefix: Vec<Choice>,
+    depth_bound: usize,
+    seen: &HashSet<u64>,
+) -> Visit {
     let fingerprint = model.fingerprint();
     if seen.contains(&fingerprint) {
         return Visit::Seen;
@@ -651,6 +724,13 @@ mod tests {
             "grid"
         }
 
+        fn fork(&self) -> Self {
+            Grid {
+                a: self.a,
+                b: self.b,
+            }
+        }
+
         fn enabled(&self) -> Vec<Choice> {
             let mut out = Vec::new();
             if self.a < 39 {
@@ -688,6 +768,7 @@ mod tests {
                 coordinator: CoordinatorPhase::Preparing,
                 report: None,
                 terminal: self.a == 39 && self.b == 29,
+                stalled_expiry: false,
                 nodes: vec![NodeObs {
                     node: 0,
                     alive: true,

@@ -15,18 +15,22 @@
 //! `FleetCoordinator::execute` steps, through every schedulable
 //! interleaving within the crash/drop budgets, checking a reusable
 //! [`Invariant`] suite at every state:
-//! rollback exactness, no split-brain composition, and the
-//! `prepared == committed + rolled_back` ledger shared with the engine's
-//! own tests via `manetkit::txn::invariants`.
+//! rollback exactness, no split-brain composition, no commit beside a
+//! refused prepare, a coordinator that moves when its deadline passes, and
+//! the `prepared == committed + rolled_back` ledger shared with the
+//! engine's own tests via `manetkit::txn::invariants`.
 //!
-//! Because the world is deterministic and cannot be cloned, the checker is
-//! replay-based: a state *is* the schedule prefix that reaches it, and
-//! visiting it means replaying the prefix through a fresh
-//! [`TwoPhaseSwitch`] (CHESS-style stateless search with fingerprint
-//! dedup). Queued prefixes share a prefix tree, and the visits — build,
-//! replay, fingerprint, observe — run on every core, while a sequential
-//! merge makes every decision in the one-at-a-time order, so reports and
-//! counterexamples do not depend on the number of cores. On a violation
+//! A state *is* the schedule prefix that reaches it (CHESS-style search
+//! with fingerprint dedup), and queued prefixes share a prefix tree. The
+//! world is deterministic and can be forked ([`netsim::World::fork`]), so
+//! the checker forks rather than replays: the children of one expanded
+//! state sit side by side in the frontier, and a visit rebuilds their
+//! parent once, forks it per child and applies one choice to each. The
+//! visits — rebuild, fork, fingerprint, observe — run on every core, while
+//! a sequential merge makes every decision in the one-at-a-time order, so
+//! reports and counterexamples do not depend on the number of cores.
+//! Replaying a prefix through a fresh [`TwoPhaseSwitch`] stays the oracle
+//! ([`Explorer::replay`]). On a violation
 //! the schedule ships as the counterexample — a byte-stable JSONL file
 //! that re-executes the exact interleaving through the normal `World`,
 //! plus a trace-crate timeline of the violating run when the flight
@@ -59,8 +63,8 @@ mod schedule;
 
 pub use explorer::{Counterexample, ExploreReport, Explorer, Model, Strategy, Violation};
 pub use invariant::{
-    default_suite, CounterConservation, Invariant, NoSplitBrain, NodeObs, Observation,
-    RollbackExactness, StuckResolution,
+    default_suite, CounterConservation, ExpiryProgress, Invariant, NoMixedOutcome, NoSplitBrain,
+    NodeObs, Observation, RollbackExactness, StuckResolution,
 };
 pub use scenario::{ScenarioConfig, TwoPhaseSwitch};
 pub use schedule::{Choice, Schedule};

@@ -1,6 +1,8 @@
 //! The [`RoutingAgent`] trait: how a routing protocol deployment lives on a
 //! simulated node.
 
+use std::any::Any;
+
 use packetbb::Address;
 
 use crate::os::NodeOs;
@@ -61,7 +63,10 @@ pub enum ContextSample {
 /// (frames, timers, route-table changes, packet re-injection) go through it.
 /// Callbacks run atomically with respect to one another — the world never
 /// re-enters an agent.
-pub trait RoutingAgent: Send {
+///
+/// Agents are `'static` ([`Any`]), so the world can hand one back as its
+/// concrete type ([`World::agent`](crate::World::agent)).
+pub trait RoutingAgent: Any + Send {
     /// Short protocol name for statistics and logs.
     fn name(&self) -> &str;
 
@@ -100,4 +105,13 @@ pub trait RoutingAgent: Send {
     /// queued action is discarded, exactly as a real crash would lose
     /// in-flight work. The default does nothing.
     fn on_crash(&mut self, _os: &mut NodeOs) {}
+
+    /// An independent copy of this agent, in exactly its current state, for
+    /// [`World::fork`](crate::World::fork): the copy must share nothing
+    /// mutable with the original, so driving one never shows in the other.
+    /// `None` (the default) when the agent cannot be copied, which makes the
+    /// world unforkable.
+    fn fork(&self) -> Option<Box<dyn RoutingAgent>> {
+        None
+    }
 }

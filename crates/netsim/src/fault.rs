@@ -323,7 +323,7 @@ struct ActivePartition {
 /// Runtime fault state inside the world: the plan's RNG, frame chaos and
 /// the set of active partitions. Crash flags live on the world's node
 /// slots.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FaultInjector {
     pub(crate) rng: StdRng,
     pub(crate) chaos: FrameChaos,

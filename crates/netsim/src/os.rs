@@ -39,7 +39,7 @@ impl Default for BatteryModel {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Battery {
     model: BatteryModel,
     used: f64,
@@ -88,7 +88,7 @@ impl Battery {
 
 /// Deferred effects an agent callback produced, applied by the world after
 /// the callback returns (keeping callbacks re-entrancy free).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Action {
     /// Transmit a control frame: broadcast (`None`) or unicast to a
     /// neighbour address.
@@ -114,8 +114,9 @@ pub(crate) enum Action {
 /// buffer, timers, counters and the battery sensor.
 ///
 /// Agents receive `&mut NodeOs` in every callback; all interaction with the
-/// world goes through it.
-#[derive(Debug)]
+/// world goes through it. A clone is an independent copy (what
+/// [`World::fork`](crate::World::fork) gives each node).
+#[derive(Debug, Clone)]
 pub struct NodeOs {
     id: NodeId,
     addr: Address,

@@ -29,7 +29,7 @@ pub enum PendingClass {
 }
 
 /// Descriptor of one pending event in controlled-delivery mode.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingEvent {
     /// The event's kernel handle, for [`World::deliver_controlled`] /
     /// [`World::drop_controlled`]. Handles are allocated deterministically,

@@ -29,7 +29,7 @@ pub(super) struct SentRecord {
 /// enter the network), live while `copies > 0`, and dead after; the window
 /// slides past dead slots at its front, so a long campaign cannot accrete
 /// them, and `live` is exactly the number of packets still in flight.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct SendWindow {
     base: u64,
     slots: VecDeque<Option<SentRecord>>,

@@ -11,8 +11,10 @@
 //! `data_plane` routing steps and datagram accounting; `fault` crash,
 //! reboot and partition enactment; `controlled` the model checker's seam.
 
+use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use simkern::{EventHandle, EventQueue, SeqBlock};
 
@@ -61,7 +63,7 @@ pub use controlled::{PendingClass, PendingEvent};
 use data_plane::{DataDrop, SendWindow};
 use radio::PhyJob;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum EventKind {
     StartAgent {
         node: NodeId,
@@ -118,14 +120,15 @@ enum EventKind {
 
 /// A walk the world streams, and the seqs reserved for its remaining
 /// steps.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StreamedWalk {
     walk: Walk,
     seqs: SeqBlock,
 }
 
-/// Builds a fresh agent for a rebooting node (true cold boot).
-pub type RebootFactory = Box<dyn Fn() -> Box<dyn RoutingAgent> + Send>;
+/// Builds a fresh agent for a rebooting node (true cold boot). Shared, so
+/// a [`World::fork`] reboots with the same factory.
+pub type RebootFactory = Arc<dyn Fn() -> Box<dyn RoutingAgent> + Send + Sync>;
 
 struct NodeSlot {
     os: NodeOs,
@@ -282,9 +285,102 @@ impl World {
     pub fn set_reboot_factory(
         &mut self,
         node: NodeId,
-        make: impl Fn() -> Box<dyn RoutingAgent> + Send + 'static,
+        make: impl Fn() -> Box<dyn RoutingAgent> + Send + Sync + 'static,
     ) {
-        self.nodes[node.0].factory = Some(Box::new(make));
+        self.nodes[node.0].factory = Some(Arc::new(make));
+    }
+
+    /// A node's agent as its concrete type: `None` when the node has no
+    /// agent, or one of another type.
+    #[must_use]
+    pub fn agent<T: RoutingAgent>(&self, node: NodeId) -> Option<&T> {
+        let agent: &dyn Any = self.nodes[node.0].agent.as_deref()?;
+        agent.downcast_ref()
+    }
+
+    /// Mutable [`agent`](Self::agent). What the caller changes is seen by
+    /// the agent's next callback, which runs no earlier than the next
+    /// event the world fires.
+    #[must_use]
+    pub fn agent_mut<T: RoutingAgent>(&mut self, node: NodeId) -> Option<&mut T> {
+        let agent: &mut dyn Any = self.nodes[node.0].agent.as_deref_mut()?;
+        agent.downcast_mut()
+    }
+
+    /// An independent copy of the world in exactly its current state:
+    /// the same pending events under the same handles and seqs (the
+    /// kernel's free list and tombstones included), topology, RNGs,
+    /// statistics, phy, walk, faults and node OSes, and each agent through
+    /// [`RoutingAgent::fork`]. Fed the same inputs, the world and its fork
+    /// then run identically, and neither sees what the other does. Frames
+    /// in flight are immutable, so the two share them; reboot factories are
+    /// shared too.
+    ///
+    /// `None` when an installed agent cannot fork.
+    #[must_use]
+    pub fn fork(&self) -> Option<World> {
+        // Spelled out field by field, so a new field must say how it forks.
+        let World {
+            now,
+            kern,
+            topo,
+            link_model,
+            nodes,
+            stats,
+            rng,
+            next_packet_id,
+            sent_at,
+            link_feedback,
+            context_interval,
+            default_ttl,
+            geo_routing,
+            fault,
+            dedupe_delivery,
+            ge_phases,
+            controlled,
+            phy,
+            walk,
+            receivers: _,
+            geo_hops,
+        } = self;
+        let nodes = nodes
+            .iter()
+            .map(|slot| {
+                Some(NodeSlot {
+                    os: slot.os.clone(),
+                    agent: match &slot.agent {
+                        Some(agent) => Some(agent.fork()?),
+                        None => None,
+                    },
+                    crashed: slot.crashed,
+                    timers: slot.timers.clone(),
+                    factory: slot.factory.clone(),
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(World {
+            now: *now,
+            kern: kern.clone(),
+            topo: topo.clone(),
+            link_model: *link_model,
+            nodes,
+            stats: stats.clone(),
+            rng: rng.clone(),
+            next_packet_id: *next_packet_id,
+            sent_at: sent_at.clone(),
+            link_feedback: *link_feedback,
+            context_interval: *context_interval,
+            default_ttl: *default_ttl,
+            geo_routing: *geo_routing,
+            fault: fault.clone(),
+            dedupe_delivery: *dedupe_delivery,
+            ge_phases: ge_phases.clone(),
+            controlled: *controlled,
+            phy: phy.clone(),
+            walk: walk.clone(),
+            receivers: Vec::new(),
+            geo_hops: geo_hops.clone(),
+        })
     }
 
     /// Installs a routing agent on a node; its `start` callback runs at the

@@ -36,7 +36,7 @@ use crate::topology::{LinkPhase, Topology};
 
 /// A frame on its way through the transmitter, and what it will deliver
 /// once it has left.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) enum PhyJob {
     /// A broadcast control frame: one serialization occupies the sender's
     /// airtime once; per-neighbour fates are decided as it leaves.

@@ -100,6 +100,7 @@ pub fn parse_olsr_hello(msg: &Message) -> Vec<HelloNeighbour> {
 }
 
 /// Periodically emits `HELLO_OUT` advertising the current link set.
+#[derive(Clone)]
 pub struct MprHelloSource {
     /// HELLO period.
     pub interval: SimDuration,
@@ -111,6 +112,10 @@ pub struct MprHelloSource {
 }
 
 impl EventSource for MprHelloSource {
+    fn fork(&self) -> Option<Box<dyn EventSource>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "hello-source"
     }
@@ -166,6 +171,7 @@ fn emit_changes(
 
 /// Processes incoming HELLOs: link sensing (with hysteresis), 2-hop
 /// tracking, selector bookkeeping and MPR recomputation.
+#[derive(Clone)]
 pub struct MprHelloHandler {
     /// How long links stay valid without further HELLOs.
     pub validity: SimDuration,
@@ -175,6 +181,10 @@ pub struct MprHelloHandler {
 }
 
 impl EventHandler for MprHelloHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "hello-handler"
     }
@@ -284,12 +294,17 @@ impl EventHandler for MprHelloHandler {
 }
 
 /// Expiry sweep: drops silent links, stale selectors and old duplicates.
+#[derive(Clone)]
 pub struct MprExpiryHandler {
     /// Sweep period (re-armed on each firing).
     pub sweep: SimDuration,
 }
 
 impl EventHandler for MprExpiryHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "expiry-handler"
     }
@@ -319,9 +334,14 @@ impl EventHandler for MprExpiryHandler {
 
 /// Adjusts the node's advertised willingness from battery context
 /// (`POWER_STATUS` events).
+#[derive(Clone)]
 pub struct PowerStatusHandler;
 
 impl EventHandler for PowerStatusHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "power-status-handler"
     }
@@ -355,6 +375,7 @@ impl EventHandler for PowerStatusHandler {
 /// above) are broadcast; messages on `*_IN` subscriptions are re-broadcast
 /// only when the sending neighbour selected this node as a relay — the
 /// multipoint-relay optimisation that cuts flooding cost in dense networks.
+#[derive(Clone)]
 pub struct MprFloodForwarder {
     /// `*_OUT` event types to originate.
     pub out_types: Vec<EventType>,
@@ -372,6 +393,10 @@ impl Default for MprFloodForwarder {
 }
 
 impl Forwarder for MprFloodForwarder {
+    fn fork(&self) -> Option<Box<dyn Forwarder>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "mpr-flood"
     }

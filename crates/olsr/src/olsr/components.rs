@@ -69,6 +69,7 @@ pub fn sync_kernel_routes(
 }
 
 /// Periodically emits `TC_OUT` advertising the MPR-selector set.
+#[derive(Clone)]
 pub struct TcSource {
     /// TC period (paper/testbed default: 5 s).
     pub interval: SimDuration,
@@ -79,6 +80,10 @@ pub struct TcSource {
 }
 
 impl EventSource for TcSource {
+    fn fork(&self) -> Option<Box<dyn EventSource>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "tc-source"
     }
@@ -105,12 +110,17 @@ impl EventSource for TcSource {
 }
 
 /// Processes incoming TCs into the topology set and refreshes routes.
+#[derive(Clone)]
 pub struct TcHandler {
     /// Validity applied to learned edges.
     pub validity: SimDuration,
 }
 
 impl EventHandler for TcHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "tc-handler"
     }
@@ -139,6 +149,7 @@ impl EventHandler for TcHandler {
 }
 
 /// Tracks `NHOOD_CHANGE` / `MPR_CHANGE` from the MPR CF below.
+#[derive(Clone)]
 pub struct NeighbourhoodHandler {
     /// Validity advertised in triggered TCs.
     pub validity: SimDuration,
@@ -147,6 +158,10 @@ pub struct NeighbourhoodHandler {
 }
 
 impl EventHandler for NeighbourhoodHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "nhood-handler"
     }
@@ -195,12 +210,17 @@ impl EventHandler for NeighbourhoodHandler {
 }
 
 /// Expiry sweep over the topology set.
+#[derive(Clone)]
 pub struct TopologyExpiryHandler {
     /// Sweep period.
     pub sweep: SimDuration,
 }
 
 impl EventHandler for TopologyExpiryHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "topo-expiry-handler"
     }
@@ -220,9 +240,14 @@ impl EventHandler for TopologyExpiryHandler {
 
 /// Power-aware variant: learns residual energy from `POWER_MSG_IN`
 /// dissemination.
+#[derive(Clone)]
 pub struct EnergyMapHandler;
 
 impl EventHandler for EnergyMapHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "energy-map-handler"
     }
@@ -250,12 +275,17 @@ impl EventHandler for EnergyMapHandler {
 /// Power-aware variant: the "ResidualPower" component — periodically
 /// disseminates the node's own battery level network-wide via the MPR
 /// flooding service.
+#[derive(Clone)]
 pub struct ResidualPowerSource {
     /// Dissemination period.
     pub interval: SimDuration,
 }
 
 impl EventSource for ResidualPowerSource {
+    fn fork(&self) -> Option<Box<dyn EventSource>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "residual-power"
     }

@@ -35,17 +35,22 @@ impl Default for FisheyeSchedule {
 }
 
 /// The interposer's S element: the position in the ring schedule.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FisheyeState {
     /// TCs processed so far.
     pub counter: u64,
 }
 
+#[derive(Clone)]
 struct FisheyeHandler {
     schedule: FisheyeSchedule,
 }
 
 impl EventHandler for FisheyeHandler {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         "fisheye-handler"
     }

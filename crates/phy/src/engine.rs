@@ -112,6 +112,7 @@ pub struct Completion<T> {
     pub started: Option<TxId>,
 }
 
+#[derive(Clone)]
 struct Waiting<T> {
     payload: T,
     wire_bytes: usize,
@@ -120,6 +121,7 @@ struct Waiting<T> {
 }
 
 /// The frame a node has on the air; what [`Completion`] is built from.
+#[derive(Clone)]
 struct OnAir<T> {
     tx: TxId,
     payload: T,
@@ -129,6 +131,7 @@ struct OnAir<T> {
 }
 
 /// A node's transmitter: the frame on the air and the frames behind it.
+#[derive(Clone)]
 struct Radio<T> {
     on_air: Option<OnAir<T>>,
     queue: VecDeque<Waiting<T>>,
@@ -161,6 +164,7 @@ impl Air {
 }
 
 /// A contention domain: its members and the progressive-filling scratch.
+#[derive(Clone)]
 struct Domain {
     id: u32,
     /// Nodes transmitting in this domain, in ascending [`TxId`] order.
@@ -174,6 +178,8 @@ struct Domain {
 }
 
 /// Deterministic shared-rate transmission engine. See the crate docs.
+/// Cloning copies every transmission on the air and in the queues.
+#[derive(Clone)]
 pub struct Phy<T> {
     shared: bool,
     capacity_bps: f64,
