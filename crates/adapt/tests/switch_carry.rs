@@ -298,7 +298,7 @@ fn post_switch_rreq_is_fresher_than_the_pre_switch_routes() {
     let mut fleet = manetkit::FleetCoordinator::default();
     let mut nodes = Vec::new();
     for i in 0..3 {
-        let node = seasoned_dymo_node(if i == 2 { 100 } else { 0 });
+        let mut node = seasoned_dymo_node(if i == 2 { 100 } else { 0 });
         fleet.add(node.handle());
         let node = std::sync::Arc::new(std::sync::Mutex::new(node));
         world.install_agent(NodeId(i), Box::new(support::Shared(node.clone())));

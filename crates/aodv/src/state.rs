@@ -118,6 +118,13 @@ pub struct AodvState {
     pub params: AodvParams,
 }
 
+/// Forks of a world share a node's state until one of them writes it, so
+/// the state is `Sync`.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<AodvState>();
+};
+
 impl AodvState {
     /// Bumps and returns our sequence number.
     pub fn next_seq(&mut self) -> u16 {

@@ -1133,6 +1133,13 @@ pub struct ManetNode {
     skip_doomed_rollback: bool,
 }
 
+/// Forks of a world share a node until one of them writes it, possibly
+/// from other threads, so the node and everything it holds is `Sync`.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<ManetNode>();
+};
+
 impl ManetNode {
     /// A node with an empty deployment.
     #[must_use]
@@ -1177,9 +1184,14 @@ impl ManetNode {
     }
 
     /// A control handle that stays valid after the node is installed into a
-    /// world.
+    /// world. It takes the node mutably, so it never comes from a node that
+    /// forks of a world share: [`World::agent_mut`](netsim::World::agent_mut)
+    /// copies such a node for its world first, and the handle reaches that
+    /// world only. While a handle lives, every fork of the world copies the
+    /// node rather than sharing it
+    /// ([`has_outside_writer`](netsim::RoutingAgent::has_outside_writer)).
     #[must_use]
-    pub fn handle(&self) -> NodeHandle {
+    pub fn handle(&mut self) -> NodeHandle {
         NodeHandle {
             inbox: Arc::clone(&self.inbox),
         }
@@ -1442,6 +1454,10 @@ impl netsim::RoutingAgent for ManetNode {
 
     fn fork(&self) -> Option<Box<dyn netsim::RoutingAgent>> {
         Some(Box::new(ManetNode::fork(self)?))
+    }
+
+    fn has_outside_writer(&self) -> bool {
+        Arc::strong_count(&self.inbox) > 1
     }
 
     fn start(&mut self, os: &mut NodeOs) {

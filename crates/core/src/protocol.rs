@@ -39,17 +39,17 @@ use crate::registry::EventTuple;
 /// its own codec and carrier, so they always match the state they read.
 /// A clone copies the state (a forked node's S element).
 pub struct StateSlot {
-    state: Box<dyn Any + Send>,
+    state: Box<dyn Any + Send + Sync>,
     codec: Option<StateCodec>,
     carrier: Option<RouteCarrier>,
     /// Clones `state`, whose concrete type only [`StateSlot::new`] knew.
-    clone_state: fn(&(dyn Any + Send)) -> Box<dyn Any + Send>,
+    clone_state: fn(&(dyn Any + Send + Sync)) -> Box<dyn Any + Send + Sync>,
 }
 
 impl StateSlot {
     /// Wraps a concrete state value (no codec, no carrier).
     #[must_use]
-    pub fn new<T: Any + Send + Clone>(state: T) -> Self {
+    pub fn new<T: Any + Send + Sync + Clone>(state: T) -> Self {
         StateSlot {
             state: Box::new(state),
             codec: None,
@@ -239,7 +239,7 @@ pub struct CtxOutputs {
 }
 
 /// A C-element plug-in: processes events, may emit further events.
-pub trait EventHandler: Send {
+pub trait EventHandler: Send + Sync {
     /// Plug-in name (unique within its protocol; used for replacement).
     fn name(&self) -> &str;
 
@@ -257,7 +257,7 @@ pub trait EventHandler: Send {
 }
 
 /// A C-element plug-in that emits events periodically (timer-driven).
-pub trait EventSource: Send {
+pub trait EventSource: Send + Sync {
     /// Plug-in name (unique within its protocol).
     fn name(&self) -> &str;
 
@@ -274,7 +274,7 @@ pub trait EventSource: Send {
 }
 
 /// The F element: a forwarding strategy over the protocol's topology.
-pub trait Forwarder: Send {
+pub trait Forwarder: Send + Sync {
     /// Plug-in name.
     fn name(&self) -> &str;
 

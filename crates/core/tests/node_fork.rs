@@ -159,3 +159,38 @@ fn a_node_forked_while_prepared_rolls_back_like_its_original() {
     check(olsr, olsr_to_dymo, abort, TxnPhase::RolledBack);
     check(dymo, dymo_to_aodv, abort, TxnPhase::RolledBack);
 }
+
+/// A handle taken before a fork, or taken after it through `agent_mut`,
+/// reaches only the world it was taken in, and none of that world's later
+/// forks.
+#[test]
+fn a_handle_reaches_only_the_world_it_was_taken_in() {
+    let (world, handle) = warm_world(|| manetkit_olsr::node(OlsrDeployment::default()));
+    let ghost = || ReconfigOp::RemoveProtocol {
+        name: "ghost".into(),
+    };
+    let mut twin = world.fork().expect("every plug-in forks");
+    let later = world.fork().expect("every plug-in forks");
+    let twin_of_twin = twin.fork().expect("every plug-in forks");
+    handle.apply(ghost());
+    let pending = |worlds: [&World; 4]| worlds.map(|w| middle(w).pending_ops());
+    assert_eq!(
+        pending([&world, &twin, &later, &twin_of_twin]),
+        [1, 0, 0, 0]
+    );
+    handle.clear_pending();
+
+    // The twin's middle node is shared with its own fork until the handle
+    // is taken.
+    let twin_handle = twin
+        .agent_mut::<ManetNode>(NodeId(1))
+        .expect("a ManetNode")
+        .handle();
+    let twin_later = twin.fork().expect("every plug-in forks");
+    twin_handle.apply(ghost());
+    assert_eq!(
+        pending([&twin, &twin_of_twin, &twin_later, &world]),
+        [1, 0, 0, 0]
+    );
+    assert_eq!(middle(&later).pending_ops(), 0);
+}

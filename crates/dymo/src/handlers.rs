@@ -17,7 +17,7 @@ use crate::state::{DymoState, RouteUpdate};
 /// (e.g. the multipath variant's) embed one and implement this trait, which
 /// lets the generic handlers below be reused unchanged over either — the
 /// code-reuse story of §6.3 at the type level.
-pub trait DymoStateAccess: Any + Send + Clone {
+pub trait DymoStateAccess: Any + Send + Sync + Clone {
     /// The embedded standard state, mutably.
     fn dymo_mut(&mut self) -> &mut DymoState;
     /// The embedded standard state.

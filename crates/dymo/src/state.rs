@@ -81,6 +81,13 @@ pub struct DymoState {
     pub params: DymoParams,
 }
 
+/// Forks of a world share a node's state until one of them writes it, so
+/// the state is `Sync`.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<DymoState>();
+};
+
 /// Outcome of offering a learned path segment to the route table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteUpdate {

@@ -180,6 +180,12 @@ impl TwoPhaseSwitch {
         switch
     }
 
+    /// The world the fleet runs in, to read.
+    #[must_use]
+    pub fn world(&self) -> &World {
+        &self.world
+    }
+
     /// Node `i`'s agent.
     fn node(&self, i: usize) -> &ManetNode {
         self.world

@@ -4,7 +4,9 @@
 //! and under the seeded mutation, and at every state compares the forked
 //! child with a replay of its whole prefix from a fresh model: the same
 //! fingerprint, observation and enabled choices, and — with the flight
-//! recorder compiled in — the same counterexample timeline bytes.
+//! recorder compiled in — the same counterexample timeline bytes. A
+//! four-node fleet, where each child writes at most one node and shares
+//! the other three with its parent and siblings, is walked too.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -32,6 +34,10 @@ fn seen_as(model: &TwoPhaseSwitch) -> (u64, String, Vec<Choice>, Option<String>)
 }
 
 fn fork_matches_replay(cfg: ScenarioConfig) {
+    fork_matches_replay_for(cfg, STATES);
+}
+
+fn fork_matches_replay_for(cfg: ScenarioConfig, states: usize) {
     // BFS by sibling group: a frontier entry is a parent prefix and the
     // choices to try from it.
     let mut frontier: VecDeque<(Vec<Choice>, Vec<Choice>)> = VecDeque::new();
@@ -43,7 +49,7 @@ fn fork_matches_replay(cfg: ScenarioConfig) {
         let parent = replay(&cfg, &prefix);
         let parent_was = seen_as(&parent);
         for c in choices {
-            if visited == STATES {
+            if visited == states {
                 return assert!(forks_seen_dedup > 0);
             }
             visited += 1;
@@ -65,7 +71,7 @@ fn fork_matches_replay(cfg: ScenarioConfig) {
         // Forking and driving the children left the parent as it was.
         assert_eq!(seen_as(&parent), parent_was, "parent {prefix:?}");
     }
-    panic!("the graph has fewer than {STATES} states");
+    panic!("the graph has fewer than {states} states");
 }
 
 #[test]
@@ -83,4 +89,16 @@ fn forking_equals_replaying_under_the_seeded_mutation() {
         skip_doomed_rollback: true,
         ..ScenarioConfig::default()
     });
+}
+
+#[test]
+fn forking_equals_replaying_on_four_nodes() {
+    fork_matches_replay_for(
+        ScenarioConfig {
+            nodes: 4,
+            trace: cfg!(feature = "trace"),
+            ..ScenarioConfig::default()
+        },
+        1_000,
+    );
 }

@@ -65,8 +65,10 @@ pub enum ContextSample {
 /// re-enters an agent.
 ///
 /// Agents are `'static` ([`Any`]), so the world can hand one back as its
-/// concrete type ([`World::agent`](crate::World::agent)).
-pub trait RoutingAgent: Any + Send {
+/// concrete type ([`World::agent`](crate::World::agent)), and `Sync`, so
+/// forks of a world on different threads can share one until it is first
+/// written ([`World::fork`](crate::World::fork)).
+pub trait RoutingAgent: Any + Send + Sync {
     /// Short protocol name for statistics and logs.
     fn name(&self) -> &str;
 
@@ -111,7 +113,22 @@ pub trait RoutingAgent: Any + Send {
     /// mutable with the original, so driving one never shows in the other.
     /// `None` (the default) when the agent cannot be copied, which makes the
     /// world unforkable.
+    ///
+    /// Forks of a world share an agent until one of them first writes it;
+    /// that world then calls this on the shared agent for a copy of its own.
+    /// A world's first fork after a write calls it too, to learn whether the
+    /// agent forks at all, and keeps that copy for the first world to write
+    /// the shared agent.
     fn fork(&self) -> Option<Box<dyn RoutingAgent>> {
         None
+    }
+
+    /// Whether something outside the world can change this agent between
+    /// callbacks, such as a control handle into its inbox. Forks of the
+    /// world then never share the agent: each gets its own copy at once, so
+    /// the outside writer reaches only the world it was taken from. The
+    /// default is `false`.
+    fn has_outside_writer(&self) -> bool {
+        false
     }
 }

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use simkern::EventQueue;
 
 use super::data_plane::SendWindow;
-use super::{EventKind, NodeSlot, World};
+use super::{AgentSlot, EventKind, NodeSlot, World};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::os::{BatteryModel, NodeOs};
 use crate::packet::NodeId;
@@ -218,7 +218,7 @@ impl WorldBuilder {
             }
             nodes.push(NodeSlot {
                 os,
-                agent: None,
+                agent: AgentSlot::default(),
                 crashed: false,
                 timers: Vec::new(),
                 factory: None,

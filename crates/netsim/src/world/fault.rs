@@ -2,7 +2,7 @@
 //! partitions, scheduled by a [`FaultPlan`](crate::fault::FaultPlan) or
 //! forced by the model checker.
 
-use super::{DataDrop, EventKind, PhyJob, World};
+use super::{AgentSlot, DataDrop, EventKind, PhyJob, World};
 use crate::fault::FaultKind;
 use crate::packet::NodeId;
 
@@ -45,7 +45,7 @@ impl World {
         } else {
             self.stats.node_crashes += 1;
         }
-        if let Some(agent) = slot.agent.as_mut() {
+        if let Some(agent) = slot.agent.write() {
             agent.on_crash(&mut slot.os);
         }
         let dropped = slot.os.crash_flush();
@@ -94,7 +94,7 @@ impl World {
         slot.os.battery.recharge(now);
         let flushed = slot.os.crash_flush();
         if let Some(make) = slot.factory.as_ref() {
-            slot.agent = Some(make());
+            slot.agent = AgentSlot::new(make());
         }
         self.stats.node_reboots += 1;
         // The buffer was flushed at crash time, so this is normally empty —
@@ -103,7 +103,7 @@ impl World {
             self.sent_at.settle(id);
         }
         tr!(self, node, NodeReboot, "reboot", 0, 0);
-        if self.nodes[node.0].agent.is_some() {
+        if self.nodes[node.0].agent.get().is_some() {
             self.schedule(now, EventKind::StartAgent { node });
         }
     }

@@ -12,9 +12,10 @@
 //! reboot and partition enactment; `controlled` the model checker's seam.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use simkern::{EventHandle, EventQueue, SeqBlock};
 
@@ -130,9 +131,110 @@ struct StreamedWalk {
 /// a [`World::fork`] reboots with the same factory.
 pub type RebootFactory = Arc<dyn Fn() -> Box<dyn RoutingAgent> + Send + Sync>;
 
+/// A node's agent, shared copy-on-write by the forks of a world.
+///
+/// [`World::fork`] shares the agent once its current state is known to
+/// fork and nothing outside the world can change it. Until then a fork
+/// copies it, which learns whether it forks (failing the whole fork when
+/// not), and keeps the copy as the shared agent's spare. Every write goes
+/// through [`write`](Self::write): a world writing an agent another world
+/// shares first takes the spare, or else forks its own copy.
+#[derive(Default)]
+struct AgentSlot {
+    agent: Option<Arc<SharedAgent>>,
+    /// Set by a fork that copied the agent and found no outside writer:
+    /// later forks share it. Cleared by every write, since a changed state
+    /// may no longer fork.
+    shareable: Cell<bool>,
+}
+
+/// An agent behind an `Arc`, with the copy that checked it forks.
+struct SharedAgent {
+    agent: Box<dyn RoutingAgent>,
+    /// The copy the last check made, which the first world to write the
+    /// agent while it is shared takes rather than forking another. It goes
+    /// stale only when the agent is written in place, unshared; the check
+    /// that lets forks share it again replaces it first.
+    spare: Mutex<Option<Box<dyn RoutingAgent>>>,
+}
+
+impl SharedAgent {
+    fn new(agent: Box<dyn RoutingAgent>) -> Self {
+        SharedAgent {
+            agent,
+            spare: Mutex::new(None),
+        }
+    }
+
+    fn spare(&self) -> MutexGuard<'_, Option<Box<dyn RoutingAgent>>> {
+        self.spare.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for SharedAgent {
+    /// The spare, or a fork, which succeeded on this very state before any
+    /// world shared it.
+    fn clone(&self) -> Self {
+        let spare = self.spare().take();
+        SharedAgent::new(spare.unwrap_or_else(|| {
+            self.agent
+                .fork()
+                .expect("a shared agent forked when it was first shared")
+        }))
+    }
+}
+
+impl AgentSlot {
+    fn new(agent: Box<dyn RoutingAgent>) -> Self {
+        AgentSlot {
+            agent: Some(Arc::new(SharedAgent::new(agent))),
+            shareable: Cell::new(false),
+        }
+    }
+
+    fn get(&self) -> Option<&dyn RoutingAgent> {
+        self.agent.as_deref().map(|shared| shared.agent.as_ref())
+    }
+
+    /// The one way to write the agent: copies it first when another world
+    /// shares it.
+    fn write(&mut self) -> Option<&mut dyn RoutingAgent> {
+        let shared = self.agent.as_mut()?;
+        *self.shareable.get_mut() = false;
+        Some(Arc::make_mut(shared).agent.as_mut())
+    }
+
+    /// Takes the agent out, copying it when another world shares it.
+    fn take(&mut self) -> Option<Box<dyn RoutingAgent>> {
+        self.write()?;
+        let shared = self.agent.take()?;
+        Some(Arc::into_inner(shared).expect("written, so unshared").agent)
+    }
+
+    /// The slot of a fork: this one's agent shared, or a copy of it while
+    /// it has an outside writer. `None` when the agent does not fork.
+    fn fork(&self) -> Option<AgentSlot> {
+        let Some(shared) = &self.agent else {
+            return Some(AgentSlot::default());
+        };
+        if !self.shareable.get() {
+            let copy = shared.agent.fork()?;
+            if shared.agent.has_outside_writer() {
+                return Some(AgentSlot::new(copy));
+            }
+            *shared.spare() = Some(copy);
+            self.shareable.set(true);
+        }
+        Some(AgentSlot {
+            agent: Some(Arc::clone(shared)),
+            shareable: Cell::new(true),
+        })
+    }
+}
+
 struct NodeSlot {
     os: NodeOs,
-    agent: Option<Box<dyn RoutingAgent>>,
+    agent: AgentSlot,
     /// Whether the node is currently crashed (or battery-dead): its agent
     /// is suspended and no frame enters or leaves.
     crashed: bool,
@@ -190,8 +292,9 @@ pub struct World {
 
 /// A built `World` (agents installed or not) is `Send`: campaign engines
 /// move whole worlds onto worker threads. Everything inside is owned plain
-/// data, `RoutingAgent` and `RebootFactory` are `Send` by bound, and the
-/// RNGs are plain structs — this assertion keeps it that way.
+/// data or an agent its forks share, `RoutingAgent` and `RebootFactory` are
+/// `Send + Sync` by bound, and the RNGs are plain structs — this assertion
+/// keeps it that way.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<World>();
@@ -294,27 +397,37 @@ impl World {
     /// agent, or one of another type.
     #[must_use]
     pub fn agent<T: RoutingAgent>(&self, node: NodeId) -> Option<&T> {
-        let agent: &dyn Any = self.nodes[node.0].agent.as_deref()?;
+        let agent: &dyn Any = self.nodes[node.0].agent.get()?;
         agent.downcast_ref()
     }
 
     /// Mutable [`agent`](Self::agent). What the caller changes is seen by
     /// the agent's next callback, which runs no earlier than the next
-    /// event the world fires.
+    /// event the world fires. An agent a fork still shares is copied
+    /// first, so the change stays in this world.
     #[must_use]
     pub fn agent_mut<T: RoutingAgent>(&mut self, node: NodeId) -> Option<&mut T> {
-        let agent: &mut dyn Any = self.nodes[node.0].agent.as_deref_mut()?;
+        // Copies nothing for an agent of another type.
+        self.agent::<T>(node)?;
+        let agent: &mut dyn Any = self.nodes[node.0].agent.write()?;
         agent.downcast_mut()
     }
 
     /// An independent copy of the world in exactly its current state:
     /// the same pending events under the same handles and seqs (the
     /// kernel's free list and tombstones included), topology, RNGs,
-    /// statistics, phy, walk, faults and node OSes, and each agent through
-    /// [`RoutingAgent::fork`]. Fed the same inputs, the world and its fork
-    /// then run identically, and neither sees what the other does. Frames
-    /// in flight are immutable, so the two share them; reboot factories are
-    /// shared too.
+    /// statistics, phy, walk, faults and node OSes, and each agent. Fed the
+    /// same inputs, the world and its fork then run identically, and
+    /// neither sees what the other does. Frames in flight are immutable, so
+    /// the two share them; reboot factories are shared too.
+    ///
+    /// Agents are copy-on-write: the two worlds share an agent until one of
+    /// them writes it, and that one then copies it through
+    /// [`RoutingAgent::fork`]. The first fork after an agent was written
+    /// copies it at once, which learns whether it forks, and the first
+    /// world to write the shared agent takes that copy. An agent with an
+    /// outside writer ([`RoutingAgent::has_outside_writer`]) is never
+    /// shared: every fork copies it.
     ///
     /// `None` when an installed agent cannot fork.
     #[must_use]
@@ -348,10 +461,7 @@ impl World {
             .map(|slot| {
                 Some(NodeSlot {
                     os: slot.os.clone(),
-                    agent: match &slot.agent {
-                        Some(agent) => Some(agent.fork()?),
-                        None => None,
-                    },
+                    agent: slot.agent.fork()?,
                     crashed: slot.crashed,
                     timers: slot.timers.clone(),
                     factory: slot.factory.clone(),
@@ -387,10 +497,10 @@ impl World {
     /// current simulation time (before any later event).
     pub fn install_agent(&mut self, node: NodeId, agent: Box<dyn RoutingAgent>) {
         assert!(
-            self.nodes[node.0].agent.is_none(),
+            self.nodes[node.0].agent.get().is_none(),
             "node {node} already has an agent; remove it first"
         );
-        self.nodes[node.0].agent = Some(agent);
+        self.nodes[node.0].agent = AgentSlot::new(agent);
         self.schedule(self.now, EventKind::StartAgent { node });
     }
 
@@ -638,11 +748,10 @@ impl World {
             slot.os.actions.clear();
             return;
         }
-        if let Some(mut agent) = slot.agent.take() {
+        if let Some(agent) = slot.agent.write() {
             slot.os.set_now(now);
             slot.os.battery.advance_to(now);
-            f(agent.as_mut(), &mut slot.os);
-            slot.agent = Some(agent);
+            f(agent, &mut slot.os);
         }
         self.flush_actions(node);
     }
@@ -763,10 +872,9 @@ impl World {
                 // Give the agent's packet-inspection hook first refusal.
                 let mut pass = true;
                 let slot = &mut self.nodes[node.0];
-                if let Some(mut agent) = slot.agent.take() {
+                if let Some(agent) = slot.agent.write() {
                     slot.os.set_now(self.now);
                     pass = agent.inspect_packet(&mut slot.os, &packet);
-                    slot.agent = Some(agent);
                 }
                 self.flush_actions(node);
                 if pass {

@@ -3,9 +3,16 @@
 //! fork list the same pending events under the same handles, count the
 //! same statistics and (with the flight recorder) write the same trace;
 //! whatever one of them delivers, drops or crashes, the other never sees.
+//! Forks share their agents copy-on-write: a fork copies an agent only to
+//! learn that it forks, and every write path copies only the node it
+//! writes, only while another world still shares it.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use netsim::{
-    NodeId, NodeOs, PendingClass, PendingEvent, RoutingAgent, SimDuration, Topology, World,
+    DataPacket, FilterEvent, NodeId, NodeOs, PendingClass, PendingEvent, RoutingAgent, SimDuration,
+    Topology, World,
 };
 use packetbb::Address;
 
@@ -180,4 +187,266 @@ fn the_typed_accessor_finds_only_its_type_and_a_copyless_agent_blocks_the_fork()
     assert!(world.fork().is_none(), "Opaque keeps the default fork");
     world.remove_agent(NodeId(1));
     assert!(world.fork().is_some());
+}
+
+/// Logs every callback it gets, and counts its copies in a counter all its
+/// copies share.
+#[derive(Clone)]
+struct Logged {
+    log: Vec<&'static str>,
+    copies: Arc<AtomicUsize>,
+}
+
+impl RoutingAgent for Logged {
+    fn name(&self) -> &str {
+        "logged"
+    }
+    fn start(&mut self, os: &mut NodeOs) {
+        self.log.push("start");
+        os.broadcast_control(b"hello".to_vec());
+        os.set_timer(SimDuration::from_millis(700), 1);
+    }
+    fn on_frame(&mut self, _os: &mut NodeOs, _from: Address, _bytes: &[u8]) {
+        self.log.push("frame");
+    }
+    fn on_timer(&mut self, _os: &mut NodeOs, _token: u64) {
+        self.log.push("timer");
+    }
+    fn on_filter_event(&mut self, _os: &mut NodeOs, _event: FilterEvent) {
+        self.log.push("filter");
+    }
+    fn inspect_packet(&mut self, _os: &mut NodeOs, _packet: &DataPacket) -> bool {
+        self.log.push("inspect");
+        true
+    }
+    fn stop(&mut self, _os: &mut NodeOs) {
+        self.log.push("stop");
+    }
+    fn on_crash(&mut self, _os: &mut NodeOs) {
+        self.log.push("crash");
+    }
+    fn fork(&self) -> Option<Box<dyn RoutingAgent>> {
+        self.copies.fetch_add(1, Ordering::Relaxed);
+        Some(Box::new(self.clone()))
+    }
+}
+
+fn logged(copies: &Arc<AtomicUsize>) -> Box<dyn RoutingAgent> {
+    Box::new(Logged {
+        log: Vec::new(),
+        copies: Arc::clone(copies),
+    })
+}
+
+/// A controlled, started three-node world of `Logged` agents, and each
+/// node's copy counter.
+fn logged_trio() -> (World, [Arc<AtomicUsize>; 3]) {
+    let mut world = World::builder()
+        .topology(Topology::full(3))
+        .seed(9)
+        .controlled()
+        .build();
+    let copies: [Arc<AtomicUsize>; 3] = Default::default();
+    for (i, copies) in copies.iter().enumerate() {
+        world.install_agent(NodeId(i), logged(copies));
+    }
+    world.run_controlled_infra();
+    (world, copies)
+}
+
+type Log = Option<Vec<&'static str>>;
+
+/// `log` with `entries` appended (`None` while the node has no agent).
+fn then(log: Log, entries: &[&'static str]) -> Log {
+    let mut log = log?;
+    log.extend(entries);
+    Some(log)
+}
+
+/// Every node's log (`None` without a `Logged` agent).
+fn logs(world: &World) -> Vec<Log> {
+    world
+        .node_ids()
+        .map(|n| world.agent::<Logged>(n).map(|a| a.log.clone()))
+        .collect()
+}
+
+fn poke(world: &mut World, node: usize) {
+    world
+        .agent_mut::<Logged>(NodeId(node))
+        .expect("a logged agent")
+        .log
+        .push("poke");
+}
+
+#[test]
+fn forks_share_the_agents_and_a_write_copies_only_its_node() {
+    let (mut world, copies) = logged_trio();
+    let copied = || copies.each_ref().map(|c| c.load(Ordering::Relaxed));
+    // The first fork since the agents were written copies each of them
+    // once, to learn that it forks, and keeps the copy as a spare.
+    let mut a = world.fork().expect("every agent forks");
+    assert_eq!(copied(), [1, 1, 1]);
+    // Later forks, forks of forks and reads copy nothing.
+    let mut b = world.fork().expect("every agent forks");
+    let mut c = a.fork().expect("every agent forks");
+    let base = logs(&world);
+    for w in [&a, &b, &c] {
+        assert_eq!(logs(w), base);
+    }
+    assert_eq!(copied(), [1, 1, 1]);
+    // The first world to write node 1 takes the spare; every other world
+    // writing it while it is shared copies that node alone, once.
+    poke(&mut a, 1);
+    assert_eq!(copied(), [1, 1, 1]);
+    poke(&mut a, 1);
+    poke(&mut b, 1);
+    assert_eq!(copied(), [1, 2, 1]);
+    poke(&mut world, 1);
+    assert_eq!(copied(), [1, 3, 1]);
+    // `c` is the last world holding the original: it writes in place.
+    poke(&mut c, 1);
+    assert_eq!(copied(), [1, 3, 1]);
+    let node_1 = |w: &World| logs(w).swap_remove(1);
+    let once = then(base[1].clone(), &["poke"]);
+    assert_eq!(node_1(&a), then(once.clone(), &["poke"]));
+    for w in [&world, &b, &c] {
+        assert_eq!(node_1(w), once);
+    }
+    // Once every fork is gone, the parent writes in place.
+    drop((a, b, c));
+    poke(&mut world, 0);
+    poke(&mut world, 2);
+    assert_eq!(copied(), [1, 3, 1]);
+    // And a write made since the last fork makes the next one check again.
+    let _d = world.fork().expect("every agent forks");
+    assert_eq!(copied(), [2, 4, 2]);
+}
+
+/// Delivers the first live pending event of `class`.
+fn deliver_first(world: &mut World, class: PendingClass) {
+    let event = world
+        .pending_controlled()
+        .into_iter()
+        .find(|e| e.class == class && e.live)
+        .expect("a live event of the class");
+    assert!(world.deliver_controlled(&event));
+    world.run_controlled_infra();
+}
+
+/// One way to write an agent: its name, the node it writes, what it makes
+/// of that node's log, and the write itself.
+type WritePath = (&'static str, usize, fn(Log) -> Log, fn(&mut World));
+
+const WRITE_PATHS: [WritePath; 9] = [
+    (
+        "frame",
+        1,
+        |log| then(log, &["frame"]),
+        |w| {
+            deliver_first(w, PendingClass::Control);
+        },
+    ),
+    (
+        "timer",
+        1,
+        |log| then(log, &["timer"]),
+        |w| {
+            deliver_first(w, PendingClass::Timer);
+        },
+    ),
+    // The datagram node 0 forwarded to node 1 for node 2: node 1 has no
+    // route on, so its arrival raises a forwarding failure, with no
+    // inspection first.
+    (
+        "filter",
+        1,
+        |log| then(log, &["filter"]),
+        |w| {
+            deliver_first(w, PendingClass::Data);
+        },
+    ),
+    // A datagram node 1 sends has no route either: a filter event follows.
+    (
+        "inspect",
+        1,
+        |log| then(log, &["inspect", "filter"]),
+        |w| {
+            w.send_datagram(NodeId(1), w.addr(NodeId(0)), b"x".to_vec());
+            w.run_controlled_infra();
+        },
+    ),
+    (
+        "crash",
+        1,
+        |log| then(log, &["crash"]),
+        |w| {
+            w.force_crash(NodeId(1));
+        },
+    ),
+    // Node 2 is down, and its agent restarts.
+    (
+        "reboot",
+        2,
+        |log| then(log, &["start"]),
+        |w| {
+            w.force_reboot(NodeId(2));
+            w.run_controlled_infra();
+        },
+    ),
+    // Node 0 is down, and its factory gives it a fresh agent.
+    (
+        "reboot with a factory",
+        0,
+        |_| Some(vec!["start"]),
+        |w| {
+            w.force_reboot(NodeId(0));
+            w.run_controlled_infra();
+        },
+    ),
+    ("agent_mut", 1, |log| then(log, &["poke"]), |w| poke(w, 1)),
+    (
+        "remove_agent",
+        1,
+        |_| None,
+        |w| drop(w.remove_agent(NodeId(1))),
+    ),
+];
+
+#[test]
+fn no_write_path_reaches_another_world() {
+    let (mut world, copies) = logged_trio();
+    // A datagram in flight from node 0 to node 1, addressed to node 2.
+    let (dst, via) = (world.addr(NodeId(2)), world.addr(NodeId(1)));
+    world
+        .os_mut(NodeId(0))
+        .route_table_mut()
+        .add_host_route(dst, via, 1);
+    world.send_datagram(NodeId(0), dst, b"via 1".to_vec());
+    world.run_controlled_infra();
+    world.force_crash(NodeId(2));
+    world.force_crash(NodeId(0));
+    let fresh = Arc::clone(&copies[0]);
+    world.set_reboot_factory(NodeId(0), move || logged(&fresh));
+    let original = logs(&world);
+
+    for (name, node, written, write) in WRITE_PATHS {
+        // A fork, a fork of it and a fork of that: each writes in turn,
+        // and the other two stay as they were.
+        for writer in 0..3 {
+            let parent = world.fork().expect("every agent forks");
+            let fork = parent.fork().expect("every agent forks");
+            let again = fork.fork().expect("every agent forks");
+            let mut worlds = [parent, fork, again];
+            write(&mut worlds[writer]);
+            for (i, w) in worlds.iter().enumerate() {
+                let mut expected = original.clone();
+                if i == writer {
+                    expected[node] = written(expected[node].take());
+                }
+                assert_eq!(logs(w), expected, "{name} in world {writer}, seen from {i}");
+            }
+        }
+    }
+    assert_eq!(logs(&world), original);
 }

@@ -7,9 +7,9 @@
 //! state owns, then writes the kernel table by difference.
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use netsim::{KernelRouteTable, SimDuration, SimTime};
 use packetbb::Address;
@@ -65,6 +65,13 @@ pub struct OlsrState {
     pub routing: RoutingBase,
 }
 
+/// Forks of a world share a node's state until one of them writes it, so
+/// the state is `Sync` (the route computation's buffers included).
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<OlsrState>();
+};
+
 /// The part of [`OlsrState`] only its methods may change: the other inputs
 /// of the route computation, the kernel routes owned, and the rebuild
 /// bookkeeping.
@@ -88,7 +95,30 @@ pub struct RoutingBase {
     /// routes we own, changed since the last rebuild.
     dirty: bool,
     /// Buffers of the route computation, reused from one run to the next.
-    spf: RefCell<Spf>,
+    spf: SpfBuffers,
+}
+
+/// The route computation's buffers, behind a `Mutex` only so that
+/// [`OlsrState::compute_routes`] can reuse them through `&self` while the
+/// state stays `Sync`; [`OlsrState::sync_routes`] reaches them through
+/// `get_mut`, without a lock. A clone copies them.
+#[derive(Debug, Default)]
+struct SpfBuffers(Mutex<Spf>);
+
+impl SpfBuffers {
+    fn lock(&self) -> MutexGuard<'_, Spf> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get_mut(&mut self) -> &mut Spf {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for SpfBuffers {
+    fn clone(&self) -> Self {
+        SpfBuffers(Mutex::new(self.lock().clone()))
+    }
 }
 
 impl Default for RoutingBase {
@@ -103,7 +133,7 @@ impl Default for RoutingBase {
             metric: RouteMetric::default(),
             energy: BTreeMap::new(),
             dirty: true,
-            spf: RefCell::default(),
+            spf: SpfBuffers::default(),
         }
     }
 }
@@ -241,7 +271,7 @@ impl OlsrState {
     /// Returns `dest → (next_hop, hop_count)`.
     #[must_use]
     pub fn compute_routes(&self, local: Address) -> BTreeMap<Address, (Address, u32)> {
-        let mut spf = self.routing.spf.borrow_mut();
+        let mut spf = self.routing.spf.lock();
         self.run_spf(local, &mut spf);
         spf.routes().collect()
     }

@@ -142,8 +142,10 @@ const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 /// A discrete-event queue with a virtual clock.
 ///
 /// Events are any `E`; the queue imposes no trait bounds beyond what the
-/// containers need. See the crate docs for the layout.
-#[derive(Debug, Clone)]
+/// containers need. See the crate docs for the layout. A clone is exact:
+/// the same pending events under the same handles and seqs, with the free
+/// list and the tombstones.
+#[derive(Debug)]
 pub struct EventQueue<E> {
     now: u64,
     seq: u64,
@@ -172,6 +174,50 @@ pub struct EventQueue<E> {
     due_head: usize,
     /// Events beyond the wheel span, ordered by `(t, seq)`.
     overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    /// Copies only the wheel slots the occupancy bitmap marks; the others
+    /// are empty, whatever capacity they keep for reuse.
+    fn clone(&self) -> Self {
+        let EventQueue {
+            now,
+            seq,
+            payloads,
+            seqs,
+            free,
+            len,
+            slots,
+            occupied,
+            due,
+            due_head,
+            overflow,
+        } = self;
+        let slots = slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                if occupied[i / SLOTS] & (1 << (i % SLOTS)) != 0 {
+                    slot.clone()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        EventQueue {
+            now: *now,
+            seq: *seq,
+            payloads: payloads.clone(),
+            seqs: seqs.clone(),
+            free: free.clone(),
+            len: *len,
+            slots,
+            occupied: *occupied,
+            due: due.clone(),
+            due_head: *due_head,
+            overflow: overflow.clone(),
+        }
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -965,6 +1011,67 @@ mod tests {
         let mut block = q.reserve(1);
         q.schedule_reserved(&mut block, at(1), ());
         q.schedule_reserved(&mut block, at(2), ());
+    }
+
+    /// Every pending event with its deadline, handle and payload.
+    fn listed(q: &EventQueue<usize>) -> Vec<(u64, EventHandle, usize)> {
+        q.pending()
+            .into_iter()
+            .map(|(t, handle, &e)| (t.as_micros(), handle, e))
+            .collect()
+    }
+
+    #[test]
+    fn a_clone_lists_and_pops_what_its_original_does() {
+        let mut q = EventQueue::new();
+        let span = 1u64 << SPAN_BITS;
+        q.schedule(at(1_000), 0);
+        assert!(q.pop_due(SimTime::MAX).is_some());
+        let mut handles = Vec::new();
+        let mut next = 1;
+        // Three events due now, one popped so `due` keeps a consumed head;
+        // entries on every wheel level, a reserved one, and two beyond the
+        // wheel in the overflow heap.
+        for _ in 0..3 {
+            handles.push(q.schedule(at(1_000), next));
+            next += 1;
+        }
+        assert_eq!(q.pop_due(SimTime::MAX), Some((at(1_000), 1)));
+        let mut block = q.reserve(2);
+        for k in 0..LEVELS as u32 {
+            for j in 0..3 {
+                let t = 1_000 + (1u64 << (SLOT_BITS * k)) * (1 + j);
+                handles.push(q.schedule(at(t), next));
+                next += 1;
+            }
+        }
+        q.schedule_reserved(&mut block, at(1_005), next);
+        next += 1;
+        for t in [span + 7, 3 * span] {
+            handles.push(q.schedule(at(t), next));
+            next += 1;
+        }
+        // Tombstones in `due`, on the wheel and in the overflow heap.
+        for i in [1, 5, 12, handles.len() - 1] {
+            assert!(q.cancel(handles[i]).is_some());
+        }
+        assert!(!q.due[q.due_head..].is_empty() && q.due_head > 0);
+        assert!(q.occupied.iter().all(|&bits| bits != 0));
+        assert!(!q.overflow.is_empty());
+
+        let mut copy = q.clone();
+        assert_eq!(copy.len(), q.len());
+        assert_eq!(copy.capacity(), q.capacity());
+        // The same seqs and free list: the next schedule gets the same handle.
+        assert_eq!(copy.schedule(at(2_000), next), q.schedule(at(2_000), next));
+        let mut again = copy.clone();
+        let pending = listed(&q);
+        assert_eq!(pending.len(), 20);
+        let popped = drain(&mut q);
+        for clone in [&mut copy, &mut again] {
+            assert_eq!(listed(clone), pending);
+            assert_eq!(drain(clone), popped);
+        }
     }
 
     #[test]
