@@ -2,10 +2,12 @@
 //! scenario (three OLSR nodes with the switch to DYMO queued, seed 1) is
 //! driven 0, 3, 6 and 9 choices deep, taking the first enabled choice each
 //! time. At each state a counting global allocator and the clock measure
-//! an unwritten fork of the model and its drop (every node shared), and
-//! the copy of one node that the first write to it makes. Exits non-zero
-//! when an unwritten fork allocates more than 32 times: copying even one
-//! node takes more than 40.
+//! an unwritten fork of the model and its drop (every node shared), the
+//! copy of one node that the first write to it makes, and a path step:
+//! a fork with the first enabled choice applied, which is what the
+//! explorer pays per state between a held ancestor and the next parent.
+//! Exits non-zero when an unwritten fork allocates more than 32 times:
+//! copying even one node takes more than 40.
 //!
 //! ```text
 //! cargo run --release -p manetkit-mcheck --example fork_cost
@@ -99,8 +101,8 @@ impl std::fmt::Display for Tally {
 
 fn main() -> ExitCode {
     println!(
-        "{:<18} {:>24} {:>24}",
-        "state", "unwritten fork+drop", "first-write node copy"
+        "{:<18} {:>24} {:>24} {:>24}",
+        "state", "unwritten fork+drop", "first-write node copy", "path step (fork+apply)"
     );
 
     let mut model = TwoPhaseSwitch::new(ScenarioConfig {
@@ -133,11 +135,21 @@ fn main() -> ExitCode {
                 black_box(world.agent_mut::<ManetNode>(NodeId(0)));
             },
         );
+        let first = model.enabled()[0];
+        let step = Tally::of(
+            || None,
+            |stepped| {
+                let mut child = model.fork();
+                assert!(child.apply(first), "{first} is enabled");
+                *stepped = Some(child);
+            },
+        );
         println!(
-            "{:<18} {:>24} {:>24}",
+            "{:<18} {:>24} {:>24} {:>24}",
             format!("after {depth} choices"),
             fork.to_string(),
-            copy.to_string()
+            copy.to_string(),
+            step.to_string()
         );
         worst = worst.max(fork.most);
     }

@@ -14,18 +14,27 @@
 //!
 //! **Fork, don't replay.** An expansion pushes its children side by side,
 //! so the frontier is a sequence of *sibling groups*. A visit takes one
-//! group: it builds the parent once, by replaying the parent's prefix
-//! through a fresh model from the factory, then forks it ([`Model::fork`])
-//! for every child but the last, which takes the parent itself, and applies
-//! each child's one choice. Determinism of the controlled world makes both
+//! group: it reaches the parent they share, forks it ([`Model::fork`]) for
+//! every child but the last, which takes the parent itself, and applies
+//! each child's one choice. Determinism of the controlled world makes this
 //! exact: same prefix, same state, same pending-event ids, whether the
 //! state was replayed or forked. Replay stays the oracle:
 //! [`Explorer::replay`] and [`Explorer::counterexample`] rebuild from the
 //! prefix alone.
 //!
+//! **Hold the path, not the prefix.** Each worker keeps the states along
+//! the prefix of the last parent it reached, the root first. To reach the
+//! next parent it drops the states past the longest prefix the two share
+//! and forks its way down from there, one choice at a time. Under BFS the
+//! next group's parent is usually a sibling of the last one, a single step
+//! away, so the factory runs about once per worker and batch and a parent
+//! costs one fork and one choice instead of a whole replay. A worker holds
+//! at most `depth_bound + 1` states: a path at most `depth_bound` long and
+//! the child it is visiting.
+//!
 //! **Visits run on every core.** Under BFS the explorer pops up to
 //! [`BATCH`] prefixes at once and hands their sibling groups to scoped
-//! worker threads, which build, fork, fingerprint and observe each state
+//! worker threads, which reach, fork, fingerprint and observe each state
 //! and list its enabled choices. A sequential merge then does everything
 //! that decides the outcome — dedup, invariants, the stop condition, the
 //! state cap and the child pushes — in exactly the pop order of a
@@ -33,7 +42,9 @@
 //! independent of the number of workers. DFS keeps a batch of one: its
 //! next pop depends on the last expansion. A model never leaves the worker
 //! that built it, so [`Model`] needs no `Send`; only the factory is shared
-//! (`Sync`).
+//! (`Sync`). The caller's path lives as long as the walk, so a DFS, which
+//! runs on the caller alone, builds one root; a helper thread's path lives
+//! for one batch.
 
 use std::collections::{HashSet, VecDeque};
 use std::num::NonZeroUsize;
@@ -197,6 +208,68 @@ impl PrefixTree {
         }
         choices.reverse();
         choices
+    }
+}
+
+/// The states along the prefix of the last parent a worker reached:
+/// `models[i]` is the state after the first `i` of `choices`, so
+/// `models[0]` is the root. Both are empty until the first reach.
+struct Path<M> {
+    choices: Vec<Choice>,
+    models: Vec<M>,
+}
+
+impl<M: Model> Path<M> {
+    fn new() -> Self {
+        Path {
+            choices: Vec::new(),
+            models: Vec::new(),
+        }
+    }
+
+    /// Brings the path to the state after `prefix`: keeps the longest
+    /// prefix of it already held, then forks the top state and applies
+    /// one choice per remaining step.
+    fn reach(&mut self, factory: &(dyn Fn() -> M + Sync), prefix: &[Choice]) -> &M {
+        let held = self
+            .choices
+            .iter()
+            .zip(prefix)
+            .take_while(|(held, wanted)| held == wanted)
+            .count();
+        self.choices.truncate(held);
+        self.models.truncate(held + 1);
+        if self.models.is_empty() {
+            self.models.push(factory());
+        }
+        for &c in &prefix[held..] {
+            let mut next = self.top().fork();
+            // Enabled sets are computed one step before the fork, so a
+            // refused choice indicates a nondeterministic model — surface
+            // it loudly rather than exploring garbage.
+            assert!(next.apply(c), "fork diverged: model is not deterministic");
+            self.choices.push(c);
+            self.models.push(next);
+        }
+        self.top()
+    }
+
+    /// The state the last reach led to.
+    fn top(&self) -> &M {
+        self.models.last().expect("a reached path holds its root")
+    }
+
+    /// Takes the top state off the path, or a fork of it when it is the
+    /// root, which the path keeps so that it never builds one twice.
+    fn take(&mut self) -> M {
+        if self.models.len() > 1 {
+            self.choices.pop();
+            self.models
+                .pop()
+                .expect("the path holds more than its root")
+        } else {
+            self.top().fork()
+        }
     }
 }
 
@@ -386,6 +459,7 @@ impl<M: Model> Explorer<M> {
         let mut seen: HashSet<u64> = HashSet::new();
         let mut scenario: Option<String> = None;
         let mut batch: Vec<u32> = Vec::new();
+        let mut path = Path::new();
         while !frontier.is_empty() {
             let room = self.max_states - report.states_explored;
             if room == 0 {
@@ -400,7 +474,7 @@ impl<M: Model> Explorer<M> {
                     batch.extend(frontier.drain(..frontier.len().min(BATCH).min(room)));
                 }
             }
-            let visits = self.visit_batch(workers, &tree, &batch, &seen);
+            let visits = self.visit_batch(workers, &mut path, &tree, &batch, &seen);
             for (&node, visit) in batch.iter().zip(visits) {
                 report.states_explored += 1;
                 let Visit::New {
@@ -471,10 +545,12 @@ impl<M: Model> Explorer<M> {
     /// Visits every prefix of `batch` on up to `workers` threads, the
     /// caller's included, and returns the visits in batch order. Threads
     /// take the next unvisited sibling group as they free up, so deep and
-    /// shallow groups balance.
+    /// shallow groups balance. The caller walks `path`; each helper starts
+    /// a path of its own.
     fn visit_batch(
         &self,
         workers: usize,
+        path: &mut Path<M>,
         tree: &PrefixTree,
         batch: &[u32],
         seen: &HashSet<u64>,
@@ -483,7 +559,7 @@ impl<M: Model> Explorer<M> {
         let depth_bound = self.depth_bound;
         let groups = sibling_groups(tree, batch);
         let next = AtomicUsize::new(0);
-        let work = || {
+        let work = |path: &mut Path<M>| {
             let mut done = Vec::new();
             loop {
                 let g = next.fetch_add(1, Ordering::Relaxed);
@@ -491,15 +567,15 @@ impl<M: Model> Explorer<M> {
                     return done;
                 };
                 let siblings = &batch[group.clone()];
-                let visits = visit_siblings(factory, depth_bound, tree, siblings, seen);
+                let visits = visit_siblings(factory, path, depth_bound, tree, siblings, seen);
                 done.extend((group.start..).zip(visits));
             }
         };
         let mut visits = std::thread::scope(|s| {
             let helpers: Vec<_> = (1..workers.min(groups.len()))
-                .map(|_| s.spawn(work))
+                .map(|_| s.spawn(move || work(&mut Path::new())))
                 .collect();
-            let mut visits = work();
+            let mut visits = work(path);
             for helper in helpers {
                 visits.extend(
                     helper
@@ -528,11 +604,12 @@ fn sibling_groups(tree: &PrefixTree, batch: &[u32]) -> Vec<Range<usize>> {
     groups
 }
 
-/// Visits one sibling group: builds the parent they share by replaying its
-/// prefix, forks it for every sibling but the last, which takes the parent
-/// itself, and applies each sibling's choice (see [`Visit`]).
+/// Visits one sibling group: reaches the parent they share on `path`,
+/// forks it for every sibling but the last, which takes the parent itself,
+/// and applies each sibling's choice (see [`Visit`]).
 fn visit_siblings<M: Model>(
     factory: &(dyn Fn() -> M + Sync),
+    path: &mut Path<M>,
     depth_bound: usize,
     tree: &PrefixTree,
     siblings: &[u32],
@@ -540,19 +617,14 @@ fn visit_siblings<M: Model>(
 ) -> Vec<Visit> {
     let Some((parent_id, _)) = tree.last(siblings[0]) else {
         // The empty prefix: the factory's own state.
-        return vec![inspect(&factory(), Vec::new(), depth_bound, seen)];
+        return vec![inspect(
+            path.reach(factory, &[]),
+            Vec::new(),
+            depth_bound,
+            seen,
+        )];
     };
     let parent_prefix = tree.prefix(parent_id);
-    let mut parent = factory();
-    for &c in &parent_prefix {
-        // Enabled sets are computed one step before the replay, so a
-        // refused choice indicates a nondeterministic model — surface it
-        // loudly rather than exploring garbage.
-        assert!(
-            parent.apply(c),
-            "replay diverged: model is not deterministic"
-        );
-    }
     let visit = |mut model: M, node: u32| {
         let (_, choice) = tree.last(node).expect("a sibling has a parent");
         assert!(
@@ -565,11 +637,12 @@ fn visit_siblings<M: Model>(
         inspect(&model, prefix, depth_bound, seen)
     };
     let (&last, forked) = siblings.split_last().expect("a group is never empty");
+    let parent = path.reach(factory, &parent_prefix);
     let mut visits: Vec<Visit> = forked
         .iter()
         .map(|&node| visit(parent.fork(), node))
         .collect();
-    visits.push(visit(parent, last));
+    visits.push(visit(path.take(), last));
     visits
 }
 
@@ -602,6 +675,7 @@ fn inspect<M: Model>(
 #[cfg(test)]
 mod tests {
     use std::hash::{Hash, Hasher};
+    use std::sync::Arc;
 
     use super::*;
     use crate::invariant::{default_suite, NodeObs};
@@ -841,6 +915,68 @@ mod tests {
         let (whole, _) =
             assert_worker_counts_agree(&grid(Strategy::Bfs).keep_going().depth_bound(80), never);
         assert_eq!((whole.terminal_states, whole.bound_hits), (1, 0));
+    }
+
+    /// The batches and visits of a BFS of the uncapped grid under
+    /// `depth_bound`: its frontier, replayed [`BATCH`] prefixes at a time.
+    fn grid_bfs_batches(depth_bound: usize) -> (usize, u64) {
+        let mut frontier = VecDeque::from([(Grid { a: 0, b: 0 }, 0)]);
+        let mut seen = HashSet::new();
+        let (mut batches, mut visits) = (0, 0);
+        while !frontier.is_empty() {
+            batches += 1;
+            let batch: Vec<_> = frontier.drain(..frontier.len().min(BATCH)).collect();
+            for (grid, depth) in batch {
+                visits += 1;
+                if !seen.insert(grid.fingerprint())
+                    || grid.observe().terminal
+                    || depth >= depth_bound
+                {
+                    continue;
+                }
+                for c in grid.enabled() {
+                    let mut child = grid.fork();
+                    assert!(child.apply(c));
+                    frontier.push_back((child, depth + 1));
+                }
+            }
+        }
+        (batches, visits)
+    }
+
+    #[test]
+    fn the_path_builds_one_root_per_worker_and_batch() {
+        let never = |_: &Observation, _: &[Choice]| false;
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counted = |strategy| {
+            let builds = Arc::clone(&builds);
+            Explorer::new(move || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                Grid { a: 0, b: 0 }
+            })
+            .invariant(Diagonal)
+            .strategy(strategy)
+            .depth_bound(50)
+            .keep_going()
+        };
+        let (batches, visits) = grid_bfs_batches(50);
+        let (bfs, _) = assert_worker_counts_agree(&counted(Strategy::Bfs), never);
+        assert_eq!(bfs.states_explored, visits);
+        assert!(batches > 3);
+        // Per worker and batch at most one root, plus the one that names
+        // the scenario of the first violation.
+        for workers in [1, 2, 3, 8] {
+            for (strategy, most) in [(Strategy::Bfs, 1 + batches * workers), (Strategy::Dfs, 2)] {
+                builds.store(0, Ordering::Relaxed);
+                let _ = counted(strategy).walk_on(workers, never, &mut ExploreReport::default());
+                let built = builds.load(Ordering::Relaxed);
+                assert!(
+                    built <= most,
+                    "{strategy:?} on {workers} workers: {built} builds"
+                );
+            }
+        }
+        assert_worker_counts_agree(&counted(Strategy::Dfs), never);
     }
 
     fn switch(cfg: ScenarioConfig) -> Explorer<TwoPhaseSwitch> {

@@ -29,11 +29,13 @@
 //! those counts. It does not *exhaust* the scenario — 34,283 unique states
 //! sit at the depth bound, so `ExploreReport::exhausted()` is false — but
 //! every interleaving up to depth 12 is checked. The explorer visits
-//! states on every core and forks each expanded state for its children
-//! instead of replaying every prefix: the audit takes about 20 s on two
-//! cores (about 45 s when every visit replayed). `--smoke`
-//! caps the audit at 50k visited states (it stops at the cap; nothing is
-//! asserted about its counts).
+//! states on every core, forks each expanded state for its children
+//! instead of replaying every prefix, and reaches the next expanded state
+//! from the nearest ancestor it still holds: the audit takes about 11 s
+//! on two cores (about 17 s when each parent was rebuilt from its
+//! prefix, about 45 s when every visit replayed). `--smoke` caps the
+//! audit at 50k visited states (it stops at the cap; nothing is asserted
+//! about its counts).
 
 use manetkit_repro::mcheck::{default_suite, Explorer, ScenarioConfig, Strategy, TwoPhaseSwitch};
 
