@@ -12,17 +12,15 @@
 //!   thread-per-message semantics) or per-protocol FIFO queues drained
 //!   round-robin (thread-per-ManetProtocol semantics). Both preserve the
 //!   paper's per-protocol FIFO ordering guarantee.
-//! * [`ThroughputLab`] — a real-thread harness (crossbeam channels, one OS
-//!   thread per worker) that `examples/paper_tables.rs` runs as E9 to
+//! * [`ThroughputLab`] — a real-thread harness (`std::sync` channels, one
+//!   OS thread per worker) that `examples/paper_tables.rs` runs as E9 to
 //!   measure the throughput/latency trade-off among the three models
 //!   outside the simulator.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel;
-use parking_lot::Mutex;
 
 use crate::event::Event;
 use crate::manager::UnitId;
@@ -192,30 +190,35 @@ fn mix(mut x: u64, rounds: u32) -> u64 {
     x
 }
 
+/// Locks `mutex`, recovering the data if a panicking holder poisoned it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Admits waiters strictly in ticket order (blocking, not spinning).
 struct Turnstile {
-    turn: Mutex<usize>,
-    cv: parking_lot::Condvar,
+    turn: Mutex<u64>,
+    cv: Condvar,
 }
 
 impl Turnstile {
     fn new() -> Self {
         Turnstile {
             turn: Mutex::new(0),
-            cv: parking_lot::Condvar::new(),
+            cv: Condvar::new(),
         }
     }
 
-    fn enter(&self, ticket: usize) {
-        let mut turn = self.turn.lock();
-        while *turn != ticket {
-            self.cv.wait(&mut turn);
-        }
+    fn enter(&self, ticket: u64) {
+        let turn = lock(&self.turn);
+        let _admitted = self
+            .cv
+            .wait_while(turn, |turn| *turn != ticket)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     fn leave(&self) {
-        let mut turn = self.turn.lock();
-        *turn += 1;
+        *lock(&self.turn) += 1;
         self.cv.notify_all();
     }
 }
@@ -234,14 +237,14 @@ impl Stage {
 
     fn process(&self, seq: u64, work: u32) -> u64 {
         // The lock models the paper's "protocol is a critical section".
-        let mut seen = self.seen.lock();
+        let mut seen = lock(&self.seen);
         seen.push(seq);
         // black_box keeps the synthetic work from being optimised away.
         std::hint::black_box(mix(std::hint::black_box(seq), work))
     }
 
     fn in_order(&self) -> bool {
-        let seen = self.seen.lock();
+        let seen = lock(&self.seen);
         seen.windows(2).all(|w| w[0] < w[1])
     }
 }
@@ -257,15 +260,15 @@ impl ThroughputLab {
         }
     }
 
-    fn stages_vec(&self) -> Vec<Arc<Stage>> {
-        (0..self.stages).map(|_| Arc::new(Stage::new())).collect()
+    fn stages_vec(&self) -> Vec<Stage> {
+        (0..self.stages).map(|_| Stage::new()).collect()
     }
 
     fn report(
         &self,
         model: ConcurrencyModel,
         start: Instant,
-        stages: &[Arc<Stage>],
+        stages: &[Stage],
         threads_used: usize,
     ) -> LabReport {
         let elapsed = start.elapsed();
@@ -291,34 +294,28 @@ impl ThroughputLab {
 
     fn run_pool(&self, pool: usize) -> LabReport {
         let stages = self.stages_vec();
-        let (tx, rx) = channel::unbounded::<u64>();
         // FIFO order under a pool requires per-stage sequencing: workers
         // claim messages in order and a turnstile per stage admits them in
         // that order — exactly like shepherd threads queueing on the
         // protocol's critical section in arrival order.
-        let turnstiles: Arc<Vec<Turnstile>> =
-            Arc::new((0..self.stages).map(|_| Turnstile::new()).collect());
+        let next = AtomicU64::new(0);
+        let turnstiles: Vec<Turnstile> = (0..self.stages).map(|_| Turnstile::new()).collect();
+        let (messages, work) = (self.messages as u64, self.work_per_message);
         let start = Instant::now();
-        let work = self.work_per_message;
         std::thread::scope(|scope| {
             for _ in 0..pool {
-                let rx = rx.clone();
-                let stages = stages.clone();
-                let turnstiles = turnstiles.clone();
-                scope.spawn(move || {
-                    while let Ok(seq) = rx.recv() {
-                        for (i, s) in stages.iter().enumerate() {
-                            turnstiles[i].enter(seq as usize);
-                            s.process(seq, work);
-                            turnstiles[i].leave();
-                        }
+                scope.spawn(|| loop {
+                    let seq = next.fetch_add(1, Ordering::Relaxed);
+                    if seq >= messages {
+                        return;
+                    }
+                    for (s, turnstile) in stages.iter().zip(&turnstiles) {
+                        turnstile.enter(seq);
+                        s.process(seq, work);
+                        turnstile.leave();
                     }
                 });
             }
-            for seq in 0..self.messages as u64 {
-                tx.send(seq).expect("workers alive");
-            }
-            drop(tx);
         });
         self.report(
             ConcurrencyModel::ThreadPerMessage { pool },
@@ -335,15 +332,14 @@ impl ThroughputLab {
         let mut txs = Vec::new();
         let mut rxs = Vec::new();
         for _ in 0..self.stages {
-            let (tx, rx) = channel::unbounded::<u64>();
+            let (tx, rx) = mpsc::channel::<u64>();
             txs.push(tx);
             rxs.push(rx);
         }
         let start = Instant::now();
         let work = self.work_per_message;
         std::thread::scope(|scope| {
-            for (i, rx) in rxs.into_iter().enumerate() {
-                let stage = stages[i].clone();
+            for (i, (rx, stage)) in rxs.into_iter().zip(&stages).enumerate() {
                 let next_tx = txs.get(i + 1).cloned();
                 scope.spawn(move || {
                     while let Ok(seq) = rx.recv() {

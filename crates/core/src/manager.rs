@@ -1,10 +1,13 @@
 //! The Framework Manager: declarative event wiring between CFS units.
 //!
-//! Units (protocol CFs and the System CF) register their
-//! [`EventTuple`]s; the manager derives the routing graph: for each event
-//! type, which units receive it, honouring exclusive receive, interposition
-//! chains and loop avoidance (§4.2). Changing a tuple at runtime re-derives
-//! the wiring — the paper's "declarative automatic dynamic reconfiguration".
+//! The manager derives the routing graph from the live units'
+//! [`EventTuple`]s: for each event type, which units receive it, honouring
+//! exclusive receive, interposition chains and loop avoidance (§4.2). It
+//! keeps no record of the units themselves — the deployment's slots are
+//! the composition, and every change to them (a protocol deployed,
+//! removed or re-declared, a System CF reload) hands the live units to
+//! [`FrameworkManager::rewire`] again: the paper's "declarative automatic
+//! dynamic reconfiguration".
 //!
 //! The manager also hosts the *context concentrator*: a façade collecting
 //! the most recent context readings for higher-level decision-making
@@ -16,8 +19,8 @@ use crate::event::{ContextValue, EventType};
 use crate::registry::EventTuple;
 use crate::smallvec::SmallVec;
 
-/// Index of a registered unit (stable across rewires, not across
-/// unregister).
+/// A unit's id: the System CF's, or one a deployment gave a protocol when
+/// it was deployed. A deployment never reuses an id.
 pub type UnitId = usize;
 
 /// Inline capacity of per-type recipient lists: most event types have one or
@@ -25,20 +28,13 @@ pub type UnitId = usize;
 /// allocation-free for typical deployments.
 const INLINE_UNITS: usize = 4;
 
-#[derive(Debug, Clone)]
-struct UnitDecl {
-    name: String,
-    tuple: EventTuple,
-    active: bool,
-}
-
 #[derive(Debug, Clone, Default)]
 struct Wiring {
-    /// Units that provide-and-require the type, in registration order.
+    /// Units that provide-and-require the type, in unit-id order.
     interposers: SmallVec<UnitId, INLINE_UNITS>,
-    /// The exclusive consumer, if any (first registered wins).
+    /// The exclusive consumer, if any (the lowest unit id wins).
     exclusive: Option<UnitId>,
-    /// Plain consumers in registration order (excluding interposers).
+    /// Plain consumers in unit-id order (excluding interposers).
     consumers: SmallVec<UnitId, INLINE_UNITS>,
 }
 
@@ -48,16 +44,15 @@ impl Wiring {
     }
 }
 
-/// Derives and maintains the event routing graph from unit tuples.
+/// Derives the event routing graph from unit tuples.
 ///
 /// The routing table is *dense*: `wiring[ty.id()]` holds the precomputed
-/// recipient lists for event type `ty`. It is rebuilt only when the unit set
-/// or a tuple changes ([`FrameworkManager::rewire`]) — per-dispatch routing
-/// is a bounds-checked index, no hashing and no allocation
-/// ([`FrameworkManager::route_for_each`]).
+/// recipient lists for event type `ty`. It is rebuilt only when the
+/// deployment's units or their tuples change ([`FrameworkManager::rewire`])
+/// — per-dispatch routing is a bounds-checked index, no hashing and no
+/// allocation ([`FrameworkManager::route_for_each`]).
 #[derive(Debug, Clone, Default)]
 pub struct FrameworkManager {
-    units: Vec<UnitDecl>,
     /// Dense routing table indexed by [`EventType::id`]. Types interned
     /// after the last rewire (or absent from every tuple) simply fall
     /// outside the table / hold an empty entry — both mean "no recipients".
@@ -67,73 +62,10 @@ pub struct FrameworkManager {
 }
 
 impl FrameworkManager {
-    /// An empty manager.
+    /// An empty manager: no unit receives anything.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Registers a unit with its event tuple; returns its id.
-    ///
-    /// Registration order is stack order: earlier units are "lower" and win
-    /// exclusive-consumer ties.
-    pub fn register(&mut self, name: impl Into<String>, tuple: EventTuple) -> UnitId {
-        let id = self.units.len();
-        self.units.push(UnitDecl {
-            name: name.into(),
-            tuple,
-            active: true,
-        });
-        self.rewire();
-        id
-    }
-
-    /// Replaces a unit's tuple and rewires (declarative reconfiguration).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was never registered.
-    pub fn update_tuple(&mut self, id: UnitId, tuple: EventTuple) {
-        self.units[id].tuple = tuple;
-        self.rewire();
-    }
-
-    /// Deactivates a unit (its wiring disappears; the id remains valid).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was never registered.
-    pub fn deactivate(&mut self, id: UnitId) {
-        self.units[id].active = false;
-        self.rewire();
-    }
-
-    /// Reactivates a previously deactivated unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was never registered.
-    pub fn reactivate(&mut self, id: UnitId) {
-        self.units[id].active = true;
-        self.rewire();
-    }
-
-    /// The unit's registered name.
-    #[must_use]
-    pub fn unit_name(&self, id: UnitId) -> Option<&str> {
-        self.units.get(id).map(|u| u.name.as_str())
-    }
-
-    /// Finds a unit id by name.
-    #[must_use]
-    pub fn unit_named(&self, name: &str) -> Option<UnitId> {
-        self.units.iter().position(|u| u.active && u.name == name)
-    }
-
-    /// The unit's current tuple.
-    #[must_use]
-    pub fn tuple(&self, id: UnitId) -> Option<&EventTuple> {
-        self.units.get(id).map(|u| &u.tuple)
     }
 
     /// How many times the wiring has been re-derived (observability).
@@ -142,34 +74,37 @@ impl FrameworkManager {
         self.rewires
     }
 
-    /// Recomputes the dense routing table from the current tuples.
+    /// Rebuilds the dense routing table from the live units and their
+    /// tuples; a unit left out receives nothing.
+    ///
+    /// Units are wired in unit-id order, whatever order they come in: an
+    /// interposer chain runs from the lowest id up, and the lowest id wins
+    /// an exclusive-consumer tie. Ids follow deployment order, so a
+    /// protocol reinstated by a rollback — back in its old stack position
+    /// under a new, highest id — is wired after every other unit.
     ///
     /// This is the *only* place the table is built; dispatch never touches
-    /// it mutably. Cost is O(units × tuple size) and is paid on register /
-    /// update / (de)activate — i.e. on deployment and reconfiguration, not
-    /// per event.
-    pub fn rewire(&mut self) {
+    /// it mutably. Cost is O(units × tuple size), paid on deployment and
+    /// reconfiguration, not per event.
+    pub fn rewire<'a>(&mut self, units: impl IntoIterator<Item = (UnitId, &'a EventTuple)>) {
         self.rewires += 1;
+        let mut units: Vec<(UnitId, &EventTuple)> = units.into_iter().collect();
+        units.sort_unstable_by_key(|&(id, _)| id);
         // Size the table to the highest required event id; ids are dense so
         // this is at most the process-wide intern count.
-        let table_len = self
-            .units
+        let table_len = units
             .iter()
-            .filter(|u| u.active)
-            .flat_map(|u| u.tuple.required.iter())
+            .flat_map(|(_, tuple)| tuple.required.iter())
             .map(|ty| ty.id() as usize + 1)
             .max()
             .unwrap_or(0);
         let mut wiring = vec![Wiring::default(); table_len];
-        for (id, unit) in self.units.iter().enumerate() {
-            if !unit.active {
-                continue;
-            }
-            for ty in &unit.tuple.required {
+        for (id, tuple) in units {
+            for ty in &tuple.required {
                 let w = &mut wiring[ty.id() as usize];
-                if unit.tuple.is_interposer(ty) {
+                if tuple.is_interposer(ty) {
                     w.interposers.push(id);
-                } else if unit.tuple.is_exclusive(ty) {
+                } else if tuple.is_exclusive(ty) {
                     if w.exclusive.is_none() {
                         w.exclusive = Some(id);
                     }
@@ -186,7 +121,7 @@ impl FrameworkManager {
     ///
     /// Routing semantics:
     ///
-    /// 1. Interposers for `ty` form a chain in registration order. An event
+    /// 1. Interposers for `ty` form a chain in unit-id order. An event
     ///    enters the chain at the start — or, when the origin is itself an
     ///    interposer, just after the origin's position — and is delivered to
     ///    the *next* interposer only.
@@ -281,23 +216,23 @@ impl FrameworkManager {
 }
 
 #[cfg(test)]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::types;
 
-    fn manager_with(units: Vec<(&str, EventTuple)>) -> FrameworkManager {
+    /// A manager wired from `tuples`, unit `i` holding `tuples[i]`.
+    fn manager_with(tuples: &[EventTuple]) -> FrameworkManager {
         let mut m = FrameworkManager::new();
-        for (name, tuple) in units {
-            m.register(name, tuple);
-        }
+        m.rewire(tuples.iter().enumerate());
         m
     }
 
     #[test]
     fn provider_to_consumer() {
-        let m = manager_with(vec![
-            ("system", EventTuple::new().provides(types::tc_in())),
-            ("olsr", EventTuple::new().requires(types::tc_in())),
+        let m = manager_with(&[
+            EventTuple::new().provides(types::tc_in()),
+            EventTuple::new().requires(types::tc_in()),
         ]);
         assert_eq!(m.route(&types::tc_in(), Some(0)), vec![1]);
         assert!(m.route(&types::tc_out(), Some(0)).is_empty());
@@ -305,10 +240,10 @@ mod tests {
 
     #[test]
     fn broadcast_to_multiple_consumers() {
-        let m = manager_with(vec![
-            ("system", EventTuple::new().provides(types::hello_in())),
-            ("mpr", EventTuple::new().requires(types::hello_in())),
-            ("sniffer", EventTuple::new().requires(types::hello_in())),
+        let m = manager_with(&[
+            EventTuple::new().provides(types::hello_in()),
+            EventTuple::new().requires(types::hello_in()),
+            EventTuple::new().requires(types::hello_in()),
         ]);
         assert_eq!(m.route(&types::hello_in(), Some(0)), vec![1, 2]);
     }
@@ -317,9 +252,9 @@ mod tests {
     fn loop_avoidance_excludes_origin() {
         // Unit both provides and requires NHOOD_CHANGE but is not counted an
         // interposer for its own emissions.
-        let m = manager_with(vec![
-            ("a", EventTuple::new().provides(types::nhood_change())),
-            ("b", EventTuple::new().requires(types::nhood_change())),
+        let m = manager_with(&[
+            EventTuple::new().provides(types::nhood_change()),
+            EventTuple::new().requires(types::nhood_change()),
         ]);
         assert_eq!(m.route(&types::nhood_change(), Some(0)), vec![1]);
         // b emitting (hypothetically) must not deliver to itself.
@@ -328,51 +263,41 @@ mod tests {
 
     #[test]
     fn exclusive_consumer_wins() {
-        let m = manager_with(vec![
-            ("olsr", EventTuple::new().provides(types::tc_out())),
-            ("mpr", EventTuple::new().requires_exclusive(types::tc_out())),
-            ("driver", EventTuple::new().requires(types::tc_out())),
+        let m = manager_with(&[
+            EventTuple::new().provides(types::tc_out()),
+            EventTuple::new().requires_exclusive(types::tc_out()),
+            EventTuple::new().requires(types::tc_out()),
         ]);
         assert_eq!(m.route(&types::tc_out(), Some(0)), vec![1]);
     }
 
     #[test]
     fn interposer_chain() {
-        let mut m = manager_with(vec![
-            ("olsr", EventTuple::new().provides(types::tc_out())),
-            ("mpr", EventTuple::new().requires_exclusive(types::tc_out())),
-        ]);
+        let olsr = EventTuple::new().provides(types::tc_out());
+        let mpr = EventTuple::new().requires_exclusive(types::tc_out());
+        let mut m = manager_with(&[olsr.clone(), mpr.clone()]);
         // Without the interposer, TC_OUT flows olsr -> mpr.
         assert_eq!(m.route(&types::tc_out(), Some(0)), vec![1]);
         // Insert fisheye: requires and provides TC_OUT.
-        let fisheye = m.register(
-            "fisheye",
-            EventTuple::new()
-                .requires(types::tc_out())
-                .provides(types::tc_out()),
-        );
+        let fisheye = EventTuple::new()
+            .requires(types::tc_out())
+            .provides(types::tc_out());
+        m.rewire([(0, &olsr), (1, &mpr), (2, &fisheye)]);
         // Now olsr -> fisheye -> mpr.
-        assert_eq!(m.route(&types::tc_out(), Some(0)), vec![fisheye]);
-        assert_eq!(m.route(&types::tc_out(), Some(fisheye)), vec![1]);
+        assert_eq!(m.route(&types::tc_out(), Some(0)), vec![2]);
+        assert_eq!(m.route(&types::tc_out(), Some(2)), vec![1]);
     }
 
     #[test]
     fn two_interposers_chain_in_order() {
-        let m = manager_with(vec![
-            ("p", EventTuple::new().provides(types::tc_out())),
-            (
-                "i1",
-                EventTuple::new()
-                    .requires(types::tc_out())
-                    .provides(types::tc_out()),
-            ),
-            (
-                "i2",
-                EventTuple::new()
-                    .requires(types::tc_out())
-                    .provides(types::tc_out()),
-            ),
-            ("sink", EventTuple::new().requires(types::tc_out())),
+        let interposer = EventTuple::new()
+            .requires(types::tc_out())
+            .provides(types::tc_out());
+        let m = manager_with(&[
+            EventTuple::new().provides(types::tc_out()),
+            interposer.clone(),
+            interposer,
+            EventTuple::new().requires(types::tc_out()),
         ]);
         assert_eq!(m.route(&types::tc_out(), Some(0)), vec![1]);
         assert_eq!(m.route(&types::tc_out(), Some(1)), vec![2]);
@@ -380,36 +305,45 @@ mod tests {
     }
 
     #[test]
-    fn tuple_update_rewires() {
-        let mut m = manager_with(vec![
-            ("p", EventTuple::new().provides(types::re_out())),
-            ("sink", EventTuple::new().requires(types::re_out())),
+    fn wiring_follows_unit_ids_not_the_order_units_come_in() {
+        let provider = EventTuple::new().provides(types::tc_out());
+        let interposer = EventTuple::new()
+            .requires(types::tc_out())
+            .provides(types::tc_out());
+        let exclusive = EventTuple::new().requires_exclusive(types::tc_out());
+        let mut m = FrameworkManager::new();
+        // Stack order 0, 7, 3, 9, 5: the chain and the tie follow the ids.
+        m.rewire([
+            (0, &provider),
+            (7, &interposer),
+            (3, &interposer),
+            (9, &exclusive),
+            (5, &exclusive),
         ]);
-        let before = m.rewire_count();
-        m.update_tuple(1, EventTuple::new());
-        assert!(m.rewire_count() > before);
-        assert!(m.route(&types::re_out(), Some(0)).is_empty());
+        assert_eq!(m.route(&types::tc_out(), Some(0)), vec![3]);
+        assert_eq!(m.route(&types::tc_out(), Some(3)), vec![7]);
+        assert_eq!(m.route(&types::tc_out(), Some(7)), vec![5]);
     }
 
     #[test]
-    fn deactivate_removes_from_wiring() {
-        let mut m = manager_with(vec![
-            ("p", EventTuple::new().provides(types::re_out())),
-            ("sink", EventTuple::new().requires(types::re_out())),
-        ]);
-        m.deactivate(1);
+    fn a_rewire_without_a_unit_drops_its_wiring() {
+        let provider = EventTuple::new().provides(types::re_out());
+        let sink = EventTuple::new().requires(types::re_out());
+        let mut m = manager_with(&[provider.clone(), sink.clone()]);
+        let before = m.rewire_count();
+        m.rewire([(0, &provider)]);
+        assert!(m.rewire_count() > before);
         assert!(m.route(&types::re_out(), Some(0)).is_empty());
-        assert_eq!(m.unit_named("sink"), None);
-        m.reactivate(1);
+        m.rewire([(0, &provider), (1, &sink)]);
         assert_eq!(m.route(&types::re_out(), Some(0)), vec![1]);
     }
 
     #[test]
     fn routing_is_read_only_between_rewires() {
-        let m = manager_with(vec![
-            ("system", EventTuple::new().provides(types::hello_in())),
-            ("mpr", EventTuple::new().requires(types::hello_in())),
-            ("sniffer", EventTuple::new().requires(types::hello_in())),
+        let m = manager_with(&[
+            EventTuple::new().provides(types::hello_in()),
+            EventTuple::new().requires(types::hello_in()),
+            EventTuple::new().requires(types::hello_in()),
         ]);
         let rewires = m.rewire_count();
         // Routing — including for types the table has never seen — must not

@@ -9,11 +9,10 @@
 //! reconfiguration at quiescent points (§4.5).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use netsim::{ContextSample, FilterEvent, NodeOs, TimerToken};
 use packetbb::Address;
-use parking_lot::Mutex;
 
 use crate::concurrency::{ConcurrencyModel, DispatchQueue};
 use crate::event::{ContextValue, Event, EventType, Payload};
@@ -23,10 +22,14 @@ use crate::protocol::{
 };
 use crate::registry::EventTuple;
 use crate::system::{SystemCf, SystemConfig};
-use crate::telemetry::{intern_name, BusCounters};
+use crate::telemetry::{BusCounters, UnitCounters};
 
-/// Name the System CF registers under with the Framework Manager.
-const SYSTEM_UNIT: &str = "system";
+/// The System CF's unit id: the first, so it is wired before every
+/// protocol.
+const SYSTEM_UNIT: UnitId = 0;
+
+/// The System CF's unit name, in its counters and its events' origin.
+const SYSTEM_NAME: &str = "system";
 
 /// Errors from deployment operations.
 #[derive(Debug)]
@@ -284,15 +287,16 @@ impl Default for NodeStatus {
     }
 }
 
+/// One deployed protocol: the one record of it the deployment keeps.
 struct Slot {
     cf: ManetProtocolCf,
+    /// Its unit id, given when it was deployed and never reused.
     unit: UnitId,
-    /// The protocol name, interned once so the delivery hot path can hand
-    /// a `&'static str` to [`ProtoCtx`] without a per-event `String`.
-    name: &'static str,
     /// Event types with a pending timer, whose tokens are
     /// [`timer_token`]`(unit, type)`: what removing the protocol cancels.
     timers: Vec<EventType>,
+    /// Its `bus.<name>.events_{in,out}` counter ids.
+    bus: UnitCounters,
 }
 
 /// The OS timer token of `unit`'s timer for event type `ty`. A unit holds
@@ -319,11 +323,20 @@ pub(crate) struct Switched {
 /// A per-node MANETKit framework instance.
 pub struct Deployment {
     system: SystemCf,
-    system_unit: UnitId,
+    /// The System CF's tuple as of the last
+    /// [`refresh_system_tuple`](Self::refresh_system_tuple): the System
+    /// unit's declaration, as a slot's CF holds a protocol's.
+    system_tuple: EventTuple,
+    /// The System CF's `bus.system.events_{in,out}` counter ids.
+    system_bus: UnitCounters,
+    /// The wiring derived from the System CF's and the slots' tuples.
     manager: FrameworkManager,
+    /// The deployed protocols in stack order: the composition.
     slots: Vec<Slot>,
+    /// The unit id the next deployed protocol gets.
+    next_unit: UnitId,
     concurrency: ConcurrencyModel,
-    /// The ids the bus counts are bumped through, in the OS counters.
+    /// The dispatch-queue high-water mark, in the OS counters.
     bus: BusCounters,
     /// Reconfiguration ops applied, by [`apply`](Self::apply) or a
     /// committed transaction: the generation of the flight recorder's
@@ -341,13 +354,13 @@ impl Deployment {
     /// An empty deployment under the given concurrency model.
     #[must_use]
     pub fn new(concurrency: ConcurrencyModel) -> Self {
-        let mut manager = FrameworkManager::new();
-        let system_unit = manager.register(SYSTEM_UNIT, EventTuple::new());
         Deployment {
             system: SystemCf::new(),
-            system_unit,
-            manager,
+            system_tuple: EventTuple::new(),
+            system_bus: UnitCounters::default(),
+            manager: FrameworkManager::new(),
             slots: Vec::new(),
+            next_unit: SYSTEM_UNIT + 1,
             concurrency,
             bus: BusCounters::default(),
             ops_applied: 0,
@@ -372,8 +385,16 @@ impl Deployment {
 
     /// Re-derives the System CF's tuple after plug-in changes.
     pub fn refresh_system_tuple(&mut self) {
-        self.manager
-            .update_tuple(self.system_unit, self.system.tuple());
+        self.system_tuple = self.system.tuple();
+        self.rewire();
+    }
+
+    /// Hands the live units' tuples to the manager, the System CF's first:
+    /// after every change to the slots or a tuple.
+    fn rewire(&mut self) {
+        let system = std::iter::once((SYSTEM_UNIT, &self.system_tuple));
+        let protocols = self.slots.iter().map(|s| (s.unit, s.cf.tuple()));
+        self.manager.rewire(system.chain(protocols));
     }
 
     /// The framework manager (wiring inspection, context concentrator).
@@ -384,7 +405,7 @@ impl Deployment {
 
     /// An independent copy in exactly this deployment's state, between
     /// callbacks: every protocol through [`ManetProtocolCf::fork`], the
-    /// System CF, wiring and bus counts cloned. `None` when a plug-in
+    /// System CF, wiring and bus counter ids cloned. `None` when a plug-in
     /// cannot fork.
     #[must_use]
     pub fn fork(&self) -> Option<Deployment> {
@@ -396,15 +417,17 @@ impl Deployment {
             Some(Slot {
                 cf: s.cf.fork()?,
                 unit: s.unit,
-                name: s.name,
                 timers: s.timers.clone(),
+                bus: s.bus,
             })
         })?;
         Some(Deployment {
             system: self.system.clone(),
-            system_unit: self.system_unit,
+            system_tuple: self.system_tuple.clone(),
+            system_bus: self.system_bus,
             manager: self.manager.clone(),
             slots,
+            next_unit: self.next_unit,
             concurrency: self.concurrency,
             bus: self.bus.clone(),
             ops_applied: self.ops_applied,
@@ -480,20 +503,19 @@ impl Deployment {
             });
             return Err((cf, err));
         }
-        let unit = self
-            .manager
-            .register(cf.name().to_string(), cf.tuple().clone());
-        let name = intern_name(cf.name());
+        let unit = self.next_unit;
+        self.next_unit += 1;
         let at = at.min(self.slots.len());
         self.slots.insert(
             at,
             Slot {
                 cf,
                 unit,
-                name,
                 timers: Vec::new(),
+                bus: UnitCounters::default(),
             },
         );
+        self.rewire();
         Ok(())
     }
 
@@ -532,9 +554,8 @@ impl Deployment {
             .iter_mut()
             .find(|s| s.cf.name() == protocol)
             .ok_or_else(|| DeployError::NoSuchProtocol(protocol.to_string()))?;
-        let old = slot.cf.tuple().clone();
-        slot.cf.set_tuple(tuple.clone());
-        self.manager.update_tuple(slot.unit, tuple);
+        let old = slot.cf.set_tuple(tuple);
+        self.rewire();
         Ok(old)
     }
 
@@ -555,8 +576,7 @@ impl Deployment {
             .ok_or_else(|| DeployError::NoSuchProtocol(name.to_string()))?;
         // Give the protocol its shutdown hook (kernel-route cleanup etc.).
         {
-            let proto_name = self.slots[idx].cf.name().to_string();
-            let mut ctx = ProtoCtx::new(os, &proto_name);
+            let mut ctx = ProtoCtx::new(os, self.slots[idx].cf.name());
             self.slots[idx].cf.stop(&mut ctx);
             let out = ctx.take_outputs();
             drop(ctx);
@@ -571,7 +591,7 @@ impl Deployment {
         for &ty in &slot.timers {
             os.cancel_timer(timer_token(slot.unit, ty));
         }
-        self.manager.deactivate(slot.unit);
+        self.rewire();
         Ok(slot.cf)
     }
 
@@ -701,8 +721,7 @@ impl Deployment {
     }
 
     fn stop_protocol(&mut self, idx: usize, os: &mut NodeOs) {
-        let name = self.slots[idx].name;
-        let mut ctx = ProtoCtx::new(os, name);
+        let mut ctx = ProtoCtx::new(os, self.slots[idx].cf.name());
         self.slots[idx].cf.stop(&mut ctx);
         let out = ctx.take_outputs();
         drop(ctx);
@@ -710,8 +729,7 @@ impl Deployment {
     }
 
     fn start_protocol(&mut self, idx: usize, os: &mut NodeOs) {
-        let name = self.slots[idx].name;
-        let mut ctx = ProtoCtx::new(os, name);
+        let mut ctx = ProtoCtx::new(os, self.slots[idx].cf.name());
         self.slots[idx].cf.start(&mut ctx);
         let out = ctx.take_outputs();
         drop(ctx);
@@ -722,7 +740,7 @@ impl Deployment {
     pub fn on_frame(&mut self, os: &mut NodeOs, from: Address, bytes: &[u8]) {
         let mut events = std::mem::take(&mut self.rx_events);
         self.system.rx(from, &os.decode_control(bytes), &mut events);
-        self.dispatch_drain(os, &mut events, Some(self.system_unit));
+        self.dispatch_drain(os, &mut events, Some(SYSTEM_UNIT));
         self.rx_events = events;
     }
 
@@ -743,7 +761,7 @@ impl Deployment {
             return;
         };
         let ty = slot.timers.swap_remove(i);
-        let mut ctx = ProtoCtx::new(os, slot.name);
+        let mut ctx = ProtoCtx::new(os, slot.cf.name());
         slot.cf.on_timer(&ty, &mut ctx);
         let out = ctx.take_outputs();
         drop(ctx);
@@ -754,13 +772,13 @@ impl Deployment {
     /// A netfilter / link-layer event arrived.
     pub fn on_filter_event(&mut self, os: &mut NodeOs, event: &FilterEvent) {
         let events = self.system.filter_event(event);
-        self.dispatch(os, events, Some(self.system_unit));
+        self.dispatch(os, events, Some(SYSTEM_UNIT));
     }
 
     /// A context sample arrived.
     pub fn on_context(&mut self, os: &mut NodeOs, sample: &ContextSample) {
         let events = self.system.context_event(sample);
-        self.dispatch(os, events, Some(self.system_unit));
+        self.dispatch(os, events, Some(SYSTEM_UNIT));
     }
 
     // ---- dispatch core -----------------------------------------------------
@@ -803,13 +821,14 @@ impl Deployment {
         self.queue = queue;
     }
 
-    /// The interned name of a live unit (the System CF or a deployed
-    /// protocol).
-    fn origin_name(&self, unit: UnitId) -> Option<&'static str> {
-        if unit == self.system_unit {
-            return Some(SYSTEM_UNIT);
+    /// The name and counter ids of a live unit (the System CF or a
+    /// deployed protocol).
+    fn unit_mut(&mut self, unit: UnitId) -> Option<(&'static str, &mut UnitCounters)> {
+        if unit == SYSTEM_UNIT {
+            return Some((SYSTEM_NAME, &mut self.system_bus));
         }
-        self.slots.iter().find(|s| s.unit == unit).map(|s| s.name)
+        let slot = self.slots.iter_mut().find(|s| s.unit == unit)?;
+        Some((slot.cf.name(), &mut slot.bus))
     }
 
     fn route_event(
@@ -829,11 +848,9 @@ impl Deployment {
             };
             self.manager.record_context(key, value.clone());
         }
-        if event.meta.origin.is_none() {
-            event.meta.origin = origin.and_then(|o| self.origin_name(o));
-        }
-        if let Some(o) = origin {
-            self.bus.record_out(&self.manager, o, os);
+        if let Some((name, bus)) = origin.and_then(|o| self.unit_mut(o)) {
+            event.meta.origin.get_or_insert(name);
+            bus.record_out(name, os);
         }
         // Wrap once; every subscriber shares this allocation. Routing walks
         // the precomputed table without allocating a recipient list.
@@ -851,23 +868,23 @@ impl Deployment {
         event: &Event,
         os: &mut NodeOs,
     ) {
-        self.bus.record_in(&self.manager, unit, os);
         os.trace_bus_deliver(event.ty.as_str(), unit as u64, queue.len() as u64);
-        if unit == self.system_unit {
+        if unit == SYSTEM_UNIT {
+            self.system_bus.record_in(SYSTEM_NAME, os);
             self.system.consume(event, os);
             return;
         }
         let Some(idx) = self.slots.iter().position(|s| s.unit == unit) else {
             return; // unit removed while event in flight
         };
-        let name = self.slots[idx].name;
-        let mut ctx = ProtoCtx::new(os, name);
-        self.slots[idx].cf.deliver(event, &mut ctx);
+        let slot = &mut self.slots[idx];
+        slot.bus.record_in(slot.cf.name(), os);
+        let mut ctx = ProtoCtx::new(os, slot.cf.name());
+        slot.cf.deliver(event, &mut ctx);
         let out = ctx.take_outputs();
         drop(ctx);
-        let origin_unit = self.slots[idx].unit;
         for ev in out.emitted {
-            self.route_event(queue, ev, Some(origin_unit), os);
+            self.route_event(queue, ev, Some(unit), os);
         }
         self.apply_side_effects(idx, out.sends, out.timer_sets, out.timer_cancels, os);
     }
@@ -937,6 +954,13 @@ struct Inbox {
     verbs: Vec<TxnCtl>,
     /// The status the node last published.
     status: NodeStatus,
+}
+
+/// Locks a node's inbox. A handle's holder that panicked mid-push leaves
+/// the inbox as consistent as any push does, so a poisoned lock is taken
+/// as it is.
+fn lock(inbox: &Mutex<Inbox>) -> MutexGuard<'_, Inbox> {
+    inbox.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Inbox {
@@ -1034,7 +1058,7 @@ pub struct NodeHandle {
 impl NodeHandle {
     /// Enqueues a reconfiguration operation.
     pub fn apply(&self, op: ReconfigOp) {
-        self.inbox.lock().ops.push((op, None));
+        lock(&self.inbox).ops.push((op, None));
     }
 
     /// Enqueues a reconfiguration operation stamped with the virtual time
@@ -1042,26 +1066,26 @@ impl NodeHandle {
     /// quiesce-begin record reports how long the oldest stamped op waited
     /// for the quiescent point.
     pub fn apply_at(&self, op: ReconfigOp, now: netsim::SimTime) {
-        self.inbox.lock().ops.push((op, Some(now)));
+        lock(&self.inbox).ops.push((op, Some(now)));
     }
 
     /// The most recent status snapshot.
     #[must_use]
     pub fn status(&self) -> NodeStatus {
-        self.inbox.lock().status.clone()
+        lock(&self.inbox).status.clone()
     }
 
     /// Number of operations still waiting for a quiescent point.
     #[must_use]
     pub fn pending_ops(&self) -> usize {
-        self.inbox.lock().ops.len()
+        lock(&self.inbox).ops.len()
     }
 
     /// Discards every operation still waiting for a quiescent point and
     /// returns how many were dropped (give-up path for nodes that will not
     /// come back).
     pub fn clear_pending(&self) -> usize {
-        let mut inbox = self.inbox.lock();
+        let mut inbox = lock(&self.inbox);
         let dropped = inbox.ops.len();
         inbox.ops.clear();
         dropped
@@ -1071,7 +1095,7 @@ impl NodeHandle {
     /// [`NodeStatus::alive`]).
     #[must_use]
     pub fn is_alive(&self) -> bool {
-        self.inbox.lock().status.alive
+        lock(&self.inbox).status.alive
     }
 
     /// Enqueues a transaction control verb (see [`TxnCtl`]). Verbs are
@@ -1079,14 +1103,14 @@ impl NodeHandle {
     /// immediately followed by an `Abort` resolves deterministically even
     /// when the node only wakes after both were enqueued.
     pub fn txn_ctl(&self, ctl: TxnCtl) {
-        self.inbox.lock().verbs.push(ctl);
+        lock(&self.inbox).verbs.push(ctl);
     }
 
     /// Number of transaction control verbs still waiting for a quiescent
     /// point.
     #[must_use]
     pub fn pending_txn_ctl(&self) -> usize {
-        self.inbox.lock().verbs.len()
+        lock(&self.inbox).verbs.len()
     }
 }
 
@@ -1200,25 +1224,25 @@ impl ManetNode {
     /// The status last published (what [`NodeHandle::status`] reads).
     #[must_use]
     pub fn status(&self) -> NodeStatus {
-        self.inbox.lock().status.clone()
+        lock(&self.inbox).status.clone()
     }
 
     /// Enqueues a transaction control verb, as [`NodeHandle::txn_ctl`]
     /// does.
     pub fn txn_ctl(&mut self, ctl: TxnCtl) {
-        self.inbox.lock().verbs.push(ctl);
+        lock(&self.inbox).verbs.push(ctl);
     }
 
     /// Transaction control verbs waiting for a quiescent point.
     #[must_use]
     pub fn pending_txn_ctl(&self) -> usize {
-        self.inbox.lock().verbs.len()
+        lock(&self.inbox).verbs.len()
     }
 
     /// Reconfiguration ops waiting for a quiescent point.
     #[must_use]
     pub fn pending_ops(&self) -> usize {
-        self.inbox.lock().ops.len()
+        lock(&self.inbox).ops.len()
     }
 
     /// An independent copy in exactly this node's state, between
@@ -1234,7 +1258,7 @@ impl ManetNode {
         };
         Some(ManetNode {
             deployment: self.deployment.fork()?,
-            inbox: Arc::new(Mutex::new(self.inbox.lock().fork()?)),
+            inbox: Arc::new(Mutex::new(lock(&self.inbox).fork()?)),
             prepared: fork_txn(&self.prepared)?,
             committed: fork_txn(&self.committed)?,
             txn_doomed: self.txn_doomed,
@@ -1259,7 +1283,7 @@ impl ManetNode {
             self.roll_back_doomed(os);
         }
         let (verbs, mut ops) = {
-            let mut inbox = self.inbox.lock();
+            let mut inbox = lock(&self.inbox);
             let verbs = std::mem::take(&mut inbox.verbs);
             // Plain ops wait until an open transaction resolves: applying
             // them now would change the composition underneath the undo
@@ -1279,7 +1303,7 @@ impl ManetNode {
             if self.prepared.is_some() {
                 return;
             }
-            ops = std::mem::take(&mut self.inbox.lock().ops);
+            ops = std::mem::take(&mut lock(&self.inbox).ops);
         }
         if ops.is_empty() {
             return;
@@ -1434,7 +1458,7 @@ impl ManetNode {
                     .publish_composition
                     .then(|| crate::txn::structural_hash(&self.deployment)),
             };
-            self.inbox.lock().status = status;
+            lock(&self.inbox).status = status;
         }
     }
 }
@@ -1507,7 +1531,7 @@ impl netsim::RoutingAgent for ManetNode {
         if self.prepared.is_some() {
             self.txn_doomed = true;
         }
-        self.inbox.lock().status.alive = false;
+        lock(&self.inbox).status.alive = false;
         self.stale = true;
     }
 }

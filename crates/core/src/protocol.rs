@@ -27,6 +27,7 @@ use packetbb::{Address, Message, Packet};
 use crate::carry::RouteCarrier;
 use crate::event::{Event, EventType};
 use crate::registry::EventTuple;
+use crate::telemetry::intern_name;
 
 /// The S element: protocol state as a reified, transferable unit, with the
 /// codec and route carrier that read its concrete type.
@@ -436,7 +437,9 @@ fn undo_edits<T>(list: &mut Vec<T>, edits: Vec<Edit<T>>) {
 /// Built with [`ManetProtocolCf::builder`]; hosted by a
 /// [`Deployment`](crate::node::Deployment).
 pub struct ManetProtocolCf {
-    name: String,
+    /// Interned once when built, so a copy, a log line or a delivery
+    /// context shares it.
+    name: &'static str,
     tuple: EventTuple,
     handlers: Vec<HandlerSlot>,
     sources: Vec<SourceSlot>,
@@ -459,7 +462,7 @@ impl ManetProtocolCf {
     pub fn builder(name: impl Into<String>) -> ManetProtocolBuilder {
         ManetProtocolBuilder {
             cf: ManetProtocolCf {
-                name: name.into(),
+                name: intern_name(&name.into()),
                 tuple: EventTuple::new(),
                 handlers: Vec::new(),
                 sources: Vec::new(),
@@ -474,8 +477,8 @@ impl ManetProtocolCf {
 
     /// The protocol's name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The protocol's current event tuple.
@@ -484,10 +487,11 @@ impl ManetProtocolCf {
         &self.tuple
     }
 
-    /// Replaces the event tuple (the deployment rewires on the next safe
-    /// point).
-    pub fn set_tuple(&mut self, tuple: EventTuple) {
-        self.tuple = tuple;
+    /// Replaces the event tuple and returns the old one. A deployed CF is
+    /// re-declared through [`ReconfigOp::UpdateTuple`](crate::node::ReconfigOp),
+    /// which rewires its deployment.
+    pub fn set_tuple(&mut self, tuple: EventTuple) -> EventTuple {
+        std::mem::replace(&mut self.tuple, tuple)
     }
 
     /// Whether this protocol is reactive (route discovery on demand).
@@ -508,7 +512,7 @@ impl ManetProtocolCf {
     #[must_use]
     pub fn fork(&self) -> Option<ManetProtocolCf> {
         Some(ManetProtocolCf {
-            name: self.name.clone(),
+            name: self.name,
             tuple: self.tuple.clone(),
             handlers: fork_all(&self.handlers, HandlerSlot::fork)?,
             sources: fork_all(&self.sources, SourceSlot::fork)?,

@@ -31,7 +31,6 @@
 //!   event.
 
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -327,9 +326,10 @@ impl fmt::Display for FleetTxnReport {
 /// batch for handle index `i`. It is invoked once per node, because
 /// [`ReconfigOp`]s own protocol state: each node gets a batch of its own.
 /// Every op is undoable, so any recipe, a §5 variant as much as a protocol
-/// switch, can run two-phase. It is shared (`Rc`), so a cloned
-/// [`TwoPhaseMachine`] runs the same recipe.
-pub type Recipe<'a> = Rc<dyn Fn(usize) -> Vec<ReconfigOp> + 'a>;
+/// switch, can run two-phase. It is shared (`Arc`), so a cloned
+/// [`TwoPhaseMachine`] runs the same recipe, and a machine may move to
+/// another thread.
+pub type Recipe<'a> = Arc<dyn Fn(usize) -> Vec<ReconfigOp> + Send + Sync + 'a>;
 
 /// The coordination discipline a [`ReconfigRequest`] executes under.
 #[derive(Debug, Clone, PartialEq)]
@@ -378,14 +378,17 @@ impl<'a> ReconfigRequest<'a> {
     /// Sets the fleet-wide recipe; it is invoked once per node because
     /// [`ReconfigOp`]s own protocol state: each node gets a batch of its
     /// own.
-    pub fn recipe(self, recipe: impl Fn() -> Vec<ReconfigOp> + 'a) -> Self {
+    pub fn recipe(self, recipe: impl Fn() -> Vec<ReconfigOp> + Send + Sync + 'a) -> Self {
         self.recipe_per_node(move |_| recipe())
     }
 
     /// Sets a node-indexed recipe (`recipe(i)` for handle index `i`) for
     /// staged or heterogeneous rollouts.
-    pub fn recipe_per_node(mut self, recipe: impl Fn(usize) -> Vec<ReconfigOp> + 'a) -> Self {
-        self.recipe = Some(Rc::new(recipe));
+    pub fn recipe_per_node(
+        mut self,
+        recipe: impl Fn(usize) -> Vec<ReconfigOp> + Send + Sync + 'a,
+    ) -> Self {
+        self.recipe = Some(Arc::new(recipe));
         self
     }
 
@@ -475,7 +478,7 @@ impl FleetCoordinator {
     /// resolve acknowledgements, so call it where simulation time is
     /// allowed to progress.
     pub fn execute(&self, world: &mut World, req: ReconfigRequest<'_>) -> FleetTxnReport {
-        let recipe = req.recipe.unwrap_or_else(|| Rc::new(|_| Vec::new()));
+        let recipe = req.recipe.unwrap_or_else(|| Arc::new(|_| Vec::new()));
         match req.strategy.unwrap_or(Strategy::BestEffort) {
             Strategy::BestEffort => self.enqueue(&recipe),
             Strategy::TwoPhase(opts) => self.two_phase(world, recipe, opts.health),
@@ -1161,7 +1164,7 @@ mod tests {
     /// Starts txn 1 at 1 s over `n` alive nodes.
     fn start(n: usize, gate: Option<HealthGate>) -> (TwoPhaseMachine<'static>, Option<Wait>) {
         let nodes: Vec<(NodeId, bool)> = (0..n).map(|i| (NodeId(i), true)).collect();
-        TwoPhaseMachine::start(1, &nodes, Rc::new(|_| register_hello()), gate, ms(1_000))
+        TwoPhaseMachine::start(1, &nodes, Arc::new(|_| register_hello()), gate, ms(1_000))
     }
 
     /// The verbs a step sends, as `(handle index, verb)` in debug form,
@@ -1324,7 +1327,7 @@ mod tests {
 
     #[test]
     fn machine_with_no_alive_participant_reports_at_once() {
-        let recipe: Recipe<'static> = Rc::new(|_| Vec::new());
+        let recipe: Recipe<'static> = Arc::new(|_| Vec::new());
         let (m, step) = TwoPhaseMachine::start(7, &[(NodeId(4), false)], recipe, None, ms(0));
         assert!(step.is_none());
         let done = m.report();

@@ -2,18 +2,17 @@
 //!
 //! A [`Deployment`](crate::node::Deployment) counts, as events flow,
 //! per-unit in/out events, the dispatch-queue high-water mark and the
-//! number of dispatch rounds. The counts live in the node's [`NodeOs`]
-//! counters, bumped in place through ids looked up once, so they surface in
-//! [`WorldStats::agent_counters`](netsim::WorldStats) under `bus.*` names
-//! and nothing on the reception path hashes a name. All of it is
+//! number of dispatch rounds. Each unit keeps its own counter ids beside
+//! it in the deployment. The counts live in the node's [`NodeOs`]
+//! counters, bumped in place through ids looked up once, so they surface
+//! in [`WorldStats::agent_counters`](netsim::WorldStats) under `bus.*`
+//! names and nothing on the reception path hashes a name. All of it is
 //! deterministic.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use netsim::{CounterId, Interner, NameTable, NodeOs};
-
-use crate::manager::{FrameworkManager, UnitId};
 
 thread_local! {
     static LOCAL_NAMES: RefCell<NameTable> = RefCell::default();
@@ -32,17 +31,54 @@ pub fn intern_name(name: &str) -> &'static str {
     NAMES.name(NAMES.id(name))
 }
 
-/// What one deployment keeps to bump its `bus.*` counts in place: its
-/// units' counter ids and the deepest dispatch queue it has seen.
+/// What one deployment keeps to bump its round and high-water-mark counts
+/// in place: the deepest dispatch queue it has seen.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BusCounters {
     /// How far this deployment has raised `bus.queue_depth_hwm`. A new
     /// deployment over the same OS (a cold boot) starts again from 0, so
     /// its mark lands on top of its predecessor's.
     deepest: usize,
-    /// Per unit, the ids of `bus.<unit>.events_{in,out}`, looked up on the
-    /// unit's first event.
-    units: Vec<Option<(CounterId, CounterId)>>,
+}
+
+/// The ids of one unit's `bus.<name>.events_{in,out}` counters, looked up
+/// on the unit's first event. Both counters appear in the OS as soon as
+/// either moves.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct UnitCounters(Option<(CounterId, CounterId)>);
+
+impl UnitCounters {
+    #[inline]
+    fn ids(&mut self, name: &str, os: &mut NodeOs) -> (CounterId, CounterId) {
+        match self.0 {
+            Some(ids) => ids,
+            None => self.first_event(name, os),
+        }
+    }
+
+    #[cold]
+    fn first_event(&mut self, name: &str, os: &mut NodeOs) -> (CounterId, CounterId) {
+        let ids = (
+            CounterId::intern(&format!("bus.{name}.events_in")),
+            CounterId::intern(&format!("bus.{name}.events_out")),
+        );
+        os.bump_id(ids.0, 0);
+        os.bump_id(ids.1, 0);
+        self.0 = Some(ids);
+        ids
+    }
+
+    /// Counts one event delivered to the unit named `name`.
+    pub(crate) fn record_in(&mut self, name: &str, os: &mut NodeOs) {
+        let (events_in, _) = self.ids(name, os);
+        os.bump_id(events_in, 1);
+    }
+
+    /// Counts one event the unit named `name` emitted.
+    pub(crate) fn record_out(&mut self, name: &str, os: &mut NodeOs) {
+        let (_, events_out) = self.ids(name, os);
+        os.bump_id(events_out, 1);
+    }
 }
 
 /// The id of `bus.dispatch_rounds`, looked up once per process.
@@ -58,57 +94,6 @@ fn hwm() -> CounterId {
 }
 
 impl BusCounters {
-    /// The event counter ids of `unit`, under the name `manager`
-    /// registered it with (removed or not). Both counters appear in `os`
-    /// as soon as either moves.
-    #[inline]
-    fn unit(
-        &mut self,
-        manager: &FrameworkManager,
-        unit: UnitId,
-        os: &mut NodeOs,
-    ) -> Option<(CounterId, CounterId)> {
-        match self.units.get(unit) {
-            Some(&Some(ids)) => Some(ids),
-            _ => self.first_event(manager, unit, os),
-        }
-    }
-
-    #[cold]
-    fn first_event(
-        &mut self,
-        manager: &FrameworkManager,
-        unit: UnitId,
-        os: &mut NodeOs,
-    ) -> Option<(CounterId, CounterId)> {
-        let name = manager.unit_name(unit)?;
-        let ids = (
-            CounterId::intern(&format!("bus.{name}.events_in")),
-            CounterId::intern(&format!("bus.{name}.events_out")),
-        );
-        os.bump_id(ids.0, 0);
-        os.bump_id(ids.1, 0);
-        if self.units.len() <= unit {
-            self.units.resize(unit + 1, None);
-        }
-        self.units[unit] = Some(ids);
-        Some(ids)
-    }
-
-    /// Counts one event delivered to `unit`.
-    pub(crate) fn record_in(&mut self, manager: &FrameworkManager, unit: UnitId, os: &mut NodeOs) {
-        if let Some((events_in, _)) = self.unit(manager, unit, os) {
-            os.bump_id(events_in, 1);
-        }
-    }
-
-    /// Counts one event emitted by `unit`.
-    pub(crate) fn record_out(&mut self, manager: &FrameworkManager, unit: UnitId, os: &mut NodeOs) {
-        if let Some((_, events_out)) = self.unit(manager, unit, os) {
-            os.bump_id(events_out, 1);
-        }
-    }
-
     /// Raises the queue-depth high-water mark to `depth` if higher.
     pub(crate) fn observe_queue_depth(&mut self, depth: usize, os: &mut NodeOs) {
         if depth > self.deepest {

@@ -13,7 +13,8 @@ use manetkit::neighbour::{
     build_hello, neighbour_detection_cf, NeighbourConfig, NeighbourTable, NEIGHBOUR_CF,
 };
 use manetkit::prelude::*;
-use manetkit_dymo::{DymoDeployment, PathHop, RouteElement};
+use manetkit_aodv::{aodv_cf, AodvParams, AODV_CF};
+use manetkit_dymo::{dymo_cf, DymoDeployment, DymoParams, PathHop, RouteElement, DYMO_CF};
 use netsim::{ControlFrame, NodeId, NodeOs, RoutingAgent, SimDuration};
 use packetbb::{Address, Message, Packet};
 
@@ -166,4 +167,41 @@ fn a_duplicate_rreq_costs_the_node_its_event_and_its_path() {
         spent <= DUPLICATE_RREQ_NODE_BUDGET,
         "{spent} allocations for one duplicate RREQ"
     );
+}
+
+/// `Deployment::fork` copies what a node runs, not its history: a node
+/// that has switched DYMO ⇄ AODV any number of times and runs DYMO again
+/// forks with exactly the allocations of one that never switched.
+#[test]
+fn a_fork_costs_the_same_after_any_number_of_switches() {
+    let fork_cost = |switches: usize| {
+        let (mut node, _handle) = manetkit_dymo::node(DymoDeployment::default());
+        let mut os = NodeOs::standalone(NodeId(0), LOCAL);
+        node.start(&mut os);
+        let dep = node.deployment_mut();
+        for i in 0..switches {
+            let (old, new) = if i % 2 == 0 {
+                (DYMO_CF, aodv_cf(AodvParams::default()))
+            } else {
+                (AODV_CF, dymo_cf(DymoParams::default()))
+            };
+            let switch = ReconfigOp::SwitchProtocol {
+                old: old.into(),
+                new,
+                transfer_state: true,
+            };
+            dep.apply(switch, &mut os).expect("the switch applies");
+        }
+        assert_eq!(dep.protocol_names(), [NEIGHBOUR_CF, DYMO_CF]);
+        drop(dep.fork());
+        allocations_during(|| drop(dep.fork()))
+    };
+    let never = fork_cost(0);
+    for switches in [2, 4, 8] {
+        assert_eq!(
+            fork_cost(switches),
+            never,
+            "a fork after {switches} switches against one after none"
+        );
+    }
 }

@@ -29,22 +29,38 @@ fn arb_unit() -> impl Strategy<Value = UnitSpec> {
         })
 }
 
-fn build_manager(units: &[UnitSpec]) -> FrameworkManager {
+fn tuples(units: &[UnitSpec]) -> Vec<EventTuple> {
+    units
+        .iter()
+        .map(|u| {
+            let mut t = EventTuple::new();
+            for r in &u.required {
+                t = t.requires(EventType::named(TYPES[*r]));
+            }
+            for p in &u.provided {
+                t = t.provides(EventType::named(TYPES[*p]));
+            }
+            for x in &u.exclusive {
+                t = t.requires_exclusive(EventType::named(TYPES[*x]));
+            }
+            t
+        })
+        .collect()
+}
+
+/// The manager wired from `tuples`, unit `i` holding `tuples[i]`.
+fn build_manager(tuples: &[EventTuple]) -> FrameworkManager {
     let mut m = FrameworkManager::new();
-    for (i, u) in units.iter().enumerate() {
-        let mut t = EventTuple::new();
-        for r in &u.required {
-            t = t.requires(EventType::named(TYPES[*r]));
-        }
-        for p in &u.provided {
-            t = t.provides(EventType::named(TYPES[*p]));
-        }
-        for x in &u.exclusive {
-            t = t.requires_exclusive(EventType::named(TYPES[*x]));
-        }
-        m.register(format!("u{i}"), t);
-    }
+    m.rewire(tuples.iter().enumerate());
     m
+}
+
+/// Every routing decision over `units` units: per type and origin.
+fn routes(m: &FrameworkManager, units: usize) -> Vec<Vec<usize>> {
+    TYPES
+        .iter()
+        .flat_map(|t| (0..units).map(move |o| m.route(&EventType::named(t), Some(o))))
+        .collect()
 }
 
 proptest! {
@@ -53,7 +69,8 @@ proptest! {
     /// An emitter never receives its own event (loop avoidance).
     #[test]
     fn never_routes_back_to_origin(units in proptest::collection::vec(arb_unit(), 1..8)) {
-        let m = build_manager(&units);
+        let t = tuples(&units);
+        let m = build_manager(&t);
         for ty in TYPES {
             let ty = EventType::named(ty);
             for origin in 0..units.len() {
@@ -66,13 +83,14 @@ proptest! {
     /// Recipients always actually require the type.
     #[test]
     fn recipients_require_the_type(units in proptest::collection::vec(arb_unit(), 1..8)) {
-        let m = build_manager(&units);
+        let t = tuples(&units);
+        let m = build_manager(&t);
         for ty in TYPES {
             let ty = EventType::named(ty);
             for origin in 0..units.len() {
                 for r in m.route(&ty, Some(origin)) {
                     prop_assert!(
-                        m.tuple(r).unwrap().is_required(&ty),
+                        t[r].is_required(&ty),
                         "unit {r} got {ty} without requiring it"
                     );
                 }
@@ -84,7 +102,8 @@ proptest! {
     /// visit each unit at most once along an interposer chain.
     #[test]
     fn interposer_chains_terminate(units in proptest::collection::vec(arb_unit(), 1..8)) {
-        let m = build_manager(&units);
+        let t = tuples(&units);
+        let m = build_manager(&t);
         for ty in TYPES {
             let ty = EventType::named(ty);
             for start in 0..units.len() {
@@ -95,7 +114,7 @@ proptest! {
                     // Chain step: single interposer recipient that provides
                     // the type again.
                     match next.as_slice() {
-                        [one] if m.tuple(*one).unwrap().is_interposer(&ty) => {
+                        [one] if t[*one].is_interposer(&ty) => {
                             origin = Some(*one);
                             hops += 1;
                             prop_assert!(
@@ -113,16 +132,17 @@ proptest! {
     /// With no interposers for a type, an exclusive consumer receives alone.
     #[test]
     fn exclusivity_is_exclusive(units in proptest::collection::vec(arb_unit(), 1..8)) {
-        let m = build_manager(&units);
+        let t = tuples(&units);
+        let m = build_manager(&t);
         for ty in TYPES {
             let ty = EventType::named(ty);
             let has_interposer =
-                (0..units.len()).any(|i| m.tuple(i).unwrap().is_interposer(&ty));
+                (0..units.len()).any(|i| t[i].is_interposer(&ty));
             if has_interposer {
                 continue;
             }
             let exclusives: Vec<usize> = (0..units.len())
-                .filter(|i| m.tuple(*i).unwrap().is_exclusive(&ty))
+                .filter(|i| t[*i].is_exclusive(&ty))
                 .collect();
             if exclusives.is_empty() {
                 continue;
@@ -149,20 +169,33 @@ proptest! {
         }
     }
 
-    /// Deactivate/reactivate round-trips the wiring exactly.
+    /// Rewiring without a unit and then with it again round-trips the
+    /// wiring exactly.
     #[test]
-    fn deactivation_round_trips(units in proptest::collection::vec(arb_unit(), 2..8)) {
-        let mut m = build_manager(&units);
-        let snapshot: Vec<Vec<usize>> = TYPES
-            .iter()
-            .map(|t| m.route(&EventType::named(t), Some(0)))
-            .collect();
-        m.deactivate(1);
-        m.reactivate(1);
-        let after: Vec<Vec<usize>> = TYPES
-            .iter()
-            .map(|t| m.route(&EventType::named(t), Some(0)))
-            .collect();
-        prop_assert_eq!(snapshot, after);
+    fn dropping_and_restoring_a_unit_round_trips(units in proptest::collection::vec(arb_unit(), 2..8)) {
+        let t = tuples(&units);
+        let mut m = build_manager(&t);
+        let snapshot = routes(&m, units.len());
+        m.rewire(t.iter().enumerate().filter(|&(i, _)| i != 1));
+        m.rewire(t.iter().enumerate());
+        prop_assert_eq!(snapshot, routes(&m, units.len()));
+    }
+
+    /// The wiring depends on the unit ids, not on the order the units are
+    /// handed over in: a stack whose order differs from its id order (a
+    /// protocol reinstated by a rollback) routes as the id order does.
+    #[test]
+    fn wiring_ignores_the_order_units_come_in(
+        units in proptest::collection::vec(arb_unit(), 2..8),
+        rotate in 0usize..8,
+    ) {
+        let t = tuples(&units);
+        let by_id = build_manager(&t);
+        let mut stack: Vec<(usize, &EventTuple)> = t.iter().enumerate().collect();
+        stack.rotate_left(rotate % units.len());
+        stack.reverse();
+        let mut m = FrameworkManager::new();
+        m.rewire(stack);
+        prop_assert_eq!(routes(&by_id, units.len()), routes(&m, units.len()));
     }
 }

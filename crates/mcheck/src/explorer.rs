@@ -23,14 +23,15 @@
 //! prefix alone.
 //!
 //! **Hold the path, not the prefix.** Each worker keeps the states along
-//! the prefix of the last parent it reached, the root first. To reach the
-//! next parent it drops the states past the longest prefix the two share
-//! and forks its way down from there, one choice at a time. Under BFS the
-//! next group's parent is usually a sibling of the last one, a single step
-//! away, so the factory runs about once per worker and batch and a parent
-//! costs one fork and one choice instead of a whole replay. A worker holds
-//! at most `depth_bound + 1` states: a path at most `depth_bound` long and
-//! the child it is visiting.
+//! the prefix of the last parent it reached, the root first, for the
+//! whole walk. To reach the next parent it drops the states past the
+//! longest prefix the two share and forks its way down from there, one
+//! choice at a time. Under BFS the next group's parent is usually a
+//! sibling of the last one, a single step away, so the factory runs at
+//! most once per worker and walk and a parent costs one fork and one
+//! choice instead of a whole replay. A worker holds at most
+//! `depth_bound + 1` states: a path at most `depth_bound` long and the
+//! child it is visiting.
 //!
 //! **Visits run on every core.** Under BFS the explorer pops up to
 //! [`BATCH`] prefixes at once and hands their sibling groups to scoped
@@ -40,11 +41,10 @@
 //! state cap and the child pushes — in exactly the pop order of a
 //! one-at-a-time walk, so every report, count and counterexample is
 //! independent of the number of workers. DFS keeps a batch of one: its
-//! next pop depends on the last expansion. A model never leaves the worker
-//! that built it, so [`Model`] needs no `Send`; only the factory is shared
-//! (`Sync`). The caller's path lives as long as the walk, so a DFS, which
-//! runs on the caller alone, builds one root; a helper thread's path lives
-//! for one batch.
+//! next pop depends on the last expansion, so it runs on the first
+//! worker alone. The walk owns one path per worker and lends each to a
+//! scoped thread for a batch (the caller's thread takes the first), so
+//! a [`Model`] is `Send`; the factory is shared (`Sync`).
 
 use std::collections::{HashSet, VecDeque};
 use std::num::NonZeroUsize;
@@ -56,7 +56,7 @@ use crate::schedule::{Choice, Schedule};
 
 /// A system the explorer can drive: deterministic, rebuildable from
 /// nothing, forkable, with enumerable choice points.
-pub trait Model {
+pub trait Model: Send {
     /// Scenario name, recorded in schedules.
     fn name(&self) -> &str;
 
@@ -459,7 +459,7 @@ impl<M: Model> Explorer<M> {
         let mut seen: HashSet<u64> = HashSet::new();
         let mut scenario: Option<String> = None;
         let mut batch: Vec<u32> = Vec::new();
-        let mut path = Path::new();
+        let mut paths: Vec<Path<M>> = (0..workers.max(1)).map(|_| Path::new()).collect();
         while !frontier.is_empty() {
             let room = self.max_states - report.states_explored;
             if room == 0 {
@@ -474,7 +474,7 @@ impl<M: Model> Explorer<M> {
                     batch.extend(frontier.drain(..frontier.len().min(BATCH).min(room)));
                 }
             }
-            let visits = self.visit_batch(workers, &mut path, &tree, &batch, &seen);
+            let visits = self.visit_batch(&mut paths, &tree, &batch, &seen);
             for (&node, visit) in batch.iter().zip(visits) {
                 report.states_explored += 1;
                 let Visit::New {
@@ -542,15 +542,13 @@ impl<M: Model> Explorer<M> {
             .clone()
     }
 
-    /// Visits every prefix of `batch` on up to `workers` threads, the
-    /// caller's included, and returns the visits in batch order. Threads
-    /// take the next unvisited sibling group as they free up, so deep and
-    /// shallow groups balance. The caller walks `path`; each helper starts
-    /// a path of its own.
+    /// Visits every prefix of `batch` on up to one thread per path, the
+    /// caller's walking the first, and returns the visits in batch order.
+    /// Threads take the next unvisited sibling group as they free up, so
+    /// deep and shallow groups balance.
     fn visit_batch(
         &self,
-        workers: usize,
-        path: &mut Path<M>,
+        paths: &mut [Path<M>],
         tree: &PrefixTree,
         batch: &[u32],
         seen: &HashSet<u64>,
@@ -571,11 +569,16 @@ impl<M: Model> Explorer<M> {
                 done.extend((group.start..).zip(visits));
             }
         };
+        let busy = paths.len().min(groups.len());
+        let (first, others) = paths[..busy]
+            .split_first_mut()
+            .expect("a batch holds a group and a walk a path");
         let mut visits = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..workers.min(groups.len()))
-                .map(|_| s.spawn(move || work(&mut Path::new())))
+            let helpers: Vec<_> = others
+                .iter_mut()
+                .map(|path| s.spawn(move || work(path)))
                 .collect();
-            let mut visits = work(path);
+            let mut visits = work(first);
             for helper in helpers {
                 visits.extend(
                     helper
@@ -945,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn the_path_builds_one_root_per_worker_and_batch() {
+    fn the_path_builds_one_root_per_worker_and_walk() {
         let never = |_: &Observation, _: &[Choice]| false;
         let builds = Arc::new(AtomicUsize::new(0));
         let counted = |strategy| {
@@ -963,10 +966,10 @@ mod tests {
         let (bfs, _) = assert_worker_counts_agree(&counted(Strategy::Bfs), never);
         assert_eq!(bfs.states_explored, visits);
         assert!(batches > 3);
-        // Per worker and batch at most one root, plus the one that names
-        // the scenario of the first violation.
+        // Per worker at most one root over the whole walk, plus the one
+        // that names the scenario of the first violation.
         for workers in [1, 2, 3, 8] {
-            for (strategy, most) in [(Strategy::Bfs, 1 + batches * workers), (Strategy::Dfs, 2)] {
+            for (strategy, most) in [(Strategy::Bfs, 1 + workers), (Strategy::Dfs, 2)] {
                 builds.store(0, Ordering::Relaxed);
                 let _ = counted(strategy).walk_on(workers, never, &mut ExploreReport::default());
                 let built = builds.load(Ordering::Relaxed);

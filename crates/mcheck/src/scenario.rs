@@ -51,7 +51,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::mem;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use adapt::Stack;
 use manetkit::{
@@ -160,7 +160,7 @@ impl TwoPhaseSwitch {
         // has published a composition before the first choice.
         settle(&mut world);
         let nodes: Vec<(NodeId, bool)> = (0..cfg.nodes).map(|i| (NodeId(i), true)).collect();
-        let recipe: Recipe<'static> = Rc::new(|_| Stack::Olsr.recipe_to(Stack::Dymo));
+        let recipe: Recipe<'static> = Arc::new(|_| Stack::Olsr.recipe_to(Stack::Dymo));
         let (coordinator, prepare) =
             TwoPhaseMachine::start(TXN_ID, &nodes, recipe, None, world.now());
         let mut switch = TwoPhaseSwitch {
