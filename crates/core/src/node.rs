@@ -1227,6 +1227,11 @@ impl ManetNode {
         lock(&self.inbox).status.clone()
     }
 
+    /// Reads the status last published in place, without copying it.
+    pub fn read_status<R>(&self, read: impl FnOnce(&NodeStatus) -> R) -> R {
+        read(&lock(&self.inbox).status)
+    }
+
     /// Enqueues a transaction control verb, as [`NodeHandle::txn_ctl`]
     /// does.
     pub fn txn_ctl(&mut self, ctl: TxnCtl) {

@@ -20,6 +20,8 @@
 
 use std::any::Any;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use netsim::{NodeOs, SimDuration, SimTime};
 use packetbb::{Address, Message, Packet};
@@ -252,6 +254,11 @@ pub trait EventHandler: Send + Sync {
 
     /// An independent copy in exactly this plug-in's state (a forked
     /// node's), or `None` (the default) when it cannot be copied.
+    ///
+    /// The answer must be the same for the plug-in's whole life, and a
+    /// copy must answer as its original: a CF checks once that its
+    /// plug-ins fork and from then on shares them between its copies,
+    /// copying them only when one copy writes.
     fn fork(&self) -> Option<Box<dyn EventHandler>> {
         None
     }
@@ -268,7 +275,8 @@ pub trait EventSource: Send + Sync {
     /// Produces this round's events.
     fn fire(&mut self, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
 
-    /// An independent copy (see [`EventHandler::fork`]); `None` by default.
+    /// An independent copy (see [`EventHandler::fork`], whose answer is
+    /// fixed for the plug-in's life); `None` by default.
     fn fork(&self) -> Option<Box<dyn EventSource>> {
         None
     }
@@ -285,7 +293,8 @@ pub trait Forwarder: Send + Sync {
     /// Transmits or relays the event's message.
     fn forward(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>);
 
-    /// An independent copy (see [`EventHandler::fork`]); `None` by default.
+    /// An independent copy (see [`EventHandler::fork`], whose answer is
+    /// fixed for the plug-in's life); `None` by default.
     fn fork(&self) -> Option<Box<dyn Forwarder>> {
         None
     }
@@ -436,10 +445,21 @@ fn undo_edits<T>(list: &mut Vec<T>, edits: Vec<Edit<T>>) {
 ///
 /// Built with [`ManetProtocolCf::builder`]; hosted by a
 /// [`Deployment`](crate::node::Deployment).
+///
+/// A CF is a value shared copy-on-write: its name plus an `Arc`'d body.
+/// [`fork`](Self::fork) shares the body once the body is known to fork,
+/// and every write copies the body first while another CF shares it. So
+/// a forked node, a queued `Prepare` and an undo log share every protocol
+/// none of them writes.
 pub struct ManetProtocolCf {
     /// Interned once when built, so a copy, a log line or a delivery
     /// context shares it.
     name: &'static str,
+    body: Arc<CfBody>,
+}
+
+/// Everything of a CF but its name, behind the CF's `Arc`.
+struct CfBody {
     tuple: EventTuple,
     handlers: Vec<HandlerSlot>,
     sources: Vec<SourceSlot>,
@@ -454,65 +474,18 @@ pub struct ManetProtocolCf {
     /// used by deployment-level integrity rules ("at most one reactive
     /// protocol").
     reactive: bool,
+    /// Whether these plug-ins are known to fork: set by the first fork
+    /// (which copies them to find out) and on every copy, cleared when the
+    /// plug-in set changes. Only a body known to fork is ever shared.
+    forks: AtomicBool,
 }
 
-impl ManetProtocolCf {
-    /// Starts building a protocol CF.
-    #[must_use]
-    pub fn builder(name: impl Into<String>) -> ManetProtocolBuilder {
-        ManetProtocolBuilder {
-            cf: ManetProtocolCf {
-                name: intern_name(&name.into()),
-                tuple: EventTuple::new(),
-                handlers: Vec::new(),
-                sources: Vec::new(),
-                forwarder: None,
-                forwarder_subs: Vec::new(),
-                state: StateSlot::empty(),
-                startup_timers: Vec::new(),
-                reactive: false,
-            },
-        }
-    }
-
-    /// The protocol's name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The protocol's current event tuple.
-    #[must_use]
-    pub fn tuple(&self) -> &EventTuple {
-        &self.tuple
-    }
-
-    /// Replaces the event tuple and returns the old one. A deployed CF is
-    /// re-declared through [`ReconfigOp::UpdateTuple`](crate::node::ReconfigOp),
-    /// which rewires its deployment.
-    pub fn set_tuple(&mut self, tuple: EventTuple) -> EventTuple {
-        std::mem::replace(&mut self.tuple, tuple)
-    }
-
-    /// Whether this protocol is reactive (route discovery on demand).
-    #[must_use]
-    pub fn is_reactive(&self) -> bool {
-        self.reactive
-    }
-
-    /// Names of all plug-ins (handlers, sources, forwarder).
-    #[must_use]
-    pub fn plugin_names(&self) -> Vec<String> {
-        self.plugins().map(str::to_string).collect()
-    }
-
-    /// An independent copy in exactly this CF's state: every plug-in
-    /// through its `fork`, the S element cloned. `None` when a plug-in
-    /// cannot fork.
-    #[must_use]
-    pub fn fork(&self) -> Option<ManetProtocolCf> {
-        Some(ManetProtocolCf {
-            name: self.name,
+impl CfBody {
+    /// A deep copy — every plug-in through its `fork`, the S element
+    /// cloned — known to fork, since its plug-ins answer as the ones they
+    /// were forked from. `None` when a plug-in cannot fork.
+    fn fork(&self) -> Option<CfBody> {
+        Some(CfBody {
             tuple: self.tuple.clone(),
             handlers: fork_all(&self.handlers, HandlerSlot::fork)?,
             sources: fork_all(&self.sources, SourceSlot::fork)?,
@@ -524,54 +497,18 @@ impl ManetProtocolCf {
             state: self.state.clone(),
             startup_timers: self.startup_timers.clone(),
             reactive: self.reactive,
+            forks: AtomicBool::new(true),
         })
     }
 
-    /// The plug-in names of [`plugin_names`](Self::plugin_names), borrowed.
-    pub(crate) fn plugins(&self) -> impl Iterator<Item = &str> {
-        let handlers = self.handlers.iter().map(|h| h.handler.name());
-        let sources = self.sources.iter().map(|s| s.source.name());
-        handlers
-            .chain(sources)
-            .chain(self.forwarder.as_ref().map(|f| f.name()))
-    }
-
-    // ---- lifecycle & delivery (called by the deployment) ------------------
-
-    /// Starts the protocol: arms the source and startup timers and delivers
-    /// the [`PROTO_START_EVENT`] signal to the handlers, so a CF that
-    /// starts with live routes in its S element — adopted on a switch, or
-    /// reinstated by a rollback — mirrors them into the kernel table in the
-    /// same quiescent point.
-    pub fn start(&mut self, ctx: &mut ProtoCtx<'_>) {
-        for slot in &self.sources {
-            ctx.set_timer(slot.source.period(), slot.timer);
-        }
-        for (delay, ty) in &self.startup_timers {
-            ctx.set_timer(*delay, *ty);
-        }
-        let start = Event::signal(proto_start_event());
-        self.deliver(&start, ctx);
-    }
-
-    /// Stops the protocol: delivers the [`PROTO_STOP_EVENT`] signal to the
-    /// handlers and cancels the source timers. The contract for handlers
-    /// is *withdraw, do not destroy*: remove the OS state the CF installed
-    /// (kernel routes) and leave the S element intact, so the CF can be
-    /// reinstated exactly or hand its routes to a successor.
-    pub fn stop(&mut self, ctx: &mut ProtoCtx<'_>) {
-        let stop = Event::signal(proto_stop_event());
-        self.deliver(&stop, ctx);
-        for slot in &self.sources {
-            ctx.cancel_timer(slot.timer);
-        }
-        for (_, ty) in &self.startup_timers {
-            ctx.cancel_timer(*ty);
-        }
+    /// Marks a change to the plug-in set: the next fork copies the body
+    /// again to learn whether it still forks.
+    fn plugins_changed(&mut self) {
+        *self.forks.get_mut() = false;
     }
 
     /// Delivers an event to the matching handlers and the forwarder.
-    pub fn deliver(&mut self, event: &Event, ctx: &mut ProtoCtx<'_>) {
+    fn deliver(&mut self, event: &Event, ctx: &mut ProtoCtx<'_>) {
         for h in &mut self.handlers {
             if h.subs.contains(&event.ty) {
                 h.handler.handle(event, &mut self.state, ctx);
@@ -583,19 +520,157 @@ impl ManetProtocolCf {
             }
         }
     }
+}
+
+impl Clone for CfBody {
+    /// The copy a write makes of a shared body, which forked when it was
+    /// first shared.
+    fn clone(&self) -> Self {
+        self.fork()
+            .expect("a shared CF body forked when it was shared")
+    }
+}
+
+impl ManetProtocolCf {
+    /// Starts building a protocol CF.
+    #[must_use]
+    pub fn builder(name: impl Into<String>) -> ManetProtocolBuilder {
+        ManetProtocolBuilder {
+            cf: ManetProtocolCf {
+                name: intern_name(&name.into()),
+                body: Arc::new(CfBody {
+                    tuple: EventTuple::new(),
+                    handlers: Vec::new(),
+                    sources: Vec::new(),
+                    forwarder: None,
+                    forwarder_subs: Vec::new(),
+                    state: StateSlot::empty(),
+                    startup_timers: Vec::new(),
+                    reactive: false,
+                    forks: AtomicBool::new(false),
+                }),
+            },
+        }
+    }
+
+    /// The one way to write the body: copies it first when another CF
+    /// shares it.
+    fn body_mut(&mut self) -> &mut CfBody {
+        Arc::make_mut(&mut self.body)
+    }
+
+    /// The protocol's name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The protocol's current event tuple.
+    #[must_use]
+    pub fn tuple(&self) -> &EventTuple {
+        &self.body.tuple
+    }
+
+    /// Replaces the event tuple and returns the old one. A deployed CF is
+    /// re-declared through [`ReconfigOp::UpdateTuple`](crate::node::ReconfigOp),
+    /// which rewires its deployment.
+    pub fn set_tuple(&mut self, tuple: EventTuple) -> EventTuple {
+        std::mem::replace(&mut self.body_mut().tuple, tuple)
+    }
+
+    /// Whether this protocol is reactive (route discovery on demand).
+    #[must_use]
+    pub fn is_reactive(&self) -> bool {
+        self.body.reactive
+    }
+
+    /// Names of all plug-ins (handlers, sources, forwarder).
+    #[must_use]
+    pub fn plugin_names(&self) -> Vec<String> {
+        self.plugins().map(str::to_string).collect()
+    }
+
+    /// An independent copy in exactly this CF's state, or `None` when a
+    /// plug-in cannot fork. The first fork of a body copies every plug-in
+    /// through its `fork` and clones the S element, which shows that the
+    /// body forks; later forks share the body until one of them writes
+    /// it. A fork that returned `Some` never fails a later write.
+    #[must_use]
+    pub fn fork(&self) -> Option<ManetProtocolCf> {
+        let body = if self.body.forks.load(Ordering::Relaxed) {
+            Arc::clone(&self.body)
+        } else {
+            let copy = Arc::new(self.body.fork()?);
+            self.body.forks.store(true, Ordering::Relaxed);
+            copy
+        };
+        Some(ManetProtocolCf {
+            name: self.name,
+            body,
+        })
+    }
+
+    /// The plug-in names of [`plugin_names`](Self::plugin_names), borrowed.
+    pub(crate) fn plugins(&self) -> impl Iterator<Item = &str> {
+        let body = &*self.body;
+        let handlers = body.handlers.iter().map(|h| h.handler.name());
+        let sources = body.sources.iter().map(|s| s.source.name());
+        handlers
+            .chain(sources)
+            .chain(body.forwarder.as_ref().map(|f| f.name()))
+    }
+
+    // ---- lifecycle & delivery (called by the deployment) ------------------
+
+    /// Starts the protocol: arms the source and startup timers and delivers
+    /// the [`PROTO_START_EVENT`] signal to the handlers, so a CF that
+    /// starts with live routes in its S element — adopted on a switch, or
+    /// reinstated by a rollback — mirrors them into the kernel table in the
+    /// same quiescent point.
+    pub fn start(&mut self, ctx: &mut ProtoCtx<'_>) {
+        let body = self.body_mut();
+        for slot in &body.sources {
+            ctx.set_timer(slot.source.period(), slot.timer);
+        }
+        for (delay, ty) in &body.startup_timers {
+            ctx.set_timer(*delay, *ty);
+        }
+        body.deliver(&Event::signal(proto_start_event()), ctx);
+    }
+
+    /// Stops the protocol: delivers the [`PROTO_STOP_EVENT`] signal to the
+    /// handlers and cancels the source timers. The contract for handlers
+    /// is *withdraw, do not destroy*: remove the OS state the CF installed
+    /// (kernel routes) and leave the S element intact, so the CF can be
+    /// reinstated exactly or hand its routes to a successor.
+    pub fn stop(&mut self, ctx: &mut ProtoCtx<'_>) {
+        let body = self.body_mut();
+        body.deliver(&Event::signal(proto_stop_event()), ctx);
+        for slot in &body.sources {
+            ctx.cancel_timer(slot.timer);
+        }
+        for (_, ty) in &body.startup_timers {
+            ctx.cancel_timer(*ty);
+        }
+    }
+
+    /// Delivers an event to the matching handlers and the forwarder.
+    pub fn deliver(&mut self, event: &Event, ctx: &mut ProtoCtx<'_>) {
+        self.body_mut().deliver(event, ctx);
+    }
 
     /// Handles one of this protocol's named timers firing.
     ///
     /// Source timers fire their source and re-arm; any other name is
     /// redelivered to the handlers as a local signal event.
     pub fn on_timer(&mut self, ty: &EventType, ctx: &mut ProtoCtx<'_>) {
-        if let Some(slot) = self.sources.iter_mut().find(|s| &s.timer == ty) {
-            slot.source.fire(&mut self.state, ctx);
+        let body = self.body_mut();
+        if let Some(slot) = body.sources.iter_mut().find(|s| &s.timer == ty) {
+            slot.source.fire(&mut body.state, ctx);
             ctx.set_timer(slot.source.period(), slot.timer);
             return;
         }
-        let ev = Event::signal(*ty);
-        self.deliver(&ev, ctx);
+        body.deliver(&Event::signal(*ty), ctx);
     }
 
     // ---- fine-grained reconfiguration -------------------------------------
@@ -613,29 +688,31 @@ impl ManetProtocolCf {
         unplug: &[String],
         state: Option<fn(&StateSlot) -> StateSlot>,
     ) -> Displaced {
+        let body = self.body_mut();
+        body.plugins_changed();
         let (mut handlers, mut sources) = (Vec::new(), Vec::new());
         let handler: Key<HandlerSlot> = |h| h.handler.name();
         let source: Key<SourceSlot> = |s| s.source.name();
         for name in unplug {
-            unplug_from(&mut self.handlers, name, handler, &mut handlers);
-            unplug_from(&mut self.sources, name, source, &mut sources);
+            unplug_from(&mut body.handlers, name, handler, &mut handlers);
+            unplug_from(&mut body.sources, name, source, &mut sources);
         }
         for plugin in plug {
             match plugin {
                 Plugin::Handler(h) => plug_into(
-                    &mut self.handlers,
+                    &mut body.handlers,
                     HandlerSlot::new(h),
                     handler,
                     &mut handlers,
                 ),
                 Plugin::Source(s) => {
-                    plug_into(&mut self.sources, SourceSlot::new(s), source, &mut sources)
+                    plug_into(&mut body.sources, SourceSlot::new(s), source, &mut sources)
                 }
             }
         }
         let state = state.map(|derive| {
-            let derived = derive(&self.state);
-            std::mem::replace(&mut self.state, derived)
+            let derived = derive(&body.state);
+            std::mem::replace(&mut body.state, derived)
         });
         Displaced {
             handlers,
@@ -647,22 +724,24 @@ impl ManetProtocolCf {
     /// Undoes a [`recompose`](Self::recompose): its edits in reverse, then
     /// the S element it replaced.
     pub(crate) fn restore(&mut self, displaced: Displaced) {
-        undo_edits(&mut self.handlers, displaced.handlers);
-        undo_edits(&mut self.sources, displaced.sources);
+        let body = self.body_mut();
+        body.plugins_changed();
+        undo_edits(&mut body.handlers, displaced.handlers);
+        undo_edits(&mut body.sources, displaced.sources);
         if let Some(state) = displaced.state {
-            self.state = state;
+            body.state = state;
         }
     }
 
     /// Replaces the S element wholesale, returning the old state.
     pub fn replace_state(&mut self, new: StateSlot) -> StateSlot {
-        std::mem::replace(&mut self.state, new)
+        std::mem::replace(self.state_mut(), new)
     }
 
     /// Takes the S element out (for carry-over into a replacement
     /// protocol), leaving unit state.
     pub fn take_state(&mut self) -> StateSlot {
-        std::mem::replace(&mut self.state, StateSlot::empty())
+        self.replace_state(StateSlot::empty())
     }
 
     /// Hands this (stopped) protocol's S element to `successor`: the slot
@@ -675,14 +754,15 @@ impl ManetProtocolCf {
         successor: &mut ManetProtocolCf,
         now: SimTime,
     ) -> Handover {
-        if (*self.state.state).type_id() == (*successor.state.state).type_id() {
-            successor.state = self.take_state();
+        let (state, next) = (&self.body.state, &successor.body.state);
+        if (*state.state).type_id() == (*next.state).type_id() {
+            *successor.state_mut() = self.take_state();
             return Handover::Moved;
         }
-        match (self.state.carrier, successor.state.carrier) {
+        match (state.carrier, next.carrier) {
             (Some(from), Some(to)) => {
-                let carry = (from.export)(&self.state, now);
-                (to.adopt)(&mut successor.state, &carry, now);
+                let carry = (from.export)(state, now);
+                (to.adopt)(successor.state_mut(), &carry, now);
                 Handover::Copied
             }
             _ => Handover::Nothing,
@@ -696,19 +776,20 @@ impl ManetProtocolCf {
     /// across checkpoint/rollback.
     #[must_use]
     pub fn export_state(&self) -> Option<Vec<u8>> {
-        self.state.codec.map(|codec| codec(&self.state))
+        let state = &self.body.state;
+        state.codec.map(|codec| codec(state))
     }
 
     /// Read access to the state slot.
     #[must_use]
     pub fn state(&self) -> &StateSlot {
-        &self.state
+        &self.body.state
     }
 
     /// Write access to the state slot.
     #[must_use]
     pub fn state_mut(&mut self) -> &mut StateSlot {
-        &mut self.state
+        &mut self.body_mut().state
     }
 }
 
@@ -716,9 +797,9 @@ impl fmt::Debug for ManetProtocolCf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ManetProtocolCf")
             .field("name", &self.name)
-            .field("handlers", &self.handlers.len())
-            .field("sources", &self.sources.len())
-            .field("has_forwarder", &self.forwarder.is_some())
+            .field("handlers", &self.body.handlers.len())
+            .field("sources", &self.body.sources.len())
+            .field("has_forwarder", &self.body.forwarder.is_some())
             .finish()
     }
 }
@@ -748,14 +829,14 @@ impl ManetProtocolBuilder {
     /// Declares the protocol's event tuple.
     #[must_use]
     pub fn tuple(mut self, tuple: EventTuple) -> Self {
-        self.cf.tuple = tuple;
+        self.cf.set_tuple(tuple);
         self
     }
 
     /// Marks the protocol reactive (route discovery on demand).
     #[must_use]
     pub fn reactive(mut self) -> Self {
-        self.cf.reactive = true;
+        self.cf.body_mut().reactive = true;
         self
     }
 
@@ -770,22 +851,23 @@ impl ManetProtocolBuilder {
             self.cf.plugins().all(|n| n != handler.name()),
             "duplicate plug-in name"
         );
-        self.cf.handlers.push(HandlerSlot::new(handler));
+        self.cf.body_mut().handlers.push(HandlerSlot::new(handler));
         self
     }
 
     /// Adds a periodic source.
     #[must_use]
     pub fn source(mut self, source: Box<dyn EventSource>) -> Self {
-        self.cf.sources.push(SourceSlot::new(source));
+        self.cf.body_mut().sources.push(SourceSlot::new(source));
         self
     }
 
     /// Sets the F element.
     #[must_use]
     pub fn forwarder(mut self, forwarder: Box<dyn Forwarder>) -> Self {
-        self.cf.forwarder_subs = forwarder.subscriptions();
-        self.cf.forwarder = Some(forwarder);
+        let body = self.cf.body_mut();
+        body.forwarder_subs = forwarder.subscriptions();
+        body.forwarder = Some(forwarder);
         self
     }
 
@@ -793,7 +875,7 @@ impl ManetProtocolBuilder {
     /// [`StateSlot::with_codec`] and [`StateSlot::with_carrier`]).
     #[must_use]
     pub fn state(mut self, state: StateSlot) -> Self {
-        self.cf.state = state;
+        self.cf.replace_state(state);
         self
     }
 
@@ -801,7 +883,7 @@ impl ManetProtocolBuilder {
     /// protocol's handlers receive `Event::signal(ty)` locally.
     #[must_use]
     pub fn startup_timer(mut self, delay: SimDuration, ty: EventType) -> Self {
-        self.cf.startup_timers.push((delay, ty));
+        self.cf.body_mut().startup_timers.push((delay, ty));
         self
     }
 

@@ -34,6 +34,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use netsim::NodeOs;
 
@@ -319,7 +320,8 @@ pub struct PreparedTxn {
     pub id: u64,
     /// Number of ops applied.
     pub ops_applied: u64,
-    checkpoint: CompositionFingerprint,
+    /// Read only by an unwind, so a fork shares it.
+    checkpoint: Arc<CompositionFingerprint>,
     undo: Vec<Undo>,
 }
 
@@ -337,7 +339,7 @@ impl PreparedTxn {
         Some(PreparedTxn {
             id: self.id,
             ops_applied: self.ops_applied,
-            checkpoint: self.checkpoint.clone(),
+            checkpoint: Arc::clone(&self.checkpoint),
             undo: crate::protocol::fork_all(&self.undo, Undo::fork)?,
         })
     }
@@ -400,7 +402,7 @@ pub fn prepare(
     Ok(PreparedTxn {
         id,
         ops_applied,
-        checkpoint,
+        checkpoint: Arc::new(checkpoint),
         undo,
     })
 }

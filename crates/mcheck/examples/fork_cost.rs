@@ -6,8 +6,10 @@
 //! copy of one node that the first write to it makes, and a path step:
 //! a fork with the first enabled choice applied, which is what the
 //! explorer pays per state between a held ancestor and the next parent.
-//! Exits non-zero when an unwritten fork allocates more than 32 times:
-//! copying even one node takes more than 40.
+//! Exits non-zero when an unwritten fork allocates more than 32 times
+//! (copying even one node takes more), or when a first-write node copy
+//! allocates more than 45 times: the node's protocols are shared
+//! copy-on-write, so copying one must not copy them.
 //!
 //! ```text
 //! cargo run --release -p manetkit-mcheck --example fork_cost
@@ -27,6 +29,8 @@ const DEPTHS: [usize; 4] = [0, 3, 6, 9];
 const ROUNDS: u32 = 5_000;
 /// Allocations an unwritten fork and its drop may make.
 const UNWRITTEN_FORK_BUDGET: u64 = 32;
+/// Allocations a first-write node copy may make.
+const FIRST_WRITE_COPY_BUDGET: u64 = 45;
 
 /// Counts this thread's allocations (growth counts; frees do not).
 struct Counting;
@@ -110,7 +114,7 @@ fn main() -> ExitCode {
         ..ScenarioConfig::default()
     });
     let mut depth = 0;
-    let mut worst = 0;
+    let (mut worst_fork, mut worst_copy) = (0, 0);
     for target in DEPTHS {
         while depth < target {
             let choice = model.enabled()[0];
@@ -151,13 +155,25 @@ fn main() -> ExitCode {
             copy.to_string(),
             step.to_string()
         );
-        worst = worst.max(fork.most);
+        worst_fork = worst_fork.max(fork.most);
+        worst_copy = worst_copy.max(copy.most);
     }
-    if worst > UNWRITTEN_FORK_BUDGET {
+    let mut over = false;
+    if worst_fork > UNWRITTEN_FORK_BUDGET {
         eprintln!(
-            "an unwritten fork allocated {worst} times, over its budget of \
+            "an unwritten fork allocated {worst_fork} times, over its budget of \
              {UNWRITTEN_FORK_BUDGET}: it copied a node"
         );
+        over = true;
+    }
+    if worst_copy > FIRST_WRITE_COPY_BUDGET {
+        eprintln!(
+            "a first-write node copy allocated {worst_copy} times, over its budget of \
+             {FIRST_WRITE_COPY_BUDGET}: it copied protocols it did not write"
+        );
+        over = true;
+    }
+    if over {
         return ExitCode::FAILURE;
     }
     println!("fork_cost OK");

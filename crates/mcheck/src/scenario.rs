@@ -51,14 +51,14 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::mem;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use adapt::Stack;
 use manetkit::{
     structural_hash, CoordinatorPhase, ManetNode, NodeStatus, Recipe, TwoPhaseMachine, TxnCounters,
-    TxnCtl,
+    TxnCtl, TxnPhase,
 };
-use netsim::{NodeId, PendingClass, PendingEvent, SimDuration, Topology, World};
+use netsim::{CounterId, NodeId, PendingClass, PendingEvent, SimDuration, Topology, World};
 
 use crate::explorer::Model;
 use crate::invariant::{NodeObs, Observation};
@@ -101,6 +101,31 @@ impl Default for ScenarioConfig {
 
 /// The transaction id the scenario's single 2PC round uses.
 const TXN_ID: u64 = 1;
+
+/// The `txn.*` counters a state shows, in the order its fingerprint
+/// hashes them: prepared, committed, rolled back, aborted, reverted and
+/// rollback mismatches. Looked up once.
+fn txn_counters() -> &'static [CounterId; 6] {
+    static IDS: OnceLock<[CounterId; 6]> = OnceLock::new();
+    IDS.get_or_init(|| {
+        [
+            "txn.prepared",
+            "txn.committed",
+            "txn.rolled_back",
+            "txn.aborted",
+            "txn.reverted",
+            "txn.rollback_mismatch",
+        ]
+        .map(CounterId::named)
+    })
+}
+
+/// What a state shows of a node's published status: its phase in the
+/// checked transaction and its composition hash.
+fn txn_view(status: &NodeStatus) -> (Option<TxnPhase>, Option<u64>) {
+    let phase = status.txn.as_ref().filter(|r| r.id == TXN_ID);
+    (phase.map(|r| r.phase), status.composition_hash)
+}
 
 /// A fleet mid-switch under a controlled scheduler. Implements
 /// [`Model`]; build fresh instances via a closure over a
@@ -374,21 +399,13 @@ impl Model for TwoPhaseSwitch {
         let mut h = DefaultHasher::new();
         for i in 0..self.cfg.nodes {
             let node = self.node(i);
-            let st = node.status();
+            let (phase, composition_hash) = node.read_status(txn_view);
             self.world.node_up(NodeId(i)).hash(&mut h);
-            let phase = st.txn.as_ref().filter(|r| r.id == TXN_ID).map(|r| r.phase);
             phase.hash(&mut h);
-            st.composition_hash.unwrap_or(0).hash(&mut h);
+            composition_hash.unwrap_or(0).hash(&mut h);
             let os = self.world.os(NodeId(i));
-            for c in [
-                "txn.prepared",
-                "txn.committed",
-                "txn.rolled_back",
-                "txn.aborted",
-                "txn.reverted",
-                "txn.rollback_mismatch",
-            ] {
-                os.counter(c).hash(&mut h);
+            for &c in txn_counters() {
+                os.counter_by_id(c).hash(&mut h);
             }
             node.pending_txn_ctl().hash(&mut h);
             node.pending_ops().hash(&mut h);
@@ -439,15 +456,21 @@ impl Model for TwoPhaseSwitch {
         let nodes: Vec<NodeObs> = (0..self.cfg.nodes)
             .map(|i| {
                 let node = self.node(i);
-                let st = node.status();
+                let (phase, composition_hash) = node.read_status(txn_view);
                 let os = self.world.os(NodeId(i));
+                let [prepared, committed, rolled_back, _, _, mismatch] =
+                    txn_counters().map(|c| os.counter_by_id(c));
                 NodeObs {
                     node: i,
                     alive: self.world.node_up(NodeId(i)),
-                    phase: st.txn.as_ref().filter(|r| r.id == TXN_ID).map(|r| r.phase),
-                    composition_hash: st.composition_hash,
-                    counters: TxnCounters::from_lookup(|c| os.counter(c)),
-                    rollback_mismatch: os.counter("txn.rollback_mismatch"),
+                    phase,
+                    composition_hash,
+                    counters: TxnCounters {
+                        prepared,
+                        committed,
+                        rolled_back,
+                    },
+                    rollback_mismatch: mismatch,
                     pending_ctl: node.pending_txn_ctl(),
                     verdict_in_flight: !self.outbox[i].is_empty(),
                 }
@@ -457,8 +480,7 @@ impl Model for TwoPhaseSwitch {
         let terminal = done
             && self.outbox.iter().all(VecDeque::is_empty)
             && nodes.iter().all(|n| {
-                n.pending_ctl == 0
-                    && matches!(n.phase, Some(p) if p != manetkit::TxnPhase::Prepared)
+                n.pending_ctl == 0 && matches!(n.phase, Some(p) if p != TxnPhase::Prepared)
             });
         Observation {
             txn: TXN_ID,

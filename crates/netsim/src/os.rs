@@ -309,6 +309,14 @@ impl NodeOs {
         self.counters.bump(counter, delta);
     }
 
+    /// Reads a counter through an id the caller looked up once (see
+    /// [`bump_id`](Self::bump_id)); 0 when this node never bumped it.
+    #[inline]
+    #[must_use]
+    pub fn counter_by_id(&self, counter: CounterId) -> u64 {
+        self.counters.get(counter).unwrap_or(0)
+    }
+
     /// Reads a named counter.
     #[must_use]
     pub fn counter(&self, counter: &str) -> u64 {
