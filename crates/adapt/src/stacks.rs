@@ -12,7 +12,8 @@
 
 use std::fmt;
 
-use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
+use manetkit::neighbour::neighbour_detection_cf;
+use manetkit::reactive::stack_system_config;
 use manetkit::{ManetNode, ManetProtocolCf, NodeHandle, ReconfigOp, SystemConfig};
 
 /// A complete routing composition the fleet can run.
@@ -94,19 +95,15 @@ impl Stack {
     }
 
     /// The System CF configuration this stack loads: its protocol crate's,
-    /// plus the HELLO registration of Neighbour Detection for a reactive
-    /// stack (loading upserts registrations, so loading shared types again
-    /// is safe).
+    /// which a reactive stack extends with the HELLO registration of
+    /// Neighbour Detection (loading upserts registrations, so loading
+    /// shared types again is safe).
     fn system_config(self) -> SystemConfig {
-        let mut config = match self {
+        match self {
             Stack::Olsr => manetkit_olsr::system_config(),
-            Stack::Dymo => manetkit_dymo::system_config(),
-            Stack::Aodv => manetkit_aodv::system_config(),
-        };
-        if self.is_reactive() {
-            config.registrations.push(hello_registration());
+            Stack::Dymo => stack_system_config(manetkit_dymo::system_config()),
+            Stack::Aodv => stack_system_config(manetkit_aodv::system_config()),
         }
-        config
     }
 
     /// The atomic switch recipe from this stack to `target`.

@@ -11,13 +11,14 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use adapt::Stack;
+use manetkit::reactive::RouteDiscoveryHandler;
 use manetkit::system::MessageRegistration;
 use manetkit::{
     structural_hash, txn, Deployment, EventTuple, EventType, ManetProtocolCf, Plugin, ReconfigOp,
     SystemConfig,
 };
 use manetkit_dymo::variants::{flooding, gossip, multipath};
-use manetkit_dymo::{DymoState, RouteDiscoveryHandler};
+use manetkit_dymo::DymoState;
 use manetkit_olsr::variants::power;
 use netsim::{NodeId, NodeOs};
 use packetbb::Address;

@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use adapt::Stack;
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
 use manetkit::prelude::{ConcurrencyModel, ManetNode, ReconfigRequest};
+use manetkit::reactive::ReactiveTable;
 use manetkit::{txn, CarriedRoute, RouteCarry, TxnVerdict};
 use manetkit_aodv::{AodvParams, AodvRoute, AodvState};
 use manetkit_dymo::variants::flooding;
@@ -379,7 +380,7 @@ fn adopted_routes_do_not_black_hole_after_a_link_cut() {
     world.set_link(NodeId(2), NodeId(3), LinkState::Down);
     // One RERR hop-by-hop to the source plus its first RREQ wait.
     let params = AodvParams::default();
-    world.run_for(params.rreq_wait + ms(1_000));
+    world.run_for(params.reactive.rreq_wait + ms(1_000));
     let after = world.stats();
     assert!(
         after.agent_counter("rerr_sent") >= 1,

@@ -2,31 +2,15 @@
 
 use std::collections::BTreeSet;
 
-use manetkit::carry::RouteCarrier;
 use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
-use manetkit::protocol::{proto_start_event, proto_stop_event, EventHandler, ProtoCtx, StateSlot};
+use manetkit::protocol::{EventHandler, ProtoCtx, StateSlot};
+use manetkit::reactive::{
+    emit_route_found, install_kernel, remove_kernel, seq_newer, ReactiveTable,
+};
 use packetbb::Address;
 
 use crate::messages::{Rerr, Rrep, Rreq};
-use crate::state::{seq_newer, AodvState, BrokenRoute};
-
-/// The AODV CF's route carrier: live routes and sequence number of its
-/// [`AodvState`].
-#[must_use]
-pub fn route_carrier() -> RouteCarrier {
-    RouteCarrier {
-        export: |slot, now| slot.get::<AodvState>().export_carry(now),
-        adopt: |slot, carry, now| slot.get_mut::<AodvState>().adopt_carry(carry, now),
-    }
-}
-
-/// The AODV CF's state codec (see [`AodvState::encode`]).
-#[must_use]
-pub fn state_codec(slot: &StateSlot) -> Vec<u8> {
-    slot.try_get::<AodvState>()
-        .map(AodvState::encode)
-        .unwrap_or_default()
-}
+use crate::state::{AodvState, BrokenRoute};
 
 /// Timer name of the AODV housekeeping sweep.
 pub const AODV_SWEEP_TIMER: &str = "aodv:sweep";
@@ -34,80 +18,6 @@ pub const AODV_SWEEP_TIMER: &str = "aodv:sweep";
 manetkit::cached_event_type! {
     /// The interned [`AODV_SWEEP_TIMER`] type (cached, no per-call lookup).
     pub fn aodv_sweep_timer => AODV_SWEEP_TIMER;
-}
-
-fn install_kernel(ctx: &mut ProtoCtx<'_>, dst: Address, next_hop: Address, hops: u8) {
-    ctx.os()
-        .route_table_mut()
-        .add_host_route(dst, next_hop, u32::from(hops));
-}
-
-fn remove_kernel(ctx: &mut ProtoCtx<'_>, dst: Address) {
-    ctx.os().route_table_mut().remove_host_route(dst);
-}
-
-fn send_rreq(s: &mut AodvState, dst: Address, ctx: &mut ProtoCtx<'_>) {
-    let orig_seq = s.next_seq();
-    let rreq_id = s.next_rreq_id();
-    let target_seq = s.routes.get(&dst).and_then(|r| r.seq);
-    let rreq = Rreq {
-        orig: ctx.local_addr(),
-        orig_seq,
-        rreq_id,
-        target: dst,
-        target_seq,
-        hop_count: 0,
-        hop_limit: s.params.hop_limit,
-    };
-    s.check_seen(rreq.orig, rreq_id, ctx.now());
-    ctx.os().bump("rreq_sent");
-    ctx.emit(Event::message_out(types::re_out(), rreq.to_message()));
-}
-
-/// Starts route discovery on `NO_ROUTE` traps.
-#[derive(Clone)]
-pub struct AodvDiscoveryHandler;
-
-impl EventHandler for AodvDiscoveryHandler {
-    fn fork(&self) -> Option<Box<dyn EventHandler>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn name(&self) -> &str {
-        "route-discovery-handler"
-    }
-    fn subscriptions(&self) -> Vec<EventType> {
-        vec![types::no_route()]
-    }
-    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
-        let Some(RouteCtl::NoRoute { dst }) = event.route_ctl() else {
-            return;
-        };
-        let dst = *dst;
-        let now = ctx.now();
-        let s = state.get_mut::<AodvState>();
-        if let Some(route) = s.live_route(dst, now).cloned() {
-            install_kernel(ctx, dst, route.next_hop, route.hop_count);
-            ctx.emit(Event {
-                ty: types::route_found(),
-                payload: Payload::RouteCtl(RouteCtl::RouteFound { dst }),
-                meta: Default::default(),
-            });
-            return;
-        }
-        if s.pending.contains_key(&dst) {
-            return;
-        }
-        s.pending.insert(
-            dst,
-            crate::state::PendingDiscovery {
-                attempts: 1,
-                next_retry: now + s.params.rreq_wait,
-            },
-        );
-        ctx.os().bump("route_discovery");
-        send_rreq(s, dst, ctx);
-    }
 }
 
 /// Handles RREQs: learns the reverse route to the originator, answers as
@@ -168,7 +78,7 @@ impl EventHandler for RreqHandler {
             install_kernel(ctx, rreq.orig, from, rreq.hop_count + 1);
         }
 
-        if s.check_seen(rreq.orig, rreq.rreq_id, now) {
+        if s.seen_rreqs.check(rreq.orig, rreq.rreq_id, now) {
             ctx.os().bump("rreq_duplicate");
             return;
         }
@@ -187,7 +97,7 @@ impl EventHandler for RreqHandler {
                 dst_seq,
                 orig: rreq.orig,
                 hop_count: 0,
-                lifetime_ms: s.params.active_route_timeout.as_millis(),
+                lifetime_ms: s.params.reactive.route_lifetime.as_millis(),
             };
             Self::reply(s, &rreq, from, rrep, ctx);
             return;
@@ -206,7 +116,7 @@ impl EventHandler for RreqHandler {
                             dst_seq: known,
                             orig: rreq.orig,
                             hop_count: route.hop_count,
-                            lifetime_ms: s.params.active_route_timeout.as_millis(),
+                            lifetime_ms: s.params.reactive.route_lifetime.as_millis(),
                         };
                         ctx.os().bump("intermediate_rrep");
                         // The next hop toward the target learns traffic may
@@ -267,11 +177,7 @@ impl EventHandler for RrepHandler {
             if s.pending.remove(&rrep.dst).is_some() {
                 ctx.os().bump("rrep_received");
             }
-            ctx.emit(Event {
-                ty: types::route_found(),
-                payload: Payload::RouteCtl(RouteCtl::RouteFound { dst: rrep.dst }),
-                meta: Default::default(),
-            });
+            emit_route_found(ctx, rrep.dst);
             return;
         }
         // Relay along the reverse route; precursor bookkeeping per §6.7.
@@ -393,107 +299,5 @@ impl EventHandler for AodvRerrHandler {
                 }
             }
         }
-    }
-}
-
-/// Refreshes lifetimes on `ROUTE_UPDATE` (active-route timeout reset).
-#[derive(Clone)]
-pub struct AodvLifetimeHandler;
-
-impl EventHandler for AodvLifetimeHandler {
-    fn fork(&self) -> Option<Box<dyn EventHandler>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn name(&self) -> &str {
-        "route-lifetime-handler"
-    }
-    fn subscriptions(&self) -> Vec<EventType> {
-        vec![types::route_update()]
-    }
-    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
-        let Some(RouteCtl::RouteUsed { dst, next_hop }) = event.route_ctl() else {
-            return;
-        };
-        let now = ctx.now();
-        let s = state.get_mut::<AodvState>();
-        s.refresh_route(*dst, now);
-        s.refresh_route(*next_hop, now);
-        ctx.os().bump("route_refreshed");
-    }
-}
-
-/// Housekeeping sweep: RREQ retries (expanding backoff), route expiry,
-/// kernel cleanup; also the start and stop hooks, which mirror the S
-/// element's live routes into the kernel table and withdraw them again
-/// without touching S.
-#[derive(Clone)]
-pub struct AodvSweepHandler;
-
-impl EventHandler for AodvSweepHandler {
-    fn fork(&self) -> Option<Box<dyn EventHandler>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn name(&self) -> &str {
-        "sweep-handler"
-    }
-    fn subscriptions(&self) -> Vec<EventType> {
-        vec![aodv_sweep_timer(), proto_start_event(), proto_stop_event()]
-    }
-    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
-        let now = ctx.now();
-        let s = state.get_mut::<AodvState>();
-        if event.ty == proto_start_event() {
-            // What we would hand a successor is what the kernel must hold.
-            for r in s.export_carry(now).routes {
-                install_kernel(ctx, r.dst, r.next_hop, r.hop_count);
-            }
-            return;
-        }
-        if event.ty == proto_stop_event() {
-            // Withdraw what we put into the OS; S stays as it is. The
-            // datagrams buffered behind a pending discovery are dropped:
-            // nobody is left to release them, and whoever runs next starts
-            // its own discovery for the next datagram.
-            for dst in s.routes.keys() {
-                remove_kernel(ctx, *dst);
-            }
-            for dst in s.pending.keys() {
-                ctx.os().drop_buffered(*dst);
-            }
-            return;
-        }
-        let due: Vec<Address> = s
-            .pending
-            .iter()
-            .filter(|(_, p)| p.next_retry <= now)
-            .map(|(d, _)| *d)
-            .collect();
-        for dst in due {
-            let (attempts, give_up) = {
-                let p = s.pending.get(&dst).expect("just listed");
-                (p.attempts, p.attempts >= s.params.rreq_tries)
-            };
-            if give_up {
-                s.pending.remove(&dst);
-                ctx.os().bump("route_discovery_failed");
-                ctx.os().drop_buffered(dst);
-            } else {
-                let backoff = s.params.rreq_wait.mul_f64(f64::from(1 << attempts));
-                if let Some(p) = s.pending.get_mut(&dst) {
-                    p.attempts += 1;
-                    p.next_retry = now + backoff;
-                }
-                ctx.os().bump("rreq_retry");
-                send_rreq(s, dst, ctx);
-            }
-        }
-        for dst in s.expire(now) {
-            remove_kernel(ctx, dst);
-            ctx.os().bump("route_expired");
-        }
-        let sweep = s.params.sweep;
-        ctx.set_timer(sweep, aodv_sweep_timer());
     }
 }

@@ -9,9 +9,10 @@
 //! precursor-directed route errors.
 //!
 //! Composition-wise AODV showcases MANETKit's reuse story a third time: it
-//! shares the Neighbour Detection CF, the System CF's NetLink plug-in and
-//! all framework machinery with DYMO, differing only in its handlers,
-//! messages and S component. The paper also notes an AODV implementation
+//! shares the Neighbour Detection CF, the System CF's NetLink plug-in, the
+//! reactive core ([`manetkit::reactive`]: route discovery, route lifetimes
+//! and the sweep) and all framework machinery with DYMO, differing only in
+//! its message handlers, messages and route table. The paper also notes an AODV implementation
 //! "might piggyback routing table entries so that neighbours can learn new
 //! routes" via the Neighbour Detection CF's dissemination — our RREQ/RREP
 //! exchange plus the `offer_route(from, …)` neighbour learning covers the
@@ -43,18 +44,18 @@ pub mod messages;
 pub mod state;
 
 use manetkit::event::types;
-use manetkit::neighbour::{hello_registration, neighbour_detection_cf, NeighbourConfig};
+use manetkit::neighbour::NeighbourConfig;
 use manetkit::node::{Deployment, ManetNode, NodeHandle};
 use manetkit::prelude::ConcurrencyModel;
-use manetkit::protocol::{ManetProtocolCf, StateSlot};
-use manetkit::registry::EventTuple;
+use manetkit::protocol::ManetProtocolCf;
+use manetkit::reactive::{
+    deploy_stack, reactive_tuple, state_slot, RouteDiscoveryHandler, RouteLifetimeHandler,
+    SweepHandler,
+};
 use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
-pub use handlers::{
-    AodvDiscoveryHandler, AodvLifetimeHandler, AodvRerrHandler, AodvSweepHandler, RrepHandler,
-    RreqHandler, AODV_SWEEP_TIMER,
-};
+pub use handlers::{AodvRerrHandler, RrepHandler, RreqHandler, AODV_SWEEP_TIMER};
 pub use messages::{Rerr, Rrep, Rreq};
 pub use state::{AodvParams, AodvRoute, AodvState, BrokenRoute};
 
@@ -79,31 +80,15 @@ pub fn aodv_cf(params: AodvParams) -> ManetProtocolCf {
     };
     ManetProtocolCf::builder(AODV_CF)
         .reactive()
-        .tuple(
-            EventTuple::new()
-                .requires(types::re_in())
-                .requires(types::rerr_in())
-                .requires(types::no_route())
-                .requires(types::route_update())
-                .requires(types::send_route_err())
-                .requires(types::tx_failed())
-                .requires(types::nhood_change())
-                .provides(types::re_out())
-                .provides(types::rerr_out())
-                .provides(types::route_found()),
-        )
-        .state(
-            StateSlot::new(state)
-                .with_codec(handlers::state_codec)
-                .with_carrier(handlers::route_carrier()),
-        )
-        .startup_timer(params.sweep, handlers::aodv_sweep_timer())
-        .handler(Box::new(AodvDiscoveryHandler))
+        .tuple(reactive_tuple())
+        .state(state_slot(state))
+        .startup_timer(params.reactive.sweep, handlers::aodv_sweep_timer())
+        .handler(Box::new(RouteDiscoveryHandler::<AodvState>::default()))
         .handler(Box::new(RreqHandler))
         .handler(Box::new(RrepHandler))
         .handler(Box::new(AodvRerrHandler))
-        .handler(Box::new(AodvLifetimeHandler))
-        .handler(Box::new(AodvSweepHandler))
+        .handler(Box::new(RouteLifetimeHandler::<AodvState>::default()))
+        .handler(Box::new(SweepHandler::<AodvState>::default()))
         .build()
 }
 
@@ -129,11 +114,9 @@ pub fn system_config() -> SystemConfig {
 /// Propagates integrity violations (e.g. another reactive protocol is
 /// already deployed).
 pub fn deploy(dep: &mut Deployment, config: AodvDeployment) -> Result<(), manetkit::DeployError> {
-    dep.system_mut().load(&system_config());
-    dep.system_mut().register_message(hello_registration());
-    dep.add_protocol_offline(neighbour_detection_cf(config.neighbour))?;
-    dep.add_protocol_offline(aodv_cf(config.params))?;
-    Ok(())
+    deploy_stack(dep, system_config(), config.neighbour, || {
+        aodv_cf(config.params)
+    })
 }
 
 /// Builds a ready-to-install node running AODV, plus its control handle.

@@ -3,15 +3,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use manetkit::carry::{CarriedRoute, RouteCarry};
-use netsim::{SimDuration, SimTime};
+use manetkit::carry::RouteCarry;
+use manetkit::event::{types, Event, EventType};
+use manetkit::protocol::ProtoCtx;
+use manetkit::reactive::{
+    seq_newer, PendingDiscovery, ReactiveParams, ReactiveRoute, ReactiveTable, SeenRreqs,
+};
+use netsim::SimTime;
 use packetbb::Address;
 
-/// Wraparound-aware sequence comparison: is `a` newer than `b`?
-#[must_use]
-pub fn seq_newer(a: u16, b: u16) -> bool {
-    a != b && a.wrapping_sub(b) < 0x8000
-}
+use crate::handlers::aodv_sweep_timer;
+use crate::messages::Rreq;
 
 /// One AODV routing table entry (RFC 3561 §2: with precursor list).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,28 +64,12 @@ pub struct BrokenRoute {
     pub precursors: Option<BTreeSet<Address>>,
 }
 
-/// A discovery in progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingDiscovery {
-    /// RREQ attempts so far.
-    pub attempts: u8,
-    /// When to retry or give up.
-    pub next_retry: SimTime,
-}
-
 /// Tunable AODV parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AodvParams {
-    /// Active route lifetime.
-    pub active_route_timeout: SimDuration,
-    /// First RREQ retry delay (doubles per attempt).
-    pub rreq_wait: SimDuration,
-    /// Maximum RREQ attempts.
-    pub rreq_tries: u8,
-    /// Flood budget for RREQs.
-    pub hop_limit: u8,
-    /// Housekeeping sweep period.
-    pub sweep: SimDuration,
+    /// The reactive core's: the route lifetime is AODV's active route
+    /// timeout, the hop limit its RREQ flood budget.
+    pub reactive: ReactiveParams,
     /// Whether intermediate nodes with fresh routes may answer RREQs.
     pub intermediate_reply: bool,
 }
@@ -91,11 +77,7 @@ pub struct AodvParams {
 impl Default for AodvParams {
     fn default() -> Self {
         AodvParams {
-            active_route_timeout: SimDuration::from_secs(5),
-            rreq_wait: SimDuration::from_millis(1_000),
-            rreq_tries: 3,
-            hop_limit: 10,
-            sweep: SimDuration::from_millis(250),
+            reactive: ReactiveParams::default(),
             intermediate_reply: true,
         }
     }
@@ -112,26 +94,13 @@ pub struct AodvState {
     pub rreq_id: u16,
     /// Discoveries in flight.
     pub pending: BTreeMap<Address, PendingDiscovery>,
-    /// Seen `(originator, rreq_id)` floods → expiry.
-    pub seen_rreqs: BTreeMap<(Address, u16), SimTime>,
+    /// Seen floods by `(originator, rreq_id)`.
+    pub seen_rreqs: SeenRreqs,
     /// Parameters.
     pub params: AodvParams,
 }
 
-/// Forks of a world share a node's state until one of them writes it, so
-/// the state is `Sync`.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<AodvState>();
-};
-
 impl AodvState {
-    /// Bumps and returns our sequence number.
-    pub fn next_seq(&mut self) -> u16 {
-        self.own_seq = self.own_seq.wrapping_add(1);
-        self.own_seq
-    }
-
     /// Bumps and returns our RREQ flood id.
     pub fn next_rreq_id(&mut self) -> u16 {
         self.rreq_id = self.rreq_id.wrapping_add(1);
@@ -149,7 +118,7 @@ impl AodvState {
         hop_count: u8,
         now: SimTime,
     ) -> bool {
-        let expiry = now + self.params.active_route_timeout;
+        let expiry = now + self.params.reactive.route_lifetime;
         match self.routes.get_mut(&dst) {
             None => {
                 self.routes.insert(
@@ -203,24 +172,6 @@ impl AodvState {
         }
     }
 
-    /// The live route to `dst`.
-    #[must_use]
-    pub fn live_route(&self, dst: Address, now: SimTime) -> Option<&AodvRoute> {
-        self.routes
-            .get(&dst)
-            .filter(|r| !r.broken && r.expiry > now)
-    }
-
-    /// Extends the lifetime of the route to `dst`.
-    pub fn refresh_route(&mut self, dst: Address, now: SimTime) {
-        let lifetime = self.params.active_route_timeout;
-        if let Some(r) = self.routes.get_mut(&dst) {
-            if !r.broken {
-                r.expiry = now + lifetime;
-            }
-        }
-    }
-
     /// Breaks every route via `via`; returns one [`BrokenRoute`] each,
     /// with the destination sequence number incremented as RFC 3561 §6.11
     /// requires.
@@ -234,35 +185,83 @@ impl AodvState {
         }
         out
     }
+}
 
-    /// The live routes and our sequence number in protocol-neutral form
-    /// (what a successor protocol takes over on a switch).
-    #[must_use]
-    pub fn export_carry(&self, now: SimTime) -> RouteCarry {
-        let routes = self
-            .routes
-            .iter()
-            .filter(|(_, r)| !r.broken && r.expiry > now)
-            .map(|(dst, r)| CarriedRoute {
-                dst: *dst,
-                next_hop: r.next_hop,
-                hop_count: r.hop_count,
-                seq: r.seq,
-                expiry: r.expiry,
-            })
-            .collect();
-        RouteCarry {
-            own_seq: self.own_seq,
-            routes,
-        }
+impl ReactiveRoute for AodvRoute {
+    fn next_hop(&self) -> Address {
+        self.next_hop
+    }
+    fn hop_count(&self) -> u8 {
+        self.hop_count
+    }
+    fn seq(&self) -> Option<u16> {
+        self.seq
+    }
+    fn expiry(&self) -> SimTime {
+        self.expiry
+    }
+    fn set_expiry(&mut self, expiry: SimTime) {
+        self.expiry = expiry;
+    }
+    fn is_broken(&self) -> bool {
+        self.broken
+    }
+}
+
+impl ReactiveTable for AodvState {
+    type Route = AodvRoute;
+
+    fn routes(&self) -> &BTreeMap<Address, AodvRoute> {
+        &self.routes
+    }
+    fn routes_mut(&mut self) -> &mut BTreeMap<Address, AodvRoute> {
+        &mut self.routes
+    }
+    fn pending_mut(&mut self) -> &mut BTreeMap<Address, PendingDiscovery> {
+        &mut self.pending
+    }
+    fn seen_mut(&mut self) -> &mut SeenRreqs {
+        &mut self.seen_rreqs
+    }
+    fn own_seq(&self) -> u16 {
+        self.own_seq
+    }
+    fn own_seq_mut(&mut self) -> &mut u16 {
+        &mut self.own_seq
+    }
+    fn reactive_params(&self) -> ReactiveParams {
+        self.params.reactive
+    }
+    fn sweep_timer() -> EventType {
+        aodv_sweep_timer()
+    }
+
+    /// Floods an RREQ under a fresh flood id and our bumped sequence
+    /// number, quoting the target's last known one.
+    fn send_rreq(&mut self, dst: Address, ctx: &mut ProtoCtx<'_>) {
+        let orig_seq = self.next_seq();
+        let rreq_id = self.next_rreq_id();
+        let target_seq = self.routes.get(&dst).and_then(|r| r.seq);
+        let rreq = Rreq {
+            orig: ctx.local_addr(),
+            orig_seq,
+            rreq_id,
+            target: dst,
+            target_seq,
+            hop_count: 0,
+            hop_limit: self.params.reactive.hop_limit,
+        };
+        self.seen_rreqs.check(rreq.orig, rreq_id, ctx.now());
+        ctx.os().bump("rreq_sent");
+        ctx.emit(Event::message_out(types::re_out(), rreq.to_message()));
     }
 
     /// Takes over a predecessor's routes and sequence number. Lapsed
     /// entries are skipped and no expiry outlives our own active-route
     /// timeout; the adopted routes have unknown precursors.
-    pub fn adopt_carry(&mut self, carry: &RouteCarry, now: SimTime) {
+    fn adopt_carry(&mut self, carry: &RouteCarry, now: SimTime) {
         self.own_seq = carry.own_seq;
-        let horizon = now + self.params.active_route_timeout;
+        let horizon = now + self.params.reactive.route_lifetime;
         for r in &carry.routes {
             if r.expiry <= now {
                 continue;
@@ -285,8 +284,7 @@ impl AodvState {
     /// Deterministic bytes of what a reconfiguration must preserve: the
     /// sequence number, every route (expiry, broken flag and precursors
     /// included) and the pending discoveries. Compared, never decoded.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 28 * self.routes.len());
         out.extend_from_slice(&self.own_seq.to_le_bytes());
         out.extend_from_slice(&(self.routes.len() as u32).to_le_bytes());
@@ -312,32 +310,12 @@ impl AodvState {
         }
         out
     }
-
-    /// Records an RREQ flood; returns `true` when already seen.
-    pub fn check_seen(&mut self, orig: Address, rreq_id: u16, now: SimTime) -> bool {
-        let expiry = now + SimDuration::from_secs(10);
-        self.seen_rreqs.insert((orig, rreq_id), expiry).is_some()
-    }
-
-    /// Housekeeping; returns destinations whose routes lapsed.
-    pub fn expire(&mut self, now: SimTime) -> Vec<Address> {
-        let hold = self.params.active_route_timeout;
-        let mut lapsed = Vec::new();
-        self.routes.retain(|dst, r| {
-            let keep = r.expiry > now || (r.broken && r.expiry + hold > now);
-            if !keep {
-                lapsed.push(*dst);
-            }
-            keep
-        });
-        self.seen_rreqs.retain(|_, exp| *exp > now);
-        lapsed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimDuration;
 
     fn addr(n: u8) -> Address {
         Address::v4([10, 0, 0, n])
@@ -390,11 +368,13 @@ mod tests {
     #[test]
     fn rreq_id_duplicates() {
         let mut s = AodvState::default();
-        assert!(!s.check_seen(addr(1), 1, SimTime::ZERO));
-        assert!(s.check_seen(addr(1), 1, SimTime::ZERO));
-        assert!(!s.check_seen(addr(1), 2, SimTime::ZERO));
+        assert!(!s.seen_rreqs.check(addr(1), 1, SimTime::ZERO));
+        assert!(s.seen_rreqs.check(addr(1), 1, SimTime::ZERO));
+        assert!(!s.seen_rreqs.check(addr(1), 2, SimTime::ZERO));
         s.expire(SimTime::ZERO + SimDuration::from_secs(11));
-        assert!(!s.check_seen(addr(1), 1, SimTime::ZERO + SimDuration::from_secs(11)));
+        assert!(!s
+            .seen_rreqs
+            .check(addr(1), 1, SimTime::ZERO + SimDuration::from_secs(11)));
     }
 
     #[test]

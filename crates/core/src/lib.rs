@@ -25,6 +25,8 @@
 //! * [`carry`] — [`RouteCarry`]: the protocol-neutral route view a switch
 //!   between two reactive protocols hands over.
 //! * [`neighbour`] — the reusable Neighbour Detection CF.
+//! * [`reactive`] — the reactive-routing core DYMO and AODV share: route
+//!   discovery, route lifetimes, the sweep and the kernel-table mirror.
 //! * [`concurrency`] — pluggable concurrency models.
 //! * [`node`] — [`Deployment`] and [`ManetNode`]: one framework instance on
 //!   a simulated node, with quiescent-point reconfiguration through
@@ -59,6 +61,7 @@ pub mod manager;
 pub mod neighbour;
 pub mod node;
 pub mod protocol;
+pub mod reactive;
 pub mod reconfig;
 pub mod registry;
 pub mod smallvec;
@@ -77,6 +80,7 @@ pub use node::{
 pub use protocol::{
     EventHandler, EventSource, Forwarder, ManetProtocolCf, Plugin, ProtoCtx, StateCodec, StateSlot,
 };
+pub use reactive::seq_newer;
 pub use reconfig::{
     CoordinatorPhase, Disruption, FleetCoordinator, FleetStatus, FleetTxnReport, HealthGate,
     Recipe, ReconfigRequest, Strategy, TwoPhaseMachine, TxnOptions, TxnVerdict, Wait,

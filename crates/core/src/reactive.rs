@@ -1,0 +1,521 @@
+//! The reactive-routing core: what DYMO and AODV share.
+//!
+//! An on-demand protocol buffers a datagram that has no route, floods an
+//! RREQ and retries with binary exponential backoff until a reply installs
+//! the route or the tries run out. Traffic keeps a route alive; a
+//! housekeeping sweep retries, gives up and expires. Starting the protocol
+//! mirrors its live routes into the kernel table, and stopping it withdraws
+//! them again. None of this depends on the protocol's messages, so one
+//! implementation serves both protocols and DYMO's variants, the reuse §6.3
+//! claims for further protocols:
+//!
+//! * [`RouteDiscoveryHandler`] starts a discovery on `NO_ROUTE`;
+//! * [`RouteLifetimeHandler`] extends a route's lifetime on `ROUTE_UPDATE`;
+//! * [`SweepHandler`] runs the sweep and the start and stop hooks.
+//!
+//! A protocol plugs in through three traits. Its route entries implement
+//! [`ReactiveRoute`]. Its route table implements [`ReactiveTable`]: the
+//! table itself, the pending discoveries, the parameters, the sweep timer,
+//! and the protocol's own RREQ, route adoption and state codec. Its S
+//! element implements [`ReactiveState`] by naming the table it embeds:
+//! every table is its own S element, and a variant's replacement S element
+//! embeds one. The protocol crate keeps its messages and the handlers that
+//! parse them.
+
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
+
+use netsim::{SimDuration, SimTime};
+use packetbb::Address;
+
+use crate::carry::{CarriedRoute, RouteCarrier, RouteCarry};
+use crate::event::{types, Event, EventType, Payload, RouteCtl};
+use crate::neighbour::{hello_registration, neighbour_detection_cf, NeighbourConfig};
+use crate::node::{DeployError, Deployment};
+use crate::protocol::{
+    proto_start_event, proto_stop_event, EventHandler, ManetProtocolCf, ProtoCtx, StateSlot,
+};
+use crate::registry::EventTuple;
+use crate::system::SystemConfig;
+
+/// Wraparound-aware sequence comparison (RFC 3626 §19, RFC 3561 §6.1): is
+/// `a` newer than `b`? DYMO, AODV and OLSR all compare with it.
+#[inline]
+#[must_use]
+pub fn seq_newer(a: u16, b: u16) -> bool {
+    a != b && a.wrapping_sub(b) < 0x8000
+}
+
+/// An in-progress route discovery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PendingDiscovery {
+    /// RREQ attempts so far.
+    pub attempts: u8,
+    /// When to retry (or give up).
+    pub next_retry: SimTime,
+    /// When the discovery began (latency accounting).
+    pub started: SimTime,
+}
+
+/// The parameters of a protocol on the reactive core: DYMO's whole set,
+/// and all of AODV's but one. Both use the same defaults.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReactiveParams {
+    /// The lifetime a route gets when learned or used. A broken route
+    /// lingers as long again, so route errors can quote its sequence
+    /// number.
+    pub route_lifetime: SimDuration,
+    /// First RREQ retry delay (doubles per attempt).
+    pub rreq_wait: SimDuration,
+    /// Maximum RREQ attempts before giving up.
+    pub rreq_tries: u8,
+    /// Hop budget on the protocol's floods and replies.
+    pub hop_limit: u8,
+    /// Housekeeping sweep period.
+    pub sweep: SimDuration,
+}
+
+impl Default for ReactiveParams {
+    fn default() -> Self {
+        ReactiveParams {
+            route_lifetime: SimDuration::from_secs(5),
+            rreq_wait: SimDuration::from_millis(1_000),
+            rreq_tries: 3,
+            hop_limit: 10,
+            sweep: SimDuration::from_millis(250),
+        }
+    }
+}
+
+/// Seen RREQ floods, for duplicate suppression: `(originator, id)` → when
+/// the entry lapses.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SeenRreqs(BTreeMap<(Address, u16), SimTime>);
+
+impl SeenRreqs {
+    /// How long a flood is remembered.
+    pub const HOLD: SimDuration = SimDuration::from_secs(10);
+
+    /// Records a flood; returns `true` when it was already seen.
+    #[inline]
+    pub fn check(&mut self, originator: Address, id: u16, now: SimTime) -> bool {
+        self.0.insert((originator, id), now + Self::HOLD).is_some()
+    }
+
+    /// Whether a flood is remembered.
+    #[inline]
+    #[must_use]
+    pub fn contains(&self, originator: Address, id: u16) -> bool {
+        self.0.contains_key(&(originator, id))
+    }
+
+    /// Forgets the floods whose hold ran out.
+    pub fn expire(&mut self, now: SimTime) {
+        self.0.retain(|_, exp| *exp > now);
+    }
+}
+
+/// A route table entry as the shared handlers read it.
+pub trait ReactiveRoute {
+    /// Next hop toward the destination.
+    fn next_hop(&self) -> Address;
+    /// Hop count.
+    fn hop_count(&self) -> u8;
+    /// The destination's sequence number, when known.
+    fn seq(&self) -> Option<u16>;
+    /// When the route lapses unless refreshed.
+    fn expiry(&self) -> SimTime;
+    /// Moves the expiry.
+    fn set_expiry(&mut self, expiry: SimTime);
+    /// Whether a link break invalidated the route.
+    fn is_broken(&self) -> bool;
+}
+
+/// A reactive protocol's route table: what the shared handlers need of it,
+/// and the route-table upkeep both protocols share (the provided methods).
+/// It is `Sync` because forks of a world share a node's state until one of
+/// them writes it.
+pub trait ReactiveTable: Any + Send + Sync + Clone {
+    /// The protocol's route entry.
+    type Route: ReactiveRoute;
+
+    /// The routes, by destination (mirrored into the kernel table).
+    fn routes(&self) -> &BTreeMap<Address, Self::Route>;
+    /// The routes, mutably.
+    fn routes_mut(&mut self) -> &mut BTreeMap<Address, Self::Route>;
+    /// Discoveries awaiting a reply, by destination.
+    fn pending_mut(&mut self) -> &mut BTreeMap<Address, PendingDiscovery>;
+    /// The seen-RREQ cache.
+    fn seen_mut(&mut self) -> &mut SeenRreqs;
+    /// Our own sequence number.
+    fn own_seq(&self) -> u16;
+    /// Our own sequence number, mutably.
+    fn own_seq_mut(&mut self) -> &mut u16;
+    /// The protocol's parameters.
+    fn reactive_params(&self) -> ReactiveParams;
+    /// The protocol's sweep timer.
+    fn sweep_timer() -> EventType;
+    /// Floods one RREQ for `dst` (a first try or a retry) and remembers it
+    /// as seen, so its echoes are squashed.
+    fn send_rreq(&mut self, dst: Address, ctx: &mut ProtoCtx<'_>);
+    /// Takes over a predecessor's routes and sequence number.
+    fn adopt_carry(&mut self, carry: &RouteCarry, now: SimTime);
+    /// Deterministic bytes of what a reconfiguration must preserve: the
+    /// sequence number, every route and the pending discoveries. Compared,
+    /// never decoded.
+    fn encode(&self) -> Vec<u8>;
+
+    /// Bumps and returns our sequence number.
+    fn next_seq(&mut self) -> u16 {
+        let seq = self.own_seq_mut();
+        *seq = seq.wrapping_add(1);
+        *seq
+    }
+
+    /// The live (unbroken, unexpired) route to `dst`.
+    fn live_route(&self, dst: Address, now: SimTime) -> Option<&Self::Route> {
+        self.routes()
+            .get(&dst)
+            .filter(|r| !r.is_broken() && r.expiry() > now)
+    }
+
+    /// Extends the lifetime of the route to `dst` (traffic refresh).
+    fn refresh_route(&mut self, dst: Address, now: SimTime) {
+        let lifetime = self.reactive_params().route_lifetime;
+        if let Some(r) = self.routes_mut().get_mut(&dst) {
+            if !r.is_broken() {
+                r.set_expiry(now + lifetime);
+            }
+        }
+    }
+
+    /// Housekeeping: expires routes and seen floods; returns the
+    /// destinations whose routes lapsed (to clean the kernel table).
+    fn expire(&mut self, now: SimTime) -> Vec<Address> {
+        let hold = self.reactive_params().route_lifetime;
+        let mut lapsed = Vec::new();
+        self.routes_mut().retain(|dst, r| {
+            let keep = r.expiry() > now || (r.is_broken() && r.expiry() + hold > now);
+            if !keep {
+                lapsed.push(*dst);
+            }
+            keep
+        });
+        self.seen_mut().expire(now);
+        lapsed
+    }
+
+    /// The live routes and our sequence number in protocol-neutral form
+    /// (what a successor protocol takes over on a switch).
+    fn export_carry(&self, now: SimTime) -> RouteCarry {
+        let routes = self
+            .routes()
+            .iter()
+            .filter(|(_, r)| !r.is_broken() && r.expiry() > now)
+            .map(|(dst, r)| CarriedRoute {
+                dst: *dst,
+                next_hop: r.next_hop(),
+                hop_count: r.hop_count(),
+                seq: r.seq(),
+                expiry: r.expiry(),
+            })
+            .collect();
+        RouteCarry {
+            own_seq: self.own_seq(),
+            routes,
+        }
+    }
+}
+
+/// A reactive protocol's S element: the route table it embeds.
+pub trait ReactiveState: Any + Send + Sync + Clone {
+    /// The embedded table.
+    type Table: ReactiveTable;
+    /// The embedded table.
+    fn table(&self) -> &Self::Table;
+    /// The embedded table, mutably.
+    fn table_mut(&mut self) -> &mut Self::Table;
+}
+
+impl<T: ReactiveTable> ReactiveState for T {
+    type Table = T;
+    fn table(&self) -> &T {
+        self
+    }
+    fn table_mut(&mut self) -> &mut T {
+        self
+    }
+}
+
+/// An S element holding `state`, with the codec and route carrier that
+/// read an `S`: every reactive S element, standard or a variant's, is
+/// built here, so its codec and carrier always match its type.
+#[must_use]
+pub fn state_slot<S: ReactiveState>(state: S) -> StateSlot {
+    StateSlot::new(state)
+        .with_codec(|slot| {
+            slot.try_get::<S>()
+                .map(|s| s.table().encode())
+                .unwrap_or_default()
+        })
+        .with_carrier(RouteCarrier {
+            export: |slot, now| slot.get::<S>().table().export_carry(now),
+            adopt: |slot, carry, now| slot.get_mut::<S>().table_mut().adopt_carry(carry, now),
+        })
+}
+
+/// The event tuple of a reactive routing CF: route and error messages in
+/// and out, the packet-filter events, link breaks, and `ROUTE_FOUND`.
+#[must_use]
+pub fn reactive_tuple() -> EventTuple {
+    EventTuple::new()
+        .requires(types::re_in())
+        .requires(types::rerr_in())
+        .requires(types::no_route())
+        .requires(types::route_update())
+        .requires(types::send_route_err())
+        .requires(types::tx_failed())
+        .requires(types::nhood_change())
+        .provides(types::re_out())
+        .provides(types::rerr_out())
+        .provides(types::route_found())
+}
+
+/// The System CF configuration of a reactive stack: its routing protocol's
+/// `protocol` configuration, plus the HELLO registration of the Neighbour
+/// Detection CF the stack senses links with.
+#[must_use]
+pub fn stack_system_config(mut protocol: SystemConfig) -> SystemConfig {
+    protocol.registrations.push(hello_registration());
+    protocol
+}
+
+/// Installs a reactive stack into a deployment (offline): the System
+/// configuration of [`stack_system_config`], the Neighbour Detection CF
+/// and the routing CF `cf` builds, in that order. Each CF is built just
+/// before it is added, so a process interns event types in deployment
+/// order.
+///
+/// # Errors
+///
+/// Propagates integrity violations (e.g. another reactive protocol is
+/// already deployed).
+pub fn deploy_stack(
+    dep: &mut Deployment,
+    protocol: SystemConfig,
+    neighbour: NeighbourConfig,
+    cf: impl FnOnce() -> ManetProtocolCf,
+) -> Result<(), DeployError> {
+    dep.system_mut().load(&stack_system_config(protocol));
+    dep.add_protocol_offline(neighbour_detection_cf(neighbour))?;
+    dep.add_protocol_offline(cf())
+}
+
+/// Installs (or refreshes) a host route in the kernel table.
+#[inline]
+pub fn install_kernel(ctx: &mut ProtoCtx<'_>, dst: Address, next_hop: Address, hops: u8) {
+    ctx.os()
+        .route_table_mut()
+        .add_host_route(dst, next_hop, u32::from(hops));
+}
+
+/// Removes a host route from the kernel table.
+#[inline]
+pub fn remove_kernel(ctx: &mut ProtoCtx<'_>, dst: Address) {
+    ctx.os().route_table_mut().remove_host_route(dst);
+}
+
+/// Emits `ROUTE_FOUND` for `dst`: the System CF re-injects the datagrams
+/// buffered toward it.
+#[inline]
+pub fn emit_route_found(ctx: &mut ProtoCtx<'_>, dst: Address) {
+    ctx.emit(Event {
+        ty: types::route_found(),
+        payload: Payload::RouteCtl(RouteCtl::RouteFound { dst }),
+        meta: Default::default(),
+    });
+}
+
+/// Declares a stateless handler generic over the S element it reads.
+macro_rules! generic_handler {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        pub struct $name<S: ReactiveState>(PhantomData<fn(S)>);
+
+        impl<S: ReactiveState> Default for $name<S> {
+            fn default() -> Self {
+                $name(PhantomData)
+            }
+        }
+    };
+}
+
+generic_handler! {
+    /// Starts route discovery on `NO_ROUTE` netfilter traps.
+    RouteDiscoveryHandler
+}
+
+impl<S: ReactiveState> EventHandler for RouteDiscoveryHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self::default()))
+    }
+
+    fn name(&self) -> &str {
+        "route-discovery-handler"
+    }
+    fn subscriptions(&self) -> Vec<EventType> {
+        vec![types::no_route()]
+    }
+    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
+        let Some(RouteCtl::NoRoute { dst }) = event.route_ctl() else {
+            return;
+        };
+        let dst = *dst;
+        let now = ctx.now();
+        let s = state.get_mut::<S>().table_mut();
+        if let Some(route) = s.live_route(dst, now) {
+            // Lost race: the route exists; re-install and release buffers.
+            let (next_hop, hops) = (route.next_hop(), route.hop_count());
+            install_kernel(ctx, dst, next_hop, hops);
+            emit_route_found(ctx, dst);
+            return;
+        }
+        let rreq_wait = s.reactive_params().rreq_wait;
+        let pending = s.pending_mut();
+        if pending.contains_key(&dst) {
+            return; // discovery already under way; the packet sits buffered
+        }
+        let discovery = PendingDiscovery {
+            attempts: 1,
+            next_retry: now + rreq_wait,
+            started: now,
+        };
+        pending.insert(dst, discovery);
+        ctx.os().bump("route_discovery");
+        s.send_rreq(dst, ctx);
+    }
+}
+
+generic_handler! {
+    /// Extends route lifetimes when traffic uses them (`ROUTE_UPDATE`).
+    RouteLifetimeHandler
+}
+
+impl<S: ReactiveState> EventHandler for RouteLifetimeHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self::default()))
+    }
+
+    fn name(&self) -> &str {
+        "route-lifetime-handler"
+    }
+    fn subscriptions(&self) -> Vec<EventType> {
+        vec![types::route_update()]
+    }
+    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
+        let Some(RouteCtl::RouteUsed { dst, next_hop }) = event.route_ctl() else {
+            return;
+        };
+        let now = ctx.now();
+        let s = state.get_mut::<S>().table_mut();
+        s.refresh_route(*dst, now);
+        s.refresh_route(*next_hop, now);
+        ctx.os().bump("route_refreshed");
+    }
+}
+
+generic_handler! {
+    /// Housekeeping sweep: RREQ retries with binary exponential backoff,
+    /// give-ups, route expiry and kernel-table cleanup; also the start and
+    /// stop hooks, which mirror the S element's live routes into the kernel
+    /// table and withdraw them again without touching S.
+    SweepHandler
+}
+
+impl<S: ReactiveState> EventHandler for SweepHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self::default()))
+    }
+
+    fn name(&self) -> &str {
+        "sweep-handler"
+    }
+    fn subscriptions(&self) -> Vec<EventType> {
+        vec![
+            S::Table::sweep_timer(),
+            proto_start_event(),
+            proto_stop_event(),
+        ]
+    }
+    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
+        let now = ctx.now();
+        let s = state.get_mut::<S>().table_mut();
+        if event.ty == proto_start_event() {
+            // What we would hand a successor is what the kernel must hold.
+            for r in s.export_carry(now).routes {
+                install_kernel(ctx, r.dst, r.next_hop, r.hop_count);
+            }
+            return;
+        }
+        if event.ty == proto_stop_event() {
+            // Withdraw what we put into the OS; S stays as it is. The
+            // datagrams buffered behind a pending discovery are dropped:
+            // nobody is left to release them, and whoever runs next starts
+            // its own discovery for the next datagram.
+            for dst in s.routes().keys() {
+                remove_kernel(ctx, *dst);
+            }
+            for dst in s.pending_mut().keys() {
+                ctx.os().drop_buffered(*dst);
+            }
+            return;
+        }
+
+        // RREQ retries / give-ups.
+        let params = s.reactive_params();
+        let due: Vec<Address> = s
+            .pending_mut()
+            .iter()
+            .filter(|(_, p)| p.next_retry <= now)
+            .map(|(d, _)| *d)
+            .collect();
+        for dst in due {
+            let pending = s.pending_mut();
+            let p = pending.get_mut(&dst).expect("just listed");
+            if p.attempts >= params.rreq_tries {
+                pending.remove(&dst);
+                ctx.os().bump("route_discovery_failed");
+                ctx.os().drop_buffered(dst);
+            } else {
+                let backoff = params.rreq_wait.mul_f64(f64::from(1 << p.attempts));
+                p.attempts += 1;
+                p.next_retry = now + backoff;
+                ctx.os().bump("rreq_retry");
+                s.send_rreq(dst, ctx);
+            }
+        }
+
+        // Route expiry.
+        for dst in s.expire(now) {
+            remove_kernel(ctx, dst);
+            ctx.os().bump("route_expired");
+        }
+        ctx.set_timer(params.sweep, S::Table::sweep_timer());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seq_comparison_wraps() {
+        assert!(seq_newer(2, 1));
+        assert!(!seq_newer(1, 2));
+        assert!(!seq_newer(5, 5));
+        assert!(seq_newer(0, u16::MAX));
+        assert!(!seq_newer(u16::MAX, 0));
+        assert!(seq_newer(10, 0xFFF0));
+    }
+}

@@ -16,10 +16,10 @@ use manetkit::event::{Event, EventType};
 use manetkit::neighbour::{hello_registration, neighbour_detection_cf};
 use manetkit::prelude::*;
 use manetkit::protocol::{proto_stop_event, Plugin, ProtoCtx, StateSlot};
+use manetkit::reactive::PendingDiscovery;
 use manetkit::system::MessageRegistration;
 use manetkit::txn;
 use manetkit::{SystemConfig, TxnPhase};
-use manetkit_dymo::state::PendingDiscovery;
 use manetkit_dymo::variants::{flooding, gossip, multipath};
 use manetkit_dymo::{DymoRoute, DymoState, DYMO_CF};
 use manetkit_olsr::variants::power;

@@ -12,6 +12,10 @@
 //! * on successful discovery DYMO emits `ROUTE_FOUND` back to the System
 //!   CF, which re-injects the buffered packets.
 //!
+//! The discovery, lifetime and sweep handlers are the reactive core's
+//! ([`manetkit::reactive`]), shared with AODV; this crate holds DYMO's
+//! messages, its route table and the RE and RERR handlers.
+//!
 //! Variants (§5.2) are derived by runtime reconfiguration:
 //! [`variants::multipath`] (replacement S component and RE/RERR handlers
 //! computing link-disjoint paths) and [`variants::flooding`] (the
@@ -53,18 +57,18 @@ pub mod variants {
 }
 
 use manetkit::event::types;
-use manetkit::neighbour::{hello_registration, neighbour_detection_cf, NeighbourConfig};
+use manetkit::neighbour::NeighbourConfig;
 use manetkit::node::{Deployment, ManetNode, NodeHandle, ReconfigOp};
 use manetkit::prelude::ConcurrencyModel;
 use manetkit::protocol::{EventHandler, ManetProtocolCf, Plugin, StateSlot};
-use manetkit::registry::EventTuple;
+use manetkit::reactive::{
+    deploy_stack, reactive_tuple, state_slot, RouteDiscoveryHandler, RouteLifetimeHandler,
+    SweepHandler,
+};
 use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
-pub use handlers::{
-    learn_from_path, state_slot, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
-    RouteLifetimeHandler, SweepHandler, DYMO_SWEEP_TIMER,
-};
+pub use handlers::{learn_from_path, ReHandler, RerrHandler, DYMO_SWEEP_TIMER};
 pub use messages::{PathHop, ReKind, RouteElement, RouteError};
 pub use state::{DymoParams, DymoRoute, DymoState};
 
@@ -80,22 +84,6 @@ pub struct DymoDeployment {
     pub neighbour: NeighbourConfig,
 }
 
-/// The DYMO CF's event tuple.
-#[must_use]
-pub fn dymo_tuple() -> EventTuple {
-    EventTuple::new()
-        .requires(types::re_in())
-        .requires(types::rerr_in())
-        .requires(types::no_route())
-        .requires(types::route_update())
-        .requires(types::send_route_err())
-        .requires(types::tx_failed())
-        .requires(types::nhood_change())
-        .provides(types::re_out())
-        .provides(types::rerr_out())
-        .provides(types::route_found())
-}
-
 /// Builds the DYMO CF (standard: blind RREQ flooding, single-path routes).
 #[must_use]
 pub fn dymo_cf(params: DymoParams) -> ManetProtocolCf {
@@ -105,7 +93,7 @@ pub fn dymo_cf(params: DymoParams) -> ManetProtocolCf {
     };
     let cf = ManetProtocolCf::builder(DYMO_CF)
         .reactive()
-        .tuple(dymo_tuple())
+        .tuple(reactive_tuple())
         .state(state_slot(state))
         .startup_timer(params.sweep, handlers::dymo_sweep_timer());
     standard_handlers()
@@ -166,11 +154,9 @@ pub fn system_config() -> SystemConfig {
 /// Propagates integrity violations (e.g. another reactive protocol is
 /// already deployed).
 pub fn deploy(dep: &mut Deployment, config: DymoDeployment) -> Result<(), manetkit::DeployError> {
-    dep.system_mut().load(&system_config());
-    dep.system_mut().register_message(hello_registration());
-    dep.add_protocol_offline(neighbour_detection_cf(config.neighbour))?;
-    dep.add_protocol_offline(dymo_cf(config.params))?;
-    Ok(())
+    deploy_stack(dep, system_config(), config.neighbour, || {
+        dymo_cf(config.params)
+    })
 }
 
 /// Installs only the DYMO CF (the caller provides neighbourhood sensing —
@@ -196,6 +182,7 @@ pub fn node(config: DymoDeployment) -> (ManetNode, NodeHandle) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manetkit::registry::EventTuple;
 
     #[test]
     fn cf_composition() {

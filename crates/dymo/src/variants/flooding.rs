@@ -21,10 +21,12 @@ use manetkit::node::ReconfigOp;
 use manetkit::protocol::{EventHandler, ManetProtocolCf, Plugin, ProtoCtx, StateSlot};
 use packetbb::Address;
 
-use crate::handlers::{
-    state_slot, DymoStateAccess, ReHandler, RerrHandler, RouteDiscoveryHandler,
-    RouteLifetimeHandler, SweepHandler,
+use manetkit::reactive::{
+    reactive_tuple, state_slot, ReactiveState, RouteDiscoveryHandler, RouteLifetimeHandler,
+    SweepHandler,
 };
+
+use crate::handlers::{ReHandler, RerrHandler};
 use crate::state::DymoState;
 use crate::DYMO_CF;
 
@@ -38,12 +40,13 @@ pub struct MprGatedState {
     pub selectors: BTreeSet<Address>,
 }
 
-impl DymoStateAccess for MprGatedState {
-    fn dymo_mut(&mut self) -> &mut DymoState {
-        &mut self.base
-    }
-    fn dymo(&self) -> &DymoState {
+impl ReactiveState for MprGatedState {
+    type Table = DymoState;
+    fn table(&self) -> &DymoState {
         &self.base
+    }
+    fn table_mut(&mut self) -> &mut DymoState {
+        &mut self.base
     }
 }
 
@@ -94,7 +97,7 @@ pub fn enable_ops(mpr_replacement: Option<ManetProtocolCf>) -> Vec<ReconfigOp> {
     // The DYMO CF now also consumes MPR_CHANGE.
     ops.push(ReconfigOp::UpdateTuple {
         protocol: DYMO_CF.to_string(),
-        tuple: crate::dymo_tuple().requires(types::mpr_change()),
+        tuple: reactive_tuple().requires(types::mpr_change()),
     });
     let handlers: [Box<dyn EventHandler>; 6] = [
         Box::new(RouteDiscoveryHandler::<MprGatedState>::default()),

@@ -22,12 +22,14 @@ use manetkit::protocol::{EventHandler, Plugin, ProtoCtx, StateSlot};
 use netsim::SimTime;
 use packetbb::Address;
 
-use crate::handlers::{
-    state_slot, DymoStateAccess, ReHandler, RouteDiscoveryHandler, RouteLifetimeHandler,
-    SweepHandler,
+use manetkit::reactive::{
+    install_kernel, remove_kernel, seq_newer, state_slot, ReactiveState, RouteDiscoveryHandler,
+    RouteLifetimeHandler, SweepHandler,
 };
+
+use crate::handlers::{emit_rerr, ReHandler};
 use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
-use crate::state::{seq_newer, DymoState};
+use crate::state::DymoState;
 use crate::DYMO_CF;
 
 /// One alternative path to a destination.
@@ -56,12 +58,13 @@ pub struct MultipathState {
     pub alternatives: BTreeMap<Address, Vec<AltPath>>,
 }
 
-impl DymoStateAccess for MultipathState {
-    fn dymo_mut(&mut self) -> &mut DymoState {
-        &mut self.base
-    }
-    fn dymo(&self) -> &DymoState {
+impl ReactiveState for MultipathState {
+    type Table = DymoState;
+    fn table(&self) -> &DymoState {
         &self.base
+    }
+    fn table_mut(&mut self) -> &mut DymoState {
+        &mut self.base
     }
 }
 
@@ -153,7 +156,7 @@ impl EventHandler for MultipathReHandler {
         let s = state.get_mut::<MultipathState>();
         let expiry = ctx.now() + s.base.params.route_lifetime;
 
-        if re.kind == ReKind::Rreq && s.base.duplicates.contains_key(&(orig.addr, orig.seq)) {
+        if re.kind == ReKind::Rreq && s.base.duplicates.contains(orig.addr, orig.seq) {
             // Duplicate RREQ: mine it for link-disjoint paths rather than
             // discarding (the defining multipath behaviour).
             let hops = re.path.len() as u8;
@@ -233,6 +236,27 @@ impl StandardDelegate {
 pub struct MultipathRerrHandler;
 
 impl MultipathRerrHandler {
+    /// Fails the route to `dst`, broken under `seq`, over to its best live
+    /// alternative; without one, withdraws it from the kernel table and
+    /// returns `false`.
+    fn fail_over(
+        s: &mut MultipathState,
+        dst: Address,
+        seq: u16,
+        now: SimTime,
+        ctx: &mut ProtoCtx<'_>,
+    ) -> bool {
+        let Some(alt) = s.take_alternative(dst, now) else {
+            remove_kernel(ctx, dst);
+            return false;
+        };
+        s.base
+            .offer_route(dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
+        install_kernel(ctx, dst, alt.next_hop, alt.hop_count);
+        ctx.os().bump("multipath_failover");
+        true
+    }
+
     /// Attempts failover for every route broken via `via`; returns the
     /// destinations that could *not* be repaired (with their seqs).
     fn failover_via(
@@ -245,35 +269,11 @@ impl MultipathRerrHandler {
         s.purge_via(via);
         let mut unrepaired = Vec::new();
         for (dst, seq) in broken {
-            if let Some(alt) = s.take_alternative(dst, now) {
-                s.base
-                    .offer_route(dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
-                ctx.os().route_table_mut().add_host_route(
-                    dst,
-                    alt.next_hop,
-                    u32::from(alt.hop_count),
-                );
-                ctx.os().bump("multipath_failover");
-            } else {
-                ctx.os().route_table_mut().remove_host_route(dst);
+            if !Self::fail_over(s, dst, seq, now, ctx) {
                 unrepaired.push((dst, seq));
             }
         }
         unrepaired
-    }
-
-    fn emit_rerr(s: &mut MultipathState, unreachable: Vec<(Address, u16)>, ctx: &mut ProtoCtx<'_>) {
-        if unreachable.is_empty() {
-            return;
-        }
-        let seq = s.base.next_seq();
-        let rerr = RouteError {
-            reporter: ctx.local_addr(),
-            unreachable,
-            hop_limit: 2,
-        };
-        ctx.os().bump("rerr_sent");
-        ctx.emit(Event::message_out(types::rerr_out(), rerr.to_message(seq)));
     }
 }
 
@@ -315,56 +315,34 @@ impl EventHandler for MultipathRerrHandler {
                 if let Some(r) = s.base.routes.get_mut(dst) {
                     r.broken = true;
                 }
-                if let Some(alt) = s.take_alternative(*dst, now) {
-                    s.base
-                        .offer_route(*dst, alt.next_hop, alt.seq.max(*seq), alt.hop_count, now);
-                    ctx.os().route_table_mut().add_host_route(
-                        *dst,
-                        alt.next_hop,
-                        u32::from(alt.hop_count),
-                    );
-                    ctx.os().bump("multipath_failover");
-                } else {
-                    ctx.os().route_table_mut().remove_host_route(*dst);
+                if !Self::fail_over(s, *dst, *seq, now, ctx) {
                     unrepaired.push((*dst, *seq));
                 }
             }
             if !unrepaired.is_empty() && rerr.hop_limit > 1 {
-                Self::emit_rerr(s, unrepaired, ctx);
+                emit_rerr(&mut s.base, unrepaired, ctx, 2);
             }
             return;
         }
         match event.route_ctl() {
             Some(RouteCtl::ForwardFailure { dst, .. }) => {
                 let seq = s.base.routes.get(dst).map_or(0, |r| r.seq);
-                let via = s.base.routes.get(dst).map(|r| r.next_hop);
                 if let Some(r) = s.base.routes.get_mut(dst) {
                     r.broken = true;
                 }
-                if let Some(alt) = s.take_alternative(*dst, now) {
-                    s.base
-                        .offer_route(*dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
-                    ctx.os().route_table_mut().add_host_route(
-                        *dst,
-                        alt.next_hop,
-                        u32::from(alt.hop_count),
-                    );
-                    ctx.os().bump("multipath_failover");
-                } else {
-                    ctx.os().route_table_mut().remove_host_route(*dst);
-                    Self::emit_rerr(s, vec![(*dst, seq)], ctx);
+                if !Self::fail_over(s, *dst, seq, now, ctx) {
+                    emit_rerr(&mut s.base, vec![(*dst, seq)], ctx, 2);
                 }
-                let _ = via;
             }
             Some(RouteCtl::TxFailed { neighbour }) => {
                 let unrepaired = Self::failover_via(s, *neighbour, now, ctx);
-                Self::emit_rerr(s, unrepaired, ctx);
+                emit_rerr(&mut s.base, unrepaired, ctx, 2);
             }
             _ => {
                 if let Payload::Neighbourhood(nh) = &event.payload {
                     for lost in nh.lost.clone() {
                         let unrepaired = Self::failover_via(s, lost, now, ctx);
-                        Self::emit_rerr(s, unrepaired, ctx);
+                        emit_rerr(&mut s.base, unrepaired, ctx, 2);
                     }
                 }
             }
@@ -491,6 +469,6 @@ mod tests {
         base.offer_route(addr(9), addr(2), 7, 3, SimTime::ZERO);
         let multi = MultipathState::from_standard(base);
         assert!(multi.base.routes.contains_key(&addr(9)));
-        assert_eq!(multi.dymo().routes[&addr(9)].seq, 7);
+        assert_eq!(multi.table().routes[&addr(9)].seq, 7);
     }
 }

@@ -2,7 +2,8 @@
 //! stored sequence number never regresses, hop counts never worsen at equal
 //! seq, and broken routes never serve traffic.
 
-use manetkit_dymo::state::seq_newer;
+use manetkit::reactive::ReactiveTable;
+use manetkit::seq_newer;
 use manetkit_dymo::DymoState;
 use netsim::{SimDuration, SimTime};
 use packetbb::Address;

@@ -8,7 +8,7 @@ pub use components::{
     build_tc, parse_tc, sync_kernel_routes, EnergyMapHandler, NeighbourhoodHandler,
     ResidualPowerSource, TcHandler, TcSource, TopologyExpiryHandler, TOPO_EXPIRY_TIMER,
 };
-pub use state::{seq_newer, OlsrState, RouteMetric, RoutingBase, TopologyEntry};
+pub use state::{OlsrState, RouteMetric, RoutingBase, TopologyEntry};
 
 use manetkit::event::types;
 use manetkit::protocol::{ManetProtocolCf, StateSlot};

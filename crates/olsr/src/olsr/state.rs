@@ -11,15 +11,9 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use manetkit::seq_newer;
 use netsim::{KernelRouteTable, SimDuration, SimTime};
 use packetbb::Address;
-
-/// Wraparound-aware sequence comparison (RFC 3626 §19): is `a` newer
-/// than `b`?
-#[must_use]
-pub fn seq_newer(a: u16, b: u16) -> bool {
-    a != b && a.wrapping_sub(b) < 0x8000
-}
 
 /// Route metric plugged into the route calculator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -563,16 +557,6 @@ mod tests {
     fn has_edge(s: &OlsrState, dest: Address, last_hop: Address) -> bool {
         s.edges()
             .any(|(from, e)| from == last_hop && e.dest == dest)
-    }
-
-    #[test]
-    fn seq_comparison_wraps() {
-        assert!(seq_newer(2, 1));
-        assert!(!seq_newer(1, 2));
-        assert!(!seq_newer(5, 5));
-        assert!(seq_newer(0, u16::MAX));
-        assert!(!seq_newer(u16::MAX, 0));
-        assert!(seq_newer(10, 0xFFF0));
     }
 
     fn line_state() -> OlsrState {

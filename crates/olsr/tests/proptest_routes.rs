@@ -16,7 +16,8 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use manetkit::protocol::ProtoCtx;
-use manetkit_olsr::olsr::{seq_newer, sync_kernel_routes, OlsrState, RouteMetric};
+use manetkit::seq_newer;
+use manetkit_olsr::olsr::{sync_kernel_routes, OlsrState, RouteMetric};
 use manetkit_olsr::OLSR_CF;
 use netsim::{KernelRouteTable, NodeId, NodeOs, SimDuration, SimTime};
 use packetbb::Address;
