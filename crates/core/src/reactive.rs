@@ -31,7 +31,7 @@ use packetbb::Address;
 
 use crate::carry::{CarriedRoute, RouteCarrier, RouteCarry};
 use crate::event::{types, Event, EventType, Payload, RouteCtl};
-use crate::neighbour::{hello_registration, neighbour_detection_cf, NeighbourConfig};
+use crate::neighbour::{hello_registration, neighbour_detection_cf, NeighbourConfig, SeenFloods};
 use crate::node::{DeployError, Deployment};
 use crate::protocol::{
     proto_start_event, proto_stop_event, EventHandler, ManetProtocolCf, ProtoCtx, StateSlot,
@@ -54,8 +54,6 @@ pub struct PendingDiscovery {
     pub attempts: u8,
     /// When to retry (or give up).
     pub next_retry: SimTime,
-    /// When the discovery began (latency accounting).
-    pub started: SimTime,
 }
 
 /// The parameters of a protocol on the reactive core: DYMO's whole set,
@@ -88,33 +86,8 @@ impl Default for ReactiveParams {
     }
 }
 
-/// Seen RREQ floods, for duplicate suppression: `(originator, id)` → when
-/// the entry lapses.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SeenRreqs(BTreeMap<(Address, u16), SimTime>);
-
-impl SeenRreqs {
-    /// How long a flood is remembered.
-    pub const HOLD: SimDuration = SimDuration::from_secs(10);
-
-    /// Records a flood; returns `true` when it was already seen.
-    #[inline]
-    pub fn check(&mut self, originator: Address, id: u16, now: SimTime) -> bool {
-        self.0.insert((originator, id), now + Self::HOLD).is_some()
-    }
-
-    /// Whether a flood is remembered.
-    #[inline]
-    #[must_use]
-    pub fn contains(&self, originator: Address, id: u16) -> bool {
-        self.0.contains_key(&(originator, id))
-    }
-
-    /// Forgets the floods whose hold ran out.
-    pub fn expire(&mut self, now: SimTime) {
-        self.0.retain(|_, exp| *exp > now);
-    }
-}
+/// Seen RREQ floods, for duplicate suppression, each held 10 s.
+pub type SeenRreqs = SeenFloods<10>;
 
 /// A route table entry as the shared handlers read it.
 pub trait ReactiveRoute {
@@ -389,7 +362,6 @@ impl<S: ReactiveState> EventHandler for RouteDiscoveryHandler<S> {
         let discovery = PendingDiscovery {
             attempts: 1,
             next_retry: now + rreq_wait,
-            started: now,
         };
         pending.insert(dst, discovery);
         ctx.os().bump("route_discovery");

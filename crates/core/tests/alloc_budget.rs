@@ -10,17 +10,23 @@ use std::sync::Arc;
 
 use manetkit::event::{types, Event};
 use manetkit::neighbour::{
-    build_hello, neighbour_detection_cf, NeighbourConfig, NeighbourTable, NEIGHBOUR_CF,
+    build_hello, neighbour_detection_cf, HelloLink, LinkSet, NeighbourConfig, NeighbourTable,
+    NEIGHBOUR_CF,
 };
 use manetkit::prelude::*;
 use manetkit_aodv::{aodv_cf, AodvParams, AODV_CF};
 use manetkit_dymo::{dymo_cf, DymoDeployment, DymoParams, PathHop, RouteElement, DYMO_CF};
+use manetkit_olsr::mpr::{mpr_cf, MprConfig, MprState};
 use netsim::{ControlFrame, NodeId, NodeOs, RoutingAgent, SimDuration};
 use packetbb::{Address, Message, Packet};
 
 /// Heap allocations a HELLO from a known neighbour, advertising what it
 /// advertised last time, may cost the Neighbour Detection CF.
 const HELLO_ND_BUDGET: u64 = 0;
+/// ... and the MPR CF, which reads it through the same core: only relay
+/// selection's working sets, rebuilt on every HELLO (its candidate `Vec`
+/// and neighbour `BTreeSet`).
+const HELLO_MPR_BUDGET: u64 = 8;
 /// ... and the whole node, `on_frame` in to status published out: the
 /// `Arc<Event>` the bus shares between subscribers.
 const HELLO_NODE_BUDGET: u64 = 1;
@@ -75,12 +81,15 @@ fn neighbour(i: u8) -> Address {
 /// The HELLO neighbour `i` sends once the clique has converged: the local
 /// node and the 21 other neighbours, all symmetric.
 fn hello_from(i: u8, seq: u16) -> Message {
-    let advertised: Vec<(Address, bool)> = std::iter::once(LOCAL)
+    let advertised = std::iter::once(LOCAL)
         .chain((0..NEIGHBOURS).filter(|j| *j != i).map(neighbour))
-        .map(|a| (a, true))
-        .collect();
-    assert_eq!(advertised.len(), usize::from(NEIGHBOURS));
-    build_hello(neighbour(i), seq, SimDuration::from_secs(3), &advertised)
+        .map(|addr| HelloLink {
+            addr,
+            symmetric: true,
+            mpr: false,
+        });
+    assert_eq!(advertised.clone().count(), usize::from(NEIGHBOURS));
+    build_hello(neighbour(i), seq, SimDuration::from_secs(3), [], advertised)
 }
 
 /// A frame as its second and later receivers meet it: decoded already.
@@ -108,24 +117,41 @@ fn warmed_node() -> (ManetNode, NodeOs) {
     (node, os)
 }
 
-#[test]
-fn an_unchanged_hello_allocates_nothing_in_neighbour_detection() {
-    let mut cf = neighbour_detection_cf(NeighbourConfig::default());
+/// The allocations `cf` spends on a round of unchanged HELLOs, one from
+/// each neighbour, after two rounds made them old news.
+fn unchanged_round(cf: &mut ManetProtocolCf) -> u64 {
     let mut os = NodeOs::standalone(NodeId(0), LOCAL);
     let hellos: Vec<Event> = (0..NEIGHBOURS)
         .map(|i| Event::message_in(types::hello_in(), Arc::new(hello_from(i, 1)), neighbour(i)))
         .collect();
-    let mut deliver_all = |os: &mut NodeOs| {
+    let deliver_all = |cf: &mut ManetProtocolCf, os: &mut NodeOs| {
         for hello in &hellos {
-            let mut ctx = ProtoCtx::new(os, NEIGHBOUR_CF);
+            let mut ctx = ProtoCtx::new(os, cf.name());
             cf.deliver(hello, &mut ctx);
         }
     };
-    deliver_all(&mut os);
-    deliver_all(&mut os);
-    let spent = allocations_during(|| deliver_all(&mut os));
+    deliver_all(cf, &mut os);
+    deliver_all(cf, &mut os);
+    allocations_during(|| deliver_all(cf, &mut os))
+}
+
+#[test]
+fn an_unchanged_hello_allocates_nothing_in_neighbour_detection() {
+    let spent = unchanged_round(&mut neighbour_detection_cf(NeighbourConfig::default()));
     assert!(
         spent <= HELLO_ND_BUDGET * u64::from(NEIGHBOURS),
+        "{spent} allocations for {NEIGHBOURS} unchanged HELLOs"
+    );
+}
+
+#[test]
+fn an_unchanged_hello_costs_the_mpr_cf_only_its_relay_selection() {
+    let mut cf = mpr_cf(MprConfig::default());
+    let spent = unchanged_round(&mut cf);
+    let links = cf.state().get::<MprState>();
+    assert_eq!(links.symmetric().len(), usize::from(NEIGHBOURS));
+    assert!(
+        spent <= HELLO_MPR_BUDGET * u64::from(NEIGHBOURS),
         "{spent} allocations for {NEIGHBOURS} unchanged HELLOs"
     );
 }

@@ -4,7 +4,8 @@
 
 use manetkit::event::types;
 use manetkit::neighbour::{
-    hello_registration, neighbour_detection_cf, NeighbourConfig, NeighbourTable, NEIGHBOUR_CF,
+    build_hello, hello_registration, neighbour_detection_cf, HelloLink, LinkSet, NeighbourConfig,
+    NeighbourTable, NEIGHBOUR_CF,
 };
 use manetkit::prelude::*;
 use netsim::{LinkState, NodeId, SimDuration, Topology, World};
@@ -234,11 +235,17 @@ fn neighbour_table_contents_are_inspectable() {
 
     // Hand-craft a HELLO from a neighbour that lists us -> symmetric link.
     let neighbour = Address::v4([10, 0, 0, 2]);
-    let hello = manetkit::neighbour::build_hello(
+    let us = HelloLink {
+        addr: Address::v4([10, 0, 0, 1]),
+        symmetric: true,
+        mpr: false,
+    };
+    let hello = build_hello(
         neighbour,
         1,
         SimDuration::from_secs(3),
-        &[(Address::v4([10, 0, 0, 1]), true)],
+        [],
+        [us].into_iter(),
     );
     let wire = packetbb::Packet::single(hello).encode_to_vec();
     dep.on_frame(&mut os, neighbour, &wire);

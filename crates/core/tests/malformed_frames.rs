@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use manetkit::neighbour::{
-    build_hello, hello_registration, neighbour_detection_cf, NeighbourConfig, NeighbourTable,
-    NEIGHBOUR_CF,
+    build_hello, hello_registration, neighbour_detection_cf, HelloLink, LinkSet, NeighbourConfig,
+    NeighbourTable, NEIGHBOUR_CF,
 };
 use manetkit::prelude::*;
 use manetkit_baseline::{Dymoum, Olsrd, OlsrdConfig};
@@ -92,11 +92,15 @@ fn hostile_frames(sender: Address, peers: &[Address]) -> [Vec<u8>; 3] {
     let garbage = vec![0xFF, 0x00, 0x13, 0x37, 0xAB];
 
     let validity = SimDuration::from_secs(3);
-    let advertised: Vec<(Address, bool)> = peers.iter().map(|a| (*a, true)).collect();
-    let full = Packet::single(build_hello(sender, 7, validity, &advertised)).encode_to_vec();
+    let advertised = peers.iter().map(|a| HelloLink {
+        addr: *a,
+        symmetric: true,
+        mpr: false,
+    });
+    let full = Packet::single(build_hello(sender, 7, validity, [], advertised)).encode_to_vec();
     // A HELLO advertising nobody has no address block, so its length is
     // where the block of the full one starts.
-    let before_block = Packet::single(build_hello(sender, 7, validity, &[]))
+    let before_block = Packet::single(build_hello(sender, 7, validity, [], [].into_iter()))
         .encode_to_vec()
         .len();
     let truncated = full[..before_block + 5].to_vec();

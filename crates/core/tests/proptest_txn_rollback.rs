@@ -175,7 +175,6 @@ fn dymo_with(routes: &[RouteSpec], pending: &[u8]) -> ManetProtocolCf {
         let discovery = PendingDiscovery {
             attempts: 1,
             next_retry: SimTime::ZERO + SimDuration::from_secs(90),
-            started: SimTime::ZERO,
         };
         state.pending.insert(addr(100 + dst), discovery);
     }

@@ -241,7 +241,6 @@ impl ReactiveTable for DymoState {
             out.extend_from_slice(dst.octets());
             out.push(p.attempts);
             out.extend_from_slice(&p.next_retry.as_micros().to_le_bytes());
-            out.extend_from_slice(&p.started.as_micros().to_le_bytes());
         }
         out
     }

@@ -47,6 +47,7 @@ pub mod variants {
 }
 
 use manetkit::event::types;
+use manetkit::neighbour::hello_registration;
 use manetkit::node::{Deployment, ManetNode, NodeHandle};
 use manetkit::prelude::ConcurrencyModel;
 use manetkit::system::{MessageRegistration, SystemConfig};
@@ -71,7 +72,7 @@ pub struct OlsrDeployment {
 pub fn system_config() -> SystemConfig {
     SystemConfig {
         registrations: vec![
-            MessageRegistration::in_out(msg_type::HELLO, types::hello_in(), types::hello_out()),
+            hello_registration(),
             MessageRegistration::in_only(msg_type::TC, types::tc_in()),
         ],
         netlink: false,

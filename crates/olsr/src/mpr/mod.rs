@@ -4,16 +4,20 @@
 //! HELLOs, maintains the 1-hop/2-hop neighbourhood, selects multipoint
 //! relays and offers a flooding service to protocols stacked on top (OLSR
 //! uses it to disseminate TCs; DYMO's optimised-flooding variant shares the
-//! very same instance).
+//! very same instance). HELLOs go through the framework's link-sensing core
+//! in [`manetkit::neighbour`], as the Neighbour Detection CF's do: one
+//! encoder and reader, one set of link-set queries and `NHOOD_CHANGE`, one
+//! seen-flood cache. Hysteresis, willingness, residual energy, selectors,
+//! relay selection and the flood forwarder are the MPR CF's own.
 
 mod components;
 mod state;
 
 pub use components::{
-    build_olsr_hello, parse_olsr_hello, HelloNeighbour, MprExpiryHandler, MprFloodForwarder,
-    MprHelloHandler, MprHelloSource, PowerStatusHandler, MPR_EXPIRY_TIMER,
+    MprExpiryHandler, MprFloodForwarder, MprHelloHandler, MprHelloSource, PowerStatusHandler,
+    MPR_EXPIRY_TIMER,
 };
-pub use state::{select_mprs, Hysteresis, LinkInfo, LinkStatus, MprCalculator, MprState};
+pub use state::{select_mprs, Hysteresis, LinkInfo, MprCalculator, MprState};
 
 use manetkit::event::types;
 use manetkit::protocol::{ManetProtocolCf, StateSlot};
@@ -73,10 +77,7 @@ pub fn mpr_cf(config: MprConfig) -> ManetProtocolCf {
             validity: config.link_validity,
             advertise_energy: false,
         }))
-        .handler(Box::new(MprHelloHandler {
-            validity: config.link_validity,
-            track_energy: false,
-        }))
+        .handler(Box::new(MprHelloHandler::new(config.link_validity, false)))
         .handler(Box::new(MprExpiryHandler { sweep }))
         .handler(Box::new(PowerStatusHandler))
         .forwarder(Box::new(MprFloodForwarder::default()))

@@ -113,10 +113,7 @@ pub fn disable_ops(config: PowerAwareConfig) -> Vec<ReconfigOp> {
 /// advertising energy, and the power-aware MPR Calculator, when
 /// `power_aware`; with the standard ones otherwise.
 fn mpr_recompose(config: PowerAwareConfig, power_aware: bool) -> ReconfigOp {
-    let handler = MprHelloHandler {
-        validity: config.link_validity,
-        track_energy: power_aware,
-    };
+    let handler = MprHelloHandler::new(config.link_validity, power_aware);
     let source = MprHelloSource {
         interval: config.hello_interval,
         validity: config.link_validity,

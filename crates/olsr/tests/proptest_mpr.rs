@@ -4,7 +4,8 @@
 
 use std::collections::BTreeSet;
 
-use manetkit_olsr::mpr::{select_mprs, LinkInfo, LinkStatus, MprCalculator, MprState};
+use manetkit::neighbour::LinkSet;
+use manetkit_olsr::mpr::{select_mprs, LinkInfo, MprCalculator, MprState};
 use netsim::SimTime;
 use packetbb::registry::willingness;
 use packetbb::Address;
@@ -51,13 +52,15 @@ fn state_of(hood: &Hood) -> MprState {
             addr(*id),
             LinkInfo {
                 last_heard: SimTime::ZERO,
-                status: if *sym {
-                    LinkStatus::Symmetric
-                } else {
-                    LinkStatus::Asymmetric
-                },
+                symmetric: *sym,
                 willingness: *will,
-                two_hop: two_hop.iter().map(|n| addr(*n)).collect(),
+                // Sorted and deduplicated, as the HELLO handler keeps it.
+                two_hop: two_hop
+                    .iter()
+                    .map(|n| addr(*n))
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect(),
                 quality: 1.0,
                 hyst_pending: false,
                 residual_energy: 0.5,
@@ -83,11 +86,11 @@ proptest! {
                 .links
                 .iter()
                 .filter(|(_, l)| {
-                    l.status == LinkStatus::Symmetric && l.willingness != willingness::NEVER
+                    l.symmetric && l.willingness != willingness::NEVER
                 })
                 .map(|(a, _)| *a)
                 .collect();
-            let sym: BTreeSet<Address> = s.symmetric_neighbours().into_iter().collect();
+            let sym: BTreeSet<Address> = s.symmetric().into_iter().collect();
             // Strict 2-hop nodes and who can cover them.
             for (nb, l) in &s.links {
                 if !eligible.contains(nb) {
@@ -119,7 +122,7 @@ proptest! {
         let mprs = select_mprs(&s, addr(1), MprCalculator::Standard);
         for m in &mprs {
             let l = &s.links[m];
-            prop_assert_eq!(l.status, LinkStatus::Symmetric);
+            prop_assert!(l.symmetric);
             prop_assert!(l.willingness != willingness::NEVER);
         }
     }
@@ -130,7 +133,7 @@ proptest! {
         let s = state_of(&hood);
         let mprs = select_mprs(&s, addr(1), MprCalculator::Standard);
         for (a, l) in &s.links {
-            if l.status == LinkStatus::Symmetric && l.willingness == willingness::ALWAYS {
+            if l.symmetric && l.willingness == willingness::ALWAYS {
                 prop_assert!(mprs.contains(a));
             }
         }
