@@ -1,16 +1,14 @@
-//! Plug-in components of the AODV CF.
+//! Plug-in components of the AODV CF: the RREQ and RREP handlers. Route
+//! breakage is the reactive core's
+//! [`RouteErrorHandler`](manetkit::reactive::RouteErrorHandler).
 
-use std::collections::BTreeSet;
-
-use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
+use manetkit::event::{types, Event, EventType};
 use manetkit::protocol::{EventHandler, ProtoCtx, StateSlot};
-use manetkit::reactive::{
-    emit_route_found, install_kernel, remove_kernel, seq_newer, ReactiveTable,
-};
+use manetkit::reactive::{emit_route_found, install_kernel, seq_newer, ReactiveTable};
 use packetbb::Address;
 
-use crate::messages::{Rerr, Rrep, Rreq};
-use crate::state::{AodvState, BrokenRoute};
+use crate::messages::{Rrep, Rreq};
+use crate::state::AodvState;
 
 /// Timer name of the AODV housekeeping sweep.
 pub const AODV_SWEEP_TIMER: &str = "aodv:sweep";
@@ -191,113 +189,5 @@ impl EventHandler for RrepHandler {
         ctx.emit(
             Event::message_out(types::re_out(), rrep.forwarded().to_message()).to(reverse.next_hop),
         );
-    }
-}
-
-fn report_breaks(s: &mut AodvState, broken: Vec<BrokenRoute>, ctx: &mut ProtoCtx<'_>) {
-    if broken.is_empty() {
-        return;
-    }
-    for b in &broken {
-        remove_kernel(ctx, b.dst);
-    }
-    // Precursor-directed reporting (RFC 3561 §6.11): nobody when no one
-    // routes through us, unicast to a single precursor, broadcast to
-    // several — and broadcast whenever a broken route's precursors are
-    // unknown, because silence would leave upstream nodes forwarding into
-    // the break for as long as traffic keeps their routes alive.
-    let unknown = broken.iter().any(|b| b.precursors.is_none());
-    let known: BTreeSet<Address> = broken
-        .iter()
-        .flat_map(|b| b.precursors.iter().flatten().copied())
-        .collect();
-    if !unknown && known.is_empty() {
-        return;
-    }
-    let unreachable: Vec<(Address, u16)> = broken.iter().map(|b| (b.dst, b.seq)).collect();
-    let seq = s.next_seq();
-    let rerr = Rerr {
-        reporter: ctx.local_addr(),
-        unreachable,
-    };
-    ctx.os().bump("rerr_sent");
-    let msg = rerr.to_message(seq);
-    match known.first() {
-        Some(only) if !unknown && known.len() == 1 => {
-            ctx.emit(Event::message_out(types::rerr_out(), msg).to(*only));
-        }
-        _ => ctx.emit(Event::message_out(types::rerr_out(), msg)),
-    }
-}
-
-/// Handles breakage: link feedback, forwarding failures, neighbourhood
-/// losses and incoming RERRs (propagated to precursors).
-#[derive(Clone)]
-pub struct AodvRerrHandler;
-
-impl EventHandler for AodvRerrHandler {
-    fn fork(&self) -> Option<Box<dyn EventHandler>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn name(&self) -> &str {
-        "rerr-handler"
-    }
-    fn subscriptions(&self) -> Vec<EventType> {
-        vec![
-            types::rerr_in(),
-            types::send_route_err(),
-            types::tx_failed(),
-            types::nhood_change(),
-        ]
-    }
-    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
-        let s = state.get_mut::<AodvState>();
-        if event.ty == types::rerr_in() {
-            let Some(msg) = event.message() else { return };
-            let Some(from) = event.meta.from else { return };
-            let Some(rerr) = Rerr::from_message(msg) else {
-                return;
-            };
-            let mut broken = Vec::new();
-            for (dst, seq) in &rerr.unreachable {
-                let via_sender = s
-                    .routes
-                    .get(dst)
-                    .is_some_and(|r| r.next_hop == from && !r.broken);
-                if via_sender {
-                    if let Some(r) = s.routes.get_mut(dst) {
-                        broken.push(r.mark_broken(*dst, *seq));
-                    }
-                }
-            }
-            ctx.os().bump("rerr_processed");
-            report_breaks(s, broken, ctx);
-            return;
-        }
-        match event.route_ctl() {
-            Some(RouteCtl::ForwardFailure { dst, .. }) => {
-                let broken = match s.routes.get_mut(dst) {
-                    Some(r) if !r.broken => {
-                        let seq = r.seq.map_or(0, |q| q.wrapping_add(1));
-                        vec![r.mark_broken(*dst, seq)]
-                    }
-                    _ => vec![],
-                };
-                report_breaks(s, broken, ctx);
-            }
-            Some(RouteCtl::TxFailed { neighbour }) => {
-                let broken = s.break_routes_via(*neighbour);
-                report_breaks(s, broken, ctx);
-            }
-            _ => {
-                if let Payload::Neighbourhood(nh) = &event.payload {
-                    for lost in nh.lost.clone() {
-                        let broken = s.break_routes_via(lost);
-                        report_breaks(s, broken, ctx);
-                    }
-                }
-            }
-        }
     }
 }

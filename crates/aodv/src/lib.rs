@@ -10,11 +10,13 @@
 //!
 //! Composition-wise AODV showcases MANETKit's reuse story a third time: it
 //! shares the Neighbour Detection CF, the System CF's NetLink plug-in, the
-//! reactive core ([`manetkit::reactive`]: route discovery, route lifetimes
-//! and the sweep) and all framework machinery with DYMO, differing only in
-//! its message handlers, messages and route table. The paper also notes an AODV implementation
-//! "might piggyback routing table entries so that neighbours can learn new
-//! routes" via the Neighbour Detection CF's dissemination — our RREQ/RREP
+//! reactive core ([`manetkit::reactive`]: route discovery, route lifetimes,
+//! the sweep and route breakage, with the RERR codec) and all framework
+//! machinery with DYMO, differing only in its RREQ and RREP handlers and
+//! messages and its route table (with how it breaks and reports routes).
+//! The paper also notes an AODV implementation "might piggyback routing
+//! table entries so that neighbours can learn new routes" via the
+//! Neighbour Detection CF's dissemination — our RREQ/RREP
 //! exchange plus the `offer_route(from, …)` neighbour learning covers the
 //! same route-learning effect.
 //!
@@ -49,15 +51,15 @@ use manetkit::node::{Deployment, ManetNode, NodeHandle};
 use manetkit::prelude::ConcurrencyModel;
 use manetkit::protocol::ManetProtocolCf;
 use manetkit::reactive::{
-    deploy_stack, reactive_tuple, state_slot, RouteDiscoveryHandler, RouteLifetimeHandler,
-    SweepHandler,
+    deploy_stack, reactive_tuple, state_slot, RouteDiscoveryHandler, RouteErrorHandler,
+    RouteLifetimeHandler, SweepHandler,
 };
 use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
-pub use handlers::{AodvRerrHandler, RrepHandler, RreqHandler, AODV_SWEEP_TIMER};
-pub use messages::{Rerr, Rrep, Rreq};
-pub use state::{AodvParams, AodvRoute, AodvState, BrokenRoute};
+pub use handlers::{RrepHandler, RreqHandler, AODV_SWEEP_TIMER};
+pub use messages::{Rrep, Rreq};
+pub use state::{AodvParams, AodvRoute, AodvState};
 
 /// The name under which the AODV CF registers.
 pub const AODV_CF: &str = "aodv";
@@ -86,7 +88,7 @@ pub fn aodv_cf(params: AodvParams) -> ManetProtocolCf {
         .handler(Box::new(RouteDiscoveryHandler::<AodvState>::default()))
         .handler(Box::new(RreqHandler))
         .handler(Box::new(RrepHandler))
-        .handler(Box::new(AodvRerrHandler))
+        .handler(Box::new(RouteErrorHandler::<AodvState>::default()))
         .handler(Box::new(RouteLifetimeHandler::<AodvState>::default()))
         .handler(Box::new(SweepHandler::<AodvState>::default()))
         .build()

@@ -3,7 +3,8 @@
 //! Unlike DYMO, AODV accumulates no path: an RREQ carries only the
 //! originator (with sequence number and flood id) and the sought target;
 //! reverse routes are learned hop by hop from the transmitting neighbour
-//! and the hop count.
+//! and the hop count. Route errors are the reactive core's
+//! [`RouteError`](manetkit::reactive::RouteError).
 
 use packetbb::registry::{msg_type, tlv_type};
 use packetbb::{Address, AddressBlock, AddressTlv, Message, MessageBuilder, Tlv};
@@ -155,66 +156,6 @@ impl Rrep {
     }
 }
 
-/// An AODV route error: unreachable destinations with their sequence
-/// numbers, sent toward precursors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rerr {
-    /// The reporting node.
-    pub reporter: Address,
-    /// `(destination, seq)` pairs now unreachable via the reporter.
-    pub unreachable: Vec<(Address, u16)>,
-}
-
-impl Rerr {
-    /// Serializes into a PacketBB message.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `unreachable` is empty.
-    #[must_use]
-    pub fn to_message(&self, seq: u16) -> Message {
-        assert!(!self.unreachable.is_empty(), "RERR needs destinations");
-        let addrs: Vec<Address> = self.unreachable.iter().map(|(a, _)| *a).collect();
-        let mut block = AddressBlock::new(addrs).expect("non-empty");
-        for (i, (_, s)) in self.unreachable.iter().enumerate() {
-            block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes()),
-                i as u8,
-            ));
-        }
-        MessageBuilder::new(msg_type::AODV_RERR)
-            .originator(self.reporter)
-            .seq_num(seq)
-            .hop_limit(1)
-            .push_address_block(block)
-            .build()
-    }
-
-    /// Parses from a PacketBB message, or `None` for other kinds.
-    #[must_use]
-    pub fn from_message(msg: &Message) -> Option<Rerr> {
-        if msg.msg_type() != msg_type::AODV_RERR {
-            return None;
-        }
-        let reporter = msg.originator()?;
-        let mut unreachable = Vec::new();
-        for block in msg.address_blocks() {
-            for (addr, tlvs) in block.iter_with_tlvs() {
-                let seq = tlvs
-                    .iter()
-                    .find(|t| t.tlv().tlv_type() == tlv_type::ADDR_SEQ_NUM)
-                    .and_then(|t| t.tlv().value_u16())
-                    .unwrap_or(0);
-                unreachable.push((addr, seq));
-            }
-        }
-        (!unreachable.is_empty()).then_some(Rerr {
-            reporter,
-            unreachable,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,17 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn rerr_round_trip() {
-        let rerr = Rerr {
-            reporter: addr(3),
-            unreachable: vec![(addr(9), 4), (addr(8), 1)],
-        };
-        let wire = packetbb::Packet::single(rerr.to_message(2)).encode_to_vec();
-        let back = packetbb::Packet::decode(&wire).unwrap();
-        assert_eq!(Rerr::from_message(&back.messages()[0]), Some(rerr));
-    }
-
-    #[test]
     fn cross_parsing_rejects_other_kinds() {
         let rreq = Rreq {
             orig: addr(1),
@@ -300,6 +230,5 @@ mod tests {
         };
         let msg = rreq.to_message();
         assert!(Rrep::from_message(&msg).is_none());
-        assert!(Rerr::from_message(&msg).is_none());
     }
 }

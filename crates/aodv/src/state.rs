@@ -7,9 +7,11 @@ use manetkit::carry::RouteCarry;
 use manetkit::event::{types, Event, EventType};
 use manetkit::protocol::ProtoCtx;
 use manetkit::reactive::{
-    seq_newer, PendingDiscovery, ReactiveParams, ReactiveRoute, ReactiveTable, SeenRreqs,
+    seq_newer, PendingDiscovery, ReactiveParams, ReactiveRoute, ReactiveTable, RerrFormat,
+    SeenRreqs,
 };
 use netsim::SimTime;
+use packetbb::registry::msg_type;
 use packetbb::Address;
 
 use crate::handlers::aodv_sweep_timer;
@@ -37,31 +39,6 @@ pub struct AodvRoute {
     /// never saw them ask. Until a precursor is learned, a break of this
     /// route is reported to everyone in range rather than to nobody.
     pub precursors_unknown: bool,
-}
-
-impl AodvRoute {
-    /// Marks the route broken under `seq` and says whom to tell.
-    pub fn mark_broken(&mut self, dst: Address, seq: u16) -> BrokenRoute {
-        self.broken = true;
-        self.seq = Some(seq);
-        BrokenRoute {
-            dst,
-            seq,
-            precursors: (!self.precursors_unknown).then(|| self.precursors.clone()),
-        }
-    }
-}
-
-/// One route a break took down, as a RERR reports it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BrokenRoute {
-    /// The unreachable destination.
-    pub dst: Address,
-    /// Its (incremented) sequence number.
-    pub seq: u16,
-    /// The upstream neighbours to tell; `None` when they are unknown and
-    /// the RERR must be broadcast (RFC 3561 §6.11).
-    pub precursors: Option<BTreeSet<Address>>,
 }
 
 /// Tunable AODV parameters.
@@ -171,20 +148,6 @@ impl AodvState {
             r.precursors_unknown = false;
         }
     }
-
-    /// Breaks every route via `via`; returns one [`BrokenRoute`] each,
-    /// with the destination sequence number incremented as RFC 3561 §6.11
-    /// requires.
-    pub fn break_routes_via(&mut self, via: Address) -> Vec<BrokenRoute> {
-        let mut out = Vec::new();
-        for (dst, r) in self.routes.iter_mut() {
-            if r.next_hop == via && !r.broken {
-                let seq = r.seq.map_or(0, |s| s.wrapping_add(1));
-                out.push(r.mark_broken(*dst, seq));
-            }
-        }
-        out
-    }
 }
 
 impl ReactiveRoute for AodvRoute {
@@ -205,6 +168,14 @@ impl ReactiveRoute for AodvRoute {
     }
     fn is_broken(&self) -> bool {
         self.broken
+    }
+    /// A break found here reports the destination's sequence number plus
+    /// one (RFC 3561 §6.11); the route keeps what it reports.
+    fn mark_broken(&mut self, listed: Option<u16>) -> u16 {
+        let seq = listed.unwrap_or_else(|| self.seq.map_or(0, |s| s.wrapping_add(1)));
+        self.broken = true;
+        self.seq = Some(seq);
+        seq
     }
 }
 
@@ -310,6 +281,42 @@ impl ReactiveTable for AodvState {
         }
         out
     }
+
+    const RERR_FORMAT: RerrFormat = RerrFormat {
+        msg_type: msg_type::AODV_RERR,
+        unreachable_flag: false,
+    };
+
+    /// Only a route that was still unbroken is reported.
+    fn forward_failed(&mut self, dst: Address) -> Option<(Address, u16)> {
+        let route = self.routes.get_mut(&dst).filter(|r| !r.broken)?;
+        Some((dst, route.mark_broken(None)))
+    }
+
+    /// Precursor-directed reporting (RFC 3561 §6.11), hop limit 1: nobody
+    /// when no one routes through us, unicast to a single precursor,
+    /// broadcast to several — and broadcast whenever a broken route's
+    /// precursors are unknown, because silence would leave upstream nodes
+    /// forwarding into the break for as long as traffic keeps their routes
+    /// alive.
+    fn report(&mut self, unreachable: Vec<(Address, u16)>, _: u8, ctx: &mut ProtoCtx<'_>) {
+        let mut unknown = false;
+        let mut known = BTreeSet::new();
+        let broken = unreachable
+            .iter()
+            .filter_map(|(dst, _)| self.routes.get(dst));
+        for r in broken {
+            unknown |= r.precursors_unknown;
+            known.extend(r.precursors.iter().copied());
+        }
+        let dst = match known.first() {
+            _ if unknown => None,
+            None => return,
+            Some(only) if known.len() == 1 => Some(*only),
+            Some(_) => None,
+        };
+        self.send_rerr(unreachable, 1, dst, ctx);
+    }
 }
 
 #[cfg(test)]
@@ -358,10 +365,9 @@ mod tests {
         s.add_precursor(addr(9), addr(7));
         s.add_precursor(addr(9), addr(8));
         let broken = s.break_routes_via(addr(2));
-        assert_eq!(broken.len(), 1);
-        assert_eq!(broken[0].dst, addr(9));
-        assert_eq!(broken[0].seq, 6, "seq incremented on break");
-        assert_eq!(broken[0].precursors.as_ref().map(BTreeSet::len), Some(2));
+        assert_eq!(broken, vec![(addr(9), 6)], "seq incremented on break");
+        assert_eq!(s.routes[&addr(9)].seq, Some(6));
+        assert_eq!(s.routes[&addr(9)].precursors.len(), 2);
         assert!(s.live_route(addr(9), now).is_none());
     }
 

@@ -11,23 +11,28 @@
 //!
 //! * [`RouteDiscoveryHandler`] starts a discovery on `NO_ROUTE`;
 //! * [`RouteLifetimeHandler`] extends a route's lifetime on `ROUTE_UPDATE`;
-//! * [`SweepHandler`] runs the sweep and the start and stop hooks.
+//! * [`SweepHandler`] runs the sweep and the start and stop hooks;
+//! * [`RouteErrorHandler`] handles route breakage: link losses, failed
+//!   unicasts, forwarding failures and incoming route errors, written and
+//!   read by one codec, [`RouteError`].
 //!
 //! A protocol plugs in through three traits. Its route entries implement
 //! [`ReactiveRoute`]. Its route table implements [`ReactiveTable`]: the
 //! table itself, the pending discoveries, the parameters, the sweep timer,
-//! and the protocol's own RREQ, route adoption and state codec. Its S
-//! element implements [`ReactiveState`] by naming the table it embeds:
-//! every table is its own S element, and a variant's replacement S element
-//! embeds one. The protocol crate keeps its messages and the handlers that
-//! parse them.
+//! and the protocol's own RREQ, route adoption, state codec, RERR format,
+//! forwarding-failure rule and RERR reporting. Its S element implements
+//! [`ReactiveState`] by naming the table it embeds: every table is its own
+//! S element, and a variant's replacement S element embeds one and may
+//! repair a broken route before it is reported. The protocol crate keeps
+//! its RREQ and RREP messages and the handlers that parse them.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 use netsim::{SimDuration, SimTime};
-use packetbb::Address;
+use packetbb::registry::tlv_type;
+use packetbb::{Address, AddressBlock, AddressTlv, Message, MessageBuilder, Tlv};
 
 use crate::carry::{CarriedRoute, RouteCarrier, RouteCarry};
 use crate::event::{types, Event, EventType, Payload, RouteCtl};
@@ -103,6 +108,10 @@ pub trait ReactiveRoute {
     fn set_expiry(&mut self, expiry: SimTime);
     /// Whether a link break invalidated the route.
     fn is_broken(&self) -> bool;
+    /// Marks the route broken and returns the sequence number its route
+    /// error reports: `listed` when an incoming RERR named it, else the
+    /// protocol's own rule for a break found here.
+    fn mark_broken(&mut self, listed: Option<u16>) -> u16;
 }
 
 /// A reactive protocol's route table: what the shared handlers need of it,
@@ -138,6 +147,15 @@ pub trait ReactiveTable: Any + Send + Sync + Clone {
     /// sequence number, every route and the pending discoveries. Compared,
     /// never decoded.
     fn encode(&self) -> Vec<u8>;
+    /// How the protocol's route errors look on the wire.
+    const RERR_FORMAT: RerrFormat;
+    /// A transit datagram to `dst` could not be forwarded: breaks the route
+    /// and returns what to report, if anything.
+    fn forward_failed(&mut self, dst: Address) -> Option<(Address, u16)>;
+    /// Tells whoever must know that `unreachable` (destination, seq) broke
+    /// here, with `hop_limit` when the protocol floods its route errors;
+    /// nothing when the list is empty.
+    fn report(&mut self, unreachable: Vec<(Address, u16)>, hop_limit: u8, ctx: &mut ProtoCtx<'_>);
 
     /// Bumps and returns our sequence number.
     fn next_seq(&mut self) -> u16 {
@@ -179,6 +197,53 @@ pub trait ReactiveTable: Any + Send + Sync + Clone {
         lapsed
     }
 
+    /// Breaks every unbroken route through `via`; returns each broken
+    /// destination with the sequence number its route error reports.
+    fn break_routes_via(&mut self, via: Address) -> Vec<(Address, u16)> {
+        let routes = self.routes_mut().iter_mut();
+        let through = routes.filter(|(_, r)| r.next_hop() == via && !r.is_broken());
+        let broken = through.map(|(dst, r)| (*dst, r.mark_broken(None)));
+        broken.collect()
+    }
+
+    /// Breaks the routes of an incoming RERR's `listed` destinations that
+    /// go through its sender `from`; returns them with the listed sequence
+    /// numbers.
+    fn break_listed(&mut self, from: Address, listed: &[(Address, u16)]) -> Vec<(Address, u16)> {
+        let routes = self.routes_mut();
+        let mut broken = Vec::new();
+        for &(dst, seq) in listed {
+            if let Some(r) = routes.get_mut(&dst) {
+                if r.next_hop() == from && !r.is_broken() {
+                    broken.push((dst, r.mark_broken(Some(seq))));
+                }
+            }
+        }
+        broken
+    }
+
+    /// Sends a RERR for `unreachable` under a fresh sequence number of
+    /// ours: unicast to `dst`, or to every neighbour when `None`.
+    fn send_rerr(
+        &mut self,
+        unreachable: Vec<(Address, u16)>,
+        hop_limit: u8,
+        dst: Option<Address>,
+        ctx: &mut ProtoCtx<'_>,
+    ) {
+        let seq = self.next_seq();
+        let rerr = RouteError {
+            reporter: ctx.local_addr(),
+            unreachable,
+            hop_limit,
+        };
+        ctx.os().bump("rerr_sent");
+        let msg = rerr.to_message(Self::RERR_FORMAT, seq);
+        let mut event = Event::message_out(types::rerr_out(), msg);
+        event.meta.dst = dst;
+        ctx.emit(event);
+    }
+
     /// The live routes and our sequence number in protocol-neutral form
     /// (what a successor protocol takes over on a switch).
     fn export_carry(&self, now: SimTime) -> RouteCarry {
@@ -201,14 +266,30 @@ pub trait ReactiveTable: Any + Send + Sync + Clone {
     }
 }
 
-/// A reactive protocol's S element: the route table it embeds.
+/// A reactive protocol's S element: the route table it embeds, and how a
+/// variant's S element changes what a link break does.
 pub trait ReactiveState: Any + Send + Sync + Clone {
     /// The embedded table.
     type Table: ReactiveTable;
+    /// The plug-in name of the [`RouteErrorHandler`] reading this S element.
+    const RERR_HANDLER: &'static str = "rerr-handler";
     /// The embedded table.
     fn table(&self) -> &Self::Table;
     /// The embedded table, mutably.
     fn table_mut(&mut self) -> &mut Self::Table;
+
+    /// The link to neighbour `via` broke: breaks the routes through it and
+    /// returns them as [`ReactiveTable::break_routes_via`] does.
+    fn break_via(&mut self, via: Address) -> Vec<(Address, u16)> {
+        self.table_mut().break_routes_via(via)
+    }
+
+    /// Repairs the `broken` route (destination, seq), whose kernel route
+    /// is already withdrawn, so that it need not be reported. Nothing is
+    /// repaired by default.
+    fn repair(&mut self, _broken: (Address, u16), _ctx: &mut ProtoCtx<'_>) -> bool {
+        false
+    }
 }
 
 impl<T: ReactiveTable> ReactiveState for T {
@@ -309,6 +390,92 @@ pub fn emit_route_found(ctx: &mut ProtoCtx<'_>, dst: Address) {
         meta: Default::default(),
     });
 }
+
+/// How a protocol's route errors differ on the wire: DYMO's carry an
+/// `UNREACHABLE` flag per address, AODV's do not, and each has its own
+/// message type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RerrFormat {
+    /// The PacketBB message type.
+    pub msg_type: u8,
+    /// Whether each address carries the `UNREACHABLE` flag TLV.
+    pub unreachable_flag: bool,
+}
+
+/// A route error: the destinations a break made unreachable, each with the
+/// sequence number the error reports for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteError {
+    /// The node reporting the breakage.
+    pub reporter: Address,
+    /// `(destination, seq)` pairs now unreachable via the reporter.
+    pub unreachable: Vec<(Address, u16)>,
+    /// Remaining hop budget.
+    pub hop_limit: u8,
+}
+
+impl RouteError {
+    /// Serializes into a PacketBB message in `format`, under our sequence
+    /// number `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `unreachable` is empty (an empty RERR is meaningless).
+    #[must_use]
+    pub fn to_message(&self, format: RerrFormat, seq: u16) -> Message {
+        assert!(!self.unreachable.is_empty(), "RERR needs destinations");
+        let addrs: Vec<Address> = self.unreachable.iter().map(|(a, _)| *a).collect();
+        let mut block = AddressBlock::new(addrs).expect("non-empty");
+        for (i, (_, s)) in self.unreachable.iter().enumerate() {
+            let seq_tlv = Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes());
+            block.add_tlv(AddressTlv::single(seq_tlv, i as u8));
+            if format.unreachable_flag {
+                let flag = Tlv::flag(tlv_type::UNREACHABLE);
+                block.add_tlv(AddressTlv::single(flag, i as u8));
+            }
+        }
+        MessageBuilder::new(format.msg_type)
+            .originator(self.reporter)
+            .hop_limit(self.hop_limit)
+            .seq_num(seq)
+            .push_address_block(block)
+            .build()
+    }
+
+    /// Parses a route error of type `msg_type`, or `None` for any other
+    /// message.
+    #[must_use]
+    pub fn from_message(msg: &Message, msg_type: u8) -> Option<RouteError> {
+        if msg.msg_type() != msg_type {
+            return None;
+        }
+        let reporter = msg.originator()?;
+        let mut unreachable = Vec::new();
+        for block in msg.address_blocks() {
+            for (i, addr) in block.addresses().iter().enumerate() {
+                unreachable.push((*addr, addr_seq(block.tlvs_at(i))));
+            }
+        }
+        (!unreachable.is_empty()).then_some(RouteError {
+            reporter,
+            unreachable,
+            hop_limit: msg.hop_limit().unwrap_or(1),
+        })
+    }
+}
+
+/// The sequence number among one address's `tlvs`, 0 when it has none.
+#[must_use]
+pub fn addr_seq<'a>(tlvs: impl IntoIterator<Item = &'a AddressTlv>) -> u16 {
+    tlvs.into_iter()
+        .find(|t| t.tlv().tlv_type() == tlv_type::ADDR_SEQ_NUM)
+        .and_then(|t| t.tlv().value_u16())
+        .unwrap_or(0)
+}
+
+/// The hop limit of a route error a node raises itself; one it relays
+/// spends one hop of the budget it arrived with.
+const RERR_HOP_LIMIT: u8 = 2;
 
 /// Declares a stateless handler generic over the S element it reads.
 macro_rules! generic_handler {
@@ -477,9 +644,128 @@ impl<S: ReactiveState> EventHandler for SweepHandler<S> {
     }
 }
 
+generic_handler! {
+    /// Handles route breakage: a lost neighbour (`NHOOD_CHANGE`), a failed
+    /// unicast (`TX_FAILED`), a failed forward (`SEND_ROUTE_ERR`) and an
+    /// incoming RERR (`RERR_IN`). Each breaks routes through the S
+    /// element's hooks, withdraws them from the kernel table, lets the S
+    /// element repair what it can and reports the rest.
+    RouteErrorHandler
+}
+
+impl<S: ReactiveState> EventHandler for RouteErrorHandler<S> {
+    fn fork(&self) -> Option<Box<dyn EventHandler>> {
+        Some(Box::new(Self::default()))
+    }
+
+    fn name(&self) -> &str {
+        S::RERR_HANDLER
+    }
+    fn subscriptions(&self) -> Vec<EventType> {
+        vec![
+            types::rerr_in(),
+            types::send_route_err(),
+            types::tx_failed(),
+            types::nhood_change(),
+        ]
+    }
+    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
+        let s = state.get_mut::<S>();
+        if event.ty == types::rerr_in() {
+            let (Some(msg), Some(from)) = (event.message(), event.meta.from) else {
+                return;
+            };
+            let Some(rerr) = RouteError::from_message(msg, S::Table::RERR_FORMAT.msg_type) else {
+                return;
+            };
+            let broken = s.table_mut().break_listed(from, &rerr.unreachable);
+            ctx.os().bump("rerr_processed");
+            recover(s, broken, rerr.hop_limit.saturating_sub(1), ctx);
+            return;
+        }
+        match &event.payload {
+            Payload::RouteCtl(RouteCtl::ForwardFailure { dst, .. }) => {
+                let broken = s.table_mut().forward_failed(*dst).into_iter().collect();
+                recover(s, broken, RERR_HOP_LIMIT, ctx);
+            }
+            Payload::RouteCtl(RouteCtl::TxFailed { neighbour }) => {
+                let broken = s.break_via(*neighbour);
+                recover(s, broken, RERR_HOP_LIMIT, ctx);
+            }
+            Payload::Neighbourhood(nh) => {
+                for lost in &nh.lost {
+                    let broken = s.break_via(*lost);
+                    recover(s, broken, RERR_HOP_LIMIT, ctx);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Withdraws the `broken` routes from the kernel table, lets `s` repair
+/// what it can and reports the rest with `hop_limit`.
+fn recover<S: ReactiveState>(
+    s: &mut S,
+    mut broken: Vec<(Address, u16)>,
+    hop_limit: u8,
+    ctx: &mut ProtoCtx<'_>,
+) {
+    for (dst, _) in &broken {
+        remove_kernel(ctx, *dst);
+    }
+    broken.retain(|&b| !s.repair(b, ctx));
+    s.table_mut().report(broken, hop_limit, ctx);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use packetbb::registry::msg_type;
+
+    fn addr(n: u8) -> Address {
+        Address::v4([10, 0, 0, n])
+    }
+
+    #[test]
+    fn rerr_round_trips_in_either_format() {
+        for (msg_type, unreachable_flag) in [(msg_type::RERR, true), (msg_type::AODV_RERR, false)] {
+            let format = RerrFormat {
+                msg_type,
+                unreachable_flag,
+            };
+            let rerr = RouteError {
+                reporter: addr(3),
+                unreachable: vec![(addr(9), 4), (addr(8), 0)],
+                hop_limit: 2,
+            };
+            let wire = packetbb::Packet::single(rerr.to_message(format, 77)).encode_to_vec();
+            let back = packetbb::Packet::decode(&wire).unwrap();
+            let msg = &back.messages()[0];
+            assert_eq!(msg.seq_num(), Some(77));
+            assert_eq!(RouteError::from_message(msg, msg_type), Some(rerr));
+            let flags = msg.address_blocks()[0].tlvs().iter();
+            let flags = flags.filter(|t| t.tlv().tlv_type() == tlv_type::UNREACHABLE);
+            assert_eq!(flags.count(), if unreachable_flag { 2 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn rerr_rejects_other_message_types() {
+        let hello = MessageBuilder::new(msg_type::HELLO).build();
+        assert!(RouteError::from_message(&hello, msg_type::RERR).is_none());
+        let format = RerrFormat {
+            msg_type: msg_type::RERR,
+            unreachable_flag: true,
+        };
+        let rerr = RouteError {
+            reporter: addr(3),
+            unreachable: vec![(addr(9), 4)],
+            hop_limit: 1,
+        };
+        let dymo = rerr.to_message(format, 1);
+        assert!(RouteError::from_message(&dymo, msg_type::AODV_RERR).is_none());
+    }
 
     #[test]
     fn seq_comparison_wraps() {

@@ -4,14 +4,27 @@
 //! the datagrams it buffered. Starting a routing CF mirrors its S
 //! element's live routes into the kernel table, and stopping it withdraws
 //! them while S stays as it was.
+//!
+//! Route breakage is pinned the same way, for DYMO, AODV and multipath
+//! DYMO: a link loss, a failed unicast, a forwarding failure and an
+//! incoming RERR each leave exact RERR bytes and destinations, route
+//! invalidations, kernel-table effects and counters. The expected RERRs
+//! are built here from PacketBB directly, so the protocols' own codec is
+//! under test too.
+
+use std::sync::Arc;
 
 use manetkit::carry::{CarriedRoute, RouteCarry};
+use manetkit::event::{types, EventMeta, NeighbourhoodChange, RouteCtl};
 use manetkit::prelude::*;
-use manetkit::reactive::{ReactiveParams, ReactiveTable};
+use manetkit::protocol::message_to_wire;
+use manetkit::reactive::{ReactiveParams, ReactiveState, ReactiveTable};
 use manetkit_aodv::{AodvDeployment, AodvParams, AodvState};
+use manetkit_dymo::variants::multipath::{self, AltPath, MultipathState};
 use manetkit_dymo::{DymoDeployment, DymoState};
 use netsim::{KernelRouteTable, NodeId, NodeOs, SimDuration, SimTime, Topology, World};
-use packetbb::Address;
+use packetbb::registry::{msg_type, tlv_type};
+use packetbb::{Address, AddressBlock, AddressTlv, Message, MessageBuilder, Tlv};
 
 /// Non-default timings, so the test shows that the core reads each
 /// protocol's own parameters.
@@ -171,4 +184,528 @@ fn start_mirrors_live_routes_and_stop_withdraws_them_keeping_s() {
     start_and_stop_mirror::<AodvState>(manetkit_aodv::aodv_cf(Default::default()), |s| {
         s.routes.get_mut(&addr(7)).expect("adopted").broken = true;
     });
+}
+
+// ---- Route breakage ------------------------------------------------------------------------
+
+/// The routes every breakage case starts from, all live until 4 s: 7 and 9
+/// via neighbour 2, 8 via neighbour 3. Route 9's sequence number is the
+/// largest, so AODV's increment wraps. Our own sequence number is 7, so the
+/// first RERR we send carries 8.
+fn breakage_carry() -> RouteCarry {
+    let route = |dst, next_hop, hop_count, seq| CarriedRoute {
+        dst: addr(dst),
+        next_hop: addr(next_hop),
+        hop_count,
+        seq: Some(seq),
+        expiry: at(4_000),
+    };
+    RouteCarry {
+        own_seq: 7,
+        routes: vec![
+            route(7, 2, 1, 5),
+            route(8, 3, 2, 11),
+            route(9, 2, 3, u16::MAX),
+        ],
+    }
+}
+
+/// A RERR as PacketBB writes it: one address block with a sequence-number
+/// TLV per address, and DYMO's `UNREACHABLE` flag after each when `flag`.
+fn rerr_message(
+    ty: u8,
+    flag: bool,
+    reporter: u8,
+    seq: u16,
+    hop_limit: u8,
+    unreachable: &[(u8, u16)],
+) -> Message {
+    let addrs = unreachable.iter().map(|&(a, _)| addr(a)).collect();
+    let mut block = AddressBlock::new(addrs).expect("non-empty");
+    for (i, &(_, s)) in unreachable.iter().enumerate() {
+        let seq_tlv = Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes());
+        block.add_tlv(AddressTlv::single(seq_tlv, i as u8));
+        if flag {
+            block.add_tlv(AddressTlv::single(
+                Tlv::flag(tlv_type::UNREACHABLE),
+                i as u8,
+            ));
+        }
+    }
+    MessageBuilder::new(ty)
+        .originator(addr(reporter))
+        .hop_limit(hop_limit)
+        .seq_num(seq)
+        .push_address_block(block)
+        .build()
+}
+
+/// The wire bytes of a DYMO RERR we (10.0.0.1) send.
+fn dymo_rerr(seq: u16, hop_limit: u8, unreachable: &[(u8, u16)]) -> Vec<u8> {
+    message_to_wire(&rerr_message(
+        msg_type::RERR,
+        true,
+        1,
+        seq,
+        hop_limit,
+        unreachable,
+    ))
+}
+
+/// The wire bytes of an AODV RERR we send: no flag, hop limit 1.
+fn aodv_rerr(seq: u16, unreachable: &[(u8, u16)]) -> Vec<u8> {
+    message_to_wire(&rerr_message(
+        msg_type::AODV_RERR,
+        false,
+        1,
+        seq,
+        1,
+        unreachable,
+    ))
+}
+
+fn link_loss(lost: &[u8]) -> Event {
+    let change = NeighbourhoodChange {
+        lost: lost.iter().map(|&n| addr(n)).collect(),
+        ..NeighbourhoodChange::default()
+    };
+    Event {
+        ty: types::nhood_change(),
+        payload: Payload::Neighbourhood(Arc::new(change)),
+        meta: EventMeta::default(),
+    }
+}
+
+fn tx_failed(neighbour: u8) -> Event {
+    let neighbour = addr(neighbour);
+    Event {
+        ty: types::tx_failed(),
+        payload: Payload::RouteCtl(RouteCtl::TxFailed { neighbour }),
+        meta: EventMeta::default(),
+    }
+}
+
+/// A transit datagram from 10.0.0.20 to `dst` could not be forwarded.
+fn forward_failure(dst: u8) -> Event {
+    let (dst, src, next_hop) = (addr(dst), addr(20), addr(2));
+    Event {
+        ty: types::send_route_err(),
+        payload: Payload::RouteCtl(RouteCtl::ForwardFailure { dst, src, next_hop }),
+        meta: EventMeta::default(),
+    }
+}
+
+/// A RERR of type `ty` arriving from neighbour `from`, which reported it
+/// under sequence number 30.
+fn rerr_in(ty: u8, from: u8, hop_limit: u8, listed: &[(u8, u16)]) -> Event {
+    let flag = ty == msg_type::RERR;
+    let msg = rerr_message(ty, flag, from, 30, hop_limit, listed);
+    Event::message_in(types::rerr_in(), Arc::new(msg), addr(from))
+}
+
+/// What one stimulus did to a routing CF.
+#[derive(Debug, PartialEq)]
+struct Breakage {
+    /// The RERRs emitted: wire bytes and unicast destination (`None` is a
+    /// broadcast).
+    rerrs: Vec<(Vec<u8>, Option<Address>)>,
+    /// The kernel table afterwards.
+    kernel: KernelRouteTable,
+    /// `rerr_sent`, `rerr_processed` and `multipath_failover`.
+    counters: [u64; 3],
+}
+
+/// Gives `cf`'s S element (an `S`) the [`breakage_carry`] routes, lets
+/// `prepare` adjust it, starts the CF (which mirrors the live routes into
+/// the kernel), delivers `stimulus` and reports what it did. Returns the CF
+/// too, for its S element.
+fn breakage<S: ReactiveState>(
+    mut cf: ManetProtocolCf,
+    prepare: impl FnOnce(&mut S),
+    stimulus: &Event,
+) -> (Breakage, ManetProtocolCf) {
+    let s = cf.state_mut().get_mut::<S>();
+    s.table_mut().adopt_carry(&breakage_carry(), SimTime::ZERO);
+    prepare(s);
+    let mut os = NodeOs::standalone(NodeId(0), addr(1));
+    let name = cf.name();
+    cf.start(&mut ProtoCtx::new(&mut os, name));
+    let mut ctx = ProtoCtx::new(&mut os, name);
+    cf.deliver(stimulus, &mut ctx);
+    let out = ctx.take_outputs();
+    assert!(out.sends.is_empty(), "{name}: no direct sends");
+    let rerrs = out.emitted.iter().map(|e| {
+        assert_eq!(e.ty, types::rerr_out(), "{name}: only RERRs go out");
+        (message_to_wire(e.message().expect("a message")), e.meta.dst)
+    });
+    let rerrs = rerrs.collect();
+    let counters = ["rerr_sent", "rerr_processed", "multipath_failover"].map(|c| os.counter(c));
+    let kernel = os.route_table().clone();
+    let done = Breakage {
+        rerrs,
+        kernel,
+        counters,
+    };
+    (done, cf)
+}
+
+/// A kernel table holding `(dst, next hop, hops)` host routes.
+fn kernel(routes: &[(u8, u8, u32)]) -> KernelRouteTable {
+    let mut table = KernelRouteTable::new();
+    for &(dst, next_hop, hops) in routes {
+        table.add_host_route(addr(dst), addr(next_hop), hops);
+    }
+    table
+}
+
+/// The kernel table right after the start: the three live routes.
+fn all_live() -> KernelRouteTable {
+    kernel(&[(7, 2, 1), (8, 3, 2), (9, 2, 3)])
+}
+
+/// DYMO's routes as `(destination, broken, seq)`.
+fn dymo_routes(s: &DymoState) -> Vec<(u8, bool, u16)> {
+    let last = |a: &Address| a.octets()[3];
+    s.routes
+        .iter()
+        .map(|(d, r)| (last(d), r.broken, r.seq))
+        .collect()
+}
+
+fn aodv_routes(s: &AodvState) -> Vec<(u8, bool, Option<u16>)> {
+    let last = |a: &Address| a.octets()[3];
+    s.routes
+        .iter()
+        .map(|(d, r)| (last(d), r.broken, r.seq))
+        .collect()
+}
+
+const MAX: u16 = u16::MAX;
+
+fn dymo(stimulus: &Event) -> (Breakage, Vec<(u8, bool, u16)>) {
+    let cf = manetkit_dymo::dymo_cf(Default::default());
+    let (done, cf) = breakage::<DymoState>(cf, |_| {}, stimulus);
+    (done, dymo_routes(cf.state().get::<DymoState>()))
+}
+
+#[test]
+fn dymo_floods_each_break_with_the_routes_sequence_numbers() {
+    // A link loss: one RERR per lost neighbour, each a fresh sequence
+    // number, hop limit 2, broadcast; the routes keep their numbers.
+    let (done, routes) = dymo(&link_loss(&[2, 3]));
+    let rerrs = vec![
+        (dymo_rerr(8, 2, &[(7, 5), (9, MAX)]), None),
+        (dymo_rerr(9, 2, &[(8, 11)]), None),
+    ];
+    let expected = Breakage {
+        rerrs,
+        kernel: kernel(&[]),
+        counters: [2, 0, 0],
+    };
+    assert_eq!(done, expected, "link loss");
+    assert_eq!(routes, [(7, true, 5), (8, true, 11), (9, true, MAX)]);
+
+    // A failed unicast to neighbour 2.
+    let (done, routes) = dymo(&tx_failed(2));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(7, 5), (9, MAX)]), None)],
+        kernel: kernel(&[(8, 3, 2)]),
+        counters: [1, 0, 0],
+    };
+    assert_eq!(done, expected, "tx failed");
+    assert_eq!(routes, [(7, true, 5), (8, false, 11), (9, true, MAX)]);
+
+    // A forwarding failure reports the route's sequence number, and 0 for
+    // a destination without a route.
+    let (done, routes) = dymo(&forward_failure(9));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(9, MAX)]), None)],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
+        counters: [1, 0, 0],
+    };
+    assert_eq!(done, expected, "forwarding failure");
+    assert_eq!(routes, [(7, false, 5), (8, false, 11), (9, true, MAX)]);
+    let (done, routes) = dymo(&forward_failure(5));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(5, 0)]), None)],
+        kernel: all_live(),
+        counters: [1, 0, 0],
+    };
+    assert_eq!(done, expected, "forwarding failure, no route");
+    assert_eq!(routes, [(7, false, 5), (8, false, 11), (9, false, MAX)]);
+
+    // An incoming RERR breaks only the listed routes through its sender and
+    // is relayed with one hop less, quoting the listed numbers.
+    let listed = [(9, 40), (8, 41), (5, 42)];
+    let (done, routes) = dymo(&rerr_in(msg_type::RERR, 2, 3, &listed));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(9, 40)]), None)],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
+        counters: [1, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR through the sender");
+    assert_eq!(routes, [(7, false, 5), (8, false, 11), (9, true, MAX)]);
+    // With its budget spent it breaks the route but goes no further.
+    let (done, _) = dymo(&rerr_in(msg_type::RERR, 2, 1, &listed));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
+        counters: [0, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR at hop limit 1");
+    let (done, routes) = dymo(&rerr_in(msg_type::RERR, 3, 3, &[(9, 40)]));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: all_live(),
+        counters: [0, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR not through the sender");
+    assert_eq!(routes, [(7, false, 5), (8, false, 11), (9, false, MAX)]);
+    // Another protocol's RERR is not DYMO's.
+    let (done, _) = dymo(&rerr_in(msg_type::AODV_RERR, 2, 3, &listed));
+    assert_eq!(done.counters, [0, 0, 0], "AODV's RERR");
+}
+
+/// The precursors the AODV cases give routes 7, 8 and 9; `None` leaves
+/// them unknown, as an adopted route's are.
+type Precursors = [Option<&'static [u8]>; 3];
+
+fn aodv(precursors: Precursors, stimulus: &Event) -> (Breakage, Vec<(u8, bool, Option<u16>)>) {
+    let cf = manetkit_aodv::aodv_cf(Default::default());
+    let prepare = |s: &mut AodvState| {
+        for (dst, known) in [7, 8, 9].into_iter().zip(precursors) {
+            let route = s.routes.get_mut(&addr(dst)).expect("adopted");
+            if let Some(known) = known {
+                route.precursors_unknown = false;
+                route.precursors = known.iter().map(|&p| addr(p)).collect();
+            }
+        }
+    };
+    let (done, cf) = breakage::<AodvState>(cf, prepare, stimulus);
+    (done, aodv_routes(cf.state().get::<AodvState>()))
+}
+
+#[test]
+fn aodv_tells_its_precursors_with_incremented_sequence_numbers() {
+    let none: Precursors = [Some(&[]), Some(&[]), Some(&[])];
+    let one: Precursors = [Some(&[4]), Some(&[6]), Some(&[4])];
+    let several: Precursors = [Some(&[4]), Some(&[6]), Some(&[5])];
+    let unknown: Precursors = [None, None, Some(&[4])];
+    let broken_via_2 = [(7, true, Some(6)), (8, false, Some(11)), (9, true, Some(0))];
+
+    // A failed unicast to neighbour 2 breaks 7 and 9 under seq + 1
+    // (wrapping) and tells nobody, the one precursor, or everyone.
+    let cases = [
+        (none, vec![]),
+        (one, vec![(aodv_rerr(8, &[(7, 6), (9, 0)]), Some(addr(4)))]),
+        (several, vec![(aodv_rerr(8, &[(7, 6), (9, 0)]), None)]),
+        (unknown, vec![(aodv_rerr(8, &[(7, 6), (9, 0)]), None)]),
+    ];
+    for (precursors, rerrs) in cases {
+        let (done, routes) = aodv(precursors, &tx_failed(2));
+        let sent = rerrs.len() as u64;
+        let expected = Breakage {
+            rerrs,
+            kernel: kernel(&[(8, 3, 2)]),
+            counters: [sent, 0, 0],
+        };
+        assert_eq!(done, expected, "tx failed, precursors {precursors:?}");
+        assert_eq!(routes, broken_via_2, "{precursors:?}");
+    }
+
+    // A link loss: one RERR per lost neighbour.
+    let (done, routes) = aodv(one, &link_loss(&[2, 3]));
+    let rerrs = vec![
+        (aodv_rerr(8, &[(7, 6), (9, 0)]), Some(addr(4))),
+        (aodv_rerr(9, &[(8, 12)]), Some(addr(6))),
+    ];
+    let expected = Breakage {
+        rerrs,
+        kernel: kernel(&[]),
+        counters: [2, 0, 0],
+    };
+    assert_eq!(done, expected, "link loss");
+    assert_eq!(
+        routes,
+        [(7, true, Some(6)), (8, true, Some(12)), (9, true, Some(0))]
+    );
+
+    // A forwarding failure breaks a live route under seq + 1; without a
+    // route there is nothing to report.
+    let (done, routes) = aodv(one, &forward_failure(7));
+    let expected = Breakage {
+        rerrs: vec![(aodv_rerr(8, &[(7, 6)]), Some(addr(4)))],
+        kernel: kernel(&[(8, 3, 2), (9, 2, 3)]),
+        counters: [1, 0, 0],
+    };
+    assert_eq!(done, expected, "forwarding failure");
+    assert_eq!(
+        routes,
+        [
+            (7, true, Some(6)),
+            (8, false, Some(11)),
+            (9, false, Some(MAX))
+        ]
+    );
+    let (done, _) = aodv(unknown, &forward_failure(5));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: all_live(),
+        counters: [0, 0, 0],
+    };
+    assert_eq!(done, expected, "forwarding failure, no route");
+
+    // An incoming RERR breaks the listed routes through its sender under
+    // the listed numbers and goes on to their precursors, whatever its
+    // hop limit.
+    let listed = [(9, 40), (8, 41), (5, 42)];
+    let (done, routes) = aodv(several, &rerr_in(msg_type::AODV_RERR, 2, 1, &listed));
+    let expected = Breakage {
+        rerrs: vec![(aodv_rerr(8, &[(9, 40)]), Some(addr(5)))],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
+        counters: [1, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR through the sender");
+    assert_eq!(
+        routes,
+        [
+            (7, false, Some(5)),
+            (8, false, Some(11)),
+            (9, true, Some(40))
+        ]
+    );
+    let (done, routes) = aodv(several, &rerr_in(msg_type::AODV_RERR, 3, 1, &[(9, 40)]));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: all_live(),
+        counters: [0, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR not through the sender");
+    assert_eq!(
+        routes,
+        [
+            (7, false, Some(5)),
+            (8, false, Some(11)),
+            (9, false, Some(MAX))
+        ]
+    );
+    let (done, _) = aodv(several, &rerr_in(msg_type::RERR, 2, 1, &listed));
+    assert_eq!(done.counters, [0, 0, 0], "DYMO's RERR");
+}
+
+/// The standard DYMO CF turned multipath by the variant's own recipe, as a
+/// standalone CF.
+fn multipath_cf() -> ManetProtocolCf {
+    let mut dep = Deployment::new(ConcurrencyModel::SingleThreaded);
+    manetkit_dymo::deploy_core(&mut dep, Default::default()).expect("fresh deployment");
+    let mut os = NodeOs::standalone(NodeId(0), addr(1));
+    for op in multipath::enable_ops() {
+        dep.apply(op, &mut os).expect("the recipe applies");
+    }
+    let cf = dep.remove_protocol(manetkit_dymo::DYMO_CF, &mut os);
+    cf.expect("deployed")
+}
+
+/// Runs `stimulus` on a multipath CF; with `alternative`, route 9 has an
+/// alternative path via neighbour 3 (2 hops, seq 6, live until 5 s).
+fn multipath(alternative: bool, stimulus: &Event) -> (Breakage, Vec<(u8, bool, u16)>, u8) {
+    let prepare = |s: &mut MultipathState| {
+        if alternative {
+            let alt = AltPath {
+                next_hop: addr(3),
+                hop_count: 2,
+                seq: 6,
+                expiry: at(5_000),
+            };
+            assert!(s.offer_alternative(addr(9), alt));
+        }
+    };
+    let (done, cf) = breakage::<MultipathState>(multipath_cf(), prepare, stimulus);
+    let s = cf.state().get::<MultipathState>();
+    let next_hop_9 = s.base.routes[&addr(9)].next_hop.octets()[3];
+    (done, dymo_routes(&s.base), next_hop_9)
+}
+
+#[test]
+fn multipath_fails_over_before_it_reports() {
+    let names = multipath_cf().plugin_names();
+    assert!(
+        names.contains(&"multipath-rerr-handler".to_string()),
+        "{names:?}"
+    );
+    assert!(!names.contains(&"rerr-handler".to_string()), "{names:?}");
+
+    // A link loss: route 9 fails over to its alternative, route 7 has none
+    // and is reported as DYMO reports it.
+    let (done, routes, via) = multipath(true, &link_loss(&[2]));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(7, 5)]), None)],
+        kernel: kernel(&[(8, 3, 2), (9, 3, 2)]),
+        counters: [1, 0, 1],
+    };
+    assert_eq!(done, expected, "link loss");
+    assert_eq!(routes, [(7, true, 5), (8, false, 11), (9, false, MAX)]);
+    assert_eq!(via, 3, "route 9 now runs via the alternative");
+
+    // Without an alternative, exactly DYMO.
+    let (done, routes, _) = multipath(false, &tx_failed(2));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(7, 5), (9, MAX)]), None)],
+        kernel: kernel(&[(8, 3, 2)]),
+        counters: [1, 0, 0],
+    };
+    assert_eq!(done, expected, "tx failed, no alternative");
+    assert_eq!(routes, [(7, true, 5), (8, false, 11), (9, true, MAX)]);
+
+    // A forwarding failure, with and without an alternative.
+    let (done, routes, via) = multipath(true, &forward_failure(9));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2), (9, 3, 2)]),
+        counters: [0, 0, 1],
+    };
+    assert_eq!(done, expected, "forwarding failure, alternative");
+    assert_eq!((routes[2], via), ((9, false, MAX), 3));
+    let (done, routes, _) = multipath(false, &forward_failure(9));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 2, &[(9, MAX)]), None)],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
+        counters: [1, 0, 0],
+    };
+    assert_eq!(done, expected, "forwarding failure, no alternative");
+    assert_eq!(routes[2], (9, true, MAX));
+}
+
+#[test]
+fn multipath_relays_a_rerr_with_one_hop_less_and_counts_it() {
+    let listed = [(9, 40), (8, 41)];
+    let (done, routes, _) = multipath(false, &rerr_in(msg_type::RERR, 2, 2, &listed));
+    let expected = Breakage {
+        rerrs: vec![(dymo_rerr(8, 1, &[(9, 40)]), None)],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
+        counters: [1, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR through the sender, no alternative");
+    assert_eq!(routes, [(7, false, 5), (8, false, 11), (9, true, MAX)]);
+
+    let (done, routes, via) = multipath(true, &rerr_in(msg_type::RERR, 2, 2, &listed));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: kernel(&[(7, 2, 1), (8, 3, 2), (9, 3, 2)]),
+        counters: [0, 1, 1],
+    };
+    assert_eq!(done, expected, "RERR through the sender, alternative");
+    assert_eq!(
+        (routes[2], via),
+        ((9, false, 40), 3),
+        "the listed seq is newer"
+    );
+
+    let (done, _, _) = multipath(true, &rerr_in(msg_type::RERR, 3, 2, &[(9, 40)]));
+    let expected = Breakage {
+        rerrs: vec![],
+        kernel: all_live(),
+        counters: [0, 1, 0],
+    };
+    assert_eq!(done, expected, "RERR not through the sender");
 }

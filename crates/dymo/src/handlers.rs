@@ -1,15 +1,12 @@
-//! Plug-in components of the DYMO CF.
+//! Plug-in components of the DYMO CF: the RE handler. Route breakage is
+//! the reactive core's [`RouteErrorHandler`](manetkit::reactive::RouteErrorHandler).
 
-use std::marker::PhantomData;
-
-use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
+use manetkit::event::{types, Event, EventType};
 use manetkit::protocol::{EventHandler, ProtoCtx, StateSlot};
-use manetkit::reactive::{
-    emit_route_found, install_kernel, remove_kernel, ReactiveState, ReactiveTable,
-};
+use manetkit::reactive::{emit_route_found, install_kernel, ReactiveState, ReactiveTable};
 use packetbb::Address;
 
-use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
+use crate::messages::{PathHop, ReKind, RouteElement};
 use crate::state::{DymoState, RouteUpdate};
 
 /// Timer name of the DYMO housekeeping sweep.
@@ -158,112 +155,6 @@ impl<S: ReactiveState<Table = DymoState>> EventHandler for ReHandler<S> {
                             );
                         }
                         _ => ctx.os().bump("rrep_relay_failed"),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Floods a RERR for `unreachable` (nothing when empty) under a fresh
-/// sequence number.
-pub(crate) fn emit_rerr(
-    state: &mut DymoState,
-    unreachable: Vec<(Address, u16)>,
-    ctx: &mut ProtoCtx<'_>,
-    hop_limit: u8,
-) {
-    if unreachable.is_empty() {
-        return;
-    }
-    let rerr = RouteError {
-        reporter: ctx.local_addr(),
-        unreachable,
-        hop_limit,
-    };
-    let seq = state.next_seq();
-    ctx.os().bump("rerr_sent");
-    ctx.emit(Event::message_out(types::rerr_out(), rerr.to_message(seq)));
-}
-
-fn invalidate_via(state: &mut DymoState, via: Address, ctx: &mut ProtoCtx<'_>) {
-    let broken = state.break_routes_via(via);
-    for (dst, _) in &broken {
-        remove_kernel(ctx, *dst);
-    }
-    emit_rerr(state, broken, ctx, 2);
-}
-
-/// Handles route breakage: local forwarding failures, link-layer feedback,
-/// neighbourhood losses and incoming RERRs — the UERR/RERR machinery.
-pub struct RerrHandler<S: ReactiveState<Table = DymoState> = DymoState>(PhantomData<fn(S)>);
-
-impl<S: ReactiveState<Table = DymoState>> Default for RerrHandler<S> {
-    fn default() -> Self {
-        RerrHandler(PhantomData)
-    }
-}
-
-impl<S: ReactiveState<Table = DymoState>> EventHandler for RerrHandler<S> {
-    fn fork(&self) -> Option<Box<dyn EventHandler>> {
-        Some(Box::new(Self(PhantomData)))
-    }
-
-    fn name(&self) -> &str {
-        "rerr-handler"
-    }
-    fn subscriptions(&self) -> Vec<EventType> {
-        vec![
-            types::rerr_in(),
-            types::send_route_err(),
-            types::tx_failed(),
-            types::nhood_change(),
-        ]
-    }
-    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
-        let s = state.get_mut::<S>().table_mut();
-        if event.ty == types::rerr_in() {
-            let Some(msg) = event.message() else { return };
-            let Some(from) = event.meta.from else { return };
-            let Some(rerr) = RouteError::from_message(msg) else {
-                return;
-            };
-            // Invalidate listed routes that actually go through the sender.
-            let mut affected = Vec::new();
-            for (dst, seq) in &rerr.unreachable {
-                if let Some(r) = s.routes.get_mut(dst) {
-                    if r.next_hop == from && !r.broken {
-                        r.broken = true;
-                        affected.push((*dst, *seq));
-                    }
-                }
-            }
-            for (dst, _) in &affected {
-                remove_kernel(ctx, *dst);
-            }
-            ctx.os().bump("rerr_processed");
-            if !affected.is_empty() && rerr.hop_limit > 1 {
-                emit_rerr(s, affected, ctx, rerr.hop_limit - 1);
-            }
-            return;
-        }
-        match event.route_ctl() {
-            Some(RouteCtl::ForwardFailure { dst, .. }) => {
-                // We could not forward a transit packet: tell the source.
-                let seq = s.routes.get(dst).map_or(0, |r| r.seq);
-                if let Some(r) = s.routes.get_mut(dst) {
-                    r.broken = true;
-                }
-                remove_kernel(ctx, *dst);
-                emit_rerr(s, vec![(*dst, seq)], ctx, 2);
-            }
-            Some(RouteCtl::TxFailed { neighbour }) => {
-                invalidate_via(s, *neighbour, ctx);
-            }
-            _ => {
-                if let Payload::Neighbourhood(nh) = &event.payload {
-                    for lost in &nh.lost {
-                        invalidate_via(s, *lost, ctx);
                     }
                 }
             }

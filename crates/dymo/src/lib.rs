@@ -12,13 +12,15 @@
 //! * on successful discovery DYMO emits `ROUTE_FOUND` back to the System
 //!   CF, which re-injects the buffered packets.
 //!
-//! The discovery, lifetime and sweep handlers are the reactive core's
-//! ([`manetkit::reactive`]), shared with AODV; this crate holds DYMO's
-//! messages, its route table and the RE and RERR handlers.
+//! The discovery, lifetime, sweep and route-error handlers are the
+//! reactive core's ([`manetkit::reactive`]), shared with AODV; this crate
+//! holds DYMO's messages, its route table (with how it breaks and reports
+//! routes) and the RE handler.
 //!
 //! Variants (§5.2) are derived by runtime reconfiguration:
 //! [`variants::multipath`] (replacement S component and RE/RERR handlers
-//! computing link-disjoint paths) and [`variants::flooding`] (the
+//! computing link-disjoint paths and failing over to them) and
+//! [`variants::flooding`] (the
 //! Neighbour Detection CF swapped for the richer MPR CF, with RREQ
 //! relaying gated on relay selection).
 //!
@@ -62,14 +64,14 @@ use manetkit::node::{Deployment, ManetNode, NodeHandle, ReconfigOp};
 use manetkit::prelude::ConcurrencyModel;
 use manetkit::protocol::{EventHandler, ManetProtocolCf, Plugin, StateSlot};
 use manetkit::reactive::{
-    deploy_stack, reactive_tuple, state_slot, RouteDiscoveryHandler, RouteLifetimeHandler,
-    SweepHandler,
+    deploy_stack, reactive_tuple, state_slot, RouteDiscoveryHandler, RouteErrorHandler,
+    RouteLifetimeHandler, SweepHandler,
 };
 use manetkit::system::{MessageRegistration, SystemConfig};
 use packetbb::registry::msg_type;
 
-pub use handlers::{learn_from_path, ReHandler, RerrHandler, DYMO_SWEEP_TIMER};
-pub use messages::{PathHop, ReKind, RouteElement, RouteError};
+pub use handlers::{learn_from_path, ReHandler, DYMO_SWEEP_TIMER};
+pub use messages::{PathHop, ReKind, RouteElement};
 pub use state::{DymoParams, DymoRoute, DymoState};
 
 /// The name under which the DYMO CF registers.
@@ -107,7 +109,7 @@ fn standard_handlers() -> [Box<dyn EventHandler>; 5] {
     [
         Box::new(RouteDiscoveryHandler::<DymoState>::default()),
         Box::new(ReHandler::<DymoState>::default()),
-        Box::new(RerrHandler::<DymoState>::default()),
+        Box::new(RouteErrorHandler::<DymoState>::default()),
         Box::new(RouteLifetimeHandler::<DymoState>::default()),
         Box::new(SweepHandler::<DymoState>::default()),
     ]

@@ -1,7 +1,9 @@
 //! DYMO message formats: routing elements (RREQ/RREP with path
-//! accumulation) and route errors, over PacketBB.
+//! accumulation) over PacketBB. Route errors are the reactive core's
+//! [`RouteError`](manetkit::reactive::RouteError).
 
 use manetkit::event::{types, EventType};
+use manetkit::reactive::addr_seq;
 use packetbb::registry::{msg_type, tlv_type};
 use packetbb::{Address, AddressBlock, AddressTlv, Message, MessageBuilder, Tlv};
 
@@ -145,11 +147,7 @@ impl RouteElement {
             .and_then(|t| t.tlv().value_u16());
         let mut path = Vec::with_capacity(blocks[1].len());
         for (i, addr) in blocks[1].addresses().iter().enumerate() {
-            let seq = blocks[1]
-                .tlvs_at(i)
-                .find(|t| t.tlv().tlv_type() == tlv_type::ADDR_SEQ_NUM)
-                .and_then(|t| t.tlv().value_u16())
-                .unwrap_or(0);
+            let seq = addr_seq(blocks[1].tlvs_at(i));
             path.push(PathHop { addr: *addr, seq });
         }
         if path.is_empty() {
@@ -168,77 +166,6 @@ impl RouteElement {
     #[must_use]
     pub fn out_event(&self) -> EventType {
         types::re_out()
-    }
-}
-
-/// A route error: destinations that became unreachable, with the sequence
-/// numbers they were last known under.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteError {
-    /// The node reporting the breakage.
-    pub reporter: Address,
-    /// `(destination, last known seq)` pairs now unreachable via the
-    /// reporter.
-    pub unreachable: Vec<(Address, u16)>,
-    /// Remaining hop budget for RERR propagation.
-    pub hop_limit: u8,
-}
-
-impl RouteError {
-    /// Serializes into a PacketBB message.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `unreachable` is empty (an empty RERR is meaningless).
-    #[must_use]
-    pub fn to_message(&self, seq: u16) -> Message {
-        assert!(!self.unreachable.is_empty(), "RERR needs destinations");
-        let addrs: Vec<Address> = self.unreachable.iter().map(|(a, _)| *a).collect();
-        let mut block = AddressBlock::new(addrs).expect("non-empty");
-        for (i, (_, s)) in self.unreachable.iter().enumerate() {
-            block.add_tlv(AddressTlv::single(
-                Tlv::with_value(tlv_type::ADDR_SEQ_NUM, s.to_be_bytes()),
-                i as u8,
-            ));
-            block.add_tlv(AddressTlv::single(
-                Tlv::flag(tlv_type::UNREACHABLE),
-                i as u8,
-            ));
-        }
-        MessageBuilder::new(msg_type::RERR)
-            .originator(self.reporter)
-            .hop_limit(self.hop_limit)
-            .seq_num(seq)
-            .push_address_block(block)
-            .build()
-    }
-
-    /// Parses a route error, or `None` for other message types.
-    #[must_use]
-    pub fn from_message(msg: &Message) -> Option<RouteError> {
-        if msg.msg_type() != msg_type::RERR {
-            return None;
-        }
-        let reporter = msg.originator()?;
-        let mut unreachable = Vec::new();
-        for block in msg.address_blocks() {
-            for (addr, tlvs) in block.iter_with_tlvs() {
-                let seq = tlvs
-                    .iter()
-                    .find(|t| t.tlv().tlv_type() == tlv_type::ADDR_SEQ_NUM)
-                    .and_then(|t| t.tlv().value_u16())
-                    .unwrap_or(0);
-                unreachable.push((addr, seq));
-            }
-        }
-        if unreachable.is_empty() {
-            return None;
-        }
-        Some(RouteError {
-            reporter,
-            unreachable,
-            hop_limit: msg.hop_limit().unwrap_or(1),
-        })
     }
 }
 
@@ -337,23 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn rerr_round_trip() {
-        let rerr = RouteError {
-            reporter: addr(3),
-            unreachable: vec![(addr(9), 4), (addr(8), 0)],
-            hop_limit: 2,
-        };
-        let msg = rerr.to_message(77);
-        let wire = packetbb::Packet::single(msg).encode_to_vec();
-        let back = packetbb::Packet::decode(&wire).unwrap();
-        let parsed = RouteError::from_message(&back.messages()[0]).unwrap();
-        assert_eq!(parsed, rerr);
-    }
-
-    #[test]
     fn wrong_types_rejected() {
         let hello = MessageBuilder::new(msg_type::HELLO).build();
         assert!(RouteElement::from_message(&hello).is_none());
-        assert!(RouteError::from_message(&hello).is_none());
     }
 }

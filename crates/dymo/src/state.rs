@@ -6,9 +6,11 @@ use manetkit::carry::RouteCarry;
 use manetkit::event::{types, Event, EventType};
 use manetkit::protocol::ProtoCtx;
 use manetkit::reactive::{
-    seq_newer, PendingDiscovery, ReactiveParams, ReactiveRoute, ReactiveTable, SeenRreqs,
+    seq_newer, PendingDiscovery, ReactiveParams, ReactiveRoute, ReactiveTable, RerrFormat,
+    SeenRreqs,
 };
 use netsim::SimTime;
+use packetbb::registry::msg_type;
 use packetbb::Address;
 
 use crate::handlers::dymo_sweep_timer;
@@ -114,19 +116,6 @@ impl DymoState {
             }
         }
     }
-
-    /// Marks every route through `via` broken; returns the affected
-    /// `(destination, seq)` pairs for RERR generation.
-    pub fn break_routes_via(&mut self, via: Address) -> Vec<(Address, u16)> {
-        let mut broken = Vec::new();
-        for (dst, r) in self.routes.iter_mut() {
-            if r.next_hop == via && !r.broken {
-                r.broken = true;
-                broken.push((*dst, r.seq));
-            }
-        }
-        broken
-    }
 }
 
 impl ReactiveRoute for DymoRoute {
@@ -147,6 +136,12 @@ impl ReactiveRoute for DymoRoute {
     }
     fn is_broken(&self) -> bool {
         self.broken
+    }
+    /// A break found here reports the route's own sequence number; the
+    /// route keeps it either way.
+    fn mark_broken(&mut self, listed: Option<u16>) -> u16 {
+        self.broken = true;
+        listed.unwrap_or(self.seq)
     }
 }
 
@@ -243,6 +238,25 @@ impl ReactiveTable for DymoState {
             out.extend_from_slice(&p.next_retry.as_micros().to_le_bytes());
         }
         out
+    }
+
+    const RERR_FORMAT: RerrFormat = RerrFormat {
+        msg_type: msg_type::RERR,
+        unreachable_flag: true,
+    };
+
+    /// Every failure is reported, under the route's sequence number or 0
+    /// without a route, as DYMOUM does.
+    fn forward_failed(&mut self, dst: Address) -> Option<(Address, u16)> {
+        let seq = self.routes.get_mut(&dst).map_or(0, |r| r.mark_broken(None));
+        Some((dst, seq))
+    }
+
+    /// Floods the route error, unless its hop budget is spent.
+    fn report(&mut self, unreachable: Vec<(Address, u16)>, hop_limit: u8, ctx: &mut ProtoCtx<'_>) {
+        if !unreachable.is_empty() && hop_limit > 0 {
+            self.send_rerr(unreachable, hop_limit, None, ctx);
+        }
     }
 }
 

@@ -22,11 +22,11 @@ use manetkit::protocol::{EventHandler, ManetProtocolCf, Plugin, ProtoCtx, StateS
 use packetbb::Address;
 
 use manetkit::reactive::{
-    reactive_tuple, state_slot, ReactiveState, RouteDiscoveryHandler, RouteLifetimeHandler,
-    SweepHandler,
+    reactive_tuple, state_slot, ReactiveState, RouteDiscoveryHandler, RouteErrorHandler,
+    RouteLifetimeHandler, SweepHandler,
 };
 
-use crate::handlers::{ReHandler, RerrHandler};
+use crate::handlers::ReHandler;
 use crate::state::DymoState;
 use crate::DYMO_CF;
 
@@ -102,7 +102,7 @@ pub fn enable_ops(mpr_replacement: Option<ManetProtocolCf>) -> Vec<ReconfigOp> {
     let handlers: [Box<dyn EventHandler>; 6] = [
         Box::new(RouteDiscoveryHandler::<MprGatedState>::default()),
         Box::new(gated_re_handler()),
-        Box::new(RerrHandler::<MprGatedState>::default()),
+        Box::new(RouteErrorHandler::<MprGatedState>::default()),
         Box::new(RouteLifetimeHandler::<MprGatedState>::default()),
         Box::new(SweepHandler::<MprGatedState>::default()),
         Box::new(SelectorTracker),

@@ -12,23 +12,25 @@
 //!    mined for link-disjoint alternative paths (atomic handler execution
 //!    makes this safe, as the paper notes);
 //! 3. the **RERR handler** — on breakage it fails over to an alternative
-//!    path when one exists and only sends a route error otherwise.
+//!    path when one exists and only sends a route error otherwise: the
+//!    reactive core's [`RouteErrorHandler`] over [`MultipathState`], whose
+//!    hooks drop the paths through a lost neighbour and fail over.
 
 use std::collections::BTreeMap;
 
-use manetkit::event::{types, Event, EventType, Payload, RouteCtl};
+use manetkit::event::{types, Event, EventType};
 use manetkit::node::ReconfigOp;
 use manetkit::protocol::{EventHandler, Plugin, ProtoCtx, StateSlot};
 use netsim::SimTime;
 use packetbb::Address;
 
 use manetkit::reactive::{
-    install_kernel, remove_kernel, seq_newer, state_slot, ReactiveState, RouteDiscoveryHandler,
-    RouteLifetimeHandler, SweepHandler,
+    install_kernel, seq_newer, state_slot, ReactiveState, ReactiveTable, RouteDiscoveryHandler,
+    RouteErrorHandler, RouteLifetimeHandler, SweepHandler,
 };
 
-use crate::handlers::{emit_rerr, ReHandler};
-use crate::messages::{PathHop, ReKind, RouteElement, RouteError};
+use crate::handlers::ReHandler;
+use crate::messages::{PathHop, ReKind, RouteElement};
 use crate::state::DymoState;
 use crate::DYMO_CF;
 
@@ -60,11 +62,33 @@ pub struct MultipathState {
 
 impl ReactiveState for MultipathState {
     type Table = DymoState;
+    const RERR_HANDLER: &'static str = MULTIPATH_RERR_HANDLER;
     fn table(&self) -> &DymoState {
         &self.base
     }
     fn table_mut(&mut self) -> &mut DymoState {
         &mut self.base
+    }
+
+    /// Breaks the routes through `via` and forgets the alternatives that
+    /// start with it.
+    fn break_via(&mut self, via: Address) -> Vec<(Address, u16)> {
+        let broken = self.base.break_routes_via(via);
+        self.purge_via(via);
+        broken
+    }
+
+    /// Fails the route over to its best live alternative, if any.
+    fn repair(&mut self, (dst, seq): (Address, u16), ctx: &mut ProtoCtx<'_>) -> bool {
+        let now = ctx.now();
+        let Some(alt) = self.take_alternative(dst, now) else {
+            return false;
+        };
+        self.base
+            .offer_route(dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
+        install_kernel(ctx, dst, alt.next_hop, alt.hop_count);
+        ctx.os().bump("multipath_failover");
+        true
     }
 }
 
@@ -230,126 +254,6 @@ impl StandardDelegate {
     }
 }
 
-/// Multipath RERR handler: fails over to an alternative path before
-/// resorting to a route error.
-#[derive(Clone)]
-pub struct MultipathRerrHandler;
-
-impl MultipathRerrHandler {
-    /// Fails the route to `dst`, broken under `seq`, over to its best live
-    /// alternative; without one, withdraws it from the kernel table and
-    /// returns `false`.
-    fn fail_over(
-        s: &mut MultipathState,
-        dst: Address,
-        seq: u16,
-        now: SimTime,
-        ctx: &mut ProtoCtx<'_>,
-    ) -> bool {
-        let Some(alt) = s.take_alternative(dst, now) else {
-            remove_kernel(ctx, dst);
-            return false;
-        };
-        s.base
-            .offer_route(dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
-        install_kernel(ctx, dst, alt.next_hop, alt.hop_count);
-        ctx.os().bump("multipath_failover");
-        true
-    }
-
-    /// Attempts failover for every route broken via `via`; returns the
-    /// destinations that could *not* be repaired (with their seqs).
-    fn failover_via(
-        s: &mut MultipathState,
-        via: Address,
-        now: SimTime,
-        ctx: &mut ProtoCtx<'_>,
-    ) -> Vec<(Address, u16)> {
-        let broken = s.base.break_routes_via(via);
-        s.purge_via(via);
-        let mut unrepaired = Vec::new();
-        for (dst, seq) in broken {
-            if !Self::fail_over(s, dst, seq, now, ctx) {
-                unrepaired.push((dst, seq));
-            }
-        }
-        unrepaired
-    }
-}
-
-impl EventHandler for MultipathRerrHandler {
-    fn fork(&self) -> Option<Box<dyn EventHandler>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn name(&self) -> &str {
-        MULTIPATH_RERR_HANDLER
-    }
-    fn subscriptions(&self) -> Vec<EventType> {
-        vec![
-            types::rerr_in(),
-            types::send_route_err(),
-            types::tx_failed(),
-            types::nhood_change(),
-        ]
-    }
-    fn handle(&mut self, event: &Event, state: &mut StateSlot, ctx: &mut ProtoCtx<'_>) {
-        let now = ctx.now();
-        let s = state.get_mut::<MultipathState>();
-        if event.ty == types::rerr_in() {
-            let Some(msg) = event.message() else { return };
-            let Some(from) = event.meta.from else { return };
-            let Some(rerr) = RouteError::from_message(msg) else {
-                return;
-            };
-            let mut unrepaired = Vec::new();
-            for (dst, seq) in &rerr.unreachable {
-                let via_sender = s
-                    .base
-                    .routes
-                    .get(dst)
-                    .is_some_and(|r| r.next_hop == from && !r.broken);
-                if !via_sender {
-                    continue;
-                }
-                if let Some(r) = s.base.routes.get_mut(dst) {
-                    r.broken = true;
-                }
-                if !Self::fail_over(s, *dst, *seq, now, ctx) {
-                    unrepaired.push((*dst, *seq));
-                }
-            }
-            if !unrepaired.is_empty() && rerr.hop_limit > 1 {
-                emit_rerr(&mut s.base, unrepaired, ctx, 2);
-            }
-            return;
-        }
-        match event.route_ctl() {
-            Some(RouteCtl::ForwardFailure { dst, .. }) => {
-                let seq = s.base.routes.get(dst).map_or(0, |r| r.seq);
-                if let Some(r) = s.base.routes.get_mut(dst) {
-                    r.broken = true;
-                }
-                if !Self::fail_over(s, *dst, seq, now, ctx) {
-                    emit_rerr(&mut s.base, vec![(*dst, seq)], ctx, 2);
-                }
-            }
-            Some(RouteCtl::TxFailed { neighbour }) => {
-                let unrepaired = Self::failover_via(s, *neighbour, now, ctx);
-                emit_rerr(&mut s.base, unrepaired, ctx, 2);
-            }
-            _ => {
-                if let Payload::Neighbourhood(nh) = &event.payload {
-                    for lost in nh.lost.clone() {
-                        let unrepaired = Self::failover_via(s, lost, now, ctx);
-                        emit_rerr(&mut s.base, unrepaired, ctx, 2);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Reconfiguration operations enacting multipath DYMO on a running
 /// deployment: S-component replacement (with state transfer) plus RE/RERR
 /// handler swaps — exactly the three replacements of §5.2 — with the
@@ -363,7 +267,7 @@ pub fn enable_ops() -> Vec<ReconfigOp> {
             Plugin::Handler(Box::new(RouteLifetimeHandler::<MultipathState>::default())),
             Plugin::Handler(Box::new(SweepHandler::<MultipathState>::default())),
             Plugin::Handler(Box::new(MultipathReHandler)),
-            Plugin::Handler(Box::new(MultipathRerrHandler)),
+            Plugin::Handler(Box::new(RouteErrorHandler::<MultipathState>::default())),
         ],
         unplug: vec!["re-handler".into(), "rerr-handler".into()],
         state: Some(to_multipath),

@@ -514,13 +514,13 @@ OLSR: TC generation/handling|specific|OLSR|olsr/src/olsr/components.rs olsr/src/
 OLSR: fisheye variant|specific|OLSR|olsr/src/variants/fisheye.rs
 OLSR: power-aware variant|specific|OLSR|olsr/src/variants/power.rs
 DYMO: route table|specific|DYMO|dymo/src/state.rs
-DYMO: RE/RERR/UERR handlers|specific|DYMO|dymo/src/handlers.rs
+DYMO: RE handler|specific|DYMO|dymo/src/handlers.rs
 DYMO: message formats|specific|DYMO|dymo/src/messages.rs
 DYMO: multipath variant|specific|DYMO|dymo/src/variants/multipath.rs
 DYMO: optimised-flooding variant|specific|DYMO|dymo/src/variants/flooding.rs
 DYMO: gossip-flooding variant|specific|DYMO|dymo/src/variants/gossip.rs
 AODV: route table + precursors|specific|AODV|aodv/src/state.rs
-AODV: RREQ/RREP/RERR handlers|specific|AODV|aodv/src/handlers.rs
+AODV: RREQ/RREP handlers|specific|AODV|aodv/src/handlers.rs
 AODV: message formats|specific|AODV|aodv/src/messages.rs";
 
 /// Fig. 7's stacks with the paper's generic : specific component counts
