@@ -5,6 +5,7 @@ use adapt::Stack;
 use manetkit_baseline::{Dymoum, Olsrd, OlsrdConfig};
 use netsim::fault::{FaultPlan, FrameChaos};
 use netsim::mobility::{RandomWaypoint, Walk};
+use netsim::traffic::{install_cbr, CbrFlow};
 use netsim::{
     Channel, LinkModel, NodeId, NodeOs, PhyModel, RoutingAgent, SimDuration, SimTime, Topology,
     World, WorldBuilder,
@@ -279,30 +280,20 @@ impl TrafficSpec {
         }
     }
 
-    /// Schedules this traffic pattern into a freshly built world, for a
+    /// Streams this traffic pattern into a freshly built world, for a
     /// measured span of `[warmup, end)`: every flow's first send is
     /// offset half an interval past warm-up (plus a per-flow phase
     /// stagger for random flows) so each send falls unambiguously inside
-    /// one measurement window.
+    /// one measurement window, and the flow sends every interval until
+    /// `end`.
     pub fn install(&self, world: &mut World, warmup: SimDuration, end: SimTime) {
-        match *self {
+        let (flows, interval, payload) = match *self {
             TrafficSpec::Cbr {
                 src,
                 dst,
                 interval,
                 payload,
-            } => {
-                schedule_cbr(
-                    world,
-                    src,
-                    dst,
-                    interval,
-                    payload,
-                    warmup,
-                    SimDuration::ZERO,
-                    end,
-                );
-            }
+            } => (vec![(src, dst, SimDuration::ZERO)], interval, payload),
             TrafficSpec::RandomFlows {
                 flows,
                 interval,
@@ -312,49 +303,41 @@ impl TrafficSpec {
                 let n = world.node_count();
                 assert!(n >= 2, "random flows need at least two nodes");
                 let mut rng = StdRng::seed_from_u64(seed);
-                for f in 0..flows {
-                    let src = NodeId(rng.gen_range(0..n));
-                    let dst = loop {
-                        let d = NodeId(rng.gen_range(0..n));
-                        if d != src {
-                            break d;
-                        }
-                    };
-                    // Stagger flow phases across one interval so a
-                    // thousand flows don't all fire on the same tick.
-                    let phase = SimDuration::from_micros(
-                        interval.as_micros() * (f as u64) / (flows as u64).max(1),
-                    );
-                    schedule_cbr(world, src, dst, interval, payload, warmup, phase, end);
-                }
+                let pairs = (0..flows)
+                    .map(|f| {
+                        let src = NodeId(rng.gen_range(0..n));
+                        let dst = loop {
+                            let d = NodeId(rng.gen_range(0..n));
+                            if d != src {
+                                break d;
+                            }
+                        };
+                        // Stagger flow phases across one interval so a
+                        // thousand flows don't all fire on the same tick.
+                        let phase = SimDuration::from_micros(
+                            interval.as_micros() * (f as u64) / (flows as u64).max(1),
+                        );
+                        (src, dst, phase)
+                    })
+                    .collect();
+                (pairs, interval, payload)
             }
+        };
+        let first = SimTime::ZERO + warmup + SimDuration::from_micros(interval.as_micros() / 2);
+        for (src, dst, phase) in flows {
+            let start = first + phase;
+            let span = end.as_micros().saturating_sub(start.as_micros());
+            let flow = CbrFlow {
+                src,
+                dst: world.addr(dst),
+                start,
+                interval,
+                count: u32::try_from(span.div_ceil(interval.as_micros()))
+                    .expect("fewer than 2³² sends"),
+                payload: payload.max(4),
+            };
+            install_cbr(world, &flow);
         }
-    }
-}
-
-/// Schedules one CBR flow: first send half an interval past warm-up (plus
-/// `phase`), then every `interval` until `end`.
-#[allow(clippy::too_many_arguments)]
-fn schedule_cbr(
-    world: &mut World,
-    src: NodeId,
-    dst: NodeId,
-    interval: SimDuration,
-    payload: usize,
-    warmup: SimDuration,
-    phase: SimDuration,
-    end: SimTime,
-) {
-    let dst_addr = world.addr(dst);
-    let mut at =
-        SimTime::ZERO + warmup + SimDuration::from_micros(interval.as_micros() / 2) + phase;
-    let mut k = 0u32;
-    while at < end {
-        let mut bytes = vec![0u8; payload.max(4)];
-        bytes[..4].copy_from_slice(&k.to_be_bytes());
-        world.send_datagram_at(at, src, dst_addr, bytes);
-        at += interval;
-        k += 1;
     }
 }
 
@@ -557,7 +540,7 @@ impl ScenarioSpec {
     }
 
     /// Installs the scenario's mobility into a freshly built world: the
-    /// walk streams, one pending event at a time, moving nodes over the
+    /// walk streams, one kernel entry at a time, moving nodes over the
     /// spatial grid ([`World::install_walk`]). A no-op for static
     /// scenarios.
     pub fn install_mobility(&self, world: &mut World) {
@@ -933,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn mobility_streams_one_pending_event() {
+    fn mobility_streams_and_counts_its_steps_left() {
         let spec = ScenarioSpec::builder()
             .mobility(RandomWaypoint {
                 nodes: 50,
@@ -945,7 +928,8 @@ mod tests {
             .build();
         let mut world = spec.world_builder().seed(1).build();
         spec.install_mobility(&mut world);
-        assert_eq!(world.pending_events(), 1);
+        // One pending event per step left; the kernel holds only the next.
+        assert_eq!(world.pending_events(), 30, "steps left");
         world.run_until(SimTime::ZERO + SimDuration::from_secs(30));
         assert_eq!(world.pending_events(), 0);
         let moved = (0..50).any(|i| {

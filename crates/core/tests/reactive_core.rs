@@ -606,15 +606,16 @@ fn multipath_cf() -> ManetProtocolCf {
     cf.expect("deployed")
 }
 
-/// Runs `stimulus` on a multipath CF; with `alternative`, route 9 has an
-/// alternative path via neighbour 3 (2 hops, seq 6, live until 5 s).
-fn multipath(alternative: bool, stimulus: &Event) -> (Breakage, Vec<(u8, bool, u16)>, u8) {
+/// Runs `stimulus` on a multipath CF; with `Some(seq)`, route 9 has an
+/// alternative path via neighbour 3 (2 hops, learned under `seq`, live
+/// until 5 s).
+fn multipath(alternative: Option<u16>, stimulus: &Event) -> (Breakage, Vec<(u8, bool, u16)>, u8) {
     let prepare = |s: &mut MultipathState| {
-        if alternative {
+        if let Some(seq) = alternative {
             let alt = AltPath {
                 next_hop: addr(3),
                 hop_count: 2,
-                seq: 6,
+                seq,
                 expiry: at(5_000),
             };
             assert!(s.offer_alternative(addr(9), alt));
@@ -637,18 +638,20 @@ fn multipath_fails_over_before_it_reports() {
 
     // A link loss: route 9 fails over to its alternative, route 7 has none
     // and is reported as DYMO reports it.
-    let (done, routes, via) = multipath(true, &link_loss(&[2]));
+    let (done, routes, via) = multipath(Some(6), &link_loss(&[2]));
     let expected = Breakage {
         rerrs: vec![(dymo_rerr(8, 2, &[(7, 5)]), None)],
         kernel: kernel(&[(8, 3, 2), (9, 3, 2)]),
         counters: [1, 0, 1],
     };
     assert_eq!(done, expected, "link loss");
-    assert_eq!(routes, [(7, true, 5), (8, false, 11), (9, false, MAX)]);
+    // The alternative's seq 6 follows the broken route's 65,535 in the
+    // wraparound order, so the failed-over route carries 6.
+    assert_eq!(routes, [(7, true, 5), (8, false, 11), (9, false, 6)]);
     assert_eq!(via, 3, "route 9 now runs via the alternative");
 
     // Without an alternative, exactly DYMO.
-    let (done, routes, _) = multipath(false, &tx_failed(2));
+    let (done, routes, _) = multipath(None, &tx_failed(2));
     let expected = Breakage {
         rerrs: vec![(dymo_rerr(8, 2, &[(7, 5), (9, MAX)]), None)],
         kernel: kernel(&[(8, 3, 2)]),
@@ -658,15 +661,15 @@ fn multipath_fails_over_before_it_reports() {
     assert_eq!(routes, [(7, true, 5), (8, false, 11), (9, true, MAX)]);
 
     // A forwarding failure, with and without an alternative.
-    let (done, routes, via) = multipath(true, &forward_failure(9));
+    let (done, routes, via) = multipath(Some(6), &forward_failure(9));
     let expected = Breakage {
         rerrs: vec![],
         kernel: kernel(&[(7, 2, 1), (8, 3, 2), (9, 3, 2)]),
         counters: [0, 0, 1],
     };
     assert_eq!(done, expected, "forwarding failure, alternative");
-    assert_eq!((routes[2], via), ((9, false, MAX), 3));
-    let (done, routes, _) = multipath(false, &forward_failure(9));
+    assert_eq!((routes[2], via), ((9, false, 6), 3));
+    let (done, routes, _) = multipath(None, &forward_failure(9));
     let expected = Breakage {
         rerrs: vec![(dymo_rerr(8, 2, &[(9, MAX)]), None)],
         kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
@@ -677,9 +680,24 @@ fn multipath_fails_over_before_it_reports() {
 }
 
 #[test]
+fn multipath_failover_keeps_the_newer_seq_in_wraparound_order() {
+    // Route 9 breaks under 65,535. An alternative learned under 6 is newer
+    // (RFC 3561 §6.1: 6 follows 65,535 across the wrap); one learned under
+    // 40,000 is older, and the route keeps 65,535.
+    for (alt_seq, kept) in [(6, 6), (40_000, MAX), (MAX, MAX)] {
+        let (_, routes, via) = multipath(Some(alt_seq), &link_loss(&[2]));
+        assert_eq!(
+            (routes[2], via),
+            ((9, false, kept), 3),
+            "alternative {alt_seq}"
+        );
+    }
+}
+
+#[test]
 fn multipath_relays_a_rerr_with_one_hop_less_and_counts_it() {
     let listed = [(9, 40), (8, 41)];
-    let (done, routes, _) = multipath(false, &rerr_in(msg_type::RERR, 2, 2, &listed));
+    let (done, routes, _) = multipath(None, &rerr_in(msg_type::RERR, 2, 2, &listed));
     let expected = Breakage {
         rerrs: vec![(dymo_rerr(8, 1, &[(9, 40)]), None)],
         kernel: kernel(&[(7, 2, 1), (8, 3, 2)]),
@@ -688,7 +706,7 @@ fn multipath_relays_a_rerr_with_one_hop_less_and_counts_it() {
     assert_eq!(done, expected, "RERR through the sender, no alternative");
     assert_eq!(routes, [(7, false, 5), (8, false, 11), (9, true, MAX)]);
 
-    let (done, routes, via) = multipath(true, &rerr_in(msg_type::RERR, 2, 2, &listed));
+    let (done, routes, via) = multipath(Some(6), &rerr_in(msg_type::RERR, 2, 2, &listed));
     let expected = Breakage {
         rerrs: vec![],
         kernel: kernel(&[(7, 2, 1), (8, 3, 2), (9, 3, 2)]),
@@ -701,7 +719,7 @@ fn multipath_relays_a_rerr_with_one_hop_less_and_counts_it() {
         "the listed seq is newer"
     );
 
-    let (done, _, _) = multipath(true, &rerr_in(msg_type::RERR, 3, 2, &[(9, 40)]));
+    let (done, _, _) = multipath(Some(6), &rerr_in(msg_type::RERR, 3, 2, &[(9, 40)]));
     let expected = Breakage {
         rerrs: vec![],
         kernel: all_live(),

@@ -84,8 +84,13 @@ impl ReactiveState for MultipathState {
         let Some(alt) = self.take_alternative(dst, now) else {
             return false;
         };
+        let seq = if seq_newer(alt.seq, seq) {
+            alt.seq
+        } else {
+            seq
+        };
         self.base
-            .offer_route(dst, alt.next_hop, alt.seq.max(seq), alt.hop_count, now);
+            .offer_route(dst, alt.next_hop, seq, alt.hop_count, now);
         install_kernel(ctx, dst, alt.next_hop, alt.hop_count);
         ctx.os().bump("multipath_failover");
         true

@@ -37,39 +37,29 @@ impl CbrFlow {
             payload: 64,
         }
     }
+
+    /// When datagram `k` is sent.
+    pub(crate) fn send_at(&self, k: u32) -> SimTime {
+        self.start + SimDuration::from_micros(self.interval.as_micros() * u64::from(k))
+    }
+
+    /// Datagram `k`'s payload: zeros, its first four bytes (or all of a
+    /// shorter payload) stamped with `k` big-endian so payloads differ.
+    pub(crate) fn payload(&self, k: u32) -> Vec<u8> {
+        let mut payload = vec![0u8; self.payload];
+        let n = self.payload.min(4);
+        payload[..n].copy_from_slice(&k.to_be_bytes()[..n]);
+        payload
+    }
 }
 
-/// Schedules every packet of `flow` into the world.
+/// Streams `flow` into the world: datagram `k` leaves `src` at
+/// `start + k·interval` under packet id and kernel seq taken now, so the
+/// run is the one scheduling every datagram now with
+/// [`World::send_datagram_at`] gives, while the world holds one kernel
+/// entry for the flow instead of `count`.
 pub fn install_cbr(world: &mut World, flow: &CbrFlow) {
-    let mut at = flow.start;
-    for i in 0..flow.count {
-        let mut payload = vec![0u8; flow.payload];
-        // Stamp a sequence number so payloads differ.
-        payload[..4.min(flow.payload)].copy_from_slice(&i.to_be_bytes()[..4.min(flow.payload)]);
-        world.send_datagram_at(at, flow.src, flow.dst, payload);
-        at += flow.interval;
-    }
-}
-
-/// Schedules request/reply style traffic: `pairs` of (forward, return)
-/// datagrams with the reply `gap` after each request.
-pub fn install_request_reply(
-    world: &mut World,
-    a: NodeId,
-    b: NodeId,
-    start: SimTime,
-    interval: SimDuration,
-    gap: SimDuration,
-    pairs: u32,
-) {
-    let addr_a = world.addr(a);
-    let addr_b = world.addr(b);
-    let mut at = start;
-    for i in 0..pairs {
-        world.send_datagram_at(at, a, addr_b, i.to_be_bytes().to_vec());
-        world.send_datagram_at(at + gap, b, addr_a, i.to_be_bytes().to_vec());
-        at += interval;
-    }
+    world.install_cbr(flow);
 }
 
 #[cfg(test)]
@@ -90,29 +80,5 @@ mod tests {
         let s = w.stats();
         assert_eq!(s.data_sent, 10);
         assert_eq!(s.data_delivered, 10);
-    }
-
-    #[test]
-    fn request_reply_round_trips() {
-        let mut w = World::builder().topology(Topology::full(2)).build();
-        let a0 = w.addr(NodeId(0));
-        let a1 = w.addr(NodeId(1));
-        w.os_mut(NodeId(0))
-            .route_table_mut()
-            .add_host_route(a1, a1, 1);
-        w.os_mut(NodeId(1))
-            .route_table_mut()
-            .add_host_route(a0, a0, 1);
-        install_request_reply(
-            &mut w,
-            NodeId(0),
-            NodeId(1),
-            SimTime::ZERO,
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(20),
-            5,
-        );
-        w.run_for(SimDuration::from_secs(1));
-        assert_eq!(w.stats().data_delivered, 10);
     }
 }

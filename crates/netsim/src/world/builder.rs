@@ -247,7 +247,7 @@ impl WorldBuilder {
             ge_phases: HashMap::new(),
             controlled: self.controlled,
             phy: Phy::new(&self.phy, self.nodes),
-            walk: None,
+            streams: Vec::new(),
             receivers: Vec::new(),
             geo_hops: HashMap::new(),
         };

@@ -148,8 +148,19 @@ impl World {
         payload: Vec<u8>,
     ) -> DataPacket {
         self.next_packet_id += 1;
+        self.datagram(self.next_packet_id, src, dst, payload)
+    }
+
+    /// The datagram `id` from `src`, at the default TTL.
+    pub(super) fn datagram(
+        &self,
+        id: u64,
+        src: NodeId,
+        dst: Address,
+        payload: Vec<u8>,
+    ) -> DataPacket {
         DataPacket {
-            id: self.next_packet_id,
+            id,
             src: self.nodes[src.0].os.addr(),
             dst,
             ttl: self.default_ttl,

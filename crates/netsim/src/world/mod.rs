@@ -8,7 +8,8 @@
 //! This file holds [`World`] itself — accessors, run loop, statistics,
 //! flight recorder, agent callbacks, event dispatch; `builder` the
 //! [`WorldBuilder`]; `radio` the one radio path from a send to an arrival;
-//! `data_plane` routing steps and datagram accounting; `fault` crash,
+//! `data_plane` routing steps and datagram accounting; `stream` the inputs
+//! generated as time advances (the walk, CBR flows); `fault` crash,
 //! reboot and partition enactment; `controlled` the model checker's seam.
 
 use std::any::Any;
@@ -17,7 +18,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use simkern::{EventHandle, EventQueue, SeqBlock};
+use simkern::{EventHandle, EventQueue};
 
 use packetbb::Address;
 use phy::{Phy, TxId};
@@ -26,7 +27,6 @@ use rand::rngs::StdRng;
 use crate::agent::{ContextSample, FilterEvent, RoutingAgent};
 use crate::counter::Counters;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::mobility::Walk;
 use crate::os::{Action, NodeOs, TimerToken};
 use crate::packet::{DataPacket, Frame, NodeId};
 use crate::stats::{StatsWindow, WorldStats};
@@ -55,6 +55,7 @@ mod controlled;
 mod data_plane;
 mod fault;
 mod radio;
+mod stream;
 #[cfg(test)]
 mod tests;
 
@@ -63,6 +64,7 @@ pub use controlled::{PendingClass, PendingEvent};
 
 use data_plane::{DataDrop, SendWindow};
 use radio::PhyJob;
+use stream::Stream;
 
 #[derive(Debug, Clone)]
 enum EventKind {
@@ -83,8 +85,9 @@ enum EventKind {
         packet: DataPacket,
     },
     /// Application datagram entering the network at its scheduled send
-    /// time: accounted as sent when the event fires, so windowed stats
-    /// attribute pre-scheduled traffic to the phase in which it flows.
+    /// time ([`World::send_datagram_at`]): accounted as sent when the event
+    /// fires, so windowed stats attribute pre-scheduled traffic to the
+    /// phase in which it flows.
     DataInject {
         node: NodeId,
         packet: DataPacket,
@@ -101,9 +104,9 @@ enum EventKind {
         x: f64,
         y: f64,
     },
-    /// One step of the streamed walk: its moves, in node order, then the
-    /// next step under the walk's next reserved seq.
-    WalkStep,
+    /// The pending event of stream `i` (a walk step or a CBR datagram),
+    /// which schedules the stream's next under its next reserved seq.
+    Stream(u32),
     ContextTick {
         node: NodeId,
     },
@@ -117,14 +120,6 @@ enum EventKind {
         seq: u64,
     },
     Fault(FaultKind),
-}
-
-/// A walk the world streams, and the seqs reserved for its remaining
-/// steps.
-#[derive(Debug, Clone)]
-struct StreamedWalk {
-    walk: Walk,
-    seqs: SeqBlock,
 }
 
 /// Builds a fresh agent for a rebooting node (true cold boot). Shared, so
@@ -277,8 +272,9 @@ pub struct World {
     /// [`PhyModel::Ideal`](phy::PhyModel::Ideal), the zero-airtime case of
     /// the one radio path.
     phy: Option<Phy<PhyJob>>,
-    /// The walk installed by [`World::install_walk`], if any.
-    walk: Option<StreamedWalk>,
+    /// The inputs generated as time advances, indexed by
+    /// [`EventKind::Stream`]: the walk and the CBR flows.
+    streams: Vec<Stream>,
     /// Scratch for a broadcast's receivers, reused frame to frame.
     receivers: Vec<NodeId>,
     /// Greedy next hops answered since the topology last changed, keyed by
@@ -416,7 +412,7 @@ impl World {
     /// An independent copy of the world in exactly its current state:
     /// the same pending events under the same handles and seqs (the
     /// kernel's free list and tombstones included), topology, RNGs,
-    /// statistics, phy, walk, faults and node OSes, and each agent. Fed the
+    /// statistics, phy, streams, faults and node OSes, and each agent. Fed the
     /// same inputs, the world and its fork then run identically, and
     /// neither sees what the other does. Frames in flight are immutable, so
     /// the two share them; reboot factories are shared too.
@@ -452,7 +448,7 @@ impl World {
             ge_phases,
             controlled,
             phy,
-            walk,
+            streams,
             receivers: _,
             geo_hops,
         } = self;
@@ -487,7 +483,7 @@ impl World {
             ge_phases: ge_phases.clone(),
             controlled: *controlled,
             phy: phy.clone(),
-            walk: walk.clone(),
+            streams: streams.clone(),
             receivers: Vec::new(),
             geo_hops: geo_hops.clone(),
         })
@@ -532,28 +528,6 @@ impl World {
         self.schedule(at, EventKind::NodeMove { node, x, y });
     }
 
-    /// Streams a random-waypoint walk: one event per step applies that
-    /// step's moves in node order (each with its `NodeMove` trace record)
-    /// and schedules the next step. One seq per step is reserved now, so a
-    /// step sorts against every other event exactly where its moves would
-    /// had they all been scheduled now with
-    /// [`MoveSchedule::schedule_into`](crate::mobility::MoveSchedule::schedule_into):
-    /// the same run, holding one pending event instead of every move. The
-    /// walk's starting positions must be the topology's.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a walk is already installed.
-    pub fn install_walk(&mut self, walk: Walk) {
-        assert!(self.walk.is_none(), "the world already streams a walk");
-        let mut seqs = self.kern.reserve(walk.steps_left());
-        if let Some(at) = walk.next_at() {
-            self.kern
-                .schedule_reserved(&mut seqs, at.max(self.now), EventKind::WalkStep);
-        }
-        self.walk = Some(StreamedWalk { walk, seqs });
-    }
-
     /// Runs until simulated time `t` (inclusive of events at `t`). In
     /// controlled mode only the clock moves: events wait for the scheduler.
     pub fn run_until(&mut self, t: SimTime) {
@@ -586,10 +560,12 @@ impl World {
         Some(at)
     }
 
-    /// Number of events pending in the scheduler.
+    /// Number of events pending: those in the scheduler plus those the
+    /// streams have reserved and not yet scheduled (a CBR flow counts its
+    /// sends left, a walk its steps left).
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.kern.len()
+        self.kern.len() + self.streamed_ahead()
     }
 
     /// Statistics with per-node agent counters merged in and the snapshot
@@ -895,17 +871,7 @@ impl World {
                 );
             }
             EventKind::NodeMove { node, x, y } => self.move_node(node, x, y),
-            EventKind::WalkStep => {
-                let Some(mut stream) = self.walk.take() else {
-                    return;
-                };
-                stream.walk.step(|node, (x, y)| self.move_node(node, x, y));
-                if let Some(at) = stream.walk.next_at() {
-                    self.kern
-                        .schedule_reserved(&mut stream.seqs, at, EventKind::WalkStep);
-                }
-                self.walk = Some(stream);
-            }
+            EventKind::Stream(i) => self.fire_stream(i),
             EventKind::ContextTick { node } => {
                 if !self.nodes[node.0].crashed {
                     self.nodes[node.0].os.battery.advance_to(self.now);
@@ -929,7 +895,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
-            .field("pending_events", &self.kern.len())
+            .field("pending_events", &self.pending_events())
             .finish()
     }
 }

@@ -1044,3 +1044,31 @@ fn stats_sum_agent_counters_across_nodes() {
     assert_eq!(s.agent_counters.len(), 2);
     assert_eq!((s.agent_counter("rreq"), s.agent_counter("hello")), (7, 1));
 }
+
+#[test]
+fn a_stream_holds_one_kernel_entry_and_counts_what_it_reserved() {
+    use crate::mobility::{RandomWaypoint, Walk};
+    use crate::traffic::{install_cbr, CbrFlow};
+
+    let params = RandomWaypoint {
+        nodes: 20,
+        duration: SimDuration::from_secs(10),
+        seed: 2,
+        ..RandomWaypoint::default()
+    };
+    let mut w = World::builder()
+        .topology(crate::mobility::random_waypoint_field(params).initial)
+        .geo_routing(true)
+        .build();
+    w.install_walk(Walk::new(params));
+    let dst = w.addr(NodeId(19));
+    install_cbr(&mut w, &CbrFlow::small(NodeId(0), dst, ms(100), 20));
+    assert_eq!((w.kern.len(), w.pending_events()), (2, 10 + 20));
+    w.run_until(ms(2_050));
+    // The steps at 1 s and 2 s and the sends at 0.1 s, 0.35 s, …, 1.85 s
+    // have fired.
+    assert_eq!((w.kern.len(), w.pending_events()), (2, 8 + 12));
+    w.run_until(ms(20_000));
+    assert_eq!((w.kern.len(), w.pending_events()), (0, 0));
+    assert_eq!(w.stats().data_sent, 20);
+}

@@ -1,7 +1,8 @@
 //! The streamed random-waypoint walk against its precomputed oracle.
 //!
-//! [`World::install_walk`] keeps one event pending: each step moves the
-//! nodes and schedules the next under a seq reserved at install.
+//! [`World::install_walk`] keeps one event in the kernel: each step moves
+//! the nodes and schedules the next under a seq reserved at install.
+//! `pending_events` counts the steps left, reserved or scheduled.
 //! `random_waypoint_field(..).schedule_into` schedules every move of the
 //! same walk up front. The two must be the same run. The traffic here
 //! injects on whole seconds, the instants the walk steps, so every step
@@ -66,11 +67,7 @@ fn a_streamed_walk_is_its_precomputed_schedule() {
     let params = city();
     let mut streamed = world(params);
     streamed.install_walk(Walk::new(params));
-    assert_eq!(
-        streamed.pending_events(),
-        1,
-        "a streamed walk holds one event"
-    );
+    assert_eq!(streamed.pending_events() as u64, SECS, "steps left");
 
     let mut scheduled = world(params);
     let moves = random_waypoint_field(params);
@@ -100,12 +97,12 @@ fn a_streamed_walk_is_its_precomputed_schedule() {
 }
 
 #[test]
-fn a_walk_keeps_one_event_pending_until_its_last_step() {
+fn a_walk_counts_its_steps_left_until_its_last_step() {
     let params = city();
     let mut w = world(params);
     w.install_walk(Walk::new(params));
     w.run_until(SimTime::ZERO + SimDuration::from_millis(4_500));
-    assert_eq!(w.pending_events(), 1);
+    assert_eq!(w.pending_events() as u64, SECS - 4, "steps left");
     w.run_until(SimTime::ZERO + SimDuration::from_secs(SECS));
     assert_eq!(w.pending_events(), 0, "the last step schedules nothing");
 }

@@ -10,7 +10,7 @@
 //! simkern    — virtual clock + (time, seq)-ordered event queue   ← this crate
 //! ```
 //!
-//! It knows nothing about packets or topologies. It provides exactly three
+//! It knows nothing about packets or topologies. It provides exactly two
 //! things:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock in whole microseconds.
@@ -24,20 +24,15 @@
 //!   [`SeqBlock`] of seqs now for events scheduled later: a reserved seq
 //!   sorts where it was reserved, so a source can stream its events one
 //!   at a time in the order it would have scheduled them all at once.
-//! * [`HeapQueue`] — the textbook `BinaryHeap` scheduler with the same API
-//!   (cancellation by lazy deletion), kept only as the property-test
-//!   oracle.
 //!
 //! Any client that schedules identical events in an identical order gets an
-//! identical pop sequence — regardless of which queue implementation runs
-//! underneath, how far apart the deadlines are, or how often the clock is
-//! advanced. The property tests in `tests/` pin the two implementations to
-//! each other over arbitrary interleavings.
+//! identical pop sequence — regardless of how far apart the deadlines are
+//! or how often the clock is advanced. The property tests in `tests/` pin
+//! the wheel to a textbook `BinaryHeap` scheduler over arbitrary
+//! interleavings.
 
-mod heap;
 mod queue;
 mod time;
 
-pub use heap::HeapQueue;
 pub use queue::{EventHandle, EventQueue, SeqBlock};
 pub use time::{SimDuration, SimTime};

@@ -26,8 +26,12 @@
 //!
 //! Slot entries are 16-byte `(time, index)` pairs; payloads live in a slab
 //! indexed by `u32` (freed indices are recycled), so cascades move compact
-//! records, not event structs. Seq order is positional: slots, cascades
-//! and `due` all preserve insertion order.
+//! records, not event structs. Seq order is positional: `due` and every
+//! wheel slot hold their entries in global seq order, whatever their
+//! deadlines. A plain schedule appends the newest seq; a cascade empties a
+//! slot, in order, into lower slots that are empty for the clock's new
+//! window; overflow migration inserts each batch in seq order. So equal
+//! deadlines always pop in seq order without the hot path comparing seqs.
 //!
 //! # Cancellation
 //!
@@ -53,9 +57,10 @@
 //! a source stream its events one at a time (schedule the next when the
 //! current fires) and still pop in exactly the order it would have if it
 //! had scheduled them all at the reservation. The ordering is settled when
-//! the entry is inserted: it goes to the position its seq sorts to among
-//! the entries with its deadline, which all sit in one container (`due`,
-//! one wheel slot, or the overflow heap). Popping never reads a seq.
+//! the entry is inserted: it goes to the position its seq sorts to in its
+//! container (`due`, one wheel slot, or the overflow heap), found by a
+//! binary search over the container's seq order. Popping never reads a
+//! seq.
 //!
 //! Scheduling and popping are O(1) amortised versus O(log n) comparison-heap
 //! operations — the difference that lets 10k-node worlds with hundreds of
@@ -88,9 +93,9 @@ pub struct EventHandle {
     gen: u32,
 }
 
-/// A block of seqs taken by [`EventQueue::reserve`] (or
-/// [`HeapQueue::reserve`](crate::HeapQueue::reserve)), spent one at a time,
-/// in order, by `schedule_reserved` on the queue that issued it.
+/// A block of seqs taken by [`EventQueue::reserve`], spent one at a time,
+/// in order, by [`EventQueue::schedule_reserved`] on the queue that issued
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqBlock {
     next: u64,
@@ -125,12 +130,11 @@ impl SeqBlock {
 }
 
 /// A scheduled entry: deadline and payload index — 16 bytes, so cascades
-/// stream compact records. No sequence number: insertion order within a
-/// slot IS seq order, cascades preserve it (same-deadline entries always
-/// travel to the same lower slot together), and the one structure that
-/// genuinely reorders — the overflow heap — carries its own `(t, seq, idx)`
-/// triples and replays them back in order. No generation either (see the
-/// module docs).
+/// stream compact records. No sequence number: position within a slot IS
+/// seq order, cascades preserve it, and the one structure that genuinely
+/// reorders — the overflow heap — carries its own `(t, seq, idx)` triples
+/// and hands each migrating batch back in seq order. No generation either
+/// (see the module docs).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     t: u64,
@@ -284,8 +288,9 @@ impl<E> EventQueue<E> {
     /// Schedules `event` for `at` (clamped as in [`schedule`](Self::schedule))
     /// under `block`'s next seq: it pops after every pending event with the
     /// same deadline and a smaller seq and before every one with a larger
-    /// seq. O(entries sharing its container) rather than O(1), so it suits
-    /// a source with one event pending at a time.
+    /// seq. A binary search finds its place, and the insertion moves the
+    /// container's later entries, so it suits a source with one event
+    /// pending at a time.
     ///
     /// # Panics
     ///
@@ -567,13 +572,12 @@ impl<E> EventQueue<E> {
         self.occupied[k] |= 1 << slot;
     }
 
-    /// Places an entry scheduled under `seq` where that seq sorts among the
-    /// entries with its deadline. They all share its container: `due` for
-    /// the current instant, otherwise the one wheel slot the deadline maps
-    /// to (cascades move a slot's entries together, and a deadline enters
-    /// a lower level only by cascade). Entries with other deadlines in the
-    /// slot keep their places, so every deadline's entries stay in seq
-    /// order. The deadline must be within the wheel span.
+    /// Places an entry scheduled under `seq` where that seq sorts in its
+    /// container: `due` for the current instant, otherwise the one wheel
+    /// slot the deadline maps to. Both hold their entries in seq order (see
+    /// the module docs), so a binary search finds the place and keeps that
+    /// order; the entries sharing its deadline then pop around it by seq.
+    /// The deadline must be within the wheel span.
     fn insert_sorted(&mut self, entry: Entry, seq: u64) {
         let EventQueue {
             now,
@@ -584,7 +588,6 @@ impl<E> EventQueue<E> {
             occupied,
             ..
         } = self;
-        let after = |e: &Entry| e.t == entry.t && seqs[e.idx as usize] > seq;
         let (list, start) = if entry.t == *now {
             (due, *due_head)
         } else {
@@ -592,10 +595,8 @@ impl<E> EventQueue<E> {
             occupied[k] |= 1 << slot;
             (&mut slots[k * SLOTS + slot], 0)
         };
-        let at = list[start..]
-            .iter()
-            .position(after)
-            .map_or(list.len(), |i| start + i);
+        debug_assert!(list[start..].is_sorted_by_key(|e| seqs[e.idx as usize]));
+        let at = start + list[start..].partition_point(|e| seqs[e.idx as usize] < seq);
         list.insert(at, entry);
     }
 
@@ -645,14 +646,20 @@ impl<E> EventQueue<E> {
             }
         }
         if t >> SPAN_BITS != old >> SPAN_BITS {
-            while let Some(Reverse((et, _, _))) = self.overflow.peek() {
+            // The wheel is empty for the new span. The heap yields the batch
+            // that now fits in `(t, seq)` order; inserting it in seq order
+            // keeps every container in seq order.
+            let mut batch = Vec::new();
+            while let Some(&Reverse((et, seq, idx))) = self.overflow.peek() {
                 if et >> SPAN_BITS != t >> SPAN_BITS {
                     break;
                 }
-                let Reverse((et, _seq, idx)) = self.overflow.pop().expect("peeked");
-                // Popped in (t, seq) order, so insertion order restores the
-                // tie-break that wheel slots encode positionally.
-                self.insert_entry(Entry { t: et, idx });
+                self.overflow.pop();
+                batch.push((seq, Entry { t: et, idx }));
+            }
+            batch.sort_unstable_by_key(|&(seq, _)| seq);
+            for (_, entry) in batch {
+                self.insert_entry(entry);
             }
         }
     }
@@ -700,6 +707,7 @@ fn wheel_slot(t: u64, now: u64) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     fn at(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -1011,6 +1019,140 @@ mod tests {
         let mut block = q.reserve(1);
         q.schedule_reserved(&mut block, at(1), ());
         q.schedule_reserved(&mut block, at(2), ());
+    }
+
+    /// Pops everything, payloads only.
+    fn order<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        drain(q).into_iter().map(|(_, e)| e).collect()
+    }
+
+    #[test]
+    fn a_reserved_seq_sorts_into_a_slot_a_cascade_filled() {
+        // Deadlines `t` and `t + 9` share the level-1 slot that the level-2
+        // slot cascades into when the clock reaches 4,096, interleaved
+        // before and after the reservation.
+        let t = 64 * 64 + 64 * 3 + 7;
+        let mut q = EventQueue::new();
+        q.schedule(at(64 * 64), "clock");
+        q.schedule(at(t + 9), "other before");
+        q.schedule(at(t), "before");
+        let mut block = q.reserve(1);
+        q.schedule(at(t), "after");
+        q.schedule(at(t + 9), "other after");
+        assert_eq!(q.pop_due(SimTime::MAX), Some((at(64 * 64), "clock")));
+        assert_eq!(q.slots[SLOTS + 3].len(), 4, "the cascade filled one slot");
+        q.schedule_reserved(&mut block, at(t), "reserved");
+        assert_eq!(
+            order(&mut q),
+            ["before", "reserved", "after", "other before", "other after"]
+        );
+    }
+
+    #[test]
+    fn a_reserved_seq_sorts_into_a_slot_overflow_migration_filled() {
+        // Beyond the span the heap holds the entries in `(t, seq)` order;
+        // they migrate into one level-1 slot, where `t` and the earlier
+        // deadlines scheduled after the reservation must lie in seq order
+        // for the binary search to find the reserved entry's place.
+        let span = 1u64 << SPAN_BITS;
+        let t = span + 64 + 10;
+        let mut q = EventQueue::new();
+        q.schedule(at(span + 1), "clock");
+        q.schedule(at(t), "before");
+        let mut block = q.reserve(1);
+        for (dt, name) in [(5, "earlier"), (4, "sooner"), (3, "soon")] {
+            q.schedule(at(t - dt), name);
+        }
+        q.schedule(at(t), "after");
+        assert_eq!(q.pop_due(SimTime::MAX), Some((at(span + 1), "clock")));
+        assert_eq!(q.slots[SLOTS + 1].len(), 5, "the migration filled one slot");
+        q.schedule_reserved(&mut block, at(t), "reserved");
+        assert_eq!(
+            order(&mut q),
+            ["earlier", "sooner", "soon", "before", "reserved", "after"]
+        );
+    }
+
+    #[test]
+    fn a_reserved_seq_sorts_into_due() {
+        let mut q = EventQueue::new();
+        q.schedule(at(100), "clock");
+        q.schedule(at(100), "before");
+        let mut block = q.reserve(1);
+        q.schedule(at(100), "after");
+        assert_eq!(q.pop_due(SimTime::MAX), Some((at(100), "clock")));
+        q.schedule_reserved(&mut block, at(100), "reserved");
+        assert_eq!(order(&mut q), ["before", "reserved", "after"]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Hundreds of streams, each holding one event under a reserved
+        /// block and scheduling its next a period ahead when it fires,
+        /// their phases shuffled against their reservation order, packed
+        /// into one level-3 slot and colliding on the same microsecond,
+        /// among plain events scheduled as they fire: the pop order is
+        /// `(time, seq)`.
+        #[test]
+        fn interleaved_reserved_streams_pop_in_time_seq_order(
+            streams in 500usize..700,
+            sends in 2u64..5,
+            spread in 1u64..24_000,
+            mult in 1u64..1_000,
+            noise in proptest::collection::vec(0u64..1_000_000, 1..64),
+        ) {
+            let period = 500_000;
+            let mut q = EventQueue::new();
+            // Per tag: its `(t, seq)` (the queue's seq counter, mirrored)
+            // and the stream it belongs to, if any.
+            let mut next_seq = 0;
+            let mut keys: Vec<(u64, u64)> = Vec::new();
+            let mut owner: Vec<Option<usize>> = Vec::new();
+            let mut blocks = Vec::new();
+            for s in 0..streams {
+                if s % 97 == 0 {
+                    // A plain event between the reservations.
+                    let t = period + s as u64;
+                    q.schedule(at(t), keys.len());
+                    keys.push((t, next_seq));
+                    owner.push(None);
+                    next_seq += 1;
+                }
+                let mut block = q.reserve(sends);
+                let t = period + (s as u64 * mult % streams as u64) * spread / streams as u64;
+                q.schedule_reserved(&mut block, at(t), keys.len());
+                keys.push((t, next_seq));
+                owner.push(Some(s));
+                blocks.push((block, next_seq + 1));
+                next_seq += sends;
+            }
+            let mut popped = Vec::new();
+            while let Some((now, tag)) = q.pop_due(SimTime::MAX) {
+                let (t, _) = keys[tag];
+                prop_assert_eq!(now.as_micros(), t);
+                if let Some(s) = owner[tag] {
+                    let (block, seq) = &mut blocks[s];
+                    if block.remaining() > 0 {
+                        q.schedule_reserved(block, at(t + period), keys.len());
+                        keys.push((t + period, *seq));
+                        owner.push(Some(s));
+                        *seq += 1;
+                    }
+                }
+                if popped.len() % 3 == 0 {
+                    let t = t + noise[popped.len() % noise.len()];
+                    q.schedule(at(t), keys.len());
+                    keys.push((t, next_seq));
+                    owner.push(None);
+                    next_seq += 1;
+                }
+                popped.push(tag);
+            }
+            let mut expect: Vec<usize> = (0..keys.len()).collect();
+            expect.sort_by_key(|&tag| keys[tag]);
+            prop_assert_eq!(popped, expect);
+        }
     }
 
     /// Every pending event with its deadline, handle and payload.

@@ -1,6 +1,6 @@
 //! Property tests pinning the timing-wheel [`EventQueue`] to the reference
-//! [`HeapQueue`] over arbitrary interleavings of schedule / pop / advance /
-//! cancel.
+//! [`HeapQueue`] (defined here: the textbook `BinaryHeap` scheduler) over
+//! arbitrary interleavings of schedule / pop / advance / cancel.
 //!
 //! Both queues promise the same contract — events pop in `(time, seq)`
 //! order, the clock never runs backwards, horizons are respected, a
@@ -18,10 +18,128 @@
 //! every container — the contract that a reserved seq sorts where it was
 //! reserved.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use proptest::prelude::*;
-use simkern::{EventQueue, HeapQueue, SeqBlock, SimTime};
+use simkern::{EventQueue, SeqBlock, SimTime};
+
+/// The reference scheduler: the `(time, seq)` contract of [`EventQueue`]
+/// with `(time, seq)` keys in a comparison heap. Its handles are the
+/// events' seqs.
+///
+/// Cancellation is lazy deletion, as in dslab's `canceled_events`: the
+/// heap keeps `(t, seq)` keys, payloads wait in a map, and a cancelled key
+/// stays in the heap until it surfaces at the top, where it is discarded.
+/// The top of the heap is therefore always a live event.
+struct HeapQueue<E> {
+    now: u64,
+    seq: u64,
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    events: HashMap<u64, E>,
+}
+
+/// The heap's reserved seqs `next..end`.
+struct HeapBlock {
+    next: u64,
+    end: u64,
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue {
+            now: 0,
+            seq: 0,
+            heap: BinaryHeap::new(),
+            events: HashMap::new(),
+        }
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.now)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    fn schedule(&mut self, at: SimTime, event: E) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.schedule_as(seq, at, event)
+    }
+
+    fn reserve(&mut self, n: u64) -> HeapBlock {
+        let block = HeapBlock {
+            next: self.seq,
+            end: self.seq + n,
+        };
+        self.seq += n;
+        block
+    }
+
+    fn schedule_reserved(&mut self, block: &mut HeapBlock, at: SimTime, event: E) -> u64 {
+        assert!(block.next < block.end, "the seq block is spent");
+        block.next += 1;
+        self.schedule_as(block.next - 1, at, event)
+    }
+
+    /// Schedules `event` for `at`, clamped to the current time, under `seq`.
+    fn schedule_as(&mut self, seq: u64, at: SimTime, event: E) -> u64 {
+        let t = at.as_micros().max(self.now);
+        self.heap.push(Reverse((t, seq)));
+        self.events.insert(seq, event);
+        seq
+    }
+
+    fn cancel(&mut self, handle: u64) -> Option<E> {
+        let event = self.events.remove(&handle)?;
+        self.discard_cancelled_top();
+        Some(event)
+    }
+
+    fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let &Reverse((t, seq)) = self.heap.peek()?;
+        if t > limit.as_micros() {
+            return None;
+        }
+        self.heap.pop();
+        self.now = t;
+        let event = self.events.remove(&seq).expect("the heap's top is live");
+        self.discard_cancelled_top();
+        Some((SimTime::from_micros(t), event))
+    }
+
+    fn discard_cancelled_top(&mut self) {
+        while let Some(Reverse((_, seq))) = self.heap.peek() {
+            if self.events.contains_key(seq) {
+                return;
+            }
+            self.heap.pop();
+        }
+    }
+
+    fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t.as_micros());
+    }
+}
+
+/// A block of reserved seqs, of either queue.
+trait Block {
+    fn remaining(&self) -> u64;
+}
+
+impl Block for SeqBlock {
+    fn remaining(&self) -> u64 {
+        SeqBlock::remaining(self)
+    }
+}
+
+impl Block for HeapBlock {
+    fn remaining(&self) -> u64 {
+        self.end - self.next
+    }
+}
 
 /// When a scheduled event is due.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +224,7 @@ macro_rules! run_program {
         let mut log: Vec<Seen> = Vec::new();
         let mut handles = Vec::new();
         let mut deadlines: Vec<u64> = Vec::new();
-        let mut blocks: Vec<SeqBlock> = Vec::new();
+        let mut blocks = Vec::new();
         for op in $ops {
             match *op {
                 Op::Schedule { when, block } => {
@@ -170,7 +288,7 @@ fn deadline(now: u64, when: When, deadlines: &[u64]) -> u64 {
 }
 
 /// The `pick`-th (modulo their number) of the blocks with a seq left.
-fn open_block(blocks: &mut [SeqBlock], pick: usize) -> Option<&mut SeqBlock> {
+fn open_block<B: Block>(blocks: &mut [B], pick: usize) -> Option<&mut B> {
     let open = blocks.iter().filter(|b| b.remaining() > 0).count();
     if open == 0 {
         return None;
