@@ -3,12 +3,13 @@
 use std::collections::HashMap;
 
 use packetbb::Address;
-use phy::{Phy, PhyModel};
+use phy::PhyModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simkern::EventQueue;
 
 use super::data_plane::SendWindow;
+use super::radio::PhyChannel;
 use super::{AgentSlot, EventKind, NodeSlot, World};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::os::{BatteryModel, NodeOs};
@@ -246,7 +247,7 @@ impl WorldBuilder {
             dedupe_delivery,
             ge_phases: HashMap::new(),
             controlled: self.controlled,
-            phy: Phy::new(&self.phy, self.nodes),
+            phy: PhyChannel::new(&self.phy, self.nodes),
             streams: Vec::new(),
             receivers: Vec::new(),
             geo_hops: HashMap::new(),

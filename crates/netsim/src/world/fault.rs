@@ -62,19 +62,13 @@ impl World {
         for id in dropped {
             self.sent_at.settle(id);
         }
-        // The radio dies with the node: flush its transmit queue and abort
-        // any in-flight serialization (surviving transmitters may speed up,
-        // hence the rescheduled deadlines). The aborted transmission's old
-        // completion event arrives stale and is ignored.
-        if let Some(phy) = self.phy.as_mut() {
-            let (waiting, aborted, rescheds) = phy.flush_node(now, node.0);
-            self.schedule_phy(rescheds);
-            for job in waiting.into_iter().chain(aborted) {
-                match job {
-                    PhyJob::Data { packet, .. } => self.drop_data(node, &packet, DataDrop::CRASH),
-                    PhyJob::Broadcast { .. } | PhyJob::Unicast { .. } => {
-                        self.stats.control_lost += 1;
-                    }
+        // The radio dies with the node.
+        let (waiting, aborted) = self.flush_radio(node);
+        for job in waiting.into_iter().chain(aborted) {
+            match job {
+                PhyJob::Data { packet, .. } => self.drop_data(node, &packet, DataDrop::CRASH),
+                PhyJob::Broadcast { .. } | PhyJob::Unicast { .. } => {
+                    self.stats.control_lost += 1;
                 }
             }
         }

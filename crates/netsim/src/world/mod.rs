@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use simkern::{EventHandle, EventQueue};
 
 use packetbb::Address;
-use phy::{Phy, TxId};
+use phy::TxId;
 use rand::rngs::StdRng;
 
 use crate::agent::{ContextSample, FilterEvent, RoutingAgent};
@@ -63,7 +63,7 @@ pub use builder::WorldBuilder;
 pub use controlled::{PendingClass, PendingEvent};
 
 use data_plane::{DataDrop, SendWindow};
-use radio::PhyJob;
+use radio::{PhyChannel, PhyJob};
 use stream::Stream;
 
 #[derive(Debug, Clone)]
@@ -110,11 +110,10 @@ enum EventKind {
     ContextTick {
         node: NodeId,
     },
-    /// A phy-layer transmission finishes serializing onto the air. Stale
-    /// when `seq` no longer matches the engine's (the completion deadline
-    /// moved after a fair-share rate reallocation, or a crash flushed the
-    /// transmitter): stale events are ignored on arrival (see
-    /// `World::schedule_phy` for why they are not cancelled).
+    /// A phy-layer transmission finishes serializing onto the air. Always
+    /// current: when a fair-share rate reallocation moves the deadline, or
+    /// a crash aborts the frame, the event is cancelled (see
+    /// `World::schedule_phy`).
     PhyComplete {
         tx: TxId,
         seq: u64,
@@ -268,10 +267,10 @@ pub struct World {
     /// never fires an event by itself; an external scheduler (the `mcheck`
     /// model checker) picks from the kernel's pending events.
     controlled: bool,
-    /// The channel engine for non-ideal phy models; `None` under
-    /// [`PhyModel::Ideal`](phy::PhyModel::Ideal), the zero-airtime case of
-    /// the one radio path.
-    phy: Option<Phy<PhyJob>>,
+    /// The channel engine for non-ideal phy models, with its deadlines'
+    /// events; `None` under [`PhyModel::Ideal`](phy::PhyModel::Ideal), the
+    /// zero-airtime case of the one radio path.
+    phy: Option<PhyChannel>,
     /// The inputs generated as time advances, indexed by
     /// [`EventKind::Stream`]: the walk and the CBR flows.
     streams: Vec<Stream>,
@@ -412,10 +411,11 @@ impl World {
     /// An independent copy of the world in exactly its current state:
     /// the same pending events under the same handles and seqs (the
     /// kernel's free list and tombstones included), topology, RNGs,
-    /// statistics, phy, streams, faults and node OSes, and each agent. Fed the
-    /// same inputs, the world and its fork then run identically, and
-    /// neither sees what the other does. Frames in flight are immutable, so
-    /// the two share them; reboot factories are shared too.
+    /// statistics, phy (with the handles of its deadlines), streams, faults
+    /// and node OSes, and each agent. Fed the same inputs, the world and
+    /// its fork then run identically, and neither sees what the other does.
+    /// Frames in flight are immutable, so the two share them; reboot
+    /// factories are shared too.
     ///
     /// Agents are copy-on-write: the two worlds share an agent until one of
     /// them writes it, and that one then copies it through

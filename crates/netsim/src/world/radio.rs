@@ -24,8 +24,9 @@
 //!   drains the sender's battery on the ideal channel only.
 
 use packetbb::Address;
-use phy::{Enqueue as PhyEnqueue, Resched as PhyResched, TxId};
+use phy::{Enqueue as PhyEnqueue, Phy, PhyModel, Resched as PhyResched, TxId};
 use rand::Rng;
+use simkern::EventHandle;
 
 use super::builder::node_address;
 use super::{DataDrop, EventKind, World};
@@ -63,6 +64,27 @@ impl PhyJob {
             PhyJob::Broadcast { .. } => None,
             PhyJob::Unicast { nb, .. } | PhyJob::Data { nb, .. } => Some(*nb),
         }
+    }
+}
+
+/// The channel engine of a non-ideal phy model, with the kernel event of
+/// each node's pending completion deadline: a node has at most one frame on
+/// the air, so at most one deadline. A deadline the engine reissues cancels
+/// the event it supersedes, and so does a crash that aborts the frame, so
+/// the kernel never holds a stale `PhyComplete`.
+#[derive(Clone)]
+pub(super) struct PhyChannel {
+    engine: Phy<PhyJob>,
+    deadlines: Vec<Option<EventHandle>>,
+}
+
+impl PhyChannel {
+    /// The channel for `model` over `nodes` nodes; `None` for the ideal one.
+    pub(super) fn new(model: &PhyModel, nodes: usize) -> Option<Self> {
+        Some(PhyChannel {
+            engine: Phy::new(model, nodes)?,
+            deadlines: vec![None; nodes],
+        })
     }
 }
 
@@ -145,7 +167,7 @@ impl World {
             };
         };
         let domains = contention_domains(&self.topo, node, job.peer());
-        let (outcome, rescheds) = phy.enqueue(self.now, node.0, domains, wire, job);
+        let (outcome, rescheds) = phy.engine.enqueue(self.now, node.0, domains, wire, job);
         self.schedule_phy(rescheds);
         match outcome {
             PhyEnqueue::Dropped(job) => {
@@ -169,22 +191,46 @@ impl World {
         }
     }
 
-    /// Schedules completion deadlines issued by the phy engine. Every rate
-    /// reallocation bumps the affected transmission's sequence number and
-    /// reissues its deadline; superseded deadlines arrive stale and are
-    /// ignored. They are not cancelled: the engine's `(tx, seq)` contract
-    /// is what `Phy::complete` checks, and callers that drive the engine
-    /// without a world (the benchmark's phy micro-drive) rely on it.
+    /// Schedules completion deadlines issued by the phy engine. A deadline
+    /// the engine reissues (the transmission's rate changed and its finish
+    /// moved) supersedes the node's pending one, which is cancelled here,
+    /// so no superseded deadline is ever popped. The engine's `(tx, seq)`
+    /// check stays what `Phy::complete` answers by, for callers that drive
+    /// it without cancelling (the benchmark's phy micro-drive).
     pub(super) fn schedule_phy(&mut self, rescheds: Vec<PhyResched>) {
-        for PhyResched { tx, seq, at } in rescheds {
-            self.schedule(at, EventKind::PhyComplete { tx, seq });
+        let Some(phy) = self.phy.as_mut() else {
+            return;
+        };
+        for PhyResched { tx, node, seq, at } in rescheds {
+            if let Some(superseded) = phy.deadlines[node].take() {
+                let pending = self.kern.cancel(superseded);
+                debug_assert!(pending.is_some(), "node {node}'s deadline already fired");
+            }
+            let event = EventKind::PhyComplete { tx, seq };
+            phy.deadlines[node] = Some(self.kern.schedule(at.max(self.now), event));
         }
+    }
+
+    /// The radio dies with `node`: its transmit queue is flushed and the
+    /// frame on the air aborted, its completion deadline cancelled.
+    /// Returns the waiting frames and the aborted one; transmitters that
+    /// shared the air may speed up, hence the rescheduled deadlines.
+    pub(super) fn flush_radio(&mut self, node: NodeId) -> (Vec<PhyJob>, Option<PhyJob>) {
+        let Some(phy) = self.phy.as_mut() else {
+            return (Vec::new(), None);
+        };
+        let (waiting, aborted, rescheds) = phy.engine.flush_node(self.now, node.0);
+        if let Some(deadline) = phy.deadlines[node.0].take() {
+            self.kern.cancel(deadline);
+        }
+        self.schedule_phy(rescheds);
+        (waiting, aborted)
     }
 
     /// A transmission starts occupying the air and is charged now (a
     /// queued frame that never transmits costs nothing).
     fn phy_tx_start(&mut self, node: NodeId, tx: TxId) {
-        let Some(job) = self.phy.as_ref().and_then(|p| p.payload(tx)) else {
+        let Some(job) = self.phy.as_ref().and_then(|p| p.engine.payload(tx)) else {
             return;
         };
         let wire = job.wire_len();
@@ -196,18 +242,23 @@ impl World {
         tr!(self, node, PhyTx, "phy", tx, wire);
     }
 
-    /// A serialization deadline fires. If it is current (the sequence
-    /// matches), the frame leaves the sender's radio and its radio fate —
-    /// reachability, Gilbert–Elliott loss, frame chaos, propagation delay —
-    /// is decided now.
+    /// A serialization deadline fires: the frame leaves the sender's radio
+    /// and its radio fate — reachability, Gilbert–Elliott loss, frame chaos,
+    /// propagation delay — is decided now. Superseded deadlines were
+    /// cancelled, so the one that fires is always current.
     pub(super) fn phy_complete(&mut self, tx: TxId, seq: u64) {
-        let Some((done, rescheds)) = self
-            .phy
-            .as_mut()
-            .and_then(|p| p.complete(self.now, tx, seq))
-        else {
-            return; // stale deadline superseded by a reallocation or crash
+        let Some(phy) = self.phy.as_mut() else {
+            return;
         };
+        let completed = phy.engine.complete(self.now, tx, seq);
+        debug_assert!(
+            completed.is_some(),
+            "a superseded deadline fired: {tx}/{seq}"
+        );
+        let Some((done, rescheds)) = completed else {
+            return;
+        };
+        phy.deadlines[done.node] = None;
         self.schedule_phy(rescheds);
         self.stats.phy_frames_tx += 1;
         self.stats.phy_airtime_us += done.airtime.as_micros();

@@ -317,3 +317,55 @@ fn crash_flushes_the_transmit_queue_without_leaking_sends() {
     );
     assert_eq!(s.phy_frames_tx, 1, "the aborted frame never completed");
 }
+
+/// A crash aborts a frame mid-air on a contended shared channel. The
+/// aborted frame's completion deadline is cancelled with it, and the
+/// survivor's deadline, moved by the freed airtime, replaces its own: the
+/// kernel holds exactly one deadline afterwards. Under the debug profile
+/// `World::phy_complete` also asserts that every deadline it pops is
+/// current, so a deadline left behind fails the run itself.
+#[test]
+fn a_crash_mid_air_cancels_the_aborted_deadline() {
+    // 144-byte frames at 115 200 bit/s take 10 ms alone, 20 ms shared.
+    let mut world = World::builder()
+        .nodes(3)
+        .topology(Topology::full(3))
+        .link_model(quiet_link())
+        .seed(7)
+        .phy(PhyModel::SharedAirtime(Channel {
+            bits_per_sec: 115_200,
+            queue_frames: 8,
+        }))
+        .fault_plan(
+            FaultPlan::builder(1)
+                .crash(SimTime::ZERO + SimDuration::from_millis(25), NodeId(0))
+                .build(),
+        )
+        .build();
+    let dst = world.addr(NodeId(2));
+    for src in [NodeId(0), NodeId(1)] {
+        world
+            .os_mut(src)
+            .route_table_mut()
+            .add_host_route(dst, dst, 1);
+        for _ in 0..4 {
+            world.send_datagram_at(SimTime::ZERO, src, dst, vec![0u8; PAYLOAD]);
+        }
+    }
+    // Both first frames finish together at 20 ms and both second frames
+    // start; node 0's is aborted 5 ms in, with two more queued behind it.
+    world.run_until(SimTime::ZERO + SimDuration::from_millis(25));
+    assert_eq!(world.pending_events(), 1, "only node 1's deadline is left");
+    world.run_for(SimDuration::from_secs(1));
+    let s = world.stats();
+    assert_eq!(s.data_dropped_crash, 3, "the aborted frame and two queued");
+    assert_eq!((s.data_delivered, s.phy_frames_tx), (5, 5));
+    // Node 1's second frame drained a quarter of its bits at half rate,
+    // the rest at full rate: it leaves at 32.5 ms, the next two 10 ms apart.
+    assert_eq!(
+        s.delivery_latencies_us,
+        vec![20_800, 20_800, 33_300, 43_300, 53_300]
+    );
+    assert_eq!(world.pending_events(), 0);
+    assert_eq!(world.outstanding_sends(), 0);
+}

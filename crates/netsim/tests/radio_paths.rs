@@ -229,14 +229,20 @@ fn golden_ideal_channel_burst_loss() {
     );
 }
 
+// The two channel-model goldens were re-pinned when the engine stopped
+// re-deriving deadlines at unchanged rates: a frame's deadline no longer
+// wobbles by a microsecond at every other frame's start and finish. Under
+// i.i.d. loss only timing moved (11 latencies 0–4 µs earlier, 90 µs less
+// airtime over 956 frames); under burst loss the Gilbert–Elliott draws then
+// meet a different event order, and the run diverges from there.
 #[test]
 fn golden_constant_bandwidth_iid_loss() {
     let world = busy_world(iid(), narrow_band());
     assert_golden(
         "constant/iid",
         &world,
-        0x08b2_04fe_1a41_7025,
-        0x9e13_1e63_76c8_2b76,
+        0xb97e_7097_31ca_850b,
+        0xc081_89c2_b1bb_ba01,
     );
 }
 
@@ -246,8 +252,8 @@ fn golden_constant_bandwidth_burst_loss() {
     assert_golden(
         "constant/burst",
         &world,
-        0xbf87_f533_4850_969e,
-        0x67e6_0560_5b0d_2351,
+        0xd184_e732_0ee7_c304,
+        0x2606_7859_d513_ae42,
     );
 }
 

@@ -10,9 +10,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use netsim::fault::FaultPlan;
 use netsim::{
-    DataPacket, FilterEvent, NodeId, NodeOs, PendingClass, PendingEvent, RoutingAgent, SimDuration,
-    Topology, World,
+    Channel, DataPacket, FilterEvent, NodeId, NodeOs, PendingClass, PendingEvent, PhyModel,
+    RoutingAgent, SimDuration, SimTime, Topology, World,
 };
 use packetbb::Address;
 
@@ -169,6 +170,55 @@ fn what_a_fork_does_leaves_its_parent_untouched() {
     world.force_crash(NodeId(2));
     choose(&mut world, 9);
     assert_eq!(snapshot(&fork), forked, "the parent moved on");
+}
+
+/// Four agentless senders share one airtime domain at 115.2 kb/s (a
+/// 144-byte frame takes 10 ms alone); node 1 crashes at 75 ms with a frame
+/// on the air and more queued.
+fn contended_air() -> World {
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    let builder = World::builder()
+        .topology(Topology::full(5))
+        .seed(3)
+        .phy(PhyModel::SharedAirtime(Channel {
+            bits_per_sec: 115_200,
+            queue_frames: 4,
+        }))
+        .fault_plan(FaultPlan::builder(9).crash(ms(75), NodeId(1)).build());
+    #[cfg(feature = "trace")]
+    let builder = builder.trace(1 << 10);
+    let mut world = builder.build();
+    let dst = world.addr(NodeId(4));
+    for src in 0..4 {
+        let os = world.os_mut(NodeId(src));
+        os.route_table_mut().add_host_route(dst, dst, 1);
+        for k in 0..6 {
+            let at = ms(k * 7 + src as u64 * 2);
+            world.send_datagram_at(at, NodeId(src), dst, vec![0; 100]);
+        }
+    }
+    world
+}
+
+#[test]
+fn a_fork_mid_contention_on_shared_airtime_runs_on_identically() {
+    let mut world = contended_air();
+    world.run_until(SimTime::ZERO + SimDuration::from_millis(52));
+    assert!(world.stats().phy_frames_tx > 0, "frames have left the air");
+    // The fork holds the handles of the original's pending deadlines, so
+    // each deadline it reissues cancels its own copy of the old event (a
+    // superseded deadline that fired would trip `World::phy_complete`'s
+    // debug assertion).
+    let mut fork = world.fork().expect("agentless worlds fork");
+    assert_eq!(fork.pending_events(), world.pending_events());
+    for w in [&mut world, &mut fork] {
+        w.run_for(SimDuration::from_secs(2));
+    }
+    let (ours, theirs) = (world.stats().canonical(), fork.stats().canonical());
+    assert_eq!(ours.first_difference(&theirs), None);
+    assert!(ours.data_dropped_crash > 0, "{ours:?}");
+    #[cfg(feature = "trace")]
+    assert_eq!(fork.trace_jsonl(), world.trace_jsonl());
 }
 
 #[test]

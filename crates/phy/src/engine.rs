@@ -28,12 +28,13 @@
 //! both halves hang off the finished transmission's domains, so both are
 //! refilled) and every other transmission keeps the rate it has.
 //!
-//! What is *not* local is the deadline pass: residual work is an `f64`
-//! advanced to `now` at every operation, and `ceil(remaining / rate)` taken
-//! from a different `now` can land one microsecond away even when the rate
-//! did not change. Every operation therefore re-derives the deadline of
-//! every transmission on the air, in ascending [`TxId`] order; see
-//! [`Resched`].
+//! Deadlines are local too. Each transmission keeps its residual work as of
+//! its own last settle, and is settled — at the rate it held — only when its
+//! rate changes. So an operation re-derives the deadline of exactly two
+//! kinds of transmission: the one it started, and each one whose rate the
+//! refill changed bitwise. Every other deadline stands to the microsecond,
+//! and under [`PhyModel::ConstantBandwidth`] an operation issues at most the
+//! starting frame's deadline; see [`Resched`].
 //!
 //! # State
 //!
@@ -43,8 +44,8 @@
 //! [`TxId`] order. Domain ids are mapped to dense slots the first time they
 //! are seen and each transmission remembers its slots, so the filling loop
 //! does no lookup. Determinism rests on two orders only: transmissions are
-//! always visited by ascending [`TxId`], and bottleneck candidates by
-//! ascending domain id.
+//! frozen and reported by ascending [`TxId`], and the bottleneck is the
+//! domain with the least headroom, ties going to the lowest domain id.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -58,20 +59,25 @@ pub type TxId = u64;
 /// A deadline (re)issued for an in-flight transmission.
 ///
 /// The caller schedules a completion event at `at` carrying `(tx, seq)`; an
-/// event whose `seq` no longer matches the engine's is stale and must be
-/// ignored (the rate changed and a newer deadline exists).
+/// event whose `seq` no longer matches the engine's is superseded, and
+/// [`Phy::complete`] ignores it (the rate changed and a newer deadline
+/// exists). A caller that keeps one event per transmitting `node` can
+/// instead cancel the superseded one when the new deadline arrives, so that
+/// nothing stale is ever popped.
 ///
-/// Deadlines are re-derived for *every* transmission on the air at *every*
-/// start, finish and abort, from residual work settled to that instant in
-/// floating point. A transmission whose rate did not change — under
-/// [`PhyModel::ConstantBandwidth`] that is every one of them — can therefore
-/// still see its deadline move by one microsecond of rounding, and gets a
-/// `Resched` when it does. A batch lists its entries in ascending [`TxId`]
-/// order.
+/// A deadline is issued when a transmission starts, and reissued only when
+/// a start, finish or abort changes the transmission's rate (bitwise) and
+/// so moves its finish: the residual work is settled at the old rate up to
+/// that instant and the deadline derived from it at the new one. A
+/// transmission whose rate did not change keeps its deadline exactly —
+/// under [`PhyModel::ConstantBandwidth`] that is every one but the frame
+/// that starts. A batch lists its entries in ascending [`TxId`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resched {
     /// Transmission the deadline belongs to.
     pub tx: TxId,
+    /// The node transmitting it: a node has at most one deadline pending.
+    pub node: usize,
     /// Sequence number that must match at completion time.
     pub seq: u64,
     /// When the transmission now finishes.
@@ -141,10 +147,14 @@ struct Radio<T> {
 /// data, one per node, meaningful only while the node is in `Phy::order`.
 #[derive(Clone, Copy)]
 struct Air {
+    tx: TxId,
     /// Dense slots of the transmission's domains; equal for a single domain.
     slots: (u32, u32),
-    /// Residual work as of `Phy::settled_at`.
+    /// Residual work as of `settled_at`, the last time the rate changed.
     remaining_bits: f64,
+    settled_at: SimTime,
+    /// The rate held since `settled_at`; zero under shared airtime until
+    /// the first refill gives it a share.
     rate_bps: f64,
     seq: u64,
     deadline: SimTime,
@@ -154,13 +164,29 @@ struct Air {
 
 impl Air {
     const IDLE: Air = Air {
+        tx: 0,
         slots: (0, 0),
         remaining_bits: 0.0,
+        settled_at: SimTime::ZERO,
         rate_bps: 0.0,
         seq: 0,
         deadline: SimTime::MAX,
         unfrozen: false,
     };
+
+    /// Gives the transmission `rate`. A different rate (bitwise) first
+    /// settles the residual work at the old one, up to `now`; returns
+    /// whether the rate changed, and so the deadline must be derived anew.
+    fn rerate(&mut self, now: SimTime, rate: f64) -> bool {
+        if rate.to_bits() == self.rate_bps.to_bits() {
+            return false;
+        }
+        let dt = now.since(self.settled_at).as_secs_f64();
+        self.remaining_bits = (self.remaining_bits - self.rate_bps * dt).max(0.0);
+        self.settled_at = now;
+        self.rate_bps = rate;
+        true
+    }
 }
 
 /// A contention domain: its members and the progressive-filling scratch.
@@ -173,8 +199,19 @@ struct Domain {
     epoch: u64,
     frozen_sum: f64,
     unfrozen: u32,
-    /// `(capacity − frozen_sum).max(0) / unfrozen`, kept current.
-    headroom: f64,
+    /// Index in `Phy::component` during a refill.
+    pos: u32,
+}
+
+impl Domain {
+    /// The domain's bottleneck key: its headroom per unfrozen transmitter,
+    /// `(capacity − frozen_sum).max(0) / unfrozen`, then its id, as one
+    /// integer — a headroom is never negative, so its bits order as it
+    /// does.
+    fn key(&self, capacity_bps: f64) -> u128 {
+        let headroom = (capacity_bps - self.frozen_sum).max(0.0) / f64::from(self.unfrozen);
+        (u128::from(headroom.to_bits()) << 32) | u128::from(self.id)
+    }
 }
 
 /// Deterministic shared-rate transmission engine. See the crate docs.
@@ -192,14 +229,18 @@ pub struct Phy<T> {
     /// Domain id → index into `domains`, assigned on first sight.
     slot_of: BTreeMap<u32, u32>,
     next_tx: TxId,
-    /// When residual work was last advanced: the last start, finish or abort.
-    settled_at: SimTime,
     epoch: u64,
     /// Slots whose membership changed since the last refill.
     touched: Vec<u32>,
-    /// Scratch: gather stack, then the component's slots by ascending id.
+    /// Scratch: gather stack, then the component's slots and beside them
+    /// their bottleneck keys.
     stack: Vec<u32>,
     component: Vec<u32>,
+    keys: Vec<u128>,
+    /// `(tx, node)` of the transmissions whose deadline the running
+    /// operation must derive anew: the one it started and those whose rate
+    /// changed.
+    rerated: Vec<(TxId, u32)>,
 }
 
 impl<T> Phy<T> {
@@ -224,11 +265,12 @@ impl<T> Phy<T> {
             domains: Vec::new(),
             slot_of: BTreeMap::new(),
             next_tx: 0,
-            settled_at: SimTime::ZERO,
             epoch: 0,
             touched: Vec::new(),
             stack: Vec::new(),
             component: Vec::new(),
+            keys: Vec::new(),
+            rerated: Vec::new(),
         };
         phy.ensure_nodes(nodes);
         phy
@@ -322,15 +364,14 @@ impl<T> Phy<T> {
             let depth = radio.queue.len();
             return (Enqueue::Queued { depth }, Vec::new());
         }
-        self.settle(now);
         let tx = self.start(now, node, frame);
         (Enqueue::Started(tx), self.reallocate(now))
     }
 
     /// Handles a completion event for `(tx, seq)` at time `now`.
     ///
-    /// Returns `None` when the event is stale (the deadline moved after it
-    /// was scheduled, or the transmission was flushed by a crash).
+    /// Returns `None` when the event is superseded (the deadline moved after
+    /// it was scheduled, or the transmission was flushed by a crash).
     pub fn complete(
         &mut self,
         now: SimTime,
@@ -341,7 +382,6 @@ impl<T> Phy<T> {
         if self.air[node].seq != seq {
             return None;
         }
-        self.settle(now);
         let done = self.finish(pos, node)?;
         let next = self.radios[node].queue.pop_front();
         let started = next.map(|w| self.start(now, node, w));
@@ -371,7 +411,6 @@ impl<T> Phy<T> {
         let Some((pos, _)) = on_air.and_then(|tx| self.locate(tx)) else {
             return (waiting, None, Vec::new());
         };
-        self.settle(now);
         let aborted = self.finish(pos, node).map(|f| f.payload);
         (waiting, aborted, self.reallocate(now))
     }
@@ -385,7 +424,7 @@ impl<T> Phy<T> {
                 epoch: 0,
                 frozen_sum: 0.0,
                 unfrozen: 0,
-                headroom: 0.0,
+                pos: 0,
             });
             (self.domains.len() - 1) as u32
         })
@@ -393,22 +432,24 @@ impl<T> Phy<T> {
 
     /// Puts a frame on `node`'s idle transmitter. Ids are issued in
     /// ascending order, so appending keeps `order` and the member lists
-    /// sorted. `reallocate` issues the rate (under shared airtime) and the
-    /// deadline.
+    /// sorted. Under shared airtime the refill gives it its rate and queues
+    /// it in `rerated`; `reallocate` then issues its deadline.
     fn start(&mut self, now: SimTime, node: usize, frame: Waiting<T>) -> TxId {
         let tx = self.next_tx;
         self.next_tx += 1;
         let (a, b) = frame.domains;
         let first = self.slot(a);
         let slots = (first, if b == a { first } else { self.slot(b) });
-        for slot in distinct(slots) {
+        each_domain(slots, |slot| {
             self.domains[slot as usize].members.push(node as u32);
             self.touched.push(slot);
-        }
+        });
         self.order.push((tx, node as u32));
         self.air[node] = Air {
+            tx,
             slots,
             remaining_bits: (frame.wire_bytes.max(1) * 8) as f64,
+            settled_at: now,
             rate_bps: if self.shared {
                 0.0
             } else {
@@ -416,6 +457,9 @@ impl<T> Phy<T> {
             },
             ..Air::IDLE
         };
+        if !self.shared {
+            self.rerated.push((tx, node as u32));
+        }
         self.radios[node].on_air = Some(OnAir {
             tx,
             payload: frame.payload,
@@ -430,56 +474,50 @@ impl<T> Phy<T> {
     fn finish(&mut self, pos: usize, node: usize) -> Option<OnAir<T>> {
         let done = self.radios[node].on_air.take()?;
         self.order.remove(pos);
-        for slot in distinct(self.air[node].slots) {
+        each_domain(self.air[node].slots, |slot| {
             let members = &mut self.domains[slot as usize].members;
             members.retain(|&n| n as usize != node);
             self.touched.push(slot);
-        }
+        });
         Some(done)
     }
 
-    /// Advances every transmission's residual work to `now`, at the rate it
-    /// has held since the last call. Runs before an operation changes who is
-    /// on the air, so everyone's residual is as of the same instant.
-    fn settle(&mut self, now: SimTime) {
-        let dt = now.since(self.settled_at).as_secs_f64();
-        self.settled_at = now;
-        if dt > 0.0 {
-            for &(_, node) in &self.order {
-                let a = &mut self.air[node as usize];
-                a.remaining_bits = (a.remaining_bits - a.rate_bps * dt).max(0.0);
-            }
-        }
-    }
-
-    /// Refills the touched components and reissues every deadline that
-    /// moved, in ascending [`TxId`] order.
+    /// Refills the touched components, then derives the deadline of every
+    /// transmission the operation started or rerated and reissues those
+    /// that moved, in ascending [`TxId`] order.
     fn reallocate(&mut self, now: SimTime) -> Vec<Resched> {
         if self.shared {
             self.gather();
-            self.fill();
+            self.fill(now);
         }
         self.touched.clear();
-        let mut out = Vec::with_capacity(self.order.len());
-        for &(tx, node) in &self.order {
+        self.rerated.sort_unstable_by_key(|&(tx, _)| tx);
+        let mut out = Vec::with_capacity(self.rerated.len());
+        for (tx, node) in self.rerated.drain(..) {
             let a = &mut self.air[node as usize];
             let finish_us = (a.remaining_bits / a.rate_bps * 1e6).ceil() as u64;
             let at = now + SimDuration::from_micros(finish_us);
             if at != a.deadline {
                 a.seq += 1;
                 a.deadline = at;
-                out.push(Resched { tx, seq: a.seq, at });
+                out.push(Resched {
+                    tx,
+                    node: node as usize,
+                    seq: a.seq,
+                    at,
+                });
             }
         }
         out
     }
 
     /// Collects into `component` every domain connected to a touched one,
-    /// by ascending id, with its filling scratch reset, and marks the
+    /// with its filling scratch reset and its key in `keys`, and marks the
     /// transmissions in them unfrozen.
     fn gather(&mut self) {
         self.epoch += 1;
         self.component.clear();
+        self.keys.clear();
         for &slot in &self.touched {
             let d = &mut self.domains[slot as usize];
             if d.epoch != self.epoch {
@@ -487,80 +525,104 @@ impl<T> Phy<T> {
                 self.stack.push(slot);
             }
         }
-        while let Some(slot) = self.stack.pop() {
-            let members = std::mem::take(&mut self.domains[slot as usize].members);
+        let Phy {
+            air,
+            domains,
+            epoch,
+            stack,
+            component,
+            keys,
+            capacity_bps,
+            ..
+        } = self;
+        while let Some(slot) = stack.pop() {
+            let members = std::mem::take(&mut domains[slot as usize].members);
             for &n in &members {
-                let a = &mut self.air[n as usize];
+                let a = &mut air[n as usize];
                 a.unfrozen = true;
-                for other in distinct(a.slots) {
-                    let d = &mut self.domains[other as usize];
-                    if d.epoch != self.epoch {
-                        d.epoch = self.epoch;
-                        self.stack.push(other);
+                each_domain(a.slots, |other| {
+                    let d = &mut domains[other as usize];
+                    if d.epoch != *epoch {
+                        d.epoch = *epoch;
+                        stack.push(other);
                     }
-                }
+                });
             }
-            let d = &mut self.domains[slot as usize];
+            let d = &mut domains[slot as usize];
             d.members = members;
             if !d.members.is_empty() {
                 d.frozen_sum = 0.0;
                 d.unfrozen = d.members.len() as u32;
-                d.headroom = headroom(self.capacity_bps, 0.0, d.unfrozen);
-                self.component.push(slot);
+                d.pos = component.len() as u32;
+                component.push(slot);
+                keys.push(d.key(*capacity_bps));
             }
         }
-        let domains = &self.domains;
-        self.component
-            .sort_unstable_by_key(|&slot| domains[slot as usize].id);
     }
 
-    /// Max-min fair shares by progressive filling over `component`.
-    fn fill(&mut self) {
-        loop {
+    /// Max-min fair shares by progressive filling over `component`; every
+    /// transmission whose rate changes is settled and queued in `rerated`.
+    /// A domain leaves `component` and `keys` once every transmitter in it
+    /// has its share.
+    fn fill(&mut self, now: SimTime) {
+        while !self.keys.is_empty() {
             // Bottleneck domain: smallest headroom per unfrozen transmitter,
-            // ties broken towards the lowest domain id (ascending scan).
-            // Domains whose transmitters all have their share drop out.
-            let mut best: Option<(f64, u32)> = None;
-            let domains = &self.domains;
-            self.component.retain(|&slot| {
-                let d = &domains[slot as usize];
-                if d.unfrozen > 0 && best.is_none_or(|(h, _)| d.headroom < h) {
-                    best = Some((d.headroom, slot));
+            // ties broken towards the lowest domain id — the least key.
+            let (mut at, mut least) = (0, self.keys[0]);
+            for (i, &key) in self.keys.iter().enumerate().skip(1) {
+                if key < least {
+                    (at, least) = (i, key);
                 }
-                d.unfrozen > 0
-            });
-            let Some((share, slot)) = best else { break };
-            let members = std::mem::take(&mut self.domains[slot as usize].members);
+            }
+            let share = f64::from_bits((least >> 32) as u64);
+            let slot = self.component[at] as usize;
+            let members = std::mem::take(&mut self.domains[slot].members);
+            let Phy {
+                air,
+                domains,
+                component,
+                keys,
+                rerated,
+                capacity_bps,
+                ..
+            } = self;
             for &n in &members {
-                let a = &mut self.air[n as usize];
+                let a = &mut air[n as usize];
                 if !a.unfrozen {
                     continue;
                 }
                 a.unfrozen = false;
-                a.rate_bps = share.max(1.0);
-                for other in distinct(a.slots) {
-                    let d = &mut self.domains[other as usize];
+                if a.rerate(now, share.max(1.0)) {
+                    rerated.push((a.tx, n));
+                }
+                each_domain(a.slots, |other| {
+                    let d = &mut domains[other as usize];
                     d.frozen_sum += share;
                     d.unfrozen -= 1;
+                    let pos = d.pos as usize;
                     if d.unfrozen > 0 {
-                        d.headroom = headroom(self.capacity_bps, d.frozen_sum, d.unfrozen);
+                        keys[pos] = d.key(*capacity_bps);
+                        return;
                     }
-                }
+                    keys.swap_remove(pos);
+                    component.swap_remove(pos);
+                    if let Some(&moved) = component.get(pos) {
+                        domains[moved as usize].pos = pos as u32;
+                    }
+                });
             }
-            self.domains[slot as usize].members = members;
+            self.domains[slot].members = members;
         }
     }
 }
 
-/// What one of `unfrozen` transmitters may still take from a domain.
-fn headroom(capacity_bps: f64, frozen_sum: f64, unfrozen: u32) -> f64 {
-    (capacity_bps - frozen_sum).max(0.0) / unfrozen as f64
-}
-
-/// The distinct domains of a transmission (one or two), sender's first.
-fn distinct(pair: (u32, u32)) -> impl Iterator<Item = u32> {
-    let (a, b) = pair;
-    std::iter::once(a).chain((b != a).then_some(b))
+/// Calls `f` on the distinct domains of a transmission (one or two),
+/// sender's first.
+fn each_domain(pair: (u32, u32), mut f: impl FnMut(u32)) {
+    f(pair.0);
+    if pair.1 != pair.0 {
+        f(pair.1);
+    }
 }
 
 #[cfg(test)]
@@ -744,43 +806,41 @@ mod tests {
     }
 
     #[test]
-    fn an_unrelated_start_keeps_rates_to_the_bit_and_deadlines_within_a_microsecond() {
+    fn an_unrelated_operation_reissues_no_deadline_to_the_watched_transmissions() {
         // Three frames share cell 1 at a third of 1 Mb/s each, a rate with
         // no exact f64; cell 9 then sees frames come and go at odd instants.
         let mut p = phy(true, 1_000_000, 8);
         let t0 = SimTime::ZERO;
-        let mut deadline = BTreeMap::new();
+        let mut issued = BTreeMap::new();
         let mut watched = Vec::new();
         for node in 0..3 {
             let (e, moved) = p.enqueue(t0, node, (1, 1), 2_000 + node, 0);
             watched.push(started(&e));
-            deadline.extend(moved.iter().map(|r| (r.tx, r.at)));
+            issued.extend(moved.iter().map(|r| (r.tx, *r)));
         }
         let rates: Vec<u64> = watched.iter().map(|&tx| rate(&p, tx).to_bits()).collect();
-        let mut wobbles = 0;
         let mut now = t0;
         for i in 0..400u64 {
             now += SimDuration::from_micros(7 + i % 13);
             let (e, moved) = p.enqueue(now, 3, (9, 9), 1, 0);
             let tx = started(&e);
-            let issued = *moved.iter().find(|r| r.tx == tx).expect("issued");
-            now = issued.at;
-            let (_, moved_by_finish) = p.complete(now, tx, issued.seq).expect("fresh");
-            for r in moved.iter().chain(&moved_by_finish) {
-                if r.tx == tx {
-                    continue;
-                }
-                let before = deadline.insert(r.tx, r.at).expect("a watched tx");
-                let by = r.at.as_micros().abs_diff(before.as_micros());
-                assert_eq!(by, 1, "tx {} moved from {before:?} to {:?}", r.tx, r.at);
-                wobbles += 1;
-            }
+            assert_eq!(moved.len(), 1, "only the new frame's deadline: {moved:?}");
+            assert_eq!((moved[0].tx, moved[0].node), (tx, 3));
+            now = moved[0].at;
+            let (_, moved) = p.complete(now, tx, moved[0].seq).expect("fresh");
+            assert!(moved.is_empty(), "a finish in cell 9 moved {moved:?}");
             let now_rates: Vec<u64> = watched.iter().map(|&tx| rate(&p, tx).to_bits()).collect();
             assert_eq!(now_rates, rates);
         }
-        // The rounding wobble is real: it is why the deadline pass visits
-        // every transmission, not only the refilled component's.
-        assert!(wobbles > 0);
+        // The deadlines issued at the start still stand: the first watched
+        // frame finishes on its original `(tx, seq)`.
+        let first = issued
+            .values()
+            .min_by_key(|r| (r.at, r.tx))
+            .expect("issued");
+        assert!(now < first.at, "cell 9 ran past the watched frames");
+        let (done, _) = p.complete(first.at, first.tx, first.seq).expect("fresh");
+        assert_eq!(done.airtime, first.at.since(t0));
     }
 
     #[test]

@@ -20,9 +20,12 @@
 //! The crate is deliberately *mechanism only*: it owns no clock and schedules
 //! nothing itself. [`Phy::enqueue`] and [`Phy::complete`] return completion
 //! deadlines and reschedule directives that the caller (the netsim world)
-//! turns into events on its own kernel. Every completion deadline carries a
-//! sequence number; after a rate reallocation moves a deadline, the stale
-//! event is recognised by its outdated sequence number and ignored.
+//! turns into events on its own kernel. Every deadline carries its node and
+//! a sequence number. A deadline moves only when its transmission's rate
+//! does, and then the new one supersedes the old: the netsim world keeps one
+//! event per transmitting node and cancels the superseded one, so it never
+//! pops a stale deadline; a caller that does not cancel has the outdated
+//! sequence number recognised by [`Phy::complete`] and ignored.
 //!
 //! The engine is a pure function of its call sequence. Its state is dense
 //! (per-node records, per-domain member lists, reused scratch buffers), not
@@ -31,8 +34,9 @@
 //! start order), and bottleneck candidates are compared by ascending domain
 //! id, ties going to the lowest. A start, finish or abort recomputes rates
 //! only in the contention components it touches — the result is bit for bit
-//! the one a global recomputation gives — and re-derives every deadline (see
-//! [`Resched`] for why those may move by a microsecond).
+//! the one a global recomputation gives — and re-derives the deadline of the
+//! frame it started and of each transmission whose rate changed, after
+//! settling that one's residual work at its old rate (see [`Resched`]).
 //!
 //! Composition with fault injection is defined as *drop at dequeue*: the
 //! channel model decides only whether and when a frame reaches the air;

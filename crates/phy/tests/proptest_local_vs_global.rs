@@ -1,12 +1,13 @@
 //! Differential test of local reallocation against the global engine.
 //!
 //! [`phy::Phy`] refills only the contention components a start, finish or
-//! abort touches. [`support::GlobalPhy`] — the engine as it was before,
-//! kept in test code only — refills everything, every time. The claim is
-//! that the two are indistinguishable, bit for bit: random call sequences
-//! driven through both must give the same [`Enqueue`] outcomes, the same
-//! [`Resched`] batches in the same order after every call, the same
-//! [`Completion`] fields and the same per-domain rate sums by
+//! abort touches, and settles and re-derives only what the refill rerated.
+//! [`support::GlobalPhy`] — kept in test code only — refills everything,
+//! every time, and visits every transmission to find the ones whose rate
+//! changed. The claim is that the two are indistinguishable, bit for bit:
+//! random call sequences driven through both must give the same [`Enqueue`]
+//! outcomes, the same [`Resched`] batches in the same order after every
+//! call, the same [`Completion`] fields and the same per-domain rate sums by
 //! `f64::to_bits`.
 //!
 //! The workload is shaped so that locality has something to get wrong:
@@ -15,18 +16,22 @@
 //! that components merge when it starts and split when it finishes;
 //! same-instant arrivals; crashes of idle, queued-only and on-air nodes.
 //!
-//! Five mutations were seeded into `engine.rs` while this file was written
-//! (each alone, 256 cases per model). Four fail
-//! `shared_airtime_local_equals_global` on a `Resched` batch mismatch; the
-//! fifth cannot change anything observable:
+//! Six mutations were seeded into `engine.rs` when deadlines became local
+//! (each alone; the proptest runner here is deterministic, 256 cases per
+//! model). Five fail `shared_airtime_local_equals_global`; the sixth cannot
+//! change anything observable:
 //!
 //! | mutation | outcome |
 //! |---|---|
-//! | bottleneck ties go to the highest domain id (`<=` for `<`) | caught |
-//! | bottleneck candidates scanned in descending domain id | caught |
-//! | a bottleneck's members frozen in descending `TxId` | equivalent: every addition a round makes to a domain's frozen sum is the same share, so their order cannot show; the order of the member lists does show in [`Phy::domain_allocations`], and summing that in reverse is caught ("allocated rates differ") |
-//! | deadline pass skips transmissions outside the refilled components | caught (the 1 µs wobble goes missing) |
-//! | only the first touched domain's component refilled | caught (a finish that splits a component, or frees one domain and starts the next frame in another) |
+//! | bottleneck ties go to the highest domain id | caught: 124 of 256 cases (batches or allocated rates differ) |
+//! | every transmission the refill freezes is settled and reissued, rate changed or not | caught: 185 (the 1 µs wobble comes back) |
+//! | a rate change replaces the rate without settling the residual at the old one | caught: 249 |
+//! | a domain that drops out of the bottleneck scan leaves the domain moved into its place with a stale position | caught: 244 (most panic on an index) |
+//! | only the first touched domain's component refilled | caught: 245 (a finish that splits a component, or frees one domain and starts the next frame in another) |
+//! | a bottleneck's members frozen in descending `TxId` | equivalent: every addition a round makes to a domain's frozen sum is the same share, so their order cannot show; the order of the member lists does show in [`Phy::domain_allocations`] |
+//!
+//! `constant_bandwidth_local_equals_global` fails none of them: it never
+//! refills.
 
 #[path = "support/deadlines.rs"]
 mod deadlines;

@@ -12,9 +12,10 @@
 //!    once: completed, flushed while waiting, or aborted on the air by a
 //!    crash; the aborted transmission's outstanding deadline is stale.
 //!
-//! The driver below replays a generated workload through a [`Phy`] the same
-//! way the netsim world does: reschedule directives become ordered events,
-//! stale sequence numbers are ignored, and time only moves forward.
+//! The driver below replays a generated workload through a [`Phy`]:
+//! reschedule directives become ordered events, superseded sequence numbers
+//! are ignored (the netsim world cancels those events instead, to the same
+//! effect), and time only moves forward.
 
 #[path = "support/deadlines.rs"]
 mod deadlines;
@@ -110,6 +111,9 @@ impl Sim {
     }
 
     fn schedule(&mut self, rescheds: Vec<Resched>) {
+        // No rate ever changes on a constant channel: an operation issues
+        // at most the deadline of the frame it starts.
+        assert!(self.shared || rescheds.len() <= 1, "{rescheds:?}");
         self.deadlines.schedule(&rescheds);
     }
 
@@ -249,9 +253,8 @@ proptest! {
     }
 
     /// Constant bandwidth is the degenerate single-transmitter case: the same
-    /// invariants hold. Rates never change, yet deadlines are re-derived at
-    /// every operation like everyone else's and may move by a microsecond of
-    /// rounding (see [`Resched`]).
+    /// invariants hold. Rates never change, so a deadline is issued once,
+    /// when its frame starts, and never moves (see [`Resched`]).
     #[test]
     fn constant_bandwidth_conserves_and_keeps_fifo(jobs in arb_jobs()) {
         check_fifo_and_drain(PhyModel::ConstantBandwidth(channel(500_000)), &jobs);

@@ -1,7 +1,9 @@
-//! The caller's half of the engine's contract, as the netsim world keeps it:
-//! every [`Resched`] becomes an event at its deadline, events fire in time
-//! order with ties broken by scheduling order, and nothing is ever cancelled
-//! — a superseded deadline fires too and the engine calls it stale.
+//! The caller's half of the engine's contract in its plainest form: every
+//! [`Resched`] becomes an event at its deadline, events fire in time order
+//! with ties broken by scheduling order, and nothing is ever cancelled — a
+//! superseded deadline fires too and the engine calls it stale. (The netsim
+//! world cancels a node's superseded event instead; the `seq` check makes
+//! the two equivalent.)
 
 use std::collections::BTreeMap;
 

@@ -1,8 +1,10 @@
-//! The engine this crate shipped before reallocation became local, kept as
-//! the oracle of `proptest_local_vs_global.rs`: every `enqueue`, `complete`
-//! and aborting `flush_node` settles every transmission and recomputes every
-//! rate from scratch over ordered maps. Same API as [`phy::Phy`], built from
-//! the crate's public types, so a driver can run both side by side.
+//! The global engine, kept as the oracle of `proptest_local_vs_global.rs`:
+//! every `enqueue`, `complete` and aborting `flush_node` recomputes every
+//! rate from scratch over ordered maps, then visits every transmission. One
+//! whose rate changed bitwise (or that just started) is settled at its old
+//! rate and has its deadline derived anew; every other keeps its residual
+//! work and its deadline. Same API as [`phy::Phy`], built from the crate's
+//! public types, so a driver can run both side by side.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -23,6 +25,7 @@ struct Active<T> {
     domains: (u32, u32),
     enqueued_at: SimTime,
     started_at: SimTime,
+    /// When `remaining_bits` was last settled: the last rate change.
     updated_at: SimTime,
     remaining_bits: f64,
     rate_bps: f64,
@@ -30,7 +33,7 @@ struct Active<T> {
     deadline: SimTime,
 }
 
-/// The global engine: every operation settles and refills every transmission.
+/// The global engine: every operation refills every transmission.
 pub struct GlobalPhy<T> {
     shared: bool,
     capacity_bps: f64,
@@ -142,7 +145,6 @@ impl<T> GlobalPhy<T> {
                 Vec::new(),
             );
         }
-        self.settle(now);
         let tx = self.start(now, node, domains, wire_bytes, payload, now);
         let rescheds = self.reallocate(now);
         (Enqueue::Started(tx), rescheds)
@@ -162,7 +164,6 @@ impl<T> GlobalPhy<T> {
             Some(a) if a.seq == seq => {}
             _ => return None,
         }
-        self.settle(now);
         let done = self.active.remove(&tx).expect("checked above");
         self.head[done.node] = None;
         let started = self.queues[done.node].pop_front().map(|w| {
@@ -197,10 +198,7 @@ impl<T> GlobalPhy<T> {
         self.ensure_node(node);
         let waiting: Vec<T> = self.queues[node].drain(..).map(|w| w.payload).collect();
         let aborted = match self.head[node].take() {
-            Some(tx) => {
-                self.settle(now);
-                self.active.remove(&tx).map(|a| a.payload)
-            }
+            Some(tx) => self.active.remove(&tx).map(|a| a.payload),
             None => None,
         };
         let rescheds = if aborted.is_some() {
@@ -243,18 +241,8 @@ impl<T> GlobalPhy<T> {
         tx
     }
 
-    /// Advances every in-flight transmission's residual work to `now`.
-    fn settle(&mut self, now: SimTime) {
-        for a in self.active.values_mut() {
-            let dt = now.since(a.updated_at).as_secs_f64();
-            if dt > 0.0 {
-                a.remaining_bits = (a.remaining_bits - a.rate_bps * dt).max(0.0);
-            }
-            a.updated_at = now;
-        }
-    }
-
-    /// Recomputes fair-share rates and reissues moved deadlines.
+    /// Recomputes fair-share rates; settles each transmission whose rate
+    /// changed and reissues its deadline if it moved.
     fn reallocate(&mut self, now: SimTime) -> Vec<Resched> {
         let rates = if self.shared {
             self.maxmin_rates()
@@ -267,6 +255,12 @@ impl<T> GlobalPhy<T> {
         let mut out = Vec::new();
         for (tx, a) in &mut self.active {
             let rate = rates.get(tx).copied().unwrap_or(self.capacity_bps).max(1.0);
+            if rate.to_bits() == a.rate_bps.to_bits() {
+                continue;
+            }
+            let dt = now.since(a.updated_at).as_secs_f64();
+            a.remaining_bits = (a.remaining_bits - a.rate_bps * dt).max(0.0);
+            a.updated_at = now;
             a.rate_bps = rate;
             let finish_us = (a.remaining_bits / rate * 1e6).ceil() as u64;
             let at = now + SimDuration::from_micros(finish_us);
@@ -275,6 +269,7 @@ impl<T> GlobalPhy<T> {
                 a.deadline = at;
                 out.push(Resched {
                     tx: *tx,
+                    node: a.node,
                     seq: a.seq,
                     at,
                 });

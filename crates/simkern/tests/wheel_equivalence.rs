@@ -13,13 +13,20 @@
 //! and deadlines beyond the wheel span that land in the overflow heap.
 //!
 //! Programs also reserve blocks of seqs and schedule under them later, at
-//! fresh deadlines or at the deadline of an earlier event, so reserved
-//! events tie with events scheduled before and after their reservation in
-//! every container — the contract that a reserved seq sorts where it was
-//! reserved.
+//! fresh deadlines, at overflow delays or at the deadline of an earlier
+//! event, so reserved events tie with events scheduled before and after
+//! their reservation in every container — the contract that a reserved seq
+//! sorts where it was reserved. Some advances cross into the next span,
+//! where events scheduled a few hundred µs past its start wait in the
+//! overflow heap: the heap migrates into a few shared wheel slots with
+//! reserved schedules still to come there, so a migration that left a slot
+//! out of seq order misplaces them. And programs reissue: cancel the newest
+//! live event and schedule its replacement, the load a caller that keeps
+//! one pending deadline per key (the netsim world's phy deadlines) puts on
+//! the queue.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 use proptest::prelude::*;
 use simkern::{EventQueue, SeqBlock, SimTime};
@@ -141,6 +148,9 @@ impl Block for HeapBlock {
     }
 }
 
+/// The wheel's span: six levels of 64 slots, `64^6` µs.
+const SPAN: u64 = 1 << 36;
+
 /// When a scheduled event is due.
 #[derive(Debug, Clone, Copy)]
 enum When {
@@ -149,6 +159,13 @@ enum When {
     /// The deadline of the `pick`-th event ever scheduled (modulo their
     /// number), clamped to now: a tie with it, or with whatever is due.
     Tie(usize),
+    /// `offset` µs into the span after the clock's: in the overflow heap
+    /// until the clock enters that span, and then, for a small offset, in
+    /// one of a few low-level wheel slots with the others scheduled so.
+    NextSpan(u64),
+    /// The deadline of the `k`-th newest event scheduled (0 the newest),
+    /// clamped to now: a tie with something recent.
+    Recent(usize),
 }
 
 /// One step of a queue-driving program.
@@ -162,11 +179,14 @@ enum Op {
     Reserve { n: u64 },
     /// Pop up to `count` events with deadlines within `horizon` µs of now.
     Pop { count: usize, horizon: u64 },
-    /// Advance the clock `ahead` µs past the last popped deadline.
-    Advance { ahead: u64 },
+    /// Pop everything due by `to`, then advance the clock there.
+    Advance { to: When },
     /// Cancel the `pick`-th event ever scheduled (modulo their number):
     /// pending, already popped or already cancelled.
     Cancel { pick: usize },
+    /// Cancel the newest event still pending, if any, and schedule its
+    /// replacement.
+    Reissue { when: When },
 }
 
 /// What a program observed: a pop, or a cancellation and what it returned.
@@ -182,7 +202,8 @@ fn delay_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         3 => Just(0u64),
         5 => 1u64..64,
-        5 => 64u64..4096,
+        3 => 64u64..512,
+        2 => 512u64..4096,
         4 => 4096u64..262_144,
         2 => 262_144u64..(1 << 24),
         1 => (1u64 << 30)..(1 << 37),
@@ -194,26 +215,35 @@ fn when_strategy() -> impl Strategy<Value = When> {
     prop_oneof![
         3 => delay_strategy().prop_map(When::After),
         1 => any::<usize>().prop_map(When::Tie),
+        1 => (0usize..6).prop_map(When::Recent),
     ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => when_strategy().prop_map(|when| Op::Schedule { when, block: None }),
-        3 => (when_strategy(), any::<usize>())
+        5 => (when_strategy(), any::<usize>())
             .prop_map(|(when, pick)| Op::Schedule { when, block: Some(pick) }),
-        1 => (1u64..4).prop_map(|n| Op::Reserve { n }),
+        // Overflow entries bound for a few shared slots, reserved or not.
+        3 => (0u64..256, proptest::option::of(any::<usize>())).prop_map(|(offset, block)| {
+            Op::Schedule { when: When::NextSpan(offset), block }
+        }),
+        2 => (1u64..8).prop_map(|n| Op::Reserve { n }),
         3 => (1usize..8, 0u64..100_000).prop_map(|(count, horizon)| Op::Pop { count, horizon }),
-        1 => (0u64..50_000).prop_map(|ahead| Op::Advance { ahead }),
+        1 => (0u64..50_000).prop_map(|ahead| Op::Advance { to: When::After(ahead) }),
+        // Into the next span mid-program: the overflow heap migrates into
+        // the wheel with schedules still to come.
+        1 => (0u64..32).prop_map(|offset| Op::Advance { to: When::NextSpan(offset) }),
         2 => any::<usize>().prop_map(|pick| Op::Cancel { pick }),
+        2 => when_strategy().prop_map(|when| Op::Reissue { when }),
     ]
 }
 
 /// Runs `ops` against a queue via the shared API, logging every pop and
 /// every cancellation; `$check` runs on the queue after every op.
 ///
-/// Pops use `now + horizon` as the limit and `Advance` moves to the popped
-/// frontier plus `ahead` — both queues see the exact same call sequence, so
+/// Pops use `now + horizon` as the limit and `Advance` pops up to its
+/// target and moves the clock there — both queues see the exact same call sequence, so
 /// their logs must match entry for entry.
 macro_rules! run_program {
     ($queue:expr, $ops:expr) => {
@@ -225,6 +255,8 @@ macro_rules! run_program {
         let mut handles = Vec::new();
         let mut deadlines: Vec<u64> = Vec::new();
         let mut blocks = Vec::new();
+        // Tags of the events still pending, for `Reissue`.
+        let mut live = BTreeSet::new();
         for op in $ops {
             match *op {
                 Op::Schedule { when, block } => {
@@ -239,6 +271,7 @@ macro_rules! run_program {
                     if let Some(handle) = handle {
                         handles.push(handle);
                         deadlines.push(t);
+                        live.insert(tag);
                     }
                 }
                 Op::Reserve { n } => blocks.push(q.reserve(n)),
@@ -246,22 +279,40 @@ macro_rules! run_program {
                     let limit = SimTime::from_micros(q.now().as_micros().saturating_add(horizon));
                     for _ in 0..count {
                         match q.pop_due(limit) {
-                            Some((t, e)) => log.push(Seen::Popped(t.as_micros(), e)),
+                            Some((t, e)) => {
+                                live.remove(&e);
+                                log.push(Seen::Popped(t.as_micros(), e));
+                            }
                             None => break,
                         }
                     }
                 }
                 Op::Cancel { pick } => {
                     if !handles.is_empty() {
-                        log.push(Seen::Cancelled(q.cancel(handles[pick % handles.len()])));
+                        let tag = pick % handles.len();
+                        let cancelled = q.cancel(handles[tag]);
+                        live.remove(&(tag as u32));
+                        log.push(Seen::Cancelled(cancelled));
                     }
                 }
-                Op::Advance { ahead } => {
+                Op::Reissue { when } => {
+                    if let Some(tag) = live.pop_last() {
+                        log.push(Seen::Cancelled(q.cancel(handles[tag as usize])));
+                        let t = deadline(q.now().as_micros(), when, &deadlines);
+                        let tag = handles.len() as u32;
+                        handles.push(q.schedule(SimTime::from_micros(t), tag));
+                        deadlines.push(t);
+                        live.insert(tag);
+                    }
+                }
+                Op::Advance { to } => {
                     // Drain everything due first so neither queue is asked
                     // to jump over pending events (a documented usage error
                     // for `advance_to`).
-                    let target = SimTime::from_micros(q.now().as_micros().saturating_add(ahead));
+                    let target = deadline(q.now().as_micros(), to, &deadlines);
+                    let target = SimTime::from_micros(target);
                     while let Some((t, e)) = q.pop_due(target) {
+                        live.remove(&e);
                         log.push(Seen::Popped(t.as_micros(), e));
                     }
                     q.advance_to(target);
@@ -284,6 +335,9 @@ fn deadline(now: u64, when: When, deadlines: &[u64]) -> u64 {
         When::After(delay) => now.saturating_add(delay),
         When::Tie(_) if deadlines.is_empty() => now,
         When::Tie(pick) => deadlines[pick % deadlines.len()].max(now),
+        When::Recent(_) if deadlines.is_empty() => now,
+        When::Recent(k) => deadlines[deadlines.len() - 1 - k.min(deadlines.len() - 1)].max(now),
+        When::NextSpan(offset) => (now / SPAN + 1) * SPAN + offset,
     }
 }
 
@@ -406,8 +460,9 @@ proptest! {
                         prop_assert!(q.now() <= limit);
                     }
                 }
-                Op::Advance { ahead } => {
-                    let target = SimTime::from_micros(q.now().as_micros().saturating_add(ahead));
+                Op::Advance { to } => {
+                    let target = deadline(q.now().as_micros(), to, &deadlines);
+                    let target = SimTime::from_micros(target);
                     while let Some((_, e)) = q.pop_due(target) {
                         live.remove(&e);
                     }
@@ -422,6 +477,17 @@ proptest! {
                     let cancelled = q.cancel(handles[tag as usize]);
                     prop_assert_eq!(cancelled.is_some(), live.remove(&tag).is_some());
                     prop_assert!(cancelled.is_none_or(|e| e == tag));
+                }
+                Op::Reissue { when } => {
+                    let Some((old, _)) = live.pop_last() else {
+                        continue;
+                    };
+                    prop_assert_eq!(q.cancel(handles[old as usize]), Some(old));
+                    let t = deadline(q.now().as_micros(), when, &deadlines);
+                    let tag = handles.len() as u32;
+                    handles.push(q.schedule(SimTime::from_micros(t), tag));
+                    deadlines.push(t);
+                    live.insert(tag, t);
                 }
             }
             prop_assert_eq!(q.len(), live.len());
